@@ -473,18 +473,26 @@ class QuotientFilterCore:
     def _run_traffic_of(
         self,
         quotients: np.ndarray,
-        run_q: np.ndarray,
         run_starts: np.ndarray,
         run_lens: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-quotient run ``(lengths, cache lines)`` as the per-item path
         charges them: one alignment-aware ``read_range``/``write_range``
-        transaction plus one ``_account`` charge per run touched."""
-        if run_q.size == 0:
+        transaction plus one ``_account`` charge per run touched.
+
+        ``run_starts``/``run_lens`` are the decoded run geometry in quotient
+        order.  The i-th occupied quotient owns the i-th run, so a probe's
+        run index is ``rank(occupieds, q) - 1`` — one vectorised rank over
+        the packed ``occupieds`` words, in any probe order; the occupied
+        test reads the same word.
+        """
+        if run_lens.size == 0:
             zero = np.zeros(quotients.size, dtype=np.int64)
             return zero, zero.copy()
-        idx = np.minimum(np.searchsorted(run_q, quotients), run_q.size - 1)
-        hit = run_q[idx] == quotients
+        occupieds = self.occupieds
+        bit = (quotients & 63).astype(np.uint64)
+        hit = ((occupieds.words[quotients >> 6] >> bit) & np.uint64(1)).astype(bool)
+        idx = occupieds.rank_batch(quotients) - 1
         lens = np.where(hit, run_lens[idx], 0)
         starts = np.where(hit, run_starts[idx], 0)
         return lens, self._span_lines_vec(starts, lens) + self._slot_lines_vec(lens)
@@ -503,8 +511,10 @@ class QuotientFilterCore:
     def batch_counts(self, quotients: np.ndarray, remainders: np.ndarray) -> np.ndarray:
         """Per-fingerprint stored counts, routed by batch size.
 
-        Large batches amortise one vectorised whole-table lookup; small
-        ones probe per item (same simulated traffic either way).
+        Large batches take :meth:`lookup_counts` (one memoised whole-table
+        decode, one sort of the probes, one merge-like search); small ones
+        probe per item with :meth:`query_fingerprint`, the reference path.
+        Both return the same counts and charge the same simulated traffic.
         """
         quotients = np.asarray(quotients, dtype=np.int64)
         remainders = np.asarray(remainders, dtype=np.uint64)
@@ -757,18 +767,27 @@ class QuotientFilterCore:
         )
 
     def lookup_counts(self, quotients: np.ndarray, remainders: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`query_fingerprint` over a whole batch."""
+        """Vectorised :meth:`query_fingerprint` over a whole batch.
+
+        Probes arrive in caller (hash) order.  They are packed into
+        ``q << r | remainder`` keys, sorted once, answered with one
+        ``searchsorted`` against the decoded table's sorted item keys — a
+        sorted probe sequence walks the table front to back instead of
+        jumping around it — and the counts are scattered back to caller
+        order.  Run traffic is charged through :meth:`_run_traffic_of`,
+        exactly as the per-item path charges it.
+        """
         quotients = np.asarray(quotients, dtype=np.int64)
         remainders = np.asarray(remainders, dtype=np.uint64)
         m = int(quotients.size)
         out = np.zeros(m, dtype=np.int64)
         if m == 0:
             return out
-        item_q, item_r, item_c, run_q, starts, lens = self._decode_items()
+        item_q, item_r, item_c, _run_q, starts, lens = self._decode_items()
         # Per probe, the per-item path charges one read_range transaction
         # for the run plus _account's aligned charge and one metadata line;
         # mirror it so batch and per-item queries record the same traffic.
-        q_lens, q_lines = self._run_traffic_of(quotients, run_q, starts, lens)
+        q_lens, q_lines = self._run_traffic_of(quotients, starts, lens)
         self.recorder.add(
             cache_line_reads=int(q_lines.sum()) + m,
             instructions=int(4 * m + q_lens.sum()),
@@ -779,8 +798,13 @@ class QuotientFilterCore:
             shift = np.uint64(self.remainder_bits)
             item_keys = (item_q.astype(np.uint64) << shift) | item_r
             probe_keys = (quotients.astype(np.uint64) << shift) | remainders
-            idx = np.minimum(np.searchsorted(item_keys, probe_keys), item_keys.size - 1)
-            return np.where(item_keys[idx] == probe_keys, item_c[idx], 0)
+            # Answers are scattered back by position, so the unstable
+            # default sort is fine.
+            order = np.argsort(probe_keys)
+            sorted_keys = probe_keys[order]
+            idx = np.minimum(np.searchsorted(item_keys, sorted_keys), item_keys.size - 1)
+            out[order] = np.where(item_keys[idx] == sorted_keys, item_c[idx], 0)
+            return out
         # Fingerprints wider than 64 bits cannot be packed into one sort key;
         # fall back to a host-side dictionary (unreachable for GQF configs).
         table = {

@@ -208,6 +208,27 @@ class Bitvector:
     def _cum_popcounts(self) -> np.ndarray:
         return np.cumsum(_popcount_words(self.words).astype(np.int64))
 
+    def rank_batch(self, positions: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`rank` of every entry of ``positions``.
+
+        One word-prefix popcount over the vector plus one masked in-word
+        popcount per probe — O(m + n/64), with no per-bit work — so small
+        batches never pay for more than the packed words.  Same clamping as
+        :meth:`rank`: negative positions rank 0, positions past the end rank
+        the whole vector.
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        if positions.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        pos = np.clip(positions, 0, self.n_bits - 1)
+        w = pos >> 6
+        words = self.words[w]
+        # Bits of word w strictly above the position: inclusive prefix count
+        # through word w minus those.
+        above = words & ~(_ALL_ONES >> (np.uint64(63) - (pos & 63).astype(np.uint64)))
+        ranks = self._cum_popcounts()[w] - _popcount_words(above).astype(np.int64)
+        return np.where(positions < 0, 0, ranks)
+
     def select(self, k: int) -> Optional[int]:
         """Position of the ``k``-th set bit (1-indexed); None if fewer exist."""
         if k <= 0:

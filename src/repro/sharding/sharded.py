@@ -63,7 +63,7 @@ from ..lifecycle.resize import expand
 from ..lifecycle.snapshot import _resolve_class
 from .router import DEFAULT_ROUTER_SEED, partition, shard_ids
 from .sharedmem import ShardStore
-from .worker import run_shard_task
+from .worker import _execute_op, run_shard_task
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -96,28 +96,6 @@ def _journal_arrays(journal: Dict[int, List[int]]) -> Tuple[np.ndarray, np.ndarr
             values[cursor] = value
             cursor += 1
     return keys, values
-
-
-def _execute_op(
-    filt: AbstractFilter,
-    op: str,
-    keys: Optional[np.ndarray],
-    values: Optional[np.ndarray],
-) -> object:
-    """The shared op switch (used verbatim by workers and inline mode)."""
-    if op == "noop":
-        return True
-    if op == "insert":
-        return filt.bulk_insert(keys, values)
-    if op == "insert_mask":
-        return filt.bulk_insert_mask(keys, values)
-    if op == "query":
-        return filt.bulk_query(keys)
-    if op == "count":
-        return filt.bulk_count(keys)
-    if op == "delete":
-        return filt.bulk_delete(keys)
-    raise ValueError(f"unknown shard operation {op!r}")
 
 
 class ShardedFilter(AbstractFilter):

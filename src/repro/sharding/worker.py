@@ -79,6 +79,28 @@ def _events_since(recorder: StatsRecorder, before: Dict[str, int]) -> Dict[str, 
     return {name: after[name] - before[name] for name in after if after[name] != before[name]}
 
 
+def _execute_op(
+    filt: AbstractFilter,
+    op: str,
+    keys: Optional[np.ndarray],
+    values: Optional[np.ndarray],
+) -> object:
+    """The one shard-op switch, shared by pool workers and inline mode."""
+    if op == "noop":
+        return True
+    if op == "insert":
+        return filt.bulk_insert(keys, values)
+    if op == "insert_mask":
+        return filt.bulk_insert_mask(keys, values)
+    if op == "query":
+        return filt.bulk_query(keys)
+    if op == "count":
+        return filt.bulk_count(keys)
+    if op == "delete":
+        return filt.bulk_delete(keys)
+    raise ValueError(f"unknown shard operation {op!r}")
+
+
 def run_shard_task(
     spec: Dict[str, object],
     op: str,
@@ -97,20 +119,7 @@ def run_shard_task(
     result: object = None
     error: Optional[Dict[str, object]] = None
     try:
-        if op == "noop":
-            result = True
-        elif op == "insert":
-            result = twin.bulk_insert(keys, values)
-        elif op == "insert_mask":
-            result = twin.bulk_insert_mask(keys, values)
-        elif op == "query":
-            result = twin.bulk_query(keys)
-        elif op == "count":
-            result = twin.bulk_count(keys)
-        elif op == "delete":
-            result = twin.bulk_delete(keys)
-        else:
-            raise ValueError(f"unknown shard operation {op!r}")
+        result = _execute_op(twin, op, keys, values)
     except FilterFullError as exc:
         error = {"type": "filter_full", "message": exc.message}
     finally:

@@ -84,6 +84,44 @@ class TestRankSelect:
             assert pos == positions[k - 1]
             assert bv.rank(pos) == k
 
+    def test_rank_batch_matches_rank_at_word_edges(self, rng):
+        n_bits = 200  # n_bits % 64 != 0: the last word is partial
+        bv = Bitvector(n_bits)
+        for p in rng.choice(n_bits, size=70, replace=False):
+            bv.set(int(p))
+        for p in (0, 63, 64, n_bits - 1):
+            bv.set(p)
+        probes = np.array([0, 63, 64, 127, 128, n_bits - 1, 5, 64, 0], dtype=np.int64)
+        assert bv.rank_batch(probes).tolist() == [bv.rank(int(p)) for p in probes]
+        assert bv.rank_batch(np.array([n_bits - 1]))[0] == bv.count()
+
+    def test_rank_batch_clamps_like_rank(self):
+        bv = Bitvector(100)
+        bv.set(0)
+        bv.set(99)
+        probes = np.array([-5, -1, 100, 1000], dtype=np.int64)
+        assert bv.rank_batch(probes).tolist() == [bv.rank(int(p)) for p in probes] == [0, 0, 2, 2]
+
+    def test_rank_batch_of_no_positions_is_empty(self):
+        out = Bitvector(64).rank_batch(np.zeros(0, dtype=np.int64))
+        assert out.dtype == np.int64
+        assert out.size == 0
+
+    def test_rank_batch_on_adopted_words(self, rng):
+        n_bits = 130
+        source = Bitvector(n_bits)
+        for p in rng.choice(n_bits, size=40, replace=False):
+            source.set(int(p))
+        words = source.to_words()
+        adopted = Bitvector.adopt_words(words, n_bits)
+        probes = np.arange(n_bits, dtype=np.int64)
+        expected = [source.rank(int(p)) for p in probes]
+        assert adopted.rank_batch(probes).tolist() == expected
+        # The adopted vector reads the shared buffer: writes through the
+        # buffer show up in the next rank.
+        words[0] |= np.uint64(1)
+        assert adopted.rank_batch(np.array([0]))[0] == 1
+
     def test_select_from(self):
         bv = Bitvector(64)
         for p in (5, 20, 40):

@@ -13,6 +13,7 @@ from repro.core.exceptions import FilterFullError
 from repro.core.gqf import BulkGQF, PointGQF
 from repro.core.gqf import counters
 from repro.core.gqf.bulk_gqf import SEQUENTIAL_BATCH_MAX
+from repro.core.gqf.layout import QuotientFilterCore
 from repro.gpusim.stats import StatsRecorder
 
 
@@ -94,6 +95,91 @@ class TestBulkPointDifferential:
         # The per-item semantics are preserved: the table fills to capacity
         # before the exception fires (the benchmark fill loops rely on it).
         assert bulk.core.n_occupied_slots > 0.9 * bulk.core.total_slots
+
+
+def _force_sequential(filt):
+    """Route every batch through the per-item reference path."""
+    filt.core.prefers_sequential = lambda n: True
+
+
+def _query_fixture(cls, seed):
+    """A loaded q=10 filter plus a shuffled probe batch covering every case.
+
+    Probes mix stored keys (some with counter-encoded counts), absent keys,
+    keys whose quotient owns no run, and keys on the last canonical slot,
+    whose run spills into the slack slots; every probe appears twice.
+    """
+    rec = StatsRecorder()
+    filt = cls(10, 8, region_slots=256, recorder=rec)
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, 2**63, size=300_000, dtype=np.uint64)
+    pool_q = np.asarray(filt.scheme.key_to_slot(pool)[0], dtype=np.int64)
+    last = pool[pool_q == filt.core.n_canonical_slots - 1]
+    keys = np.concatenate([pool[:400], last[:6]])
+    heavy = np.repeat(keys[:12], rng.integers(2, 300, size=12))
+    filt.bulk_insert(np.concatenate([keys, heavy, last[:6]]))
+    occupied = filt.core.occupieds.bits[pool_q]
+    unoccupied = pool[400:][~occupied[400:]][:100]
+    absent = pool[400:][occupied[400:]][:100]
+    probes = np.concatenate([keys, last[6:20], unoccupied, absent])
+    probes = rng.permutation(np.concatenate([probes, probes]))
+    return filt, rec, probes
+
+
+class TestQueryEventParity:
+    """Vectorised GQF probes must charge exactly the per-item path's events."""
+
+    @pytest.mark.parametrize("cls", [BulkGQF, PointGQF])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_query_and_count_match_per_item_path(self, cls, seed):
+        runs = []
+        for sequential in (False, True):
+            filt, rec, probes = _query_fixture(cls, seed)
+            assert not filt.core.prefers_sequential(probes.size)
+            if sequential:
+                _force_sequential(filt)
+            rec.reset()
+            query = filt.bulk_query(probes)
+            count = filt.bulk_count(probes)
+            runs.append((query, count, rec.total.as_dict()))
+        (vq, vc, vevents), (sq, sc, sevents) = runs
+        assert np.array_equal(vq, sq)
+        assert np.array_equal(vc, sc)
+        assert vevents == sevents
+        assert vc.max() > 2  # counter-encoded runs were probed
+        assert not vq.all()  # absent keys were probed
+
+    def test_wide_core_dict_fallback_matches_per_item_path(self):
+        """q + r > 64 cannot pack one sort key: the lookup uses a dict."""
+        rng = np.random.default_rng(4)
+        quotients = rng.integers(0, 1 << 10, size=300)
+        quotients[:5] = (1 << 10) - 1
+        remainders = rng.integers(0, 1 << 56, size=300, dtype=np.uint64)
+        counts = rng.integers(1, 4, size=300)
+        order = np.lexsort((remainders, quotients))
+        stored_q, stored_r = quotients[order], remainders[order]
+        probe_q = np.concatenate(
+            [stored_q, rng.integers(0, 1 << 10, size=100), np.full(5, (1 << 10) - 1)]
+        )
+        probe_r = np.concatenate([stored_r, rng.integers(0, 1 << 56, size=105, dtype=np.uint64)])
+        shuffle = rng.permutation(probe_q.size)
+        probe_q, probe_r = probe_q[shuffle], probe_r[shuffle]
+        runs = []
+        for sequential in (False, True):
+            rec = StatsRecorder()
+            core = QuotientFilterCore(10, 56, rec)
+            core.insert_sorted_batch(stored_q, stored_r, counts[order])
+            rec.reset()
+            if sequential:
+                pairs = zip(probe_q, probe_r, strict=True)
+                out = np.array([core.query_fingerprint(int(q), int(r)) for q, r in pairs])
+            else:
+                out = core.lookup_counts(probe_q, probe_r)
+            runs.append((out, rec.total.as_dict()))
+        (vout, vevents), (sout, sevents) = runs
+        assert np.array_equal(vout, sout)
+        assert vevents == sevents
+        assert np.array_equal(vout[np.argsort(shuffle)][:300], counts[order])
 
 
 class TestWideGeometries:

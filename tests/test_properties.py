@@ -89,6 +89,8 @@ class TestBitvectorProperties:
         for k, p in enumerate(sorted(positions), start=1):
             assert bv.select(k) == p
             assert bv.rank(p) == k
+        probes = np.array(positions + [0, 63, 64, 499], dtype=np.int64)
+        assert bv.rank_batch(probes).tolist() == [bv.rank(int(p)) for p in probes]
 
     @SETTINGS
     @given(st.lists(st.integers(0, 255), min_size=0, max_size=80, unique=True))
