@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.gqf import BulkGQF
 from ..core.tcf import PointTCF
-from ..gpusim.sorting import group_ranks, run_first_mask
+from ..gpusim.sorting import group_ranks, run_first_mask, stable_argsort
 from ..gpusim.stats import StatsRecorder
 from ..workloads import kmer as kmer_mod
 
@@ -134,7 +134,7 @@ class GPUKmerCounter:
         promote[known] = 1
         unknown = kmers[~known]
         if unknown.size:
-            order = np.argsort(unknown, kind="stable")
+            order = stable_argsort(unknown)
             grouped = unknown[order]
             occ_rank = np.empty(unknown.size, dtype=np.int64)
             occ_rank[order] = group_ranks(grouped)

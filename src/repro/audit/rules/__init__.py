@@ -18,9 +18,12 @@ AUD105    swallowed-exception     no bare/silent exception swallowing in
                                   service code (PR 7)
 AUD106    bulk-values-validation  bulk insert APIs validate keys/values
                                   like the point APIs (PR 3)
+AUD107    stable-sort             bulk/deterministic modules sort through
+                                  gpusim.sorting.stable_argsort, not
+                                  lexsort or a stable argsort
 ========  ======================  ========================================
 """
 
-from . import api, determinism, errors, persistence, vectorization
+from . import api, determinism, errors, persistence, sorting, vectorization
 
-__all__ = ["api", "determinism", "errors", "persistence", "vectorization"]
+__all__ = ["api", "determinism", "errors", "persistence", "sorting", "vectorization"]

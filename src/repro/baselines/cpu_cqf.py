@@ -163,7 +163,7 @@ class CPUCountingQuotientFilter(AbstractFilter):
         else:
             counts = np.maximum(1, np.asarray(values, dtype=np.int64))
         quotients, remainders = self._hashed_batch(keys)
-        order = np.lexsort((remainders, quotients))
+        order = self.core.fingerprint_order(quotients, remainders)
         quotients, remainders, counts = quotients[order], remainders[order], counts[order]
         with self.kernels.launch("cpu_cqf_insert", point_launch(keys.size, 1)):
             if not self.core.prefers_sequential(int(keys.size)):

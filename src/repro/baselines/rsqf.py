@@ -169,7 +169,7 @@ class RankSelectQuotientFilter(AbstractFilter):
         quotients, remainders = self.scheme.split(fingerprints)
         # Host-side ordering only (no device sort pass is charged: the
         # authors' serial insert kernel performs none).
-        order = np.lexsort((remainders, quotients))
+        order = self.core.fingerprint_order(quotients, remainders)
         quotients = quotients[order]
         remainders = remainders[order]
         with self.kernels.launch(

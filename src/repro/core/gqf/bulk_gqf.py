@@ -27,7 +27,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ...gpusim.kernel import KernelContext, bulk_region_launch
-from ...gpusim.sorting import device_sort_by_key
+from ...gpusim.sorting import device_sort_by_key, stable_argsort
 from ...gpusim.stats import StatsRecorder
 from ...hashing.fingerprints import FingerprintScheme
 from ..base import AbstractFilter, FilterCapabilities
@@ -208,7 +208,7 @@ class BulkGQF(AbstractFilter):
             unique_keys, agg_counts = aggregate_batch(keys, self.recorder)
             if values is not None:
                 # Aggregate the explicit counts as well (sorted by key).
-                order = np.argsort(keys, kind="stable")
+                order = stable_argsort(keys)
                 sorted_keys = keys[order]
                 sorted_counts = counts[order]
                 boundaries = np.searchsorted(sorted_keys, unique_keys, side="left")

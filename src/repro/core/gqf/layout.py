@@ -25,6 +25,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ...gpusim.memory import DeviceArray
+from ...gpusim.sorting import stable_argsort
 from ...gpusim.stats import StatsRecorder
 from ...hashing.fingerprints import FingerprintScheme
 from ..exceptions import FilterFullError, SnapshotError
@@ -528,6 +529,29 @@ class QuotientFilterCore:
             dtype=np.int64,
         )
 
+    @property
+    def _packs_fingerprints(self) -> bool:
+        """Whether a ``(quotient, remainder)`` pair fits one uint64 key."""
+        return self.quotient_bits + self.remainder_bits <= 64
+
+    def _packed_fingerprints(self, quotients: np.ndarray, remainders: np.ndarray) -> np.ndarray:
+        """``q << remainder_bits | r`` keys, ordered like ``(q, r)`` pairs."""
+        shift = np.uint64(self.remainder_bits)
+        return (quotients.astype(np.uint64) << shift) | remainders
+
+    def fingerprint_order(self, quotients: np.ndarray, remainders: np.ndarray) -> np.ndarray:
+        """Stable permutation sorting a batch by ``(quotient, remainder)``.
+
+        Equal to ``np.lexsort((remainders, quotients))``; packed
+        fingerprints go through one :func:`stable_argsort`.
+        """
+        quotients = np.asarray(quotients, dtype=np.int64)
+        remainders = np.asarray(remainders, dtype=np.uint64)
+        if self._packs_fingerprints:
+            return stable_argsort(self._packed_fingerprints(quotients, remainders))
+        # audit: ignore[AUD107] - fingerprints wider than 64 bits cannot be packed
+        return np.lexsort((remainders, quotients))
+
     def _runs_layout(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Whole-table run geometry: ``(quotients, starts, ends, lengths)``.
 
@@ -597,7 +621,7 @@ class QuotientFilterCore:
                 item_q = np.concatenate(parts_q)
                 item_r = np.concatenate(parts_r)
                 item_c = np.concatenate(parts_c)
-                order = np.lexsort((item_r, item_q))
+                order = self.fingerprint_order(item_q, item_r)
                 item_q, item_r, item_c = item_q[order], item_r[order], item_c[order]
 
         if item_q.size > 1:
@@ -709,7 +733,7 @@ class QuotientFilterCore:
         all_q = np.concatenate([item_q, quotients])
         all_r = np.concatenate([item_r, remainders])
         all_c = np.concatenate([item_c, counts])
-        order = np.lexsort((all_r, all_q))
+        order = self.fingerprint_order(all_q, all_r)
         all_q, all_r, all_c = all_q[order], all_r[order], all_c[order]
         fresh = np.ones(all_q.size, dtype=bool)
         fresh[1:] = (all_q[1:] != all_q[:-1]) | (all_r[1:] != all_r[:-1])
@@ -794,13 +818,10 @@ class QuotientFilterCore:
         )
         if item_q.size == 0:
             return out
-        if self.quotient_bits + self.remainder_bits <= 64:
-            shift = np.uint64(self.remainder_bits)
-            item_keys = (item_q.astype(np.uint64) << shift) | item_r
-            probe_keys = (quotients.astype(np.uint64) << shift) | remainders
-            # Answers are scattered back by position, so the unstable
-            # default sort is fine.
-            order = np.argsort(probe_keys)
+        if self._packs_fingerprints:
+            item_keys = self._packed_fingerprints(item_q, item_r)
+            probe_keys = self._packed_fingerprints(quotients, remainders)
+            order = stable_argsort(probe_keys)
             sorted_keys = probe_keys[order]
             idx = np.minimum(np.searchsorted(item_keys, sorted_keys), item_keys.size - 1)
             out[order] = np.where(item_keys[idx] == sorted_keys, item_c[idx], 0)
@@ -850,16 +871,15 @@ class QuotientFilterCore:
 
         removed = 0
         if item_q.size:
-            order = np.lexsort((remainders, quotients))
+            order = self.fingerprint_order(quotients, remainders)
             sq, sr = quotients[order], remainders[order]
             fresh = np.ones(m, dtype=bool)
             fresh[1:] = (sq[1:] != sq[:-1]) | (sr[1:] != sr[:-1])
             first = np.flatnonzero(fresh)
             n_req = np.diff(np.concatenate([first, [m]]))
-            if self.quotient_bits + self.remainder_bits <= 64:
-                shift = np.uint64(self.remainder_bits)
-                item_keys = (item_q.astype(np.uint64) << shift) | item_r
-                req_keys = (sq[first].astype(np.uint64) << shift) | sr[first]
+            if self._packs_fingerprints:
+                item_keys = self._packed_fingerprints(item_q, item_r)
+                req_keys = self._packed_fingerprints(sq[first], sr[first])
                 j = np.minimum(np.searchsorted(item_keys, req_keys), item_keys.size - 1)
                 found = item_keys[j] == req_keys
             else:  # pragma: no cover - >64-bit fingerprints

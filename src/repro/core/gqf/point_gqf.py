@@ -20,6 +20,7 @@ import numpy as np
 
 from ...gpusim.atomics import SpinLockTable
 from ...gpusim.kernel import KernelContext, point_launch
+from ...gpusim.sorting import stable_argsort
 from ...gpusim.stats import StatsRecorder
 from ...hashing.fingerprints import FingerprintScheme
 from ..base import AbstractFilter, FilterCapabilities
@@ -268,7 +269,7 @@ class PointGQF(AbstractFilter):
         charged for it.  Exposed so the differential tests can drive the
         per-item reference through the identical schedule.
         """
-        return np.argsort(self.scheme.join(quotients, remainders), kind="stable")
+        return stable_argsort(self.scheme.join(quotients, remainders))
 
     def _charge_point_locks(self, quotients: np.ndarray) -> None:
         """Replay the per-item region-lock traffic for a whole batch.

@@ -295,16 +295,19 @@ class BlockedTable:
         data = self.slots.peek()
         bs = self.config.block_size
         row_start = blocks.astype(np.int64) * bs
-        targets = words.astype(np.int64)
-        pos = np.zeros(blocks.size, dtype=np.int64)
-        step = 1 << (bs - 1).bit_length() if bs > 1 else 1
-        while step:
-            cand = pos + step
-            gather = np.minimum(row_start + cand - 1, data.size - 1)
-            advance = (cand <= bs) & (data[gather].astype(np.int64) < targets)
-            pos = np.where(advance, cand, pos)
-            step >>= 1
-        return pos
+        targets = np.asarray(words, dtype=np.uint64)
+        # Branchless lower bound on flat positions: the answer lies in
+        # [pos, pos + n]; each step halves n, and every gather stays inside
+        # the row (pos + half <= row_start + bs - 1), for any block size.
+        # (A plain multiply-add beats a masked ``np.add(..., where=)``.)
+        pos = row_start.copy()
+        n = bs
+        while n > 1:
+            half = n // 2
+            pos += (data[pos + half] < targets) * half
+            n -= half
+        pos += data[pos] < targets
+        return pos - row_start
 
     # --------------------------------------------------------------- iterate
     def iter_live_slots(self) -> Iterator[Tuple[int, int, int]]:

@@ -46,6 +46,7 @@ from ...gpusim.sorting import (
     device_sort_by_key,
     group_ranks,
     run_first_mask,
+    stable_argsort,
 )
 from ...gpusim.stats import StatsRecorder
 from ...hashing import potc
@@ -443,7 +444,7 @@ class BulkTCF(TCFLifecycle, AbstractFilter):
                 # Stable word sort keeps batch order among equal words, so the
                 # spilled tail maps back to the right original items even when
                 # the batch contains duplicate fingerprint words.
-                idx_sorted = idx[np.argsort(words[idx], kind="stable")]
+                idx_sorted = idx[stable_argsort(words[idx])]
                 new_words = words[idx_sorted]
                 spill = self._sorted_block_merge(block_idx, new_words)
                 n_in = new_words.size - spill.size
@@ -468,7 +469,7 @@ class BulkTCF(TCFLifecycle, AbstractFilter):
             ):
                 for block_idx in sec_blocks:
                     sel = o_positions[sort_idx[sort_sec == block_idx]]
-                    sel_sorted = sel[np.argsort(words[sel], kind="stable")]
+                    sel_sorted = sel[stable_argsort(words[sel])]
                     new_words = words[sel_sorted]
                     spill = self._sorted_block_merge(int(block_idx), new_words)
                     n_in = new_words.size - spill.size
@@ -644,7 +645,9 @@ class BulkTCF(TCFLifecycle, AbstractFilter):
 
         h = self._derive_batch(keys)
         shift = np.uint64(self.table.flat_key_shift)
-        lo_w, hi_w = self._fingerprint_word_bounds(h.fingerprint)
+        lo_w = self._fingerprint_word_bounds(h.fingerprint)[0]
+        # Every fingerprint's word interval [lo, hi) spans 2^value_bits words.
+        word_span = np.uint64(1) << np.uint64(self.config.value_bits)
         block_size = self.config.block_size
         data = self.table.slots.peek()
         removed = 0
@@ -656,16 +659,17 @@ class BulkTCF(TCFLifecycle, AbstractFilter):
                 if pending.size == 0:
                     break
                 flat = self.table.flat_sorted_keys()
-                base = candidates[pending].astype(np.uint64) << shift
-                probe_lo = base + lo_w[pending]
-                lo = np.searchsorted(flat, probe_lo)
-                hi = np.searchsorted(flat, base + hi_w[pending])
-                n_avail = hi - lo
+                probe_lo = (candidates[pending].astype(np.uint64) << shift) + lo_w[pending]
                 # Rank duplicate (block, fingerprint) requests in batch order
-                # so each consumes a distinct stored slot.
-                order = np.argsort(probe_lo, kind="stable")
-                rank = group_ranks(probe_lo[order])
-                take = rank < n_avail[order]
+                # so each consumes a distinct stored slot.  Everything below
+                # stays in this sorted order, so both searches walk ``flat``
+                # front to back.
+                order = stable_argsort(probe_lo)
+                sorted_lo = probe_lo[order]
+                lo = np.searchsorted(flat, sorted_lo)
+                n_avail = np.searchsorted(flat, sorted_lo + word_span) - lo
+                rank = group_ranks(sorted_lo)
+                take = rank < n_avail
                 # Each request stages its candidate block (read + one pass).
                 account_batched_tiles(
                     self.table.slots,
@@ -676,7 +680,7 @@ class BulkTCF(TCFLifecycle, AbstractFilter):
                 )
                 hits = order[take]
                 if hits.size:
-                    slot_flat = lo[hits] + rank[take]
+                    slot_flat = lo[take] + rank[take]
                     data[slot_flat] = EMPTY_SLOT
                     # slot_flat ascends (probes were rank-ordered), so the
                     # touched blocks dedupe with a plain first-occurrence flag.

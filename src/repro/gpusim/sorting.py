@@ -40,15 +40,67 @@ def _account_sort(
     )
 
 
+def _sorted_index_words(keys: np.ndarray) -> Optional[Tuple[np.ndarray, np.uint64]]:
+    """Sorted ``key << idx_bits | idx`` words of 1-D integer ``keys``.
+
+    Each key is packed with its batch index; a plain (unstable) sort of
+    those distinct words orders by key with ties broken by batch index,
+    which is exactly a stable sort.  Returns ``(words, idx_bits)``, or
+    ``None`` when the keys cannot be packed (non-integer, negative, or key
+    bits plus index bits wider than 64).
+    """
+    n = int(keys.size)
+    if keys.dtype.kind not in "ui" or keys.ndim != 1 or n == 0:
+        return None
+    idx_bits = (n - 1).bit_length()
+    if keys.dtype.kind == "i" and int(keys.min()) < 0:
+        return None
+    if 8 * keys.itemsize + idx_bits > 64 and int(keys.max()).bit_length() + idx_bits > 64:
+        return None
+    shift = np.uint64(idx_bits)
+    words = keys.astype(np.uint64)
+    words <<= shift
+    words |= np.arange(n, dtype=np.uint64)
+    words.sort()
+    return words, shift
+
+
+def _take_indices(words: np.ndarray, idx_bits: np.uint64) -> np.ndarray:
+    """Mask the batch indices out of sorted index words, in place."""
+    words &= (np.uint64(1) << idx_bits) - np.uint64(1)
+    return words.view(np.intp)
+
+
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys, bit for bit.
+
+    The host stand-in for a Thrust radix ``sort_by_key`` over
+    ``(key, index)`` pairs: one plain sort of ``key << idx_bits | idx``
+    words replaces NumPy's much slower stable sort.  Keys that cannot be
+    packed fall back to the stable argsort itself.  Host-side bookkeeping
+    only; callers charge device traffic (e.g. via :func:`device_sort_by_key`).
+    """
+    keys = np.asarray(keys)
+    packed = _sorted_index_words(keys)
+    if packed is None:
+        # audit: ignore[AUD107] - the primitive's own unpackable-key fallback
+        return np.argsort(keys, kind="stable")
+    return _take_indices(*packed)
+
+
 def device_sort(
     keys: np.ndarray,
     recorder: Optional[StatsRecorder] = None,
 ) -> np.ndarray:
-    """Sort ``keys`` ascending (thrust::sort), returning a new array."""
+    """Sort ``keys`` ascending (thrust::sort), returning a new array.
+
+    Equal values are indistinguishable, so the unstable host sort returns
+    the same array a stable one would.
+    """
     recorder = recorder if recorder is not None else GLOBAL_RECORDER
     keys = np.asarray(keys)
     _account_sort(recorder, keys.size, keys.itemsize)
-    return np.sort(keys, kind="stable")
+    return np.sort(keys)
 
 
 def device_sort_by_key(
@@ -56,15 +108,23 @@ def device_sort_by_key(
     values: np.ndarray,
     recorder: Optional[StatsRecorder] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sort ``(keys, values)`` pairs by key (thrust::sort_by_key)."""
+    """Stably sort ``(keys, values)`` pairs by key (thrust::sort_by_key)."""
     recorder = recorder if recorder is not None else GLOBAL_RECORDER
     keys = np.asarray(keys)
     values = np.asarray(values)
     if keys.shape != values.shape:
         raise ValueError("keys and values must have the same shape")
     _account_sort(recorder, keys.size, keys.itemsize + values.itemsize)
-    order = np.argsort(keys, kind="stable")
-    return keys[order], values[order]
+    packed = _sorted_index_words(keys)
+    if packed is None:
+        order = stable_argsort(keys)
+        return keys[order], values[order]
+    # The packed words already hold the sorted keys in their high bits: one
+    # shift streams them out instead of a random-access gather.
+    words, idx_bits = packed
+    sorted_keys = (words >> idx_bits).astype(keys.dtype, copy=False)
+    order = _take_indices(words, idx_bits)
+    return sorted_keys, values[order]
 
 
 def device_reduce_by_key(

@@ -1068,19 +1068,39 @@ _TIMING_MIN_RATES = {
 }
 
 
-#: Repeats behind each query timing (queries leave the table unchanged, so
-#: they can repeat without a rebuild); the median is recorded.
-_QUERY_REPEATS = 5
+#: Repeats behind each point-path insert/query/delete timing; the median is
+#: recorded.
+_POINT_REPEATS = 5
 
 
-def _timed(label: str, timings: Dict[str, float], fn, *args, repeats: int = 1):
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn(*args)
-        samples.append(time.perf_counter() - start)
-    timings[label] = round(statistics.median(samples), 6)
+def _timed(label: str, timings: Dict[str, float], fn, *args):
+    start = time.perf_counter()
+    result = fn(*args)
+    timings[label] = round(time.perf_counter() - start, 6)
     return result
+
+
+def _time_point_filter(
+    prefix: str, make, keys: np.ndarray, probes: np.ndarray, timings: Dict[str, float]
+) -> None:
+    """Median-of-:data:`_POINT_REPEATS` insert, query and delete timings.
+
+    Inserts and deletes mutate the table, so every repeat builds a fresh
+    filter and runs the whole insert -> query -> delete cycle on it.
+    """
+    samples: Dict[str, List[float]] = {"insert": [], "query": [], "delete": []}
+    for _ in range(_POINT_REPEATS):
+        filt = make()
+        for op, fn, batch in (
+            ("insert", filt.bulk_insert, keys),
+            ("query", filt.bulk_query, probes),
+            ("delete", filt.bulk_delete, probes),
+        ):
+            start = time.perf_counter()
+            fn(batch)
+            samples[op].append(time.perf_counter() - start)
+    for op, seconds in samples.items():
+        timings[f"{prefix}_point_{op}_s"] = round(statistics.median(seconds), 6)
 
 
 def _run_point_timing(preset: Preset) -> StageOutput:
@@ -1088,17 +1108,23 @@ def _run_point_timing(preset: Preset) -> StageOutput:
     n_queries = preset.timing_queries
     rng = np.random.default_rng(0xBEEF)
     keys = rng.integers(0, 2**63, size=n_inserts, dtype=np.uint64)
+    probes = keys[:n_queries]
+    capacity = n_inserts + n_queries
     timings: Dict[str, float] = {}
-
-    gqf = PointGQF.for_capacity(n_inserts + n_queries, recorder=StatsRecorder())
-    _timed("gqf_point_insert_s", timings, gqf.bulk_insert, keys)
-    _timed("gqf_point_query_s", timings, gqf.bulk_query, keys[:n_queries], repeats=_QUERY_REPEATS)
-    _timed("gqf_point_delete_s", timings, gqf.bulk_delete, keys[:n_queries])
-
-    tcf = PointTCF.for_capacity(n_inserts + n_queries, recorder=StatsRecorder())
-    _timed("tcf_point_insert_s", timings, tcf.bulk_insert, keys)
-    _timed("tcf_point_query_s", timings, tcf.bulk_query, keys[:n_queries], repeats=_QUERY_REPEATS)
-    _timed("tcf_point_delete_s", timings, tcf.bulk_delete, keys[:n_queries])
+    _time_point_filter(
+        "gqf",
+        lambda: PointGQF.for_capacity(capacity, recorder=StatsRecorder()),
+        keys,
+        probes,
+        timings,
+    )
+    _time_point_filter(
+        "tcf",
+        lambda: PointTCF.for_capacity(capacity, recorder=StatsRecorder()),
+        keys,
+        probes,
+        timings,
+    )
 
     genome = kmer_mod.random_genome(preset.kmer_genome_bp, seed=1)
     reads = kmer_mod.generate_reads(genome, coverage=preset.kmer_coverage, seed=2)

@@ -25,6 +25,8 @@ from typing import Tuple
 
 import numpy as np
 
+from ..gpusim.sorting import stable_argsort
+
 #: Default router seed, mixed into every key before the finalizer.
 DEFAULT_ROUTER_SEED = 0x5368617264464C74  # ascii "ShardFLt"
 
@@ -72,7 +74,7 @@ def partition(
         order = np.arange(keys.size, dtype=np.int64)
         offsets = np.array([0, keys.size], dtype=np.int64)
         return order, offsets
-    order = np.argsort(ids, kind="stable").astype(np.int64)
+    order = stable_argsort(ids)
     counts = np.bincount(ids, minlength=n_shards)
     offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
     return order, offsets

@@ -10,7 +10,7 @@ from repro.audit.lint import all_rules, infer_roles, load_module
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "tests" / "data" / "audit_fixtures"
-RULE_IDS = ("AUD100", "AUD101", "AUD102", "AUD103", "AUD104", "AUD105", "AUD106")
+RULE_IDS = ("AUD100", "AUD101", "AUD102", "AUD103", "AUD104", "AUD105", "AUD106", "AUD107")
 
 
 def _rules_hit(path: pathlib.Path) -> set:

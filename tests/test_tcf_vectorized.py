@@ -267,6 +267,65 @@ class TestDeleteDifferential:
         assert vect.n_items == 0
         _assert_same_state(vect, seq)
 
+    def test_shared_block_fingerprint_deletes_match_per_item_path(self):
+        """Repeated requests, plus keys B stored in their secondary block under
+        the (block, fingerprint) pair of another key A's primary: the batch
+        removes as many, leaves the same slots and records the same events
+        as per-item deletes."""
+        rng = np.random.default_rng(16)
+        pool = rng.integers(0, 2**63, size=100_000, dtype=np.uint64)
+        background, candidates = pool[:1900], pool[1900:]
+        layout = _build(2000)
+        layout.bulk_insert(background)
+        h = layout._derive_batch(candidates)
+        shift = np.uint64(layout.table.flat_key_shift)
+        fp = h.fingerprint.astype(np.uint64)
+        _, ia, ib = np.intersect1d(
+            (h.primary.astype(np.uint64) << shift) | fp,
+            (h.secondary.astype(np.uint64) << shift) | fp,
+            return_indices=True,
+        )
+        # B's primary block is full and A's (= B's secondary) has room, so
+        # B spills onto A's (block, fingerprint) pair.
+        free = layout.table.free_counts()
+        usable = (ia != ib) & (free[h.primary[ib]] == 0) & (free[h.primary[ia]] >= 3)
+        a_keys, b_keys = candidates[ia[usable][:20]], candidates[ib[usable][:20]]
+        assert a_keys.size == 20
+        # Three requests per A (two stored copies, so the third consumes B's
+        # copy on the shared pair) ahead of the B requests: the order in which
+        # the per-item path resolves them matches the batch's pass order (all
+        # primaries, then secondaries, then backing; see bulk_delete).
+        doomed = np.concatenate(
+            [
+                rng.permutation(np.concatenate([a_keys, a_keys, a_keys, background[::4]])),
+                rng.permutation(b_keys),
+            ]
+        )
+        results = {}
+        for label in ("vect", "seq"):
+            rec = StatsRecorder()
+            filt = BulkTCF.for_capacity(2000, BULK_TCF_DEFAULT, rec)
+            filt.bulk_insert(background)
+            filt.bulk_insert(np.concatenate([a_keys, a_keys, b_keys]))
+            hb = filt._derive_batch(b_keys)
+            rows = filt.table.rows()
+            spilled_b = sum(
+                bool((rows[hb.secondary[i]] == hb.fingerprint[i]).any())
+                and not (rows[hb.primary[i]] == hb.fingerprint[i]).any()
+                for i in range(b_keys.size)
+            )
+            assert spilled_b >= 10  # B copies really sit on A's pairs
+            if label == "seq":
+                filt._vectorisable = lambda n: False  # force the per-item path
+            rec.reset()
+            removed = filt.bulk_delete(doomed)
+            results[label] = (removed, filt, rec.total.copy())
+        removed_vect, vect, events_vect = results["vect"]
+        removed_seq, seq, events_seq = results["seq"]
+        assert removed_vect == removed_seq
+        _assert_same_state(vect, seq)
+        assert events_vect == events_seq
+
     def test_values_enabled_delete_differential(self):
         rng = np.random.default_rng(14)
         keys = rng.integers(0, 2**63, size=1500, dtype=np.uint64)
