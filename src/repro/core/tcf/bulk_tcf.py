@@ -259,7 +259,7 @@ class BulkTCF(TCFLifecycle, AbstractFilter):
         inserted = 0
         while True:
             placed = self._bulk_insert_masked(keys, values)
-            self._journal_add_batch(keys[placed], values[placed])
+            self._journal_add(keys[placed], values[placed])
             inserted += int(np.count_nonzero(placed))
             if placed.all():
                 return inserted
@@ -296,7 +296,7 @@ class BulkTCF(TCFLifecycle, AbstractFilter):
         todo = np.arange(keys.size)
         while todo.size:
             placed = self._bulk_insert_masked(keys[todo], values[todo])
-            self._journal_add_batch(keys[todo][placed], values[todo][placed])
+            self._journal_add(keys[todo][placed], values[todo][placed])
             mask[todo[placed]] = True
             todo = todo[~placed]
             if not todo.size or not self._can_grow():
@@ -584,7 +584,19 @@ class BulkTCF(TCFLifecycle, AbstractFilter):
         return self.backing.query(int(key))
 
     def delete(self, key: int) -> bool:
-        """Delete one occurrence of ``key`` and recompact the block."""
+        """Delete one occurrence of ``key`` and recompact the block.
+
+        On a journaled (``auto_resize=True``) filter every point delete also
+        scans the whole key journal — O(journal) host work per call; batch
+        deletes through :meth:`bulk_delete` to pay that scan once.
+        """
+        if not self._delete_once(key):
+            return False
+        self._journal_remove(np.array([key], dtype=np.uint64))
+        return True
+
+    def _delete_once(self, key: int) -> bool:
+        """Delete one occurrence of ``key`` from the tables (no journaling)."""
         h = self._derive_batch(np.array([key], dtype=np.uint64))
         fp = int(h.fingerprint[0])
         vb = self.config.value_bits
@@ -603,11 +615,9 @@ class BulkTCF(TCFLifecycle, AbstractFilter):
                     )
                     tile.replace(np.sort(new_block))
                     self._n_items -= 1
-                    self._journal_remove(int(key))
                     return True
         if self.backing.delete(int(key)):
             self._n_items -= 1
-            self._journal_remove(int(key))
             return True
         return False
 
@@ -634,14 +644,12 @@ class BulkTCF(TCFLifecycle, AbstractFilter):
         if keys.size == 0:
             return 0
         if not self._vectorisable(int(keys.size)):
-            removed = 0
             with self.kernels.launch(
                 "bulk_tcf_delete", point_launch(keys.size, self.config.cg_size)
             ):
-                for key in keys:
-                    if self.delete(int(key)):
-                        removed += 1
-            return removed
+                hits = np.array([self._delete_once(int(key)) for key in keys], dtype=bool)
+            self._journal_remove(keys[hits])
+            return int(np.count_nonzero(hits))
 
         h = self._derive_batch(keys)
         shift = np.uint64(self.table.flat_key_shift)
@@ -650,7 +658,7 @@ class BulkTCF(TCFLifecycle, AbstractFilter):
         word_span = np.uint64(1) << np.uint64(self.config.value_bits)
         block_size = self.config.block_size
         data = self.table.slots.peek()
-        removed = 0
+        removed = np.zeros(keys.size, dtype=bool)
         with self.kernels.launch(
             "bulk_tcf_delete", point_launch(keys.size, self.config.cg_size)
         ):
@@ -692,15 +700,14 @@ class BulkTCF(TCFLifecycle, AbstractFilter):
                         shared_memory_accesses=block_size * int(hits.size),
                         cache_line_writes=int(hits.size),
                     )
-                    removed += int(hits.size)
-                    self._journal_remove_batch(keys[pending[hits]])
+                    removed[pending[hits]] = True
                 pending = pending[order[~take]]
             if pending.size:
-                backing_removed = self.backing.bulk_delete(keys[pending])
-                removed += int(np.count_nonzero(backing_removed))
-                self._journal_remove_batch(keys[pending[backing_removed]])
-        self._n_items -= removed
-        return removed
+                removed[pending] = self.backing.bulk_delete(keys[pending])
+        self._journal_remove(keys[removed])
+        n_removed = int(np.count_nonzero(removed))
+        self._n_items -= n_removed
+        return n_removed
 
     # ---------------------------------------------------------------- analysis
     def block_fills(self) -> np.ndarray:

@@ -5,11 +5,12 @@ fingerprint ``((h1 >> 17) ^ (h2 << 3)) & mask`` cannot be mapped back to the
 key, so — unlike the quotient filters, whose tables can be rehashed from the
 stored fingerprints alone — a TCF cannot rebuild itself at a new geometry
 from its own slots.  When resizing is requested (``auto_resize=True``) the
-filter therefore keeps a host-side *journal*: a plain dict mapping each
-inserted key to its stored values.  Growing the filter builds a fresh table
-at twice the slot count and bulk-inserts the journal through the normal
-(event-charged) insert path, so resize cost shows up honestly in the
-simulated hardware counters.
+filter therefore keeps a host-side *journal*: a :class:`KeyJournal` of
+append-only, capacity-doubling ``uint64`` key and value arrays, appended in
+bulk on insert and pruned by one vectorised pass per delete batch.  Growing
+the filter builds a fresh table at twice the slot count and bulk-inserts the
+journal through the normal (event-charged) insert path, so resize cost shows
+up honestly in the simulated hardware counters.
 
 The journal is exact for true deletes; deleting a *false positive* removes a
 stored slot but no journal entry, so after such a delete a resize can
@@ -26,15 +27,101 @@ attributes they share (``table``, ``backing``, ``config``, ``_n_items``,
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ...gpusim.sorting import group_ranks, run_first_mask, stable_argsort
 from ..base import restore_array
 from ..exceptions import FilterFullError
 from .config import TCFConfig
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+#: Odd 64-bit multiplier of the multiply-shift hash ``remove`` screens with.
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+#: Screening bitmap slots per distinct removed key (~1/factor false hits).
+_SCREEN_FACTOR = 32
+
+
+class KeyJournal:
+    """The (key, value) pairs a resizable TCF holds, in insertion order.
+
+    Two append-only ``uint64`` arrays whose capacity doubles on demand; a
+    key inserted twice is journaled twice.  Host-side bookkeeping only, so
+    no hardware events are charged.
+    """
+
+    def __init__(self) -> None:
+        self._keys = np.empty(0, dtype=np.uint64)
+        self._values = np.empty(0, dtype=np.uint64)
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def add(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Append aligned ``keys``/``values`` after every stored entry."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        n, end = self._size, self._size + keys.size
+        if end > self._keys.size:
+            capacity = max(end, 2 * self._keys.size)
+            for name in ("_keys", "_values"):
+                grown = np.empty(capacity, dtype=np.uint64)
+                grown[:n] = getattr(self, name)[:n]
+                setattr(self, name, grown)
+        self._keys[n:end] = keys
+        self._values[n:end] = np.asarray(values, dtype=np.uint64)
+        self._size = end
+
+    def remove(self, keys: np.ndarray) -> None:
+        """Drop the latest stored occurrence of ``keys``, one per request.
+
+        Duplicate requests drop successively older occurrences (LIFO, like
+        popping a per-key list); a request with no occurrence left is
+        ignored.  One pass over the journal: a multiply-shift hashed bitmap
+        of the requested keys screens candidates, an exact ``searchsorted``
+        into the sorted unique requests confirms them, and a rank over
+        positions in descending order picks each key's newest copies.
+        """
+        needles = np.sort(np.asarray(keys, dtype=np.uint64))
+        n = self._size
+        if needles.size == 0 or n == 0:
+            return
+        first = run_first_mask(needles)
+        unique = needles[first]
+        wanted = np.diff(np.append(np.flatnonzero(first), needles.size))
+        bits = int(_SCREEN_FACTOR * unique.size - 1).bit_length()
+        shift = np.uint64(64 - bits)
+        bitmap = np.zeros(1 << bits, dtype=bool)
+        bitmap[((unique * _HASH_MULTIPLIER) >> shift).view(np.int64)] = True
+        stored = self._keys[:n]
+        hashed = stored * _HASH_MULTIPLIER
+        hashed >>= shift
+        pos = np.flatnonzero(bitmap[hashed.view(np.int64)])
+        # Probe in key order: a sorted searchsorted walks ``unique`` once.
+        candidates = stored[pos]
+        by_key = np.argsort(candidates)
+        which = np.empty(pos.size, dtype=np.int64)
+        which[by_key] = np.searchsorted(unique, candidates[by_key])
+        np.minimum(which, unique.size - 1, out=which)
+        hit = unique[which] == candidates
+        # Newest first: reverse the ascending positions, then group by key.
+        pos, which = pos[hit][::-1], which[hit][::-1]
+        order = stable_argsort(which)
+        which = which[order]
+        drop = pos[order][group_ranks(which) < wanted[which]]
+        if drop.size:
+            # Entries before the oldest dropped one stay where they are.
+            lo = int(drop.min())
+            keep = np.ones(n - lo, dtype=bool)
+            keep[drop - lo] = False
+            self._size = lo + int(np.count_nonzero(keep))
+            self._keys[lo : self._size] = stored[lo:][keep]
+            self._values[lo : self._size] = self._values[lo:n][keep]
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Copies of the stored (keys, values), in insertion order."""
+        return self._keys[: self._size].copy(), self._values[: self._size].copy()
 
 
 class TCFLifecycle:
@@ -51,47 +138,19 @@ class TCFLifecycle:
         if not 0.0 < self.auto_resize_at <= 1.0:
             raise ValueError("auto_resize_at must be in (0, 1]")
         self.n_resizes = 0
-        #: key -> list of stored values; exists only when resizing is on.
-        self._journal: Optional[Dict[int, List[int]]] = {} if self.auto_resize else None
+        #: Inserted (key, value) pairs; exists only when resizing is on.
+        self._journal: Optional[KeyJournal] = KeyJournal() if self.auto_resize else None
         #: int64[3] shared-memory view of the scalar counters once the
         #: tables are adopted (:meth:`adopt_state`); None on the heap.
         self._shared_scalars: Optional[np.ndarray] = None
 
-    def _journal_add(self, key: int, value: int) -> None:
+    def _journal_add(self, keys: np.ndarray, values: np.ndarray) -> None:
         if self._journal is not None:
-            self._journal.setdefault(int(key) & _MASK64, []).append(int(value))
+            self._journal.add(keys, values)
 
-    def _journal_add_batch(self, keys: np.ndarray, values: np.ndarray) -> None:
+    def _journal_remove(self, keys: np.ndarray) -> None:
         if self._journal is not None:
-            journal = self._journal
-            for key, value in zip(keys.tolist(), values.tolist()):
-                journal.setdefault(key & _MASK64, []).append(value)
-
-    def _journal_remove(self, key: int) -> None:
-        if self._journal is not None:
-            values = self._journal.get(int(key) & _MASK64)
-            if values:
-                values.pop()
-                if not values:
-                    del self._journal[int(key) & _MASK64]
-
-    def _journal_remove_batch(self, keys: np.ndarray) -> None:
-        if self._journal is not None:
-            for key in keys.tolist():
-                self._journal_remove(key)
-
-    def _journal_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The journal flattened to aligned (keys, values) uint64 arrays."""
-        total = sum(len(values) for values in self._journal.values())
-        keys = np.empty(total, dtype=np.uint64)
-        values = np.empty(total, dtype=np.uint64)
-        cursor = 0
-        for key, stored in self._journal.items():
-            for value in stored:
-                keys[cursor] = key
-                values[cursor] = value
-                cursor += 1
-        return keys, values
+            self._journal.remove(keys)
 
     # ------------------------------------------------------------------ resize
     def _can_grow(self) -> bool:
@@ -112,7 +171,7 @@ class TCFLifecycle:
         still cannot hold the journal (pathological block skew), the factor
         doubles again.
         """
-        keys, values = self._journal_arrays()
+        keys, values = self._journal.arrays()
         factor = 2
         while True:
             bigger = type(self)(
@@ -162,7 +221,7 @@ class TCFLifecycle:
             ),
         }
         if self._journal is not None:
-            journal_keys, journal_values = self._journal_arrays()
+            journal_keys, journal_values = self._journal.arrays()
             state["journal_keys"] = journal_keys
             state["journal_values"] = journal_values
         return state
@@ -176,9 +235,9 @@ class TCFLifecycle:
         live backing store, so every slot write goes straight to the shared
         segment.  The scalar counters are synchronised explicitly with
         :meth:`refresh_shared` / :meth:`flush_shared`.  Journaled filters
-        cannot adopt: the journal is a variable-size host dict that no fixed
-        segment can hold — the sharding layer keeps journals in the parent
-        process instead.
+        cannot adopt: the journal's arrays grow with every insert, which no
+        fixed segment can hold — the sharding layer keeps journals in the
+        parent process instead.
         """
         if self._journal is not None:
             raise ValueError(
@@ -238,12 +297,9 @@ class TCFLifecycle:
         self.backing._n_items = int(scalars[1])
         self.n_resizes = int(scalars[2]) if scalars.size > 2 else 0
         if self._journal is not None:
-            self._journal.clear()
+            self._journal = KeyJournal()
             if "journal_keys" in state:
-                self._journal_add_batch(
-                    np.asarray(state["journal_keys"], dtype=np.uint64),
-                    np.asarray(state["journal_values"], dtype=np.uint64),
-                )
+                self._journal.add(state["journal_keys"], state["journal_values"])
         if hasattr(self, "_block_lines_cache"):
             self._block_lines_cache = None
         if getattr(self, "_shared_scalars", None) is not None:

@@ -35,7 +35,7 @@ from ..exceptions import FilterFullError, UnsupportedOperationError
 from .backing import BackingTable
 from .block import BlockedTable
 from .config import EMPTY_SLOT, POINT_TCF_DEFAULT, TOMBSTONE_SLOT, TCFConfig
-from .lifecycle import TCFLifecycle
+from .lifecycle import _MASK64, TCFLifecycle
 
 #: Batches at or below this size route through the per-item loop — the same
 #: crossover the bulk TCF (``TCF_SEQUENTIAL_BATCH_MAX``) and the baselines
@@ -196,7 +196,7 @@ class PointTCF(TCFLifecycle, AbstractFilter):
                 self._grow()
                 continue
             if placed:
-                self._journal_add(int(key), int(value))
+                self._journal_add([int(key) & _MASK64], [int(value)])
             return placed
 
     def _insert_once(self, key: int, value: int) -> bool:
@@ -252,7 +252,19 @@ class PointTCF(TCFLifecycle, AbstractFilter):
 
     # ------------------------------------------------------------------ delete
     def delete(self, key: int) -> bool:
-        """Delete one occurrence of ``key`` by tombstoning its slot."""
+        """Delete one occurrence of ``key`` by tombstoning its slot.
+
+        On a journaled (``auto_resize=True``) filter every point delete also
+        scans the whole key journal — O(journal) host work per call; batch
+        deletes through :meth:`bulk_delete` to pay that scan once.
+        """
+        if not self._delete_once(key):
+            return False
+        self._journal_remove([int(key) & _MASK64])
+        return True
+
+    def _delete_once(self, key: int) -> bool:
+        """Tombstone one occurrence of ``key`` (no journaling)."""
         h = self._derive(key)
         if (
             self.table.delete(h.primary, int(h.fingerprint))
@@ -260,7 +272,6 @@ class PointTCF(TCFLifecycle, AbstractFilter):
             or self.backing.delete(int(key))
         ):
             self._n_items -= 1
-            self._journal_remove(int(key))
             return True
         return False
 
@@ -342,7 +353,7 @@ class PointTCF(TCFLifecycle, AbstractFilter):
                 self._maybe_grow()
                 while True:
                     placed = self._bulk_insert_vectorised(keys, values)
-                    self._journal_add_batch(keys[placed], values[placed])
+                    self._journal_add(keys[placed], values[placed])
                     inserted += int(placed.sum())
                     if placed.all():
                         break
@@ -385,12 +396,12 @@ class PointTCF(TCFLifecycle, AbstractFilter):
             elif keys.size:
                 self._maybe_grow()
                 placed = self._bulk_insert_vectorised(keys, values)
-                self._journal_add_batch(keys[placed], values[placed])
+                self._journal_add(keys[placed], values[placed])
                 while not placed.all() and self._can_grow():
                     self._grow()
                     retry = np.flatnonzero(~placed)
                     sub = self._bulk_insert_vectorised(keys[retry], values[retry])
-                    self._journal_add_batch(keys[retry[sub]], values[retry[sub]])
+                    self._journal_add(keys[retry[sub]], values[retry[sub]])
                     placed[retry[sub]] = True
         return placed
 
@@ -572,9 +583,9 @@ class PointTCF(TCFLifecycle, AbstractFilter):
             "tcf_point_bulk_delete", point_launch(len(keys), self.config.cg_size)
         ):
             if self._prefers_sequential(int(keys.size)):
-                for key in keys:
-                    if self.delete(int(key)):
-                        removed += 1
+                hits = np.array([self._delete_once(int(key)) for key in keys], dtype=bool)
+                self._journal_remove(keys[hits])
+                removed = int(np.count_nonzero(hits))
             elif keys.size:
                 removed = self._bulk_delete_vectorised(keys)
         return removed
@@ -664,7 +675,7 @@ class PointTCF(TCFLifecycle, AbstractFilter):
             backing_removed = self.backing.bulk_delete(keys[backing_idx])
             removed[backing_idx] = backing_removed
             self._n_items -= int(backing_removed.sum())
-        self._journal_remove_batch(keys[removed])
+        self._journal_remove(keys[removed])
         return int(removed.sum())
 
     # ---------------------------------------------------------------- analysis

@@ -51,9 +51,6 @@ class KernelStats:
     lock_failures: int = 0
     #: Remainder slots moved by Robin-Hood shifting (GQF/SQF inserts+deletes).
     slots_shifted: int = 0
-    #: Cuckoo-style kick operations (not used by the TCF/GQF, kept for
-    #: completeness of the design-space analysis tooling).
-    kicks: int = 0
     #: Simple arithmetic/logic instructions executed (approximate).
     instructions: int = 0
     #: Number of kernel launches performed.

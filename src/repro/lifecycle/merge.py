@@ -37,7 +37,7 @@ filter cannot count distinct insertions).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -174,7 +174,7 @@ def _merge_tcf_journals(
     recorder: Optional[StatsRecorder],
 ) -> AbstractFilter:
     """Exact TCF merge through the key journals (all inputs auto-resizing)."""
-    parts = [f._journal_arrays() for f in filters]
+    parts = [f._journal.arrays() for f in filters]
     keys = np.concatenate([p[0] for p in parts])
     values = np.concatenate([p[1] for p in parts])
     if value_policy != "all" and keys.size:

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..core.exceptions import SnapshotError
+from ..core.tcf.lifecycle import KeyJournal
 from ..gpusim.stats import StatsRecorder
 from .snapshot import FORMAT_VERSION, _atomic_write, read_snapshot, save_filter
 
@@ -65,9 +66,7 @@ def save_shard_set(filt, directory) -> Dict[str, object]:
         }
         if filt._journals is not None:
             journal_file = f"shard{i}.journal.npz"
-            from ..sharding.sharded import _journal_arrays
-
-            journal_keys, journal_values = _journal_arrays(filt._journals[i])
+            journal_keys, journal_values = filt._journals[i].arrays()
             with open(os.path.join(directory, journal_file), "wb") as fh:
                 np.savez(fh, keys=journal_keys, values=journal_values)
             entry["journal"] = journal_file
@@ -118,7 +117,7 @@ def load_shard_set(directory, recorder: Optional[StatsRecorder] = None):
     version and checksum enforced per shard) and restored straight into the
     rebuilt filter's shared segments.
     """
-    from ..sharding.sharded import ShardedFilter, _journal_add
+    from ..sharding.sharded import ShardedFilter
 
     directory = os.fspath(directory)
     manifest = read_manifest(directory)
@@ -135,14 +134,10 @@ def load_shard_set(directory, recorder: Optional[StatsRecorder] = None):
             filt._twins[i].restore_state(state)
             filt._twins[i].flush_shared()
             if filt._journals is not None:
-                filt._journals[i] = {}
+                filt._journals[i] = KeyJournal()
                 if "journal" in entry:
                     with np.load(os.path.join(directory, entry["journal"])) as npz:
-                        _journal_add(
-                            filt._journals[i],
-                            np.asarray(npz["keys"], dtype=np.uint64),
-                            np.asarray(npz["values"], dtype=np.uint64),
-                        )
+                        filt._journals[i].add(npz["keys"], npz["values"])
     except BaseException:
         filt.close()
         raise

@@ -11,8 +11,6 @@ expectations) and powers the ``python -m repro`` CLI:
   artifacts and a ``manifest.json`` (git SHA, preset, timings, status);
 * ``repro check`` — re-evaluate every stage's qualitative paper claims
   against the artifacts on disk.
-
-The ``benchmarks/`` pytest harness is a thin wrapper over the same stages.
 """
 
 from .artifacts import (

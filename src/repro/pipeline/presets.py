@@ -12,10 +12,6 @@ scale.  The preset bundles every scale knob the stages need, so one
   PRs 1-4); minutes for the full pipeline.
 * ``paper``   — the largest tractable simulation; closest event-count
   fidelity to the paper's 2^22..2^30 experiments.
-
-``benchmarks/conftest.py`` re-exports the active preset's ``sim_lg`` /
-``n_queries`` as ``BENCH_SIM_LG`` / ``BENCH_QUERIES`` for the pytest
-harness, selected through the ``REPRO_PRESET`` environment variable.
 """
 
 from __future__ import annotations

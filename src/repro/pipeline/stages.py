@@ -4,12 +4,10 @@ service, and the sharded-filter scaling curve).
 
 Each stage wraps one driver from :mod:`repro.analysis` / :mod:`repro.apps`:
 its run function executes the functional simulation + perf model at the
-preset's scale and returns a JSON-serialisable payload plus the formatted
-text reports the ``benchmarks/`` harness has always written.  The
-expectations attached to every stage are the paper's qualitative claims
-(previously inline ``assert``\\ s in the benchmark scripts); they read only
-the payload, so ``repro check`` can re-evaluate them against artifacts
-loaded from disk.
+preset's scale and returns a JSON-serialisable payload plus formatted text
+reports for ``benchmarks/results/``.  The expectations attached to every
+stage are the paper's qualitative claims; they read only the payload, so
+``repro check`` can re-evaluate them against artifacts loaded from disk.
 """
 
 from __future__ import annotations

@@ -36,9 +36,10 @@ Execution and failure model
 Resizing (``auto_resize=True``) *rebalances in place*: before an insert
 batch is dispatched, any shard whose projected occupancy crosses the
 threshold is expanded through :func:`repro.lifecycle.resize.expand` —
-quotient extension for the GQF family, journal replay for the TCF (the
-journal lives in the parent, since a variable-size dict cannot inhabit a
-fixed shared segment) — and rebound to a fresh, larger segment.  Shard
+quotient extension for the GQF family, journal replay for the TCF (each
+shard's :class:`~repro.core.tcf.lifecycle.KeyJournal` lives in the parent,
+since arrays that grow with every insert cannot inhabit a fixed shared
+segment) — and rebound to a fresh, larger segment.  Shard
 *count* is fixed for life: the TCF's fingerprints are not invertible, so
 keys can never be re-routed between shards; this matches the paper's
 observation that fingerprint filters cannot re-partition themselves.
@@ -56,7 +57,7 @@ import numpy as np
 
 from ..core.base import AbstractFilter, FilterCapabilities
 from ..core.exceptions import FilterFullError, UnsupportedOperationError
-from ..core.tcf.lifecycle import TCFLifecycle
+from ..core.tcf.lifecycle import KeyJournal, TCFLifecycle
 from ..gpusim.stats import StatsRecorder
 from ..lifecycle.merge import merge
 from ..lifecycle.resize import expand
@@ -64,38 +65,6 @@ from ..lifecycle.snapshot import _resolve_class
 from .router import DEFAULT_ROUTER_SEED, partition, shard_ids
 from .sharedmem import ShardStore
 from .worker import _execute_op, run_shard_task
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-# ------------------------------------------------------------------ journals
-# Parent-side key journals for sharded TCFs (mirrors TCFLifecycle's journal
-# semantics; plain helpers so the dict can live outside the filter object).
-def _journal_add(journal: Dict[int, List[int]], keys: np.ndarray, values: np.ndarray) -> None:
-    for key, value in zip(keys.tolist(), values.tolist()):
-        journal.setdefault(key & _MASK64, []).append(value)
-
-
-def _journal_remove(journal: Dict[int, List[int]], keys: np.ndarray) -> None:
-    for key in keys.tolist():
-        stored = journal.get(key & _MASK64)
-        if stored:
-            stored.pop()
-            if not stored:
-                del journal[key & _MASK64]
-
-
-def _journal_arrays(journal: Dict[int, List[int]]) -> Tuple[np.ndarray, np.ndarray]:
-    total = sum(len(values) for values in journal.values())
-    keys = np.empty(total, dtype=np.uint64)
-    values = np.empty(total, dtype=np.uint64)
-    cursor = 0
-    for key, stored in journal.items():
-        for value in stored:
-            keys[cursor] = key
-            values[cursor] = value
-            cursor += 1
-    return keys, values
 
 
 class ShardedFilter(AbstractFilter):
@@ -202,10 +171,11 @@ class ShardedFilter(AbstractFilter):
         )
         if not 0.0 < self.auto_resize_at <= 1.0:
             raise ValueError("auto_resize_at must be in (0, 1]")
-        #: Parent-side key journals (TCF shards only): a TCF cannot re-derive
-        #: its keys from its slots, so rebalancing needs them journaled here.
-        self._journals: Optional[List[Dict[int, List[int]]]] = (
-            [{} for _ in range(self.n_shards)]
+        #: Parent-side key journals, one per shard (TCF shards only): a TCF
+        #: cannot re-derive its keys from its slots, so rebalancing replays
+        #: the journal kept here.
+        self._journals: Optional[List[KeyJournal]] = (
+            [KeyJournal() for _ in range(self.n_shards)]
             if self.auto_resize and isinstance(self._twins[0], TCFLifecycle)
             else None
         )
@@ -401,7 +371,7 @@ class ShardedFilter(AbstractFilter):
         twin.refresh_shared()
         if self._journals is not None:
             # TCF: lend the parent-held journal to the twin for the rebuild,
-            # then detach it again (a dict cannot live in the fixed segment).
+            # then detach it again (it cannot live in the fixed segment).
             twin._journal = self._journals[i]
             try:
                 expand(twin, extra_quotient_bits)
@@ -468,14 +438,27 @@ class ShardedFilter(AbstractFilter):
                 )
         return order, offsets, batches
 
+    def _insert_values(
+        self, keys: np.ndarray, values: Optional[Sequence[int]]
+    ) -> Optional[np.ndarray]:
+        """``values`` as uint64; zeros in place of None when journaling.
+
+        Journals store one value per key (a TCF treats None as zeros), while
+        unjournaled shards keep None so no value array travels to workers.
+        """
+        if values is not None:
+            return np.ascontiguousarray(values, dtype=np.uint64)
+        if self._journals is not None:
+            return np.zeros(keys.size, dtype=np.uint64)
+        return None
+
     def bulk_insert(
         self, keys: Sequence[int], values: Optional[Sequence[int]] = None
     ) -> int:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return 0
-        if values is not None:
-            values = np.ascontiguousarray(values, dtype=np.uint64)
+        values = self._insert_values(keys, values)
         with self._lock:
             self._check_open()
             if self.auto_resize:
@@ -492,13 +475,7 @@ class ShardedFilter(AbstractFilter):
                 if record["error"] is None:
                     inserted += int(record["result"])
                     if self._journals is not None:
-                        _journal_add(
-                            self._journals[i],
-                            shard_keys,
-                            shard_values
-                            if shard_values is not None
-                            else np.zeros(shard_keys.size, dtype=np.uint64),
-                        )
+                        self._journals[i].add(shard_keys, shard_values)
                     continue
                 if not self.auto_resize:
                     self._raise_full(i, str(record["error"]["message"]))
@@ -515,15 +492,7 @@ class ShardedFilter(AbstractFilter):
                 mask = np.asarray(retry["result"], dtype=bool)
                 inserted += int(np.count_nonzero(mask))
                 if self._journals is not None:
-                    _journal_add(
-                        self._journals[i],
-                        shard_keys[mask],
-                        (
-                            shard_values
-                            if shard_values is not None
-                            else np.zeros(shard_keys.size, dtype=np.uint64)
-                        )[mask],
-                    )
+                    self._journals[i].add(shard_keys[mask], shard_values[mask])
             return inserted
 
     def bulk_insert_mask(
@@ -532,8 +501,7 @@ class ShardedFilter(AbstractFilter):
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return np.zeros(0, dtype=bool)
-        if values is not None:
-            values = np.ascontiguousarray(values, dtype=np.uint64)
+        values = self._insert_values(keys, values)
         with self._lock:
             self._check_open()
             order, offsets, batches = self._partition(keys, values)
@@ -546,15 +514,7 @@ class ShardedFilter(AbstractFilter):
                 routed_mask[lo:hi] = shard_mask
                 if self._journals is not None:
                     shard_keys, shard_values = batches[i]
-                    _journal_add(
-                        self._journals[i],
-                        shard_keys[shard_mask],
-                        (
-                            shard_values
-                            if shard_values is not None
-                            else np.zeros(shard_keys.size, dtype=np.uint64)
-                        )[shard_mask],
-                    )
+                    self._journals[i].add(shard_keys[shard_mask], shard_values[shard_mask])
             mask[order] = routed_mask
             return mask
 
@@ -596,7 +556,7 @@ class ShardedFilter(AbstractFilter):
             for i, record in outs.items():
                 removed += int(record["result"])
                 if self._journals is not None:
-                    _journal_remove(self._journals[i], batches[i][0])
+                    self._journals[i].remove(batches[i][0])
             return removed
 
     # ------------------------------------------------------------- point API
@@ -628,11 +588,7 @@ class ShardedFilter(AbstractFilter):
                 self._pre_grow(incoming)
             ok = bool(self._local_op(key, "insert", value))
             if ok and self._journals is not None:
-                _journal_add(
-                    self._journals[i],
-                    np.array([key], dtype=np.uint64),
-                    np.array([value], dtype=np.uint64),
-                )
+                self._journals[i].add([key], [value])
             return ok
 
     def query(self, key: int) -> bool:
@@ -650,10 +606,7 @@ class ShardedFilter(AbstractFilter):
             self._check_open()
             removed = bool(self._local_op(key, "delete"))
             if removed and self._journals is not None:
-                _journal_remove(
-                    self._journals[self._shard_of(int(key))],
-                    np.array([key], dtype=np.uint64),
-                )
+                self._journals[self._shard_of(int(key))].remove([key])
             return removed
 
     def get_value(self, key: int) -> Optional[int]:
@@ -712,7 +665,7 @@ class ShardedFilter(AbstractFilter):
             for name, array in twin.snapshot_state().items():
                 state[f"shard{i}/{name}"] = array
             if self._journals is not None:
-                journal_keys, journal_values = _journal_arrays(self._journals[i])
+                journal_keys, journal_values = self._journals[i].arrays()
                 state[f"shard{i}/journal_keys"] = journal_keys
                 state[f"shard{i}/journal_values"] = journal_values
         return state
@@ -729,13 +682,9 @@ class ShardedFilter(AbstractFilter):
             journal_values = sub.pop("journal_values", None)
             twin.restore_state(sub)
             if self._journals is not None:
-                self._journals[i] = {}
+                self._journals[i] = KeyJournal()
                 if journal_keys is not None:
-                    _journal_add(
-                        self._journals[i],
-                        np.asarray(journal_keys, dtype=np.uint64),
-                        np.asarray(journal_values, dtype=np.uint64),
-                    )
+                    self._journals[i].add(journal_keys, journal_values)
 
     # --------------------------------------------------------------- teardown
     @property

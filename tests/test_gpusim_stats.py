@@ -59,9 +59,9 @@ class TestKernelStats:
         assert a.total_bytes_moved == a.total_bytes_read + a.total_bytes_written
 
     def test_as_dict_round_trips_fields(self):
-        a = KernelStats(kicks=3)
+        a = KernelStats(slots_shifted=3)
         d = a.as_dict()
-        assert d["kicks"] == 3
+        assert d["slots_shifted"] == 3
         assert set(d) >= {"cache_line_reads", "atomic_ops", "operations"}
 
 

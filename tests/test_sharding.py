@@ -426,10 +426,7 @@ class TestSnapshots:
         sharded = sharded_tcf(2, n_slots=2_048, max_workers=0, auto_resize=True)
         try:
             sharded.bulk_insert(keys)
-            journal_sizes = [
-                sum(len(v) for v in journal.values())
-                for journal in sharded._journals
-            ]
+            journal_sizes = [len(journal) for journal in sharded._journals]
             save_shard_set(sharded, tmp_path / "set")
         finally:
             sharded.close()
@@ -437,10 +434,7 @@ class TestSnapshots:
         assert all("journal" in entry for entry in manifest["shards"])
         restored = load_shard_set(tmp_path / "set")
         try:
-            assert [
-                sum(len(v) for v in journal.values())
-                for journal in restored._journals
-            ] == journal_sizes
+            assert [len(journal) for journal in restored._journals] == journal_sizes
             assert restored.bulk_query(keys).all()
             # The journal is live: a further rebalance must replay correctly.
             restored.rebalance()
