@@ -32,7 +32,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..core.exceptions import SnapshotError
-from ..core.tcf.lifecycle import KeyJournal
 from ..gpusim.stats import StatsRecorder
 from .snapshot import FORMAT_VERSION, _atomic_write, read_snapshot, save_filter
 
@@ -131,13 +130,11 @@ def load_shard_set(directory, recorder: Optional[StatsRecorder] = None):
                 raise SnapshotError(
                     f"shard {i} snapshot holds {shard_class}, expected {expected}"
                 )
-            filt._twins[i].restore_state(state)
-            filt._twins[i].flush_shared()
-            if filt._journals is not None:
-                filt._journals[i] = KeyJournal()
-                if "journal" in entry:
-                    with np.load(os.path.join(directory, entry["journal"])) as npz:
-                        filt._journals[i].add(npz["keys"], npz["values"])
+            journal_keys = journal_values = None
+            if filt._journals is not None and "journal" in entry:
+                with np.load(os.path.join(directory, entry["journal"])) as npz:
+                    journal_keys, journal_values = npz["keys"], npz["values"]
+            filt.restore_shard(i, state, journal_keys, journal_values)
     except BaseException:
         filt.close()
         raise

@@ -22,9 +22,9 @@ Sites:
   simulating disk corruption between a save and a later restore; drives the
   registry's restore-failure handling.
 * ``shard_worker_kill`` — instructs a sharded filter's worker process to
-  ``os._exit`` before touching its segment, simulating a pool process dying
-  (SIGKILL-style: no cleanup runs); drives the pool-rebuild + retry path and
-  the shared-memory leak guards.
+  ``os._exit`` before touching its segment, simulating a worker process
+  dying (SIGKILL-style: no cleanup runs); drives the worker-replacement +
+  retry path and the shared-memory leak guards.
 
 The module also provides :func:`torn_snapshot_writes`, a context manager
 that kills :func:`repro.lifecycle.snapshot.save_filter` mid-stream — the
@@ -125,11 +125,11 @@ class FaultInjector:
             time.sleep(self.config.slow_batch_s)
 
     def on_shard_task(self, token: str) -> bool:
-        """Injection site before a shard task is submitted to the pool.
+        """Injection site before a shard task is sent to its worker.
 
         Returning True instructs the :class:`~repro.sharding.sharded.
         ShardedFilter` to have that worker ``os._exit`` before attaching the
-        segment — a *real* process death (breaking the whole pool), unlike
+        segment — a *real* process death (the worker is replaced), unlike
         ``worker_crash``'s in-thread exception.  The decision is made in the
         parent so the injector's tally stays in one process.
         """

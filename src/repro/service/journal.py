@@ -13,8 +13,8 @@ records).  After a crash, :func:`replay` pairs the two streams up:
 Records are JSON lines in ``journal.jsonl``.  Key payloads up to
 ``INLINE_KEYS`` items are stored inline; larger jobs spill their arrays to
 ``payloads/<request-id>.npz`` so the journal itself stays small even for
-million-key jobs.  Journal appends are flushed + fsynced per record: an
-accepted job survives the process.
+million-key jobs.  Journal appends are flushed + fsynced per record, each
+after the payload files it names: an accepted job survives the process.
 """
 
 from __future__ import annotations
@@ -36,6 +36,14 @@ PAYLOAD_DIR = "payloads"
 INLINE_KEYS = 1024
 
 
+def _fsync_dir(path: pathlib.Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class JobJournal:
     """Append-only journal under one directory; safe for concurrent appends."""
 
@@ -46,6 +54,9 @@ class JobJournal:
         self.path = self.directory / JOURNAL_NAME
         self._lock = threading.Lock()
         self._fh = open(self.path, "a", encoding="utf-8")
+        # The journal file's and payloads/ entries may be new: make them
+        # durable before any record is appended.
+        _fsync_dir(self.directory)
 
     # ------------------------------------------------------------- appends
     def _append(self, record: dict) -> None:
@@ -54,6 +65,19 @@ class JobJournal:
             self._fh.write(line + "\n")
             self._fh.flush()
             os.fsync(self._fh.fileno())
+
+    def _write_payload(self, path: pathlib.Path, arrays: Dict[str, np.ndarray]) -> None:
+        """Write a spilled payload durably, before any record names it.
+
+        The file is fsynced, then ``payloads/`` for its new entry: a crash
+        must never leave a durable record pointing at a torn or missing
+        payload.
+        """
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        _fsync_dir(path.parent)
 
     def record_submit(self, job: Job) -> None:
         record = {
@@ -74,8 +98,7 @@ class JobJournal:
             arrays = {"keys": job.keys}
             if job.values is not None:
                 arrays["values"] = job.values
-            with open(payload_path, "wb") as fh:
-                np.savez(fh, **arrays)
+            self._write_payload(payload_path, arrays)
             record["payload"] = payload_path.name
         self._append(record)
 
@@ -96,8 +119,7 @@ class JobJournal:
                 mask_path = (
                     self.directory / PAYLOAD_DIR / f"{job.request_id}.mask.npz"
                 )
-                with open(mask_path, "wb") as fh:
-                    np.savez(fh, ok_mask=np.asarray(mask, dtype=bool))
+                self._write_payload(mask_path, {"ok_mask": np.asarray(mask, dtype=bool)})
                 record["ok_mask_payload"] = mask_path.name
         self._append(record)
 
@@ -173,15 +195,17 @@ def replay(directory) -> Tuple[List[dict], Dict[str, JobResult]]:
     submits, results = _read_records(directory)
     finished: Dict[str, JobResult] = {}
     for request_id, record in results.items():
+        ok_mask = None
+        if "ok_mask" in record or "ok_mask_payload" in record:
+            mask = _load_mask(directory, record, int(record["n_items"]))
+            ok_mask = [bool(b) for b in mask]
         finished[request_id] = JobResult(
             status=JobStatus(record["status"]),
             n_items=int(record["n_items"]),
             n_ok=int(record["n_ok"]),
             attempts=int(record["attempts"]),
             error=record.get("error"),
-            ok_mask=(
-                [bool(b) for b in record["ok_mask"]] if "ok_mask" in record else None
-            ),
+            ok_mask=ok_mask,
             deadline_exceeded=bool(record.get("deadline_exceeded")),
         )
     pending = []

@@ -177,7 +177,7 @@ class FilterService:
         if self.journal is not None:
             self.journal.close()
         # Workers are joined: release OS-backed filter resources (sharded
-        # filters' shared-memory segments + process pools).  Snapshot-then-
+        # filters' shared-memory segments + worker processes).  Snapshot-then-
         # close, so the data survives and /dev/shm does not.
         self.registry.close_resident()
 

@@ -2,8 +2,8 @@
 
 Hash-partitions one logical filter across N shard tables held in
 ``multiprocessing.shared_memory`` and runs bulk operations shard-parallel
-on a process pool — the multi-GPU/multi-rank usage shape of the paper's
-MetaHipMer case study, rebuilt on host processes.
+on shard-affine worker processes — the multi-GPU/multi-rank usage shape of
+the paper's MetaHipMer case study, rebuilt on host processes.
 """
 
 from .router import DEFAULT_ROUTER_SEED, partition, shard_ids

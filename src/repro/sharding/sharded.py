@@ -3,7 +3,7 @@
 :class:`ShardedFilter` wraps N instances of one bulk filter class (the
 bulk GQF or bulk TCF), routes every key to a shard with the deterministic
 :mod:`~repro.sharding.router`, and executes bulk operations shard-parallel
-on a ``ProcessPoolExecutor``.  Shard tables live in
+on long-lived, shard-affine worker processes.  Shard tables live in
 ``multiprocessing.shared_memory`` segments (:mod:`~repro.sharding.
 sharedmem`) that worker processes adopt zero-copy, so **no table state is
 ever pickled** — per operation, only the routed key batches travel to the
@@ -22,16 +22,27 @@ both.
 
 Execution and failure model
 ---------------------------
+* ``max_workers = W`` worker processes start lazily, one
+  ``multiprocessing.Pipe`` each; worker ``slot`` owns the shards
+  ``i % W == slot``.  A shard's tasks therefore always reach the same
+  process, whose twin keeps its memoised table decode between tasks
+  unless a per-shard *mutation epoch* says the segment changed
+  (:mod:`~repro.sharding.worker` states the sync contract).
 * At most one task per shard is ever in flight (bulk calls dispatch one
   task per shard and wait), so shard tables need no cross-process locks.
+  Each dispatch round sends every worker at most one task before reading
+  the replies, so payloads larger than the pipe buffer cannot deadlock
+  when ``n_shards > W``.
 * A worker that dies (e.g. the deterministic ``shard_worker_kill`` fault)
-  breaks the pool; the filter rebuilds the pool and retries each
-  unfinished shard once.  The injected kill fires *before* any mutation,
-  making the retry exact; a real mid-batch crash makes the retry
-  at-least-once (counts may inflate, membership is preserved) — the same
-  contract as the service's journal replay.
-* ``close()`` shuts the pool down and unlinks every segment; a finalizer
-  on each segment is the backstop when ``close()`` is never called.
+  shows up as a broken pipe or an end-of-file on its pipe; the filter
+  replaces that worker and retries its unfinished shards once.  The
+  injected kill fires *before* any mutation, making the retry exact; a
+  real mid-batch crash makes the retry at-least-once (counts may inflate,
+  membership is preserved) — the same contract as the service's journal
+  replay.
+* ``close()`` stops and joins the workers and unlinks every segment;
+  finalizers on the worker set and on each segment are the backstop when
+  ``close()`` is never called.
 
 Resizing (``auto_resize=True``) *rebalances in place*: before an insert
 batch is dispatched, any shard whose projected occupancy crosses the
@@ -47,10 +58,10 @@ observation that fingerprint filters cannot re-partition themselves.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import weakref
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
@@ -64,7 +75,47 @@ from ..lifecycle.resize import expand
 from ..lifecycle.snapshot import _resolve_class
 from .router import DEFAULT_ROUTER_SEED, partition, shard_ids
 from .sharedmem import ShardStore
-from .worker import _execute_op, run_shard_task
+from .worker import MUTATING_OPS, run_on_twin, serve
+
+
+class _ShardWorker:
+    """One long-lived worker process and the parent's end of its pipe."""
+
+    def __init__(self) -> None:
+        self.conn, child = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(target=serve, args=(child,), daemon=True)
+        self.process.start()
+        # Only the worker may hold its end: the parent's copy would hide the
+        # end-of-file that signals the worker's death.
+        child.close()
+
+    def stop(self, kill: bool = False) -> None:
+        """Ask the worker to exit and join it; ``kill`` skips the request."""
+        if not kill:
+            try:
+                self.conn.send(None)
+            except OSError:
+                # The pipe is broken, so the worker is already exiting.
+                kill = True
+        if kill:
+            self.process.kill()
+        self.conn.close()
+        self.process.join(timeout=10.0)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join()
+        self.process.close()
+
+
+class _WorkerTraceback(Exception):
+    """Carries a worker-side traceback as the cause of a re-raised error."""
+
+
+def _stop_workers(workers: List[Optional[_ShardWorker]], kill: bool = False) -> None:
+    for slot, worker in enumerate(workers):
+        if worker is not None:
+            workers[slot] = None
+            worker.stop(kill)
 
 
 class ShardedFilter(AbstractFilter):
@@ -91,9 +142,10 @@ class ShardedFilter(AbstractFilter):
         Routing-hash seed (recorded in snapshots; change it and a restored
         filter would route keys to the wrong shards).
     max_workers:
-        Pool width; ``None`` means ``min(n_shards, cpu_count)``; ``0``
-        runs shard tasks inline in the parent process (no pool — useful
-        for debugging and for the differential tests' tight loops).
+        Number of worker processes; ``None`` means ``min(n_shards,
+        cpu_count)``; ``0`` runs shard tasks inline in the parent process
+        (no workers — useful for debugging and for the differential tests'
+        tight loops).
     faults:
         Optional fault injector providing ``on_shard_task(token) -> bool``
         (the service's ``shard_worker_kill`` site).
@@ -184,7 +236,13 @@ class ShardedFilter(AbstractFilter):
             if max_workers is None
             else int(max_workers)
         )
-        self._pool: Optional[ProcessPoolExecutor] = None
+        #: Per-shard mutation epochs: bumped by every write to a segment.
+        self._epochs = [0] * self.n_shards
+        #: Epoch each parent twin last synced at (None: must refresh).
+        self._synced: List[Optional[int]] = [0] * self.n_shards
+        #: Worker ``slot`` owns the shards ``i % len(self._workers) == slot``.
+        self._workers: List[Optional[_ShardWorker]] = [None] * max(1, self._max_workers)
+        self._finalize_workers = weakref.finalize(self, _stop_workers, self._workers)
         self._lock = threading.Lock()
         self._closed = False
         self._op_seq = 0
@@ -215,9 +273,17 @@ class ShardedFilter(AbstractFilter):
         return self._inner_class.capabilities()
 
     # ----------------------------------------------------------------- sizes
-    def _refresh_all(self) -> None:
-        for twin in self._twins:
+    def _synced_twin(self, i: int) -> AbstractFilter:
+        """Shard ``i``'s parent twin, refreshed if its segment changed since."""
+        twin = self._twins[i]
+        if self._synced[i] != self._epochs[i]:
             twin.refresh_shared()
+            self._synced[i] = self._epochs[i]
+        return twin
+
+    def _refresh_all(self) -> None:
+        for i in range(self.n_shards):
+            self._synced_twin(i)
 
     @property
     def capacity(self) -> int:
@@ -261,18 +327,8 @@ class ShardedFilter(AbstractFilter):
         if self._closed:
             raise RuntimeError("the sharded filter is closed")
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=max(1, self._max_workers))
-        return self._pool
-
-    def _recycle_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-        self.worker_restarts += 1
-
-    def _task_spec(self, i: int, kill: bool) -> Dict[str, object]:
+    def _task_spec(self, i: int, op: str, kill: bool) -> Dict[str, object]:
+        epoch = self._epochs[i]
         return {
             "shard": i,
             "handle": self._stores[i].handle(),
@@ -280,6 +336,8 @@ class ShardedFilter(AbstractFilter):
             "name": self._inner_class.__qualname__,
             "config": self._configs[i],
             "kill": kill,
+            "epoch": epoch,
+            "flush_epoch": epoch + (op in MUTATING_OPS),
         }
 
     def _run_inline(
@@ -289,17 +347,14 @@ class ShardedFilter(AbstractFilter):
         keys: Optional[np.ndarray],
         values: Optional[np.ndarray],
     ) -> Dict[str, object]:
-        twin = self._twins[i]
-        twin.refresh_shared()
-        result: object = None
-        error: Optional[Dict[str, object]] = None
-        try:
-            result = _execute_op(twin, op, keys, values)
-        except FilterFullError as exc:
-            error = {"type": "filter_full", "message": exc.message}
-        finally:
-            twin.flush_shared()
-        return {"shard": i, "result": result, "error": error, "events": {}}
+        epoch = self._epochs[i]
+        stale = self._synced[i] != epoch
+        self._synced[i] = None
+        record = run_on_twin(self._twins[i], stale, op, keys, values)
+        self._synced[i] = epoch + (op in MUTATING_OPS)
+        record["shard"] = i
+        record["events"] = {}
+        return record
 
     def _dispatch(
         self,
@@ -308,49 +363,105 @@ class ShardedFilter(AbstractFilter):
     ) -> Dict[int, Dict[str, object]]:
         """Run one task per shard; returns each shard's result record.
 
-        Worker deaths (``BrokenProcessPool``) recycle the pool and retry
-        each unfinished shard once; shard tables live in parent-owned
-        segments, so a dead worker loses no state.
+        A mutating operation bumps the epoch of every shard it was sent to,
+        whatever its outcome.
         """
         self._op_seq += 1
-        if self._max_workers == 0:
-            return {i: self._run_inline(op, i, k, v) for i, (k, v) in batches.items()}
+        try:
+            if self._max_workers == 0:
+                return {i: self._run_inline(op, i, k, v) for i, (k, v) in batches.items()}
+            return self._run_pooled(op, batches)
+        finally:
+            if op in MUTATING_OPS:
+                for i in batches:
+                    self._epochs[i] += 1
+
+    def _send(
+        self,
+        slot: int,
+        i: int,
+        op: str,
+        may_kill: bool,
+        batch: Tuple[Optional[np.ndarray], Optional[np.ndarray]],
+    ) -> bool:
+        """Send shard ``i``'s task to worker ``slot``; False if it is dead."""
+        kill = bool(
+            may_kill
+            and self.faults is not None
+            and self.faults.on_shard_task(f"{self._op_seq}:{i}")
+        )
+        worker = self._workers[slot]
+        if worker is None:
+            worker = self._workers[slot] = _ShardWorker()
+        try:
+            worker.conn.send((self._task_spec(i, op, kill), op, *batch))
+        except OSError:
+            return False
+        return True
+
+    def _run_pooled(
+        self,
+        op: str,
+        batches: Dict[int, Tuple[Optional[np.ndarray], Optional[np.ndarray]]],
+    ) -> Dict[int, Dict[str, object]]:
+        """Run the shard tasks on their owning workers, round by round.
+
+        A worker whose pipe breaks has died: it is replaced and its
+        unfinished shards are retried once; shard tables live in
+        parent-owned segments, so a dead worker loses no state.
+        """
+        n_workers = len(self._workers)
         outs: Dict[int, Dict[str, object]] = {}
         pending = dict(batches)
         for attempt in range(2):
-            pool = self._ensure_pool()
-            futures = {}
-            for i, (keys, values) in pending.items():
-                kill = bool(
-                    attempt == 0
-                    and self.faults is not None
-                    and self.faults.on_shard_task(f"{self._op_seq}:{i}")
-                )
-                futures[i] = pool.submit(
-                    run_shard_task, self._task_spec(i, kill), op, keys, values
-                )
-            broken = False
-            for i, future in futures.items():
-                try:
-                    record = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    continue
-                outs[i] = record
-                self.recorder.add(**record["events"])
+            queues: Dict[int, List[int]] = {}
+            for i in pending:
+                queues.setdefault(i % n_workers, []).append(i)
+            dead: List[int] = []
+            failure: Optional[Tuple[BaseException, str]] = None
+            try:
+                while queues and failure is None:
+                    sent: Dict[int, int] = {}
+                    for slot, queue in queues.items():
+                        i = queue.pop(0)
+                        if self._send(slot, i, op, attempt == 0, pending[i]):
+                            sent[slot] = i
+                        else:
+                            dead.append(slot)
+                    for slot, i in sent.items():
+                        try:
+                            record = self._workers[slot].conn.recv()
+                        except (EOFError, OSError):
+                            dead.append(slot)
+                            continue
+                        if "exception" in record:
+                            failure = failure or (record["exception"], record["traceback"])
+                            continue
+                        outs[i] = record
+                        self.recorder.add(**record["events"])
+                    queues = {slot: q for slot, q in queues.items() if q and slot not in dead}
+            except BaseException:
+                # Interrupted mid-round: replies may still be in flight, so
+                # no pipe can be trusted; workers restart on the next call.
+                _stop_workers(self._workers, kill=True)
+                raise
+            for slot in dead:
+                self._workers[slot].stop(kill=True)
+                self._workers[slot] = None
+                self.worker_restarts += 1
+            if failure is not None:
+                exc, worker_traceback = failure
+                raise exc from _WorkerTraceback(worker_traceback)
             pending = {i: pending[i] for i in pending if i not in outs}
             if not pending:
                 return outs
-            if broken:
-                self._recycle_pool()
         raise RuntimeError(
-            f"shard worker pool died twice running {op!r} on shards "
+            f"shard workers died twice running {op!r} on shards "
             f"{sorted(pending)}; giving up"
         )
 
     def _raise_full(self, i: int, message: str) -> None:
-        twin = self._twins[i]
-        twin.refresh_shared()
+        twin = self._synced_twin(i)
         raise FilterFullError(
             f"shard {i}/{self.n_shards}: {message}",
             n_items=twin.n_items,
@@ -359,7 +470,7 @@ class ShardedFilter(AbstractFilter):
         )
 
     def warm_up(self) -> None:
-        """Spin the worker pool up (and fault in the twins) ahead of timing."""
+        """Start the workers (and fault in their twins) ahead of timing."""
         with self._lock:
             self._check_open()
             self._dispatch("noop", {i: (None, None) for i in range(self.n_shards)})
@@ -367,8 +478,7 @@ class ShardedFilter(AbstractFilter):
     # ------------------------------------------------------------ rebalance
     def _expand_shard(self, i: int, extra_quotient_bits: int = 1) -> None:
         """Grow shard ``i`` and rebind it onto a fresh, larger segment."""
-        twin = self._twins[i]
-        twin.refresh_shared()
+        twin = self._synced_twin(i)
         if self._journals is not None:
             # TCF: lend the parent-held journal to the twin for the rebuild,
             # then detach it again (it cannot live in the fixed segment).
@@ -389,14 +499,14 @@ class ShardedFilter(AbstractFilter):
         config = dict(new_twin.snapshot_config())
         config["auto_resize"] = False
         self._configs[i] = config
+        self._epochs[i] += 1
         self.n_rebalances += 1
         old_store.close()
 
     def _pre_grow(self, incoming: np.ndarray) -> None:
         """Expand shards whose projected occupancy crosses the threshold."""
         for i in range(self.n_shards):
-            twin = self._twins[i]
-            twin.refresh_shared()
+            twin = self._synced_twin(i)
             while (
                 twin.n_occupied_slots + int(incoming[i])
                 >= self.auto_resize_at * twin.n_slots
@@ -568,15 +678,19 @@ class ShardedFilter(AbstractFilter):
         """Run a point operation on the owning shard, in-process.
 
         The parent's twins are adopted onto the same segments the workers
-        use, so point operations are plain in-process calls — refresh the
-        scalars first, flush them after.
+        use, so point operations are plain in-process calls — sync the twin
+        first, flush its scalars after.  A write bumps the shard's epoch and
+        leaves the parent twin, its writer, in sync.
         """
-        twin = self._twins[self._shard_of(int(key))]
-        twin.refresh_shared()
+        i = self._shard_of(int(key))
+        twin = self._synced_twin(i)
         try:
             return getattr(twin, fn_name)(int(key), *args)
         finally:
             twin.flush_shared()
+            if fn_name in ("insert", "delete"):
+                self._epochs[i] += 1
+                self._synced[i] = self._epochs[i]
 
     def insert(self, key: int, value: int = 0) -> bool:
         with self._lock:
@@ -671,7 +785,7 @@ class ShardedFilter(AbstractFilter):
         return state
 
     def restore_state(self, state: Mapping[str, np.ndarray]) -> None:
-        for i, twin in enumerate(self._twins):
+        for i in range(self.n_shards):
             prefix = f"shard{i}/"
             sub = {
                 name[len(prefix):]: array
@@ -680,11 +794,31 @@ class ShardedFilter(AbstractFilter):
             }
             journal_keys = sub.pop("journal_keys", None)
             journal_values = sub.pop("journal_values", None)
-            twin.restore_state(sub)
-            if self._journals is not None:
-                self._journals[i] = KeyJournal()
-                if journal_keys is not None:
-                    self._journals[i].add(journal_keys, journal_values)
+            self.restore_shard(i, sub, journal_keys, journal_values)
+
+    def restore_shard(
+        self,
+        i: int,
+        state: Mapping[str, np.ndarray],
+        journal_keys: Optional[np.ndarray] = None,
+        journal_values: Optional[np.ndarray] = None,
+    ) -> None:
+        """Overwrite shard ``i`` with an inner-class ``snapshot_state``.
+
+        ``journal_keys``/``journal_values`` replace the shard's key journal
+        (TCF shards with auto-resize; ignored otherwise).
+        """
+        twin = self._twins[i]
+        twin.restore_state(state)
+        twin.flush_shared()
+        # The restore may leave memos keyed to the old contents: bump the
+        # epoch without marking any twin in sync, so every twin refreshes.
+        self._epochs[i] += 1
+        self._synced[i] = None
+        if self._journals is not None:
+            self._journals[i] = KeyJournal()
+            if journal_keys is not None:
+                self._journals[i].add(journal_keys, journal_values)
 
     # --------------------------------------------------------------- teardown
     @property
@@ -692,14 +826,12 @@ class ShardedFilter(AbstractFilter):
         return self._closed
 
     def close(self) -> None:
-        """Shut the pool down and unlink every shared segment (idempotent)."""
+        """Stop the workers and unlink every shared segment (idempotent)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            if self._pool is not None:
-                self._pool.shutdown(wait=True, cancel_futures=True)
-                self._pool = None
+            self._finalize_workers()
             # Drop the adopted views before unlinking so the mappings can
             # be released immediately rather than at process exit.
             self._twins = []

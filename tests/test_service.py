@@ -380,3 +380,73 @@ def test_journal_round_trips_partial_masks(tmp_path):
     assert finished[rid].status is JobStatus.PARTIAL
     assert finished[rid].n_ok == result.n_ok
     assert finished[rid].ok_mask == result.ok_mask
+
+
+def test_journal_round_trips_spilled_partial_masks(tmp_path):
+    from repro.service.journal import INLINE_KEYS
+
+    config = ServiceConfig(max_workers=1, max_expands_per_batch=0, **FAST)
+    with _service(tmp_path, config=config, journal=True) as service:
+        service.register_filter("small", _tcf_factory(n_slots=128))
+        keys = np.arange(2, 2 + 2 * INLINE_KEYS, dtype=np.uint64)
+        rid = service.submit("small", "insert", keys)
+        result = service.result(rid, timeout=10.0)
+        assert result.status is JobStatus.PARTIAL
+    # Over INLINE_KEYS items the mask lives in a payload file, not the record.
+    pending, finished = replay(tmp_path / "journal")
+    assert pending == []
+    assert finished[rid].status is JobStatus.PARTIAL
+    assert finished[rid].ok_mask is not None
+    assert finished[rid].ok_mask == result.ok_mask
+
+
+def test_journal_fsyncs_spilled_payloads_before_their_record(tmp_path, monkeypatch):
+    import os
+
+    from repro.service import JobJournal
+    from repro.service.jobs import Job, JobResult
+    from repro.service.journal import INLINE_KEYS, JOURNAL_NAME, PAYLOAD_DIR
+
+    synced = []
+    real_fsync = os.fsync
+
+    def spy(fd):
+        synced.append(os.fstat(fd).st_ino)
+        real_fsync(fd)
+
+    journal = JobJournal(tmp_path)
+    monkeypatch.setattr(os, "fsync", spy)
+    keys = np.arange(2, 2 + INLINE_KEYS + 1, dtype=np.uint64)
+    job = Job(
+        request_id="big",
+        filter_name="t",
+        op="insert",
+        keys=keys,
+        values=keys,
+        submitted_at=0.0,
+    )
+    journal.record_submit(job)
+    mask = [bool(i % 2) for i in range(keys.size)]
+    job.result = JobResult(
+        status=JobStatus.PARTIAL,
+        n_items=keys.size,
+        n_ok=sum(mask),
+        attempts=1,
+        ok_mask=mask,
+    )
+    journal.record_result(job)
+    journal.close()
+
+    def inode(path):
+        return path.stat().st_ino
+
+    payloads = tmp_path / PAYLOAD_DIR
+    record_syncs = [n for n, ino in enumerate(synced) if ino == inode(tmp_path / JOURNAL_NAME)]
+    assert len(record_syncs) == 2
+    for payload, record_sync in zip(("big.npz", "big.mask.npz"), record_syncs):
+        # The payload file, then its directory, before the record naming it.
+        file_sync = synced.index(inode(payloads / payload))
+        dir_sync = synced.index(inode(payloads), file_sync)
+        assert file_sync < dir_sync < record_sync
+    pending, finished = replay(tmp_path)
+    assert finished["big"].ok_mask == mask

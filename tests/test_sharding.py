@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import pathlib
 
 import numpy as np
@@ -290,6 +292,30 @@ class TestPoolExecution:
             inline.close()
             pooled.close()
 
+        # 8 shards on 2 workers: four shards per worker, sent one per round,
+        # through warm query/count/delete tasks.
+        keys = make_keys(200_000)
+        probe = np.concatenate([keys[:50_000], make_keys(20_000, seed=RNG_SEED + 1)])
+        inline = sharded_gqf(8, quotient_bits=15, max_workers=0)
+        pooled = sharded_gqf(8, quotient_bits=15, max_workers=2)
+        try:
+            for filt in (inline, pooled):
+                filt.bulk_insert(keys[:150_000])
+                filt.bulk_insert(keys[150_000:])
+            assert np.array_equal(pooled.bulk_query(probe), inline.bulk_query(probe))
+            assert np.array_equal(pooled.bulk_count(probe), inline.bulk_count(probe))
+            assert pooled.bulk_delete(keys[:20_000]) == inline.bulk_delete(keys[:20_000])
+            assert np.array_equal(pooled.bulk_count(probe), inline.bulk_count(probe))
+            inline_state = inline.snapshot_state()
+            pooled_state = pooled.snapshot_state()
+            assert set(inline_state) == set(pooled_state)
+            for name, array in inline_state.items():
+                assert np.array_equal(pooled_state[name], array), name
+            assert pooled.worker_restarts == 0
+        finally:
+            inline.close()
+            pooled.close()
+
     def test_worker_event_deltas_merge_into_parent(self):
         keys = make_keys(3_000)
         pooled = sharded_gqf(2, quotient_bits=12, max_workers=2)
@@ -322,6 +348,141 @@ class TestPoolExecution:
                 assert pooled.get_value(key) == value
         finally:
             pooled.close()
+
+
+# ------------------------------------------------------------ warm shard twins
+def _build(kind: str, max_workers: int) -> ShardedFilter:
+    if kind == "gqf":
+        return sharded_gqf(2, quotient_bits=11, max_workers=max_workers)
+    # A TCF shard can only rebalance from its key journal.
+    return sharded_tcf(2, n_slots=2_048, max_workers=max_workers, auto_resize=True)
+
+
+def _reads(filt: ShardedFilter, keys: np.ndarray) -> tuple:
+    """``bulk_query`` (and ``bulk_count`` where the shards count) of ``keys``."""
+    found = filt.bulk_query(keys).tolist()
+    if not filt.inner_capabilities.supports("count", "bulk"):
+        return found, None
+    return found, filt.bulk_count(keys).tolist()
+
+
+def _cold_reads(filt: ShardedFilter, keys: np.ndarray) -> tuple:
+    """The same reads on a fresh inline copy of ``filt``: no memo survives."""
+    config = dict(filt.snapshot_config(), max_workers=0)
+    cold = ShardedFilter._from_snapshot_config(config)
+    try:
+        cold.restore_state(filt.snapshot_state())
+        return _reads(cold, keys)
+    finally:
+        cold.close()
+
+
+class TestWarmTwins:
+    """A twin keeps its memoised decode only while nobody changed its shard."""
+
+    @pytest.mark.parametrize("max_workers", [0, 2], ids=["inline", "pool"])
+    @pytest.mark.parametrize("kind", ["gqf", "tcf"])
+    def test_parent_writes_reach_warm_twins(self, kind, max_workers, tmp_path):
+        keys = make_keys(900)
+        base, added = keys[:600], keys[600:700]
+        filt = _build(kind, max_workers)
+        loaded = None
+        try:
+            filt.bulk_insert(base)
+            snapshot = filt.snapshot_state()
+            at_snapshot = _reads(filt, keys)  # also warms every twin
+            assert at_snapshot == _cold_reads(filt, keys)
+
+            for key in added.tolist():
+                assert filt.insert(key)
+            found, counts = _reads(filt, added)
+            assert all(found)
+            assert counts is None or min(counts) >= 1
+            assert _reads(filt, keys) == _cold_reads(filt, keys)
+
+            before = _reads(filt, base[:50])
+            for key in base[:50].tolist():
+                assert filt.delete(key)
+            after = _reads(filt, base[:50])
+            if before[1] is not None:
+                assert after[1] == [c - 1 for c in before[1]]
+            assert _reads(filt, keys) == _cold_reads(filt, keys)
+
+            filt.restore_state(snapshot)
+            assert _reads(filt, keys) == at_snapshot
+
+            save_shard_set(filt, tmp_path / "set")
+            for key in added.tolist():
+                filt.insert(key)
+            loaded = load_shard_set(tmp_path / "set")
+            assert _reads(loaded, keys) == at_snapshot
+            for i in range(filt.n_shards):
+                journal = [None, None]
+                journal_file = tmp_path / "set" / f"shard{i}.journal.npz"
+                if journal_file.exists():
+                    with np.load(journal_file) as npz:
+                        journal = [npz["keys"], npz["values"]]
+                shard_file = tmp_path / "set" / f"shard{i}.rpro"
+                filt.restore_shard(i, load_filter(shard_file).snapshot_state(), *journal)
+            assert _reads(filt, keys) == at_snapshot
+
+            filt.rebalance()
+            for key in added.tolist():
+                filt.insert(key)
+            found, counts = _reads(filt, keys[:700])
+            assert all(found)
+            assert counts is None or min(counts) >= 1
+            assert _reads(filt, keys) == _cold_reads(filt, keys)
+        finally:
+            filt.close()
+            if loaded is not None:
+                loaded.close()
+
+    def test_unchanged_shards_skip_the_refresh(self):
+        keys = make_keys(4_000)
+        filt = sharded_gqf(2, quotient_bits=12, max_workers=2)
+        refreshed = []
+        dispatch = filt._dispatch
+
+        def spy(op, batches):
+            outs = dispatch(op, batches)
+            refreshed.append((op, sorted(bool(r["refreshed"]) for r in outs.values())))
+            return outs
+
+        filt._dispatch = spy
+        try:
+            filt.bulk_insert(keys)
+            filt.bulk_query(keys)
+            filt.bulk_count(keys)
+            filt.bulk_delete(keys[:500])
+            filt.bulk_query(keys)
+            filt.insert(int(keys[0]))  # a parent write: only its shard refreshes
+            filt.bulk_query(keys)
+        finally:
+            filt.close()
+        # The insert attaches fresh twins; everything after it is warm.
+        assert refreshed == [
+            ("insert", [True, True]),
+            ("query", [False, False]),
+            ("count", [False, False]),
+            ("delete", [False, False]),
+            ("query", [False, False]),
+            ("query", [False, True]),
+        ]
+
+    def test_worker_exceptions_reach_the_caller(self):
+        filt = sharded_gqf(2, quotient_bits=11, max_workers=2)
+        keys = make_keys(1_000)
+        try:
+            filt.bulk_insert(keys)
+            batches = {i: (keys[:10], None) for i in range(filt.n_shards)}
+            with pytest.raises(ValueError, match="unknown shard operation"):
+                filt._dispatch("bogus", batches)
+            # Every reply was read: the pipes stay in step.
+            assert filt.bulk_query(keys).all()
+            assert filt.worker_restarts == 0
+        finally:
+            filt.close()
 
 
 # ------------------------------------------------------------------ rebalance
@@ -507,6 +668,49 @@ class TestFaultRecovery:
         finally:
             sharded.close()
             clean.close()
+
+    def test_killed_workers_are_replaced_and_close_reaps_them(self):
+        keys = make_keys(4_000)
+        faults = FaultInjector(FaultConfig(seed=7, shard_worker_kill_rate=1.0))
+        sharded = sharded_gqf(4, quotient_bits=11, max_workers=2, faults=faults)
+        clean = sharded_gqf(4, quotient_bits=11, max_workers=0)
+        before = set(leaked_segments())
+        try:
+            assert sharded.bulk_insert(keys) == clean.bulk_insert(keys)
+            # Each worker died on its first shard and was replaced once; its
+            # queued shards ran, like the killed ones, on the one retry.
+            assert sharded.worker_restarts == 2
+            faulted_state = sharded.snapshot_state()
+            for name, array in clean.snapshot_state().items():
+                assert np.array_equal(faulted_state[name], array), name
+            pids = [w.process.pid for w in sharded._workers if w is not None]
+            assert len(pids) == 2
+        finally:
+            sharded.close()
+            clean.close()
+        assert not {p.pid for p in multiprocessing.active_children()} & set(pids)
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert set(leaked_segments()) <= before
+
+    def test_a_second_death_gives_up(self, monkeypatch):
+        keys = make_keys(1_000)
+        sharded = sharded_gqf(2, quotient_bits=11, max_workers=2)
+        task_spec = sharded._task_spec
+        try:
+            monkeypatch.setattr(
+                sharded, "_task_spec", lambda i, op, kill: dict(task_spec(i, op, kill), kill=True)
+            )
+            with pytest.raises(RuntimeError, match="died twice"):
+                sharded.bulk_insert(keys)
+            assert sharded.worker_restarts == 4
+            monkeypatch.undo()
+            # The kills fired before any mutation; fresh workers carry on.
+            assert sharded.bulk_insert(keys) == keys.size
+            assert sharded.bulk_query(keys).all()
+        finally:
+            sharded.close()
 
     def test_clean_runs_never_fire_the_fault(self):
         keys = make_keys(500)
