@@ -18,11 +18,17 @@ The bulk GQF is a coordinated, lock-free insertion scheme (Section 5.3):
 Deletes use the same even-odd phasing (and delete larger runs first), which
 is why Figure 6 shows the GQF roughly two orders of magnitude faster than the
 SQF for deletions.
+
+The phases exist so device threads never collide; they do not rebuild the
+table twice.  Here too they are only an accounting schedule: a vectorised
+bulk call writes the table once (one core merge or delete), and the core
+charges each phase's simulated events inside that phase's kernel launch,
+from the run geometry before and after the phase.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +38,7 @@ from ...gpusim.stats import StatsRecorder
 from ...hashing.fingerprints import FingerprintScheme
 from ..base import AbstractFilter, FilterCapabilities
 from ..exceptions import FilterFullError
-from .layout import SEQUENTIAL_BATCH_MAX, QuotientFilterCore  # noqa: F401 - re-exported
+from .layout import SEQUENTIAL_BATCH_MAX, Phase, QuotientFilterCore  # noqa: F401 - re-exported
 from .mapreduce import aggregate_batch
 from .point_gqf import PointGQF
 from .regions import DEFAULT_REGION_SLOTS, RegionPartition
@@ -191,10 +197,11 @@ class BulkGQF(AbstractFilter):
         is bumped to 1), so the same entry point serves plain insertion,
         counting and value association.
 
-        Each phase hands its regions' items to the core as one vectorised
-        sorted merge; batches too small to amortise the whole-table decode
-        (see :meth:`QuotientFilterCore.prefers_sequential`) take the
-        per-item path instead.
+        The whole sorted batch goes to the core as one vectorised merge that
+        writes the table once, with the even and odd phases as its charging
+        schedule; batches too small to amortise the whole-table decode (see
+        :meth:`QuotientFilterCore.prefers_sequential`) take the per-item
+        path, phase by phase.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size == 0:
@@ -219,27 +226,50 @@ class BulkGQF(AbstractFilter):
         quotients, remainders, counts = self._sorted_batch(keys, counts)
         return self._phased_insert(quotients, remainders, counts)
 
+    def _phases(self, quotients: np.ndarray, op: str) -> List[Phase]:
+        """The even-odd schedule of a sorted batch.
+
+        One ``(row_mask, kernel launch)`` pair per phase that has regions.
+        A launch records nothing until it is entered: the core enters each
+        one only after its single write succeeded, and the per-phase loops
+        enter them in turn.
+        """
+        return [
+            (
+                self.partition.phase_mask(quotients, parity),
+                self.kernels.launch(f"gqf_bulk_{op}_{name}", bulk_region_launch(len(regions))),
+            )
+            for parity, (name, regions) in enumerate(zip(("even", "odd"), self.partition.phases()))
+            if regions
+        ]
+
     def _phased_insert(
         self, quotients: np.ndarray, remainders: np.ndarray, counts: np.ndarray
     ) -> int:
         """Run the even-odd insertion phases over fingerprint-sorted items.
 
-        On overflow with ``auto_resize`` enabled, the not-yet-inserted items
-        are re-split under the grown geometry and the phases restart — exact,
-        because each phase's canonical merge is all-or-nothing.
+        A batch large enough for the vectorised path makes one core call:
+        the table is written once, and the phases are the schedule by which
+        its events are charged, each inside its own kernel launch.  If the
+        whole batch does not fit, the phases run one call each, so the even
+        phase still lands before the odd one overflows.  On overflow with
+        ``auto_resize`` enabled, the not-yet-inserted items are re-split
+        under the grown geometry and the phases restart — exact, because
+        each canonical merge is all-or-nothing.
         """
         vectorised = not self.core.prefers_sequential(int(quotients.size))
+        if vectorised:
+            try:
+                self.core.insert_sorted_batch(
+                    quotients, remainders, counts, phases=self._phases(quotients, "insert")
+                )
+                return int(quotients.size)
+            except FilterFullError:
+                pass
         inserted = 0
         done = np.zeros(quotients.size, dtype=bool)
-        for parity, (phase_name, regions) in enumerate(
-            zip(("even", "odd"), self.partition.phases())
-        ):
-            if not regions:
-                continue
-            mask = self.partition.phase_mask(quotients, parity)
-            with self.kernels.launch(
-                f"gqf_bulk_insert_{phase_name}", bulk_region_launch(len(regions))
-            ):
+        for mask, launch in self._phases(quotients, "insert"):
+            with launch:
                 if vectorised and mask.any():
                     try:
                         self.core.insert_sorted_batch(
@@ -320,37 +350,27 @@ class BulkGQF(AbstractFilter):
     def bulk_delete(self, keys: Sequence[int]) -> int:
         """Delete a batch using the same sorted even-odd scheme.
 
-        Each phase removes its regions' fingerprints in one vectorised
-        subtraction and cluster re-canonicalisation (the left-shifting the
-        paper describes for deletes, applied batch-wide).
+        A vectorised delete is one core call: one subtraction and one
+        re-canonicalisation of the table (the left-shifting the paper
+        describes for deletes, applied batch-wide), with the even and odd
+        phases charged in their own kernel launches.  Small batches delete
+        per item, phase by phase.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return 0
         quotients, remainders = self._sorted_batch(keys)
-        vectorised = not self.core.prefers_sequential(int(keys.size))
+        if not self.core.prefers_sequential(int(keys.size)):
+            return self.core.delete_sorted_batch(
+                quotients, remainders, phases=self._phases(quotients, "delete")
+            )
         removed = 0
-        for parity, (phase_name, regions) in enumerate(
-            zip(("even", "odd"), self.partition.phases())
-        ):
-            if not regions:
-                continue
-            mask = self.partition.phase_mask(quotients, parity)
-            with self.kernels.launch(
-                f"gqf_bulk_delete_{phase_name}", bulk_region_launch(len(regions))
-            ):
-                if vectorised:
-                    if mask.any():
-                        removed += self.core.delete_sorted_batch(
-                            quotients[mask], remainders[mask]
-                        )
-                else:
-                    # Largest items (quotients) first, as on the device.
-                    for i in np.flatnonzero(mask)[::-1]:
-                        if self.core.delete_fingerprint(
-                            int(quotients[i]), int(remainders[i]), 1
-                        ):
-                            removed += 1
+        for mask, launch in self._phases(quotients, "delete"):
+            with launch:
+                # Largest items (quotients) first, as on the device.
+                for i in np.flatnonzero(mask)[::-1]:
+                    if self.core.delete_fingerprint(int(quotients[i]), int(remainders[i]), 1):
+                        removed += 1
         return removed
 
     # ------------------------------------------------------------------ point API

@@ -245,20 +245,24 @@ def encode_flat(
         enc_lens = counts.copy()
         flat = np.repeat(remainders, enc_lens).astype(dtype, copy=False)
         return flat, enc_lens
-    enc_lens = np.minimum(counts, 2).astype(np.int64)
-    unary = remainders < len(UNARY_REMAINDERS)
-    big = counts >= 3
+    enc_lens = np.minimum(counts, 2)
+    big = np.flatnonzero(counts >= 3)
+    digit = remainders[big] >= len(UNARY_REMAINDERS)
     # Unary remainders (0/1) encode any count as `count` copies.
-    np.copyto(enc_lens, counts, where=big & unary)
-    digit_items = np.flatnonzero(big & ~unary)
+    enc_lens[big[~digit]] = counts[big[~digit]]
+    digit_items = big[digit]
     encodings = [encode_item(int(remainders[i]), int(counts[i])) for i in digit_items]
+    enc_lens[digit_items] = [len(e) for e in encodings]
+    flat = np.repeat(remainders.astype(dtype), enc_lens)
     if encodings:
-        enc_lens[digit_items] = [len(e) for e in encodings]
-    flat = np.repeat(remainders, enc_lens)
-    offsets = np.concatenate(([0], np.cumsum(enc_lens)))
-    for i, enc in zip(digit_items, encodings):
-        flat[offsets[i] : offsets[i + 1]] = enc
-    return flat.astype(dtype, copy=False), enc_lens
+        # An item's first slot is its index plus the extra slots of the
+        # multi-slot items before it.
+        multi = np.flatnonzero(enc_lens > 1)
+        extra = np.concatenate(([0], np.cumsum(enc_lens[multi] - 1)))
+        offsets = digit_items + extra[np.searchsorted(multi, digit_items)]
+        for offset, enc in zip(offsets.tolist(), encodings):
+            flat[offset : offset + len(enc)] = enc
+    return flat, enc_lens
 
 
 def max_count_single_slot(remainder_bits: int) -> int:

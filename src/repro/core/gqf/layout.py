@@ -20,7 +20,19 @@ different configuration and cost models.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+import contextlib
+from typing import (
+    Callable,
+    ContextManager,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -44,6 +56,29 @@ METADATA_BITS_PER_SLOT = 2.125
 #: Floor for the batch size below which the per-item path is always used;
 #: see :meth:`QuotientFilterCore.prefers_sequential`.
 SEQUENTIAL_BATCH_MAX = 32
+
+
+#: Run geometry in quotient order: ``(run_q, run_starts, run_lens)``.
+_Geometry = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: One phase of a batch's charging schedule: the rows it covers, and the
+#: context (a kernel launch) its events are recorded in.
+Phase = Tuple[np.ndarray, ContextManager[object]]
+
+
+class _Decoded(NamedTuple):
+    """The memoised whole-table decode (see ``_decode_items``)."""
+
+    #: One row per distinct fingerprint, sorted by (quotient, remainder).
+    q: np.ndarray
+    r: np.ndarray
+    c: np.ndarray
+    #: ``q << remainder_bits | r`` per row; None when that exceeds 64 bits.
+    keys: Optional[np.ndarray]
+    #: Run geometry in quotient order.
+    run_q: np.ndarray
+    run_starts: np.ndarray
+    run_lens: np.ndarray
 
 
 def _dtype_for_remainder(remainder_bits: int) -> np.dtype:
@@ -126,7 +161,7 @@ class QuotientFilterCore:
         self._total_count = 0
         #: Memoised whole-table decode (host-side); every mutation drops it,
         #: and the batch rebuild re-seeds it from the merged item arrays.
-        self._decoded_cache: Optional[Tuple[np.ndarray, ...]] = None
+        self._decoded_cache: Optional[_Decoded] = None
         #: When the table is adopted onto shared memory (:meth:`adopt_state`),
         #: the int64[2] view holding [n_distinct, total_count]; None for
         #: ordinary heap-allocated tables.
@@ -257,7 +292,15 @@ class QuotientFilterCore:
         return moved
 
     def _shift_right(self, pos: int, delta: int) -> int:
-        """Open ``delta`` slots starting at ``pos``; returns slots moved."""
+        """Open ``delta`` slots starting at ``pos``; returns slots moved.
+
+        Raises :class:`FilterFullError` before moving anything when fewer
+        than ``delta`` free slots lie at or after ``pos``: an insert that
+        overflows part-way through its shifts would leave a run unfinished.
+        """
+        free = pos
+        for _ in range(delta):
+            free = self._first_unused(free) + 1
         moved = 0
         for i in range(delta):
             moved += self._shift_right_one(pos + i)
@@ -454,22 +497,33 @@ class QuotientFilterCore:
     # runs are stored in quotient order and packed greedily left to right
     # (``start = max(quotient, previous_end + 1)``), so the final slot layout
     # is a pure function of the stored (quotient, remainder, count) multiset,
-    # independent of insertion order.  A batch insert therefore decodes the
-    # table into item arrays, merges the batch in, and rewrites the canonical
-    # layout with whole-array NumPy operations — producing bit-for-bit the
-    # same table the per-item Robin-Hood path would.
+    # independent of insertion order.  A batch insert or delete therefore
+    # splices the batch into the memoised decoded item arrays (one
+    # ``searchsorted``, no re-sort of the stored items) and writes the
+    # canonical layout of the result once, with whole-array NumPy operations
+    # — producing bit-for-bit the same table the per-item Robin-Hood path
+    # would.  A batch scheduled in phases (the bulk GQF's even and odd
+    # regions) is still written once: the layout between two phases matters
+    # only for charging each phase's events, and its run geometry follows
+    # from the run lengths alone (:meth:`_phase_geometries`).
 
     def _slot_lines_vec(self, n_slots: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`_slot_lines`: cache lines per contiguous span."""
-        lines = (n_slots * self.slot_bytes + 127) // 128
-        return np.where(n_slots > 0, np.maximum(lines, 1), 0)
+        """Vectorised :meth:`_slot_lines`: cache lines per contiguous span
+        of ``n_slots >= 0`` slots."""
+        return (n_slots * self.slot_bytes + 127) >> 7
 
     def _span_lines_vec(self, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
         """Alignment-aware cache lines per span (DeviceArray.lines_in_range)."""
-        per_line = max(1, 128 // self.slot_bytes)
-        return np.where(
-            lens > 0, (starts + lens - 1) // per_line - starts // per_line + 1, 0
-        )
+        # Slots per 128-byte line is a power of two: shift instead of divide.
+        shift = max(1, 128 // self.slot_bytes).bit_length() - 1
+        return np.where(lens > 0, ((starts + lens - 1) >> shift) - (starts >> shift) + 1, 0)
+
+    def _by_quotient(self, run_q: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """``values`` of the runs ``run_q`` on a dense quotient axis, 0 for
+        quotients without a run: one gather then replaces a search."""
+        dense = np.zeros(self.n_canonical_slots, dtype=np.int64)
+        dense[run_q] = values
+        return dense
 
     def _run_traffic_of(
         self,
@@ -539,6 +593,11 @@ class QuotientFilterCore:
         shift = np.uint64(self.remainder_bits)
         return (quotients.astype(np.uint64) << shift) | remainders
 
+    def _split_fingerprints(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Inverse of :meth:`_packed_fingerprints`: ``(quotients, remainders)``."""
+        shift = np.uint64(self.remainder_bits)
+        return (keys >> shift).view(np.int64), keys & ((np.uint64(1) << shift) - np.uint64(1))
+
     def fingerprint_order(self, quotients: np.ndarray, remainders: np.ndarray) -> np.ndarray:
         """Stable permutation sorting a batch by ``(quotient, remainder)``.
 
@@ -568,32 +627,39 @@ class QuotientFilterCore:
         starts = np.maximum(uq, np.concatenate(([0], ends[:-1] + 1)))
         return uq, starts, ends, ends - starts + 1
 
-    def _decode_items(
+    def _decoded(
         self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        item_q: np.ndarray,
+        item_r: np.ndarray,
+        item_c: np.ndarray,
+        item_keys: Optional[np.ndarray],
+        geometry: _Geometry,
+    ) -> _Decoded:
+        """Memoise ``(items, runs)`` as the decoded table and return it."""
+        if item_keys is None and self._packs_fingerprints:
+            item_keys = self._packed_fingerprints(item_q, item_r)
+        self._decoded_cache = _Decoded(item_q, item_r, item_c, item_keys, *geometry)
+        return self._decoded_cache
+
+    def _decode_items(self) -> _Decoded:
         """Decode the whole table into merged item arrays.
 
-        Returns ``(item_q, item_r, item_count, run_q, run_starts, run_lens)``
-        with items sorted by (quotient, remainder) and one row per distinct
-        fingerprint.  Runs whose slot values are strictly increasing (no
-        counter digits, no duplicates) decode vectorised; only runs that
-        embed counters fall back to the per-run Python decoder.  The result
-        is memoised until the next mutation (callers treat it as read-only),
-        so back-to-back batch probes decode the table once.
+        Items come sorted by (quotient, remainder) with one row per distinct
+        fingerprint, alongside the run geometry.  Runs whose slot values are
+        strictly increasing (no counter digits, no duplicates) decode
+        vectorised; only runs that embed counters fall back to the per-run
+        Python decoder.  The result is memoised until the next mutation
+        (callers treat it as read-only), so back-to-back batch probes decode
+        the table once.
         """
         if self._decoded_cache is not None:
             return self._decoded_cache
         uq, starts, _ends, lens = self._runs_layout()
         if uq.size == 0:
-            self._decoded_cache = (
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.uint64),
-                np.zeros(0, dtype=np.int64),
-                uq,
-                starts,
-                lens,
+            empty = np.zeros(0, dtype=np.int64)
+            return self._decoded(
+                empty, np.zeros(0, dtype=np.uint64), empty, None, (uq, starts, lens)
             )
-            return self._decoded_cache
         total = int(lens.sum())
         off = np.concatenate(([0], np.cumsum(lens)))
         pos = np.repeat(starts - off[:-1], lens) + np.arange(total)
@@ -632,46 +698,65 @@ class QuotientFilterCore:
                 first = np.flatnonzero(fresh)
                 item_c = np.add.reduceat(item_c, first)
                 item_q, item_r = item_q[first], item_r[first]
-        self._decoded_cache = (item_q, item_r, item_c, uq, starts, lens)
-        return self._decoded_cache
+        return self._decoded(item_q, item_r, item_c, None, (uq, starts, lens))
+
+    @staticmethod
+    def _canonical_starts(run_q: np.ndarray, run_lens: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Greedy run starts ``max(q, previous_end + 1)`` for runs in
+        quotient order, and the empty slots before each run (its start minus
+        the total length of the runs before it)."""
+        cum = np.cumsum(run_lens)
+        cum -= run_lens
+        gaps = run_q - cum
+        np.maximum.accumulate(gaps, out=gaps)
+        return cum + gaps, gaps
 
     def _rebuild_from_items(
-        self, item_q: np.ndarray, item_r: np.ndarray, item_c: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self,
+        item_q: np.ndarray,
+        item_r: np.ndarray,
+        item_c: np.ndarray,
+        item_keys: Optional[np.ndarray],
+    ) -> _Geometry:
         """Rewrite the whole table as the canonical layout of the given items.
 
         Items must be sorted by (quotient, remainder) with one row per
-        distinct fingerprint.  Returns the new ``(run_q, run_starts,
+        distinct fingerprint; ``item_keys`` are their packed fingerprints
+        (None to derive them).  Returns the new ``(run_q, run_starts,
         run_lens)`` geometry.  Raises :class:`FilterFullError` (without
         mutating anything) when the packed layout does not fit.
         """
-        if item_q.size == 0:
+        n = int(item_q.size)
+        if n == 0:
             self.slots.peek()[:] = 0
             empty = np.zeros(0, dtype=np.int64)
             for bv in (self.occupieds, self.runends, self.slot_used):
                 bv.assign_positions(empty)
             self._n_distinct = 0
             self._total_count = 0
-            self._decoded_cache = (
-                empty,
-                np.zeros(0, dtype=np.uint64),
-                empty.copy(),
-                empty.copy(),
-                empty.copy(),
-                empty.copy(),
-            )
-            return empty, empty.copy(), empty.copy()
-        flat, enc_lens = counters.encode_flat(
-            item_r, item_c, self.counting, self.slots.data.dtype
-        )
-        new_run = np.ones(item_q.size, dtype=bool)
-        new_run[1:] = item_q[1:] != item_q[:-1]
+            geometry = (empty, empty.copy(), empty.copy())
+            self._decoded(empty, np.zeros(0, dtype=np.uint64), empty, None, geometry)
+            return geometry
+        total = int(item_c.sum())
+        new_run = np.ones(n, dtype=bool)
+        np.not_equal(item_q[1:], item_q[:-1], out=new_run[1:])
         run_first = np.flatnonzero(new_run)
         run_q = item_q[run_first]
-        run_lens = np.add.reduceat(enc_lens, run_first)
-        cum = np.concatenate(([0], np.cumsum(run_lens)[:-1]))
-        run_starts = cum + np.maximum.accumulate(run_q - cum)
-        run_ends = run_starts + run_lens - 1
+        run_lens = np.diff(run_first, append=n)
+        if total == n:
+            # Every count is 1: each item is one slot holding its remainder.
+            flat = item_r.astype(self.slots.data.dtype)
+        else:
+            flat, enc_lens = counters.encode_flat(
+                item_r, item_c, self.counting, self.slots.data.dtype
+            )
+            # A run is one slot per item plus its multi-slot items' extras.
+            multi = np.flatnonzero(enc_lens > 1)
+            run_of = np.searchsorted(run_first, multi, side="right") - 1
+            np.add.at(run_lens, run_of, enc_lens[multi] - 1)
+        run_starts, gaps = self._canonical_starts(run_q, run_lens)
+        run_ends = run_starts + run_lens
+        run_ends -= 1
         if int(run_ends[-1]) >= self.total_slots:
             # How many leading runs fit tells the caller where the batch died.
             n_fitting = int(np.searchsorted(run_ends, self.total_slots))
@@ -682,25 +767,190 @@ class QuotientFilterCore:
                 load_factor=self.load_factor,
                 batch_offset=int(run_first[n_fitting]) if n_fitting < run_first.size else None,
             )
-        pos = np.repeat(run_starts - cum, run_lens) + np.arange(flat.size)
+        pos = np.arange(flat.size)
+        pos += np.repeat(gaps, run_lens)
         data = self.slots.peek()
         data[:] = 0
         data[pos] = flat
         self.occupieds.assign_positions(run_q)
         self.runends.assign_positions(run_ends)
         self.slot_used.assign_positions(pos)
-        self._n_distinct = int(item_q.size)
-        self._total_count = int(item_c.sum())
+        self._n_distinct = n
+        self._total_count = total
         # The merged item arrays *are* the decoded table: re-seed the memo so
         # probes following a batch mutation skip the whole-table decode.
-        self._decoded_cache = (item_q, item_r, item_c, run_q, run_starts, run_lens)
-        return run_q, run_starts, run_lens
+        geometry = (run_q, run_starts, run_lens)
+        self._decoded(item_q, item_r, item_c, item_keys, geometry)
+        return geometry
+
+    def _splice_insert(
+        self,
+        old: _Decoded,
+        quotients: np.ndarray,
+        remainders: np.ndarray,
+        counts: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Decoded ``(q, r, count, key)`` items of the table plus a batch.
+
+        The batch is sorted (unless it already is) and deduplicated, then
+        placed with one ``searchsorted`` into the stored keys: counts of
+        stored fingerprints add in place, new fingerprints scatter to
+        ``position + number of new rows before them``.
+        """
+        if old.keys is None:
+            # Fingerprints wider than 64 bits: merge by re-sorting everything.
+            all_q = np.concatenate([old.q, quotients])
+            all_r = np.concatenate([old.r, remainders])
+            all_c = np.concatenate([old.c, counts])
+            order = self.fingerprint_order(all_q, all_r)
+            all_q, all_r, all_c = all_q[order], all_r[order], all_c[order]
+            fresh = np.ones(all_q.size, dtype=bool)
+            fresh[1:] = (all_q[1:] != all_q[:-1]) | (all_r[1:] != all_r[:-1])
+            first = np.flatnonzero(fresh)
+            return all_q[first], all_r[first], np.add.reduceat(all_c, first), None
+        keys = self._packed_fingerprints(quotients, remainders)
+        if np.any(keys[1:] < keys[:-1]):
+            order = stable_argsort(keys)
+            keys, counts = keys[order], counts[order]
+        fresh = np.ones(keys.size, dtype=bool)
+        fresh[1:] = keys[1:] != keys[:-1]
+        if not fresh.all():
+            first = np.flatnonzero(fresh)
+            keys, counts = keys[first], np.add.reduceat(counts, first)
+        n = old.keys.size
+        if n == 0:
+            return (*self._split_fingerprints(keys), counts, keys)
+        pos = np.searchsorted(old.keys, keys)
+        new = old.keys[np.minimum(pos, n - 1)] != keys
+        new_before = np.cumsum(new)
+        dest = pos + new_before - new
+        n_new = int(new_before[-1])
+        if n_new == 0:
+            item_c = old.c.copy()
+            item_c[dest] += counts
+            return old.q, old.r, item_c, old.keys
+        is_new = np.zeros(n + n_new, dtype=bool)
+        is_new[dest[new]] = True
+        is_old = ~is_new
+        item_keys = np.empty(n + n_new, dtype=np.uint64)
+        item_keys[is_new] = keys[new]
+        item_keys[is_old] = old.keys
+        item_c = np.empty(n + n_new, dtype=np.int64)
+        item_c[is_new] = counts[new]
+        item_c[is_old] = old.c
+        stored = ~new
+        item_c[dest[stored]] += counts[stored]
+        return (*self._split_fingerprints(item_keys), item_c, item_keys)
+
+    def _splice_delete(
+        self, old: _Decoded, quotients: np.ndarray, remainders: np.ndarray
+    ) -> Tuple[int, Optional[Tuple[np.ndarray, ...]]]:
+        """Rows removed and the remaining ``(q, r, count, key)`` items.
+
+        Each distinct requested fingerprint removes ``min(requests, stored
+        count)``; the remaining items are None when nothing was removed.
+        """
+        if old.q.size == 0:
+            return 0, None
+        m = int(quotients.size)
+        if old.keys is not None:
+            req = self._packed_fingerprints(quotients, remainders)
+            req.sort()
+            fresh = np.ones(m, dtype=bool)
+            fresh[1:] = req[1:] != req[:-1]
+            first = np.flatnonzero(fresh)
+            req = req[first]
+            j = np.minimum(np.searchsorted(old.keys, req), old.keys.size - 1)
+            found = old.keys[j] == req
+        else:  # pragma: no cover - >64-bit fingerprints
+            order = self.fingerprint_order(quotients, remainders)
+            sq, sr = quotients[order], remainders[order]
+            fresh = np.ones(m, dtype=bool)
+            fresh[1:] = (sq[1:] != sq[:-1]) | (sr[1:] != sr[:-1])
+            first = np.flatnonzero(fresh)
+            table = {(int(q), int(r)): k for k, (q, r) in enumerate(zip(old.q, old.r))}
+            j = np.zeros(first.size, dtype=np.int64)
+            found = np.zeros(first.size, dtype=bool)
+            for k, (q, r) in enumerate(zip(sq[first], sr[first])):
+                hit = table.get((int(q), int(r)))
+                if hit is not None:
+                    j[k], found[k] = hit, True
+        n_req = np.diff(np.append(first, m))
+        j, taken = j[found], np.minimum(n_req[found], old.c[j[found]])
+        removed = int(taken.sum())
+        if not removed:
+            return 0, None
+        item_c = old.c.copy()
+        item_c[j] -= taken
+        gone = j[item_c[j] == 0]
+        if not gone.size:
+            return removed, (old.q, old.r, item_c, old.keys)
+        keep = np.ones(item_c.size, dtype=bool)
+        keep[gone] = False
+        if old.keys is None:
+            return removed, (old.q[keep], old.r[keep], item_c[keep], None)
+        keys = old.keys[keep]
+        return removed, (*self._split_fingerprints(keys), item_c[keep], keys)
+
+    def _phase_geometries(
+        self,
+        quotients: np.ndarray,
+        masks: Sequence[np.ndarray],
+        before: _Geometry,
+        after: _Geometry,
+    ) -> List[_Geometry]:
+        """Run geometry before each phase and after the last one.
+
+        Each quotient's rows sit in one phase, and the batch only grows
+        (insert) or only shrinks (delete) runs.  So once phase ``k`` has
+        run, a run has its final length if a phase up to ``k`` touched its
+        quotient and its old length otherwise; the starts follow from the
+        lengths by the canonical packing.  No slot is written for these
+        intermediate layouts — they exist only to charge each phase.
+        """
+        if len(masks) == 1:
+            return [before, after]
+        union_q = after[0] if after[0].size >= before[0].size else before[0]
+        lens = [
+            run_lens if run_q is union_q else self._by_quotient(run_q, run_lens)[union_q]
+            for run_q, _starts, run_lens in (before, after)
+        ]
+        phase_by_quotient = np.full(self.n_canonical_slots, -1, dtype=np.int8)
+        for k, mask in enumerate(masks):
+            phase_by_quotient[quotients[mask]] = k
+        phase_of = phase_by_quotient[union_q]
+        states = [before]
+        for k in range(1, len(masks)):
+            run_lens = np.where(phase_of < k, lens[1], lens[0])
+            keep = run_lens > 0
+            run_q, run_lens = union_q[keep], run_lens[keep]
+            states.append((run_q, self._canonical_starts(run_q, run_lens)[0], run_lens))
+        states.append(after)
+        return states
+
+    def _charge_phases(
+        self,
+        charge: Callable[[np.ndarray, _Geometry, _Geometry], None],
+        quotients: np.ndarray,
+        phases: Optional[Sequence[Phase]],
+        before: _Geometry,
+        after: _Geometry,
+    ) -> None:
+        """Charge every phase's rows inside its launch, in schedule order."""
+        if phases is None:
+            phases = [(np.ones(quotients.size, dtype=bool), contextlib.nullcontext())]
+        states = self._phase_geometries(quotients, [mask for mask, _ in phases], before, after)
+        for k, (mask, launch) in enumerate(phases):
+            with launch:
+                if mask.any():
+                    charge(quotients[mask], states[k], states[k + 1])
 
     def insert_sorted_batch(
         self,
         quotients: np.ndarray,
         remainders: np.ndarray,
         counts: Optional[np.ndarray] = None,
+        phases: Optional[Sequence[Phase]] = None,
     ) -> None:
         """Insert a batch sorted by (quotient, remainder) in one merge.
 
@@ -709,17 +959,22 @@ class QuotientFilterCore:
         traffic happens as whole-array operations.  Hardware events are
         charged per input row, mirroring what the sequential thread-per-
         region insertion would generate.
+
+        ``phases`` is the charging schedule: ``(row_mask, launch)`` pairs
+        whose masks split the rows by quotient (no quotient in two phases).
+        Each phase is charged inside its ``launch`` context as though the
+        phases ran one after another; the table is still written once.  The
+        default is one phase of every row with no context.  On
+        :class:`FilterFullError` nothing is written or charged and no launch
+        is entered.
         """
         quotients = np.asarray(quotients, dtype=np.int64)
         remainders = np.asarray(remainders, dtype=np.uint64)
         m = int(quotients.size)
         if m == 0:
             return
-        counts = (
-            np.ones(m, dtype=np.int64)
-            if counts is None
-            else np.asarray(counts, dtype=np.int64)
-        )
+        # A copy: the merged counts may become the memoised decoded table.
+        counts = np.ones(m, dtype=np.int64) if counts is None else np.array(counts, dtype=np.int64)
         if np.any(counts <= 0):
             raise ValueError("count must be positive")
         if np.any((quotients < 0) | (quotients >= self.n_canonical_slots)):
@@ -729,41 +984,40 @@ class QuotientFilterCore:
         ):
             raise ValueError("remainder wider than remainder_bits")
 
-        item_q, item_r, item_c, run_q_old, starts_old, lens_old = self._decode_items()
-        all_q = np.concatenate([item_q, quotients])
-        all_r = np.concatenate([item_r, remainders])
-        all_c = np.concatenate([item_c, counts])
-        order = self.fingerprint_order(all_q, all_r)
-        all_q, all_r, all_c = all_q[order], all_r[order], all_c[order]
-        fresh = np.ones(all_q.size, dtype=bool)
-        fresh[1:] = (all_q[1:] != all_q[:-1]) | (all_r[1:] != all_r[:-1])
-        first = np.flatnonzero(fresh)
-        merged_c = np.add.reduceat(all_c, first)
-        run_q, run_starts, run_lens = self._rebuild_from_items(
-            all_q[first], all_r[first], merged_c
-        )
+        old = self._decode_items()
+        after = self._rebuild_from_items(*self._splice_insert(old, quotients, remainders, counts))
+        before = (old.run_q, old.run_starts, old.run_lens)
+        self._charge_phases(self._charge_insert, quotients, phases, before, after)
 
-        # Accounting: each input row reads its run as it stands *when that
-        # row inserts* — the pre-batch run plus one slot per earlier batch
-        # row with the same quotient (rank within the sorted quotient
-        # group) — and writes it one slot longer, plus two metadata vectors,
-        # exactly as the per-item path does.  That path charges run traffic
-        # twice (an alignment-aware DeviceArray transaction plus an aligned
-        # _account charge) and records each moved slot twice (once in
-        # _shift_right_one, once in _account), folding the shift into the
-        # write/instruction charge.  Mirroring all of it, with the growing
-        # per-row lengths anchored at the run's settled start position,
-        # makes both paths agree exactly — on every counter — for sorted
-        # fills whose runs never move mid-batch (fills into an empty table,
-        # the benchmark workload, with plain counts); merges into an
-        # already-loaded table undercount the per-item path's per-move shift
-        # transactions by ~10-15 %.
-        row_starts = run_starts[np.searchsorted(run_q, quotients)]
+    def _charge_insert(self, quotients: np.ndarray, before: _Geometry, after: _Geometry) -> None:
+        """Charge the rows of one insert phase, given the run geometry
+        ``before`` and ``after`` the phase.
+
+        Each input row reads its run as it stands *when that row inserts* —
+        the pre-phase run plus one slot per earlier row with the same
+        quotient (rank within the sorted quotient group) — and writes it one
+        slot longer, plus two metadata vectors, exactly as the per-item path
+        does.  That path charges run traffic twice (an alignment-aware
+        DeviceArray transaction plus an aligned _account charge) and records
+        each moved slot twice (once in _shift_right_one, once in _account),
+        folding the shift into the write/instruction charge.  Mirroring all
+        of it, with the growing per-row lengths anchored at the run's
+        settled start position, makes both paths agree exactly — on every
+        counter — for sorted fills whose runs never move mid-batch (fills
+        into an empty table, the benchmark workload, with plain counts);
+        merges into an already-loaded table undercount the per-item path's
+        per-move shift transactions by ~10-15 %.
+        """
+        run_q_old, starts_old, lens_old = before
+        run_q, run_starts, _run_lens = after
+        m = int(quotients.size)
+        start_of = self._by_quotient(run_q, run_starts)
+        row_starts = start_of[quotients]
         if run_q_old.size:
-            idx = np.minimum(np.searchsorted(run_q_old, quotients), run_q_old.size - 1)
-            hit = run_q_old[idx] == quotients
-            old_start_rows = np.where(hit, starts_old[idx], row_starts)
-            old_rows = np.where(hit, lens_old[idx], 0)
+            old_rows = self._by_quotient(run_q_old, lens_old)[quotients]
+            old_start_rows = np.where(
+                old_rows > 0, self._by_quotient(run_q_old, starts_old)[quotients], row_starts
+            )
         else:
             old_start_rows = row_starts
             old_rows = np.zeros(m, dtype=np.int64)
@@ -781,7 +1035,7 @@ class QuotientFilterCore:
         )
         shifted = 0
         if run_q_old.size:
-            disp = run_starts[np.searchsorted(run_q, run_q_old)] - starts_old
+            disp = start_of[run_q_old] - starts_old
             shifted = int(np.sum(disp * lens_old))
         self.recorder.add(
             cache_line_reads=int(old_lines.sum()) + 2 * m + self._slot_lines(shifted),
@@ -807,111 +1061,93 @@ class QuotientFilterCore:
         out = np.zeros(m, dtype=np.int64)
         if m == 0:
             return out
-        item_q, item_r, item_c, _run_q, starts, lens = self._decode_items()
+        table = self._decode_items()
         # Per probe, the per-item path charges one read_range transaction
         # for the run plus _account's aligned charge and one metadata line;
         # mirror it so batch and per-item queries record the same traffic.
-        q_lens, q_lines = self._run_traffic_of(quotients, starts, lens)
+        q_lens, q_lines = self._run_traffic_of(quotients, table.run_starts, table.run_lens)
         self.recorder.add(
             cache_line_reads=int(q_lines.sum()) + m,
             instructions=int(4 * m + q_lens.sum()),
         )
-        if item_q.size == 0:
+        if table.q.size == 0:
             return out
-        if self._packs_fingerprints:
-            item_keys = self._packed_fingerprints(item_q, item_r)
+        if table.keys is not None:
+            item_keys = table.keys
             probe_keys = self._packed_fingerprints(quotients, remainders)
             order = stable_argsort(probe_keys)
             sorted_keys = probe_keys[order]
             idx = np.minimum(np.searchsorted(item_keys, sorted_keys), item_keys.size - 1)
-            out[order] = np.where(item_keys[idx] == sorted_keys, item_c[idx], 0)
+            out[order] = np.where(item_keys[idx] == sorted_keys, table.c[idx], 0)
             return out
         # Fingerprints wider than 64 bits cannot be packed into one sort key;
         # fall back to a host-side dictionary (unreachable for GQF configs).
-        table = {
-            (int(q), int(r)): int(c) for q, r, c in zip(item_q, item_r, item_c)
-        }
+        counts = {(int(q), int(r)): int(c) for q, r, c in zip(table.q, table.r, table.c)}
         for i in range(m):
-            out[i] = table.get((int(quotients[i]), int(remainders[i])), 0)
+            out[i] = counts.get((int(quotients[i]), int(remainders[i])), 0)
         return out
 
-    def delete_sorted_batch(self, quotients: np.ndarray, remainders: np.ndarray) -> int:
+    def delete_sorted_batch(
+        self,
+        quotients: np.ndarray,
+        remainders: np.ndarray,
+        phases: Optional[Sequence[Phase]] = None,
+    ) -> int:
         """Delete one occurrence per row; returns how many rows removed one.
 
         Functionally identical to per-row :meth:`delete_fingerprint` calls:
         requests against an absent fingerprint remove nothing, and several
         requests against the same fingerprint remove at most its stored
-        count.
+        count.  ``phases`` schedules the charge as for
+        :meth:`insert_sorted_batch`; the table is written once.
         """
         quotients = np.asarray(quotients, dtype=np.int64)
         remainders = np.asarray(remainders, dtype=np.uint64)
-        m = int(quotients.size)
-        if m == 0:
+        if quotients.size == 0:
             return 0
-        item_q, item_r, item_c, run_q_old, starts_old, lens_old = self._decode_items()
+        old = self._decode_items()
+        removed, items = self._splice_delete(old, quotients, remainders)
+        before = (old.run_q, old.run_starts, old.run_lens)
+        after = before if items is None else self._rebuild_from_items(*items)
+        self._charge_phases(self._charge_delete, quotients, phases, before, after)
+        return removed
 
-        # Cluster geometry for the accounting (a delete re-canonicalises the
-        # whole cluster containing its run, as the per-item path does).
+    def _charge_delete(self, quotients: np.ndarray, before: _Geometry, _after: _Geometry) -> None:
+        """Charge the rows of one delete phase from the pre-phase geometry.
+
+        A delete re-canonicalises the whole cluster containing its run, as
+        the per-item path does.  Approximation, not exact parity: the
+        per-item path decodes and rewrites its cluster run by run (one line
+        transaction per run on top of the whole-cluster accounting) and
+        verifies the removal with a trailing query, but each request *here*
+        sees the length-biased pre-phase cluster, whereas sequential
+        deletion shrinks clusters as it proceeds.  Halving the per-cluster
+        terms calibrates the two paths at benchmark scale (q=12, ~30 % of
+        the table deleted: within ~10 % on every counter); smaller tables
+        land within ~2x, which keeps every Figure 6 ordering intact.
+        """
+        run_q_old, starts_old, lens_old = before
+        m = int(quotients.size)
         if run_q_old.size:
-            ends_old = starts_old + lens_old - 1
+            # A run opens a new cluster when it starts past the previous
+            # run's end; clusters are numbered from 1.
             breaks = np.ones(run_q_old.size, dtype=bool)
-            breaks[1:] = starts_old[1:] > ends_old[:-1] + 1
-            cluster_id = np.cumsum(breaks) - 1
+            np.greater(starts_old[1:], starts_old[:-1] + lens_old[:-1], out=breaks[1:])
+            cluster_of = np.cumsum(breaks)
             cluster_first = np.flatnonzero(breaks)
-            cluster_last = np.concatenate([cluster_first[1:] - 1, [run_q_old.size - 1]])
-            cluster_len = ends_old[cluster_last] - starts_old[cluster_first] + 1
+            cluster_last = np.append(cluster_first[1:], run_q_old.size) - 1
+            cluster_len = (
+                starts_old[cluster_last] + lens_old[cluster_last] - starts_old[cluster_first]
+            )
             cluster_runs = cluster_last - cluster_first + 1
-            idx = np.minimum(np.searchsorted(run_q_old, quotients), run_q_old.size - 1)
-            occupied = run_q_old[idx] == quotients
-            req_cluster = np.where(occupied, cluster_len[cluster_id[idx]], 0)
-            req_runs = np.where(occupied, cluster_runs[cluster_id[idx]], 0)
+            # Quotients without a run read cluster 0, which is no cluster.
+            req = self._by_quotient(run_q_old, cluster_of)[quotients] - 1
+            occupied = req >= 0
+            req_cluster = np.where(occupied, cluster_len[req], 0)
+            req_runs = np.where(occupied, cluster_runs[req], 0)
         else:
             req_cluster = np.zeros(m, dtype=np.int64)
             req_runs = np.zeros(m, dtype=np.int64)
-
-        removed = 0
-        if item_q.size:
-            order = self.fingerprint_order(quotients, remainders)
-            sq, sr = quotients[order], remainders[order]
-            fresh = np.ones(m, dtype=bool)
-            fresh[1:] = (sq[1:] != sq[:-1]) | (sr[1:] != sr[:-1])
-            first = np.flatnonzero(fresh)
-            n_req = np.diff(np.concatenate([first, [m]]))
-            if self._packs_fingerprints:
-                item_keys = self._packed_fingerprints(item_q, item_r)
-                req_keys = self._packed_fingerprints(sq[first], sr[first])
-                j = np.minimum(np.searchsorted(item_keys, req_keys), item_keys.size - 1)
-                found = item_keys[j] == req_keys
-            else:  # pragma: no cover - >64-bit fingerprints
-                table = {
-                    (int(q), int(r)): k
-                    for k, (q, r) in enumerate(zip(item_q, item_r))
-                }
-                j = np.zeros(first.size, dtype=np.int64)
-                found = np.zeros(first.size, dtype=bool)
-                for k, (q, r) in enumerate(zip(sq[first], sr[first])):
-                    hit = table.get((int(q), int(r)))
-                    if hit is not None:
-                        j[k], found[k] = hit, True
-            removed_per_pair = np.where(
-                found, np.minimum(n_req, item_c[j]), 0
-            ).astype(np.int64)
-            removed = int(removed_per_pair.sum())
-            if removed:
-                new_c = item_c.copy()
-                np.subtract.at(new_c, j[found], removed_per_pair[found])
-                keep = new_c > 0
-                self._rebuild_from_items(item_q[keep], item_r[keep], new_c[keep])
-
-        # Approximation, not exact parity: the per-item path decodes and
-        # rewrites its cluster run by run (one line transaction per run on
-        # top of the whole-cluster accounting) and verifies the removal
-        # with a trailing query, but each request *here* sees the
-        # length-biased pre-batch cluster, whereas sequential deletion
-        # shrinks clusters as it proceeds.  Halving the per-cluster terms
-        # calibrates the two paths at benchmark scale (q=12, ~30 % of the
-        # table deleted: within ~10 % on every counter); smaller tables
-        # land within ~2x, which keeps every Figure 6 ordering intact.
         cluster_traffic = int(((req_runs + self._slot_lines_vec(req_cluster)) // 2).sum())
         self.recorder.add(
             cache_line_reads=cluster_traffic + 3 * m,
@@ -919,7 +1155,6 @@ class QuotientFilterCore:
             slots_shifted=int(req_cluster.sum()) // 2,
             instructions=int(4 * m + req_cluster.sum()),
         )
-        return removed
 
     # --------------------------------------------------------------- iterate
     def iter_fingerprints(self) -> Iterator[Tuple[int, int, int]]:
@@ -928,8 +1163,8 @@ class QuotientFilterCore:
         Host-side enumeration (used for resize / merge and by tests); does
         not count device traffic.
         """
-        item_q, item_r, item_c, _uq, _starts, _lens = self._decode_items()
-        for q, r, c in zip(item_q.tolist(), item_r.tolist(), item_c.tolist()):
+        table = self._decode_items()
+        for q, r, c in zip(table.q.tolist(), table.r.tolist(), table.c.tolist()):
             if self.counting:
                 yield int(q), int(r), int(c)
             else:
@@ -972,8 +1207,8 @@ class QuotientFilterCore:
         arrays for the lifecycle merge/resize paths); charges no device
         traffic.  The arrays are copies — callers may mutate them freely.
         """
-        item_q, item_r, item_c, _uq, _starts, _lens = self._decode_items()
-        return item_q.copy(), item_r.copy(), item_c.copy()
+        table = self._decode_items()
+        return table.q.copy(), table.r.copy(), table.c.copy()
 
     def export_state(self) -> "Dict[str, np.ndarray]":
         """Snapshot the complete table state as named arrays."""

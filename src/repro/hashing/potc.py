@@ -75,29 +75,41 @@ def derive(
     h1 = np.atleast_1d(np.asarray(murmur64_mix(k), dtype=np.uint64))
     h2 = np.atleast_1d(np.asarray(splitmix64(k), dtype=np.uint64))
 
-    primary = (h1 % np.uint64(n_blocks)).astype(np.int64)
-    secondary = (h2 % np.uint64(n_blocks)).astype(np.int64)
+    if (n_blocks & (n_blocks - 1)) == 0:
+        # Power-of-two block counts reduce with a mask instead of a division.
+        mask = np.uint64(n_blocks - 1)
+        primary = (h1 & mask).view(np.int64)
+        secondary = (h2 & mask).view(np.int64)
+    else:
+        primary = (h1 % np.uint64(n_blocks)).view(np.int64)
+        secondary = (h2 % np.uint64(n_blocks)).view(np.int64)
     # Ensure the two choices differ whenever the table has more than 1 block;
     # otherwise POTC degenerates to single hashing for those keys.
     if n_blocks > 1:
-        same = primary == secondary
-        secondary = np.where(same, (secondary + 1) % n_blocks, secondary)
+        secondary += primary == secondary
+        secondary[secondary == n_blocks] = 0
 
     fp_mask = np.uint64((1 << fingerprint_bits) - 1)
-    fingerprint = ((h1 >> np.uint64(17)) ^ (h2 << np.uint64(3))) & fp_mask
-    fingerprint = fingerprint.astype(np.uint64)
+    fingerprint = h1 >> np.uint64(17)
+    fingerprint ^= h2 << np.uint64(3)
+    fingerprint &= fp_mask
     if reserved_values:
         n_reserved = len(reserved_values)
-        reserved_arr = np.array(sorted(reserved_values), dtype=np.uint64)
-        is_reserved = np.isin(fingerprint, reserved_arr)
+        top = max(reserved_values)
+        if set(reserved_values) == set(range(top + 1)):
+            # The default sentinels 0..top are one comparison.
+            reserved = np.flatnonzero(fingerprint <= np.uint64(top))
+        else:
+            reserved_arr = np.array(sorted(reserved_values), dtype=np.uint64)
+            reserved = np.flatnonzero(np.isin(fingerprint, reserved_arr))
         # Remap reserved fingerprints deterministically above the sentinels.
+        hit = fingerprint[reserved]
         replacement = (
-            np.uint64(max(reserved_values))
+            np.uint64(top)
             + np.uint64(1)
-            + (fingerprint % np.uint64(max(1, (1 << fingerprint_bits) - n_reserved - 1)))
+            + (hit % np.uint64(max(1, (1 << fingerprint_bits) - n_reserved - 1)))
         ) & fp_mask
-        replacement = np.maximum(replacement, np.uint64(max(reserved_values) + 1))
-        fingerprint = np.where(is_reserved, replacement, fingerprint)
+        fingerprint[reserved] = np.maximum(replacement, np.uint64(top + 1))
 
     if scalar:
         return PotcHash(int(primary[0]), int(secondary[0]), int(fingerprint[0]))

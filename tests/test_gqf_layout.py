@@ -1,5 +1,6 @@
 """Tests for the counting-quotient-filter core (Robin Hood + counters)."""
 
+import numpy as np
 import pytest
 
 from repro.core.exceptions import FilterFullError
@@ -164,6 +165,18 @@ class TestCapacityAndSpace:
         with pytest.raises(FilterFullError):
             for i in range(100):
                 core.insert_fingerprint(i % 16, (i * 7) % 256)
+
+    def test_overflowing_multi_slot_insert_changes_nothing(self, recorder):
+        core = QuotientFilterCore(4, 8, recorder, slack_slots=4)
+        for i in range(core.total_slots - 1):
+            core.insert_fingerprint(i % 16, 2 + i // 16)
+        before = core.export_state()
+        # A count of 2 needs two slots, but only the last slot is free.
+        with pytest.raises(FilterFullError):
+            core.insert_fingerprint(0, 200, count=2)
+        after = core.export_state()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+        core.check_invariants()
 
     def test_load_factor_grows(self, core):
         for i in range(100):

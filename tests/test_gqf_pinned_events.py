@@ -1,0 +1,662 @@
+"""Pinned table state and simulated events of the batch quotient-filter paths.
+
+Every filter built on :class:`~repro.core.gqf.layout.QuotientFilterCore`
+funnels its vectorised batch inserts and deletes through
+``insert_sorted_batch`` / ``delete_sorted_batch``.  The digests and event
+counts below were recorded while each bulk GQF phase still re-sorted and
+rewrote the whole table; any rewrite of those methods must reproduce them
+exactly: the same slots and metadata bits, the same per-kernel hardware
+events, the same overflow behaviour.  The single-write tests at the end pin
+how the bulk GQF drives the core: one call per vectorised bulk call, and a
+merge that overflows charges and writes nothing.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.baselines.cpu_cqf import CPUCountingQuotientFilter
+from repro.baselines.rsqf import RankSelectQuotientFilter
+from repro.baselines.sqf import StandardQuotientFilter
+from repro.core.exceptions import FilterFullError
+from repro.core.gqf import BulkGQF, PointGQF
+from repro.gpusim.stats import StatsRecorder
+
+
+def _keys(rng, n):
+    return rng.integers(0, 2**63, size=n, dtype=np.uint64)
+
+
+def _state_digest(core):
+    h = hashlib.sha256()
+    for name, arr in sorted(core.export_state().items()):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _nonzero(stats):
+    return {k: v for k, v in stats.as_dict().items() if v}
+
+
+def _observe(filt, results):
+    core = filt.core
+    core.check_invariants()
+    return {
+        "results": results,
+        "state": _state_digest(core),
+        "scalars": (core.n_distinct_items, core.total_count),
+        "total": _nonzero(filt.recorder.total),
+        "kernels": [(k.name, _nonzero(k.stats)) for k in filt.kernels.kernels],
+    }
+
+
+def _bulk_gqf_script():
+    rng = np.random.default_rng(11)
+    filt = BulkGQF(12, 8, region_slots=256, recorder=StatsRecorder())
+    base = _keys(rng, 2000)
+    results = [filt.bulk_insert(base)]
+    # Counts up to 5,000 need counter digits in their runs (remainders 0
+    # and 1 would store such a count as that many copies instead).
+    valued = np.concatenate([base[:60], _keys(rng, 140)])
+    valued = valued[filt._hash_batch(valued)[1] >= 2]
+    results.append(filt.bulk_insert(valued, rng.integers(0, 5000, size=valued.size)))
+    # Duplicate keys inside one batch, half of them already stored.
+    results.append(filt.bulk_insert(np.concatenate([base[200:500], base[200:300]])))
+    # Absent keys, and stored keys requested more often than their count.
+    doomed = np.concatenate([base[:900], base[100:160], base[100:130], _keys(rng, 300)])
+    results.append(filt.bulk_delete(rng.permutation(doomed)))
+    results.append(int(filt.bulk_count(base).sum()))
+    return _observe(filt, results)
+
+
+def _bulk_gqf_mapreduce_script():
+    rng = np.random.default_rng(12)
+    filt = BulkGQF(12, 8, region_slots=256, use_mapreduce=True, recorder=StatsRecorder())
+    results = [filt.bulk_insert(_keys(rng, 2000))]
+    zipf = rng.zipf(1.5, size=3000).astype(np.uint64)
+    results.append(filt.bulk_insert(zipf))
+    results.append(filt.bulk_delete(np.concatenate([zipf[:400], zipf[:50]])))
+    return _observe(filt, results)
+
+
+def _region_keys(filt, rng, region, n):
+    """``n`` keys whose canonical slot lies in ``region``."""
+    lo, hi = filt.partition.region_bounds(region)
+    out = []
+    while sum(a.size for a in out) < n:
+        cand = _keys(rng, 4 * n)
+        q, _r = filt._hash_batch(cand)
+        out.append(cand[(q >= lo) & (q < hi)])
+    return np.concatenate(out)[:n]
+
+
+def _overflow_script(auto_resize):
+    """The even phase fits; together with the odd phase the batch does not."""
+    rng = np.random.default_rng(13)
+    filt = BulkGQF(8, 8, region_slots=128, auto_resize=auto_resize, recorder=StatsRecorder())
+    keys = np.concatenate([_region_keys(filt, rng, 0, 140), _region_keys(filt, rng, 1, 200)])
+    try:
+        results = [filt.bulk_insert(keys)]
+    except FilterFullError:
+        results = ["full"]
+    return _observe(filt, results)
+
+
+def _point_gqf_script():
+    rng = np.random.default_rng(14)
+    filt = PointGQF(12, 8, region_slots=256, recorder=StatsRecorder())
+    base = _keys(rng, 1500)
+    results = [filt.bulk_insert(base)]
+    results.append(filt.bulk_insert(base[:300], rng.integers(0, 400, size=300)))
+    results.append(filt.bulk_delete(np.concatenate([base[:500], base[:40], _keys(rng, 100)])))
+    return _observe(filt, results)
+
+
+def _sqf_script():
+    rng = np.random.default_rng(15)
+    filt = StandardQuotientFilter(12, 13, recorder=StatsRecorder())
+    base = _keys(rng, 1500)
+    results = [filt.bulk_insert(np.concatenate([base, base[:200]]))]
+    results.append(filt.bulk_delete(np.concatenate([base[:400], base[:250], _keys(rng, 80)])))
+    return _observe(filt, results)
+
+
+def _rsqf_script():
+    rng = np.random.default_rng(16)
+    filt = RankSelectQuotientFilter(12, 13, recorder=StatsRecorder())
+    base = _keys(rng, 1500)
+    results = [filt.bulk_insert(np.concatenate([base, base[:100]]))]
+    results.append(filt.bulk_insert(_keys(rng, 600)))
+    return _observe(filt, results)
+
+
+def _cpu_cqf_script():
+    rng = np.random.default_rng(17)
+    filt = CPUCountingQuotientFilter(12, 8, recorder=StatsRecorder())
+    base = _keys(rng, 1000)
+    results = [filt.bulk_insert(base, rng.integers(0, 8, size=base.size))]
+    results.append(filt.bulk_delete(np.concatenate([base[:600], base[:600], _keys(rng, 90)])))
+    return _observe(filt, results)
+
+
+SCRIPTS = {
+    "bulk_gqf": _bulk_gqf_script,
+    "bulk_gqf_mapreduce": _bulk_gqf_mapreduce_script,
+    "bulk_gqf_overflow": lambda: _overflow_script(False),
+    "bulk_gqf_overflow_resize": lambda: _overflow_script(True),
+    "point_gqf": _point_gqf_script,
+    "sqf": _sqf_script,
+    "rsqf": _rsqf_script,
+    "cpu_cqf": _cpu_cqf_script,
+}
+
+EXPECTED = {
+    "bulk_gqf": {
+        "results": [2000, 197, 400, 900, 157281],
+        "state": "f7153088babdc1f4",
+        "scalars": (1595, 501369),
+        "total": {
+            "cache_line_reads": 25983,
+            "cache_line_writes": 22770,
+            "coalesced_bytes_read": 497536,
+            "coalesced_bytes_written": 497536,
+            "slots_shifted": 33868,
+            "instructions": 78440,
+            "kernel_launches": 41,
+            "items_sorted": 3887,
+        },
+        "kernels": [
+            (
+                "gqf_bulk_insert_even",
+                {
+                    "cache_line_reads": 2491,
+                    "cache_line_writes": 4093,
+                    "instructions": 5652,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_insert_odd",
+                {
+                    "cache_line_reads": 2346,
+                    "cache_line_writes": 3913,
+                    "instructions": 5332,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_insert_even",
+                {
+                    "cache_line_reads": 272,
+                    "cache_line_writes": 374,
+                    "slots_shifted": 2452,
+                    "instructions": 1793,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_insert_odd",
+                {
+                    "cache_line_reads": 339,
+                    "cache_line_writes": 439,
+                    "slots_shifted": 3622,
+                    "instructions": 2503,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_insert_even",
+                {
+                    "cache_line_reads": 811,
+                    "cache_line_writes": 812,
+                    "slots_shifted": 2904,
+                    "instructions": 3221,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_insert_odd",
+                {
+                    "cache_line_reads": 827,
+                    "cache_line_writes": 834,
+                    "slots_shifted": 5056,
+                    "instructions": 4333,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_delete_even",
+                {
+                    "cache_line_reads": 6758,
+                    "cache_line_writes": 6072,
+                    "slots_shifted": 9257,
+                    "instructions": 21258,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_delete_odd",
+                {
+                    "cache_line_reads": 6837,
+                    "cache_line_writes": 6233,
+                    "slots_shifted": 10577,
+                    "instructions": 23571,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_count",
+                {"cache_line_reads": 5302, "instructions": 10777, "kernel_launches": 1},
+            ),
+        ],
+    },
+    "bulk_gqf_mapreduce": {
+        "results": [2000, 291, 449],
+        "state": "875fcb952dcf8927",
+        "scalars": (2267, 4551),
+        "total": {
+            "cache_line_reads": 8807,
+            "cache_line_writes": 11833,
+            "coalesced_bytes_read": 750848,
+            "coalesced_bytes_written": 750848,
+            "slots_shifted": 4971,
+            "instructions": 21931,
+            "kernel_launches": 48,
+            "items_sorted": 7741,
+            "items_reduced": 5000,
+        },
+        "kernels": [
+            (
+                "gqf_bulk_insert_even",
+                {
+                    "cache_line_reads": 2450,
+                    "cache_line_writes": 4048,
+                    "instructions": 5551,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_insert_odd",
+                {
+                    "cache_line_reads": 2426,
+                    "cache_line_writes": 3959,
+                    "instructions": 5471,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_insert_even",
+                {
+                    "cache_line_reads": 456,
+                    "cache_line_writes": 652,
+                    "slots_shifted": 1022,
+                    "instructions": 1477,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_insert_odd",
+                {
+                    "cache_line_reads": 371,
+                    "cache_line_writes": 520,
+                    "slots_shifted": 708,
+                    "instructions": 1149,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_delete_even",
+                {
+                    "cache_line_reads": 2696,
+                    "cache_line_writes": 2294,
+                    "slots_shifted": 2856,
+                    "instructions": 7320,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_delete_odd",
+                {
+                    "cache_line_reads": 408,
+                    "cache_line_writes": 360,
+                    "slots_shifted": 385,
+                    "instructions": 963,
+                    "kernel_launches": 1,
+                },
+            ),
+        ],
+    },
+    "bulk_gqf_overflow": {
+        "results": ["full"],
+        "state": "368ed10dcd757a3c",
+        "scalars": (314, 315),
+        "total": {
+            "cache_line_reads": 911,
+            "cache_line_writes": 1261,
+            "coalesced_bytes_read": 43520,
+            "coalesced_bytes_written": 43520,
+            "instructions": 1993,
+            "kernel_launches": 10,
+            "items_sorted": 340,
+        },
+        "kernels": [
+            (
+                "gqf_bulk_insert_even",
+                {
+                    "cache_line_reads": 392,
+                    "cache_line_writes": 560,
+                    "instructions": 856,
+                    "kernel_launches": 1,
+                },
+            ),
+        ],
+    },
+    "bulk_gqf_overflow_resize": {
+        "results": [340],
+        "state": "f737c14f379206d3",
+        "scalars": (339, 340),
+        "total": {
+            "cache_line_reads": 1270,
+            "cache_line_writes": 1921,
+            "coalesced_bytes_read": 43520,
+            "coalesced_bytes_written": 43520,
+            "instructions": 2802,
+            "kernel_launches": 12,
+            "items_sorted": 340,
+        },
+        "kernels": [
+            (
+                "gqf_bulk_insert_even",
+                {
+                    "cache_line_reads": 392,
+                    "cache_line_writes": 560,
+                    "instructions": 856,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_insert_even",
+                {
+                    "cache_line_reads": 246,
+                    "cache_line_writes": 380,
+                    "instructions": 541,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_insert_odd",
+                {
+                    "cache_line_reads": 278,
+                    "cache_line_writes": 420,
+                    "instructions": 613,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_insert_odd",
+                {
+                    "cache_line_reads": 878,
+                    "cache_line_writes": 1361,
+                    "instructions": 1946,
+                    "kernel_launches": 3,
+                },
+            ),
+        ],
+    },
+    "cpu_cqf": {
+        "results": [1000, 1057],
+        "state": "44ac78acee12791e",
+        "scalars": (793, 2599),
+        "total": {
+            "cache_line_reads": 10378,
+            "cache_line_writes": 10839,
+            "slots_shifted": 11568,
+            "instructions": 33556,
+            "kernel_launches": 2,
+        },
+        "kernels": [
+            (
+                "cpu_cqf_insert",
+                {
+                    "cache_line_reads": 2250,
+                    "cache_line_writes": 4001,
+                    "instructions": 5260,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "cpu_cqf_delete",
+                {
+                    "cache_line_reads": 8128,
+                    "cache_line_writes": 6838,
+                    "slots_shifted": 11568,
+                    "instructions": 28296,
+                    "kernel_launches": 1,
+                },
+            ),
+        ],
+    },
+    "point_gqf": {
+        "results": [1500, 300, 540],
+        "state": "62a2a0ff6724cbb2",
+        "scalars": (1297, 61917),
+        "total": {
+            "cache_line_reads": 9031,
+            "cache_line_writes": 10929,
+            "coalesced_bytes_read": 302080,
+            "coalesced_bytes_written": 302080,
+            "atomic_ops": 9440,
+            "lock_acquisitions": 4720,
+            "slots_shifted": 18779,
+            "instructions": 31569,
+            "kernel_launches": 3,
+        },
+        "kernels": [
+            (
+                "gqf_point_bulk_insert",
+                {
+                    "cache_line_reads": 3470,
+                    "cache_line_writes": 6002,
+                    "coalesced_bytes_read": 185600,
+                    "coalesced_bytes_written": 185600,
+                    "atomic_ops": 5800,
+                    "lock_acquisitions": 2900,
+                    "instructions": 8014,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_point_bulk_insert",
+                {
+                    "cache_line_reads": 1251,
+                    "cache_line_writes": 1257,
+                    "coalesced_bytes_read": 37056,
+                    "coalesced_bytes_written": 37056,
+                    "atomic_ops": 1158,
+                    "lock_acquisitions": 579,
+                    "slots_shifted": 12604,
+                    "instructions": 8644,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_point_bulk_delete",
+                {
+                    "cache_line_reads": 4310,
+                    "cache_line_writes": 3670,
+                    "coalesced_bytes_read": 79424,
+                    "coalesced_bytes_written": 79424,
+                    "atomic_ops": 2482,
+                    "lock_acquisitions": 1241,
+                    "slots_shifted": 6175,
+                    "instructions": 14911,
+                    "kernel_launches": 1,
+                },
+            ),
+        ],
+    },
+    "rsqf": {
+        "results": [1600, 600],
+        "state": "c2c4bfd1eafa148c",
+        "scalars": (2100, 2200),
+        "total": {
+            "cache_line_reads": 5516,
+            "cache_line_writes": 8812,
+            "slots_shifted": 506,
+            "instructions": 12649,
+            "kernel_launches": 2,
+        },
+        "kernels": [
+            (
+                "rsqf_serial_insert",
+                {
+                    "cache_line_reads": 3872,
+                    "cache_line_writes": 6403,
+                    "instructions": 8838,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "rsqf_serial_insert",
+                {
+                    "cache_line_reads": 1644,
+                    "cache_line_writes": 2409,
+                    "slots_shifted": 506,
+                    "instructions": 3811,
+                    "kernel_launches": 1,
+                },
+            ),
+        ],
+    },
+    "sqf": {
+        "results": [1700, 600],
+        "state": "78910f47bf414e69",
+        "scalars": (1100, 1100),
+        "total": {
+            "cache_line_reads": 7619,
+            "cache_line_writes": 9426,
+            "coalesced_bytes_read": 217600,
+            "coalesced_bytes_written": 217600,
+            "slots_shifted": 1581,
+            "instructions": 15690,
+            "kernel_launches": 10,
+            "items_sorted": 1700,
+        },
+        "kernels": [
+            (
+                "sqf_bulk_insert",
+                {
+                    "cache_line_reads": 4279,
+                    "cache_line_writes": 6816,
+                    "instructions": 9608,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "sqf_bulk_delete",
+                {
+                    "cache_line_reads": 3340,
+                    "cache_line_writes": 2610,
+                    "slots_shifted": 1581,
+                    "instructions": 6082,
+                    "kernel_launches": 1,
+                },
+            ),
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_batch_paths_match_pinned_state_and_events(name):
+    assert SCRIPTS[name]() == EXPECTED[name]
+
+
+def _spy(core, name):
+    """Record the ``phases`` argument of every call to a core method."""
+    calls = []
+    method = getattr(core, name)
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("phases"))
+        return method(*args, **kwargs)
+
+    setattr(core, name, spy)
+    return calls
+
+
+def _overflow_filter(auto_resize=False):
+    rng = np.random.default_rng(13)
+    filt = BulkGQF(8, 8, region_slots=128, auto_resize=auto_resize, recorder=StatsRecorder())
+    even = _region_keys(filt, rng, 0, 140)
+    return filt, even, np.concatenate([even, _region_keys(filt, rng, 1, 200)])
+
+
+def _same_state(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+
+
+class TestSingleWrite:
+    def test_one_core_call_per_vectorised_bulk_call(self):
+        rng = np.random.default_rng(18)
+        filt = BulkGQF(12, 8, region_slots=256, recorder=StatsRecorder())
+        filt.bulk_insert(_keys(rng, 1500))
+        inserts = _spy(filt.core, "insert_sorted_batch")
+        deletes = _spy(filt.core, "delete_sorted_batch")
+        keys = _keys(rng, 800)
+        filt.bulk_insert(keys)
+        filt.bulk_delete(keys[:400])
+        assert [len(phases) for phases in inserts + deletes] == [2, 2]
+        assert [k.name for k in filt.kernels.kernels[-4:]] == [
+            "gqf_bulk_insert_even",
+            "gqf_bulk_insert_odd",
+            "gqf_bulk_delete_even",
+            "gqf_bulk_delete_odd",
+        ]
+
+    def test_overflowing_merge_charges_and_writes_nothing(self):
+        filt, _even, keys = _overflow_filter()
+        merge = filt.core.insert_sorted_batch
+        raised = []
+
+        def spy(*args, **kwargs):
+            state = filt.core.export_state()
+            events = filt.recorder.total.as_dict()
+            n_kernels = len(filt.kernels.kernels)
+            try:
+                merge(*args, **kwargs)
+            except FilterFullError:
+                raised.append(
+                    (
+                        kwargs.get("phases") is not None,
+                        _same_state(state, filt.core.export_state()),
+                        events == filt.recorder.total.as_dict(),
+                        n_kernels == len(filt.kernels.kernels),
+                    )
+                )
+                raise
+
+        filt.core.insert_sorted_batch = spy
+        with pytest.raises(FilterFullError):
+            filt.bulk_insert(keys)
+        # The one-call merge raised first, then the odd phase's own merge.
+        assert raised == [(True, True, True, True), (False, True, True, True)]
+
+    def test_overflow_after_the_even_phase_fills_then_raises(self):
+        filt, even, keys = _overflow_filter()
+        with pytest.raises(FilterFullError):
+            filt.bulk_insert(keys)
+        filt.core.check_invariants()
+        assert filt.bulk_query(even).all()
+        assert filt.core.slot_used.get(filt.core.total_slots - 1)
+
+    def test_overflow_with_auto_resize_matches_growing_first(self):
+        grown, _even, keys = _overflow_filter(auto_resize=True)
+        grown.bulk_insert(keys)
+        reference = _overflow_filter(auto_resize=True)[0]
+        reference._grow()
+        reference.bulk_insert(keys)
+        assert grown.n_resizes == reference.n_resizes == 1
+        assert _same_state(grown.core.export_state(), reference.core.export_state())
