@@ -79,7 +79,7 @@ def main() -> None:
               f"{result.attempts} attempt(s), {result.n_ok:,}/{result.n_items:,} keys")
 
         hits = service.result(service.submit("users", "query", keys), timeout=60.0)
-        print(f"query of the same keys: {sum(hits.data):,}/{N:,} present")
+        print(f"query of the same keys: {int(hits.data.sum()):,}/{N:,} present")
 
         # --- partial success -------------------------------------------------
         burst = np.arange(2, 2 + 4 * N, dtype=np.uint64)
@@ -111,7 +111,7 @@ def main() -> None:
         check = recovered.result(
             recovered.submit("users", "query", keys), timeout=60.0
         )
-        print(f"after recovery from the journal: {sum(check.data):,}/{N:,} acked "
+        print(f"after recovery from the journal: {int(check.data.sum()):,}/{N:,} acked "
               f"keys still present, finished results preloaded "
               f"({recovered.status('load-users').value})")
         recovered.shutdown(wait=True)

@@ -15,16 +15,19 @@ a *shard set* is the better layout:
   versioned snapshot of the *inner* class, checksummed like any other,
   loadable individually with :func:`repro.lifecycle.snapshot.load_filter`
   for repair or re-sharding-by-merge workflows;
-* ``shard{i}.journal.npz`` — the parent-held key journal, present only for
+* ``shard{i}.journal.npz`` — the parent-held key journal (a ``keys`` and a
+  ``values`` array in numpy's own ``.npz`` format), present only for
   journaled (auto-resizing) TCF shard sets.
 
 ``save_shard_set`` / ``load_shard_set`` are deliberately *functions over
-directories*, not a new binary format: every byte on disk is either the
-existing snapshot format or JSON.
+directories*, not a new binary format: every file is the existing snapshot
+format, JSON, or a plain ``.npz``, and each is written atomically and
+fsynced before the manifest that names it.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from typing import Dict, List, Optional
@@ -66,8 +69,9 @@ def save_shard_set(filt, directory) -> Dict[str, object]:
         if filt._journals is not None:
             journal_file = f"shard{i}.journal.npz"
             journal_keys, journal_values = filt._journals[i].arrays()
-            with open(os.path.join(directory, journal_file), "wb") as fh:
-                np.savez(fh, keys=journal_keys, values=journal_values)
+            npz = io.BytesIO()
+            np.savez(npz, keys=journal_keys, values=journal_values)
+            _atomic_write(os.path.join(directory, journal_file), npz.getvalue())
             entry["journal"] = journal_file
         shards.append(entry)
     manifest = {

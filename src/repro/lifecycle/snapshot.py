@@ -3,8 +3,8 @@
 Layout of a snapshot file::
 
     prelude   32 bytes, little-endian: 8-byte magic, u32 format version,
-              u32 flags (reserved), u64 header length, u64 CRC-32 of
-              everything after the prelude.
+              u32 flags (reserved, zero), u64 header length, u64 CRC-32
+              of everything after the prelude.
     header    UTF-8 JSON: the filter's class/module, its
               ``snapshot_config()`` (constructor arguments for an empty
               twin), and one descriptor per state section
@@ -17,6 +17,10 @@ Layout of a snapshot file::
 The CRC covers the header and all section bytes, so truncated or corrupted
 files fail loudly at load time with :class:`~repro.core.exceptions.
 SnapshotError` instead of restoring a silently wrong filter.
+
+A snapshot file is one such *container* (:func:`encode_container` /
+:func:`decode_container`); the job journal (:mod:`repro.service.journal`)
+appends one per record and reads them back as a stream.
 """
 
 from __future__ import annotations
@@ -84,21 +88,16 @@ def _atomic_write(path, data: bytes) -> None:
             os.unlink(tmp_path)
 
 
-def save_filter(filt: AbstractFilter, path) -> int:
-    """Write ``filt`` to ``path`` in the snapshot format; returns bytes written.
+def encode_container(header: dict, arrays: Dict[str, np.ndarray]) -> bytes:
+    """Encode ``header`` plus ``arrays`` as one checksummed container.
 
-    The write is crash-safe: bytes land in a same-directory temp file that is
-    atomically renamed onto ``path``, so an interrupted save leaves any
-    previous snapshot at ``path`` intact.
+    ``header`` gains the ``sections`` descriptor list; the arrays follow it
+    in insertion order, each 64-byte aligned relative to the data region.
     """
-    if not isinstance(filt, FilterState):
-        raise SnapshotError(
-            f"{type(filt).__name__} does not implement the FilterState protocol"
-        )
     sections = []
     blobs = []
     offset = 0
-    for name, array in filt.snapshot_state().items():
+    for name, array in arrays.items():
         array = np.ascontiguousarray(array)
         offset = _align(offset)
         sections.append(
@@ -112,27 +111,96 @@ def save_filter(filt: AbstractFilter, path) -> int:
         )
         blobs.append((offset, array.tobytes()))
         offset += int(array.nbytes)
+    header_bytes = json.dumps({**header, "sections": sections}, sort_keys=True).encode("utf-8")
+    data_start = _align(_PRELUDE.size + len(header_bytes))
+    buf = bytearray(data_start + offset)
+    buf[_PRELUDE.size : _PRELUDE.size + len(header_bytes)] = header_bytes
+    for section_offset, blob in blobs:
+        start = data_start + section_offset
+        buf[start : start + len(blob)] = blob
+    checksum = zlib.crc32(memoryview(buf)[_PRELUDE.size :])
+    buf[: _PRELUDE.size] = _PRELUDE.pack(
+        MAGIC, FORMAT_VERSION, 0, len(header_bytes), checksum
+    )
+    return bytes(buf)
+
+
+def decode_container(
+    buf: np.ndarray, start: int = 0, source=""
+) -> Tuple[dict, Dict[str, np.ndarray], int]:
+    """Decode the container at ``buf[start:]`` (a ``uint8`` array).
+
+    Returns ``(header, {section name: view}, end)`` where ``end`` is the
+    offset just past the container.  Raises :class:`SnapshotError` on bad
+    magic, unsupported versions, truncation, malformed section geometry or
+    checksum mismatch; ``source`` names the bytes in those messages.
+    """
+    if buf.size - start < _PRELUDE.size:
+        raise SnapshotError(f"truncated snapshot (no prelude): {source}")
+    magic, version, flags, header_len, checksum = _PRELUDE.unpack(
+        bytes(buf[start : start + _PRELUDE.size])
+    )
+    if magic != MAGIC:
+        raise SnapshotError(f"not a repro filter snapshot (bad magic): {source}")
+    if version != FORMAT_VERSION:
+        raise SnapshotError(
+            f"snapshot format version {version} is not supported "
+            f"(this build reads version {FORMAT_VERSION})"
+        )
+    if flags != 0:  # reserved, and outside the CRC: non-zero means damage
+        raise SnapshotError(f"snapshot sets reserved flags {flags:#x}: {source}")
+    header_start = start + _PRELUDE.size
+    if buf.size < header_start + header_len:
+        raise SnapshotError(f"truncated snapshot (incomplete header): {source}")
+    try:
+        header = json.loads(bytes(buf[header_start : header_start + header_len]))
+    except ValueError as exc:
+        raise SnapshotError(f"unreadable snapshot header: {source}") from exc
+    sections = header.get("sections") if isinstance(header, dict) else None
+    if not isinstance(sections, list):
+        raise SnapshotError(f"snapshot header carries no section list: {source}")
+    data_start = start + _align(_PRELUDE.size + int(header_len))
+    geometry = [_section_geometry(section, source) for section in sections]
+    end = max([data_start] + [data_start + g[1] + g[2] for g in geometry])
+    if end > buf.size:
+        raise SnapshotError(f"truncated snapshot (section data incomplete): {source}")
+    if zlib.crc32(buf[header_start:end]) != checksum:
+        raise SnapshotError(
+            f"snapshot checksum mismatch (truncated or corrupted file): {source}"
+        )
+    arrays: Dict[str, np.ndarray] = {}
+    for name, offset, nbytes, dtype, shape in geometry:
+        view = buf[data_start + offset : data_start + offset + nbytes]
+        try:
+            arrays[name] = view.view(dtype).reshape(shape)
+        except (TypeError, ValueError) as exc:
+            raise SnapshotError(
+                f"snapshot section {name!r} cannot be viewed as "
+                f"{dtype.str}{list(shape)}: {source}"
+            ) from exc
+    return header, arrays, end
+
+
+def save_filter(filt: AbstractFilter, path) -> int:
+    """Write ``filt`` to ``path`` in the snapshot format; returns bytes written.
+
+    The write is crash-safe: bytes land in a same-directory temp file that is
+    atomically renamed onto ``path``, so an interrupted save leaves any
+    previous snapshot at ``path`` intact.
+    """
+    if not isinstance(filt, FilterState):
+        raise SnapshotError(
+            f"{type(filt).__name__} does not implement the FilterState protocol"
+        )
     header = {
         "class": type(filt).__name__,
         "module": type(filt).__module__,
         "format_version": FORMAT_VERSION,
         "config": filt.snapshot_config(),
-        "sections": sections,
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    data_start = _align(_PRELUDE.size + len(header_bytes))
-    total = data_start + offset
-    buf = bytearray(total)
-    buf[_PRELUDE.size : _PRELUDE.size + len(header_bytes)] = header_bytes
-    for section_offset, blob in blobs:
-        start = data_start + section_offset
-        buf[start : start + len(blob)] = blob
-    checksum = zlib.crc32(bytes(buf[_PRELUDE.size :]))
-    buf[: _PRELUDE.size] = _PRELUDE.pack(
-        MAGIC, FORMAT_VERSION, 0, len(header_bytes), checksum
-    )
-    _atomic_write(path, bytes(buf))
-    return total
+    data = encode_container(header, filt.snapshot_state())
+    _atomic_write(path, data)
+    return len(data)
 
 
 def read_snapshot(path) -> Tuple[dict, Dict[str, np.ndarray]]:
@@ -141,87 +209,43 @@ def read_snapshot(path) -> Tuple[dict, Dict[str, np.ndarray]]:
     The file is ``np.memmap``-ed copy-on-write and each section returned as
     a zero-copy view at its native dtype; mutating a view never touches the
     file.  Raises :class:`SnapshotError` on bad magic, unsupported versions,
-    truncation, or checksum mismatch.
+    truncation, trailing bytes, or checksum mismatch.
     """
     try:
         buf = np.memmap(os.fspath(path), dtype=np.uint8, mode="c")
     except ValueError as exc:  # zero-length file
         raise SnapshotError(f"not a snapshot (empty file): {path}") from exc
-    if buf.size < _PRELUDE.size:
-        raise SnapshotError(f"truncated snapshot (no prelude): {path}")
-    magic, version, _flags, header_len, checksum = _PRELUDE.unpack(
-        bytes(buf[: _PRELUDE.size])
-    )
-    if magic != MAGIC:
-        raise SnapshotError(f"not a repro filter snapshot (bad magic): {path}")
-    if version != FORMAT_VERSION:
+    header, arrays, end = decode_container(buf, 0, path)
+    if end != buf.size:
         raise SnapshotError(
-            f"snapshot format version {version} is not supported "
-            f"(this build reads version {FORMAT_VERSION})"
+            f"snapshot checksum mismatch ({buf.size - end} trailing bytes): {path}"
         )
-    if buf.size < _PRELUDE.size + header_len:
-        raise SnapshotError(f"truncated snapshot (incomplete header): {path}")
-    if zlib.crc32(buf[_PRELUDE.size :]) != checksum:
-        raise SnapshotError(
-            f"snapshot checksum mismatch (truncated or corrupted file): {path}"
-        )
-    try:
-        header = json.loads(bytes(buf[_PRELUDE.size : _PRELUDE.size + header_len]))
-    except ValueError as exc:
-        raise SnapshotError(f"unreadable snapshot header: {path}") from exc
-    data_start = _align(_PRELUDE.size + int(header_len))
-    arrays: Dict[str, np.ndarray] = {}
-    sections = header.get("sections")
-    if not isinstance(sections, list):
-        raise SnapshotError(f"snapshot header carries no section list: {path}")
-    for section in sections:
-        arrays[section["name"]] = _view_section(buf, data_start, section, path)
     return header, arrays
 
 
-def _view_section(
-    buf: np.ndarray, data_start: int, section: dict, path
-) -> np.ndarray:
-    """Validate one header section descriptor and return its memmap view.
+def _section_geometry(section: dict, source) -> Tuple[str, int, int, np.dtype, tuple]:
+    """Validate one section descriptor: ``(name, offset, nbytes, dtype, shape)``.
 
-    Every geometry claim in the descriptor — offset, byte count, dtype and
-    shape — is checked against the actual file size *before* a view is
-    created, so a crafted or truncated header raises :class:`SnapshotError`
-    instead of a raw ``ValueError`` or an out-of-bounds view.
+    A crafted or corrupt descriptor raises :class:`SnapshotError` here,
+    before any view is built, instead of a raw ``ValueError``.
     """
-    name = section.get("name", "<unnamed>")
     try:
+        name = str(section["name"])
         offset = int(section["offset"])
         nbytes = int(section["nbytes"])
         dtype = np.dtype(section["dtype"])
         shape = tuple(int(dim) for dim in section["shape"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotError(
-            f"malformed snapshot section {name!r} descriptor: {path}"
-        ) from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SnapshotError(f"malformed snapshot section descriptor: {source}") from exc
     if offset < 0 or nbytes < 0 or any(dim < 0 for dim in shape):
-        raise SnapshotError(
-            f"snapshot section {name!r} has negative geometry: {path}"
-        )
+        raise SnapshotError(f"snapshot section {name!r} has negative geometry: {source}")
     n_elements = int(np.prod(shape, dtype=np.int64)) if shape else 1
     if n_elements * dtype.itemsize != nbytes:
         raise SnapshotError(
             f"snapshot section {name!r} claims {nbytes} bytes but its "
-            f"dtype/shape describe {n_elements * dtype.itemsize}: {path}"
+            f"dtype/shape describe {n_elements * dtype.itemsize}: {source}"
         )
-    start = data_start + offset
-    end = start + nbytes
-    if end > buf.size:
-        raise SnapshotError(
-            f"truncated snapshot (section {name!r} incomplete): {path}"
-        )
-    try:
-        return buf[start:end].view(dtype).reshape(shape)
-    except ValueError as exc:
-        raise SnapshotError(
-            f"snapshot section {name!r} cannot be viewed as "
-            f"{dtype.str}{list(shape)}: {path}"
-        ) from exc
+    return name, offset, nbytes, dtype, shape
 
 
 def _resolve_class(module: str, name: str) -> Type[AbstractFilter]:

@@ -141,10 +141,10 @@ def is_retryable(exc: BaseException) -> bool:
 class JobResult:
     """Terminal outcome of a job, kept for idempotent resubmission.
 
-    ``ok_mask`` is the per-item partial-success report for inserts (True =
-    the key was applied); ``data`` carries the per-key payload of read
-    operations (query booleans / count values) as plain lists so results
-    stay JSON-serialisable for the journal.
+    ``ok_mask`` is the per-item partial-success report for inserts (a
+    ``bool`` array, True = the key was applied); ``data`` carries the
+    per-key payload of read operations (an ``int64`` array of query hits or
+    count values).
     """
 
     status: JobStatus
@@ -152,8 +152,8 @@ class JobResult:
     n_ok: int
     attempts: int
     error: Optional[str] = None
-    ok_mask: Optional[List[bool]] = None
-    data: Optional[List[int]] = None
+    ok_mask: Optional[np.ndarray] = None
+    data: Optional[np.ndarray] = None
     deadline_exceeded: bool = False
 
     @property

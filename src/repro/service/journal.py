@@ -10,16 +10,31 @@ records).  After a crash, :func:`replay` pairs the two streams up:
 * submit, no result -> the job was accepted but never acknowledged; the
   recovering service re-executes it against the restored snapshots.
 
-Records are JSON lines in ``journal.jsonl``.  Key payloads up to
-``INLINE_KEYS`` items are stored inline; larger jobs spill their arrays to
-``payloads/<request-id>.npz`` so the journal itself stays small even for
-million-key jobs.  Journal appends are flushed + fsynced per record, each
-after the payload files it names: an accepted job survives the process.
+**Record layout.**  ``journal.rpro`` is a stream of back-to-back snapshot
+containers (:func:`repro.lifecycle.snapshot.encode_container`), one per
+record: the 32-byte prelude, a JSON header with the record's scalar fields,
+then raw 64-byte-aligned sections, all under one CRC-32.
+
+* submit — header ``type, request_id, filter, op, n_keys, deadline_s,
+  submitted_at``; sections ``keys`` and, when the job has them, ``values``
+  (both ``uint64``);
+* result — header ``type, request_id`` plus :meth:`JobResult.as_dict`;
+  section ``ok_mask`` (the per-item mask, ``np.packbits``-packed) when the
+  job reports one.
+
+Each record is written, flushed and fsynced before its append returns: an
+accepted job survives the process.
+
+**Torn-tail rule.**  The journal is read front to back up to the first
+record that does not decode (short, bad magic or geometry, or a CRC
+mismatch); that record and everything after it are discarded.  Opening a
+journal truncates the file to the end of its last valid record, and fsyncs
+it, before the first append — so records written after a crash can never
+sit unreachable behind a torn one.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import threading
@@ -27,13 +42,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.exceptions import SnapshotError
+from ..lifecycle.snapshot import decode_container, encode_container
 from .jobs import Job, JobResult, JobStatus
 
-JOURNAL_NAME = "journal.jsonl"
-PAYLOAD_DIR = "payloads"
-
-#: Jobs at or below this many keys store them inline in the JSON record.
-INLINE_KEYS = 1024
+JOURNAL_NAME = "journal.rpro"
 
 
 def _fsync_dir(path: pathlib.Path) -> None:
@@ -44,43 +57,62 @@ def _fsync_dir(path: pathlib.Path) -> None:
         os.close(fd)
 
 
+def _scan(path: pathlib.Path) -> Tuple[List[dict], int]:
+    """Decode the journal's records up to the first damaged one.
+
+    Returns ``(records, end)``: each record is its header fields plus
+    copies of its sections, and ``end`` is the byte offset just past the
+    last valid record.
+    """
+    try:
+        buf = np.fromfile(path, dtype=np.uint8)
+    except FileNotFoundError:
+        return [], 0
+    records: List[dict] = []
+    end = 0
+    while end < buf.size:
+        try:
+            header, arrays, end_next = decode_container(buf, end, path)
+        except SnapshotError:
+            break  # torn or corrupt record: everything before it is intact
+        del header["sections"]
+        records.append({**header, **{k: v.copy() for k, v in arrays.items()}})
+        end = end_next
+    return records, end
+
+
 class JobJournal:
     """Append-only journal under one directory; safe for concurrent appends."""
 
     def __init__(self, directory) -> None:
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        (self.directory / PAYLOAD_DIR).mkdir(exist_ok=True)
         self.path = self.directory / JOURNAL_NAME
         self._lock = threading.Lock()
-        self._fh = open(self.path, "a", encoding="utf-8")
-        # The journal file's and payloads/ entries may be new: make them
-        # durable before any record is appended.
+        _, valid_end = _scan(self.path)
+        self._fh = open(self.path, "ab")
+        if os.fstat(self._fh.fileno()).st_size > valid_end:
+            # A crash tore the last append: cut the damage off so the
+            # records appended from here on stay reachable by replay.
+            self._fh.truncate(valid_end)
+            os.fsync(self._fh.fileno())
+        # The journal file's entry may be new: make it durable before any
+        # record is appended.
         _fsync_dir(self.directory)
 
     # ------------------------------------------------------------- appends
-    def _append(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True)
+    def _append(self, header: dict, arrays: Dict[str, np.ndarray]) -> None:
+        record = encode_container(header, arrays)
         with self._lock:
-            self._fh.write(line + "\n")
+            self._fh.write(record)
             self._fh.flush()
             os.fsync(self._fh.fileno())
 
-    def _write_payload(self, path: pathlib.Path, arrays: Dict[str, np.ndarray]) -> None:
-        """Write a spilled payload durably, before any record names it.
-
-        The file is fsynced, then ``payloads/`` for its new entry: a crash
-        must never leave a durable record pointing at a torn or missing
-        payload.
-        """
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-            fh.flush()
-            os.fsync(fh.fileno())
-        _fsync_dir(path.parent)
-
     def record_submit(self, job: Job) -> None:
-        record = {
+        arrays = {"keys": job.keys}
+        if job.values is not None:
+            arrays["values"] = job.values
+        header = {
             "type": "submit",
             "request_id": job.request_id,
             "filter": job.filter_name,
@@ -89,39 +121,17 @@ class JobJournal:
             "deadline_s": job.deadline_s,
             "submitted_at": job.submitted_at,
         }
-        if job.n_items <= INLINE_KEYS:
-            record["keys"] = [int(k) for k in job.keys]
-            if job.values is not None:
-                record["values"] = [int(v) for v in job.values]
-        else:
-            payload_path = self.directory / PAYLOAD_DIR / f"{job.request_id}.npz"
-            arrays = {"keys": job.keys}
-            if job.values is not None:
-                arrays["values"] = job.values
-            self._write_payload(payload_path, arrays)
-            record["payload"] = payload_path.name
-        self._append(record)
+        self._append(header, arrays)
 
     def record_result(self, job: Job) -> None:
         assert job.result is not None
-        record = {
-            "type": "result",
-            "request_id": job.request_id,
-            **job.result.as_dict(),
-        }
-        mask = job.result.ok_mask
-        if mask is not None:
+        arrays = {}
+        if job.result.ok_mask is not None:
             # The per-item mask is what lets a recovery rebuild *acked*
             # effects exactly (see :func:`acked_effects`).
-            if len(mask) <= INLINE_KEYS:
-                record["ok_mask"] = [bool(b) for b in mask]
-            else:
-                mask_path = (
-                    self.directory / PAYLOAD_DIR / f"{job.request_id}.mask.npz"
-                )
-                self._write_payload(mask_path, {"ok_mask": np.asarray(mask, dtype=bool)})
-                record["ok_mask_payload"] = mask_path.name
-        self._append(record)
+            arrays["ok_mask"] = np.packbits(job.result.ok_mask)
+        header = {"type": "result", "request_id": job.request_id, **job.result.as_dict()}
+        self._append(header, arrays)
 
     def close(self) -> None:
         with self._lock:
@@ -132,90 +142,44 @@ class JobJournal:
 # --------------------------------------------------------------------------
 # replay
 # --------------------------------------------------------------------------
-def _load_payload(directory: pathlib.Path, record: dict) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    if "keys" in record:
-        keys = np.asarray(record["keys"], dtype=np.uint64)
-        values = (
-            np.asarray(record["values"], dtype=np.uint64)
-            if "values" in record
-            else None
-        )
-        return keys, values
-    with np.load(directory / PAYLOAD_DIR / record["payload"]) as payload:
-        keys = payload["keys"]
-        values = payload["values"] if "values" in payload.files else None
-    return keys, values
+def _read_records(directory) -> Tuple[Dict[str, dict], Dict[str, dict]]:
+    """Read the journal into ``(submits, results)`` maps keyed by request ID."""
+    by_type: Dict[str, Dict[str, dict]] = {"submit": {}, "result": {}}
+    for record in _scan(pathlib.Path(directory) / JOURNAL_NAME)[0]:
+        by_type.setdefault(record.get("type"), {})[record["request_id"]] = record
+    return by_type["submit"], by_type["result"]
 
 
-def _read_records(directory: pathlib.Path) -> Tuple[Dict[str, dict], Dict[str, dict]]:
-    """Parse the journal into raw ``(submits, results)`` record maps.
-
-    Corrupt trailing lines (a crash mid-append) are tolerated: the journal
-    is read up to the first unparsable line.
-    """
-    path = directory / JOURNAL_NAME
-    submits: Dict[str, dict] = {}
-    results: Dict[str, dict] = {}
-    if not path.exists():
-        return submits, results
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                break  # torn final append; everything before it is intact
-            if record.get("type") == "submit":
-                submits[record["request_id"]] = record
-            elif record.get("type") == "result":
-                results[record["request_id"]] = record
-    return submits, results
-
-
-def _load_mask(directory: pathlib.Path, result: dict, n_items: int) -> np.ndarray:
-    if "ok_mask" in result:
-        return np.asarray(result["ok_mask"], dtype=bool)
-    if "ok_mask_payload" in result:
-        with np.load(directory / PAYLOAD_DIR / result["ok_mask_payload"]) as payload:
-            return np.asarray(payload["ok_mask"], dtype=bool)
-    # A fully-succeeded record needs no stored mask.
-    return np.ones(n_items, dtype=bool)
+def _load_mask(result: dict) -> Optional[np.ndarray]:
+    if "ok_mask" not in result:
+        return None
+    return np.unpackbits(result["ok_mask"], count=int(result["n_items"])).astype(bool)
 
 
 def replay(directory) -> Tuple[List[dict], Dict[str, JobResult]]:
     """Read a journal back into ``(pending submits, finished results)``.
 
-    ``pending`` holds the submit records (with key arrays re-attached under
+    ``pending`` holds the submit records (with key arrays under
     ``"keys"``/``"values"``) of jobs that never reached a terminal state;
     ``finished`` maps request IDs to their recorded :class:`JobResult`.
     """
-    directory = pathlib.Path(directory)
     submits, results = _read_records(directory)
     finished: Dict[str, JobResult] = {}
     for request_id, record in results.items():
-        ok_mask = None
-        if "ok_mask" in record or "ok_mask_payload" in record:
-            mask = _load_mask(directory, record, int(record["n_items"]))
-            ok_mask = [bool(b) for b in mask]
         finished[request_id] = JobResult(
             status=JobStatus(record["status"]),
             n_items=int(record["n_items"]),
             n_ok=int(record["n_ok"]),
             attempts=int(record["attempts"]),
             error=record.get("error"),
-            ok_mask=ok_mask,
+            ok_mask=_load_mask(record),
             deadline_exceeded=bool(record.get("deadline_exceeded")),
         )
-    pending = []
-    for request_id, record in submits.items():
-        if request_id in finished:
-            continue
-        keys, values = _load_payload(directory, record)
-        record = dict(record)
-        record["keys"], record["values"] = keys, values
-        pending.append(record)
+    pending = [
+        {"values": None, **record}
+        for request_id, record in submits.items()
+        if request_id not in finished
+    ]
     return pending, finished
 
 
@@ -228,7 +192,6 @@ def acked_effects(directory) -> Dict[str, Tuple[np.ndarray, Optional[np.ndarray]
     file, restore-policy ``"recreate"``).  Returns ``{filter_name: (keys,
     values-or-None)}``.
     """
-    directory = pathlib.Path(directory)
     submits, results = _read_records(directory)
     per_filter: Dict[str, List[Tuple[np.ndarray, Optional[np.ndarray]]]] = {}
     for request_id, submit in submits.items():
@@ -237,22 +200,19 @@ def acked_effects(directory) -> Dict[str, Tuple[np.ndarray, Optional[np.ndarray]
         result = results.get(request_id)
         if result is None or result.get("status") not in ("succeeded", "partial"):
             continue
-        keys, values = _load_payload(directory, submit)
-        mask = _load_mask(directory, result, keys.size)
+        keys, values = submit["keys"], submit.get("values")
+        mask = _load_mask(result)
+        if mask is None:  # a fully-succeeded record needs no stored mask
+            mask = np.ones(keys.size, dtype=bool)
         per_filter.setdefault(submit["filter"], []).append(
             (keys[mask], values[mask] if values is not None else None)
         )
     effects: Dict[str, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
     for name, chunks in per_filter.items():
-        keys = np.concatenate([c[0] for c in chunks])
-        if all(c[1] is None for c in chunks):
-            values = None
-        else:
+        values = None
+        if any(v is not None for _, v in chunks):
             values = np.concatenate(
-                [
-                    c[1] if c[1] is not None else np.zeros(c[0].size, dtype=np.uint64)
-                    for c in chunks
-                ]
+                [np.zeros(k.size, dtype=np.uint64) if v is None else v for k, v in chunks]
             )
-        effects[name] = (keys, values)
+        effects[name] = (np.concatenate([k for k, _ in chunks]), values)
     return effects

@@ -503,10 +503,7 @@ class FilterService:
         for job in batch.jobs:
             data = results[offset : offset + job.n_items]
             offset += job.n_items
-            self._finalize_job(
-                job, JobStatus.SUCCEEDED,
-                n_ok=job.n_items, data=[int(x) for x in data],
-            )
+            self._finalize_job(job, JobStatus.SUCCEEDED, n_ok=job.n_items, data=data)
 
     def _delete_per_job(self, filt: AbstractFilter, batch: Batch) -> np.ndarray:
         """Per-job deletes (bulk_delete reports one count per call)."""
@@ -636,7 +633,7 @@ class FilterService:
             self._finalize_job(
                 job, status,
                 n_ok=n_ok,
-                ok_mask=[bool(b) for b in job_mask],
+                ok_mask=job_mask,
                 error=None if n_ok == job.n_items else "filter full",
             )
 
@@ -652,8 +649,8 @@ class FilterService:
         status: JobStatus,
         n_ok: int = 0,
         error: Optional[str] = None,
-        ok_mask: Optional[List[bool]] = None,
-        data: Optional[List[int]] = None,
+        ok_mask: Optional[np.ndarray] = None,
+        data: Optional[np.ndarray] = None,
     ) -> None:
         now = self.clock()
         result = JobResult(

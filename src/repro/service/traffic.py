@@ -213,12 +213,8 @@ def run_traffic(
                 JobStatus.PARTIAL,
             ):
                 continue
-            mask = (
-                np.asarray(result.ok_mask, dtype=bool)
-                if result.ok_mask is not None
-                else np.ones(job.n_items, dtype=bool)
-            )
-            chunks.append(job.keys[mask])
+            mask = result.ok_mask
+            chunks.append(job.keys if mask is None else job.keys[mask])
         acked_keys[tenant] = (
             np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint64)
         )

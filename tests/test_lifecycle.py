@@ -182,11 +182,13 @@ def test_wrong_class_rejected(tmp_path):
         PointTCF.load(tmp_path / "f.rpro")
 
 
-def test_golden_snapshot_still_loads():
+def test_golden_snapshot_still_loads(tmp_path):
     """The committed v1 fixture must load in every supported environment.
 
-    Regenerate with ``python tests/data/make_golden_snapshot.py`` only on an
-    intentional format bump (and bump ``FORMAT_VERSION`` alongside).
+    Re-saving it must reproduce the fixture byte for byte, which pins the
+    container encoder shared with the job journal.  Regenerate with
+    ``python tests/data/make_golden_snapshot.py`` only on an intentional
+    format bump (and bump ``FORMAT_VERSION`` alongside).
     """
     path = DATA_DIR / "golden_pointgqf_v1.rpro"
     header, _ = read_snapshot(path)
@@ -195,6 +197,8 @@ def test_golden_snapshot_still_loads():
     keys = np.arange(2, 202, dtype=np.uint64)
     assert loaded.bulk_query(keys).all()
     assert loaded.count(2) == 3
+    save_filter(loaded, tmp_path / "resaved.rpro")
+    assert (tmp_path / "resaved.rpro").read_bytes() == path.read_bytes()
 
 
 # --------------------------------------------------------------------- merge

@@ -62,7 +62,7 @@ def test_insert_then_query_roundtrip(tmp_path):
         qid = service.submit("t", "query", KEYS)
         qres = service.result(qid, timeout=10.0)
         assert qres.status is JobStatus.SUCCEEDED
-        assert qres.data == [1] * KEYS.size
+        assert np.array_equal(qres.data, np.ones(KEYS.size))
         missing = service.result(
             service.submit("t", "query", KEYS + np.uint64(10_000)), timeout=10.0
         )
@@ -183,7 +183,7 @@ def test_partial_success_reports_per_item_mask(tmp_path):
         rid = service.submit("small", "insert", keys)
         result = service.result(rid, timeout=10.0)
         assert result.status is JobStatus.PARTIAL
-        mask = np.asarray(result.ok_mask, dtype=bool)
+        mask = result.ok_mask
         assert 0 < result.n_ok < keys.size
         assert int(np.count_nonzero(mask)) == result.n_ok
         with service.registry.acquire("small") as entry:
@@ -363,15 +363,15 @@ def test_recover_preloads_finished_and_replays_pending(tmp_path):
     assert fresh_rid != auto_rid
     fresh = recovered.result(fresh_rid, timeout=10.0)
     assert fresh.status is JobStatus.SUCCEEDED
-    assert fresh.data == [1] * KEYS.size
+    assert np.array_equal(fresh.data, np.ones(KEYS.size))
     recovered.shutdown(wait=True)
 
 
-def test_journal_round_trips_partial_masks(tmp_path):
+def _assert_partial_mask_round_trips(tmp_path, n_keys):
     config = ServiceConfig(max_workers=1, max_expands_per_batch=0, **FAST)
     with _service(tmp_path, config=config, journal=True) as service:
         service.register_filter("small", _tcf_factory(n_slots=128))
-        keys = np.arange(2, 2 + 400, dtype=np.uint64)
+        keys = np.arange(2, 2 + n_keys, dtype=np.uint64)
         rid = service.submit("small", "insert", keys)
         result = service.result(rid, timeout=10.0)
         assert result.status is JobStatus.PARTIAL
@@ -379,33 +379,123 @@ def test_journal_round_trips_partial_masks(tmp_path):
     assert pending == []
     assert finished[rid].status is JobStatus.PARTIAL
     assert finished[rid].n_ok == result.n_ok
-    assert finished[rid].ok_mask == result.ok_mask
+    assert finished[rid].ok_mask.dtype == bool
+    assert np.array_equal(finished[rid].ok_mask, result.ok_mask)
+
+
+def test_journal_round_trips_partial_masks(tmp_path):
+    _assert_partial_mask_round_trips(tmp_path, n_keys=400)
 
 
 def test_journal_round_trips_spilled_partial_masks(tmp_path):
-    from repro.service.journal import INLINE_KEYS
-
-    config = ServiceConfig(max_workers=1, max_expands_per_batch=0, **FAST)
-    with _service(tmp_path, config=config, journal=True) as service:
-        service.register_filter("small", _tcf_factory(n_slots=128))
-        keys = np.arange(2, 2 + 2 * INLINE_KEYS, dtype=np.uint64)
-        rid = service.submit("small", "insert", keys)
-        result = service.result(rid, timeout=10.0)
-        assert result.status is JobStatus.PARTIAL
-    # Over INLINE_KEYS items the mask lives in a payload file, not the record.
-    pending, finished = replay(tmp_path / "journal")
-    assert pending == []
-    assert finished[rid].status is JobStatus.PARTIAL
-    assert finished[rid].ok_mask is not None
-    assert finished[rid].ok_mask == result.ok_mask
+    # A mask far larger than the filter: every record keeps its arrays in
+    # the one journal file, however many items the job holds.
+    _assert_partial_mask_round_trips(tmp_path, n_keys=2048)
 
 
-def test_journal_fsyncs_spilled_payloads_before_their_record(tmp_path, monkeypatch):
+def _journal_job(request_id, n_keys=8, values=True):
+    from repro.service.jobs import Job
+
+    keys = np.arange(2, 2 + n_keys, dtype=np.uint64)
+    return Job(
+        request_id=request_id,
+        filter_name="t",
+        op="insert",
+        keys=keys,
+        values=keys * np.uint64(3) if values else None,
+        submitted_at=0.0,
+    )
+
+
+def _partial_result(job):
+    from repro.service.jobs import JobResult
+
+    mask = np.arange(job.n_items) % 3 != 0
+    return JobResult(
+        status=JobStatus.PARTIAL,
+        n_items=job.n_items,
+        n_ok=int(mask.sum()),
+        attempts=1,
+        ok_mask=mask,
+    )
+
+
+def _write_journal(directory):
+    """Journal ``a`` (finished, partial), ``b`` (pending) and ``c`` (pending).
+
+    Returns the byte offset where each of the four records starts, plus the
+    file size.
+    """
+    from repro.service import JobJournal
+
+    journal = JobJournal(directory)
+    a = _journal_job("a")
+    a.result = _partial_result(a)
+    offsets = [0]
+    for append, job in (
+        (journal.record_submit, a),
+        (journal.record_result, a),
+        (journal.record_submit, _journal_job("b", values=False)),
+        (journal.record_submit, _journal_job("c", n_keys=40)),
+    ):
+        append(job)
+        offsets.append(journal.path.stat().st_size)
+    journal.close()
+    return journal.path, offsets
+
+
+def _replayed_ids(directory):
+    pending, finished = replay(directory)
+    return [record["request_id"] for record in pending], sorted(finished)
+
+
+def test_journal_replays_records_with_their_arrays(tmp_path):
+    _write_journal(tmp_path)
+    pending, finished = replay(tmp_path)
+    assert [record["request_id"] for record in pending] == ["b", "c"]
+    b, c = pending
+    assert np.array_equal(b["keys"], _journal_job("b").keys) and b["values"] is None
+    assert np.array_equal(c["values"], _journal_job("c", n_keys=40).values)
+    assert c["op"] == "insert" and c["filter"] == "t" and c["n_keys"] == 40
+    assert np.array_equal(finished["a"].ok_mask, _partial_result(_journal_job("a")).ok_mask)
+
+
+def test_journal_torn_tail_drops_only_the_torn_record(tmp_path):
+    path, offsets = _write_journal(tmp_path)
+    blob = path.read_bytes()
+    for cut in range(offsets[3], offsets[4]):
+        path.write_bytes(blob[:cut])
+        assert _replayed_ids(tmp_path) == (["b"], ["a"]), cut
+
+
+def test_journal_corrupt_middle_record_ends_the_replay(tmp_path):
+    path, offsets = _write_journal(tmp_path)
+    blob = path.read_bytes()
+    for position in range(offsets[2], offsets[3]):
+        damaged = bytearray(blob)
+        damaged[position] ^= 0xFF
+        path.write_bytes(bytes(damaged))
+        assert _replayed_ids(tmp_path) == ([], ["a"]), position
+
+
+def test_journal_reopened_after_torn_tail_keeps_new_jobs(tmp_path):
+    from repro.service import JobJournal
+
+    path, offsets = _write_journal(tmp_path)
+    with open(path, "r+b") as fh:
+        fh.truncate(offsets[4] - 5)  # a crash mid-append of job c
+    journal = JobJournal(tmp_path)
+    assert path.stat().st_size == offsets[3]  # the torn tail is cut on open
+    journal.record_submit(_journal_job("d"))
+    journal.close()
+    assert _replayed_ids(tmp_path) == (["b", "d"], ["a"])
+
+
+def test_journal_fsyncs_each_record_once_into_one_file(tmp_path, monkeypatch):
     import os
 
     from repro.service import JobJournal
-    from repro.service.jobs import Job, JobResult
-    from repro.service.journal import INLINE_KEYS, JOURNAL_NAME, PAYLOAD_DIR
+    from repro.service.journal import JOURNAL_NAME
 
     synced = []
     real_fsync = os.fsync
@@ -416,37 +506,14 @@ def test_journal_fsyncs_spilled_payloads_before_their_record(tmp_path, monkeypat
 
     journal = JobJournal(tmp_path)
     monkeypatch.setattr(os, "fsync", spy)
-    keys = np.arange(2, 2 + INLINE_KEYS + 1, dtype=np.uint64)
-    job = Job(
-        request_id="big",
-        filter_name="t",
-        op="insert",
-        keys=keys,
-        values=keys,
-        submitted_at=0.0,
-    )
+    job = _journal_job("big", n_keys=4096)
     journal.record_submit(job)
-    mask = [bool(i % 2) for i in range(keys.size)]
-    job.result = JobResult(
-        status=JobStatus.PARTIAL,
-        n_items=keys.size,
-        n_ok=sum(mask),
-        attempts=1,
-        ok_mask=mask,
-    )
+    job.result = _partial_result(job)
     journal.record_result(job)
     journal.close()
-
-    def inode(path):
-        return path.stat().st_ino
-
-    payloads = tmp_path / PAYLOAD_DIR
-    record_syncs = [n for n, ino in enumerate(synced) if ino == inode(tmp_path / JOURNAL_NAME)]
-    assert len(record_syncs) == 2
-    for payload, record_sync in zip(("big.npz", "big.mask.npz"), record_syncs):
-        # The payload file, then its directory, before the record naming it.
-        file_sync = synced.index(inode(payloads / payload))
-        dir_sync = synced.index(inode(payloads), file_sync)
-        assert file_sync < dir_sync < record_sync
+    # One fsync per record, both of the journal file; no other file exists.
+    assert synced == [(tmp_path / JOURNAL_NAME).stat().st_ino] * 2
+    assert [p.name for p in tmp_path.iterdir()] == [JOURNAL_NAME]
     pending, finished = replay(tmp_path)
-    assert finished["big"].ok_mask == mask
+    assert pending == []
+    assert np.array_equal(finished["big"].ok_mask, job.result.ok_mask)

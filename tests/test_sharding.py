@@ -603,6 +603,26 @@ class TestSnapshots:
         finally:
             restored.close()
 
+    def test_shard_set_fsyncs_key_journals_before_the_manifest(self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+
+        def spy(fd):
+            synced.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        sharded = sharded_tcf(2, n_slots=2_048, max_workers=0, auto_resize=True)
+        try:
+            sharded.bulk_insert(make_keys(500))
+            monkeypatch.setattr(os, "fsync", spy)
+            save_shard_set(sharded, tmp_path / "set")
+        finally:
+            sharded.close()
+        manifest_sync = synced.index((tmp_path / "set" / "manifest.json").stat().st_ino)
+        for entry in read_manifest(tmp_path / "set")["shards"]:
+            journal_inode = (tmp_path / "set" / entry["journal"]).stat().st_ino
+            assert synced.index(journal_inode) < manifest_sync
+
     def test_missing_manifest_is_rejected(self, tmp_path):
         with pytest.raises(SnapshotError, match="no shard-set manifest"):
             read_manifest(tmp_path)
