@@ -11,9 +11,10 @@ classic false positives for init-writes by the creating thread (a variable
 is EXCLUSIVE to its first thread until a second thread touches it).
 
 What lockset analysis cannot see is **happens-before through other
-primitives** — here, ``queue.Queue`` handoffs (dispatcher -> worker batch
-ownership) and ``threading.Event`` publication (``job._done.set()`` before
-a client reads ``job.result``).  Fields whose readers synchronise that way
+primitives** — here, a batch handed from the batcher to the worker that
+claims it under ``FilterService._lock`` and read by that worker outside it,
+and ``threading.Event`` publication (``job._done.set()`` before a client
+reads ``job.result``).  Fields whose readers synchronise that way
 are monitored in ``"w"`` mode: only writes participate, so two
 unsynchronised *writes* (the dangerous pattern: a lost update) are still
 caught while the benign read side stays quiet.  Every ``"w"`` entry in
@@ -59,9 +60,10 @@ MONITORED_FIELDS: Dict[str, Dict[str, str]] = {
         "not_before": "w",
     },
     "Batch": {
-        # Batches move dispatcher -> queue -> worker; the queue handoff is
-        # the read side's happens-before edge.  Writes stay under the
-        # service lock (see _execute/_schedule_retry).
+        # A worker claims a batch from the batcher or the retry heap under
+        # FilterService._lock; that handoff is the read side's
+        # happens-before edge.  Writes stay under the service lock (see
+        # _execute/_schedule_retry), expands under the entry's op_lock.
         "jobs": "w",
         "opened_at": "w",
         "attempts": "w",

@@ -1,18 +1,21 @@
 """Time/size-windowed batch coalescing.
 
 Many small client jobs against the same filter are far cheaper executed as
-one vectorised bulk call than as many tiny ones, so the service's dispatcher
-funnels submissions through this batcher: jobs targeting the same
-``(filter, op)`` pair accumulate in an open batch until either
+one vectorised bulk call than as many tiny ones, so the service funnels
+submissions through this batcher: jobs targeting the same ``(filter, op)``
+pair accumulate in an open batch until either
 
 * the batch reaches ``max_batch_keys`` total keys or ``max_batch_jobs``
-  jobs (size trigger, returned immediately), or
-* ``window_s`` elapses since the batch was opened (time trigger, collected
-  by the dispatcher's periodic :meth:`due` sweep).
+  jobs (size trigger, returned by :meth:`add`), or
+* an idle worker pulls it with :meth:`take_due` once ``window_s`` has
+  elapsed since the batch was opened (time trigger).
+
+An open batch whose window has expired keeps collecting jobs until a worker
+is free to take it, so a busy pool makes batches larger, not later.
 
 The batcher is a pure data structure — no threads, no clocks of its own —
 so its coalescing behaviour is deterministic and directly unit-testable;
-the dispatcher thread owns it and feeds it ``now`` timestamps.
+the service guards it with its lock and feeds it ``now`` timestamps.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class Batch:
 
         Derived from the member request IDs (not the arrival-order seq), so
         a given set of jobs sees the same injected-fault schedule however
-        the dispatcher happened to group or time them.
+        the batcher happened to group them or the workers to time them.
         """
         digest = zlib.crc32("|".join(j.request_id for j in self.jobs).encode())
         return f"{self.filter_name}:{self.op}:{digest:08x}#{self.attempts}"
@@ -83,27 +86,21 @@ class WindowedBatcher:
             return batch
         return None
 
-    def due(self, now: float) -> List[Batch]:
-        """Collect every open batch whose window has expired."""
-        ready = []
-        for key, batch in list(self._open.items()):
-            if now - batch.opened_at >= self.window_s:
-                ready.append(batch)
-                del self._open[key]
-        return ready
+    def take_due(self, now: float) -> Optional[Batch]:
+        """Close and return the oldest open batch whose window has expired.
+
+        ``now=math.inf`` takes any open batch (the shutdown path).
+        """
+        if not self._open:
+            return None
+        key, batch = min(self._open.items(), key=lambda item: item[1].opened_at)
+        if batch.opened_at + self.window_s > now:
+            return None
+        del self._open[key]
+        return batch
 
     def next_due(self) -> Optional[float]:
         """Earliest instant at which an open batch's window expires."""
         if not self._open:
             return None
         return min(batch.opened_at for batch in self._open.values()) + self.window_s
-
-    def flush(self) -> List[Batch]:
-        """Close and return every open batch (shutdown path)."""
-        batches = list(self._open.values())
-        self._open.clear()
-        return batches
-
-    @property
-    def n_buffered(self) -> int:
-        return sum(len(batch.jobs) for batch in self._open.values())

@@ -1,8 +1,9 @@
 """Append-only job journal: the service's crash-recovery log.
 
 Every *accepted* job is journaled before it is queued (``submit`` records),
-and every terminal outcome is journaled when it is reached (``result``
-records).  After a crash, :func:`replay` pairs the two streams up:
+and every terminal outcome is journaled before the job is acknowledged
+(``result`` records).  After a crash, :func:`replay` pairs the two streams
+up:
 
 * submit + result  -> the job finished; its result is preloaded into the
   idempotency store so resubmitting the request ID still returns the
@@ -22,8 +23,9 @@ then raw 64-byte-aligned sections, all under one CRC-32.
   section ``ok_mask`` (the per-item mask, ``np.packbits``-packed) when the
   job reports one.
 
-Each record is written, flushed and fsynced before its append returns: an
-accepted job survives the process.
+Every append is written, flushed and fsynced before it returns: a submit
+record on its own, so an accepted job survives the process, and the result
+records of one batch together, under one fsync.
 
 **Torn-tail rule.**  The journal is read front to back up to the first
 record that does not decode (short, bad magic or geometry, or a CRC
@@ -101,10 +103,9 @@ class JobJournal:
         _fsync_dir(self.directory)
 
     # ------------------------------------------------------------- appends
-    def _append(self, header: dict, arrays: Dict[str, np.ndarray]) -> None:
-        record = encode_container(header, arrays)
+    def _append(self, *records: bytes) -> None:
         with self._lock:
-            self._fh.write(record)
+            self._fh.writelines(records)
             self._fh.flush()
             os.fsync(self._fh.fileno())
 
@@ -121,22 +122,27 @@ class JobJournal:
             "deadline_s": job.deadline_s,
             "submitted_at": job.submitted_at,
         }
-        self._append(header, arrays)
+        self._append(encode_container(header, arrays))
 
-    def record_result(self, job: Job) -> None:
-        assert job.result is not None
-        arrays = {}
-        if job.result.ok_mask is not None:
-            # The per-item mask is what lets a recovery rebuild *acked*
-            # effects exactly (see :func:`acked_effects`).
-            arrays["ok_mask"] = np.packbits(job.result.ok_mask)
-        header = {"type": "result", "request_id": job.request_id, **job.result.as_dict()}
-        self._append(header, arrays)
+    def record_result(self, *jobs: Job) -> None:
+        """Append the terminal results of ``jobs`` under one fsync."""
+        self._append(*(_result_record(job) for job in jobs))
 
     def close(self) -> None:
         with self._lock:
             if not self._fh.closed:
                 self._fh.close()
+
+
+def _result_record(job: Job) -> bytes:
+    assert job.result is not None
+    arrays = {}
+    if job.result.ok_mask is not None:
+        # The per-item mask is what lets a recovery rebuild *acked* effects
+        # exactly (see :func:`acked_effects`).
+        arrays["ok_mask"] = np.packbits(job.result.ok_mask)
+    header = {"type": "result", "request_id": job.request_id, **job.result.as_dict()}
+    return encode_container(header, arrays)
 
 
 # --------------------------------------------------------------------------

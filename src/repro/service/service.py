@@ -2,10 +2,11 @@
 
 :class:`FilterService` is the async Bulk-API front end over every filter
 class: clients ``submit`` jobs of up to millions of keys against named
-filters and poll ``status``/``result`` (or block on ``result``/``drain``);
-a dispatcher thread coalesces small jobs through the
-:class:`~repro.service.batcher.WindowedBatcher` and a bounded worker pool
-executes the batches against the registry's filters.
+filters and poll ``status``/``result`` (or block on ``result``/``drain``).
+Submissions coalesce in a :class:`~repro.service.batcher.WindowedBatcher`;
+a bounded pool of workers pulls due batches straight from it and executes
+them against the registry's filters.  A batch stays open, and keeps taking
+jobs, until a worker is free to run it.
 
 Robustness semantics (the headline; see the README failure-semantics table):
 
@@ -29,8 +30,10 @@ Robustness semantics (the headline; see the README failure-semantics table):
 * **Backpressure** — admission control rejects submissions beyond
   ``max_pending_jobs`` with :class:`~repro.service.jobs.AdmissionError`
   carrying ``retry_after_s``, instead of queueing without bound.
-* **Crash recovery** — accepted jobs are journaled before queueing and
-  their terminal results on completion; :meth:`FilterService.recover`
+* **Crash recovery** — accepted jobs are journaled (one fsync each) before
+  queueing, and a batch's terminal results are journaled together (one
+  fsync per batch) before any of its jobs is acknowledged;
+  :meth:`FilterService.recover`
   replays the journal against the registry's restored snapshots,
   re-executing unacknowledged jobs and preloading finished results so
   idempotency survives the restart.
@@ -40,13 +43,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import queue
+import math
 import threading
 import time
 import uuid
 import zlib
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,7 +74,8 @@ from .jobs import (
 from .journal import JobJournal, replay
 from .registry import FilterRegistry
 
-_SHUTDOWN = object()
+#: A job and the terminal result it is about to be given.
+Outcome = Tuple[Job, JobResult]
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,7 @@ class ServiceConfig:
     #: Admission cap: non-terminal jobs beyond this are rejected with
     #: retry-after backpressure instead of growing the queue without bound.
     max_pending_jobs: int = 256
+    #: How long an idle worker waits for a batch to fill before taking it.
     batch_window_s: float = 0.002
     max_batch_keys: int = 65536
     max_batch_jobs: int = 32
@@ -123,9 +129,11 @@ class FilterService:
         # auto IDs — silently handing new jobs old results.
         self._instance = uuid.uuid4().hex[:8]
 
-        self._intake: "queue.Queue[object]" = queue.Queue()
-        self._work: "queue.Queue[object]" = queue.Queue()
-        self._retry_heap: List[tuple] = []  # (ready_at, seq, Batch)
+        # Work a worker can pull, all guarded by _lock: size-closed batches,
+        # retries waiting out their backoff, and the batcher's open batches.
+        self._work_ready = threading.Condition(self._lock)
+        self._full: Deque[Batch] = deque()
+        self._retry_heap: List[Tuple[float, int, Batch]] = []  # (ready_at, seq, batch)
         self._retry_seq = itertools.count()
         self._batcher = WindowedBatcher(
             window_s=self.config.batch_window_s,
@@ -134,16 +142,12 @@ class FilterService:
         )
         self._closed = False
 
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="service-dispatcher", daemon=True
-        )
         self._workers = [
             threading.Thread(
                 target=self._worker_loop, name=f"service-worker-{i}", daemon=True
             )
             for i in range(max(1, self.config.max_workers))
         ]
-        self._dispatcher.start()
         for worker in self._workers:
             worker.start()
 
@@ -161,17 +165,19 @@ class FilterService:
         self.registry.get_or_create(name, factory)
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting jobs; optionally drain in-flight work first."""
+        """Stop accepting jobs and run every accepted one to a terminal state.
+
+        Workers take the open batches at once and leave only when every
+        accepted job is terminal.  ``wait=True`` blocks until then;
+        ``wait=False`` waits for each worker at most 10 s.
+        """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+            self._work_ready.notify_all()  # open batches are due at once now
         if wait:
             self.drain()
-        self._intake.put(_SHUTDOWN)
-        self._dispatcher.join(timeout=10.0)
-        for _ in self._workers:
-            self._work.put(_SHUTDOWN)
         for worker in self._workers:
             worker.join(timeout=10.0)
         if self.journal is not None:
@@ -233,9 +239,9 @@ class FilterService:
                 deadline_s if deadline_s is not None else self.config.default_deadline_s
             ),
         )
-        # Pre-publication write: the job is not yet in _jobs nor on the
-        # intake queue, so no other thread can observe the reassignment
-        # (a _done swap after publication would lose waiters forever).
+        # Pre-publication write: the job is not yet in _jobs nor in the
+        # batcher, so no other thread can observe the reassignment (a _done
+        # swap after publication would lose waiters forever).
         job._done = threading.Event()
         with self._lock:
             if job.request_id in self._jobs:  # raced duplicate
@@ -244,7 +250,8 @@ class FilterService:
             self._n_pending += 1
         if self.journal is not None:
             self.journal.record_submit(job)
-        self._intake.put(job)
+        with self._lock:
+            self._enqueue(job)
         return job.request_id
 
     def status(self, request_id: str) -> JobStatus:
@@ -296,8 +303,8 @@ class FilterService:
         return job
 
     def _retry_after_hint(self) -> float:
-        # The window plus an attempt's worth of backoff: by then the batcher
-        # has flushed at least once and workers have made progress.
+        # The window plus an attempt's worth of backoff: by then a worker
+        # has taken at least one batch and made progress.
         return self.config.batch_window_s + self.config.backoff_cap_s
 
     # --------------------------------------------------------------- recovery
@@ -358,57 +365,51 @@ class FilterService:
             with service._lock:
                 service._jobs[job.request_id] = job
                 service._n_pending += 1
-            service._intake.put(job)
+                service._enqueue(job)
         return service
 
-    # ------------------------------------------------------------- dispatcher
-    def _dispatch_loop(self) -> None:
-        while True:
-            timeout = self._dispatch_timeout()
-            try:
-                item = self._intake.get(timeout=timeout)
-            except queue.Empty:
-                item = None
-            now = self.clock()
-            if item is _SHUTDOWN:
-                for batch in self._batcher.flush():
-                    self._work.put(batch)
-                while self._retry_heap:
-                    ready_at, _, batch = heapq.heappop(self._retry_heap)
-                    delay = ready_at - self.clock()
-                    if delay > 0:
-                        time.sleep(delay)
-                    self._work.put(batch)
-                return
-            if isinstance(item, Job):
-                full = self._batcher.add(item, now)
-                if full is not None:
-                    self._work.put(full)
-            elif isinstance(item, Batch):  # scheduled retry
-                ready_at = item.opened_at
-                heapq.heappush(
-                    self._retry_heap, (ready_at, next(self._retry_seq), item)
-                )
-            for batch in self._batcher.due(now):
-                self._work.put(batch)
-            while self._retry_heap and self._retry_heap[0][0] <= now:
-                _, _, batch = heapq.heappop(self._retry_heap)
-                self._work.put(batch)
+    # ----------------------------------------------------------------- intake
+    def _enqueue(self, job: Job) -> None:
+        """Add an accepted job to the batcher (caller holds ``_lock``)."""
+        full = self._batcher.add(job, self.clock())
+        if full is not None:
+            self._full.append(full)
+        self._work_ready.notify()
 
-    def _dispatch_timeout(self) -> float:
-        deadlines = [self.clock() + 0.05]
-        next_due = self._batcher.next_due()
-        if next_due is not None:
-            deadlines.append(next_due)
-        if self._retry_heap:
-            deadlines.append(self._retry_heap[0][0])
-        return max(0.0, min(deadlines) - self.clock())
+    def _claim(self) -> Optional[Batch]:
+        """Block until a batch is due and claim it; None once stopped.
+
+        Due work, oldest first within each kind: a size-closed batch, then
+        a retry whose backoff has elapsed, then an open batch whose window
+        has expired (any open batch once the service is closing).  A worker
+        leaves only when the service is closing and every accepted job is
+        terminal and journaled: until then a job may still be on its way
+        into the batcher, or a running batch may schedule a retry.
+        """
+        with self._lock:
+            while True:
+                now = self.clock()
+                if self._full:
+                    batch = self._full.popleft()
+                elif self._retry_heap and self._retry_heap[0][0] <= now:
+                    batch = heapq.heappop(self._retry_heap)[2]
+                else:
+                    batch = self._batcher.take_due(math.inf if self._closed else now)
+                if batch is not None:
+                    return batch
+                if self._closed and not self._n_pending:
+                    return None
+                next_due = self._batcher.next_due()
+                wake = [] if next_due is None else [next_due]
+                if self._retry_heap:
+                    wake.append(self._retry_heap[0][0])
+                self._work_ready.wait(timeout=max(0.0, min(wake) - now) if wake else None)
 
     # ---------------------------------------------------------------- workers
     def _worker_loop(self) -> None:
         while True:
-            batch = self._work.get()
-            if batch is _SHUTDOWN:
+            batch = self._claim()
+            if batch is None:
                 return
             try:
                 self._execute(batch)
@@ -423,10 +424,10 @@ class FilterService:
         now = self.clock()
         admitted = self._admit_jobs(batch.jobs, now)
         with self._lock:
-            # Batch fields are written under the lock even though batches
-            # move between dispatcher and workers by queue handoff: the
-            # handoff is a happens-before edge, but keeping a single
-            # visible discipline lets the race detector check it.
+            # Batch fields are written under the lock: a batch is handed
+            # from the batcher (or the retry heap) to a worker under it, so
+            # one visible discipline covers every writer and lets the race
+            # detector check it.
             batch.jobs = admitted
             if admitted:
                 batch.attempts += 1
@@ -458,21 +459,24 @@ class FilterService:
 
     def _admit_jobs(self, jobs: List[Job], now: float) -> List[Job]:
         """Drop cancelled/expired jobs before execution (effects: none)."""
-        admitted = []
+        admitted, dropped = [], []
         # cancel() flips the flag under the lock; snapshot it the same way
-        # (the lock cannot be held across _finalize_job, which re-takes it).
+        # (the lock cannot be held across _finalize, which re-takes it).
         with self._lock:
             cancelled = {job.request_id for job in jobs if job.cancel_requested}
         for job in jobs:
             if job.request_id in cancelled:
-                self._finalize_job(job, JobStatus.CANCELLED, error="cancelled")
+                dropped.append(self._outcome(job, JobStatus.CANCELLED, error="cancelled"))
             elif job.expired(now):
-                self._finalize_job(
-                    job, JobStatus.EXPIRED,
-                    error=f"deadline of {job.deadline_s}s passed before execution",
+                dropped.append(
+                    self._outcome(
+                        job, JobStatus.EXPIRED,
+                        error=f"deadline of {job.deadline_s}s passed before execution",
+                    )
                 )
             else:
                 admitted.append(job)
+        self._finalize(dropped)
         return admitted
 
     # ---------------------------------------------------------- batch execution
@@ -488,7 +492,7 @@ class FilterService:
                 ]
             )
             mask = self._insert_with_growth(entry, batch, keys, values)
-            self._finalize_insert(batch, mask)
+            self._finalize(self._insert_outcomes(batch, mask))
             return
         filt = self.registry.ensure_resident(entry)
         if batch.op == "query":
@@ -499,11 +503,15 @@ class FilterService:
             results = self._delete_per_job(filt, batch)
         else:  # pragma: no cover - submit() validates operations
             raise UnsupportedOperationError(f"unknown operation {batch.op!r}")
+        outcomes = []
         offset = 0
         for job in batch.jobs:
             data = results[offset : offset + job.n_items]
             offset += job.n_items
-            self._finalize_job(job, JobStatus.SUCCEEDED, n_ok=job.n_items, data=data)
+            outcomes.append(
+                self._outcome(job, JobStatus.SUCCEEDED, n_ok=job.n_items, data=data)
+            )
+        self._finalize(outcomes)
 
     def _delete_per_job(self, filt: AbstractFilter, batch: Batch) -> np.ndarray:
         """Per-job deletes (bulk_delete reports one count per call)."""
@@ -611,14 +619,16 @@ class FilterService:
         )
 
     def _schedule_retry(self, batch: Batch) -> None:
+        ready_at = self.clock() + self._backoff_s(batch)
         with self._lock:
             for job in batch.jobs:
                 job.status = JobStatus.QUEUED
-            batch.opened_at = self.clock() + self._backoff_s(batch)
-        self._intake.put(batch)
+            heapq.heappush(self._retry_heap, (ready_at, next(self._retry_seq), batch))
+            self._work_ready.notify()
 
     # ------------------------------------------------------------- finalization
-    def _finalize_insert(self, batch: Batch, mask: np.ndarray) -> None:
+    def _insert_outcomes(self, batch: Batch, mask: np.ndarray) -> List[Outcome]:
+        outcomes = []
         offset = 0
         for job in batch.jobs:
             job_mask = mask[offset : offset + job.n_items]
@@ -630,20 +640,22 @@ class FilterService:
                 status = JobStatus.PARTIAL
             else:
                 status = JobStatus.FAILED
-            self._finalize_job(
-                job, status,
-                n_ok=n_ok,
-                ok_mask=job_mask,
-                error=None if n_ok == job.n_items else "filter full",
+            outcomes.append(
+                self._outcome(
+                    job, status,
+                    n_ok=n_ok,
+                    ok_mask=job_mask,
+                    error=None if n_ok == job.n_items else "filter full",
+                )
             )
+        return outcomes
 
     def _finalize_batch(
         self, batch: Batch, status: JobStatus, error: Optional[str]
     ) -> None:
-        for job in batch.jobs:
-            self._finalize_job(job, status, error=error)
+        self._finalize([self._outcome(job, status, error=error) for job in batch.jobs])
 
-    def _finalize_job(
+    def _outcome(
         self,
         job: Job,
         status: JobStatus,
@@ -651,8 +663,7 @@ class FilterService:
         error: Optional[str] = None,
         ok_mask: Optional[np.ndarray] = None,
         data: Optional[np.ndarray] = None,
-    ) -> None:
-        now = self.clock()
+    ) -> Outcome:
         result = JobResult(
             status=status,
             n_items=job.n_items,
@@ -661,16 +672,40 @@ class FilterService:
             error=error,
             ok_mask=ok_mask,
             data=data,
-            deadline_exceeded=job.deadline_at() is not None and now > job.deadline_at(),
+            deadline_exceeded=(
+                job.deadline_at() is not None and self.clock() > job.deadline_at()
+            ),
         )
+        return job, result
+
+    def _finalize(self, outcomes: List[Outcome]) -> None:
+        """Make jobs terminal, journal their results, then acknowledge them.
+
+        A job's first terminal transition wins.  The results of one call
+        share one journal write and one fsync; only after that fsync does a
+        job count as done for :meth:`drain` and wake its :meth:`result`
+        waiters.  A batch's results are finalized inside its ``op_lock``,
+        so a registry snapshot (always saved under ``op_lock``) never holds
+        effects whose result record could still be lost.
+        """
+        now = self.clock()
+        finished = []
         with self._lock:
-            if job.status.terminal:
-                return  # first terminal transition wins
-            job.status = status
-            job.result = result
-            job.finished_at = now
-            self._n_pending -= 1
-            self._all_done.notify_all()
+            for job, result in outcomes:
+                if job.status.terminal:
+                    continue
+                job.status = result.status
+                job.result = result
+                job.finished_at = now
+                finished.append(job)
+        if not finished:
+            return
         if self.journal is not None:
-            self.journal.record_result(job)
-        job._done.set()
+            self.journal.record_result(*finished)
+        with self._lock:
+            self._n_pending -= len(finished)
+            self._all_done.notify_all()
+            if self._closed and not self._n_pending:
+                self._work_ready.notify_all()  # the workers may leave now
+        for job in finished:
+            job._done.set()

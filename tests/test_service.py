@@ -9,6 +9,11 @@ with deterministic single-purpose scenarios.
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -84,6 +89,42 @@ def test_small_jobs_coalesce_into_one_batch(tmp_path):
         assert all(r.attempts == 1 for r in results)
         with service.registry.acquire("t") as entry:
             assert int(entry.filt.n_items) == KEYS.size
+
+
+class _HoldFirstBatchSpy(FaultInjector):
+    """Records every batch attempt and holds the first one until released."""
+
+    def __init__(self):
+        super().__init__(FaultConfig())
+        self.tokens = []
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def on_batch_start(self, token: str) -> None:
+        self.tokens.append(token)
+        if len(self.tokens) == 1:
+            self.started.set()
+            self.release.wait(timeout=10.0)
+
+
+def test_jobs_submitted_while_every_worker_is_busy_share_one_batch(tmp_path):
+    spy = _HoldFirstBatchSpy()
+    config = ServiceConfig(max_workers=1, batch_window_s=0.002)
+    keys = np.arange(2, 2 + 80, dtype=np.uint64).reshape(5, 16)
+    with _service(tmp_path, config=config, injector=spy) as service:
+        service.register_filter("t", _tcf_factory())
+        rids = [service.submit("t", "insert", keys[0])]
+        assert spy.started.wait(timeout=10.0)
+        for chunk in keys[1:]:
+            rids.append(service.submit("t", "insert", chunk))
+            time.sleep(0.02)  # ten windows: each job alone would be due
+        spy.release.set()
+        results = [service.result(rid, timeout=10.0) for rid in rids]
+        assert all(r.status is JobStatus.SUCCEEDED for r in results)
+        with service.registry.acquire("t") as entry:
+            assert int(entry.filt.n_items) == keys.size
+    # The four later jobs waited in one open batch for the busy worker.
+    assert len(spy.tokens) == 2
 
 
 # ------------------------------------------------------------- validation
@@ -246,6 +287,84 @@ def test_crash_storm_exhausts_retries_effect_free(tmp_path):
         assert "WorkerCrashFault" in result.error
         with service.registry.acquire("t") as entry:
             assert int(entry.filt.n_items) == 0  # crashes fire pre-mutation
+
+
+def test_concurrent_clients_under_fast_switching_lose_no_job(tmp_path):
+    # More workers than cores and a short switch interval: a lost update to
+    # the batcher, the retry heap or the pending count would strand a job,
+    # drop or repeat an insert, or leave a result out of the journal.
+    n_clients, jobs_per_client = 6, 30
+    config = ServiceConfig(max_workers=4, max_batch_jobs=8, **FAST)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with _service(
+            tmp_path, config=config, injector=_CrashOnceInjector(), journal=True
+        ) as service:
+            for name in ("a", "b"):
+                service.register_filter(name, _tcf_factory(n_slots=1 << 13))
+            rids = []
+
+            def client(c):
+                for j in range(jobs_per_client):
+                    start = 2 + 4 * (c * jobs_per_client + j)
+                    keys = np.arange(start, start + 4, dtype=np.uint64)
+                    rids.append(service.submit("ab"[j % 2], "insert", keys))
+
+            threads = [threading.Thread(target=client, args=(c,)) for c in range(n_clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            assert service.drain(timeout=30.0)
+            assert all(
+                service.result(rid).status is JobStatus.SUCCEEDED for rid in rids
+            )
+            for name in ("a", "b"):
+                with service.registry.acquire(name) as entry:
+                    assert int(entry.filt.n_items) == 2 * n_clients * jobs_per_client
+    finally:
+        sys.setswitchinterval(interval)
+    pending, finished = replay(tmp_path / "journal")
+    assert pending == [] and sorted(finished) == sorted(rids)
+
+
+def test_job_accepted_while_shutting_down_still_runs(tmp_path, monkeypatch):
+    # shutdown() starts after submit() admitted the job but before the job
+    # reaches the batcher: the idle workers must not leave without it.
+    from repro.service import JobJournal
+
+    record_submit = JobJournal.record_submit
+    closers = []
+
+    def record_submit_then_shut_down(self, job):
+        record_submit(self, job)
+        closer = threading.Thread(target=service.shutdown, daemon=True)
+        closer.start()
+        closers.append(closer)
+        time.sleep(0.1)  # the shutdown has begun; idle workers look for work
+
+    service = _service(tmp_path, journal=True)
+    service.register_filter("t", _tcf_factory())
+    monkeypatch.setattr(JobJournal, "record_submit", record_submit_then_shut_down)
+    rid = service.submit("t", "insert", KEYS)
+    closers[0].join(timeout=10.0)
+    assert not closers[0].is_alive()
+    assert service.result(rid, timeout=1.0).status is JobStatus.SUCCEEDED
+
+
+def test_shutdown_without_wait_finishes_retried_jobs(tmp_path):
+    # The first attempt crashes after shutdown began: the worker must stay
+    # to run the retry, or the accepted job never reaches a terminal state.
+    config = ServiceConfig(max_workers=1, **FAST)
+    service = _service(tmp_path, config=config, injector=_CrashOnceInjector())
+    service.register_filter("t", _tcf_factory())
+    rid = service.submit("t", "insert", KEYS)
+    service.shutdown(wait=False)
+    result = service.result(rid, timeout=5.0)
+    assert result.status is JobStatus.SUCCEEDED
+    assert result.attempts == 2
 
 
 # --------------------------------------------- atomic whole-batch contract
@@ -491,12 +610,8 @@ def test_journal_reopened_after_torn_tail_keeps_new_jobs(tmp_path):
     assert _replayed_ids(tmp_path) == (["b", "d"], ["a"])
 
 
-def test_journal_fsyncs_each_record_once_into_one_file(tmp_path, monkeypatch):
-    import os
-
-    from repro.service import JobJournal
-    from repro.service.journal import JOURNAL_NAME
-
+def _spy_on_fsync(monkeypatch):
+    """Record the inode of every file fsynced from now on."""
     synced = []
     real_fsync = os.fsync
 
@@ -504,8 +619,16 @@ def test_journal_fsyncs_each_record_once_into_one_file(tmp_path, monkeypatch):
         synced.append(os.fstat(fd).st_ino)
         real_fsync(fd)
 
-    journal = JobJournal(tmp_path)
     monkeypatch.setattr(os, "fsync", spy)
+    return synced
+
+
+def test_journal_fsyncs_each_record_once_into_one_file(tmp_path, monkeypatch):
+    from repro.service import JobJournal
+    from repro.service.journal import JOURNAL_NAME
+
+    journal = JobJournal(tmp_path)
+    synced = _spy_on_fsync(monkeypatch)
     job = _journal_job("big", n_keys=4096)
     journal.record_submit(job)
     job.result = _partial_result(job)
@@ -517,3 +640,42 @@ def test_journal_fsyncs_each_record_once_into_one_file(tmp_path, monkeypatch):
     pending, finished = replay(tmp_path)
     assert pending == []
     assert np.array_equal(finished["big"].ok_mask, job.result.ok_mask)
+
+
+def test_batch_results_share_one_fsync(tmp_path, monkeypatch):
+    from repro.service.journal import JOURNAL_NAME
+
+    n_jobs = 4
+    config = ServiceConfig(max_workers=1, batch_window_s=10.0, max_batch_jobs=n_jobs)
+    with _service(tmp_path, config=config, journal=True) as service:
+        service.register_filter("t", _tcf_factory())
+        synced = _spy_on_fsync(monkeypatch)
+        rids = [
+            service.submit("t", "insert", KEYS[i * 16 : (i + 1) * 16])
+            for i in range(n_jobs)
+        ]
+        assert service.drain(timeout=10.0)
+        journal_ino = (tmp_path / "journal" / JOURNAL_NAME).stat().st_ino
+        # One fsync per submit, then one for the whole batch's results.
+        assert synced.count(journal_ino) == n_jobs + 1
+        assert all(service.result(rid).attempts == 1 for rid in rids)
+    _, finished = replay(tmp_path / "journal")
+    assert sorted(finished) == sorted(rids)
+
+
+def test_drain_returns_after_results_are_journaled(tmp_path, monkeypatch):
+    from repro.service import JobJournal
+
+    record_result = JobJournal.record_result
+
+    def slow_record_result(self, *jobs):
+        time.sleep(0.2)
+        record_result(self, *jobs)
+
+    monkeypatch.setattr(JobJournal, "record_result", slow_record_result)
+    with _service(tmp_path, journal=True) as service:
+        service.register_filter("t", _tcf_factory())
+        rid = service.submit("t", "insert", KEYS)
+        assert service.drain(timeout=10.0)
+        _, finished = replay(tmp_path / "journal")
+        assert finished[rid].status is JobStatus.SUCCEEDED
