@@ -121,16 +121,6 @@ class AbstractFilter(abc.ABC):
     #: Human-readable short name used in benchmark tables ("TCF", "GQF", ...).
     name: str = "filter"
 
-    #: Whether :meth:`bulk_insert` is atomic on capacity failure: True means
-    #: a :class:`~repro.core.exceptions.FilterFullError` escaping
-    #: ``bulk_insert`` guarantees *no* key of the batch was placed, so a
-    #: caller (e.g. the filter service) may grow the filter and retry the
-    #: whole batch without duplicating effects.  The built-in bulk designs
-    #: deliberately fill the table before raising (benchmark fill loops
-    #: measure the filter at capacity), so they leave this False; callers
-    #: needing per-key outcomes use :meth:`bulk_insert_mask` instead.
-    bulk_insert_atomic: bool = False
-
     def __init__(self, recorder: Optional[StatsRecorder] = None) -> None:
         self.recorder = recorder if recorder is not None else StatsRecorder()
 
@@ -236,15 +226,21 @@ class AbstractFilter(abc.ABC):
     def bulk_insert_mask(
         self, keys: Sequence[int], values: Optional[Sequence[int]] = None
     ) -> np.ndarray:
-        """Graceful batched insert: a per-key success mask instead of raising.
+        """Batched insert reporting a per-key success mask instead of raising.
 
-        The partial-success entry point of the bulk-job service: True at
-        position ``i`` means ``keys[i]`` was applied; a key the filter cannot
-        hold comes back False and the filter stays consistent.  The default
-        loops the point API (so it requires point-insert support); filters
-        with a real vectorised graceful path override it.
+        The insert entry point of the bulk-job service and the shard
+        workers: True at position ``i`` means ``keys[i]`` was applied; a key
+        the filter cannot hold comes back False and the filter stays
+        consistent.  The bulk designs implement their insert here and make
+        :meth:`bulk_insert` this mask plus a raise.  The default loops the
+        point API; a design without point inserts runs :meth:`bulk_insert`
+        and reports every key placed, so its :class:`FilterFullError`
+        (raised after some keys may have landed) propagates.
         """
         keys = np.asarray(keys, dtype=np.uint64)
+        if not self.capabilities().point_insert:
+            self.bulk_insert(keys, values)
+            return np.ones(keys.size, dtype=bool)
         if values is None:
             values = np.zeros(keys.size, dtype=np.uint64)
         else:

@@ -179,23 +179,28 @@ class BulkGQF(AbstractFilter):
     ) -> Tuple[np.ndarray, ...]:
         """Hash a batch and sort it by full fingerprint (Thrust sort).
 
-        The sort key is the p-bit fingerprint itself, built in uint64 —
-        ``quotient * 2^r + remainder`` in a signed int64 would overflow once
-        ``q + r >= 63``, silently mis-sorting wide geometries.
+        Returns the sort permutation, then the sorted quotients, remainders
+        and ``extra`` arrays.  The sort key is the p-bit fingerprint itself,
+        built in uint64 — ``quotient * 2^r + remainder`` in a signed int64
+        would overflow once ``q + r >= 63``, silently mis-sorting wide
+        geometries.
         """
         quotients, remainders = self._hash_batch(keys)
         sort_keys = self.scheme.join(quotients, remainders)
         _sorted, order = device_sort_by_key(
             sort_keys, np.arange(keys.size), self.recorder
         )
-        return (quotients[order], remainders[order]) + tuple(a[order] for a in extra)
+        return (order, quotients[order], remainders[order]) + tuple(a[order] for a in extra)
 
     def bulk_insert(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> int:
         """Insert a batch with the two-phase even-odd lock-free scheme.
 
         ``values`` are interpreted as per-key counts when given (count of 0
         is bumped to 1), so the same entry point serves plain insertion,
-        counting and value association.
+        counting and value association.  Returns the number of items
+        inserted (distinct keys under map-reduce); raises the
+        :class:`FilterFullError` that stopped the phases once the table is
+        full, with every item that fitted placed.
 
         The whole sorted batch goes to the core as one vectorised merge that
         writes the table once, with the even and odd phases as its charging
@@ -203,13 +208,47 @@ class BulkGQF(AbstractFilter):
         :meth:`QuotientFilterCore.prefers_sequential`) take the per-item
         path, phase by phase.
         """
+        items, _missed, error = self._insert(np.asarray(keys, dtype=np.uint64), values)
+        if error is not None:
+            raise error
+        return int(items.size)
+
+    def bulk_insert_mask(
+        self, keys: Sequence[int], values: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
+        """The same insert as :meth:`bulk_insert`, reported per key.
+
+        True at position ``i`` means ``keys[i]`` was counted; a full table
+        leaves the rest False instead of raising.
+        """
         keys = np.asarray(keys, dtype=np.uint64)
-        if keys.size == 0:
-            return 0
+        items, missed, _error = self._insert(keys, values)
+        mask = np.ones(keys.size, dtype=bool)
+        if missed.size:
+            if self.use_mapreduce:
+                lost = np.zeros(items.size, dtype=bool)
+                lost[missed] = True
+                mask = ~lost[np.searchsorted(items, keys)]
+            else:
+                mask[missed] = False
+        return mask
+
+    def _insert(
+        self, keys: np.ndarray, values: Optional[Sequence[int]]
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[FilterFullError]]:
+        """The one bulk insert: aggregate, hash, sort and run the phases.
+
+        Returns the inserted items' keys (the distinct keys under
+        map-reduce, else ``keys``), the indices of the items left out, and
+        the :class:`FilterFullError` that left them out (None when every
+        item landed).
+        """
         if values is not None:
             counts = np.maximum(1, np.asarray(values, dtype=np.int64))
         else:
             counts = np.ones(keys.size, dtype=np.int64)
+        if keys.size == 0:
+            return keys, np.zeros(0, dtype=np.int64), None
 
         if self.use_mapreduce:
             unique_keys, agg_counts = aggregate_batch(keys, self.recorder)
@@ -223,8 +262,9 @@ class BulkGQF(AbstractFilter):
             keys, counts = unique_keys, agg_counts.astype(np.int64)
 
         self._maybe_grow()
-        quotients, remainders, counts = self._sorted_batch(keys, counts)
-        return self._phased_insert(quotients, remainders, counts)
+        order, quotients, remainders, counts = self._sorted_batch(keys, counts)
+        done, error = self._phased_insert(quotients, remainders, counts)
+        return keys, order[~done], error
 
     def _phases(self, quotients: np.ndarray, op: str) -> List[Phase]:
         """The even-odd schedule of a sorted batch.
@@ -245,14 +285,16 @@ class BulkGQF(AbstractFilter):
 
     def _phased_insert(
         self, quotients: np.ndarray, remainders: np.ndarray, counts: np.ndarray
-    ) -> int:
+    ) -> Tuple[np.ndarray, Optional[FilterFullError]]:
         """Run the even-odd insertion phases over fingerprint-sorted items.
 
-        A batch large enough for the vectorised path makes one core call:
-        the table is written once, and the phases are the schedule by which
-        its events are charged, each inside its own kernel launch.  If the
-        whole batch does not fit, the phases run one call each, so the even
-        phase still lands before the odd one overflows.  On overflow with
+        Returns which items landed and the :class:`FilterFullError` that
+        stopped the phases (None when all of them did).  A batch large
+        enough for the vectorised path makes one core call: the table is
+        written once, and the phases are the schedule by which its events
+        are charged, each inside its own kernel launch.  If the whole batch
+        does not fit, the phases run one call each, so the even phase still
+        lands before the odd one overflows.  On overflow with
         ``auto_resize`` enabled, the not-yet-inserted items are re-split
         under the grown geometry and the phases restart — exact, because
         each canonical merge is all-or-nothing.
@@ -263,46 +305,45 @@ class BulkGQF(AbstractFilter):
                 self.core.insert_sorted_batch(
                     quotients, remainders, counts, phases=self._phases(quotients, "insert")
                 )
-                return int(quotients.size)
+                return np.ones(quotients.size, dtype=bool), None
             except FilterFullError:
                 pass
-        inserted = 0
         done = np.zeros(quotients.size, dtype=bool)
-        for mask, launch in self._phases(quotients, "insert"):
-            with launch:
-                if vectorised and mask.any():
-                    try:
-                        self.core.insert_sorted_batch(
-                            quotients[mask], remainders[mask], counts[mask]
-                        )
-                        inserted += int(np.count_nonzero(mask))
-                        done |= mask
-                        continue
-                    except FilterFullError:
-                        if self._can_grow():
-                            return inserted + self._grow_and_reinsert(
-                                quotients, remainders, counts, done
+        try:
+            for mask, launch in self._phases(quotients, "insert"):
+                with launch:
+                    if vectorised and mask.any():
+                        try:
+                            self.core.insert_sorted_batch(
+                                quotients[mask], remainders[mask], counts[mask]
                             )
-                        # The merge is all-or-nothing; replay the phase per
-                        # item so an over-capacity batch still fills the
-                        # table before raising (callers such as the
-                        # benchmark fill loops catch FilterFullError and
-                        # measure the filter at capacity).
-                        pass
-                for i in np.flatnonzero(mask & ~done):
-                    try:
-                        self.core.insert_fingerprint(
-                            int(quotients[i]), int(remainders[i]), int(counts[i])
-                        )
-                    except FilterFullError:
-                        if not self._can_grow():
-                            raise
-                        return inserted + self._grow_and_reinsert(
-                            quotients, remainders, counts, done
-                        )
-                    inserted += 1
-                    done[i] = True
-        return inserted
+                            done |= mask
+                            continue
+                        except FilterFullError:
+                            if self._can_grow():
+                                return self._grow_and_reinsert(
+                                    quotients, remainders, counts, done
+                                ), None
+                            # The merge is all-or-nothing; replay the phase
+                            # per item so an over-capacity batch still fills
+                            # the table (the benchmark fill loops measure the
+                            # filter at capacity).
+                    for i in np.flatnonzero(mask & ~done):
+                        try:
+                            self.core.insert_fingerprint(
+                                int(quotients[i]), int(remainders[i]), int(counts[i])
+                            )
+                        except FilterFullError:
+                            if not self._can_grow():
+                                raise
+                            return self._grow_and_reinsert(
+                                quotients, remainders, counts, done
+                            ), None
+                        done[i] = True
+        except FilterFullError as exc:
+            # Raised through the launch, which therefore records no kernel.
+            return done, exc
+        return done, None
 
     def _grow_and_reinsert(
         self,
@@ -310,18 +351,26 @@ class BulkGQF(AbstractFilter):
         remainders: np.ndarray,
         counts: np.ndarray,
         done: np.ndarray,
-    ) -> int:
-        """Grow, re-split the pending items, and restart the phases."""
-        pending = ~done
+    ) -> np.ndarray:
+        """Grow, re-split the pending items, and restart the phases.
+
+        Marks the items that land in ``done`` and returns it; re-raises the
+        error that stops the restarted phases.
+        """
+        pending = np.flatnonzero(~done)
         fingerprints = self.scheme.join(quotients[pending], remainders[pending])
         pending_counts = counts[pending]
         self._grow()
         new_quotients, new_remainders = self.scheme.split(fingerprints)
-        return self._phased_insert(
+        placed, error = self._phased_insert(
             np.asarray(new_quotients, dtype=np.int64),
             np.asarray(new_remainders, dtype=np.uint64),
             pending_counts,
         )
+        done[pending[placed]] = True
+        if error is not None:
+            raise error
+        return done
 
     def bulk_count_items(self, keys: Sequence[int]) -> int:
         """Count (multiset-insert) a batch; alias of :meth:`bulk_insert`."""
@@ -359,7 +408,7 @@ class BulkGQF(AbstractFilter):
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return 0
-        quotients, remainders = self._sorted_batch(keys)
+        _order, quotients, remainders = self._sorted_batch(keys)
         if not self.core.prefers_sequential(int(keys.size)):
             return self.core.delete_sorted_batch(
                 quotients, remainders, phases=self._phases(quotients, "delete")

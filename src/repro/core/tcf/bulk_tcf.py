@@ -250,61 +250,30 @@ class BulkTCF(TCFLifecycle, AbstractFilter):
         case the filter grows and retries the unplaced remainder.
         """
         keys = np.asarray(keys, dtype=np.uint64)
-        if keys.size == 0:
-            return 0
-        if values is None:
-            values = np.zeros(keys.size, dtype=np.uint64)
-        values = np.asarray(values, dtype=np.uint64)
-        self._maybe_grow()
-        inserted = 0
-        while True:
-            placed = self._bulk_insert_masked(keys, values)
-            self._journal_add(keys[placed], values[placed])
-            inserted += int(np.count_nonzero(placed))
-            if placed.all():
-                return inserted
-            if not self._can_grow():
-                raise FilterFullError(
-                    "bulk TCF full: backing table overflowed during bulk insert",
-                    n_items=self._n_items,
-                    n_slots=self.table.n_slots,
-                    load_factor=self.load_factor,
-                    batch_offset=int(np.argmin(placed)),
-                )
-            self._grow()
-            keys, values = keys[~placed], values[~placed]
+        placed = self._insert_with_growth(keys, values)
+        if not placed.all():
+            raise FilterFullError(
+                "bulk TCF full: backing table overflowed during bulk insert",
+                n_items=self._n_items,
+                n_slots=self.table.n_slots,
+                load_factor=self.load_factor,
+                batch_offset=int(np.argmin(placed)),
+            )
+        return int(keys.size)
 
     def bulk_insert_mask(
         self, keys: Sequence[int], values: Optional[Sequence[int]] = None
     ) -> np.ndarray:
         """Graceful bulk insert: a per-key success mask instead of raising.
 
-        Same placement passes as :meth:`bulk_insert` (including the
-        ``auto_resize`` growth loop), but keys that do not fit once growth is
-        exhausted come back False rather than surfacing a
+        The same insert as :meth:`bulk_insert`, but keys that do not fit
+        once growth is exhausted come back False rather than surfacing a
         :class:`FilterFullError` — the partial-success entry point the
         bulk-job service builds its per-item reports on.
         """
-        keys = np.asarray(keys, dtype=np.uint64)
-        if keys.size == 0:
-            return np.zeros(0, dtype=bool)
-        if values is None:
-            values = np.zeros(keys.size, dtype=np.uint64)
-        values = np.asarray(values, dtype=np.uint64)
-        self._maybe_grow()
-        mask = np.zeros(keys.size, dtype=bool)
-        todo = np.arange(keys.size)
-        while todo.size:
-            placed = self._bulk_insert_masked(keys[todo], values[todo])
-            self._journal_add(keys[todo][placed], values[todo][placed])
-            mask[todo[placed]] = True
-            todo = todo[~placed]
-            if not todo.size or not self._can_grow():
-                break
-            self._grow()
-        return mask
+        return self._insert_with_growth(np.asarray(keys, dtype=np.uint64), values)
 
-    def _bulk_insert_masked(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def _place_batch(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
         """One whole-batch insert attempt at the current table geometry."""
         h = self._derive_batch(keys)
         words = self._pack_words(h.fingerprint, values)

@@ -152,6 +152,37 @@ class TCFLifecycle:
         if self._journal is not None:
             self._journal.remove(keys)
 
+    # ------------------------------------------------------------------ insert
+    def _place_batch(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """One whole-batch insert attempt at the current geometry.
+
+        Each TCF design implements it with its own insert kernel; returns
+        the mask of keys placed.
+        """
+        raise NotImplementedError
+
+    def _insert_with_growth(self, keys: np.ndarray, values: Optional[np.ndarray]) -> np.ndarray:
+        """Place a batch, growing (``auto_resize``) and retrying only the unplaced keys.
+
+        The one insert loop of both TCF designs: ``bulk_insert`` raises when
+        the returned mask has a False, ``bulk_insert_mask`` returns it.
+        """
+        if values is None:
+            values = np.zeros(keys.size, dtype=np.uint64)
+        values = np.asarray(values, dtype=np.uint64)
+        if keys.size == 0:
+            return np.zeros(0, dtype=bool)
+        self._maybe_grow()
+        placed = self._place_batch(keys, values)
+        self._journal_add(keys[placed], values[placed])
+        while not placed.all() and self._can_grow():
+            self._grow()
+            todo = np.flatnonzero(~placed)
+            landed = todo[self._place_batch(keys[todo], values[todo])]
+            self._journal_add(keys[landed], values[landed])
+            placed[landed] = True
+        return placed
+
     # ------------------------------------------------------------------ resize
     def _can_grow(self) -> bool:
         return self._journal is not None

@@ -349,26 +349,17 @@ class PointTCF(TCFLifecycle, AbstractFilter):
                 for key, value in zip(keys, values):
                     if self.insert(int(key), int(value)):
                         inserted += 1
-            elif keys.size:
-                self._maybe_grow()
-                while True:
-                    placed = self._bulk_insert_vectorised(keys, values)
-                    self._journal_add(keys[placed], values[placed])
-                    inserted += int(placed.sum())
-                    if placed.all():
-                        break
-                    if not self._can_grow():
-                        raise FilterFullError(
-                            "TCF full: both blocks and the backing table "
-                            "rejected the insert",
-                            n_items=self._n_items,
-                            n_slots=self.table.n_slots,
-                            load_factor=self.load_factor,
-                            batch_offset=int(np.argmin(placed)),
-                        )
-                    self._grow()
-                    keys, values = keys[~placed], values[~placed]
-        return inserted
+                return inserted
+            placed = self._insert_with_growth(keys, values)
+            if not placed.all():
+                raise FilterFullError(
+                    "TCF full: both blocks and the backing table rejected the insert",
+                    n_items=self._n_items,
+                    n_slots=self.table.n_slots,
+                    load_factor=self.load_factor,
+                    batch_offset=int(np.argmin(placed)),
+                )
+        return int(keys.size)
 
     def bulk_insert_mask(
         self, keys: Sequence[int], values: Optional[Sequence[int]] = None
@@ -383,29 +374,20 @@ class PointTCF(TCFLifecycle, AbstractFilter):
         if values is None:
             values = np.zeros(len(keys), dtype=np.uint64)
         values = np.asarray(values, dtype=np.uint64)
-        placed = np.zeros(len(keys), dtype=bool)
         with self.kernels.launch(
             "tcf_point_bulk_insert", point_launch(len(keys), self.config.cg_size)
         ):
-            if self._prefers_sequential(int(keys.size)):
-                for i, (key, value) in enumerate(zip(keys, values)):
-                    try:
-                        placed[i] = self.insert(int(key), int(value))
-                    except FilterFullError:
-                        placed[i] = False
-            elif keys.size:
-                self._maybe_grow()
-                placed = self._bulk_insert_vectorised(keys, values)
-                self._journal_add(keys[placed], values[placed])
-                while not placed.all() and self._can_grow():
-                    self._grow()
-                    retry = np.flatnonzero(~placed)
-                    sub = self._bulk_insert_vectorised(keys[retry], values[retry])
-                    self._journal_add(keys[retry[sub]], values[retry[sub]])
-                    placed[retry[sub]] = True
+            if not self._prefers_sequential(int(keys.size)):
+                return self._insert_with_growth(keys, values)
+            placed = np.zeros(len(keys), dtype=bool)
+            for i, (key, value) in enumerate(zip(keys, values)):
+                try:
+                    placed[i] = self.insert(int(key), int(value))
+                except FilterFullError:
+                    placed[i] = False
         return placed
 
-    def _bulk_insert_vectorised(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def _place_batch(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Batched two-choice insert replaying the per-item decision stream.
 
         Returns the per-key placement mask (False only when the backing

@@ -24,6 +24,7 @@ from .batcher import Batch, WindowedBatcher
 from .faults import (
     FaultConfig,
     FaultInjector,
+    FilterFullFault,
     InjectedFault,
     TornWriteFault,
     WorkerCrashFault,
@@ -49,6 +50,7 @@ __all__ = [
     "Batch",
     "FaultConfig",
     "FaultInjector",
+    "FilterFullFault",
     "FilterRegistry",
     "FilterService",
     "InjectedFault",

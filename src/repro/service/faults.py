@@ -14,10 +14,9 @@ Sites:
   service retries the whole batch safely.
 * ``slow_batch`` — sleeps before execution, simulating a straggling or
   briefly hung worker; drives the deadline/latency paths.
-* ``filter_full`` — raises a synthetic
-  :class:`~repro.core.exceptions.FilterFullError` before execution,
-  simulating a filter-full storm; drives the grow-then-retry capacity
-  policy.
+* ``filter_full`` — raises :class:`FilterFullFault` before execution,
+  simulating a storm of transient filter-full failures; the service retries
+  the whole batch with the same backoff as a worker crash.
 * ``torn_snapshot`` — truncates a snapshot file after it is written,
   simulating disk corruption between a save and a later restore; drives the
   registry's restore-failure handling.
@@ -40,7 +39,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict
 
-from ..core.exceptions import FilterFullError
 from .jobs import RETRYABLE_ERRORS
 
 
@@ -52,14 +50,18 @@ class WorkerCrashFault(InjectedFault):
     """Simulates a worker dying before it touched the filter."""
 
 
+class FilterFullFault(InjectedFault):
+    """Simulates a transient filter-full failure before the filter was touched."""
+
+
 class TornWriteFault(InjectedFault):
     """Simulates the process being killed in the middle of a file write."""
 
 
-# Worker crashes are transient by definition; register them with the job
-# layer's retry classification (kept as a list there to avoid a dependency
-# cycle between the job and fault modules).
-RETRYABLE_ERRORS.append(WorkerCrashFault)
+# Worker crashes and storms are transient by definition; register them with
+# the job layer's retry classification (kept as a list there to avoid a
+# dependency cycle between the job and fault modules).
+RETRYABLE_ERRORS.extend((WorkerCrashFault, FilterFullFault))
 
 
 @dataclass(frozen=True)
@@ -118,9 +120,7 @@ class FaultInjector:
         if self._fire("worker_crash", token, self.config.worker_crash_rate):
             raise WorkerCrashFault(f"injected worker crash ({token})")
         if self._fire("filter_full", token, self.config.filter_full_rate):
-            # audit: ignore[AUD104] - synthetic storm: there is no real filter
-            # behind it, so no occupancy snapshot exists to attach
-            raise FilterFullError(f"injected filter-full storm ({token})")
+            raise FilterFullFault(f"injected filter-full storm ({token})")
         if self._fire("slow_batch", token, self.config.slow_batch_rate):
             time.sleep(self.config.slow_batch_s)
 

@@ -18,13 +18,14 @@ Error taxonomy (mirrored in the README failure-semantics table):
 
 * **retryable** — transient conditions the service retries internally with
   exponential backoff and jitter: injected worker crashes
-  (:class:`~repro.service.faults.WorkerCrashFault`) and
-  :class:`~repro.core.exceptions.FilterFullError` on a resizable filter
-  (handled by growing the filter via :func:`repro.lifecycle.expand` and
-  retrying the unplaced keys).
+  (:class:`~repro.service.faults.WorkerCrashFault`) and filter-full storms
+  (:class:`~repro.service.faults.FilterFullFault`).  Keys a resizable
+  filter leaves out are not an error: the service grows the filter via
+  :func:`repro.lifecycle.expand` and inserts just those keys again.
 * **terminal** — conditions retrying cannot fix: unknown filters, unsupported
   operations, deletion of absent items, torn snapshots at restore time, and
-  capacity errors on non-resizable filters.
+  a :class:`~repro.core.exceptions.FilterFullError` raised from inside a
+  filter's insert, which may already have placed keys.
 """
 
 from __future__ import annotations
@@ -112,9 +113,10 @@ class ServiceClosedError(ServiceError):
 RETRYABLE_ERRORS: List[type] = []
 
 #: Exceptions that immediately fail the job: retrying cannot change the
-#: outcome.  ``FilterFullError`` is special-cased by the capacity policy
-#: (grow-then-retry on resizable filters) before this classification applies.
+#: outcome, or (``FilterFullError`` raised inside a filter's insert, after
+#: some keys may have landed) could apply a key twice.
 TERMINAL_ERRORS = (
+    FilterFullError,
     UnsupportedOperationError,
     DeletionError,
     SnapshotError,
@@ -127,10 +129,6 @@ TERMINAL_ERRORS = (
 
 def is_retryable(exc: BaseException) -> bool:
     """Classify an execution failure: retry with backoff, or fail the job."""
-    if isinstance(exc, FilterFullError):
-        # Capacity is retryable only through the grow-then-retry policy,
-        # which the worker applies before consulting this classification.
-        return False
     return isinstance(exc, tuple(RETRYABLE_ERRORS))
 
 

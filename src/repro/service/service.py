@@ -13,16 +13,17 @@ Robustness semantics (the headline; see the README failure-semantics table):
 * **Idempotency** — a request ID is accepted once; resubmitting it returns
   the original job (and, once terminal, the original result) without
   re-executing anything.
-* **Partial success** — insert jobs report a per-item success mask built on
-  ``bulk_insert_mask`` / the atomic whole-batch insert paths, so "filter
-  full" degrades to ``PARTIAL`` instead of all-or-nothing failure.
-* **Retries** — transient failures (injected worker crashes) are retried
-  with exponential backoff and deterministic jitter, bounded by
-  ``max_attempts``.  Capacity failures on resizable filters trigger
-  :func:`repro.lifecycle.expand` and a retry of only the unplaced keys.
-  Injection sites fire *before* any filter mutation and the whole-batch
-  insert paths used here are atomic on failure, so a retry can never
-  duplicate effects.
+* **Partial success** — insert jobs run the filter's ``bulk_insert_mask``
+  and report its per-item success mask, so "filter full" degrades to
+  ``PARTIAL`` instead of all-or-nothing failure.
+* **Capacity** — keys a resizable filter leaves out trigger
+  :func:`repro.lifecycle.expand` and a retry of only those keys, so no key
+  is applied twice.  A filter that raises ``FilterFullError`` from inside
+  its insert may already have placed keys, so that batch fails terminally.
+* **Retries** — transient failures (injected worker crashes and
+  filter-full storms) are retried with exponential backoff and
+  deterministic jitter, bounded by ``max_attempts``.  Injection sites fire
+  *before* any filter mutation, so a retry can never duplicate effects.
 * **Deadlines / cancellation** — jobs carry optional deadlines, checked at
   dequeue time: an expired or cancelled job is finalized without touching
   the filter, so its (absent) effects are always well-defined.  A batch
@@ -55,7 +56,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.base import AbstractFilter
-from ..core.exceptions import FilterFullError, UnsupportedOperationError
+from ..core.exceptions import UnsupportedOperationError
 from ..lifecycle.resize import expand
 from .batcher import Batch, WindowedBatcher
 from .faults import NO_FAULTS, FaultInjector
@@ -77,6 +78,10 @@ from .registry import FilterRegistry
 #: A job and the terminal result it is about to be given.
 Outcome = Tuple[Job, JobResult]
 
+#: Jitter fraction: the deterministic per-token jitter multiplies a retry's
+#: backoff by up to ``1 + BACKOFF_JITTER``.
+BACKOFF_JITTER = 0.5
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -94,12 +99,8 @@ class ServiceConfig:
     max_attempts: int = 4
     backoff_base_s: float = 0.0005
     backoff_cap_s: float = 0.05
-    #: Jitter fraction: the deterministic per-token jitter multiplies the
-    #: backoff by up to ``1 + backoff_jitter``.
-    backoff_jitter: float = 0.5
     #: Capacity policy: growth steps attempted on behalf of one batch.
     max_expands_per_batch: int = 3
-    default_deadline_s: Optional[float] = None
 
 
 class FilterService:
@@ -235,9 +236,7 @@ class FilterService:
             keys=keys,
             values=values,
             submitted_at=self.clock(),
-            deadline_s=(
-                deadline_s if deadline_s is not None else self.config.default_deadline_s
-            ),
+            deadline_s=deadline_s,
         )
         # Pre-publication write: the job is not yet in _jobs nor in the
         # batcher, so no other thread can observe the reassignment (a _done
@@ -443,8 +442,6 @@ class FilterService:
             with self.registry.acquire(batch.filter_name) as entry:
                 with entry.op_lock:
                     self._run_batch(entry, batch)
-        except FilterFullError as exc:
-            self._handle_capacity_failure(batch, exc)
         except TERMINAL_ERRORS as exc:
             self._finalize_batch(
                 batch, JobStatus.FAILED, error=f"{type(exc).__name__}: {exc}"
@@ -526,47 +523,20 @@ class FilterService:
     def _insert_with_growth(
         self, entry, batch: Batch, keys: np.ndarray, values: np.ndarray
     ) -> np.ndarray:
-        """Insert the batch, growing the filter on capacity failures.
+        """Insert the batch, growing the filter while keys are left out.
 
-        Returns the per-key success mask.  Two paths keep retries safe:
-
-        * filters with ``bulk_insert_mask`` report per-key placement without
-          raising; unplaced keys are retried after each expansion;
-        * filters whose ``bulk_insert`` is atomic on failure
-          (``bulk_insert_atomic``) place nothing when they raise, so the
-          whole batch is retried after expansion.
-
-        Filters with neither property get one all-or-nothing attempt: a
-        capacity failure there has ill-defined partial effects, so the
-        service refuses to guess and fails the batch terminally.
+        Returns the per-key success mask.  After each expansion only the
+        keys still left out are inserted again, so no key is applied twice.
         """
         filt = self.registry.ensure_resident(entry)
-        has_mask = (
-            type(filt).bulk_insert_mask is not AbstractFilter.bulk_insert_mask
-            or filt.capabilities().point_insert
-        )
-        if has_mask:
-            mask = np.asarray(filt.bulk_insert_mask(keys, values), dtype=bool)
-            while not mask.all() and self._try_expand(entry, batch):
-                filt = entry.filt
-                todo = np.flatnonzero(~mask)
-                sub = np.asarray(
-                    filt.bulk_insert_mask(keys[todo], values[todo]), dtype=bool
-                )
-                mask[todo[sub]] = True
-                if not sub.any():
-                    break
-            return mask
-        while True:
-            try:
-                filt.bulk_insert(keys, values)
-                return np.ones(keys.size, dtype=bool)
-            except FilterFullError:
-                if not getattr(filt, "bulk_insert_atomic", False):
-                    raise  # partial effects unknowable: terminal failure
-                if not self._try_expand(entry, batch):
-                    return np.zeros(keys.size, dtype=bool)
-                filt = entry.filt
+        mask = np.asarray(filt.bulk_insert_mask(keys, values), dtype=bool)
+        while not mask.all() and self._try_expand(entry, batch):
+            todo = np.flatnonzero(~mask)
+            sub = np.asarray(entry.filt.bulk_insert_mask(keys[todo], values[todo]), dtype=bool)
+            mask[todo[sub]] = True
+            if not sub.any():
+                break
+        return mask
 
     def _try_expand(self, entry, batch: Batch) -> bool:
         """Capacity policy: grow the filter via the lifecycle layer."""
@@ -582,40 +552,12 @@ class FilterService:
         batch.expands += 1
         return True
 
-    def _handle_capacity_failure(self, batch: Batch, exc: FilterFullError) -> None:
-        """A FilterFullError surfaced at batch level.
-
-        Reached by injected filter-full storms (raised before execution) and
-        by non-growable filters: expand if warranted, then retry the batch —
-        nothing was placed, so the retry cannot duplicate effects.  The
-        error's occupancy context drives the growth decision: a filter that
-        reports real pressure (high load factor) earns an expansion, while a
-        transient storm with no occupancy snapshot is simply retried —
-        doubling a half-empty filter for it would waste memory for nothing.
-        """
-        if batch.attempts < self.config.max_attempts:
-            load = exc.load_factor
-            if load is not None and load >= 0.5:
-                try:
-                    with self.registry.acquire(batch.filter_name) as entry:
-                        with entry.op_lock:
-                            self._try_expand(entry, batch)
-                # audit: ignore[AUD105] - expansion is opportunistic: the batch
-                # retries either way, and the retry path reports real errors
-                except Exception:  # noqa: BLE001 - growth is best-effort here
-                    pass
-            self._schedule_retry(batch)
-        else:
-            self._finalize_batch(
-                batch, JobStatus.FAILED, error=f"FilterFullError: {exc}"
-            )
-
     # ------------------------------------------------------------ retry/backoff
     def _backoff_s(self, batch: Batch) -> float:
         base = self.config.backoff_base_s * (2 ** (batch.attempts - 1))
         jitter01 = zlib.crc32(f"jitter:{batch.token()}".encode()) / 2**32
         return min(self.config.backoff_cap_s, base) * (
-            1.0 + self.config.backoff_jitter * jitter01
+            1.0 + BACKOFF_JITTER * jitter01
         )
 
     def _schedule_retry(self, batch: Batch) -> None:

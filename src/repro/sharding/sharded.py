@@ -155,7 +155,6 @@ class ShardedFilter(AbstractFilter):
     """
 
     name = "Sharded"
-    bulk_insert_atomic = False
 
     def __init__(
         self,
@@ -566,67 +565,67 @@ class ShardedFilter(AbstractFilter):
         self, keys: Sequence[int], values: Optional[Sequence[int]] = None
     ) -> int:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        if keys.size == 0:
-            return 0
-        values = self._insert_values(keys, values)
         with self._lock:
-            self._check_open()
-            if self.auto_resize:
-                counts = np.bincount(
-                    shard_ids(keys, self.n_shards, self.router_seed),
-                    minlength=self.n_shards,
-                )
-                self._pre_grow(counts)
-            _order, _offsets, batches = self._partition(keys, values)
-            outs = self._dispatch("insert", batches)
-            inserted = 0
-            for i, record in outs.items():
-                shard_keys, shard_values = batches[i]
-                if record["error"] is None:
-                    inserted += int(record["result"])
-                    if self._journals is not None:
-                        self._journals[i].add(shard_keys, shard_values)
-                    continue
-                if not self.auto_resize:
-                    self._raise_full(i, str(record["error"]["message"]))
-                # Pre-growth should make this unreachable; if cluster skew
-                # still filled the shard, expand it and retry the shard's
-                # batch through the graceful mask path.  Keys the failed
-                # attempt already placed are re-applied — at-least-once
-                # semantics (counts may inflate, membership is exact), the
-                # same contract as the service's journal replay.
-                self._expand_shard(i)
-                retry = self._dispatch("insert_mask", {i: batches[i]})[i]
-                if retry["error"] is not None:
-                    self._raise_full(i, str(retry["error"]["message"]))
-                mask = np.asarray(retry["result"], dtype=bool)
-                inserted += int(np.count_nonzero(mask))
-                if self._journals is not None:
-                    self._journals[i].add(shard_keys[mask], shard_values[mask])
-            return inserted
+            missed = self._insert(keys, values)
+            if missed:
+                i = min(missed)
+                self._raise_full(i, f"{missed[i].size} of {keys.size} keys did not fit")
+        return int(keys.size)
 
     def bulk_insert_mask(
         self, keys: Sequence[int], values: Optional[Sequence[int]] = None
     ) -> np.ndarray:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        if keys.size == 0:
-            return np.zeros(0, dtype=bool)
-        values = self._insert_values(keys, values)
+        mask = np.ones(keys.size, dtype=bool)
         with self._lock:
-            self._check_open()
-            order, offsets, batches = self._partition(keys, values)
-            outs = self._dispatch("insert_mask", batches)
-            mask = np.zeros(keys.size, dtype=bool)
-            routed_mask = np.zeros(keys.size, dtype=bool)
-            for i, record in outs.items():
-                lo, hi = int(offsets[i]), int(offsets[i + 1])
-                shard_mask = np.asarray(record["result"], dtype=bool)
-                routed_mask[lo:hi] = shard_mask
+            for positions in self._insert(keys, values).values():
+                mask[positions] = False
+        return mask
+
+    def _insert(
+        self, keys: np.ndarray, values: Optional[Sequence[int]]
+    ) -> Dict[int, np.ndarray]:
+        """Route a batch to its shards and place it; the caller holds the lock.
+
+        Returns, per shard that left keys out, their positions in ``keys``.
+        Under ``auto_resize`` the shards are pre-grown for the batch, and a
+        shard that still leaves keys out is expanded and sent just those
+        keys again, until it holds them all, so no key is applied twice.
+        """
+        if keys.size == 0:
+            return {}
+        self._check_open()
+        values = self._insert_values(keys, values)
+        if self.auto_resize:
+            counts = np.bincount(
+                shard_ids(keys, self.n_shards, self.router_seed),
+                minlength=self.n_shards,
+            )
+            self._pre_grow(counts)
+        order, offsets, batches = self._partition(keys, values)
+        positions = {i: order[offsets[i] : offsets[i + 1]] for i in batches}
+        missed: Dict[int, np.ndarray] = {}
+        while batches:
+            resend: Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
+            for i, record in self._dispatch("insert", batches).items():
+                shard_keys, shard_values = batches[i]
+                left = np.asarray(record["result"], dtype=np.int64)
                 if self._journals is not None:
-                    shard_keys, shard_values = batches[i]
-                    self._journals[i].add(shard_keys[shard_mask], shard_values[shard_mask])
-            mask[order] = routed_mask
-            return mask
+                    journal = self._journals[i]
+                    journal.add(np.delete(shard_keys, left), np.delete(shard_values, left))
+                if not left.size:
+                    continue
+                positions[i] = positions[i][left]
+                if self.auto_resize:
+                    self._expand_shard(i)
+                    resend[i] = (
+                        shard_keys[left],
+                        shard_values[left] if shard_values is not None else None,
+                    )
+                else:
+                    missed[i] = positions[i]
+            batches = resend
+        return missed
 
     def _gather(self, op: str, keys: Sequence[int], dtype) -> np.ndarray:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)

@@ -31,14 +31,16 @@ concurrently):
 The parent's own twins (inline mode, point operations, size queries)
 follow the same rule.
 
-A capacity failure is returned as data (not raised): the parent re-raises
-it as a :class:`~repro.core.exceptions.FilterFullError` enriched with the
-shard's occupancy snapshot, or rebalances when auto-resize is on.  Any
-other exception travels back to the parent and is re-raised there.  The
-deterministic ``shard_worker_kill`` fault arrives pre-decided by the
-parent's injector as ``spec["kill"]`` and terminates the worker process
-before any mutation — exercising the worker-replacement and
-segment-leak-guard paths without touching table state.
+An insert runs the shard's ``bulk_insert_mask`` and returns the positions
+the shard could not place (empty when all of them landed): the parent
+raises a :class:`~repro.core.exceptions.FilterFullError` with the shard's
+occupancy snapshot, or rebalances the shard and resends just those keys
+when auto-resize is on.  An exception travels back to the parent and is
+re-raised there.  The deterministic ``shard_worker_kill`` fault arrives
+pre-decided by the parent's injector as ``spec["kill"]`` and terminates
+the worker process before any mutation — exercising the
+worker-replacement and segment-leak-guard paths without touching table
+state.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..core.base import AbstractFilter
-from ..core.exceptions import FilterFullError
 from ..gpusim.stats import StatsRecorder
 from ..lifecycle.snapshot import _resolve_class
 from .sharedmem import ShardStore
@@ -60,7 +61,7 @@ from .sharedmem import ShardStore
 KILL_EXIT_CODE = 73
 
 #: Operations that can write a shard's segment (and so bump its epoch).
-MUTATING_OPS = frozenset({"insert", "insert_mask", "delete"})
+MUTATING_OPS = frozenset({"insert", "delete"})
 
 
 @dataclass
@@ -116,9 +117,7 @@ def _execute_op(
     if op == "noop":
         return True
     if op == "insert":
-        return filt.bulk_insert(keys, values)
-    if op == "insert_mask":
-        return filt.bulk_insert_mask(keys, values)
+        return np.flatnonzero(~filt.bulk_insert_mask(keys, values)).tolist()
     if op == "query":
         return filt.bulk_query(keys)
     if op == "count":
@@ -138,15 +137,11 @@ def run_on_twin(
     """Steps 1-3 of the sync contract on one twin (workers and inline mode)."""
     if stale:
         filt.refresh_shared()
-    result: object = None
-    error: Optional[Dict[str, object]] = None
     try:
         result = _execute_op(filt, op, keys, values)
-    except FilterFullError as exc:
-        error = {"type": "filter_full", "message": exc.message}
     finally:
         filt.flush_shared()
-    return {"result": result, "error": error, "refreshed": stale}
+    return {"result": result, "refreshed": stale}
 
 
 def run_shard_task(
@@ -179,7 +174,7 @@ def serve(conn) -> None:
 
     Every task is a ``(spec, op, keys, values)`` tuple; the reply is the
     task record, or ``{"exception": exc, "traceback": text}`` when the
-    operation raised something other than a capacity failure.
+    operation raised.
     """
     while True:
         try:

@@ -615,6 +615,11 @@ class TestSingleWrite:
             "gqf_bulk_delete_even",
             "gqf_bulk_delete_odd",
         ]
+        # The masked insert is the same single write, never the per-item path.
+        per_item = _spy(filt.core, "insert_fingerprint")
+        assert filt.bulk_insert_mask(_keys(rng, 800)).all()
+        assert [len(phases) for phases in inserts] == [2, 2]
+        assert per_item == []
 
     def test_overflowing_merge_charges_and_writes_nothing(self):
         filt, _even, keys = _overflow_filter()

@@ -19,7 +19,9 @@ import pytest
 
 from repro.core.base import AbstractFilter, FilterCapabilities
 from repro.core.exceptions import FilterFullError
+from repro.core.gqf import BulkGQF
 from repro.core.tcf import PointTCF
+from repro.gpusim.stats import StatsRecorder
 from repro.service import (
     AdmissionError,
     FaultConfig,
@@ -367,12 +369,11 @@ def test_shutdown_without_wait_finishes_retried_jobs(tmp_path):
     assert result.attempts == 2
 
 
-# --------------------------------------------- atomic whole-batch contract
-class _AtomicStub(AbstractFilter):
-    """Minimal bulk-only filter whose bulk_insert is atomic on failure."""
+# ----------------------------------------------------- capacity contract
+class _BulkOnlyStub(AbstractFilter):
+    """Minimal bulk-only filter whose bulk_insert raises once it is full."""
 
-    name = "atomic-stub"
-    bulk_insert_atomic = True
+    name = "bulk-only-stub"
 
     def __init__(self, capacity=64, recorder=None):
         super().__init__(recorder)
@@ -401,7 +402,7 @@ class _AtomicStub(AbstractFilter):
 
     def bulk_insert(self, keys, values=None):
         if len(self.stored) + len(keys) > self._capacity:
-            raise FilterFullError("stub full")  # atomic: nothing was placed
+            raise FilterFullError("stub full")
         self.stored.update(int(k) for k in keys)
         return len(keys)
 
@@ -409,20 +410,37 @@ class _AtomicStub(AbstractFilter):
         return np.array([int(k) in self.stored for k in keys], dtype=bool)
 
 
-def test_atomic_bulk_insert_path(tmp_path):
+def test_filter_raised_capacity_error_fails_batch_without_retry(tmp_path):
     config = ServiceConfig(max_workers=1, max_attempts=2, **FAST)
     with _service(tmp_path, config=config) as service:
-        service.register_filter("stub", lambda: _AtomicStub(capacity=64))
+        service.register_filter("stub", lambda: _BulkOnlyStub(capacity=64))
         ok = service.result(service.submit("stub", "insert", KEYS), timeout=10.0)
         assert ok.status is JobStatus.SUCCEEDED
-        # Over capacity on a non-resizable atomic filter: the batch fails
+        # Over capacity on a non-resizable bulk-only filter: the batch fails
         # whole (all-or-nothing) and the filter keeps only the first job.
         big = np.arange(1000, 1100, dtype=np.uint64)
         full = service.result(service.submit("stub", "insert", big), timeout=10.0)
         assert full.status is JobStatus.FAILED
         assert full.n_ok == 0
+        # The filter may have placed keys before raising: never retried.
+        assert full.attempts == 1
         with service.registry.acquire("stub") as entry:
             assert int(entry.filt.n_items) == KEYS.size
+
+
+def test_capacity_retry_keeps_gqf_counts_exact(tmp_path):
+    # A fixed-size GQF fills mid-batch; the service grows it and inserts
+    # only the keys it left out, so every key is counted exactly once.
+    keys = np.random.default_rng(5).integers(1, 2**63, size=400, dtype=np.uint64)
+    with _service(tmp_path, config=ServiceConfig(max_workers=1)) as service:
+        service.register_filter("g", lambda: BulkGQF(8, 8, recorder=StatsRecorder()))
+        result = service.result(service.submit("g", "insert", keys), timeout=30.0)
+        assert result.status is JobStatus.SUCCEEDED
+        assert result.attempts == 1
+        with service.registry.acquire("g") as entry:
+            assert entry.filt.n_slots > 256  # it grew
+            assert entry.filt.total_count == keys.size
+            assert (entry.filt.bulk_count(keys) == 1).all()
 
 
 # ---------------------------------------------------------------- recovery

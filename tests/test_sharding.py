@@ -511,6 +511,49 @@ class TestRebalance:
         finally:
             sharded.close()
 
+    def test_gqf_bulk_insert_mask_grows_like_bulk_insert(self):
+        keys = make_keys(3_000)
+        masked = sharded_gqf(2, quotient_bits=9, max_workers=0, auto_resize=True)
+        counted = sharded_gqf(2, quotient_bits=9, max_workers=0, auto_resize=True)
+        try:
+            assert masked.bulk_insert_mask(keys).all()
+            assert counted.bulk_insert(keys) == keys.size
+            assert masked.n_rebalances == counted.n_rebalances > 0
+            masked_state, counted_state = masked.snapshot_state(), counted.snapshot_state()
+            assert masked_state.keys() == counted_state.keys()
+            for name, array in counted_state.items():
+                assert np.array_equal(masked_state[name], array), name
+        finally:
+            masked.close()
+            counted.close()
+
+    def test_full_gqf_shard_is_expanded_and_sent_only_left_out_keys(self):
+        # Heavy counts take several slots per key, more than the pre-growth
+        # projection allows for: the shard fills mid-batch, is expanded, and
+        # gets only the keys it left out, so every count stays exact.
+        keys = make_keys(300)
+        values = np.full(keys.size, 100, dtype=np.uint64)
+        sharded = sharded_gqf(1, quotient_bits=9, max_workers=0, auto_resize=True)
+        try:
+            assert sharded.bulk_insert_mask(keys, values).all()
+            assert sharded.n_rebalances > 0
+            assert sharded.merged().total_count == 100 * keys.size
+        finally:
+            sharded.close()
+
+    def test_full_tcf_shard_journals_each_key_once(self):
+        keys = make_keys(1_000)
+        sharded = sharded_tcf(
+            1, n_slots=1_024, max_workers=0, auto_resize=True, auto_resize_at=1.0
+        )
+        try:
+            assert sharded.bulk_insert(keys) == keys.size
+            assert sharded.n_rebalances == 1  # not pre-grown: the shard filled
+            assert len(sharded._journals[0]) == keys.size
+            assert sharded.bulk_query(keys).all()
+        finally:
+            sharded.close()
+
     def test_tcf_auto_resize_replays_journal(self):
         keys = make_keys(3_000)
         values = keys & np.uint64(0xFF)
