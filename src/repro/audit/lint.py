@@ -16,7 +16,9 @@ file's path inside the package (:data:`ROLE_PATTERNS`) and can be forced by
 a ``# audit: module-role=...`` directive (how the test fixtures opt in).
 Findings are suppressed line by line with ``# audit: ignore[RULE]``
 comments — every suppression names the rule it waives, so the waiver is
-grep-able and reviewable.
+grep-able and reviewable.  A waiver whose rule ran on its line and found
+nothing there is stale and is itself reported (AUD100), so waivers leave
+with the code they excused.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import ast
 import pathlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .ignores import Directives, parse_directives
 
@@ -59,8 +61,8 @@ ROLE_PATTERNS: Tuple[Tuple[str, str], ...] = (
     ("service", "repro/sharding/sharded.py"),
 )
 
-#: Meta-rule ID for malformed suppression directives.
-BARE_IGNORE_RULE = "AUD100"
+#: Meta-rule ID for malformed (bare) and stale suppression directives.
+WAIVER_RULE = "AUD100"
 
 
 @dataclass(frozen=True)
@@ -195,21 +197,21 @@ def run_lint(
         module = load_module(file_path)
         for line in module.directives.malformed:
             findings.append(
-                Finding(
-                    rule=BARE_IGNORE_RULE,
-                    severity="error",
-                    path=module.display_path,
-                    line=line,
-                    message=(
-                        "bare '# audit: ignore' without a rule list; name the "
-                        "rule being waived, e.g. '# audit: ignore[AUD101]'"
-                    ),
+                _waiver_finding(
+                    module,
+                    line,
+                    "bare '# audit: ignore' without a rule list; name the "
+                    "rule being waived, e.g. '# audit: ignore[AUD101]'",
                 )
             )
+        ran: Set[str] = set()
+        hits: Set[Tuple[str, int]] = set()
         for rule in selected:
             if rule.roles is not None and not (rule.roles & module.roles):
                 continue
+            ran.add(rule.rule_id)
             for line, message in rule.check(module):
+                hits.add((rule.rule_id, line))
                 finding = Finding(
                     rule=rule.rule_id,
                     severity=rule.severity,
@@ -223,8 +225,29 @@ def run_lint(
                         findings.append(replace(finding, suppressed=True))
                 else:
                     findings.append(finding)
+        for line, waived in module.directives.ignores.items():
+            for rule_id in sorted(waived & ran):
+                if (rule_id, line) not in hits:
+                    findings.append(
+                        _waiver_finding(
+                            module,
+                            line,
+                            f"stale waiver: {rule_id} finds nothing on this line; "
+                            f"delete its '# audit: ignore[{rule_id}]'",
+                        )
+                    )
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
+
+
+def _waiver_finding(module: AuditModule, line: int, message: str) -> Finding:
+    return Finding(
+        rule=WAIVER_RULE,
+        severity="error",
+        path=module.display_path,
+        line=line,
+        message=message,
+    )
 
 
 def gating(findings: Iterable[Finding]) -> List[Finding]:

@@ -80,8 +80,8 @@ def _is_guarded(module: AuditModule, node: ast.AST, func: ast.FunctionDef) -> bo
 
     Two accepted shapes: the loop is lexically inside a guard ``if``'s
     branch, or an earlier statement in an enclosing body is a guard ``if``
-    whose vectorized branch early-exits (the try/merge-then-replay shape in
-    sqf/rsqf/cpu_cqf ``bulk_insert``).
+    whose vectorized branch early-exits (the shape of
+    ``PointTCF.bulk_insert_mask``).
     """
     path = _statement_path(module, node, func)
     for ancestor in path[:-1]:

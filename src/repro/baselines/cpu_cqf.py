@@ -3,7 +3,7 @@
 Table 4 of the paper compares the GPU filters with their CPU ancestors run on
 Cori's KNL nodes with 272 hardware threads: the CQF (Pandey et al. 2017) and
 the VQF (Pandey et al. 2021).  The CQF's structure is exactly the
-:class:`~repro.core.gqf.layout.QuotientFilterCore` already used by the GQF —
+:class:`~repro.core.gqf.quotient_filter.QuotientFilter` already used by the GQF —
 the difference is the execution substrate: a modest number of CPU threads,
 cache-line-granular memory, and per-thread locking for concurrent inserts.
 
@@ -19,18 +19,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.base import AbstractFilter, FilterCapabilities
-from ..core.exceptions import FilterFullError
+from ..core.base import FilterCapabilities
 from ..core.gqf.layout import QuotientFilterCore
+from ..core.gqf.quotient_filter import QuotientFilter
 from ..gpusim.kernel import KernelContext, point_launch
 from ..gpusim.stats import StatsRecorder
-from ..hashing.fingerprints import FingerprintScheme
 
 #: Hardware threads on the Cori KNL nodes used in the paper's Table 4.
 KNL_THREADS = 272
 
 
-class CPUCountingQuotientFilter(AbstractFilter):
+class CPUCountingQuotientFilter(QuotientFilter):
     """Multi-threaded CPU counting quotient filter (Table 4 baseline).
 
     Parameters
@@ -54,7 +53,6 @@ class CPUCountingQuotientFilter(AbstractFilter):
         recorder: Optional[StatsRecorder] = None,
     ) -> None:
         super().__init__(recorder)
-        self.scheme = FingerprintScheme(quotient_bits, remainder_bits)
         self.core = QuotientFilterCore(
             quotient_bits, remainder_bits, self.recorder, counting=True, name="cpu-cqf-slots"
         )
@@ -82,73 +80,23 @@ class CPUCountingQuotientFilter(AbstractFilter):
 
     # ------------------------------------------------------------------- sizes
     @property
-    def capacity(self) -> int:
-        return int(self.core.n_canonical_slots * 0.95)
-
-    @property
-    def n_slots(self) -> int:
-        return self.core.n_canonical_slots
-
-    @property
-    def nbytes(self) -> int:
-        return self.core.nbytes
-
-    @property
-    def n_items(self) -> int:
-        return self.core.n_distinct_items
-
-    @property
-    def total_count(self) -> int:
-        """Multiset cardinality (every inserted occurrence)."""
-        return self.core.total_count
-
-    @property
-    def n_occupied_slots(self) -> int:
-        return self.core.n_occupied_slots
-
-    @property
-    def load_factor(self) -> float:
-        return self.core.load_factor
-
-    @property
     def recommended_load_factor(self) -> float:
         return 0.95
 
-    @property
-    def false_positive_rate(self) -> float:
-        return 2.0 ** (-self.scheme.remainder_bits)
-
     # ------------------------------------------------------------------ point API
     def insert(self, key: int, value: int = 0) -> bool:
-        quotient, remainder = self.scheme.key_to_slot(np.uint64(int(key) & 0xFFFFFFFFFFFFFFFF))
-        self.core.insert_fingerprint(int(quotient), int(remainder), max(1, int(value)))
+        self.core.insert_fingerprint(*self._slot_of(key), max(1, int(value)))
         return True
 
-    def query(self, key: int) -> bool:
-        return self.count(key) > 0
-
-    def count(self, key: int) -> int:
-        quotient, remainder = self.scheme.key_to_slot(np.uint64(int(key) & 0xFFFFFFFFFFFFFFFF))
-        return self.core.query_fingerprint(int(quotient), int(remainder))
-
-    def get_value(self, key: int) -> Optional[int]:
-        count = self.count(key)
-        return count if count > 0 else None
-
     def delete(self, key: int) -> bool:
-        quotient, remainder = self.scheme.key_to_slot(np.uint64(int(key) & 0xFFFFFFFFFFFFFFFF))
-        return self.core.delete_fingerprint(int(quotient), int(remainder), 1)
+        return self.core.delete_fingerprint(*self._slot_of(key), 1)
 
     # ---------------------------------------------------------------- bulk API
-    def _hashed_batch(self, keys: np.ndarray):
-        quotients, remainders = self.scheme.split(self.scheme.hash_key(keys))
-        return quotients.astype(np.int64), remainders.astype(np.uint64)
-
     def bulk_insert(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> int:
         """Batched insert; ``values`` are interpreted as counts (as in insert).
 
-        Large batches merge as one vectorised sorted batch into the shared
-        :class:`QuotientFilterCore`; small batches keep the per-item loop.
+        The sorted batch goes through :meth:`QuotientFilterCore.batch_insert`
+        (one vectorised merge, or the per-item loop for small batches).
         Both routes insert in sorted (quotient, remainder) order — the
         standard schedule for batch-building a quotient filter — and record
         that schedule's events, which shift less than the same keys pushed
@@ -162,22 +110,10 @@ class CPUCountingQuotientFilter(AbstractFilter):
             counts = np.ones(keys.size, dtype=np.int64)
         else:
             counts = np.maximum(1, np.asarray(values, dtype=np.int64))
-        quotients, remainders = self._hashed_batch(keys)
+        quotients, remainders = self._hash_batch(keys)
         order = self.core.fingerprint_order(quotients, remainders)
-        quotients, remainders, counts = quotients[order], remainders[order], counts[order]
         with self.kernels.launch("cpu_cqf_insert", point_launch(keys.size, 1)):
-            if not self.core.prefers_sequential(int(keys.size)):
-                try:
-                    self.core.insert_sorted_batch(quotients, remainders, counts)
-                    return int(keys.size)
-                except FilterFullError:
-                    # All-or-nothing merge: replay per item so an over-capacity
-                    # batch still fills the table before raising.
-                    pass
-            for i in range(keys.size):
-                self.core.insert_fingerprint(
-                    int(quotients[i]), int(remainders[i]), int(counts[i])
-                )
+            self.core.batch_insert(quotients[order], remainders[order], counts[order])
         return int(keys.size)
 
     def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
@@ -185,7 +121,7 @@ class CPUCountingQuotientFilter(AbstractFilter):
         out = np.zeros(keys.size, dtype=bool)
         if keys.size == 0:
             return out
-        quotients, remainders = self._hashed_batch(keys)
+        quotients, remainders = self._hash_batch(keys)
         with self.kernels.launch("cpu_cqf_query", point_launch(keys.size, 1)):
             out = self.core.batch_counts(quotients, remainders) > 0
         return out
@@ -194,7 +130,7 @@ class CPUCountingQuotientFilter(AbstractFilter):
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return np.zeros(0, dtype=np.int64)
-        quotients, remainders = self._hashed_batch(keys)
+        quotients, remainders = self._hash_batch(keys)
         with self.kernels.launch("cpu_cqf_count", point_launch(keys.size, 1)):
             return self.core.batch_counts(quotients, remainders)
 
@@ -202,16 +138,9 @@ class CPUCountingQuotientFilter(AbstractFilter):
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return 0
-        quotients, remainders = self._hashed_batch(keys)
-        removed = 0
+        quotients, remainders = self._hash_batch(keys)
         with self.kernels.launch("cpu_cqf_delete", point_launch(keys.size, 1)):
-            if not self.core.prefers_sequential(int(keys.size)):
-                removed = self.core.delete_sorted_batch(quotients, remainders)
-            else:
-                for i in range(keys.size):
-                    if self.core.delete_fingerprint(int(quotients[i]), int(remainders[i]), 1):
-                        removed += 1
-        return removed
+            return self.core.batch_delete(quotients, remainders)
 
     # --------------------------------------------------------------- lifecycle
     def snapshot_config(self) -> dict:
@@ -220,12 +149,6 @@ class CPUCountingQuotientFilter(AbstractFilter):
             "remainder_bits": self.scheme.remainder_bits,
             "n_threads": self.n_threads,
         }
-
-    def snapshot_state(self) -> dict:
-        return self.core.export_state()
-
-    def restore_state(self, state) -> None:
-        self.core.import_state(state)
 
     # ---------------------------------------------------------------- analysis
     def active_threads_for(self, n_ops: int) -> int:

@@ -11,7 +11,7 @@ million items/s, three orders of magnitude slower than the other filters
 SQF's 2^26-item limit.
 
 The reproduction mirrors those properties: the same
-:class:`~repro.core.gqf.layout.QuotientFilterCore` provides the structure,
+:class:`~repro.core.gqf.quotient_filter.QuotientFilter` provides the structure,
 queries are bulk and parallel, and the insert path reports a serialised
 launch geometry so the performance model reproduces the paper's three-orders
 -of-magnitude insert gap.
@@ -23,20 +23,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.base import AbstractFilter, FilterCapabilities
-from ..core.exceptions import (
-    CapacityLimitError,
-    FilterFullError,
-    UnsupportedOperationError,
-)
+from ..core.base import FilterCapabilities
+from ..core.exceptions import CapacityLimitError, UnsupportedOperationError
 from ..core.gqf.layout import QuotientFilterCore
+from ..core.gqf.quotient_filter import QuotientFilter
 from ..gpusim.kernel import KernelContext, LaunchConfig, point_launch
 from ..gpusim.stats import StatsRecorder
-from ..hashing.fingerprints import FingerprintScheme
 from .sqf import MAX_FINGERPRINT_BITS, SUPPORTED_REMAINDERS
 
 
-class RankSelectQuotientFilter(AbstractFilter):
+class RankSelectQuotientFilter(QuotientFilter):
     """Geil et al.'s GPU rank-select quotient filter (bulk insert/query only).
 
     Parameters
@@ -69,7 +65,6 @@ class RankSelectQuotientFilter(AbstractFilter):
                 requested=quotient_bits + remainder_bits,
                 limit=MAX_FINGERPRINT_BITS,
             )
-        self.scheme = FingerprintScheme(quotient_bits, remainder_bits)
         self.core = QuotientFilterCore(
             quotient_bits,
             remainder_bits,
@@ -110,39 +105,6 @@ class RankSelectQuotientFilter(AbstractFilter):
         """Remainder bits + 2.125 metadata bits per slot (RSQF packing)."""
         return int(np.ceil(n_slots * (remainder_bits + 2.125) / 8.0))
 
-    # ------------------------------------------------------------------- sizes
-    @property
-    def capacity(self) -> int:
-        return int(self.core.n_canonical_slots * self.recommended_load_factor)
-
-    @property
-    def n_slots(self) -> int:
-        return self.core.n_canonical_slots
-
-    @property
-    def nbytes(self) -> int:
-        return self.core.nbytes
-
-    @property
-    def n_items(self) -> int:
-        return self.core.total_count
-
-    @property
-    def n_occupied_slots(self) -> int:
-        return self.core.n_occupied_slots
-
-    @property
-    def load_factor(self) -> float:
-        return self.core.load_factor
-
-    @property
-    def recommended_load_factor(self) -> float:
-        return 0.9
-
-    @property
-    def false_positive_rate(self) -> float:
-        return 2.0 ** (-self.scheme.remainder_bits)
-
     # ---------------------------------------------------------------- bulk API
     def bulk_insert(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> int:
         """Unoptimised insert path: items are inserted one after another.
@@ -165,26 +127,14 @@ class RankSelectQuotientFilter(AbstractFilter):
             raise UnsupportedOperationError("the RSQF does not associate values")
         if keys.size == 0:
             return 0
-        fingerprints = self.scheme.hash_key(keys)
-        quotients, remainders = self.scheme.split(fingerprints)
+        quotients, remainders = self._hash_batch(keys)
         # Host-side ordering only (no device sort pass is charged: the
         # authors' serial insert kernel performs none).
         order = self.core.fingerprint_order(quotients, remainders)
-        quotients = quotients[order]
-        remainders = remainders[order]
         with self.kernels.launch(
             "rsqf_serial_insert", LaunchConfig(n_work_items=1, threads_per_item=32)
         ):
-            if not self.core.prefers_sequential(int(keys.size)):
-                try:
-                    self.core.insert_sorted_batch(quotients, remainders)
-                    return int(keys.size)
-                except FilterFullError:
-                    # All-or-nothing merge: replay per item so an over-capacity
-                    # batch still fills the table before raising.
-                    pass
-            for i in range(keys.size):
-                self.core.insert_fingerprint(int(quotients[i]), int(remainders[i]), 1)
+            self.core.batch_insert(quotients[order], remainders[order])
         return int(keys.size)
 
     def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
@@ -193,8 +143,7 @@ class RankSelectQuotientFilter(AbstractFilter):
         out = np.zeros(keys.size, dtype=bool)
         if keys.size == 0:
             return out
-        fingerprints = self.scheme.hash_key(keys)
-        quotients, remainders = self.scheme.split(fingerprints)
+        quotients, remainders = self._hash_batch(keys)
         with self.kernels.launch("rsqf_bulk_query", point_launch(keys.size, 1)):
             out = self.core.batch_counts(quotients, remainders) > 0
         return out
@@ -202,11 +151,6 @@ class RankSelectQuotientFilter(AbstractFilter):
     # ------------------------------------------------------------------ point API
     def insert(self, key: int, value: int = 0) -> bool:
         raise UnsupportedOperationError("the RSQF has no point-insert API (bulk only)")
-
-    def query(self, key: int) -> bool:
-        """Host-side single query (for tests; not a device API)."""
-        quotient, remainder = self.scheme.key_to_slot(np.uint64(int(key) & 0xFFFFFFFFFFFFFFFF))
-        return self.core.query_fingerprint(int(quotient), int(remainder)) > 0
 
     def delete(self, key: int) -> bool:
         raise UnsupportedOperationError(
@@ -230,12 +174,6 @@ class RankSelectQuotientFilter(AbstractFilter):
             "quotient_bits": self.scheme.quotient_bits,
             "remainder_bits": self.scheme.remainder_bits,
         }
-
-    def snapshot_state(self) -> dict:
-        return self.core.export_state()
-
-    def restore_state(self, state) -> None:
-        self.core.import_state(state)
 
     # ---------------------------------------------------------------- analysis
     def active_threads_for(self, n_ops: int, phase: str = "insert") -> int:

@@ -12,8 +12,8 @@ and carries several implementation-specific limits that the GQF removes:
 * a fixed, relatively high false-positive rate (~1.17 % at 5-bit remainders);
 * no counting, no value association, bulk-only API.
 
-The functional structure reuses :class:`~repro.core.gqf.layout.
-QuotientFilterCore` with counting disabled; bulk insertion follows the SQF's
+The functional structure is a :class:`~repro.core.gqf.quotient_filter.
+QuotientFilter` over a core with counting disabled; bulk insertion follows the SQF's
 "sort then merge segments" strategy (one thread per segment), which is fast,
 while bulk lookups use the sorted-batch probing that the paper observes to be
 slower than the other filters' query paths.
@@ -25,17 +25,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.base import AbstractFilter, FilterCapabilities
-from ..core.exceptions import (
-    CapacityLimitError,
-    FilterFullError,
-    UnsupportedOperationError,
-)
+from ..core.base import FilterCapabilities
+from ..core.exceptions import CapacityLimitError, UnsupportedOperationError
+from ..core.gqf.layout import QuotientFilterCore
+from ..core.gqf.quotient_filter import QuotientFilter
 from ..gpusim.kernel import KernelContext, bulk_region_launch
 from ..gpusim.sorting import device_sort, device_sort_by_key
 from ..gpusim.stats import StatsRecorder
-from ..hashing.fingerprints import FingerprintScheme
-from ..core.gqf.layout import QuotientFilterCore
 
 #: Remainder widths supported by the SQF (3 metadata bits packed alongside).
 SUPPORTED_REMAINDERS = (5, 13)
@@ -45,7 +41,7 @@ MAX_FINGERPRINT_BITS = 31
 SEGMENT_SLOTS = 4096
 
 
-class StandardQuotientFilter(AbstractFilter):
+class StandardQuotientFilter(QuotientFilter):
     """Geil et al.'s GPU standard quotient filter (bulk API only).
 
     Parameters
@@ -79,7 +75,6 @@ class StandardQuotientFilter(AbstractFilter):
                 requested=quotient_bits + remainder_bits,
                 limit=MAX_FINGERPRINT_BITS,
             )
-        self.scheme = FingerprintScheme(quotient_bits, remainder_bits)
         self.core = QuotientFilterCore(
             quotient_bits,
             remainder_bits,
@@ -129,70 +124,29 @@ class StandardQuotientFilter(AbstractFilter):
 
     # ------------------------------------------------------------------- sizes
     @property
-    def capacity(self) -> int:
-        return int(self.core.n_canonical_slots * self.recommended_load_factor)
-
-    @property
-    def n_slots(self) -> int:
-        return self.core.n_canonical_slots
-
-    @property
     def nbytes(self) -> int:
         word_bits = 8 if self.scheme.remainder_bits <= 5 else 16
         return int(np.ceil(self.core.total_slots * word_bits / 8.0))
-
-    @property
-    def n_items(self) -> int:
-        return self.core.total_count
-
-    @property
-    def n_occupied_slots(self) -> int:
-        return self.core.n_occupied_slots
-
-    @property
-    def load_factor(self) -> float:
-        return self.core.load_factor
-
-    @property
-    def recommended_load_factor(self) -> float:
-        return 0.9
-
-    @property
-    def false_positive_rate(self) -> float:
-        return 2.0 ** (-self.scheme.remainder_bits)
 
     # ---------------------------------------------------------------- bulk API
     def bulk_insert(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> int:
         """Sorted segment-merge bulk insert (one thread per segment).
 
-        Large batches merge as one vectorised sorted batch into the shared
-        :class:`QuotientFilterCore`; batches too small to amortise the
-        whole-table decode keep the per-item loop.  Both routes produce the
-        same table and the same simulated hardware events.
+        The sorted batch goes through :meth:`QuotientFilterCore.batch_insert`,
+        which picks the vectorised merge or the per-item loop; both routes
+        produce the same table and the same simulated hardware events.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         if values is not None and np.any(np.asarray(values)):
             raise UnsupportedOperationError("the SQF does not associate values")
         if keys.size == 0:
             return 0
-        fingerprints = self.scheme.hash_key(keys)
-        quotients, remainders = self.scheme.split(fingerprints)
+        quotients, remainders = self._hash_batch(keys)
         sort_keys = self.scheme.join(quotients, remainders)
         _sorted, order = device_sort_by_key(sort_keys, np.arange(keys.size), self.recorder)
-        quotients = quotients[order]
-        remainders = remainders[order]
         n_segments = max(1, self.core.n_canonical_slots // SEGMENT_SLOTS)
         with self.kernels.launch("sqf_bulk_insert", bulk_region_launch(n_segments)):
-            if not self.core.prefers_sequential(int(keys.size)):
-                try:
-                    self.core.insert_sorted_batch(quotients, remainders)
-                    return int(keys.size)
-                except FilterFullError:
-                    # All-or-nothing merge: replay per item so an over-capacity
-                    # batch still fills the table before raising.
-                    pass
-            for i in range(keys.size):
-                self.core.insert_fingerprint(int(quotients[i]), int(remainders[i]), 1)
+            self.core.batch_insert(quotients[order], remainders[order])
         return int(keys.size)
 
     def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
@@ -214,27 +168,14 @@ class StandardQuotientFilter(AbstractFilter):
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return 0
-        fingerprints = self.scheme.hash_key(keys)
-        quotients, remainders = self.scheme.split(fingerprints)
-        removed = 0
+        quotients, remainders = self._hash_batch(keys)
         n_segments = max(1, self.core.n_canonical_slots // SEGMENT_SLOTS)
         with self.kernels.launch("sqf_bulk_delete", bulk_region_launch(n_segments)):
-            if not self.core.prefers_sequential(int(keys.size)):
-                removed = self.core.delete_sorted_batch(quotients, remainders)
-            else:
-                for i in range(keys.size):
-                    if self.core.delete_fingerprint(int(quotients[i]), int(remainders[i]), 1):
-                        removed += 1
-        return removed
+            return self.core.batch_delete(quotients, remainders)
 
     # ------------------------------------------------------------------ point API
     def insert(self, key: int, value: int = 0) -> bool:
         raise UnsupportedOperationError("the SQF has no point-insert API (bulk only)")
-
-    def query(self, key: int) -> bool:
-        """Host-side single query (provided for tests; not a device API)."""
-        quotient, remainder = self.scheme.key_to_slot(np.uint64(int(key) & 0xFFFFFFFFFFFFFFFF))
-        return self.core.query_fingerprint(int(quotient), int(remainder)) > 0
 
     def delete(self, key: int) -> bool:
         raise UnsupportedOperationError("the SQF has no point-delete API (bulk only)")
@@ -251,12 +192,6 @@ class StandardQuotientFilter(AbstractFilter):
             "quotient_bits": self.scheme.quotient_bits,
             "remainder_bits": self.scheme.remainder_bits,
         }
-
-    def snapshot_state(self) -> dict:
-        return self.core.export_state()
-
-    def restore_state(self, state) -> None:
-        self.core.import_state(state)
 
     # ---------------------------------------------------------------- analysis
     def active_threads_for(self, n_ops: int) -> int:

@@ -5,6 +5,7 @@ from .bulk_gqf import BulkGQF
 from .layout import DEFAULT_SLACK_SLOTS, METADATA_BITS_PER_SLOT, QuotientFilterCore
 from .mapreduce import aggregate_batch, aggregation_ratio
 from .point_gqf import PointGQF
+from .quotient_filter import QuotientFilter
 from .rank_select import Bitvector, popcount64, select64
 from .regions import DEFAULT_REGION_SLOTS, RegionPartition
 
@@ -17,6 +18,7 @@ __all__ = [
     "aggregate_batch",
     "aggregation_ratio",
     "PointGQF",
+    "QuotientFilter",
     "Bitvector",
     "popcount64",
     "select64",

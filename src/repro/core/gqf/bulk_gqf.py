@@ -35,16 +35,16 @@ import numpy as np
 from ...gpusim.kernel import KernelContext, bulk_region_launch
 from ...gpusim.sorting import device_sort_by_key, stable_argsort
 from ...gpusim.stats import StatsRecorder
-from ...hashing.fingerprints import FingerprintScheme
-from ..base import AbstractFilter, FilterCapabilities
+from ..base import FilterCapabilities
 from ..exceptions import FilterFullError
 from .layout import SEQUENTIAL_BATCH_MAX, Phase, QuotientFilterCore  # noqa: F401 - re-exported
 from .mapreduce import aggregate_batch
 from .point_gqf import PointGQF
+from .quotient_filter import QuotientFilter
 from .regions import DEFAULT_REGION_SLOTS, RegionPartition
 
 
-class BulkGQF(AbstractFilter):
+class BulkGQF(QuotientFilter):
     """GPU counting quotient filter with the lock-free bulk API.
 
     Parameters
@@ -85,7 +85,6 @@ class BulkGQF(AbstractFilter):
                 f"the GQF supports word-aligned remainders {PointGQF.SUPPORTED_REMAINDERS}, "
                 f"got {remainder_bits}"
             )
-        self.scheme = FingerprintScheme(quotient_bits, remainder_bits)
         self.core = QuotientFilterCore(
             quotient_bits, remainder_bits, self.recorder, counting=True, name="bulk-gqf-slots"
         )
@@ -133,47 +132,10 @@ class BulkGQF(AbstractFilter):
 
     # ------------------------------------------------------------------- sizes
     @property
-    def capacity(self) -> int:
-        return int(self.core.n_canonical_slots * self.recommended_load_factor)
-
-    @property
-    def n_slots(self) -> int:
-        return self.core.n_canonical_slots
-
-    @property
-    def nbytes(self) -> int:
-        return self.core.nbytes
-
-    @property
-    def n_items(self) -> int:
-        return self.core.n_distinct_items
-
-    @property
-    def total_count(self) -> int:
-        return self.core.total_count
-
-    @property
-    def n_occupied_slots(self) -> int:
-        return self.core.n_occupied_slots
-
-    @property
-    def load_factor(self) -> float:
-        return self.core.load_factor
-
-    @property
     def recommended_load_factor(self) -> float:
         return 0.95
 
-    @property
-    def false_positive_rate(self) -> float:
-        return 2.0 ** (-self.scheme.remainder_bits)
-
     # --------------------------------------------------------------- bulk insert
-    def _hash_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        fingerprints = self.scheme.hash_key(keys.astype(np.uint64))
-        quotients, remainders = self.scheme.split(fingerprints)
-        return quotients.astype(np.int64), remainders.astype(np.uint64)
-
     def _sorted_batch(
         self, keys: np.ndarray, *extra: np.ndarray
     ) -> Tuple[np.ndarray, ...]:
@@ -409,31 +371,14 @@ class BulkGQF(AbstractFilter):
         if keys.size == 0:
             return 0
         _order, quotients, remainders = self._sorted_batch(keys)
-        if not self.core.prefers_sequential(int(keys.size)):
-            return self.core.delete_sorted_batch(
-                quotients, remainders, phases=self._phases(quotients, "delete")
-            )
-        removed = 0
-        for mask, launch in self._phases(quotients, "delete"):
-            with launch:
-                # Largest items (quotients) first, as on the device.
-                for i in np.flatnonzero(mask)[::-1]:
-                    if self.core.delete_fingerprint(int(quotients[i]), int(remainders[i]), 1):
-                        removed += 1
-        return removed
+        # Reversed rows: a per-item delete takes the largest items
+        # (quotients) first, as on the device.
+        quotients, remainders = quotients[::-1], remainders[::-1]
+        return self.core.batch_delete(
+            quotients, remainders, phases=self._phases(quotients, "delete")
+        )
 
     # ------------------------------------------------------------------ point API
-    def query(self, key: int) -> bool:
-        return self.count(key) > 0
-
-    def count(self, key: int) -> int:
-        quotient, remainder = self.scheme.key_to_slot(np.uint64(int(key) & 0xFFFFFFFFFFFFFFFF))
-        return self.core.query_fingerprint(int(quotient), int(remainder))
-
-    def get_value(self, key: int) -> Optional[int]:
-        count = self.count(key)
-        return count if count > 0 else None
-
     def insert(self, key: int, value: int = 0) -> bool:
         """Single-item convenience wrapper over :meth:`bulk_insert`."""
         return self.bulk_insert(np.array([key], dtype=np.uint64),
@@ -443,30 +388,6 @@ class BulkGQF(AbstractFilter):
         return self.bulk_delete(np.array([key], dtype=np.uint64)) == 1
 
     # ------------------------------------------------------------------ resize
-    def resized(self, extra_quotient_bits: int = 1) -> "BulkGQF":
-        """Return a filter with ``2**extra_quotient_bits`` times the slots.
-
-        Quotient extension, exactly as :meth:`PointGQF.resized`: the total
-        fingerprint width stays fixed, so every stored fingerprint re-splits
-        exactly under the wider quotient.
-        """
-        if extra_quotient_bits < 1:
-            raise ValueError("resize must grow the filter")
-        if self.scheme.remainder_bits - extra_quotient_bits < 1:
-            raise ValueError("not enough remainder bits to donate to the quotient")
-        bigger = BulkGQF(
-            self.scheme.quotient_bits + extra_quotient_bits,
-            self.scheme.remainder_bits - extra_quotient_bits,
-            self.partition.region_slots,
-            use_mapreduce=self.use_mapreduce,
-            recorder=self.recorder,
-            enforce_alignment=False,
-            auto_resize=self.auto_resize,
-            auto_resize_at=self.auto_resize_at,
-        )
-        bigger.core = self.core.extended(extra_quotient_bits, name="bulk-gqf-slots")
-        return bigger
-
     def _can_grow(self) -> bool:
         return self.auto_resize and self.scheme.remainder_bits > 1
 
@@ -482,9 +403,6 @@ class BulkGQF(AbstractFilter):
     def _grow(self, extra_quotient_bits: int = 1) -> None:
         """Extend the quotient in place (the auto-resize step)."""
         self.core = self.core.extended(extra_quotient_bits, name="bulk-gqf-slots")
-        self.scheme = FingerprintScheme(
-            self.core.quotient_bits, self.core.remainder_bits
-        )
         self.partition = RegionPartition(
             self.core.n_canonical_slots, self.partition.region_slots
         )
@@ -501,12 +419,6 @@ class BulkGQF(AbstractFilter):
             "auto_resize": self.auto_resize,
             "auto_resize_at": self.auto_resize_at,
         }
-
-    def snapshot_state(self) -> Dict[str, np.ndarray]:
-        return self.core.export_state()
-
-    def restore_state(self, state: Mapping[str, np.ndarray]) -> None:
-        self.core.import_state(state)
 
     # ------------------------------------------------------------ shared state
     def adopt_state(self, state: Mapping[str, np.ndarray]) -> None:

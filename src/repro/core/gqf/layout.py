@@ -15,7 +15,11 @@ including the in-slot variable-length counters from
 :mod:`~repro.core.gqf.counters` — together with hardware-event accounting.
 The point GQF adds region locking on top; the bulk GQF adds the even-odd
 phased insertion; the SQF/RSQF/CQF baselines reuse the same core with
-different configuration and cost models.
+different configuration and cost models.  All five share one filter base,
+:class:`~repro.core.gqf.quotient_filter.QuotientFilter`, and route their
+batches through :meth:`QuotientFilterCore.batch_insert`,
+:meth:`~QuotientFilterCore.batch_delete` and
+:meth:`~QuotientFilterCore.batch_counts`.
 """
 
 from __future__ import annotations
@@ -73,8 +77,8 @@ class _Decoded(NamedTuple):
     q: np.ndarray
     r: np.ndarray
     c: np.ndarray
-    #: ``q << remainder_bits | r`` per row; None when that exceeds 64 bits.
-    keys: Optional[np.ndarray]
+    #: ``q << remainder_bits | r`` per row.
+    keys: np.ndarray
     #: Run geometry in quotient order.
     run_q: np.ndarray
     run_starts: np.ndarray
@@ -101,6 +105,7 @@ class QuotientFilterCore:
         log2 of the number of canonical slots.
     remainder_bits:
         Width of the stored remainder (sets the false-positive rate ~2^-r).
+        ``quotient_bits + remainder_bits`` must fit one 64-bit fingerprint.
     recorder:
         Stats recorder for simulated hardware events.
     counting:
@@ -131,15 +136,14 @@ class QuotientFilterCore:
             raise ValueError("quotient_bits must be in [3, 40]")
         if remainder_bits < 1 or remainder_bits > 64:
             raise ValueError("remainder_bits must be in [1, 64]")
+        if quotient_bits + remainder_bits > 64:
+            raise ValueError("quotient_bits + remainder_bits must fit in 64")
         self.quotient_bits = int(quotient_bits)
         self.remainder_bits = int(remainder_bits)
         self.recorder = recorder
         self.counting = bool(counting)
-        if quotient_bits + remainder_bits > 64:
-            effective_remainder_bits = min(remainder_bits, 64 - quotient_bits)
-        else:
-            effective_remainder_bits = remainder_bits
-        self.scheme = FingerprintScheme(quotient_bits, effective_remainder_bits)
+        #: The one fingerprint scheme of the table; filters read it from here.
+        self.scheme = FingerprintScheme(quotient_bits, remainder_bits)
         self.n_canonical_slots = 1 << self.quotient_bits
         if slack_slots is None:
             # Enough overflow room for the longest cluster, without dominating
@@ -583,10 +587,59 @@ class QuotientFilterCore:
             dtype=np.int64,
         )
 
-    @property
-    def _packs_fingerprints(self) -> bool:
-        """Whether a ``(quotient, remainder)`` pair fits one uint64 key."""
-        return self.quotient_bits + self.remainder_bits <= 64
+    def batch_insert(
+        self,
+        quotients: np.ndarray,
+        remainders: np.ndarray,
+        counts: Optional[np.ndarray] = None,
+    ) -> None:
+        """Insert a batch in row order, routed by batch size.
+
+        Large batches take one :meth:`insert_sorted_batch` merge, small ones
+        :meth:`insert_fingerprint` per row (the reference path); both build
+        the same table.  The merge is all-or-nothing, so on
+        :class:`FilterFullError` the batch is replayed per row: an
+        over-capacity batch still fills the table before the error is raised.
+        """
+        if not self.prefers_sequential(int(quotients.size)):
+            try:
+                self.insert_sorted_batch(quotients, remainders, counts)
+                return
+            except FilterFullError:
+                pass
+        for i in range(quotients.size):
+            count = 1 if counts is None else int(counts[i])
+            self.insert_fingerprint(int(quotients[i]), int(remainders[i]), count)
+
+    def batch_delete(
+        self,
+        quotients: np.ndarray,
+        remainders: np.ndarray,
+        phases: Optional[Sequence[Phase]] = None,
+    ) -> int:
+        """Delete one occurrence per row, routed by batch size.
+
+        Large batches take :meth:`delete_sorted_batch`; small ones run
+        :meth:`delete_fingerprint` per row, phase by phase inside each
+        phase's launch and in row order within a phase.  Returns how many
+        rows removed an occurrence.
+        """
+        if not self.prefers_sequential(int(quotients.size)):
+            return self.delete_sorted_batch(quotients, remainders, phases=phases)
+        removed = 0
+        if phases is None:
+            phases = self._single_phase(quotients.size)
+        for mask, launch in phases:
+            with launch:
+                for i in np.flatnonzero(mask):
+                    if self.delete_fingerprint(int(quotients[i]), int(remainders[i]), 1):
+                        removed += 1
+        return removed
+
+    @staticmethod
+    def _single_phase(n_rows: int) -> List[Phase]:
+        """The default schedule: one phase of every row, with no launch."""
+        return [(np.ones(n_rows, dtype=bool), contextlib.nullcontext())]
 
     def _packed_fingerprints(self, quotients: np.ndarray, remainders: np.ndarray) -> np.ndarray:
         """``q << remainder_bits | r`` keys, ordered like ``(q, r)`` pairs."""
@@ -599,17 +652,11 @@ class QuotientFilterCore:
         return (keys >> shift).view(np.int64), keys & ((np.uint64(1) << shift) - np.uint64(1))
 
     def fingerprint_order(self, quotients: np.ndarray, remainders: np.ndarray) -> np.ndarray:
-        """Stable permutation sorting a batch by ``(quotient, remainder)``.
-
-        Equal to ``np.lexsort((remainders, quotients))``; packed
-        fingerprints go through one :func:`stable_argsort`.
-        """
+        """Stable permutation sorting a batch by ``(quotient, remainder)``:
+        one :func:`stable_argsort` of the packed fingerprints."""
         quotients = np.asarray(quotients, dtype=np.int64)
         remainders = np.asarray(remainders, dtype=np.uint64)
-        if self._packs_fingerprints:
-            return stable_argsort(self._packed_fingerprints(quotients, remainders))
-        # audit: ignore[AUD107] - fingerprints wider than 64 bits cannot be packed
-        return np.lexsort((remainders, quotients))
+        return stable_argsort(self._packed_fingerprints(quotients, remainders))
 
     def _runs_layout(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Whole-table run geometry: ``(quotients, starts, ends, lengths)``.
@@ -632,12 +679,10 @@ class QuotientFilterCore:
         item_q: np.ndarray,
         item_r: np.ndarray,
         item_c: np.ndarray,
-        item_keys: Optional[np.ndarray],
+        item_keys: np.ndarray,
         geometry: _Geometry,
     ) -> _Decoded:
         """Memoise ``(items, runs)`` as the decoded table and return it."""
-        if item_keys is None and self._packs_fingerprints:
-            item_keys = self._packed_fingerprints(item_q, item_r)
         self._decoded_cache = _Decoded(item_q, item_r, item_c, item_keys, *geometry)
         return self._decoded_cache
 
@@ -657,9 +702,8 @@ class QuotientFilterCore:
         uq, starts, _ends, lens = self._runs_layout()
         if uq.size == 0:
             empty = np.zeros(0, dtype=np.int64)
-            return self._decoded(
-                empty, np.zeros(0, dtype=np.uint64), empty, None, (uq, starts, lens)
-            )
+            no_keys = np.zeros(0, dtype=np.uint64)
+            return self._decoded(empty, no_keys, empty, no_keys, (uq, starts, lens))
         total = int(lens.sum())
         off = np.concatenate(([0], np.cumsum(lens)))
         pos = np.repeat(starts - off[:-1], lens) + np.arange(total)
@@ -698,7 +742,8 @@ class QuotientFilterCore:
                 first = np.flatnonzero(fresh)
                 item_c = np.add.reduceat(item_c, first)
                 item_q, item_r = item_q[first], item_r[first]
-        return self._decoded(item_q, item_r, item_c, None, (uq, starts, lens))
+        item_keys = self._packed_fingerprints(item_q, item_r)
+        return self._decoded(item_q, item_r, item_c, item_keys, (uq, starts, lens))
 
     @staticmethod
     def _canonical_starts(run_q: np.ndarray, run_lens: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -716,15 +761,15 @@ class QuotientFilterCore:
         item_q: np.ndarray,
         item_r: np.ndarray,
         item_c: np.ndarray,
-        item_keys: Optional[np.ndarray],
+        item_keys: np.ndarray,
     ) -> _Geometry:
         """Rewrite the whole table as the canonical layout of the given items.
 
         Items must be sorted by (quotient, remainder) with one row per
-        distinct fingerprint; ``item_keys`` are their packed fingerprints
-        (None to derive them).  Returns the new ``(run_q, run_starts,
-        run_lens)`` geometry.  Raises :class:`FilterFullError` (without
-        mutating anything) when the packed layout does not fit.
+        distinct fingerprint; ``item_keys`` are their packed fingerprints.
+        Returns the new ``(run_q, run_starts, run_lens)`` geometry.  Raises
+        :class:`FilterFullError` (without mutating anything) when the packed
+        layout does not fit.
         """
         n = int(item_q.size)
         if n == 0:
@@ -735,7 +780,7 @@ class QuotientFilterCore:
             self._n_distinct = 0
             self._total_count = 0
             geometry = (empty, empty.copy(), empty.copy())
-            self._decoded(empty, np.zeros(0, dtype=np.uint64), empty, None, geometry)
+            self._decoded(empty, item_r, empty, item_keys, geometry)
             return geometry
         total = int(item_c.sum())
         new_run = np.ones(n, dtype=bool)
@@ -789,7 +834,7 @@ class QuotientFilterCore:
         quotients: np.ndarray,
         remainders: np.ndarray,
         counts: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Decoded ``(q, r, count, key)`` items of the table plus a batch.
 
         The batch is sorted (unless it already is) and deduplicated, then
@@ -797,17 +842,6 @@ class QuotientFilterCore:
         stored fingerprints add in place, new fingerprints scatter to
         ``position + number of new rows before them``.
         """
-        if old.keys is None:
-            # Fingerprints wider than 64 bits: merge by re-sorting everything.
-            all_q = np.concatenate([old.q, quotients])
-            all_r = np.concatenate([old.r, remainders])
-            all_c = np.concatenate([old.c, counts])
-            order = self.fingerprint_order(all_q, all_r)
-            all_q, all_r, all_c = all_q[order], all_r[order], all_c[order]
-            fresh = np.ones(all_q.size, dtype=bool)
-            fresh[1:] = (all_q[1:] != all_q[:-1]) | (all_r[1:] != all_r[:-1])
-            first = np.flatnonzero(fresh)
-            return all_q[first], all_r[first], np.add.reduceat(all_c, first), None
         keys = self._packed_fingerprints(quotients, remainders)
         if np.any(keys[1:] < keys[:-1]):
             order = stable_argsort(keys)
@@ -853,28 +887,14 @@ class QuotientFilterCore:
         if old.q.size == 0:
             return 0, None
         m = int(quotients.size)
-        if old.keys is not None:
-            req = self._packed_fingerprints(quotients, remainders)
-            req.sort()
-            fresh = np.ones(m, dtype=bool)
-            fresh[1:] = req[1:] != req[:-1]
-            first = np.flatnonzero(fresh)
-            req = req[first]
-            j = np.minimum(np.searchsorted(old.keys, req), old.keys.size - 1)
-            found = old.keys[j] == req
-        else:  # pragma: no cover - >64-bit fingerprints
-            order = self.fingerprint_order(quotients, remainders)
-            sq, sr = quotients[order], remainders[order]
-            fresh = np.ones(m, dtype=bool)
-            fresh[1:] = (sq[1:] != sq[:-1]) | (sr[1:] != sr[:-1])
-            first = np.flatnonzero(fresh)
-            table = {(int(q), int(r)): k for k, (q, r) in enumerate(zip(old.q, old.r))}
-            j = np.zeros(first.size, dtype=np.int64)
-            found = np.zeros(first.size, dtype=bool)
-            for k, (q, r) in enumerate(zip(sq[first], sr[first])):
-                hit = table.get((int(q), int(r)))
-                if hit is not None:
-                    j[k], found[k] = hit, True
+        req = self._packed_fingerprints(quotients, remainders)
+        req.sort()
+        fresh = np.ones(m, dtype=bool)
+        fresh[1:] = req[1:] != req[:-1]
+        first = np.flatnonzero(fresh)
+        req = req[first]
+        j = np.minimum(np.searchsorted(old.keys, req), old.keys.size - 1)
+        found = old.keys[j] == req
         n_req = np.diff(np.append(first, m))
         j, taken = j[found], np.minimum(n_req[found], old.c[j[found]])
         removed = int(taken.sum())
@@ -887,8 +907,6 @@ class QuotientFilterCore:
             return removed, (old.q, old.r, item_c, old.keys)
         keep = np.ones(item_c.size, dtype=bool)
         keep[gone] = False
-        if old.keys is None:
-            return removed, (old.q[keep], old.r[keep], item_c[keep], None)
         keys = old.keys[keep]
         return removed, (*self._split_fingerprints(keys), item_c[keep], keys)
 
@@ -938,7 +956,7 @@ class QuotientFilterCore:
     ) -> None:
         """Charge every phase's rows inside its launch, in schedule order."""
         if phases is None:
-            phases = [(np.ones(quotients.size, dtype=bool), contextlib.nullcontext())]
+            phases = self._single_phase(quotients.size)
         states = self._phase_geometries(quotients, [mask for mask, _ in phases], before, after)
         for k, (mask, launch) in enumerate(phases):
             with launch:
@@ -979,9 +997,7 @@ class QuotientFilterCore:
             raise ValueError("count must be positive")
         if np.any((quotients < 0) | (quotients >= self.n_canonical_slots)):
             raise ValueError("quotient out of range")
-        if self.remainder_bits < 64 and np.any(
-            remainders >= (np.uint64(1) << np.uint64(self.remainder_bits))
-        ):
+        if np.any(remainders >= (np.uint64(1) << np.uint64(self.remainder_bits))):
             raise ValueError("remainder wider than remainder_bits")
 
         old = self._decode_items()
@@ -1072,19 +1088,11 @@ class QuotientFilterCore:
         )
         if table.q.size == 0:
             return out
-        if table.keys is not None:
-            item_keys = table.keys
-            probe_keys = self._packed_fingerprints(quotients, remainders)
-            order = stable_argsort(probe_keys)
-            sorted_keys = probe_keys[order]
-            idx = np.minimum(np.searchsorted(item_keys, sorted_keys), item_keys.size - 1)
-            out[order] = np.where(item_keys[idx] == sorted_keys, table.c[idx], 0)
-            return out
-        # Fingerprints wider than 64 bits cannot be packed into one sort key;
-        # fall back to a host-side dictionary (unreachable for GQF configs).
-        counts = {(int(q), int(r)): int(c) for q, r, c in zip(table.q, table.r, table.c)}
-        for i in range(m):
-            out[i] = counts.get((int(quotients[i]), int(remainders[i])), 0)
+        probe_keys = self._packed_fingerprints(quotients, remainders)
+        order = stable_argsort(probe_keys)
+        sorted_keys = probe_keys[order]
+        idx = np.minimum(np.searchsorted(table.keys, sorted_keys), table.keys.size - 1)
+        out[order] = np.where(table.keys[idx] == sorted_keys, table.c[idx], 0)
         return out
 
     def delete_sorted_batch(

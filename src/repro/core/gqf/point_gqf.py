@@ -14,7 +14,7 @@ so the benchmark harness can expose that contention to the perf model.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -22,14 +22,14 @@ from ...gpusim.atomics import SpinLockTable
 from ...gpusim.kernel import KernelContext, point_launch
 from ...gpusim.sorting import stable_argsort
 from ...gpusim.stats import StatsRecorder
-from ...hashing.fingerprints import FingerprintScheme
-from ..base import AbstractFilter, FilterCapabilities
+from ..base import FilterCapabilities
 from ..exceptions import FilterFullError
 from .layout import QuotientFilterCore
+from .quotient_filter import QuotientFilter
 from .regions import DEFAULT_REGION_SLOTS, RegionPartition
 
 
-class PointGQF(AbstractFilter):
+class PointGQF(QuotientFilter):
     """GPU counting quotient filter with a device-side point API.
 
     Parameters
@@ -77,7 +77,6 @@ class PointGQF(AbstractFilter):
                 f"the GQF supports word-aligned remainders {self.SUPPORTED_REMAINDERS}, "
                 f"got {remainder_bits}"
             )
-        self.scheme = FingerprintScheme(quotient_bits, remainder_bits)
         self.core = QuotientFilterCore(
             quotient_bits, remainder_bits, self.recorder, counting=True, name="gqf-slots"
         )
@@ -131,40 +130,12 @@ class PointGQF(AbstractFilter):
 
     # ------------------------------------------------------------------- sizes
     @property
-    def capacity(self) -> int:
-        return int(self.core.n_canonical_slots * self.recommended_load_factor)
-
-    @property
-    def n_slots(self) -> int:
-        return self.core.n_canonical_slots
-
-    @property
     def nbytes(self) -> int:
         return self.core.nbytes + self.locks.nbytes
 
     @property
-    def n_items(self) -> int:
-        return self.core.n_distinct_items
-
-    @property
-    def total_count(self) -> int:
-        return self.core.total_count
-
-    @property
-    def n_occupied_slots(self) -> int:
-        return self.core.n_occupied_slots
-
-    @property
-    def load_factor(self) -> float:
-        return self.core.load_factor
-
-    @property
     def recommended_load_factor(self) -> float:
         return 0.95
-
-    @property
-    def false_positive_rate(self) -> float:
-        return 2.0 ** (-self.scheme.remainder_bits)
 
     # -------------------------------------------------------------- concurrency
     def set_concurrency(self, active_threads: int) -> None:
@@ -206,11 +177,9 @@ class PointGQF(AbstractFilter):
     def _insert_count(self, key: int, count: int) -> bool:
         while True:
             self._maybe_grow()
-            quotient, remainder = self.scheme.key_to_slot(
-                np.uint64(int(key) & 0xFFFFFFFFFFFFFFFF)
-            )
+            quotient, remainder = self._slot_of(key)
             try:
-                self._locked_insert(int(quotient), int(remainder), count)
+                self._locked_insert(quotient, remainder, count)
                 return True
             except FilterFullError:
                 if not self._can_grow():
@@ -230,21 +199,8 @@ class PointGQF(AbstractFilter):
                 self.locks.unlock(lock_b)
             self.locks.unlock(lock_a)
 
-    def query(self, key: int) -> bool:
-        return self.count(key) > 0
-
-    def count(self, key: int) -> int:
-        quotient, remainder = self.scheme.key_to_slot(np.uint64(int(key) & 0xFFFFFFFFFFFFFFFF))
-        return self.core.query_fingerprint(int(quotient), int(remainder))
-
-    def get_value(self, key: int) -> Optional[int]:
-        """Return the value stored via the counter, or None when absent."""
-        count = self.count(key)
-        return count if count > 0 else None
-
     def delete(self, key: int) -> bool:
-        quotient, remainder = self.scheme.key_to_slot(np.uint64(int(key) & 0xFFFFFFFFFFFFFFFF))
-        quotient, remainder = int(quotient), int(remainder)
+        quotient, remainder = self._slot_of(key)
         lock_a, lock_b = self.partition.locks_for_insert(quotient)
         self.locks.lock(lock_a)
         if lock_b != lock_a:
@@ -314,9 +270,7 @@ class PointGQF(AbstractFilter):
     def _bulk_insert_vectorised(self, keys: np.ndarray, counts: np.ndarray) -> None:
         while True:
             self._maybe_grow()
-            quotients, remainders = self.scheme.key_to_slot(keys)
-            quotients = np.asarray(quotients, dtype=np.int64)
-            remainders = np.asarray(remainders, dtype=np.uint64)
+            quotients, remainders = self._hash_batch(keys)
             order = self._processing_order(quotients, remainders)
             sq, sr, sc = quotients[order], remainders[order], counts[order]
             try:
@@ -338,7 +292,7 @@ class PointGQF(AbstractFilter):
 
     def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.uint64)
-        quotients, remainders = self.scheme.key_to_slot(keys)
+        quotients, remainders = self._hash_batch(keys)
         with self.kernels.launch("gqf_point_bulk_query", point_launch(keys.size, 1)):
             # Queries are lock-free reads, so the batch can run as one
             # vectorised lookup without changing the simulated traffic.
@@ -347,7 +301,7 @@ class PointGQF(AbstractFilter):
 
     def bulk_count(self, keys: Sequence[int]) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.uint64)
-        quotients, remainders = self.scheme.key_to_slot(keys)
+        quotients, remainders = self._hash_batch(keys)
         with self.kernels.launch("gqf_point_bulk_count", point_launch(keys.size, 1)):
             counts = self.core.batch_counts(quotients, remainders)
         return counts
@@ -365,11 +319,8 @@ class PointGQF(AbstractFilter):
         removed = 0
         with self.kernels.launch("gqf_point_bulk_delete", point_launch(keys.size, 1)):
             if keys.size and not self.core.prefers_sequential(int(keys.size)):
-                quotients, remainders = self.scheme.key_to_slot(keys)
-                quotients = np.asarray(quotients, dtype=np.int64)
-                removed = self.core.delete_sorted_batch(
-                    quotients, np.asarray(remainders, dtype=np.uint64)
-                )
+                quotients, remainders = self._hash_batch(keys)
+                removed = self.core.delete_sorted_batch(quotients, remainders)
                 self._charge_point_locks(quotients)
             else:
                 for key in keys:
@@ -378,34 +329,6 @@ class PointGQF(AbstractFilter):
         return removed
 
     # ------------------------------------------------------------------ resize
-    def resized(self, extra_quotient_bits: int = 1) -> "PointGQF":
-        """Return a filter with ``2**extra_quotient_bits`` times the slots.
-
-        The quotient filter's resizability comes from keeping the total
-        fingerprint width ``p = q + r`` fixed and moving bits from the
-        remainder to the quotient: every stored ``p``-bit fingerprint is
-        enumerated and re-split under the larger quotient, so membership and
-        counts are preserved exactly (and the false-positive rate improves
-        slightly per item because the load factor drops).
-        """
-        if extra_quotient_bits < 1:
-            raise ValueError("resize must grow the filter")
-        if self.scheme.remainder_bits - extra_quotient_bits < 1:
-            raise ValueError("not enough remainder bits to donate to the quotient")
-        new_q = self.scheme.quotient_bits + extra_quotient_bits
-        new_r = self.scheme.remainder_bits - extra_quotient_bits
-        bigger = PointGQF(
-            new_q,
-            new_r,
-            self.partition.region_slots,
-            recorder=self.recorder,
-            enforce_alignment=False,
-            auto_resize=self.auto_resize,
-            auto_resize_at=self.auto_resize_at,
-        )
-        bigger.core = self.core.extended(extra_quotient_bits, name="gqf-slots")
-        return bigger
-
     def _can_grow(self) -> bool:
         return self.auto_resize and self.scheme.remainder_bits > 1
 
@@ -426,9 +349,6 @@ class PointGQF(AbstractFilter):
         for the new table; the filter object itself keeps its identity.
         """
         self.core = self.core.extended(extra_quotient_bits, name="gqf-slots")
-        self.scheme = FingerprintScheme(
-            self.core.quotient_bits, self.core.remainder_bits
-        )
         self.partition = RegionPartition(
             self.core.n_canonical_slots, self.partition.region_slots
         )
@@ -449,12 +369,6 @@ class PointGQF(AbstractFilter):
             "auto_resize": self.auto_resize,
             "auto_resize_at": self.auto_resize_at,
         }
-
-    def snapshot_state(self) -> Dict[str, np.ndarray]:
-        return self.core.export_state()
-
-    def restore_state(self, state: Mapping[str, np.ndarray]) -> None:
-        self.core.import_state(state)
 
     # ---------------------------------------------------------------- analysis
     def active_threads_for(self, n_ops: int) -> int:

@@ -2,20 +2,25 @@
 
 Two growth mechanisms exist in the repo, matching the two filter families:
 
-* **Quotient extension** (GQF family, CPU CQF): the total fingerprint width
-  ``p = q + r`` is fixed, so bits move from the remainder to the quotient —
-  every stored ``p``-bit fingerprint re-splits exactly under the wider
-  quotient and the table doubles per donated bit.  Exact, no keys needed.
+* **Quotient extension** (every
+  :class:`~repro.core.gqf.quotient_filter.QuotientFilter`: point and bulk
+  GQF, CPU CQF): the total fingerprint width ``p = q + r`` is fixed, so bits
+  move from the remainder to the quotient — every stored ``p``-bit
+  fingerprint re-splits exactly under the wider quotient and the table
+  doubles per donated bit.  Exact, no keys needed.  The family's one
+  ``resized()`` builds the twin from the filter's snapshot config.
 * **Double-and-rehash** (TCF family): the potc fingerprint derivation is not
   invertible, so growth replays the key journal kept by auto-resizing TCFs
   into a doubled table.  Filters built without ``auto_resize=True`` carry no
   journal and cannot grow.
 
-:func:`expand` dispatches between them.  The SQF/RSQF baselines are excluded
-by construction (their packed layouts support only 5- or 13-bit remainders,
-so quotient extension would leave an unsupported width — the same rigidity
-the paper calls out), as are the Bloom baselines (a bit array's hash indices
-are modulo its size; there is no lossless rehash without the keys).
+:func:`expand` dispatches between them, and to any other filter with a
+``resized()`` hook (the sharded filter rebalances in place).  The SQF/RSQF
+baselines share the quotient family's ``resized()`` but refuse it: their
+packed layouts support only 5- or 13-bit remainders, so quotient extension
+would leave an unsupported width — the same rigidity the paper calls out.
+The Bloom baselines cannot grow at all (a bit array's hash indices are
+modulo its size; there is no lossless rehash without the keys).
 
 Auto-resize is the same machinery triggered from inside ``insert`` /
 ``bulk_insert`` at a configurable load factor; ``expand`` is the explicit
@@ -25,20 +30,19 @@ form for callers that want to schedule growth themselves.
 from __future__ import annotations
 
 from ..core.base import AbstractFilter
-from ..core.exceptions import CapacityLimitError, UnsupportedOperationError
-from ..core.gqf.layout import QuotientFilterCore
+from ..core.exceptions import UnsupportedOperationError
 from ..core.tcf.lifecycle import TCFLifecycle
 
 
 def expand(filt: AbstractFilter, extra_quotient_bits: int = 1) -> AbstractFilter:
     """Grow ``filt``, returning the expanded filter.
 
-    GQF-family filters return a **new** filter with ``2**extra_quotient_bits``
-    times the slots (the input is left untouched); TCF-family filters grow
-    **in place** through their key journal (``extra_quotient_bits`` counts
-    doublings) and return the same object.  Raises
-    :class:`~repro.core.exceptions.UnsupportedOperationError` for filters
-    whose structure cannot grow.
+    Quotient-family filters return a **new** filter with
+    ``2**extra_quotient_bits`` times the slots (the input is left
+    untouched); TCF-family filters grow **in place** through their key
+    journal (``extra_quotient_bits`` counts doublings) and return the same
+    object.  Raises :class:`~repro.core.exceptions.UnsupportedOperationError`
+    for filters whose structure cannot grow.
     """
     if extra_quotient_bits < 1:
         raise ValueError("expand must grow the filter")
@@ -54,42 +58,6 @@ def expand(filt: AbstractFilter, extra_quotient_bits: int = 1) -> AbstractFilter
         return filt
     if hasattr(filt, "resized"):
         return filt.resized(extra_quotient_bits)
-    core = getattr(filt, "core", None)
-    if isinstance(core, QuotientFilterCore):
-        return _expand_core_filter(filt, extra_quotient_bits)
     raise UnsupportedOperationError(
         f"{type(filt).__name__} does not support resizing"
     )
-
-
-def _expand_core_filter(
-    filt: AbstractFilter, extra_quotient_bits: int
-) -> AbstractFilter:
-    """Generic quotient extension for core-backed filters without resized().
-
-    Works for any filter whose ``snapshot_config`` carries ``quotient_bits``
-    and ``remainder_bits`` and whose constructor accepts the widened pair;
-    the SQF/RSQF constructors reject remainder widths their packing cannot
-    hold, which is exactly the rigidity that makes them non-resizable.
-    """
-    config = filt.snapshot_config()
-    if "quotient_bits" not in config or "remainder_bits" not in config:
-        raise UnsupportedOperationError(
-            f"{type(filt).__name__} does not expose a quotient geometry to extend"
-        )
-    if config["remainder_bits"] - extra_quotient_bits < 1:
-        raise ValueError("not enough remainder bits to donate to the quotient")
-    config["quotient_bits"] += extra_quotient_bits
-    config["remainder_bits"] -= extra_quotient_bits
-    try:
-        out = type(filt)._from_snapshot_config(config, recorder=filt.recorder)
-    except CapacityLimitError as exc:
-        # SQF/RSQF packings hold only fixed remainder widths, so donating
-        # bits to the quotient leaves a width they cannot store.
-        raise UnsupportedOperationError(
-            f"{type(filt).__name__} cannot be resized: its packed layout "
-            f"does not support a {config['remainder_bits']}-bit remainder "
-            f"({exc})"
-        ) from exc
-    out.core = filt.core.extended(extra_quotient_bits, name=filt.core.slots.name)
-    return out

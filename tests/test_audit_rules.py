@@ -68,6 +68,14 @@ def test_suppression_requires_rule_list(tmp_path):
     assert [f.rule for f in findings] == ["AUD100"]
 
 
+def test_stale_waiver_is_reported():
+    """A waiver whose rule ran on its line and found nothing is AUD100."""
+    findings = run_lint([FIXTURES / "aud100_violation.py"])
+    assert [(f.rule, f.line) for f in findings] == [("AUD100", 6), ("AUD100", 10)]
+    assert "bare" in findings[0].message
+    assert "stale waiver: AUD105" in findings[1].message
+
+
 def test_comment_line_suppression_covers_next_code_line(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text(

@@ -149,38 +149,6 @@ class TestQueryEventParity:
         assert vc.max() > 2  # counter-encoded runs were probed
         assert not vq.all()  # absent keys were probed
 
-    def test_wide_core_dict_fallback_matches_per_item_path(self):
-        """q + r > 64 cannot pack one sort key: the lookup uses a dict."""
-        rng = np.random.default_rng(4)
-        quotients = rng.integers(0, 1 << 10, size=300)
-        quotients[:5] = (1 << 10) - 1
-        remainders = rng.integers(0, 1 << 56, size=300, dtype=np.uint64)
-        counts = rng.integers(1, 4, size=300)
-        order = np.lexsort((remainders, quotients))
-        stored_q, stored_r = quotients[order], remainders[order]
-        probe_q = np.concatenate(
-            [stored_q, rng.integers(0, 1 << 10, size=100), np.full(5, (1 << 10) - 1)]
-        )
-        probe_r = np.concatenate([stored_r, rng.integers(0, 1 << 56, size=105, dtype=np.uint64)])
-        shuffle = rng.permutation(probe_q.size)
-        probe_q, probe_r = probe_q[shuffle], probe_r[shuffle]
-        runs = []
-        for sequential in (False, True):
-            rec = StatsRecorder()
-            core = QuotientFilterCore(10, 56, rec)
-            core.insert_sorted_batch(stored_q, stored_r, counts[order])
-            rec.reset()
-            if sequential:
-                pairs = zip(probe_q, probe_r, strict=True)
-                out = np.array([core.query_fingerprint(int(q), int(r)) for q, r in pairs])
-            else:
-                out = core.lookup_counts(probe_q, probe_r)
-            runs.append((out, rec.total.as_dict()))
-        (vout, vevents), (sout, sevents) = runs
-        assert np.array_equal(vout, sout)
-        assert vevents == sevents
-        assert np.array_equal(vout[np.argsort(shuffle)][:300], counts[order])
-
 
 class TestWideGeometries:
     """q + r near 64 bits: the old int64 sort key silently overflowed."""
@@ -223,6 +191,11 @@ class TestWideGeometries:
             BulkGQF(10, 64, recorder=StatsRecorder())
         with pytest.raises(ValueError, match="word-aligned remainders"):
             PointGQF(10, 64, recorder=StatsRecorder())
+
+    def test_core_rejects_fingerprints_wider_than_64_bits(self):
+        """q + r > 64 cannot pack one uint64 fingerprint: the core refuses it."""
+        with pytest.raises(ValueError, match="64"):
+            QuotientFilterCore(10, 56, StatsRecorder())
 
 
 class TestEncodeFlat:

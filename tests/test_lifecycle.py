@@ -342,13 +342,55 @@ def test_expand_gqf_matches_membership_and_counts():
         assert bigger.count(int(k)) == 2
 
 
-def test_expand_cpu_cqf_generic_path():
-    filt = CPUCountingQuotientFilter(10, 8)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PointGQF(10, 8),
+        lambda: BulkGQF(10, 8),
+        lambda: CPUCountingQuotientFilter(10, 8),
+        lambda: StandardQuotientFilter(10, 5),
+        lambda: RankSelectQuotientFilter(10, 5),
+    ],
+    ids=["PointGQF", "BulkGQF", "CPU-CQF", "SQF", "RSQF"],
+)
+def test_expand_quotient_family(make):
+    """Every quotient-family filter grows through one ``resized()``."""
+    filt = make()
     keys = _keys(300)
     filt.bulk_insert(keys)
-    bigger = expand(filt)
-    assert bigger.n_slots == 2 * filt.n_slots
-    assert bigger.bulk_query(keys).all()
+    if not filt.capabilities().resizable:
+        # The SQF/RSQF packings hold only 5- or 13-bit remainders.
+        with pytest.raises(UnsupportedOperationError):
+            filt.resized(1)
+        with pytest.raises(UnsupportedOperationError):
+            expand(filt, 1)
+        return
+    filt.bulk_insert(np.repeat(keys[:20], 2))
+    for extra in (1, 2):
+        bigger = filt.resized(extra)
+        expanded = expand(filt, extra)
+        assert bigger.n_slots == expanded.n_slots == filt.n_slots << extra
+        assert bigger.snapshot_config() == expanded.snapshot_config()
+        state, expanded_state = bigger.snapshot_state(), expanded.snapshot_state()
+        assert state.keys() == expanded_state.keys()
+        for name in state:
+            assert np.array_equal(state[name], expanded_state[name]), name
+        assert bigger.bulk_query(keys).all()
+        assert [bigger.count(int(k)) for k in keys[:20]] == [3] * 20
+
+
+@pytest.mark.parametrize("cls", [PointGQF, BulkGQF])
+def test_gqf_growth_keeps_one_geometry(cls):
+    """After auto-resize every view of the geometry follows the grown core."""
+    filt = cls(6, 16, auto_resize=True)
+    filt.bulk_insert(_keys(500))
+    assert filt.n_resizes > 0
+    geometry = (filt.core.quotient_bits, filt.core.remainder_bits)
+    assert geometry == (6 + filt.n_resizes, 16 - filt.n_resizes)
+    config = filt.snapshot_config()
+    assert (config["quotient_bits"], config["remainder_bits"]) == geometry
+    assert (filt.scheme.quotient_bits, filt.scheme.remainder_bits) == geometry
+    assert filt.false_positive_rate == 2.0 ** -filt.core.remainder_bits
 
 
 def test_expand_tcf_in_place():
