@@ -79,9 +79,10 @@ def _is_guarded(module: AuditModule, node: ast.AST, func: ast.FunctionDef) -> bo
     """True when the loop sits behind the size-dispatch idiom.
 
     Two accepted shapes: the loop is lexically inside a guard ``if``'s
-    branch, or an earlier statement in an enclosing body is a guard ``if``
-    whose vectorized branch early-exits (the shape of
-    ``PointTCF.bulk_insert_mask``).
+    branch (the shape of ``BulkTCF.bulk_delete``), or an earlier statement
+    in an enclosing body is a guard ``if`` whose vectorized branch
+    early-exits (``if not self._prefers_sequential(n): return ...``
+    followed by the per-item loop).
     """
     path = _statement_path(module, node, func)
     for ancestor in path[:-1]:

@@ -20,14 +20,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.base import AbstractFilter, FilterCapabilities, restore_array
+from ..core.base import AbstractFilter, FilterCapabilities, prefers_sequential, restore_array
 from ..core.exceptions import UnsupportedOperationError
 from ..gpusim.atomics import atomic_or
 from ..gpusim.kernel import KernelContext, point_launch
 from ..gpusim.memory import DeviceArray
 from ..gpusim.stats import StatsRecorder
 from ..hashing.mixers import hash_with_seed, hash_with_seeds, murmur64_mix
-from ._batching import prefers_sequential
 
 #: One block spans a GPU cache line: 128 bytes = 1024 bits = 32 uint32 words.
 BLOCK_BITS = 1024

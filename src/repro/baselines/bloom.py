@@ -18,14 +18,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.base import AbstractFilter, FilterCapabilities, restore_array
+from ..core.base import AbstractFilter, FilterCapabilities, prefers_sequential, restore_array
 from ..core.exceptions import UnsupportedOperationError
 from ..gpusim.atomics import atomic_or
 from ..gpusim.kernel import KernelContext, point_launch
 from ..gpusim.memory import DeviceArray
 from ..gpusim.stats import StatsRecorder
 from ..hashing.mixers import hash_with_seed, hash_with_seeds
-from ._batching import prefers_sequential
 
 #: Bits per item used in the paper's evaluation (Table 2).
 PAPER_BITS_PER_ITEM = 10.1

@@ -21,14 +21,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.base import AbstractFilter, FilterCapabilities, restore_array
+from ..core.base import AbstractFilter, FilterCapabilities, prefers_sequential, restore_array
 from ..core.exceptions import FilterFullError, UnsupportedOperationError
 from ..core.tcf.block import BlockedTable
 from ..core.tcf.config import EMPTY_SLOT, TOMBSTONE_SLOT, TCFConfig
 from ..gpusim.kernel import KernelContext, point_launch
 from ..gpusim.stats import StatsRecorder
 from ..hashing import potc
-from ._batching import prefers_sequential
 from .cpu_cqf import KNL_THREADS
 
 #: VQF block layout: 48 slots of 8-bit fingerprints per 512-bit block pair.

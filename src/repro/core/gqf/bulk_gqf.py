@@ -37,7 +37,7 @@ from ...gpusim.sorting import device_sort_by_key, stable_argsort
 from ...gpusim.stats import StatsRecorder
 from ..base import FilterCapabilities
 from ..exceptions import FilterFullError
-from .layout import SEQUENTIAL_BATCH_MAX, Phase, QuotientFilterCore  # noqa: F401 - re-exported
+from .layout import Phase, QuotientFilterCore
 from .mapreduce import aggregate_batch
 from .point_gqf import PointGQF
 from .quotient_filter import QuotientFilter

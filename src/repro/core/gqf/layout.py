@@ -44,6 +44,7 @@ from ...gpusim.memory import DeviceArray
 from ...gpusim.sorting import stable_argsort
 from ...gpusim.stats import StatsRecorder
 from ...hashing.fingerprints import FingerprintScheme
+from ..base import SEQUENTIAL_BATCH_MAX
 from ..exceptions import FilterFullError, SnapshotError
 from . import counters
 from .rank_select import Bitvector
@@ -56,10 +57,6 @@ DEFAULT_SLACK_SLOTS = 1024
 #: of the packed representation, amortised).  Used for logical space
 #: accounting, matching the paper's ~2.125 bits/slot overhead figure.
 METADATA_BITS_PER_SLOT = 2.125
-
-#: Floor for the batch size below which the per-item path is always used;
-#: see :meth:`QuotientFilterCore.prefers_sequential`.
-SEQUENTIAL_BATCH_MAX = 32
 
 
 #: Run geometry in quotient order: ``(run_q, run_starts, run_lens)``.

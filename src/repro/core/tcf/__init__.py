@@ -2,7 +2,7 @@
 
 from .backing import BackingTable
 from .block import BlockedTable
-from .bulk_tcf import TCF_SEQUENTIAL_BATCH_MAX, BulkTCF
+from .bulk_tcf import BulkTCF
 from .config import (
     BULK_TCF_DEFAULT,
     EMPTY_SLOT,
@@ -13,6 +13,7 @@ from .config import (
     TOMBSTONE_SLOT,
     TCFConfig,
 )
+from .lifecycle import TwoChoiceFilter
 from .point_tcf import PointTCF
 
 __all__ = [
@@ -27,6 +28,6 @@ __all__ = [
     "POINT_TCF_DEFAULT",
     "TOMBSTONE_SLOT",
     "TCFConfig",
-    "TCF_SEQUENTIAL_BATCH_MAX",
     "PointTCF",
+    "TwoChoiceFilter",
 ]

@@ -63,6 +63,7 @@ class BlockedTable:
         )
         self._cg = CooperativeGroup(config.cg_size, recorder)
         self._flat_base: Optional[np.ndarray] = None
+        self._block_lines: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ sizes
     @property
@@ -73,6 +74,15 @@ class BlockedTable:
     def nbytes(self) -> int:
         """Packed size of the table in bytes (space-accounting view)."""
         return (self.n_slots * self.config.packed_slot_bits + 7) // 8
+
+    def block_lines(self) -> np.ndarray:
+        """Cache lines spanned by each block's slot row (alignment-aware)."""
+        if self._block_lines is None:
+            bs = self.config.block_size
+            starts = np.arange(self.n_blocks, dtype=np.int64) * bs
+            per_line = self.slots.slots_per_line
+            self._block_lines = (starts + bs - 1) // per_line - starts // per_line + 1
+        return self._block_lines
 
     def block_bounds(self, block_idx: int) -> Tuple[int, int]:
         """Return the ``[start, stop)`` slot range of a block."""

@@ -22,8 +22,8 @@ batch, per-block free capacity comes from a vectorised fill count, spills are
 split off *positionally* (so duplicate fingerprint words can never be
 mis-attributed to the wrong key), and every touched block is rewritten with
 one batched per-row sort and a single write-back.  Batches at or below
-:data:`TCF_SEQUENTIAL_BATCH_MAX` keep the per-item code path, which is
-cheaper than staging whole-table views for a handful of keys.  Simulated
+:data:`~repro.core.base.SEQUENTIAL_BATCH_MAX` keep the per-item code path,
+which is cheaper than staging whole-table views for a handful of keys.  Simulated
 hardware events are charged per touched block / per probe exactly as the
 per-item path charges them, so throughput figures keep their meaning.
 """
@@ -34,12 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...gpusim.kernel import (
-    KernelContext,
-    bulk_block_launch,
-    bulk_tile_launch,
-    point_launch,
-)
+from ...gpusim.kernel import bulk_block_launch, bulk_tile_launch, point_launch
 from ...gpusim.sharedmem import SharedMemoryTile, account_batched_tiles
 from ...gpusim.sorting import (
     device_lower_bound,
@@ -48,149 +43,26 @@ from ...gpusim.sorting import (
     run_first_mask,
     stable_argsort,
 )
-from ...gpusim.stats import StatsRecorder
 from ...hashing import potc
-from ..base import AbstractFilter, FilterCapabilities
-from ..exceptions import FilterFullError, UnsupportedOperationError
-from .backing import BackingTable
-from .block import BlockedTable
-from .config import BULK_TCF_DEFAULT, EMPTY_SLOT, TOMBSTONE_SLOT, TCFConfig
-from .lifecycle import TCFLifecycle
-
-#: Batches at or below this size route through the per-item code path; the
-#: whole-table staging of the vectorised path only pays off beyond it (same
-#: role as the bulk GQF's ``SEQUENTIAL_BATCH_MAX``).
-TCF_SEQUENTIAL_BATCH_MAX = 32
+from ..base import prefers_sequential
+from .config import BULK_TCF_DEFAULT, EMPTY_SLOT, TOMBSTONE_SLOT
+from .lifecycle import TwoChoiceFilter
 
 
-class BulkTCF(TCFLifecycle, AbstractFilter):
+class BulkTCF(TwoChoiceFilter):
     """Two-choice filter optimised for batched (bulk) operation.
 
-    Parameters
-    ----------
-    n_slots:
-        Requested number of main-table slots; rounded up to whole blocks.
-    config:
-        TCF configuration; defaults to the 16-bit / 64-slot bulk layout.
-    recorder:
-        Optional stats recorder.
-    auto_resize:
-        Keep a host-side key journal and double-and-rehash instead of
-        raising :class:`FilterFullError` (see
-        :mod:`repro.core.tcf.lifecycle`).
-    auto_resize_at:
-        Load factor triggering a pre-emptive grow (defaults to the config's
-        ``max_load_factor``).
+    Constructed as :class:`~repro.core.tcf.lifecycle.TwoChoiceFilter`
+    describes, with the 16-bit / 64-slot
+    :data:`~repro.core.tcf.config.BULK_TCF_DEFAULT` layout as the default
+    configuration.
     """
 
     name = "Bulk TCF"
-
-    def __init__(
-        self,
-        n_slots: int,
-        config: TCFConfig = BULK_TCF_DEFAULT,
-        recorder: Optional[StatsRecorder] = None,
-        auto_resize: bool = False,
-        auto_resize_at: Optional[float] = None,
-    ) -> None:
-        super().__init__(recorder)
-        if n_slots <= 0:
-            raise ValueError("n_slots must be positive")
-        self.config = config
-        n_blocks = max(2, (int(n_slots) + config.block_size - 1) // config.block_size)
-        self.table = BlockedTable(n_blocks, config, self.recorder, name="bulk-tcf-table")
-        n_backing_buckets = max(
-            1,
-            int(np.ceil(self.table.n_slots * config.backing_fraction / BackingTable.BUCKET_WIDTH)),
-        )
-        self.backing = BackingTable(
-            n_backing_buckets, config, self.recorder, name="bulk-tcf-backing"
-        )
-        self._n_items = 0
-        self.kernels = KernelContext(self.recorder)
-        self._init_lifecycle(auto_resize, auto_resize_at)
-
-    # ------------------------------------------------------------ constructors
-    @classmethod
-    def for_capacity(
-        cls,
-        n_items: int,
-        config: TCFConfig = BULK_TCF_DEFAULT,
-        recorder: Optional[StatsRecorder] = None,
-    ) -> "BulkTCF":
-        n_slots = int(np.ceil(n_items / config.max_load_factor))
-        return cls(n_slots, config, recorder)
-
-    @classmethod
-    def capabilities(cls) -> FilterCapabilities:
-        return FilterCapabilities(
-            point_insert=True,
-            bulk_insert=True,
-            point_query=True,
-            bulk_query=True,
-            point_delete=True,
-            bulk_delete=True,
-            point_count=False,
-            bulk_count=False,
-            values=True,
-            resizable=True,
-        )
-
-    @classmethod
-    def nominal_nbytes(cls, n_slots: int, config: TCFConfig = BULK_TCF_DEFAULT) -> int:
-        """Footprint for ``n_slots`` slots without building the filter."""
-        main = (n_slots * config.packed_slot_bits + 7) // 8
-        backing = int(np.ceil(n_slots * config.backing_fraction)) * 8
-        return main + backing
-
-    # ------------------------------------------------------------------- sizes
-    @property
-    def capacity(self) -> int:
-        return int(self.table.n_slots * self.config.max_load_factor)
-
-    @property
-    def n_slots(self) -> int:
-        return self.table.n_slots + self.backing.n_slots
-
-    @property
-    def nbytes(self) -> int:
-        return self.table.nbytes + self.backing.nbytes
-
-    @property
-    def n_items(self) -> int:
-        return self._n_items
-
-    @property
-    def load_factor(self) -> float:
-        return self._n_items / self.table.n_slots if self.table.n_slots else 0.0
-
-    @property
-    def recommended_load_factor(self) -> float:
-        return self.config.max_load_factor
-
-    @property
-    def false_positive_rate(self) -> float:
-        return self.config.false_positive_rate
+    DEFAULT_CONFIG = BULK_TCF_DEFAULT
+    ARRAY_PREFIX = "bulk-tcf"
 
     # --------------------------------------------------------------- internals
-    def _derive_batch(self, keys: np.ndarray) -> potc.PotcHash:
-        return potc.derive(
-            keys.astype(np.uint64),
-            self.table.n_blocks,
-            self.config.fingerprint_bits,
-        )
-
-    def _pack_words(self, fingerprints: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Pack (fingerprint, value) pairs into slot words (slot dtype)."""
-        vb = self.config.value_bits
-        words = (
-            (fingerprints.astype(np.uint64) << np.uint64(vb))
-            | (values & np.uint64((1 << vb) - 1))
-            if vb
-            else fingerprints.astype(np.uint64)
-        )
-        return words.astype(self.config.slot_dtype)
-
     def _fingerprint_word_bounds(
         self, fingerprints: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -209,10 +81,7 @@ class BulkTCF(TCFLifecycle, AbstractFilter):
         more than it saves), and tables whose (block, word) pairs cannot be
         packed into a 64-bit sort key fall back as well.
         """
-        return (
-            batch_size > TCF_SEQUENTIAL_BATCH_MAX
-            and self.table.flat_key_shift is not None
-        )
+        return not prefers_sequential(batch_size) and self.table.flat_key_shift is not None
 
     def _sorted_block_merge(
         self, block_idx: int, new_words: np.ndarray
@@ -250,15 +119,7 @@ class BulkTCF(TCFLifecycle, AbstractFilter):
         case the filter grows and retries the unplaced remainder.
         """
         keys = np.asarray(keys, dtype=np.uint64)
-        placed = self._insert_with_growth(keys, values)
-        if not placed.all():
-            raise FilterFullError(
-                "bulk TCF full: backing table overflowed during bulk insert",
-                n_items=self._n_items,
-                n_slots=self.table.n_slots,
-                load_factor=self.load_factor,
-                batch_offset=int(np.argmin(placed)),
-            )
+        self._raise_if_unplaced(self._insert_with_growth(keys, values))
         return int(keys.size)
 
     def bulk_insert_mask(
@@ -552,18 +413,6 @@ class BulkTCF(TCFLifecycle, AbstractFilter):
                 return value
         return self.backing.query(int(key))
 
-    def delete(self, key: int) -> bool:
-        """Delete one occurrence of ``key`` and recompact the block.
-
-        On a journaled (``auto_resize=True``) filter every point delete also
-        scans the whole key journal — O(journal) host work per call; batch
-        deletes through :meth:`bulk_delete` to pay that scan once.
-        """
-        if not self._delete_once(key):
-            return False
-        self._journal_remove(np.array([key], dtype=np.uint64))
-        return True
-
     def _delete_once(self, key: int) -> bool:
         """Delete one occurrence of ``key`` from the tables (no journaling)."""
         h = self._derive_batch(np.array([key], dtype=np.uint64))
@@ -589,9 +438,6 @@ class BulkTCF(TCFLifecycle, AbstractFilter):
             self._n_items -= 1
             return True
         return False
-
-    def count(self, key: int) -> int:
-        raise UnsupportedOperationError("the TCF does not support counting")
 
     def bulk_delete(self, keys: Sequence[int]) -> int:
         """Delete one stored occurrence per requested key (batched).
@@ -679,9 +525,6 @@ class BulkTCF(TCFLifecycle, AbstractFilter):
         return n_removed
 
     # ---------------------------------------------------------------- analysis
-    def block_fills(self) -> np.ndarray:
-        return self.table.fills()
-
     def active_threads_for(self, n_ops: int) -> int:
         """Bulk kernels map one cooperative group per block."""
         return self.table.n_blocks * self.config.cg_size

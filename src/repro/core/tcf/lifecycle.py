@@ -1,27 +1,32 @@
-"""Shared lifecycle machinery (resize + snapshots) for the TCF family.
+"""The TCF family: one base for the point and bulk Two-Choice Filters.
 
-The TCF's power-of-two-choice addressing is *not* invertible: the stored
-fingerprint ``((h1 >> 17) ^ (h2 << 3)) & mask`` cannot be mapped back to the
-key, so — unlike the quotient filters, whose tables can be rehashed from the
-stored fingerprints alone — a TCF cannot rebuild itself at a new geometry
-from its own slots.  When resizing is requested (``auto_resize=True``) the
-filter therefore keeps a host-side *journal*: a :class:`KeyJournal` of
-append-only, capacity-doubling ``uint64`` key and value arrays, appended in
-bulk on insert and pruned by one vectorised pass per delete batch.  Growing
-the filter builds a fresh table at twice the slot count and bulk-inserts the
-journal through the normal (event-charged) insert path, so resize cost shows
-up honestly in the simulated hardware counters.
+:class:`TwoChoiceFilter` holds what :class:`~repro.core.tcf.point_tcf.PointTCF`
+and :class:`~repro.core.tcf.bulk_tcf.BulkTCF` share — the two-candidate-block
+table, the backing table, sizes, hashing and slot-word packing, the one
+insert loop (:meth:`TwoChoiceFilter._insert_with_growth`), journaled resize
+and snapshots.  Each design supplies its kernels: ``_place_batch`` (one
+insert attempt over a batch), ``_delete_once``, the bulk query and delete,
+and its point API; two class constants name its default configuration and
+its device-array prefix.
+
+Resizing needs a journal.  The TCF's power-of-two-choice addressing is *not*
+invertible: the stored fingerprint ``((h1 >> 17) ^ (h2 << 3)) & mask``
+cannot be mapped back to the key, so — unlike the quotient filters, whose
+tables can be rehashed from the stored fingerprints alone — a TCF cannot
+rebuild itself at a new geometry from its own slots.  When resizing is
+requested (``auto_resize=True``) the filter therefore keeps a host-side
+*journal*: a :class:`KeyJournal` of append-only, capacity-doubling
+``uint64`` key and value arrays, appended in bulk on insert and pruned by
+one vectorised pass per delete batch.  Growing the filter builds a fresh
+table at twice the slot count and bulk-inserts the journal through the
+normal (event-charged) insert path, so resize cost shows up honestly in the
+simulated hardware counters.
 
 The journal is exact for true deletes; deleting a *false positive* removes a
 stored slot but no journal entry, so after such a delete a resize can
 resurrect at most that one phantom item — the same one the false positive
 already claimed was present.  This mirrors the fundamental limit the paper
 notes for fingerprint filters rather than hiding it.
-
-:class:`TCFLifecycle` is mixed into both :class:`~repro.core.tcf.point_tcf.
-PointTCF` and :class:`~repro.core.tcf.bulk_tcf.BulkTCF`; it relies on the
-attributes they share (``table``, ``backing``, ``config``, ``_n_items``,
-``recorder``) plus the journal state initialised by :meth:`_init_lifecycle`.
 """
 
 from __future__ import annotations
@@ -31,9 +36,14 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ...gpusim.kernel import KernelContext
 from ...gpusim.sorting import group_ranks, run_first_mask, stable_argsort
-from ..base import restore_array
-from ..exceptions import FilterFullError
+from ...gpusim.stats import StatsRecorder
+from ...hashing import potc
+from ..base import AbstractFilter, FilterCapabilities, restore_array
+from ..exceptions import FilterFullError, UnsupportedOperationError
+from .backing import BackingTable
+from .block import BlockedTable
 from .config import TCFConfig
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -124,16 +134,61 @@ class KeyJournal:
         return self._keys[: self._size].copy(), self._values[: self._size].copy()
 
 
-class TCFLifecycle:
-    """Journal-backed resize and snapshot support for the TCF family."""
+class TwoChoiceFilter(AbstractFilter):
+    """Base of the two TCF designs: one table layout, two insert kernels.
 
-    # ----------------------------------------------------------------- journal
-    def _init_lifecycle(
-        self, auto_resize: bool, auto_resize_at: Optional[float]
+    Parameters
+    ----------
+    n_slots:
+        Requested number of main-table slots; rounded up to whole blocks.
+    config:
+        TCF configuration (fingerprint bits, block size, CG size, ...);
+        defaults to the subclass's ``DEFAULT_CONFIG``.
+    recorder:
+        Optional stats recorder (a fresh one is created if omitted).
+    auto_resize:
+        Keep a host-side key journal and double-and-rehash the table instead
+        of raising :class:`FilterFullError` (see this module's docstring for
+        why the journal is needed).
+    auto_resize_at:
+        Load factor that triggers a pre-emptive grow (defaults to the
+        config's ``max_load_factor``).
+    """
+
+    #: The configuration used when none is given.
+    DEFAULT_CONFIG: TCFConfig
+    #: Prefix of the device-array names (``<prefix>-table``, ``<prefix>-backing``).
+    ARRAY_PREFIX: str
+
+    def __init__(
+        self,
+        n_slots: int,
+        config: Optional[TCFConfig] = None,
+        recorder: Optional[StatsRecorder] = None,
+        auto_resize: bool = False,
+        auto_resize_at: Optional[float] = None,
     ) -> None:
+        super().__init__(recorder)
+        if n_slots <= 0:
+            raise ValueError("n_slots must be positive")
+        config = self.DEFAULT_CONFIG if config is None else config
+        self.config = config
+        n_blocks = max(2, (int(n_slots) + config.block_size - 1) // config.block_size)
+        self.table = BlockedTable(
+            n_blocks, config, self.recorder, name=f"{self.ARRAY_PREFIX}-table"
+        )
+        n_backing_buckets = max(
+            1,
+            int(np.ceil(self.table.n_slots * config.backing_fraction / BackingTable.BUCKET_WIDTH)),
+        )
+        self.backing = BackingTable(
+            n_backing_buckets, config, self.recorder, name=f"{self.ARRAY_PREFIX}-backing"
+        )
+        self._n_items = 0
+        self.kernels = KernelContext(self.recorder)
         self.auto_resize = bool(auto_resize)
         self.auto_resize_at = float(
-            self.config.max_load_factor if auto_resize_at is None else auto_resize_at
+            config.max_load_factor if auto_resize_at is None else auto_resize_at
         )
         if not 0.0 < self.auto_resize_at <= 1.0:
             raise ValueError("auto_resize_at must be in (0, 1]")
@@ -144,6 +199,122 @@ class TCFLifecycle:
         #: tables are adopted (:meth:`adopt_state`); None on the heap.
         self._shared_scalars: Optional[np.ndarray] = None
 
+    # ------------------------------------------------------------ constructors
+    @classmethod
+    def for_capacity(
+        cls,
+        n_items: int,
+        config: Optional[TCFConfig] = None,
+        recorder: Optional[StatsRecorder] = None,
+    ) -> "TwoChoiceFilter":
+        """Size a filter so that ``n_items`` fit at the recommended load factor."""
+        config = cls.DEFAULT_CONFIG if config is None else config
+        return cls(int(np.ceil(n_items / config.max_load_factor)), config, recorder)
+
+    @classmethod
+    def capabilities(cls) -> FilterCapabilities:
+        return FilterCapabilities(
+            point_insert=True,
+            bulk_insert=True,
+            point_query=True,
+            bulk_query=True,
+            point_delete=True,
+            bulk_delete=True,
+            point_count=False,
+            bulk_count=False,
+            values=True,
+            resizable=True,
+        )
+
+    @classmethod
+    def nominal_nbytes(cls, n_slots: int, config: Optional[TCFConfig] = None) -> int:
+        """Footprint of a filter with ``n_slots`` slots, without building it.
+
+        Used by the benchmark harness to size the *nominal* structure for the
+        performance model while the functional simulation runs on a smaller
+        sample.
+        """
+        config = cls.DEFAULT_CONFIG if config is None else config
+        main = (n_slots * config.packed_slot_bits + 7) // 8
+        backing = int(np.ceil(n_slots * config.backing_fraction)) * 8
+        return main + backing
+
+    # ------------------------------------------------------------------- sizes
+    @property
+    def capacity(self) -> int:
+        return int(self.table.n_slots * self.config.max_load_factor)
+
+    @property
+    def n_slots(self) -> int:
+        return self.table.n_slots + self.backing.n_slots
+
+    @property
+    def nbytes(self) -> int:
+        return self.table.nbytes + self.backing.nbytes
+
+    @property
+    def n_items(self) -> int:
+        return self._n_items
+
+    @property
+    def load_factor(self) -> float:
+        return self._n_items / self.table.n_slots if self.table.n_slots else 0.0
+
+    @property
+    def recommended_load_factor(self) -> float:
+        return self.config.max_load_factor
+
+    @property
+    def false_positive_rate(self) -> float:
+        return self.config.false_positive_rate
+
+    # --------------------------------------------------------------- internals
+    def _derive_batch(self, keys: np.ndarray) -> potc.PotcHash:
+        return potc.derive(
+            keys.astype(np.uint64),
+            self.table.n_blocks,
+            self.config.fingerprint_bits,
+        )
+
+    def _pack_words(self, fingerprints: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Pack (fingerprint, value) pairs into slot words (slot dtype)."""
+        vb = self.config.value_bits
+        words = (
+            (fingerprints.astype(np.uint64) << np.uint64(vb))
+            | (values & np.uint64((1 << vb) - 1))
+            if vb
+            else fingerprints.astype(np.uint64)
+        )
+        return words.astype(self.config.slot_dtype)
+
+    def block_fills(self) -> np.ndarray:
+        """Per-block live-slot counts (for load-variance analysis/tests)."""
+        return self.table.fills()
+
+    # ---------------------------------------------------------- point API glue
+    def count(self, key: int) -> int:
+        raise UnsupportedOperationError("the TCF does not support counting")
+
+    def delete(self, key: int) -> bool:
+        """Delete one occurrence of ``key``.
+
+        On a journaled (``auto_resize=True``) filter every point delete also
+        scans the whole key journal — O(journal) host work per call; batch
+        deletes through ``bulk_delete`` to pay that scan once.
+        """
+        if not self._delete_once(key):
+            return False
+        self._journal_remove([int(key) & _MASK64])
+        return True
+
+    def _delete_once(self, key: int) -> bool:
+        """Remove one occurrence of ``key`` from the tables (no journaling).
+
+        Each TCF design implements it with its own delete kernel.
+        """
+        raise NotImplementedError
+
+    # ----------------------------------------------------------------- journal
     def _journal_add(self, keys: np.ndarray, values: np.ndarray) -> None:
         if self._journal is not None:
             self._journal.add(keys, values)
@@ -160,6 +331,17 @@ class TCFLifecycle:
         the mask of keys placed.
         """
         raise NotImplementedError
+
+    def _raise_if_unplaced(self, placed: np.ndarray) -> None:
+        """Raise the :class:`FilterFullError` of a batch that left keys out."""
+        if not placed.all():
+            raise FilterFullError(
+                f"{self.name} full: both blocks and the backing table rejected a key",
+                n_items=self._n_items,
+                n_slots=self.table.n_slots,
+                load_factor=self.load_factor,
+                batch_offset=int(np.argmin(placed)),
+            )
 
     def _insert_with_growth(self, keys: np.ndarray, values: Optional[np.ndarray]) -> np.ndarray:
         """Place a batch, growing (``auto_resize``) and retrying only the unplaced keys.
@@ -218,8 +400,6 @@ class TCFLifecycle:
         self.table = bigger.table
         self.backing = bigger.backing
         self._n_items = bigger._n_items
-        if hasattr(self, "_block_lines_cache"):
-            self._block_lines_cache = None
         self.n_resizes += 1
 
     # --------------------------------------------------------------- snapshots
@@ -298,19 +478,17 @@ class TCFLifecycle:
         self.refresh_shared()
 
     def refresh_shared(self) -> None:
-        """Reload the scalar counters and drop caches after external writes."""
-        scalars = getattr(self, "_shared_scalars", None)
+        """Reload the scalar counters after external writes."""
+        scalars = self._shared_scalars
         if scalars is None:
             raise ValueError("filter is not adopted onto shared buffers")
         self._n_items = int(scalars[0])
         self.backing._n_items = int(scalars[1])
         self.n_resizes = int(scalars[2])
-        if hasattr(self, "_block_lines_cache"):
-            self._block_lines_cache = None
 
     def flush_shared(self) -> None:
         """Write the scalar counters back into the shared buffer."""
-        scalars = getattr(self, "_shared_scalars", None)
+        scalars = self._shared_scalars
         if scalars is None:
             raise ValueError("filter is not adopted onto shared buffers")
         scalars[0] = self._n_items
@@ -331,7 +509,5 @@ class TCFLifecycle:
             self._journal = KeyJournal()
             if "journal_keys" in state:
                 self._journal.add(state["journal_keys"], state["journal_values"])
-        if hasattr(self, "_block_lines_cache"):
-            self._block_lines_cache = None
-        if getattr(self, "_shared_scalars", None) is not None:
+        if self._shared_scalars is not None:
             self.flush_shared()

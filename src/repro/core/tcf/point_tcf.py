@@ -27,141 +27,25 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ...gpusim.kernel import KernelContext, point_launch
-from ...gpusim.stats import StatsRecorder
+from ...gpusim.kernel import point_launch
 from ...hashing import potc
-from ..base import AbstractFilter, FilterCapabilities
-from ..exceptions import FilterFullError, UnsupportedOperationError
-from .backing import BackingTable
-from .block import BlockedTable
-from .config import EMPTY_SLOT, POINT_TCF_DEFAULT, TOMBSTONE_SLOT, TCFConfig
-from .lifecycle import _MASK64, TCFLifecycle
-
-#: Batches at or below this size route through the per-item loop — the same
-#: crossover the bulk TCF (``TCF_SEQUENTIAL_BATCH_MAX``) and the baselines
-#: (:mod:`repro.baselines._batching`) use.  The per-item route doubles as the
-#: differential-testing reference for the batched replay.
-POINT_SEQUENTIAL_BATCH_MAX = 32
+from ..base import prefers_sequential
+from ..exceptions import FilterFullError
+from .config import EMPTY_SLOT, POINT_TCF_DEFAULT, TOMBSTONE_SLOT
+from .lifecycle import _MASK64, TwoChoiceFilter
 
 
-class PointTCF(TCFLifecycle, AbstractFilter):
+class PointTCF(TwoChoiceFilter):
     """Two-choice filter with a device-side point API.
 
-    Parameters
-    ----------
-    n_slots:
-        Requested number of main-table slots; rounded up to whole blocks.
-    config:
-        TCF configuration (fingerprint bits, block size, CG size, ...).
-    recorder:
-        Optional stats recorder (a fresh one is created if omitted).
-    auto_resize:
-        Keep a host-side key journal and double-and-rehash the table instead
-        of raising :class:`FilterFullError` (see
-        :mod:`repro.core.tcf.lifecycle` for why the journal is needed).
-    auto_resize_at:
-        Load factor that triggers a pre-emptive grow (defaults to the
-        config's ``max_load_factor``).
+    Constructed as :class:`~repro.core.tcf.lifecycle.TwoChoiceFilter`
+    describes, with :data:`~repro.core.tcf.config.POINT_TCF_DEFAULT` as the
+    default configuration.
     """
 
     name = "TCF"
-
-    def __init__(
-        self,
-        n_slots: int,
-        config: TCFConfig = POINT_TCF_DEFAULT,
-        recorder: Optional[StatsRecorder] = None,
-        auto_resize: bool = False,
-        auto_resize_at: Optional[float] = None,
-    ) -> None:
-        super().__init__(recorder)
-        if n_slots <= 0:
-            raise ValueError("n_slots must be positive")
-        self.config = config
-        n_blocks = max(2, (int(n_slots) + config.block_size - 1) // config.block_size)
-        self.table = BlockedTable(n_blocks, config, self.recorder)
-        n_backing_buckets = max(
-            1,
-            int(np.ceil(self.table.n_slots * config.backing_fraction / BackingTable.BUCKET_WIDTH)),
-        )
-        self.backing = BackingTable(n_backing_buckets, config, self.recorder)
-        self._n_items = 0
-        self.kernels = KernelContext(self.recorder)
-        self._block_lines_cache: Optional[np.ndarray] = None
-        self._init_lifecycle(auto_resize, auto_resize_at)
-
-    # ------------------------------------------------------------ constructors
-    @classmethod
-    def for_capacity(
-        cls,
-        n_items: int,
-        config: TCFConfig = POINT_TCF_DEFAULT,
-        recorder: Optional[StatsRecorder] = None,
-    ) -> "PointTCF":
-        """Size a filter so that ``n_items`` fit at the recommended load factor."""
-        n_slots = int(np.ceil(n_items / config.max_load_factor))
-        return cls(n_slots, config, recorder)
-
-    @classmethod
-    def capabilities(cls) -> FilterCapabilities:
-        return FilterCapabilities(
-            point_insert=True,
-            bulk_insert=True,
-            point_query=True,
-            bulk_query=True,
-            point_delete=True,
-            bulk_delete=True,
-            point_count=False,
-            bulk_count=False,
-            values=True,
-            resizable=True,
-        )
-
-    @classmethod
-    def nominal_nbytes(cls, n_slots: int, config: TCFConfig = POINT_TCF_DEFAULT) -> int:
-        """Footprint of a filter with ``n_slots`` slots, without building it.
-
-        Used by the benchmark harness to size the *nominal* structure for the
-        performance model while the functional simulation runs on a smaller
-        sample.
-        """
-        main = (n_slots * config.packed_slot_bits + 7) // 8
-        backing_slots = int(np.ceil(n_slots * config.backing_fraction))
-        backing = backing_slots * 8
-        return main + backing
-
-    # ------------------------------------------------------------------- sizes
-    @property
-    def capacity(self) -> int:
-        return int(self.table.n_slots * self.config.max_load_factor)
-
-    @property
-    def n_slots(self) -> int:
-        return self.table.n_slots + self.backing.n_slots
-
-    @property
-    def nbytes(self) -> int:
-        return self.table.nbytes + self.backing.nbytes
-
-    @property
-    def n_items(self) -> int:
-        return self._n_items
-
-    @property
-    def n_occupied_slots(self) -> int:
-        return self._n_items
-
-    @property
-    def load_factor(self) -> float:
-        return self._n_items / self.table.n_slots if self.table.n_slots else 0.0
-
-    @property
-    def recommended_load_factor(self) -> float:
-        return self.config.max_load_factor
-
-    @property
-    def false_positive_rate(self) -> float:
-        return self.config.false_positive_rate
+    DEFAULT_CONFIG = POINT_TCF_DEFAULT
+    ARRAY_PREFIX = "tcf"
 
     @property
     def backing_fraction_used(self) -> float:
@@ -251,18 +135,6 @@ class PointTCF(TCFLifecycle, AbstractFilter):
         return self.backing.query(int(key))
 
     # ------------------------------------------------------------------ delete
-    def delete(self, key: int) -> bool:
-        """Delete one occurrence of ``key`` by tombstoning its slot.
-
-        On a journaled (``auto_resize=True``) filter every point delete also
-        scans the whole key journal — O(journal) host work per call; batch
-        deletes through :meth:`bulk_delete` to pay that scan once.
-        """
-        if not self._delete_once(key):
-            return False
-        self._journal_remove([int(key) & _MASK64])
-        return True
-
     def _delete_once(self, key: int) -> bool:
         """Tombstone one occurrence of ``key`` (no journaling)."""
         h = self._derive(key)
@@ -274,9 +146,6 @@ class PointTCF(TCFLifecycle, AbstractFilter):
             self._n_items -= 1
             return True
         return False
-
-    def count(self, key: int) -> int:
-        raise UnsupportedOperationError("the TCF does not support counting")
 
     # ---------------------------------------------------------------- bulk API
     # The batched point paths below replay the per-item decision stream over
@@ -293,34 +162,7 @@ class PointTCF(TCFLifecycle, AbstractFilter):
     # the already-calibrated BackingTable bulk primitives, in batch order.
 
     def _prefers_sequential(self, batch_size: int) -> bool:
-        return batch_size <= POINT_SEQUENTIAL_BATCH_MAX
-
-    def _derive_batch(self, keys: np.ndarray) -> potc.PotcHash:
-        return potc.derive(
-            keys.astype(np.uint64),
-            self.table.n_blocks,
-            self.config.fingerprint_bits,
-        )
-
-    def _pack_words(self, fingerprints: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Pack (fingerprint, value) pairs into slot words (slot dtype)."""
-        vb = self.config.value_bits
-        words = (
-            (fingerprints.astype(np.uint64) << np.uint64(vb))
-            | (values & np.uint64((1 << vb) - 1))
-            if vb
-            else fingerprints.astype(np.uint64)
-        )
-        return words.astype(self.config.slot_dtype)
-
-    def _block_lines(self) -> np.ndarray:
-        """Cache lines spanned by each block's slot row (alignment-aware)."""
-        if self._block_lines_cache is None:
-            bs = self.config.block_size
-            starts = np.arange(self.table.n_blocks, dtype=np.int64) * bs
-            per_line = self.table.slots.slots_per_line
-            self._block_lines_cache = (starts + bs - 1) // per_line - starts // per_line + 1
-        return self._block_lines_cache
+        return prefers_sequential(batch_size)
 
     def _scan_geometry(self) -> tuple:
         """``(block_size, cg_size, n_strides, tail_divergent)`` of a block scan."""
@@ -331,34 +173,17 @@ class PointTCF(TCFLifecycle, AbstractFilter):
         """Point-style bulk insert: one cooperative group per item.
 
         (The genuinely different sorted bulk algorithm lives in
-        :class:`~repro.core.tcf.bulk_tcf.BulkTCF`.)  Raises
-        :class:`FilterFullError` when any key cannot be placed; unlike the
-        per-item loop — which stops at the first failing item — the batched
-        path finishes placing every placeable key before raising, so the
-        table is at least as full as the sequential loop would leave it.
+        :class:`~repro.core.tcf.bulk_tcf.BulkTCF`.)  :meth:`bulk_insert_mask`
+        plus a raise: every placeable key is placed, then
+        :class:`FilterFullError` reports the first key left out, so the
+        table is at least as full as a per-item loop stopping at that key
+        would leave it.
         """
         keys = np.asarray(keys, dtype=np.uint64)
-        if values is None:
-            values = np.zeros(len(keys), dtype=np.uint64)
-        values = np.asarray(values, dtype=np.uint64)
-        inserted = 0
         with self.kernels.launch(
             "tcf_point_bulk_insert", point_launch(len(keys), self.config.cg_size)
         ):
-            if self._prefers_sequential(int(keys.size)):
-                for key, value in zip(keys, values):
-                    if self.insert(int(key), int(value)):
-                        inserted += 1
-                return inserted
-            placed = self._insert_with_growth(keys, values)
-            if not placed.all():
-                raise FilterFullError(
-                    "TCF full: both blocks and the backing table rejected the insert",
-                    n_items=self._n_items,
-                    n_slots=self.table.n_slots,
-                    load_factor=self.load_factor,
-                    batch_offset=int(np.argmin(placed)),
-                )
+            self._raise_if_unplaced(self._insert_with_growth(keys, values))
         return int(keys.size)
 
     def bulk_insert_mask(
@@ -371,34 +196,32 @@ class PointTCF(TCFLifecycle, AbstractFilter):
         table can hold come back False and the filter stays consistent.
         """
         keys = np.asarray(keys, dtype=np.uint64)
-        if values is None:
-            values = np.zeros(len(keys), dtype=np.uint64)
-        values = np.asarray(values, dtype=np.uint64)
         with self.kernels.launch(
             "tcf_point_bulk_insert", point_launch(len(keys), self.config.cg_size)
         ):
-            if not self._prefers_sequential(int(keys.size)):
-                return self._insert_with_growth(keys, values)
-            placed = np.zeros(len(keys), dtype=bool)
-            for i, (key, value) in enumerate(zip(keys, values)):
-                try:
-                    placed[i] = self.insert(int(key), int(value))
-                except FilterFullError:
-                    placed[i] = False
-        return placed
+            return self._insert_with_growth(keys, values)
 
     def _place_batch(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Batched two-choice insert replaying the per-item decision stream.
 
         Returns the per-key placement mask (False only when the backing
-        table also rejected the key).
+        table also rejected the key).  Small batches run the per-item
+        insert, which is the reference the replay is pinned to.
         """
+        if self._prefers_sequential(int(keys.size)):
+            placed = np.zeros(keys.size, dtype=bool)
+            for i in range(keys.size):
+                try:
+                    placed[i] = self._insert_once(int(keys[i]), int(values[i]))
+                except FilterFullError:
+                    pass
+            return placed
         h = self._derive_batch(keys)
         bs, g, n_strides, tail_div = self._scan_geometry()
         rows = self.table.rows()
         free_rows = (rows == EMPTY_SLOT) | (rows == TOMBSTONE_SLOT)
         live = (bs - free_rows.sum(axis=1)).astype(np.int64).tolist()
-        lines = self._block_lines().tolist()
+        lines = self.table.block_lines().tolist()
         words = self._pack_words(np.asarray(h.fingerprint), values)
         cas_extra = 1 if self.config.cas_spans_slots else 0
         shortcut_fill = self.config.shortcut_fill
@@ -524,7 +347,7 @@ class PointTCF(TCFLifecycle, AbstractFilter):
         """
         h = self._derive_batch(keys)
         rows = self.table.rows()
-        lines = self._block_lines()
+        lines = self.table.block_lines()
         vb = self.config.value_bits
         fps = np.asarray(h.fingerprint).astype(rows.dtype)
 
@@ -584,7 +407,7 @@ class PointTCF(TCFLifecycle, AbstractFilter):
         h = self._derive_batch(keys)
         bs, g, n_strides, tail_div = self._scan_geometry()
         rows = self.table.rows()
-        lines = self._block_lines().tolist()
+        lines = self.table.block_lines().tolist()
         vb = self.config.value_bits
         fps = np.asarray(h.fingerprint).astype(rows.dtype)
         # Per-request live-match bitmask of each candidate block (bit k set
@@ -661,10 +484,6 @@ class PointTCF(TCFLifecycle, AbstractFilter):
         return int(removed.sum())
 
     # ---------------------------------------------------------------- analysis
-    def block_fills(self) -> np.ndarray:
-        """Per-block live-slot counts (for load-variance analysis/tests)."""
-        return self.table.fills()
-
     def active_threads_for(self, n_ops: int) -> int:
         """Threads exposed by a point kernel over ``n_ops`` items."""
         return n_ops * self.config.cg_size

@@ -47,7 +47,7 @@ from ..core.gqf.layout import QuotientFilterCore
 from ..core.gqf.mapreduce import merge_sorted_runs
 from ..core.tcf.backing import BackingTable
 from ..core.tcf.config import EMPTY_SLOT, TOMBSTONE_SLOT
-from ..core.tcf.lifecycle import TCFLifecycle
+from ..core.tcf.lifecycle import TwoChoiceFilter
 from ..gpusim.stats import StatsRecorder
 
 VALUE_POLICIES = ("all", "first", "min", "max")
@@ -72,7 +72,7 @@ def merge(
     if any(type(f) is not cls for f in filters[1:]):
         names = sorted({type(f).__name__ for f in filters})
         raise ValueError(f"cannot merge different filter classes: {names}")
-    if isinstance(filters[0], TCFLifecycle):
+    if isinstance(filters[0], TwoChoiceFilter):
         return _merge_tcf(filters, value_policy, recorder)
     core = getattr(filters[0], "core", None)
     if isinstance(core, QuotientFilterCore):

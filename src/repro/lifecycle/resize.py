@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from ..core.base import AbstractFilter
 from ..core.exceptions import UnsupportedOperationError
-from ..core.tcf.lifecycle import TCFLifecycle
+from ..core.tcf.lifecycle import TwoChoiceFilter
 
 
 def expand(filt: AbstractFilter, extra_quotient_bits: int = 1) -> AbstractFilter:
@@ -46,7 +46,7 @@ def expand(filt: AbstractFilter, extra_quotient_bits: int = 1) -> AbstractFilter
     """
     if extra_quotient_bits < 1:
         raise ValueError("expand must grow the filter")
-    if isinstance(filt, TCFLifecycle):
+    if isinstance(filt, TwoChoiceFilter):
         if not filt._can_grow():
             raise UnsupportedOperationError(
                 f"{type(filt).__name__} keeps no key journal (built without "

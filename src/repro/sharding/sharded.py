@@ -68,7 +68,7 @@ import numpy as np
 
 from ..core.base import AbstractFilter, FilterCapabilities
 from ..core.exceptions import FilterFullError, UnsupportedOperationError
-from ..core.tcf.lifecycle import KeyJournal, TCFLifecycle
+from ..core.tcf.lifecycle import KeyJournal, TwoChoiceFilter
 from ..gpusim.stats import StatsRecorder
 from ..lifecycle.merge import merge
 from ..lifecycle.resize import expand
@@ -227,7 +227,7 @@ class ShardedFilter(AbstractFilter):
         #: the journal kept here.
         self._journals: Optional[List[KeyJournal]] = (
             [KeyJournal() for _ in range(self.n_shards)]
-            if self.auto_resize and isinstance(self._twins[0], TCFLifecycle)
+            if self.auto_resize and isinstance(self._twins[0], TwoChoiceFilter)
             else None
         )
         self._max_workers = (

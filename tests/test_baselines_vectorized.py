@@ -16,13 +16,13 @@ their accounting is documented as approximate.
 import numpy as np
 import pytest
 
-from repro.baselines._batching import SEQUENTIAL_BATCH_MAX
 from repro.baselines.blocked_bloom import BlockedBloomFilter
 from repro.baselines.bloom import BloomFilter
 from repro.baselines.cpu_cqf import CPUCountingQuotientFilter
 from repro.baselines.cpu_vqf import CPUVectorQuotientFilter
 from repro.baselines.rsqf import RankSelectQuotientFilter
 from repro.baselines.sqf import StandardQuotientFilter
+from repro.core.base import SEQUENTIAL_BATCH_MAX
 from repro.core.exceptions import FilterFullError, UnsupportedOperationError
 from repro.gpusim.stats import StatsRecorder
 

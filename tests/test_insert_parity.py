@@ -96,6 +96,27 @@ def test_mask_reports_what_a_failing_bulk_insert_left_out(factory, n_keys):
     assert masked.bulk_query(keys[mask]).all()
 
 
+@pytest.mark.parametrize("n_prefill", [240, 250, 260])
+def test_small_point_tcf_batch_that_overflows(n_prefill):
+    """A batch small enough for the per-item route fails like the mask.
+
+    The per-item route used to run its own loop in ``bulk_insert`` and stop
+    at the first failing key, while the mask went on placing later keys.
+    """
+    rng = np.random.default_rng(1)
+    prefill = rng.integers(2, 2**63, size=n_prefill, dtype=np.uint64)
+    keys = rng.integers(2, 2**63, size=32, dtype=np.uint64)
+    counted, masked = PointTCF(256), PointTCF(256)
+    for filt in (counted, masked):
+        assert filt.bulk_insert_mask(prefill).all()
+    with pytest.raises(FilterFullError):
+        counted.bulk_insert(keys)
+    mask = masked.bulk_insert_mask(keys)
+    assert 0 < int(np.count_nonzero(mask)) < keys.size
+    _assert_same(_observe(counted)[:2], _observe(masked)[:2])
+    assert masked.bulk_query(keys[mask]).all()
+
+
 def test_gqf_mask_is_as_fast_as_bulk_insert():
     keys = np.random.default_rng(4).integers(0, 2**63, size=200_000, dtype=np.uint64)
 

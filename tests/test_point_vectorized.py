@@ -16,13 +16,14 @@ import pytest
 
 from repro.apps.kmer_counter import GPUKmerCounter
 from repro.apps.metahipmer import KmerAnalysisPhase
+from repro.core.base import SEQUENTIAL_BATCH_MAX
 from repro.core.exceptions import FilterFullError
 from repro.core.gqf import PointGQF
 from repro.core.tcf import POINT_TCF_DEFAULT, PointTCF, TCFConfig
-from repro.core.tcf.point_tcf import POINT_SEQUENTIAL_BATCH_MAX
 from repro.gpusim.atomics import SpinLockTable
 from repro.gpusim.kernel import point_launch
 from repro.gpusim.stats import StatsRecorder
+from repro.lifecycle import expand
 from repro.workloads import kmer as kmer_mod
 
 #: Counter fields asserted for exact batched-vs-per-item parity.
@@ -294,7 +295,7 @@ class TestTCFInsertDifferential:
     def test_tiny_batches_take_per_item_path(self):
         rng = np.random.default_rng(12)
         batched, ref = _tcf_pair(600)
-        keys = rng.integers(0, 2**63, size=POINT_SEQUENTIAL_BATCH_MAX, dtype=np.uint64)
+        keys = rng.integers(0, 2**63, size=SEQUENTIAL_BATCH_MAX, dtype=np.uint64)
         batched.bulk_insert(keys)
         _tcf_reference_insert(ref, keys)
         _assert_events_equal(batched.recorder.total, ref.recorder.total, "tiny")
@@ -338,6 +339,30 @@ class TestTCFQueryDifferential:
             expected = np.array([ref.query(int(k)) for k in probes])
         assert np.array_equal(got, expected)
         _assert_events_equal(batched.recorder.total, ref.recorder.total, "tcf query")
+
+
+    def test_event_parity_after_growth(self):
+        """The per-block line counts follow the table through a resize."""
+        rng = np.random.default_rng(16)
+        filt = PointTCF(600, recorder=StatsRecorder(), auto_resize=True)
+        keys = rng.integers(0, 2**63, size=400, dtype=np.uint64)
+        filt.bulk_insert(keys)
+        probes = np.concatenate([keys[::2], rng.integers(0, 2**63, size=200, dtype=np.uint64)])
+        assert probes.size > SEQUENTIAL_BATCH_MAX
+        filt.bulk_query(probes)  # memoises the pre-growth line counts
+        n_blocks = filt.table.n_blocks
+        expand(filt)
+        assert filt.table.n_blocks > n_blocks
+        filt.recorder.reset()
+        got = filt.bulk_query(probes)
+        batched = filt.recorder.total
+        filt.recorder.reset()
+        with filt.kernels.launch(
+            "tcf_point_bulk_query", point_launch(probes.size, filt.config.cg_size)
+        ):
+            expected = np.array([filt.query(int(k)) for k in probes])
+        assert np.array_equal(got, expected) and got[: keys.size // 2].all()
+        _assert_events_equal(batched, filt.recorder.total, "tcf query after growth")
 
 
 class TestTCFDeleteDifferential:

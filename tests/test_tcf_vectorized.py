@@ -12,10 +12,10 @@ pass 2 or the backing table) by asserting positional spill tracking.
 import numpy as np
 import pytest
 
+from repro.core.base import SEQUENTIAL_BATCH_MAX
 from repro.core.exceptions import FilterFullError
 from repro.core.tcf import BULK_TCF_DEFAULT, BulkTCF, TCFConfig
 from repro.core.tcf.backing import BackingTable
-from repro.core.tcf.bulk_tcf import TCF_SEQUENTIAL_BATCH_MAX
 from repro.gpusim.stats import StatsRecorder
 
 #: A values-enabled bulk layout (20-bit packed slots, fits the cache line).
@@ -223,7 +223,7 @@ class TestQueryDifferential:
         keys = rng.integers(0, 2**63, size=600, dtype=np.uint64)
         filt = _build(900)
         filt.bulk_insert(keys)
-        small = keys[: TCF_SEQUENTIAL_BATCH_MAX]
+        small = keys[: SEQUENTIAL_BATCH_MAX]
         assert filt.bulk_query(small).all()
         assert filt.bulk_query(keys).all()
 
