@@ -25,7 +25,6 @@ from ..core.gqf.regions import DEFAULT_REGION_SLOTS
 from ..gpusim.device import KNL, V100, GPUSpec
 from ..gpusim.perfmodel import estimate_time
 from ..gpusim.stats import StatsRecorder
-from ..hashing.fingerprints import FingerprintScheme
 from ..workloads import kmer as kmer_workloads
 from ..workloads.generators import (
     CountingDataset,
@@ -130,35 +129,6 @@ def _dataset_for(name: str, n_items: int, seed: int = 0x7AB1E5) -> CountingDatas
     if key == "k-mer count":
         return kmer_workloads.kmer_count_dataset(n_items, seed=seed)
     raise ValueError(f"unknown Table 5 dataset {name!r}")
-
-
-def region_imbalance(
-    dataset: CountingDataset,
-    lg_capacity: int,
-    remainder_bits: int = 8,
-    region_slots: int = DEFAULT_REGION_SLOTS,
-    mapreduce: bool = False,
-) -> float:
-    """Work imbalance across even-odd regions at nominal scale.
-
-    Bulk-insert wall-clock time is set by the most loaded region thread, so
-    the throughput penalty relative to perfect balance is
-    ``max_region_items / mean_region_items``.  With map-reduce aggregation
-    the duplicates collapse first, removing the hot-region spike — this is
-    the mechanism behind the Zipfian vs Zipfian-MR gap in Table 5.
-    """
-    scheme = FingerprintScheme(lg_capacity, remainder_bits)
-    keys = dataset.distinct_keys if mapreduce else dataset.keys
-    if keys.size == 0:
-        return 1.0
-    quotients, _ = scheme.key_to_slot(np.asarray(keys, dtype=np.uint64))
-    n_regions = max(1, (1 << lg_capacity) // region_slots)
-    regions = np.asarray(quotients, dtype=np.int64) // region_slots
-    counts = np.bincount(regions, minlength=n_regions)
-    mean = keys.size / n_regions
-    if mean <= 0:
-        return 1.0
-    return float(max(1.0, counts.max() / mean))
 
 
 #: Per-insert cost of a single GPU thread performing dependent (latency

@@ -76,28 +76,11 @@ def _statement_path(module: AuditModule, node: ast.AST, func: ast.AST) -> List[a
 
 
 def _is_guarded(module: AuditModule, node: ast.AST, func: ast.FunctionDef) -> bool:
-    """True when the loop sits behind the size-dispatch idiom.
-
-    Two accepted shapes: the loop is lexically inside a guard ``if``'s
-    branch (the shape of ``BulkTCF.bulk_delete``), or an earlier statement
-    in an enclosing body is a guard ``if`` whose vectorized branch
-    early-exits (``if not self._prefers_sequential(n): return ...``
-    followed by the per-item loop).
-    """
+    """True when the loop sits behind the size-dispatch idiom: it is
+    lexically inside a guard ``if``'s branch (the shape of
+    ``BulkTCF.bulk_delete``)."""
     path = _statement_path(module, node, func)
-    for ancestor in path[:-1]:
-        if _is_guard_if(ancestor):
-            return True
-    # Preceding-sibling guard at any enclosing body level.
-    for container, child in zip(path, path[1:]):
-        for body in ("body", "orelse", "finalbody"):
-            statements = getattr(container, body, None)
-            if not isinstance(statements, list) or child not in statements:
-                continue
-            for stmt in statements[: statements.index(child)]:
-                if _is_guard_if(stmt):
-                    return True
-    return False
+    return any(_is_guard_if(ancestor) for ancestor in path[:-1])
 
 
 def _check(module: AuditModule) -> Iterator[Tuple[int, str]]:

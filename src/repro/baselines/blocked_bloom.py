@@ -12,21 +12,23 @@ same bits per item (Table 2 reports 1 % vs 0.15 % at 10.1/9.73 BPI), and the
 filter still supports neither deletes nor counts.  The paper takes the
 implementation from Jünger et al.'s WarpCore and tunes it per the authors'
 recommendation; this reproduction follows the same layout.
+
+The word array, sizes, refusals, bulk routing and snapshots come from
+:class:`~repro.baselines.bloom.BitArrayFilter`; this module keeps the block
+count, the block/lane probe layout, the Poisson false-positive model and the
+whole-batch kernels with their event charges.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.base import AbstractFilter, FilterCapabilities, prefers_sequential, restore_array
-from ..core.exceptions import UnsupportedOperationError
 from ..gpusim.atomics import atomic_or
-from ..gpusim.kernel import KernelContext, point_launch
-from ..gpusim.memory import DeviceArray
 from ..gpusim.stats import StatsRecorder
 from ..hashing.mixers import hash_with_seed, hash_with_seeds, murmur64_mix
+from .bloom import BitArrayFilter
 
 #: One block spans a GPU cache line: 128 bytes = 1024 bits = 32 uint32 words.
 BLOCK_BITS = 1024
@@ -38,7 +40,7 @@ PAPER_BITS_PER_ITEM = 9.73
 PAPER_NUM_HASHES = 7
 
 
-class BlockedBloomFilter(AbstractFilter):
+class BlockedBloomFilter(BitArrayFilter):
     """Cache-line-blocked Bloom filter with a point API.
 
     Parameters
@@ -52,6 +54,9 @@ class BlockedBloomFilter(AbstractFilter):
     """
 
     name = "BBF"
+    PAPER_BITS_PER_ITEM = PAPER_BITS_PER_ITEM
+    NOUN = "blocked Bloom filters"
+    LAUNCH_PREFIX = "bbf"
 
     def __init__(
         self,
@@ -60,23 +65,10 @@ class BlockedBloomFilter(AbstractFilter):
         recorder: Optional[StatsRecorder] = None,
         bits_per_item: float = PAPER_BITS_PER_ITEM,
     ) -> None:
-        super().__init__(recorder)
         if n_blocks <= 0:
             raise ValueError("n_blocks must be positive")
-        if n_hashes <= 0:
-            raise ValueError("n_hashes must be positive")
-        if bits_per_item <= 0:
-            raise ValueError("bits_per_item must be positive")
         self.n_blocks = int(n_blocks)
-        self.n_hashes = int(n_hashes)
-        #: Bits-per-item budget the filter was sized with (drives
-        #: :attr:`capacity`; ``bits_per_item`` itself is the measured metric).
-        self.sizing_bits_per_item = float(bits_per_item)
-        self.words = DeviceArray(
-            self.n_blocks * BLOCK_WORDS, np.uint32, self.recorder, name="bbf-bits"
-        )
-        self._n_items = 0
-        self.kernels = KernelContext(self.recorder)
+        super().__init__(self.n_blocks * BLOCK_WORDS, n_hashes, recorder, bits_per_item)
 
     # ------------------------------------------------------------ constructors
     @classmethod
@@ -91,54 +83,10 @@ class BlockedBloomFilter(AbstractFilter):
         n_blocks = (n_bits + BLOCK_BITS - 1) // BLOCK_BITS
         return cls(n_blocks, n_hashes, recorder, bits_per_item=bits_per_item)
 
-    @classmethod
-    def capabilities(cls) -> FilterCapabilities:
-        return FilterCapabilities(
-            point_insert=True,
-            bulk_insert=True,
-            point_query=True,
-            bulk_query=True,
-            point_delete=False,
-            bulk_delete=False,
-            point_count=False,
-            bulk_count=False,
-            values=False,
-            resizable=False,
-        )
-
-    @classmethod
-    def nominal_nbytes(cls, n_items: int, bits_per_item: float = PAPER_BITS_PER_ITEM) -> int:
-        return int(np.ceil(n_items * bits_per_item / 8.0))
-
     # ------------------------------------------------------------------- sizes
     @property
     def n_bits(self) -> int:
         return self.n_blocks * BLOCK_BITS
-
-    @property
-    def capacity(self) -> int:
-        """Items the filter was sized for (at its construction-time budget)."""
-        return int(self.n_bits / self.sizing_bits_per_item)
-
-    @property
-    def n_slots(self) -> int:
-        return self.n_bits
-
-    @property
-    def nbytes(self) -> int:
-        return self.n_bits // 8
-
-    @property
-    def n_items(self) -> int:
-        return self._n_items
-
-    @property
-    def load_factor(self) -> float:
-        return self._n_items / max(1, self.capacity)
-
-    @property
-    def recommended_load_factor(self) -> float:
-        return 1.0
 
     @property
     def false_positive_rate(self) -> float:
@@ -189,8 +137,7 @@ class BlockedBloomFilter(AbstractFilter):
     # ------------------------------------------------------------------ point API
     def insert(self, key: int, value: int = 0) -> bool:
         """Set ``k`` bits inside one cache-line block (one line touched)."""
-        if value:
-            raise UnsupportedOperationError("blocked Bloom filters cannot store values")
+        self._refuse_values(value)
         block, bits = self._block_and_bits(key)
         base = block * BLOCK_WORDS
         # One coalesced read of the block, then k atomics within the line.
@@ -215,20 +162,7 @@ class BlockedBloomFilter(AbstractFilter):
                 return False
         return True
 
-    def delete(self, key: int) -> bool:
-        raise UnsupportedOperationError("blocked Bloom filters do not support deletion")
-
-    def count(self, key: int) -> int:
-        raise UnsupportedOperationError("blocked Bloom filters do not support counting")
-
-    def get_value(self, key: int) -> Optional[int]:
-        raise UnsupportedOperationError("blocked Bloom filters cannot store values")
-
     # ---------------------------------------------------------------- bulk API
-    def _prefers_sequential(self, batch_size: int) -> bool:
-        """Tiny batches keep the per-item route (cheaper than staging)."""
-        return prefers_sequential(batch_size)
-
     def _block_and_bits_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised :meth:`_block_and_bits`: blocks ``(n,)``, bits ``(n, k)``."""
         mixed = np.asarray(murmur64_mix(keys), dtype=np.uint64)
@@ -237,50 +171,32 @@ class BlockedBloomFilter(AbstractFilter):
         in_lane = hash_with_seeds(keys, range(101, 101 + self.n_hashes)) % np.uint64(64)
         return blocks, lanes[:, None] * 64 + in_lane.astype(np.int64)
 
-    def bulk_insert(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> int:
-        keys = np.asarray(keys, dtype=np.uint64)
-        if values is not None and np.any(np.asarray(values)):
-            raise UnsupportedOperationError("blocked Bloom filters cannot store values")
-        with self.kernels.launch("bbf_bulk_insert", point_launch(keys.size, 1)):
-            if self._prefers_sequential(int(keys.size)):
-                for key in keys:
-                    self.insert(int(key))
-            elif keys.size:
-                blocks, bits = self._block_and_bits_batch(keys)
-                words = blocks[:, None] * BLOCK_WORDS + bits // 32
-                masks = np.uint32(1) << (bits % 32).astype(np.uint32)
-                np.bitwise_or.at(self.words.peek(), words.ravel(), masks.ravel())
-                # All k bits of a key land in one 64-bit lane, i.e. in at most
-                # two uint32 words; the per-item path fetches the block once
-                # and issues one atomic OR per *touched* word.
-                in_hi = (bits % 64) // 32 == 1
-                touched = int(in_hi.any(axis=1).sum() + (~in_hi).any(axis=1).sum())
-                self.recorder.add(
-                    cache_line_reads=int(keys.size),
-                    atomic_ops=touched,
-                    coalesced_bytes_read=32 * touched,
-                    coalesced_bytes_written=32 * touched,
-                )
-                self._n_items += int(keys.size)
-        return int(keys.size)
+    def _insert_batch(self, keys: np.ndarray) -> None:
+        blocks, bits = self._block_and_bits_batch(keys)
+        words = blocks[:, None] * BLOCK_WORDS + bits // 32
+        masks = np.uint32(1) << (bits % 32).astype(np.uint32)
+        np.bitwise_or.at(self.words.peek(), words.ravel(), masks.ravel())
+        # All k bits of a key land in one 64-bit lane, i.e. in at most
+        # two uint32 words; the per-item path fetches the block once
+        # and issues one atomic OR per *touched* word.
+        in_hi = (bits % 64) // 32 == 1
+        touched = int(in_hi.any(axis=1).sum() + (~in_hi).any(axis=1).sum())
+        self.recorder.add(
+            cache_line_reads=int(keys.size),
+            atomic_ops=touched,
+            coalesced_bytes_read=32 * touched,
+            coalesced_bytes_written=32 * touched,
+        )
 
-    def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.uint64)
-        out = np.zeros(keys.size, dtype=bool)
-        with self.kernels.launch("bbf_bulk_query", point_launch(keys.size, 1)):
-            if self._prefers_sequential(int(keys.size)):
-                for i, key in enumerate(keys):
-                    out[i] = self.query(int(key))
-            elif keys.size:
-                blocks, bits = self._block_and_bits_batch(keys)
-                words = blocks[:, None] * BLOCK_WORDS + bits // 32
-                data = self.words.peek()
-                bit_set = ((data[words] >> (bits % 32).astype(np.uint32)) & 1).astype(bool)
-                out = bit_set.all(axis=1)
-                # One cache-line block fetch per probe (the early exit inside
-                # the block costs no extra line traffic).
-                self.recorder.add(cache_line_reads=int(keys.size))
-        return out
+    def _query_batch(self, keys: np.ndarray) -> np.ndarray:
+        blocks, bits = self._block_and_bits_batch(keys)
+        words = blocks[:, None] * BLOCK_WORDS + bits // 32
+        data = self.words.peek()
+        bit_set = ((data[words] >> (bits % 32).astype(np.uint32)) & 1).astype(bool)
+        # One cache-line block fetch per probe (the early exit inside
+        # the block costs no extra line traffic).
+        self.recorder.add(cache_line_reads=int(keys.size))
+        return bit_set.all(axis=1)
 
     # --------------------------------------------------------------- lifecycle
     def snapshot_config(self) -> dict:
@@ -289,17 +205,3 @@ class BlockedBloomFilter(AbstractFilter):
             "n_hashes": self.n_hashes,
             "bits_per_item": self.sizing_bits_per_item,
         }
-
-    def snapshot_state(self) -> dict:
-        return {
-            "words": self.words.peek().copy(),
-            "scalars": np.array([self._n_items], dtype=np.int64),
-        }
-
-    def restore_state(self, state) -> None:
-        restore_array(self.words.peek(), state["words"], "words")
-        self._n_items = int(np.asarray(state["scalars"])[0])
-
-    # ---------------------------------------------------------------- analysis
-    def active_threads_for(self, n_ops: int) -> int:
-        return n_ops

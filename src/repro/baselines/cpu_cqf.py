@@ -154,15 +154,3 @@ class CPUCountingQuotientFilter(QuotientFilter):
     def active_threads_for(self, n_ops: int) -> int:
         """CPU execution exposes at most ``n_threads`` workers."""
         return min(self.n_threads, n_ops)
-
-    @property
-    def insert_serialization(self) -> float:
-        """Contention factor for concurrent CPU inserts.
-
-        The CQF's thread-safe insert path locks two 4096-slot regions; with
-        272 threads on a table of 2^28 slots contention is negligible, but
-        the shifting work itself serialises on the memory system — the paper
-        measures only ~2 M inserts/s.  The Table 4 harness charges this as a
-        serialisation factor over the lock acquisitions.
-        """
-        return 8.0

@@ -192,13 +192,6 @@ class CPUVectorQuotientFilter(AbstractFilter):
             self.config.fingerprint_bits,
         )
 
-    def _block_lines(self) -> np.ndarray:
-        """Cache lines spanned by each block's slot row (alignment-aware)."""
-        bs = self.config.block_size
-        starts = np.arange(self.table.n_blocks, dtype=np.int64) * bs
-        per_line = self.table.slots.slots_per_line
-        return (starts + bs - 1) // per_line - starts // per_line + 1
-
     def _bulk_insert_vectorised(self, keys: np.ndarray) -> None:
         """Batched two-choice insert replaying the per-item decision stream.
 
@@ -217,7 +210,7 @@ class CPUVectorQuotientFilter(AbstractFilter):
         rows = self.table.rows()
         free_mask = (rows == EMPTY_SLOT) | (rows == TOMBSTONE_SLOT)
         live = (bs - free_mask.sum(axis=1)).astype(np.int64).tolist()
-        lines = self._block_lines().tolist()
+        lines = self.table.block_lines().tolist()
         cas_extra = 1 if self.config.cas_spans_slots else 0
         shortcut = self.config.shortcut_fill
         primaries = h.primary.tolist()
@@ -320,7 +313,7 @@ class CPUVectorQuotientFilter(AbstractFilter):
         h = self._derive_batch(keys)
         bs = self.config.block_size
         rows = self.table.rows()
-        lines = self._block_lines()
+        lines = self.table.block_lines()
         fingerprints = np.asarray(h.fingerprint)
 
         def scan(blocks: np.ndarray, fps: np.ndarray):

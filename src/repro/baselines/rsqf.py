@@ -24,12 +24,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core.base import FilterCapabilities
-from ..core.exceptions import CapacityLimitError, UnsupportedOperationError
+from ..core.exceptions import UnsupportedOperationError
 from ..core.gqf.layout import QuotientFilterCore
 from ..core.gqf.quotient_filter import QuotientFilter
 from ..gpusim.kernel import KernelContext, LaunchConfig, point_launch
 from ..gpusim.stats import StatsRecorder
-from .sqf import MAX_FINGERPRINT_BITS, SUPPORTED_REMAINDERS
+from .sqf import check_packed_geometry
 
 
 class RankSelectQuotientFilter(QuotientFilter):
@@ -54,17 +54,7 @@ class RankSelectQuotientFilter(QuotientFilter):
         recorder: Optional[StatsRecorder] = None,
     ) -> None:
         super().__init__(recorder)
-        if remainder_bits not in SUPPORTED_REMAINDERS:
-            raise CapacityLimitError(
-                f"the RSQF only supports remainders {SUPPORTED_REMAINDERS}, got {remainder_bits}",
-                requested=remainder_bits,
-            )
-        if quotient_bits + remainder_bits > MAX_FINGERPRINT_BITS:
-            raise CapacityLimitError(
-                "the RSQF cannot be sized beyond 2^26 items (q + r <= 31)",
-                requested=quotient_bits + remainder_bits,
-                limit=MAX_FINGERPRINT_BITS,
-            )
+        check_packed_geometry("RSQF", quotient_bits, remainder_bits)
         self.core = QuotientFilterCore(
             quotient_bits,
             remainder_bits,
@@ -167,13 +157,6 @@ class RankSelectQuotientFilter(QuotientFilter):
         raise UnsupportedOperationError(
             "the RSQF design could support deletes but the authors do not implement them"
         )
-
-    # --------------------------------------------------------------- lifecycle
-    def snapshot_config(self) -> dict:
-        return {
-            "quotient_bits": self.scheme.quotient_bits,
-            "remainder_bits": self.scheme.remainder_bits,
-        }
 
     # ---------------------------------------------------------------- analysis
     def active_threads_for(self, n_ops: int, phase: str = "insert") -> int:

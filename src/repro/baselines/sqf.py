@@ -41,6 +41,27 @@ MAX_FINGERPRINT_BITS = 31
 SEGMENT_SLOTS = 4096
 
 
+def check_packed_geometry(design: str, quotient_bits: int, remainder_bits: int) -> None:
+    """Refuse a geometry Geil et al.'s packed slot words cannot hold.
+
+    Shared by the SQF and the RSQF: raises :class:`CapacityLimitError` for a
+    remainder width outside :data:`SUPPORTED_REMAINDERS` or for
+    ``q + r > 31``.
+    """
+    if remainder_bits not in SUPPORTED_REMAINDERS:
+        raise CapacityLimitError(
+            f"the {design} only supports remainders {SUPPORTED_REMAINDERS}, got {remainder_bits}",
+            requested=remainder_bits,
+        )
+    if quotient_bits + remainder_bits > MAX_FINGERPRINT_BITS:
+        raise CapacityLimitError(
+            f"the {design} requires q + r <= {MAX_FINGERPRINT_BITS} bits "
+            f"(got {quotient_bits}+{remainder_bits}); it cannot scale beyond 2^26 items",
+            requested=quotient_bits + remainder_bits,
+            limit=MAX_FINGERPRINT_BITS,
+        )
+
+
 class StandardQuotientFilter(QuotientFilter):
     """Geil et al.'s GPU standard quotient filter (bulk API only).
 
@@ -63,18 +84,7 @@ class StandardQuotientFilter(QuotientFilter):
         recorder: Optional[StatsRecorder] = None,
     ) -> None:
         super().__init__(recorder)
-        if remainder_bits not in SUPPORTED_REMAINDERS:
-            raise CapacityLimitError(
-                f"the SQF only supports remainders {SUPPORTED_REMAINDERS}, got {remainder_bits}",
-                requested=remainder_bits,
-            )
-        if quotient_bits + remainder_bits > MAX_FINGERPRINT_BITS:
-            raise CapacityLimitError(
-                f"the SQF requires quotient+remainder <= {MAX_FINGERPRINT_BITS} bits "
-                f"(got {quotient_bits}+{remainder_bits}); it cannot scale beyond 2^26 items",
-                requested=quotient_bits + remainder_bits,
-                limit=MAX_FINGERPRINT_BITS,
-            )
+        check_packed_geometry("SQF", quotient_bits, remainder_bits)
         self.core = QuotientFilterCore(
             quotient_bits,
             remainder_bits,
@@ -185,13 +195,6 @@ class StandardQuotientFilter(QuotientFilter):
 
     def get_value(self, key: int) -> Optional[int]:
         raise UnsupportedOperationError("the SQF cannot store values")
-
-    # --------------------------------------------------------------- lifecycle
-    def snapshot_config(self) -> dict:
-        return {
-            "quotient_bits": self.scheme.quotient_bits,
-            "remainder_bits": self.scheme.remainder_bits,
-        }
 
     # ---------------------------------------------------------------- analysis
     def active_threads_for(self, n_ops: int) -> int:

@@ -62,8 +62,8 @@ class BulkGQF(QuotientFilter):
         Grow by quotient extension instead of raising
         :class:`FilterFullError` (see :class:`PointGQF` for the trade-offs).
     auto_resize_at:
-        Load-factor threshold for pre-emptive growth (defaults to the
-        recommended load factor).
+        Load-factor threshold for pre-emptive growth, in (0, 1] (defaults
+        to the recommended load factor).
     """
 
     name = "GQF (bulk)"
@@ -91,13 +91,7 @@ class BulkGQF(QuotientFilter):
         self.partition = RegionPartition(self.core.n_canonical_slots, region_slots)
         self.use_mapreduce = bool(use_mapreduce)
         self.kernels = KernelContext(self.recorder)
-        self.auto_resize = bool(auto_resize)
-        self.auto_resize_at = (
-            float(auto_resize_at)
-            if auto_resize_at is not None
-            else self.recommended_load_factor
-        )
-        self.n_resizes = 0
+        self._init_growth(auto_resize, auto_resize_at)
 
     # ------------------------------------------------------------ constructors
     @classmethod
@@ -334,10 +328,6 @@ class BulkGQF(QuotientFilter):
             raise error
         return done
 
-    def bulk_count_items(self, keys: Sequence[int]) -> int:
-        """Count (multiset-insert) a batch; alias of :meth:`bulk_insert`."""
-        return self.bulk_insert(keys)
-
     # ---------------------------------------------------------------- bulk query
     def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.uint64)
@@ -388,18 +378,6 @@ class BulkGQF(QuotientFilter):
         return self.bulk_delete(np.array([key], dtype=np.uint64)) == 1
 
     # ------------------------------------------------------------------ resize
-    def _can_grow(self) -> bool:
-        return self.auto_resize and self.scheme.remainder_bits > 1
-
-    def _maybe_grow(self) -> None:
-        """Pre-emptive growth once the configured load threshold is crossed."""
-        while (
-            self.auto_resize
-            and self.load_factor >= self.auto_resize_at
-            and self.scheme.remainder_bits > 1
-        ):
-            self._grow()
-
     def _grow(self, extra_quotient_bits: int = 1) -> None:
         """Extend the quotient in place (the auto-resize step)."""
         self.core = self.core.extended(extra_quotient_bits, name="bulk-gqf-slots")

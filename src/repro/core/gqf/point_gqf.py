@@ -54,8 +54,9 @@ class PointGQF(QuotientFilter):
         doubles per step; resizing stops (and the error is raised again)
         once the remainder is down to a single bit.
     auto_resize_at:
-        Load-factor threshold that triggers a pre-emptive grow (defaults to
-        the recommended load factor).  Only meaningful with ``auto_resize``.
+        Load-factor threshold that triggers a pre-emptive grow, in (0, 1]
+        (defaults to the recommended load factor).  Only meaningful with
+        ``auto_resize``.
     """
 
     name = "GQF"
@@ -88,13 +89,7 @@ class PointGQF(QuotientFilter):
         )
         self.kernels = KernelContext(self.recorder)
         self._active_threads = 0
-        self.auto_resize = bool(auto_resize)
-        self.auto_resize_at = (
-            float(auto_resize_at)
-            if auto_resize_at is not None
-            else self.recommended_load_factor
-        )
-        self.n_resizes = 0
+        self._init_growth(auto_resize, auto_resize_at)
 
     # ------------------------------------------------------------ constructors
     @classmethod
@@ -329,18 +324,6 @@ class PointGQF(QuotientFilter):
         return removed
 
     # ------------------------------------------------------------------ resize
-    def _can_grow(self) -> bool:
-        return self.auto_resize and self.scheme.remainder_bits > 1
-
-    def _maybe_grow(self) -> None:
-        """Pre-emptive growth once the configured load threshold is crossed."""
-        while (
-            self.auto_resize
-            and self.load_factor >= self.auto_resize_at
-            and self.scheme.remainder_bits > 1
-        ):
-            self._grow()
-
     def _grow(self, extra_quotient_bits: int = 1) -> None:
         """Extend the quotient in place (the auto-resize step).
 

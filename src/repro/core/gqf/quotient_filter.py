@@ -3,14 +3,15 @@
 The paper's GQF (point and bulk API) and its SQF, RSQF and CPU-CQF baselines
 share one table layout and differ only in their insert schedules, launch
 geometry and supported operations (Table 1).  :class:`QuotientFilter` holds
-what they share: sizes, point reads, snapshots and quotient-extension
-resizing, all read from the core (including its one
-:class:`~repro.hashing.fingerprints.FingerprintScheme`).  Batch routing — the
+what they share: sizes, point reads, snapshots, quotient-extension resizing
+and the GQF pair's auto-resize policy, all read from the core (including its
+one :class:`~repro.hashing.fingerprints.FingerprintScheme`).  Batch routing — the
 vectorised merge or the per-item reference path — lives in the core too
 (:meth:`QuotientFilterCore.batch_insert` / ``batch_delete`` /
 ``batch_counts``).  Subclasses keep their constructors, capabilities, kernel
 launches and any schedule of their own (the bulk GQF's even-odd phases, the
-point GQF's region locks).
+point GQF's region locks), and each GQF keeps the ``_grow`` step that
+rebuilds that schedule's state around the extended core.
 """
 
 from __future__ import annotations
@@ -28,12 +29,17 @@ from .layout import QuotientFilterCore
 class QuotientFilter(AbstractFilter):
     """Base of the filters whose table is a :class:`QuotientFilterCore`.
 
-    Subclasses set ``self.core`` in their constructor and implement
-    :meth:`snapshot_config` with ``quotient_bits`` and ``remainder_bits``
-    keys that their constructor accepts.
+    Subclasses set ``self.core`` in their constructor; a design whose
+    constructor takes more than ``quotient_bits`` and ``remainder_bits``
+    extends :meth:`snapshot_config`.  A design that grows in place calls
+    :meth:`_init_growth` and implements ``_grow(extra_quotient_bits=1)``.
     """
 
     core: QuotientFilterCore
+    #: Grow by quotient extension instead of raising FilterFullError.
+    auto_resize = False
+    #: Growth steps taken so far.
+    n_resizes = 0
 
     # ------------------------------------------------------------------- sizes
     @property
@@ -98,7 +104,34 @@ class QuotientFilter(AbstractFilter):
         """``(int64 quotients, uint64 remainders)`` of a key batch."""
         return self.scheme.key_to_slot(np.asarray(keys, dtype=np.uint64))
 
+    # ------------------------------------------------------------------ resize
+    def _init_growth(self, auto_resize: bool, auto_resize_at: Optional[float]) -> None:
+        """Set the auto-resize policy; the threshold defaults to the
+        recommended load factor and must lie in (0, 1]."""
+        self.auto_resize = bool(auto_resize)
+        self.auto_resize_at = float(
+            self.recommended_load_factor if auto_resize_at is None else auto_resize_at
+        )
+        if not 0.0 < self.auto_resize_at <= 1.0:
+            raise ValueError("auto_resize_at must be in (0, 1]")
+        self.n_resizes = 0
+
+    def _can_grow(self) -> bool:
+        """Growth is on and a remainder bit is left to donate."""
+        return self.auto_resize and self.scheme.remainder_bits > 1
+
+    def _maybe_grow(self) -> None:
+        """Pre-emptive growth once the configured load threshold is crossed."""
+        while self._can_grow() and self.load_factor >= self.auto_resize_at:
+            self._grow()
+
     # --------------------------------------------------------------- lifecycle
+    def snapshot_config(self) -> Dict[str, object]:
+        return {
+            "quotient_bits": self.scheme.quotient_bits,
+            "remainder_bits": self.scheme.remainder_bits,
+        }
+
     def snapshot_state(self) -> Dict[str, np.ndarray]:
         return self.core.export_state()
 

@@ -379,10 +379,13 @@ class TwoChoiceFilter(AbstractFilter):
     def _grow(self) -> None:
         """Double-and-rehash: rebuild into a fresh table at 2x the slots.
 
-        The rebuild charges its inserts to the shared recorder — resize cost
-        is real work, not an accounting blind spot.  If the doubled table
-        still cannot hold the journal (pathological block skew), the factor
-        doubles again.
+        The rebuild charges its inserts to the shared recorder and keeps its
+        kernel records in this filter's :class:`KernelContext` — resize cost
+        is real work, not an accounting blind spot.  Inside an open launch
+        (the point TCF's ``bulk_insert``) that launch's record already
+        absorbs the rebuild's events, so the twin keeps its own context and
+        no event is counted twice.  If the doubled table still cannot hold
+        the journal (pathological block skew), the factor doubles again.
         """
         keys, values = self._journal.arrays()
         factor = 2
@@ -390,6 +393,8 @@ class TwoChoiceFilter(AbstractFilter):
             bigger = type(self)(
                 self.table.n_slots * factor, self.config, recorder=self.recorder
             )
+            if not self.kernels.in_launch:
+                bigger.kernels = self.kernels
             try:
                 if keys.size:
                     bigger.bulk_insert(keys, values)

@@ -81,6 +81,7 @@ class KernelContext:
     def __init__(self, recorder: StatsRecorder) -> None:
         self.recorder = recorder
         self.kernels: list[KernelRecord] = []
+        self._open = 0
 
     @contextlib.contextmanager
     def launch(self, name: str, config: LaunchConfig) -> Iterator[KernelRecord]:
@@ -91,11 +92,19 @@ class KernelContext:
         with self.recorder.section(f"kernel:{name}"):
             # Nest a throwaway recorder section by stacking the record stats.
             self.recorder._active.append(record.stats)
+            self._open += 1
             try:
                 yield record
             finally:
+                self._open -= 1
                 self.recorder._active.pop()
         self.kernels.append(record)
+
+    @property
+    def in_launch(self) -> bool:
+        """Whether a launch of this context is open (its record absorbs
+        every event recorded until it closes)."""
+        return self._open > 0
 
     # -- aggregate views -------------------------------------------------------
     @property

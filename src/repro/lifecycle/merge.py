@@ -33,6 +33,10 @@ same aliasing every fingerprint filter has.
 Bloom-family filters merge by word-wise OR over identical geometries; the
 summed ``n_items`` is an upper bound when the inputs share items (a Bloom
 filter cannot count distinct insertions).
+
+:func:`merge` picks the route by family base: :class:`TwoChoiceFilter`,
+:class:`~repro.core.gqf.quotient_filter.QuotientFilter` or
+:class:`~repro.baselines.bloom.BitArrayFilter`; any other class refuses.
 """
 
 from __future__ import annotations
@@ -41,10 +45,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..baselines.bloom import BitArrayFilter
 from ..core.base import AbstractFilter
 from ..core.exceptions import FilterFullError, UnsupportedOperationError
-from ..core.gqf.layout import QuotientFilterCore
 from ..core.gqf.mapreduce import merge_sorted_runs
+from ..core.gqf.quotient_filter import QuotientFilter
 from ..core.tcf.backing import BackingTable
 from ..core.tcf.config import EMPTY_SLOT, TOMBSTONE_SLOT
 from ..core.tcf.lifecycle import TwoChoiceFilter
@@ -74,10 +79,9 @@ def merge(
         raise ValueError(f"cannot merge different filter classes: {names}")
     if isinstance(filters[0], TwoChoiceFilter):
         return _merge_tcf(filters, value_policy, recorder)
-    core = getattr(filters[0], "core", None)
-    if isinstance(core, QuotientFilterCore):
+    if isinstance(filters[0], QuotientFilter):
         return _merge_gqf_family(filters, recorder)
-    if hasattr(filters[0], "words") and hasattr(filters[0], "n_hashes"):
+    if isinstance(filters[0], BitArrayFilter):
         return _merge_bloom_family(filters, recorder)
     raise UnsupportedOperationError(
         f"{cls.__name__} does not support merging"

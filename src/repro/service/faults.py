@@ -76,19 +76,6 @@ class FaultConfig:
     torn_snapshot_rate: float = 0.0
     shard_worker_kill_rate: float = 0.0
 
-    @property
-    def any_enabled(self) -> bool:
-        return any(
-            rate > 0.0
-            for rate in (
-                self.worker_crash_rate,
-                self.slow_batch_rate,
-                self.filter_full_rate,
-                self.torn_snapshot_rate,
-                self.shard_worker_kill_rate,
-            )
-        )
-
 
 class FaultInjector:
     """Deterministic fault source driven by :class:`FaultConfig`.

@@ -102,12 +102,6 @@ class FilterRegistry:
                 if entry.filt is not None
             )
 
-    def resident_names(self) -> List[str]:
-        with self._lock:
-            return sorted(
-                name for name, e in self._entries.items() if e.filt is not None
-            )
-
     def __contains__(self, name: str) -> bool:
         with self._lock:
             return name in self._entries

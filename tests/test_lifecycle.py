@@ -330,6 +330,27 @@ def test_tcf_point_insert_autoresizes():
     assert filt.n_resizes > 0
 
 
+def test_tcf_rebuild_keeps_kernel_records():
+    """A resize's rebuild launches its kernels in the growing filter's
+    context, and no record's events are counted twice."""
+    bulk = BulkTCF(512, auto_resize=True)
+    bulk.bulk_insert(_keys(3000))
+    assert bulk.n_resizes > 0
+    passes = bulk.kernels.kernels_named("bulk_tcf_insert_pass1")
+    assert len(passes) >= 1 + bulk.n_resizes
+    kept, seen = bulk.kernels.total_stats, bulk.recorder.total
+    # Every table write happens inside a launch, the rebuilds' included.
+    assert kept.cache_line_writes == seen.cache_line_writes
+    assert kept.shared_memory_accesses == seen.shared_memory_accesses
+    assert kept.kernel_launches == len(bulk.kernels.kernels)
+    # The point TCF's one launch per call already absorbs the rebuild.
+    point = PointTCF(512, auto_resize=True)
+    point.bulk_insert(_keys(3000))
+    assert point.n_resizes > 0
+    assert [k.name for k in point.kernels.kernels] == ["tcf_point_bulk_insert"]
+    assert point.kernels.total_stats.kernel_launches == point.recorder.total.kernel_launches
+
+
 def test_expand_gqf_matches_membership_and_counts():
     filt = PointGQF(10, 8)
     keys = _keys(300)
@@ -391,6 +412,16 @@ def test_gqf_growth_keeps_one_geometry(cls):
     assert (config["quotient_bits"], config["remainder_bits"]) == geometry
     assert (filt.scheme.quotient_bits, filt.scheme.remainder_bits) == geometry
     assert filt.false_positive_rate == 2.0 ** -filt.core.remainder_bits
+
+
+@pytest.mark.parametrize("at", [0.0, -1.0, 1.5])
+@pytest.mark.parametrize("cls", [PointGQF, BulkGQF])
+def test_gqf_rejects_auto_resize_threshold_outside_unit_interval(cls, at):
+    """A threshold of 0 or below would grow on every insert (down to a
+    1-bit remainder); one above 1 would never grow.  Both are refused, as
+    the TCF refuses them."""
+    with pytest.raises(ValueError, match=r"auto_resize_at must be in \(0, 1\]"):
+        cls(10, 8, auto_resize=True, auto_resize_at=at)
 
 
 def test_expand_tcf_in_place():
