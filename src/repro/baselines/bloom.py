@@ -191,10 +191,6 @@ class BitArrayFilter(AbstractFilter):
         restore_array(self.words.peek(), state["words"], "words")
         self._n_items = int(np.asarray(state["scalars"])[0])
 
-    # ---------------------------------------------------------------- analysis
-    def active_threads_for(self, n_ops: int) -> int:
-        return n_ops
-
 
 class BloomFilter(BitArrayFilter):
     """1-bit-per-cell Bloom filter with a point (device-side) API.

@@ -7,15 +7,15 @@ the VQF (Pandey et al. 2021).  The CQF's structure is exactly the
 the difference is the execution substrate: a modest number of CPU threads,
 cache-line-granular memory, and per-thread locking for concurrent inserts.
 
-The CPU cost model lives in :mod:`repro.analysis.throughput`; this class
-exposes the same adapter interface as the GPU filters (``active_threads_for``
-reports at most 272 workers) so that the Table 4 harness can treat CPU and
-GPU filters uniformly.
+The CPU cost model lives in :mod:`repro.analysis.throughput` and reads its
+272 threads from the KNL device description; this class exposes the same
+filter API as the GPU filters, so the Table 4 harness treats CPU and GPU
+filters uniformly.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import ContextManager, Optional, Sequence
 
 import numpy as np
 
@@ -84,37 +84,20 @@ class CPUCountingQuotientFilter(QuotientFilter):
         return 0.95
 
     # ------------------------------------------------------------------ point API
-    def insert(self, key: int, value: int = 0) -> bool:
-        self.core.insert_fingerprint(*self._slot_of(key), max(1, int(value)))
-        return True
-
     def delete(self, key: int) -> bool:
         return self.core.delete_fingerprint(*self._slot_of(key), 1)
 
     # ---------------------------------------------------------------- bulk API
-    def bulk_insert(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> int:
-        """Batched insert; ``values`` are interpreted as counts (as in insert).
+    def _insert_kernel(self, n_rows: int) -> ContextManager[object]:
+        """Batched insert, one CPU thread per item.
 
-        The sorted batch goes through :meth:`QuotientFilterCore.batch_insert`
-        (one vectorised merge, or the per-item loop for small batches).
-        Both routes insert in sorted (quotient, remainder) order — the
-        standard schedule for batch-building a quotient filter — and record
-        that schedule's events, which shift less than the same keys pushed
+        Batches go in sorted (quotient, remainder) order — the standard
+        schedule for batch-building a quotient filter — and record that
+        schedule's events, which shift less than the same keys pushed
         through arrival-order point :meth:`insert` calls (the route Table 4
         measures for the CPU filters).
         """
-        keys = np.asarray(keys, dtype=np.uint64)
-        if keys.size == 0:
-            return 0
-        if values is None:
-            counts = np.ones(keys.size, dtype=np.int64)
-        else:
-            counts = np.maximum(1, np.asarray(values, dtype=np.int64))
-        quotients, remainders = self._hash_batch(keys)
-        order = self.core.fingerprint_order(quotients, remainders)
-        with self.kernels.launch("cpu_cqf_insert", point_launch(keys.size, 1)):
-            self.core.batch_insert(quotients[order], remainders[order], counts[order])
-        return int(keys.size)
+        return self.kernels.launch("cpu_cqf_insert", point_launch(n_rows, 1))
 
     def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.uint64)
@@ -149,8 +132,3 @@ class CPUCountingQuotientFilter(QuotientFilter):
             "remainder_bits": self.scheme.remainder_bits,
             "n_threads": self.n_threads,
         }
-
-    # ---------------------------------------------------------------- analysis
-    def active_threads_for(self, n_ops: int) -> int:
-        """CPU execution exposes at most ``n_threads`` workers."""
-        return min(self.n_threads, n_ops)

@@ -362,7 +362,3 @@ class CPUVectorQuotientFilter(AbstractFilter):
     def restore_state(self, state) -> None:
         restore_array(self.table.slots.peek(), state["table"], "table")
         self._n_items = int(np.asarray(state["scalars"])[0])
-
-    # ---------------------------------------------------------------- analysis
-    def active_threads_for(self, n_ops: int) -> int:
-        return min(self.n_threads, n_ops)

@@ -19,7 +19,7 @@ launch geometry so the performance model reproduces the paper's three-orders
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import ContextManager, Optional, Sequence
 
 import numpy as np
 
@@ -96,7 +96,7 @@ class RankSelectQuotientFilter(QuotientFilter):
         return int(np.ceil(n_slots * (remainder_bits + 2.125) / 8.0))
 
     # ---------------------------------------------------------------- bulk API
-    def bulk_insert(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> int:
+    def _insert_kernel(self, n_rows: int) -> ContextManager[object]:
         """Unoptimised insert path: items are inserted one after another.
 
         The authors provide no parallel insert kernel, so the launch exposes
@@ -112,20 +112,9 @@ class RankSelectQuotientFilter(QuotientFilter):
         stream would shift more; no sort pass is charged because the
         ordering happens host-side before the serial kernel runs.
         """
-        keys = np.asarray(keys, dtype=np.uint64)
-        if values is not None and np.any(np.asarray(values)):
-            raise UnsupportedOperationError("the RSQF does not associate values")
-        if keys.size == 0:
-            return 0
-        quotients, remainders = self._hash_batch(keys)
-        # Host-side ordering only (no device sort pass is charged: the
-        # authors' serial insert kernel performs none).
-        order = self.core.fingerprint_order(quotients, remainders)
-        with self.kernels.launch(
+        return self.kernels.launch(
             "rsqf_serial_insert", LaunchConfig(n_work_items=1, threads_per_item=32)
-        ):
-            self.core.batch_insert(quotients[order], remainders[order])
-        return int(keys.size)
+        )
 
     def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
         """Parallel bulk query (one thread per item, rank/select navigation)."""
@@ -157,10 +146,3 @@ class RankSelectQuotientFilter(QuotientFilter):
         raise UnsupportedOperationError(
             "the RSQF design could support deletes but the authors do not implement them"
         )
-
-    # ---------------------------------------------------------------- analysis
-    def active_threads_for(self, n_ops: int, phase: str = "insert") -> int:
-        """Inserts are serialised; queries expose one thread per item."""
-        if phase == "insert":
-            return 32
-        return n_ops

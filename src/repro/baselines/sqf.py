@@ -21,7 +21,7 @@ slower than the other filters' query paths.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import ContextManager, Optional, Sequence
 
 import numpy as np
 
@@ -139,25 +139,14 @@ class StandardQuotientFilter(QuotientFilter):
         return int(np.ceil(self.core.total_slots * word_bits / 8.0))
 
     # ---------------------------------------------------------------- bulk API
-    def bulk_insert(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> int:
-        """Sorted segment-merge bulk insert (one thread per segment).
+    def _batch_order(self, fingerprints: np.ndarray) -> np.ndarray:
+        """The SQF sorts each batch on the device before merging segments."""
+        return device_sort_by_key(fingerprints, np.arange(fingerprints.size), self.recorder)[1]
 
-        The sorted batch goes through :meth:`QuotientFilterCore.batch_insert`,
-        which picks the vectorised merge or the per-item loop; both routes
-        produce the same table and the same simulated hardware events.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        if values is not None and np.any(np.asarray(values)):
-            raise UnsupportedOperationError("the SQF does not associate values")
-        if keys.size == 0:
-            return 0
-        quotients, remainders = self._hash_batch(keys)
-        sort_keys = self.scheme.join(quotients, remainders)
-        _sorted, order = device_sort_by_key(sort_keys, np.arange(keys.size), self.recorder)
+    def _insert_kernel(self, n_rows: int) -> ContextManager[object]:
+        """Sorted segment-merge bulk insert: one thread per segment."""
         n_segments = max(1, self.core.n_canonical_slots // SEGMENT_SLOTS)
-        with self.kernels.launch("sqf_bulk_insert", bulk_region_launch(n_segments)):
-            self.core.batch_insert(quotients[order], remainders[order])
-        return int(keys.size)
+        return self.kernels.launch("sqf_bulk_insert", bulk_region_launch(n_segments))
 
     def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
         """Sorted bulk lookup (the SQF sorts the query batch as well)."""
@@ -195,8 +184,3 @@ class StandardQuotientFilter(QuotientFilter):
 
     def get_value(self, key: int) -> Optional[int]:
         raise UnsupportedOperationError("the SQF cannot store values")
-
-    # ---------------------------------------------------------------- analysis
-    def active_threads_for(self, n_ops: int) -> int:
-        """One thread per 4096-slot segment."""
-        return max(1, self.core.n_canonical_slots // SEGMENT_SLOTS)

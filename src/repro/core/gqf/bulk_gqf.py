@@ -24,6 +24,12 @@ table twice.  Here too they are only an accounting schedule: a vectorised
 bulk call writes the table once (one core merge or delete), and the core
 charges each phase's simulated events inside that phase's kernel launch,
 from the run geometry before and after the phase.
+
+The insert itself — the mask, the raise and the grow-and-resend loop — is
+the family's (:class:`~repro.core.gqf.quotient_filter.QuotientFilter`);
+this class supplies its hooks: the map-reduce count policy, the device
+sort, and the phase schedule it hands to
+:meth:`~repro.core.gqf.layout.QuotientFilterCore.batch_insert`.
 """
 
 from __future__ import annotations
@@ -130,97 +136,50 @@ class BulkGQF(QuotientFilter):
         return 0.95
 
     # --------------------------------------------------------------- bulk insert
-    def _sorted_batch(
-        self, keys: np.ndarray, *extra: np.ndarray
-    ) -> Tuple[np.ndarray, ...]:
-        """Hash a batch and sort it by full fingerprint (Thrust sort).
-
-        Returns the sort permutation, then the sorted quotients, remainders
-        and ``extra`` arrays.  The sort key is the p-bit fingerprint itself,
-        built in uint64 — ``quotient * 2^r + remainder`` in a signed int64
-        would overflow once ``q + r >= 63``, silently mis-sorting wide
-        geometries.
-        """
-        quotients, remainders = self._hash_batch(keys)
-        sort_keys = self.scheme.join(quotients, remainders)
-        _sorted, order = device_sort_by_key(
-            sort_keys, np.arange(keys.size), self.recorder
-        )
-        return (order, quotients[order], remainders[order]) + tuple(a[order] for a in extra)
-
-    def bulk_insert(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> int:
-        """Insert a batch with the two-phase even-odd lock-free scheme.
-
-        ``values`` are interpreted as per-key counts when given (count of 0
-        is bumped to 1), so the same entry point serves plain insertion,
-        counting and value association.  Returns the number of items
-        inserted (distinct keys under map-reduce); raises the
-        :class:`FilterFullError` that stopped the phases once the table is
-        full, with every item that fitted placed.
-
-        The whole sorted batch goes to the core as one vectorised merge that
-        writes the table once, with the even and odd phases as its charging
-        schedule; batches too small to amortise the whole-table decode (see
-        :meth:`QuotientFilterCore.prefers_sequential`) take the per-item
-        path, phase by phase.
-        """
-        items, _missed, error = self._insert(np.asarray(keys, dtype=np.uint64), values)
-        if error is not None:
-            raise error
-        return int(items.size)
-
-    def bulk_insert_mask(
-        self, keys: Sequence[int], values: Optional[Sequence[int]] = None
-    ) -> np.ndarray:
-        """The same insert as :meth:`bulk_insert`, reported per key.
-
-        True at position ``i`` means ``keys[i]`` was counted; a full table
-        leaves the rest False instead of raising.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        items, missed, _error = self._insert(keys, values)
-        mask = np.ones(keys.size, dtype=bool)
-        if missed.size:
-            if self.use_mapreduce:
-                lost = np.zeros(items.size, dtype=bool)
-                lost[missed] = True
-                mask = ~lost[np.searchsorted(items, keys)]
-            else:
-                mask[missed] = False
-        return mask
-
-    def _insert(
+    def _insert_rows(
         self, keys: np.ndarray, values: Optional[Sequence[int]]
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[FilterFullError]]:
-        """The one bulk insert: aggregate, hash, sort and run the phases.
-
-        Returns the inserted items' keys (the distinct keys under
-        map-reduce, else ``keys``), the indices of the items left out, and
-        the :class:`FilterFullError` that left them out (None when every
-        item landed).
-        """
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Counts as for every GQF; under map-reduce the rows are the
+        distinct keys, with their occurrences (or explicit counts) summed."""
+        keys, counts = super()._insert_rows(keys, values)
+        if not self.use_mapreduce or keys.size == 0:
+            return keys, counts
+        unique_keys, agg_counts = aggregate_batch(keys, self.recorder)
         if values is not None:
-            counts = np.maximum(1, np.asarray(values, dtype=np.int64))
-        else:
-            counts = np.ones(keys.size, dtype=np.int64)
-        if keys.size == 0:
-            return keys, np.zeros(0, dtype=np.int64), None
+            # Aggregate the explicit counts as well (sorted by key).
+            order = stable_argsort(keys)
+            boundaries = np.searchsorted(keys[order], unique_keys, side="left")
+            agg_counts = np.add.reduceat(counts[order], boundaries)
+        return unique_keys, agg_counts.astype(np.int64)
 
-        if self.use_mapreduce:
-            unique_keys, agg_counts = aggregate_batch(keys, self.recorder)
-            if values is not None:
-                # Aggregate the explicit counts as well (sorted by key).
-                order = stable_argsort(keys)
-                sorted_keys = keys[order]
-                sorted_counts = counts[order]
-                boundaries = np.searchsorted(sorted_keys, unique_keys, side="left")
-                agg_counts = np.add.reduceat(sorted_counts, boundaries)
-            keys, counts = unique_keys, agg_counts.astype(np.int64)
+    def _batch_order(self, fingerprints: np.ndarray) -> np.ndarray:
+        """Sort a batch by full fingerprint on the device (Thrust sort).
 
-        self._maybe_grow()
-        order, quotients, remainders, counts = self._sorted_batch(keys, counts)
-        done, error = self._phased_insert(quotients, remainders, counts)
-        return keys, order[~done], error
+        The sort key is the p-bit fingerprint itself, in uint64 —
+        ``quotient * 2^r + remainder`` in a signed int64 would overflow
+        once ``q + r >= 63``, silently mis-sorting wide geometries.
+        """
+        return device_sort_by_key(fingerprints, np.arange(fingerprints.size), self.recorder)[1]
+
+    def _place(
+        self,
+        quotients: np.ndarray,
+        remainders: np.ndarray,
+        counts: np.ndarray,
+        fill: bool,
+        launch: bool = True,
+    ) -> Tuple[np.ndarray, Optional[FilterFullError]]:
+        """Run the two-phase even-odd lock-free scheme over sorted rows.
+
+        A batch large enough for the vectorised path is one core merge that
+        writes the table once, with the even and odd phases as its charging
+        schedule; smaller batches take the per-item path, phase by phase
+        (see :meth:`QuotientFilterCore.batch_insert`).  The bulk API has no
+        launch-free insert: ``launch`` is always True here.
+        """
+        return self.core.batch_insert(
+            quotients, remainders, counts, phases=self._phases(quotients, "insert"), fill=fill
+        )
 
     def _phases(self, quotients: np.ndarray, op: str) -> List[Phase]:
         """The even-odd schedule of a sorted batch.
@@ -238,95 +197,6 @@ class BulkGQF(QuotientFilter):
             for parity, (name, regions) in enumerate(zip(("even", "odd"), self.partition.phases()))
             if regions
         ]
-
-    def _phased_insert(
-        self, quotients: np.ndarray, remainders: np.ndarray, counts: np.ndarray
-    ) -> Tuple[np.ndarray, Optional[FilterFullError]]:
-        """Run the even-odd insertion phases over fingerprint-sorted items.
-
-        Returns which items landed and the :class:`FilterFullError` that
-        stopped the phases (None when all of them did).  A batch large
-        enough for the vectorised path makes one core call: the table is
-        written once, and the phases are the schedule by which its events
-        are charged, each inside its own kernel launch.  If the whole batch
-        does not fit, the phases run one call each, so the even phase still
-        lands before the odd one overflows.  On overflow with
-        ``auto_resize`` enabled, the not-yet-inserted items are re-split
-        under the grown geometry and the phases restart — exact, because
-        each canonical merge is all-or-nothing.
-        """
-        vectorised = not self.core.prefers_sequential(int(quotients.size))
-        if vectorised:
-            try:
-                self.core.insert_sorted_batch(
-                    quotients, remainders, counts, phases=self._phases(quotients, "insert")
-                )
-                return np.ones(quotients.size, dtype=bool), None
-            except FilterFullError:
-                pass
-        done = np.zeros(quotients.size, dtype=bool)
-        try:
-            for mask, launch in self._phases(quotients, "insert"):
-                with launch:
-                    if vectorised and mask.any():
-                        try:
-                            self.core.insert_sorted_batch(
-                                quotients[mask], remainders[mask], counts[mask]
-                            )
-                            done |= mask
-                            continue
-                        except FilterFullError:
-                            if self._can_grow():
-                                return self._grow_and_reinsert(
-                                    quotients, remainders, counts, done
-                                ), None
-                            # The merge is all-or-nothing; replay the phase
-                            # per item so an over-capacity batch still fills
-                            # the table (the benchmark fill loops measure the
-                            # filter at capacity).
-                    for i in np.flatnonzero(mask & ~done):
-                        try:
-                            self.core.insert_fingerprint(
-                                int(quotients[i]), int(remainders[i]), int(counts[i])
-                            )
-                        except FilterFullError:
-                            if not self._can_grow():
-                                raise
-                            return self._grow_and_reinsert(
-                                quotients, remainders, counts, done
-                            ), None
-                        done[i] = True
-        except FilterFullError as exc:
-            # Raised through the launch, which therefore records no kernel.
-            return done, exc
-        return done, None
-
-    def _grow_and_reinsert(
-        self,
-        quotients: np.ndarray,
-        remainders: np.ndarray,
-        counts: np.ndarray,
-        done: np.ndarray,
-    ) -> np.ndarray:
-        """Grow, re-split the pending items, and restart the phases.
-
-        Marks the items that land in ``done`` and returns it; re-raises the
-        error that stops the restarted phases.
-        """
-        pending = np.flatnonzero(~done)
-        fingerprints = self.scheme.join(quotients[pending], remainders[pending])
-        pending_counts = counts[pending]
-        self._grow()
-        new_quotients, new_remainders = self.scheme.split(fingerprints)
-        placed, error = self._phased_insert(
-            np.asarray(new_quotients, dtype=np.int64),
-            np.asarray(new_remainders, dtype=np.uint64),
-            pending_counts,
-        )
-        done[pending[placed]] = True
-        if error is not None:
-            raise error
-        return done
 
     # ---------------------------------------------------------------- bulk query
     def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
@@ -360,10 +230,12 @@ class BulkGQF(QuotientFilter):
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return 0
-        _order, quotients, remainders = self._sorted_batch(keys)
+        fingerprints = self.scheme.hash_key(keys)
         # Reversed rows: a per-item delete takes the largest items
         # (quotients) first, as on the device.
-        quotients, remainders = quotients[::-1], remainders[::-1]
+        quotients, remainders = self.scheme.split(
+            fingerprints[self._batch_order(fingerprints)][::-1]
+        )
         return self.core.batch_delete(
             quotients, remainders, phases=self._phases(quotients, "delete")
         )
@@ -421,8 +293,3 @@ class BulkGQF(QuotientFilter):
     def flush_shared(self) -> None:
         """Publish the scalar counters back to the shared segment."""
         self.core.flush_shared()
-
-    # ---------------------------------------------------------------- analysis
-    def active_threads_for(self, n_ops: int) -> int:
-        """Bulk kernels map one thread per (half of the) regions per phase."""
-        return max(1, self.partition.n_regions // 2)

@@ -19,7 +19,9 @@ different configuration and cost models.  All five share one filter base,
 :class:`~repro.core.gqf.quotient_filter.QuotientFilter`, and route their
 batches through :meth:`QuotientFilterCore.batch_insert`,
 :meth:`~QuotientFilterCore.batch_delete` and
-:meth:`~QuotientFilterCore.batch_counts`.
+:meth:`~QuotientFilterCore.batch_counts`.  The first two take the caller's
+phase schedule (``(row_mask, kernel launch)`` pairs); ``batch_insert``
+reports which rows landed, so the base's growth loop can resend the rest.
 """
 
 from __future__ import annotations
@@ -560,9 +562,10 @@ class QuotientFilterCore:
         while each per-item operation costs roughly ``occupied / 64`` packed
         words of rank/select work — so the crossover sits near a fixed
         fraction of the occupancy (measured at ~1/1000) with a small floor
-        for the single-key convenience wrappers.
+        for the single-key convenience wrappers (checked first: counting the
+        occupied slots reads the whole ``slot_used`` vector).
         """
-        return batch_size <= max(SEQUENTIAL_BATCH_MAX, self.n_occupied_slots >> 10)
+        return batch_size <= SEQUENTIAL_BATCH_MAX or batch_size <= self.n_occupied_slots >> 10
 
     def batch_counts(self, quotients: np.ndarray, remainders: np.ndarray) -> np.ndarray:
         """Per-fingerprint stored counts, routed by batch size.
@@ -588,25 +591,68 @@ class QuotientFilterCore:
         self,
         quotients: np.ndarray,
         remainders: np.ndarray,
-        counts: Optional[np.ndarray] = None,
-    ) -> None:
-        """Insert a batch in row order, routed by batch size.
+        counts: np.ndarray,
+        phases: Optional[Sequence[Phase]] = None,
+        fill: bool = True,
+    ) -> Tuple[np.ndarray, Optional[FilterFullError]]:
+        """Insert a batch in row order, routed by batch size and run in phases.
+
+        Returns which rows landed, and the :class:`FilterFullError` that
+        stopped the batch (None when every row did).  ``phases`` is the
+        schedule, as for :meth:`insert_sorted_batch`; the default is one
+        phase of every row with no launch.
 
         Large batches take one :meth:`insert_sorted_batch` merge, small ones
-        :meth:`insert_fingerprint` per row (the reference path); both build
-        the same table.  The merge is all-or-nothing, so on
-        :class:`FilterFullError` the batch is replayed per row: an
-        over-capacity batch still fills the table before the error is raised.
+        :meth:`insert_fingerprint` per row (the reference path), phase by
+        phase inside each phase's launch; both build the same table.  The
+        merge is all-or-nothing, so when the whole batch does not fit, each
+        phase of a multi-phase schedule is merged on its own (the earlier
+        phases still land), and a phase that does not fit is replayed per
+        row: an over-capacity batch still fills the table.  A caller that
+        grows the table and resends the rows left out passes ``fill=False``,
+        which stops at the first merge that does not fit instead.  The batch
+        stops at the first phase that overflows; the error leaves through
+        that phase's launch, which therefore records no kernel.
         """
-        if not self.prefers_sequential(int(quotients.size)):
+        quotients = np.asarray(quotients, dtype=np.int64)
+        remainders = np.asarray(remainders, dtype=np.uint64)
+        n = int(quotients.size)
+        landed = np.zeros(n, dtype=bool)
+        if n == 0:
+            return landed, None
+        if phases is None:
+            phases = self._single_phase(n)
+        vectorised = not self.prefers_sequential(n)
+        if vectorised:
             try:
-                self.insert_sorted_batch(quotients, remainders, counts)
-                return
-            except FilterFullError:
-                pass
-        for i in range(quotients.size):
-            count = 1 if counts is None else int(counts[i])
-            self.insert_fingerprint(int(quotients[i]), int(remainders[i]), count)
+                self.insert_sorted_batch(quotients, remainders, counts, phases=phases)
+                landed[:] = True
+                return landed, None
+            except FilterFullError as exc:
+                if not fill and len(phases) == 1:
+                    return landed, exc
+        try:
+            for mask, launch in phases:
+                with launch:
+                    rows = np.flatnonzero(mask)
+                    if vectorised and len(phases) > 1 and rows.size:
+                        try:
+                            self.insert_sorted_batch(
+                                quotients[rows], remainders[rows], counts[rows]
+                            )
+                            landed[rows] = True
+                            continue
+                        except FilterFullError:
+                            if not fill:
+                                raise
+                    for i in rows:
+                        self.insert_fingerprint(
+                            int(quotients[i]), int(remainders[i]), int(counts[i])
+                        )
+                        landed[i] = True
+        except FilterFullError as exc:
+            return landed, exc
+        return landed, None
 
     def batch_delete(
         self,

@@ -10,17 +10,24 @@ and only ``n_slots / 8192`` locks, small filters thrash badly (the paper
 observes the GPU Bloom filter out-inserting the GQF for exactly this reason).
 The simulated thread concurrency is configurable via :meth:`set_concurrency`
 so the benchmark harness can expose that contention to the perf model.
+
+Point and batched inserts share the family's insert loop
+(:class:`~repro.core.gqf.quotient_filter.QuotientFilter`); this class
+supplies its order (arrival order on the per-item route, fingerprint order
+for the merge), its point launch and the region locks of every row an
+attempt tries, replayed in one batch.  Deletes charge the same locks around
+:meth:`~repro.core.gqf.layout.QuotientFilterCore.batch_delete`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+import contextlib
+from typing import ContextManager, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...gpusim.atomics import SpinLockTable
 from ...gpusim.kernel import KernelContext, point_launch
-from ...gpusim.sorting import stable_argsort
 from ...gpusim.stats import StatsRecorder
 from ..base import FilterCapabilities
 from ..exceptions import FilterFullError
@@ -157,70 +164,41 @@ class PointGQF(QuotientFilter):
         )
 
     # ------------------------------------------------------------------ point API
-    def insert(self, key: int, value: int = 0) -> bool:
-        """Insert one occurrence of ``key``.
-
-        ``value`` (if non-zero) is stored by re-purposing the counter, the
-        same mechanism applications like Mantis use with the CQF.
-        """
-        return self._insert_count(key, max(1, int(value)))
-
     def insert_count(self, key: int, count: int) -> bool:
         """Insert ``count`` occurrences of ``key`` in one locked operation."""
-        return self._insert_count(key, count)
-
-    def _insert_count(self, key: int, count: int) -> bool:
-        while True:
-            self._maybe_grow()
-            quotient, remainder = self._slot_of(key)
-            try:
-                self._locked_insert(quotient, remainder, count)
-                return True
-            except FilterFullError:
-                if not self._can_grow():
-                    raise
-                self._grow()
-
-    def _locked_insert(self, quotient: int, remainder: int, count: int) -> None:
-        """One point insert under the pair of region locks."""
-        lock_a, lock_b = self.partition.locks_for_insert(quotient)
-        self.locks.lock(lock_a)
-        if lock_b != lock_a:
-            self.locks.lock(lock_b)
-        try:
-            self.core.insert_fingerprint(quotient, remainder, count)
-        finally:
-            if lock_b != lock_a:
-                self.locks.unlock(lock_b)
-            self.locks.unlock(lock_a)
+        if count <= 0:
+            raise ValueError("count must be positive")
+        return self.insert(key, count)
 
     def delete(self, key: int) -> bool:
-        quotient, remainder = self._slot_of(key)
-        lock_a, lock_b = self.partition.locks_for_insert(quotient)
-        self.locks.lock(lock_a)
-        if lock_b != lock_a:
-            self.locks.lock(lock_b)
-        try:
-            return self.core.delete_fingerprint(quotient, remainder, 1)
-        finally:
-            if lock_b != lock_a:
-                self.locks.unlock(lock_b)
-            self.locks.unlock(lock_a)
+        key = np.array([int(key) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+        return self._locked_delete(key) == 1
 
     # ---------------------------------------------------------------- bulk API
-    def _processing_order(self, quotients: np.ndarray, remainders: np.ndarray) -> np.ndarray:
+    def _batch_order(self, fingerprints: np.ndarray) -> np.ndarray:
         """The order in which the simulated schedule serialises point threads.
 
         A point kernel launches one thread per item and the hardware
-        interleaves them arbitrarily; the simulator picks the fingerprint-
-        sorted interleaving because it is the one the canonical-layout merge
-        can replay with whole-array operations (and, per region, it is the
-        shift-free schedule the paper's analysis assumes).  The host-side
-        argsort is simulator bookkeeping, not a device sort — no traffic is
-        charged for it.  Exposed so the differential tests can drive the
-        per-item reference through the identical schedule.
+        interleaves them arbitrarily.  A batch small enough for the per-item
+        route runs in arrival order; a larger one takes
+        :meth:`_processing_order`, the interleaving the canonical-layout
+        merge replays.
         """
-        return stable_argsort(self.scheme.join(quotients, remainders))
+        if self.core.prefers_sequential(int(fingerprints.size)):
+            return np.arange(fingerprints.size)
+        return super()._batch_order(fingerprints)
+
+    def _processing_order(self, quotients: np.ndarray, remainders: np.ndarray) -> np.ndarray:
+        """The fingerprint-sorted interleaving of a batch's point threads.
+
+        The simulator picks it because it is the one the canonical-layout
+        merge can replay with whole-array operations (and, per region, it
+        is the shift-free schedule the paper's analysis assumes).  The
+        host-side argsort is simulator bookkeeping, not a device sort — no
+        traffic is charged for it.  Exposed so the differential tests can
+        drive the per-item reference through the identical schedule.
+        """
+        return super()._batch_order(self.scheme.join(quotients, remainders))
 
     def _charge_point_locks(self, quotients: np.ndarray) -> None:
         """Replay the per-item region-lock traffic for a whole batch.
@@ -239,51 +217,52 @@ class PointGQF(QuotientFilter):
         )
         self.locks.lock_unlock_batch(n_calls)
 
-    def bulk_insert(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> int:
-        """Point-style batched insert (one cooperative thread per item).
+    @contextlib.contextmanager
+    def _locked(self, quotients: np.ndarray, kernel: ContextManager[object]) -> Iterator[None]:
+        """Run an attempt over ``quotients`` in ``kernel``; when it leaves
+        without an error, every row took and released its region locks."""
+        with kernel:
+            yield
+            self._charge_point_locks(quotients)
 
-        Batches big enough to amortise the whole-table decode are replayed as
+    def _insert_kernel(self, n_rows: int) -> ContextManager[object]:
+        return self.kernels.launch("gqf_point_bulk_insert", point_launch(n_rows, 1))
+
+    def _place(
+        self,
+        quotients: np.ndarray,
+        remainders: np.ndarray,
+        counts: np.ndarray,
+        fill: bool,
+        launch: bool = True,
+    ) -> Tuple[np.ndarray, Optional[FilterFullError]]:
+        """One point-style attempt (one cooperative thread per row) under
+        the region locks of every row it tries.
+
+        A batch big enough to amortise the whole-table decode is replayed as
         one canonical merge (state identical to the per-item loop; events
         calibrated per input row, exact for fills of distinct fingerprints)
-        plus a batched region-lock replay; small batches keep the per-item
-        loop.  ``values`` are interpreted as per-key counts, as in the
-        per-item :meth:`insert`.
+        plus a batched region-lock replay; a small batch runs per item.
         """
-        keys = np.asarray(keys, dtype=np.uint64)
-        if values is None:
-            counts = np.ones(keys.size, dtype=np.int64)
-        else:
-            counts = np.maximum(1, np.asarray(values, dtype=np.int64))
-        with self.kernels.launch("gqf_point_bulk_insert", point_launch(keys.size, 1)):
-            if keys.size and not self.core.prefers_sequential(int(keys.size)):
-                self._bulk_insert_vectorised(keys, counts)
-            else:
-                for key, count in zip(keys, counts):
-                    self._insert_count(int(key), int(count))
-        return int(keys.size)
-
-    def _bulk_insert_vectorised(self, keys: np.ndarray, counts: np.ndarray) -> None:
-        while True:
-            self._maybe_grow()
-            quotients, remainders = self._hash_batch(keys)
-            order = self._processing_order(quotients, remainders)
-            sq, sr, sc = quotients[order], remainders[order], counts[order]
-            try:
-                self.core.insert_sorted_batch(sq, sr, sc)
-            except FilterFullError:
-                # The merge is all-or-nothing, so the table is untouched:
-                # grow and retry the whole batch under the new geometry...
-                if self._can_grow():
-                    self._grow()
-                    continue
-                # ... or replay the schedule per item so an over-capacity
-                # batch still fills the table before raising (the benchmark
-                # fill loops catch the error and measure at capacity).
-                for i in range(sq.size):
-                    self._locked_insert(int(sq[i]), int(sr[i]), int(sc[i]))
-                raise  # pragma: no cover - the replay above must raise first
-            self._charge_point_locks(sq)
-            return
+        n = int(quotients.size)
+        kernel = self._insert_kernel(n) if launch else contextlib.nullcontext()
+        landed, error = self.core.batch_insert(
+            quotients,
+            remainders,
+            counts,
+            phases=[(np.ones(n, dtype=bool), self._locked(quotients, kernel))],
+            fill=fill,
+        )
+        if error is not None:
+            # The error left through the launch before the locks were
+            # charged.  Every landed row took its locks, and so did the row
+            # that overflowed when the per-item route ran (a failed merge
+            # tries no row).
+            tried = landed.copy()
+            if fill or self.core.prefers_sequential(n):
+                tried[np.argmin(landed)] = True
+            self._charge_point_locks(quotients[tried])
+        return landed, error
 
     def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.uint64)
@@ -308,19 +287,17 @@ class PointGQF(QuotientFilter):
         and removal counts identical to per-item deletes; cluster traffic
         carries the calibrated approximation documented on
         :meth:`QuotientFilterCore.delete_sorted_batch`) plus the exact
-        batched region-lock replay; small batches keep the per-item loop.
+        batched region-lock replay; small batches delete per item.
         """
         keys = np.asarray(keys, dtype=np.uint64)
-        removed = 0
         with self.kernels.launch("gqf_point_bulk_delete", point_launch(keys.size, 1)):
-            if keys.size and not self.core.prefers_sequential(int(keys.size)):
-                quotients, remainders = self._hash_batch(keys)
-                removed = self.core.delete_sorted_batch(quotients, remainders)
-                self._charge_point_locks(quotients)
-            else:
-                for key in keys:
-                    if self.delete(int(key)):
-                        removed += 1
+            return self._locked_delete(keys)
+
+    def _locked_delete(self, keys: np.ndarray) -> int:
+        """Delete one occurrence per key, each under its region locks."""
+        quotients, remainders = self._hash_batch(keys)
+        removed = self.core.batch_delete(quotients, remainders)
+        self._charge_point_locks(quotients)
         return removed
 
     # ------------------------------------------------------------------ resize
@@ -352,8 +329,3 @@ class PointGQF(QuotientFilter):
             "auto_resize": self.auto_resize,
             "auto_resize_at": self.auto_resize_at,
         }
-
-    # ---------------------------------------------------------------- analysis
-    def active_threads_for(self, n_ops: int) -> int:
-        """Point kernels map one thread per item."""
-        return n_ops

@@ -3,26 +3,32 @@
 The paper's GQF (point and bulk API) and its SQF, RSQF and CPU-CQF baselines
 share one table layout and differ only in their insert schedules, launch
 geometry and supported operations (Table 1).  :class:`QuotientFilter` holds
-what they share: sizes, point reads, snapshots, quotient-extension resizing
-and the GQF pair's auto-resize policy, all read from the core (including its
-one :class:`~repro.hashing.fingerprints.FingerprintScheme`).  Batch routing — the
-vectorised merge or the per-item reference path — lives in the core too
-(:meth:`QuotientFilterCore.batch_insert` / ``batch_delete`` /
-``batch_counts``).  Subclasses keep their constructors, capabilities, kernel
-launches and any schedule of their own (the bulk GQF's even-odd phases, the
-point GQF's region locks), and each GQF keeps the ``_grow`` step that
-rebuilds that schedule's state around the extended core.
+what they share: sizes, point reads, snapshots, quotient-extension resizing,
+the GQF pair's auto-resize policy, all read from the core (including its one
+:class:`~repro.hashing.fingerprints.FingerprintScheme`), and the family's one
+insert.  ``bulk_insert_mask`` is that insert, ``bulk_insert`` the mask plus
+a raise, and point ``insert`` a one-key batch with no kernel launch; its one
+growth loop grows outside any launch and resends only the rows left out.
+Batch routing — the vectorised merge or the per-item reference path —
+lives in the core (:meth:`QuotientFilterCore.batch_insert` /
+``batch_delete`` / ``batch_counts``).  Subclasses keep their constructors,
+capabilities and hooks: the count policy (``_insert_rows``), the row order
+(``_batch_order``), the insert kernel or schedule (``_insert_kernel`` /
+``_place``: the bulk GQF's even-odd phases, the point GQF's region locks),
+and each GQF keeps the ``_grow`` step that rebuilds its schedule's state
+around the extended core.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import ContextManager, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...gpusim.sorting import stable_argsort
 from ...hashing.fingerprints import FingerprintScheme
 from ..base import AbstractFilter
-from ..exceptions import CapacityLimitError, UnsupportedOperationError
+from ..exceptions import CapacityLimitError, FilterFullError, UnsupportedOperationError
 from .layout import QuotientFilterCore
 
 
@@ -103,6 +109,131 @@ class QuotientFilter(AbstractFilter):
     def _hash_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(int64 quotients, uint64 remainders)`` of a key batch."""
         return self.scheme.key_to_slot(np.asarray(keys, dtype=np.uint64))
+
+    # ------------------------------------------------------------------ insert
+    def insert(self, key: int, value: int = 0) -> bool:
+        """Insert one key: a one-key batch through the insert loop, outside
+        any kernel launch.  A non-zero ``value`` is stored as the count, the
+        counter re-purposing applications like Mantis use with the CQF.
+        Raises :class:`FilterFullError` when the key cannot be placed."""
+        key = np.array([int(key) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+        error = self._insert(key, np.array([value], dtype=np.int64), launch=False)[2]
+        if error is not None:
+            raise error
+        return True
+
+    def bulk_insert(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> int:
+        """:meth:`bulk_insert_mask` plus a raise.
+
+        Returns the number of rows inserted (the distinct keys under the
+        bulk GQF's map-reduce, else every key); raises the
+        :class:`FilterFullError` that left a row out, with every row that
+        fitted placed.
+        """
+        _mask, n_rows, error = self._insert(np.asarray(keys, dtype=np.uint64), values)
+        if error is not None:
+            raise error
+        return n_rows
+
+    def bulk_insert_mask(
+        self, keys: Sequence[int], values: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
+        """The family's one batched insert, reported per key.
+
+        ``values`` are counts where the design counts.  True at position
+        ``i`` means ``keys[i]`` was counted; a key the table cannot hold
+        comes back False instead of raising.
+        """
+        return self._insert(np.asarray(keys, dtype=np.uint64), values)[0]
+
+    def _insert(
+        self, keys: np.ndarray, values: Optional[Sequence[int]], launch: bool = True
+    ) -> Tuple[np.ndarray, int, Optional[FilterFullError]]:
+        """The insert loop: hash and order a batch once, place it, and grow.
+
+        Checks the auto-resize threshold once per batch, then places the
+        rows.  While rows are left out and the table can grow, it grows
+        (outside any kernel launch) and resends only those rows: quotient
+        extension keeps each p-bit fingerprint, so the pending rows re-split
+        under the new geometry in the order they were sorted in.  Returns
+        the per-key mask, the number of rows and the error that left rows
+        out (None when every row landed).
+        """
+        rows, counts = self._insert_rows(keys, values)
+        landed = np.zeros(rows.size, dtype=bool)
+        if rows.size == 0:
+            return landed, 0, None
+        self._maybe_grow()
+        fingerprints = self.scheme.hash_key(rows)
+        todo = self._batch_order(fingerprints)
+        quotients, remainders = self.scheme.split(fingerprints[todo])
+        # Not kept through the placement (peak memory): the rows left out
+        # re-join their fingerprints from their quotients and remainders.
+        del fingerprints
+        counts = counts[todo]
+        while True:
+            placed, error = self._place(
+                quotients, remainders, counts, not self._can_grow(), launch
+            )
+            landed[todo[placed]] = True
+            if error is None or not self._can_grow():
+                break
+            left = ~placed
+            fingerprints = self.scheme.join(quotients[left], remainders[left])
+            self._grow()
+            quotients, remainders = self.scheme.split(fingerprints)
+            counts, todo = counts[left], todo[left]
+        if rows is keys:
+            mask = landed
+        elif landed.all():
+            mask = np.ones(keys.size, dtype=bool)
+        else:
+            mask = landed[np.searchsorted(rows, keys)]
+        return mask, int(rows.size), error
+
+    def _insert_rows(
+        self, keys: np.ndarray, values: Optional[Sequence[int]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The count policy: a batch's rows and their counts.
+
+        By default the rows are ``keys`` themselves, and ``values`` are
+        counts with 0 counted once; a design that does not associate values
+        refuses non-zero ones.  Rows other than ``keys`` must be its sorted
+        distinct keys (the bulk GQF's map-reduce).
+        """
+        if values is None:
+            return keys, np.ones(keys.size, dtype=np.int64)
+        if not self.capabilities().values and np.any(np.asarray(values)):
+            raise UnsupportedOperationError(f"the {self.name} does not associate values")
+        return keys, np.maximum(1, np.asarray(values, dtype=np.int64))
+
+    def _batch_order(self, fingerprints: np.ndarray) -> np.ndarray:
+        """The order rows are placed in: by fingerprint, sorted host-side.
+
+        No device sort pass is charged; designs whose insert kernel sorts on
+        the device charge one here.
+        """
+        return stable_argsort(fingerprints)
+
+    def _place(
+        self,
+        quotients: np.ndarray,
+        remainders: np.ndarray,
+        counts: np.ndarray,
+        fill: bool,
+        launch: bool = True,
+    ) -> Tuple[np.ndarray, Optional[FilterFullError]]:
+        """One attempt at placing ordered rows: the core's
+        :meth:`~QuotientFilterCore.batch_insert` inside the design's insert
+        kernel (no kernel for a point insert).  ``fill`` as for the core."""
+        phases = None
+        if launch:
+            phases = [(np.ones(quotients.size, dtype=bool), self._insert_kernel(quotients.size))]
+        return self.core.batch_insert(quotients, remainders, counts, phases=phases, fill=fill)
+
+    def _insert_kernel(self, n_rows: int) -> ContextManager[object]:
+        """The kernel launch of one insert attempt over ``n_rows`` rows."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------ resize
     def _init_growth(self, auto_resize: bool, auto_resize_at: Optional[float]) -> None:

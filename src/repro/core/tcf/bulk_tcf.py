@@ -523,8 +523,3 @@ class BulkTCF(TwoChoiceFilter):
         n_removed = int(np.count_nonzero(removed))
         self._n_items -= n_removed
         return n_removed
-
-    # ---------------------------------------------------------------- analysis
-    def active_threads_for(self, n_ops: int) -> int:
-        """Bulk kernels map one cooperative group per block."""
-        return self.table.n_blocks * self.config.cg_size

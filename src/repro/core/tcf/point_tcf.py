@@ -68,20 +68,12 @@ class PointTCF(TwoChoiceFilter):
 
         Raises :class:`FilterFullError` if both candidate blocks and the
         backing table are full; with ``auto_resize=True`` the filter grows
-        instead and the insert always succeeds.
+        instead and the insert always succeeds.  A one-key batch through
+        :meth:`_insert_with_growth`, outside any kernel launch.
         """
-        self._maybe_grow()
-        while True:
-            try:
-                placed = self._insert_once(key, value)
-            except FilterFullError:
-                if not self._can_grow():
-                    raise
-                self._grow()
-                continue
-            if placed:
-                self._journal_add([int(key) & _MASK64], [int(value)])
-            return placed
+        keys = np.array([int(key) & _MASK64], dtype=np.uint64)
+        self._raise_if_unplaced(self._insert_with_growth(keys, np.array([value])))
+        return True
 
     def _insert_once(self, key: int, value: int) -> bool:
         """One two-choice insert attempt at the current table geometry."""
@@ -482,8 +474,3 @@ class PointTCF(TwoChoiceFilter):
             self._n_items -= int(backing_removed.sum())
         self._journal_remove(keys[removed])
         return int(removed.sum())
-
-    # ---------------------------------------------------------------- analysis
-    def active_threads_for(self, n_ops: int) -> int:
-        """Threads exposed by a point kernel over ``n_ops`` items."""
-        return n_ops * self.config.cg_size

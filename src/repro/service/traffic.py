@@ -79,8 +79,9 @@ def _tenant_factories(config: TrafficConfig) -> Dict[str, Callable[[], AbstractF
         "bulktcf": lambda: BulkTCF(
             n_slots, recorder=StatsRecorder(), auto_resize=True
         ),
-        # Counting filter through the default point-loop mask; 16-bit
-        # remainders keep false-positive noise out of the effect audit.
+        # Counting filter through the quotient family's batched mask with
+        # growth; 16-bit remainders keep false-positive noise out of the
+        # effect audit.
         "gqf": lambda: PointGQF(
             lg, 16, recorder=StatsRecorder(), auto_resize=True
         ),

@@ -31,8 +31,6 @@ class TestCPUCQF:
     def test_thread_count_caps_parallelism(self, recorder):
         cqf = CPUCountingQuotientFilter(10, 8, recorder=recorder)
         assert cqf.n_threads == KNL_THREADS
-        assert cqf.active_threads_for(10**6) == KNL_THREADS
-        assert cqf.active_threads_for(10) == 10
 
     def test_bulk_wrappers(self, recorder, keys_1k):
         cqf = CPUCountingQuotientFilter(11, 8, recorder=recorder)

@@ -394,15 +394,8 @@ EXPECTED = {
                     "kernel_launches": 1,
                 },
             ),
-            (
-                "gqf_bulk_insert_odd",
-                {
-                    "cache_line_reads": 878,
-                    "cache_line_writes": 1361,
-                    "instructions": 1946,
-                    "kernel_launches": 3,
-                },
-            ),
+            # The odd phase that overflowed raised through its launch, which
+            # records nothing; the table grew outside any launch.
         ],
     },
     "cpu_cqf": {

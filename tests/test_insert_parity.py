@@ -16,8 +16,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.baselines.cpu_cqf import CPUCountingQuotientFilter
+from repro.baselines.rsqf import RankSelectQuotientFilter
+from repro.baselines.sqf import StandardQuotientFilter
 from repro.core.exceptions import FilterFullError
-from repro.core.gqf import BulkGQF
+from repro.core.gqf import BulkGQF, PointGQF
 from repro.core.tcf import BulkTCF, PointTCF
 
 #: name -> (fresh filter factory, batch sizes inserted one after another)
@@ -25,6 +28,11 @@ CASES = {
     "gqf": (lambda: BulkGQF(13, 8), (1_500, 20, 900)),
     "gqf-mapreduce": (lambda: BulkGQF(13, 8, use_mapreduce=True), (1_500, 20, 900)),
     "gqf-auto-resize": (lambda: BulkGQF(9, 8, auto_resize=True), (300, 1_500, 8)),
+    "point-gqf": (lambda: PointGQF(13, 8), (1_500, 20, 900)),
+    "point-gqf-auto-resize": (lambda: PointGQF(9, 8, auto_resize=True), (300, 1_500, 8)),
+    "cpu-cqf": (lambda: CPUCountingQuotientFilter(13, 8), (1_500, 20, 900)),
+    "sqf": (lambda: StandardQuotientFilter(13, 5), (1_500, 20, 900)),
+    "rsqf": (lambda: RankSelectQuotientFilter(13, 5), (1_500, 20, 900)),
     "bulk-tcf": (lambda: BulkTCF(4_096), (1_500, 20, 900)),
     "bulk-tcf-auto-resize": (lambda: BulkTCF(512, auto_resize=True), (400, 1_500, 8)),
     "point-tcf": (lambda: PointTCF(4_096), (1_500, 20, 900)),
@@ -62,6 +70,8 @@ def test_mask_matches_a_successful_bulk_insert(name):
     factory, sizes = CASES[name]
     counted, masked = factory(), factory()
     for keys, values in _batches(sizes):
+        if not counted.capabilities().values:
+            values = None
         n = counted.bulk_insert(keys, values)
         mask = masked.bulk_insert_mask(keys, values)
         assert mask.dtype == bool and mask.shape == keys.shape and mask.all()
@@ -81,8 +91,12 @@ def test_mask_matches_a_successful_bulk_insert(name):
         (lambda: BulkGQF(8, 8, use_mapreduce=True), 400),
         (lambda: BulkTCF(256), 400),
         (lambda: PointTCF(256), 400),
+        (lambda: PointGQF(8, 8), 400),
+        (lambda: CPUCountingQuotientFilter(8, 8), 400),
+        (lambda: StandardQuotientFilter(8, 5), 400),
+        (lambda: RankSelectQuotientFilter(8, 5), 400),
     ],
-    ids=["gqf", "gqf-mapreduce", "bulk-tcf", "point-tcf"],
+    ids=["gqf", "gqf-mapreduce", "bulk-tcf", "point-tcf", "point-gqf", "cpu-cqf", "sqf", "rsqf"],
 )
 def test_mask_reports_what_a_failing_bulk_insert_left_out(factory, n_keys):
     counted, masked = factory(), factory()

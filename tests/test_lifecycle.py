@@ -9,6 +9,7 @@ scratch with the same contents.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import pathlib
 
 import numpy as np
@@ -330,25 +331,55 @@ def test_tcf_point_insert_autoresizes():
     assert filt.n_resizes > 0
 
 
-def test_tcf_rebuild_keeps_kernel_records():
-    """A resize's rebuild launches its kernels in the growing filter's
-    context, and no record's events are counted twice."""
-    bulk = BulkTCF(512, auto_resize=True)
-    bulk.bulk_insert(_keys(3000))
-    assert bulk.n_resizes > 0
-    passes = bulk.kernels.kernels_named("bulk_tcf_insert_pass1")
-    assert len(passes) >= 1 + bulk.n_resizes
-    kept, seen = bulk.kernels.total_stats, bulk.recorder.total
-    # Every table write happens inside a launch, the rebuilds' included.
-    assert kept.cache_line_writes == seen.cache_line_writes
-    assert kept.shared_memory_accesses == seen.shared_memory_accesses
-    assert kept.kernel_launches == len(bulk.kernels.kernels)
-    # The point TCF's one launch per call already absorbs the rebuild.
-    point = PointTCF(512, auto_resize=True)
-    point.bulk_insert(_keys(3000))
-    assert point.n_resizes > 0
-    assert [k.name for k in point.kernels.kernels] == ["tcf_point_bulk_insert"]
-    assert point.kernels.total_stats.kernel_launches == point.recorder.total.kernel_launches
+#: Inserts that outgrow their table: name -> (filter, keys inserted, and for
+#: the quotient filters the pinned ``(n_resizes, state digest)`` they reach).
+GROWING_INSERTS = {
+    "bulk-tcf": (lambda: BulkTCF(512, auto_resize=True), 3000, None),
+    "point-tcf": (lambda: PointTCF(512, auto_resize=True), 3000, None),
+    "bulk-gqf": (
+        lambda: BulkGQF(10, 8, region_slots=256, auto_resize=True),
+        2500,
+        (2, "66bf8fdd0ec44b4f"),
+    ),
+    "point-gqf": (
+        lambda: PointGQF(10, 8, region_slots=256, auto_resize=True),
+        2500,
+        (2, "66bf8fdd0ec44b4f"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROWING_INSERTS))
+def test_tcf_rebuild_keeps_kernel_records(name):
+    """A resize's rebuild or resend launches its kernels in the growing
+    filter's context, unnested, and no record's events are counted twice."""
+    factory, n_keys, pinned = GROWING_INSERTS[name]
+    filt = factory()
+    filt.bulk_insert(_keys(n_keys))
+    assert filt.n_resizes > 0
+    kept, seen = filt.kernels.total_stats, filt.recorder.total
+    totals = seen.as_dict()
+    assert all(value <= totals[field] for field, value in kept.as_dict().items())
+    if name == "point-tcf":
+        # The point TCF's one launch per call already absorbs the rebuild.
+        assert [k.name for k in filt.kernels.kernels] == ["tcf_point_bulk_insert"]
+        assert kept.kernel_launches == seen.kernel_launches
+        return
+    assert kept.kernel_launches == len(filt.kernels.kernels)
+    if name == "bulk-tcf":
+        passes = filt.kernels.kernels_named("bulk_tcf_insert_pass1")
+        assert len(passes) >= 1 + filt.n_resizes
+        # Every table write happens inside a launch, the rebuilds' included.
+        assert kept.cache_line_writes == seen.cache_line_writes
+        assert kept.shared_memory_accesses == seen.shared_memory_accesses
+    else:
+        # A quotient filter grows outside any launch and resends what was
+        # left out; it ends where growing inside the launch ended.
+        digest = hashlib.sha256()
+        for section, array in sorted(filt.snapshot_state().items()):
+            digest.update(section.encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+        assert (filt.n_resizes, digest.hexdigest()[:16]) == pinned
 
 
 def test_expand_gqf_matches_membership_and_counts():

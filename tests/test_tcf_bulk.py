@@ -123,6 +123,3 @@ class TestBulkMechanics:
     def test_capabilities(self):
         caps = BulkTCF.capabilities()
         assert caps.bulk_insert and caps.bulk_delete and not caps.bulk_count
-
-    def test_active_threads_proportional_to_blocks(self, bulk):
-        assert bulk.active_threads_for(10) == bulk.table.n_blocks * bulk.config.cg_size

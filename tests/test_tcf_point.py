@@ -186,9 +186,6 @@ class TestSizingHelpers:
         assert not caps.point_count
         assert caps.values
 
-    def test_active_threads(self, tcf):
-        assert tcf.active_threads_for(100) == 100 * tcf.config.cg_size
-
     def test_invalid_size(self, recorder):
         with pytest.raises(ValueError):
             PointTCF(0, recorder=recorder)
