@@ -5,7 +5,8 @@ blocked Bloom filter (BBF, :mod:`~repro.baselines.blocked_bloom`).  Both set
 ``k`` hashed bits per item in one ``uint32`` word array, store no values and
 support neither deletion nor counting.  :class:`BitArrayFilter` holds what
 they share: the word array, sizes, refusals, the bulk routing (per-item for
-tiny batches, else the design's whole-batch kernel) and snapshots.  Each
+tiny batches, else the design's whole-batch kernel), the batched insert
+(``bulk_insert_mask``, which never refuses a key) and snapshots.  Each
 design keeps its sizing parameter, probe layout, false-positive model and
 kernel bodies with their event charges.
 
@@ -149,7 +150,11 @@ class BitArrayFilter(AbstractFilter):
         """Tiny batches keep the per-item route (cheaper than staging)."""
         return prefers_sequential(batch_size)
 
-    def bulk_insert(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> int:
+    def bulk_insert_mask(
+        self, keys: Sequence[int], values: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
+        """The design's one batched insert, reported per key: all True, as
+        a bit array never refuses a key."""
         keys = np.asarray(keys, dtype=np.uint64)
         self._refuse_values(values)
         with self.kernels.launch(f"{self.LAUNCH_PREFIX}_bulk_insert", point_launch(keys.size, 1)):
@@ -159,7 +164,10 @@ class BitArrayFilter(AbstractFilter):
             elif keys.size:
                 self._insert_batch(keys)
                 self._n_items += int(keys.size)
-        return int(keys.size)
+        return np.ones(keys.size, dtype=bool)
+
+    def bulk_insert(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> int:
+        return int(self.bulk_insert_mask(keys, values).size)
 
     def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.uint64)

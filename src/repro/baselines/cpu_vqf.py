@@ -192,8 +192,9 @@ class CPUVectorQuotientFilter(AbstractFilter):
             self.config.fingerprint_bits,
         )
 
-    def _bulk_insert_vectorised(self, keys: np.ndarray) -> None:
-        """Batched two-choice insert replaying the per-item decision stream.
+    def _bulk_insert_vectorised(self, keys: np.ndarray) -> np.ndarray:
+        """Batched two-choice insert replaying the per-item decision stream;
+        returns which keys were placed.
 
         The two-choice routing is inherently sequential (each insert changes
         the fills the next decision reads), so a compressed Python loop walks
@@ -203,7 +204,8 @@ class CPUVectorQuotientFilter(AbstractFilter):
         batch array operations afterwards.  Placements consume each block's
         free slots in scan order, exactly as the single-lane group's
         first-free ballot does, so table state *and* events match the
-        per-item loop bit for bit.
+        per-item loop bit for bit.  A key whose two blocks are both full is
+        left out, and the walk goes on.
         """
         h = self._derive_batch(keys)
         bs = self.config.block_size
@@ -221,7 +223,6 @@ class CPUVectorQuotientFilter(AbstractFilter):
         reads = instr = intr = atomics = n_cas = 0
         dest_flat = []
         dest_row = []
-        overflowed = False
         for i in range(len(primaries)):
             p, s = primaries[i], secondaries[i]
             lp = live[p]
@@ -235,7 +236,6 @@ class CPUVectorQuotientFilter(AbstractFilter):
                 instr += bs + 1
                 if ls < lp:
                     first, second = s, p
-            placed = False
             for b in (first, second):
                 # table.insert: block fetch (+ the extra atomic a sub-CAS-word
                 # slot costs), then the single-lane scan for a free slot.
@@ -258,14 +258,10 @@ class CPUVectorQuotientFilter(AbstractFilter):
                     n_cas += 1
                     dest_flat.append(b * bs + o)
                     dest_row.append(i)
-                    placed = True
                     break
                 # Full block: the scan ballots across every slot and gives up.
                 instr += bs
                 intr += bs
-            if not placed:
-                overflowed = True
-                break
         if dest_flat:
             data = self.table.slots.peek()
             data[np.asarray(dest_flat, dtype=np.int64)] = words[dest_row].astype(
@@ -280,26 +276,44 @@ class CPUVectorQuotientFilter(AbstractFilter):
             coalesced_bytes_written=32 * n_cas,
         )
         self._n_items += len(dest_flat)
-        if overflowed:
+        placed = np.zeros(keys.size, dtype=bool)
+        placed[dest_row] = True
+        return placed
+
+    def bulk_insert_mask(
+        self, keys: Sequence[int], values: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
+        """The design's one batched insert, reported per key: a key whose two
+        blocks are both full comes back False, and every later key is still
+        tried."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        if values is not None and np.any(np.asarray(values)):
+            raise UnsupportedOperationError("the VQF does not associate values")
+        placed = np.ones(keys.size, dtype=bool)
+        with self.kernels.launch("cpu_vqf_insert", point_launch(keys.size, 1)):
+            if self._prefers_sequential(int(keys.size)):
+                for i, key in enumerate(keys):
+                    try:
+                        self.insert(int(key))
+                    except FilterFullError:
+                        placed[i] = False
+            elif keys.size:
+                placed = self._bulk_insert_vectorised(keys)
+        return placed
+
+    def bulk_insert(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> int:
+        """:meth:`bulk_insert_mask` plus one :class:`FilterFullError` when a
+        key was left out (after every placeable key is placed)."""
+        placed = self.bulk_insert_mask(np.asarray(keys, dtype=np.uint64), values)
+        if not placed.all():
             raise FilterFullError(
                 "VQF: both candidate blocks are full",
                 n_items=self._n_items,
                 n_slots=self.table.n_slots,
                 load_factor=self.load_factor,
-                batch_offset=len(dest_flat),
+                batch_offset=int(np.argmin(placed)),
             )
-
-    def bulk_insert(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> int:
-        keys = np.asarray(keys, dtype=np.uint64)
-        if values is not None and np.any(np.asarray(values)):
-            raise UnsupportedOperationError("the VQF does not associate values")
-        with self.kernels.launch("cpu_vqf_insert", point_launch(keys.size, 1)):
-            if self._prefers_sequential(int(keys.size)):
-                for key in keys:
-                    self.insert(int(key))
-            elif keys.size:
-                self._bulk_insert_vectorised(keys)
-        return int(keys.size)
+        return int(placed.size)
 
     def _bulk_query_vectorised(self, keys: np.ndarray) -> np.ndarray:
         """Whole-batch two-block probe with per-item-calibrated events.

@@ -220,6 +220,34 @@ def plain_run_mask(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.logical_and.reduceat(increasing, offsets[:-1])
 
 
+def encoded_lengths(remainders: np.ndarray, counts: np.ndarray, counting: bool) -> np.ndarray:
+    """Vectorised :func:`slots_for_count` (0 for a count of 0).
+
+    A non-counting table stores each occurrence in its own slot.  In a
+    counting one, an item with a digit-hosting remainder ``x`` and count
+    ``C >= 3`` takes its two remainder slots plus the base-``x`` digits of
+    ``C - 3`` (at least one).
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    if not counting or not (counts > 2).any():
+        # Below 3, a count is that many copies of the remainder.
+        return counts.copy()
+    remainders = np.asarray(remainders, dtype=np.uint64)
+    lens = np.minimum(counts, 2)
+    unary = remainders < len(UNARY_REMAINDERS)
+    lens[unary] = counts[unary]
+    digit_items = np.flatnonzero((counts >= 3) & ~unary)
+    if digit_items.size:
+        base = remainders[digit_items].astype(np.int64)
+        rest = (counts[digit_items] - 3) // base
+        n_digits = np.ones(digit_items.size, dtype=np.int64)
+        while rest.any():
+            n_digits += rest > 0
+            rest //= base
+        lens[digit_items] = 2 + n_digits
+    return lens
+
+
 def encode_flat(
     remainders: np.ndarray,
     counts: np.ndarray,
@@ -241,18 +269,17 @@ def encode_flat(
     counts = np.asarray(counts, dtype=np.int64)
     if remainders.size == 0:
         return np.zeros(0, dtype=dtype), np.zeros(0, dtype=np.int64)
+    if counts.min() == counts.max() == 1:
+        # Every item is one slot holding its remainder (read-only lengths).
+        return remainders.astype(dtype), np.broadcast_to(np.int64(1), counts.shape)
     if not counting:
         enc_lens = counts.copy()
         flat = np.repeat(remainders, enc_lens).astype(dtype, copy=False)
         return flat, enc_lens
-    enc_lens = np.minimum(counts, 2)
-    big = np.flatnonzero(counts >= 3)
-    digit = remainders[big] >= len(UNARY_REMAINDERS)
-    # Unary remainders (0/1) encode any count as `count` copies.
-    enc_lens[big[~digit]] = counts[big[~digit]]
-    digit_items = big[digit]
+    enc_lens = encoded_lengths(remainders, counts, counting)
+    digit_items = np.flatnonzero(enc_lens > np.minimum(counts, 2))
+    digit_items = digit_items[remainders[digit_items] >= len(UNARY_REMAINDERS)]
     encodings = [encode_item(int(remainders[i]), int(counts[i])) for i in digit_items]
-    enc_lens[digit_items] = [len(e) for e in encodings]
     flat = np.repeat(remainders.astype(dtype), enc_lens)
     if encodings:
         # An item's first slot is its index plus the extra slots of the

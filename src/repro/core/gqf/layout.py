@@ -38,12 +38,13 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
 
 from ...gpusim.memory import DeviceArray
-from ...gpusim.sorting import stable_argsort
+from ...gpusim.sorting import run_first_mask, stable_argsort
 from ...gpusim.stats import StatsRecorder
 from ...hashing.fingerprints import FingerprintScheme
 from ..base import SEQUENTIAL_BATCH_MAX
@@ -68,20 +69,100 @@ _Geometry = Tuple[np.ndarray, np.ndarray, np.ndarray]
 #: context (a kernel launch) its events are recorded in.
 Phase = Tuple[np.ndarray, ContextManager[object]]
 
+#: Decoded items ``(keys, counts)``, as in :class:`_Decoded`.
+_Items = Tuple[np.ndarray, np.ndarray]
+
+
+class _Change(NamedTuple):
+    """What a batch changes."""
+
+    #: The batch's distinct fingerprints, as sorted packed keys.
+    keys: np.ndarray
+    #: Slots each one's encoding grows by (negative: shrinks).
+    grow: np.ndarray
+    #: Each batch row's fingerprint, as an index into ``keys`` (None when
+    #: the rows are ``keys``).
+    row_key: Optional[np.ndarray]
+
+
+#: ``(starts, lens)`` of the runs of a batch's spans, in span order.
+_Window = Tuple[np.ndarray, np.ndarray]
+
+#: Spans of a batch fewer runs apart than this merge into one.
+SPAN_MERGE_RUNS = 16
+
 
 class _Decoded(NamedTuple):
     """The memoised whole-table decode (see ``_decode_items``)."""
 
-    #: One row per distinct fingerprint, sorted by (quotient, remainder).
-    q: np.ndarray
-    r: np.ndarray
-    c: np.ndarray
-    #: ``q << remainder_bits | r`` per row.
+    #: One row per distinct fingerprint: its packed ``q << remainder_bits |
+    #: r`` key (ascending, so sorted by (quotient, remainder)) and count.
     keys: np.ndarray
+    c: np.ndarray
     #: Run geometry in quotient order.
     run_q: np.ndarray
     run_starts: np.ndarray
     run_lens: np.ndarray
+
+
+class _Spans(NamedTuple):
+    """The runs a batch mutation may move, before and after it.
+
+    ``run_q`` are the table's runs plus the batch's new ones (an emptied run
+    stays, with length 0 after).  The spans are ranges of those runs, each
+    starting at a cluster start: ``idx`` indexes their runs in order (a
+    slice when there is one span) and ``first`` marks where each span
+    begins in it.  A run outside the spans keeps its start and length.
+    """
+
+    run_q: np.ndarray
+    #: Starts and lengths before the batch over all of ``run_q`` (0 for the
+    #: new runs, whose starts before mean nothing); the write turns them
+    #: into the memo's geometry in place.
+    run_starts: np.ndarray
+    run_lens: np.ndarray
+    idx: Union[np.ndarray, slice]
+    first: np.ndarray
+    #: ``run_q[idx]``.
+    q: np.ndarray
+    before: _Window
+    after: _Window
+    #: Per run of ``after``, its start minus the length of the spans' runs
+    #: before it.
+    gaps: np.ndarray
+    #: Each batch row's run, as a position in ``idx`` (-1: the row's
+    #: quotient has no run).
+    row_at: np.ndarray
+
+
+def _concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``arange(start, start + len)`` of every range, concatenated."""
+    offsets = np.cumsum(lens)
+    offsets -= lens
+    return np.repeat(starts - offsets, lens) + np.arange(int(lens.sum()))
+
+
+def _inserted(
+    arrays: Sequence[np.ndarray], positions: np.ndarray, values: Sequence[object]
+) -> List[np.ndarray]:
+    """Each array with its value(s) inserted before the ascending
+    ``positions`` (``np.insert``, with the layout shared by the arrays)."""
+    n = arrays[0].size + positions.size
+    if not arrays[0].size:
+        return [
+            np.asarray(value, array.dtype) if np.ndim(value) else np.full(n, value, array.dtype)
+            for array, value in zip(arrays, values)
+        ]
+    dest = positions + np.arange(positions.size)
+    kept = np.ones(n, dtype=bool)
+    kept[dest] = False
+    out = []
+    for array, value in zip(arrays, values):
+        grown = np.empty(n, dtype=array.dtype)
+        grown[dest] = value
+        grown[kept] = array
+        out.append(grown)
+    return out
 
 
 def _dtype_for_remainder(remainder_bits: int) -> np.dtype:
@@ -162,9 +243,15 @@ class QuotientFilterCore:
         self.slot_used = Bitvector(self.total_slots)
         self._n_distinct = 0
         self._total_count = 0
-        #: Memoised whole-table decode (host-side); every mutation drops it,
-        #: and the batch rebuild re-seeds it from the merged item arrays.
+        #: Memoised whole-table decode (host-side): the state a batch call
+        #: carries to the next.  Every per-item mutation drops it; a batch
+        #: mutation updates it from the runs its spans rewrote.
         self._decoded_cache: Optional[_Decoded] = None
+        #: Whether free slots may hold stale remainders (per-item deletes
+        #: leave them, and so may imported or shared tables).  A batch
+        #: mutation writes only its spans, so it zeroes every free slot
+        #: first; afterwards all free slots stay zero.
+        self._stale_free_slots = False
         #: When the table is adopted onto shared memory (:meth:`adopt_state`),
         #: the int64[2] view holding [n_distinct, total_count]; None for
         #: ordinary heap-allocated tables.
@@ -464,7 +551,9 @@ class QuotientFilterCore:
             self._account(read_slots=cluster_len, metadata_lines=1)
             return False
 
-        # Re-write the cluster from scratch with canonical placement.
+        # Re-write the cluster from scratch with canonical placement; the
+        # freed tail slots keep their old values.
+        self._stale_free_slots = True
         self.slot_used.clear_range(cstart, cend + 1)
         self.runends.clear_range(cstart, cend + 1)
         write_slots = 0
@@ -500,15 +589,18 @@ class QuotientFilterCore:
     # runs are stored in quotient order and packed greedily left to right
     # (``start = max(quotient, previous_end + 1)``), so the final slot layout
     # is a pure function of the stored (quotient, remainder, count) multiset,
-    # independent of insertion order.  A batch insert or delete therefore
-    # splices the batch into the memoised decoded item arrays (one
-    # ``searchsorted``, no re-sort of the stored items) and writes the
-    # canonical layout of the result once, with whole-array NumPy operations
-    # — producing bit-for-bit the same table the per-item Robin-Hood path
-    # would.  A batch scheduled in phases (the bulk GQF's even and odd
-    # regions) is still written once: the layout between two phases matters
-    # only for charging each phase's events, and its run geometry follows
-    # from the run lengths alone (:meth:`_phase_geometries`).
+    # independent of insertion order — producing bit-for-bit the same table
+    # the per-item Robin-Hood path would.  A batch insert or delete splices
+    # the batch into the memoised decoded item arrays (one ``searchsorted``,
+    # no re-sort of the stored items) and rewrites only its *spans*: the
+    # clusters holding its quotients, extended right while an insert's
+    # growth spills past free slots (:meth:`_span_windows`).  A cluster's
+    # first run sits at its quotient, so the new starts follow span by span,
+    # and only the spans' slots and metadata words are written.  A batch
+    # scheduled in phases (the bulk GQF's even and odd regions) is still
+    # written once: the layout between two phases matters only for charging
+    # each phase's events, and inside the spans its run geometry follows
+    # from the run lengths alone (:meth:`_phase_windows`).
 
     def _slot_lines_vec(self, n_slots: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`_slot_lines`: cache lines per contiguous span
@@ -520,13 +612,6 @@ class QuotientFilterCore:
         # Slots per 128-byte line is a power of two: shift instead of divide.
         shift = max(1, 128 // self.slot_bytes).bit_length() - 1
         return np.where(lens > 0, ((starts + lens - 1) >> shift) - (starts >> shift) + 1, 0)
-
-    def _by_quotient(self, run_q: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """``values`` of the runs ``run_q`` on a dense quotient axis, 0 for
-        quotients without a run: one gather then replaces a search."""
-        dense = np.zeros(self.n_canonical_slots, dtype=np.int64)
-        dense[run_q] = values
-        return dense
 
     def _run_traffic_of(
         self,
@@ -547,23 +632,24 @@ class QuotientFilterCore:
         if run_lens.size == 0:
             zero = np.zeros(quotients.size, dtype=np.int64)
             return zero, zero.copy()
-        occupieds = self.occupieds
-        bit = (quotients & 63).astype(np.uint64)
-        hit = ((occupieds.words[quotients >> 6] >> bit) & np.uint64(1)).astype(bool)
-        idx = occupieds.rank_batch(quotients) - 1
+        hit = self.occupieds.get_batch(quotients)
+        idx = self.occupieds.rank_batch(quotients) - 1
         lens = np.where(hit, run_lens[idx], 0)
         starts = np.where(hit, run_starts[idx], 0)
         return lens, self._span_lines_vec(starts, lens) + self._slot_lines_vec(lens)
 
     def prefers_sequential(self, batch_size: int) -> bool:
-        """Whether a batch is too small to amortise the whole-table decode.
+        """Whether a batch takes the per-item route.
 
-        The batch paths decode every stored item (cost ∝ occupied slots),
-        while each per-item operation costs roughly ``occupied / 64`` packed
-        words of rank/select work — so the crossover sits near a fixed
-        fraction of the occupancy (measured at ~1/1000) with a small floor
-        for the single-key convenience wrappers (checked first: counting the
-        occupied slots reads the whole ``slot_used`` vector).
+        The route was set when every batch call decoded and rewrote the
+        whole table: each per-item operation costs roughly ``occupied / 64``
+        packed words of rank/select work, so the crossover sat near a fixed
+        fraction of the occupancy (~1/1000), with a small floor for the
+        single-key convenience wrappers (checked first: counting the
+        occupied slots reads the whole ``slot_used`` vector).  A batch call
+        now costs its spans plus the memo splice, so the crossover has moved
+        far lower, but the route decides which events a batch is charged,
+        so it stays.
         """
         return batch_size <= SEQUENTIAL_BATCH_MAX or batch_size <= self.n_occupied_slots >> 10
 
@@ -717,16 +803,9 @@ class QuotientFilterCore:
         starts = np.maximum(uq, np.concatenate(([0], ends[:-1] + 1)))
         return uq, starts, ends, ends - starts + 1
 
-    def _decoded(
-        self,
-        item_q: np.ndarray,
-        item_r: np.ndarray,
-        item_c: np.ndarray,
-        item_keys: np.ndarray,
-        geometry: _Geometry,
-    ) -> _Decoded:
+    def _decoded(self, items: _Items, geometry: _Geometry) -> _Decoded:
         """Memoise ``(items, runs)`` as the decoded table and return it."""
-        self._decoded_cache = _Decoded(item_q, item_r, item_c, item_keys, *geometry)
+        self._decoded_cache = _Decoded(*items, *geometry)
         return self._decoded_cache
 
     def _decode_items(self) -> _Decoded:
@@ -744,9 +823,8 @@ class QuotientFilterCore:
             return self._decoded_cache
         uq, starts, _ends, lens = self._runs_layout()
         if uq.size == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            no_keys = np.zeros(0, dtype=np.uint64)
-            return self._decoded(empty, no_keys, empty, no_keys, (uq, starts, lens))
+            items = np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
+            return self._decoded(items, (uq, starts, lens))
         total = int(lens.sum())
         off = np.concatenate(([0], np.cumsum(lens)))
         pos = np.repeat(starts - off[:-1], lens) + np.arange(total)
@@ -786,90 +864,248 @@ class QuotientFilterCore:
                 item_c = np.add.reduceat(item_c, first)
                 item_q, item_r = item_q[first], item_r[first]
         item_keys = self._packed_fingerprints(item_q, item_r)
-        return self._decoded(item_q, item_r, item_c, item_keys, (uq, starts, lens))
+        return self._decoded((item_keys, item_c), (uq, starts, lens))
 
     @staticmethod
-    def _canonical_starts(run_q: np.ndarray, run_lens: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _canonical_starts(
+        run_q: np.ndarray, run_lens: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Greedy run starts ``max(q, previous_end + 1)`` for runs in
         quotient order, and the empty slots before each run (its start minus
-        the total length of the runs before it)."""
+        the total length of the runs before it).
+
+        Also right for the runs of a batch's spans alone: each span begins
+        at a cluster start, which the packing puts at its quotient whatever
+        span precedes it in the list.
+        """
         cum = np.cumsum(run_lens)
         cum -= run_lens
         gaps = run_q - cum
         np.maximum.accumulate(gaps, out=gaps)
-        return cum + gaps, gaps
+        cum += gaps
+        return cum, gaps
 
-    def _rebuild_from_items(
-        self,
-        item_q: np.ndarray,
-        item_r: np.ndarray,
-        item_c: np.ndarray,
-        item_keys: np.ndarray,
-    ) -> _Geometry:
-        """Rewrite the whole table as the canonical layout of the given items.
-
-        Items must be sorted by (quotient, remainder) with one row per
-        distinct fingerprint; ``item_keys`` are their packed fingerprints.
-        Returns the new ``(run_q, run_starts, run_lens)`` geometry.  Raises
-        :class:`FilterFullError` (without mutating anything) when the packed
-        layout does not fit.
+    @staticmethod
+    def _merged_spans(start: np.ndarray, stop: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Ascending run ranges ``[start, stop)`` with those that overlap or
+        lie fewer than :data:`SPAN_MERGE_RUNS` runs apart merged, and all
+        of them merged when they cover half the runs from the first to the
+        last: rewriting the gaps then costs less than indexing around them.
         """
-        n = int(item_q.size)
-        if n == 0:
-            self.slots.peek()[:] = 0
+        if 2 * (int(stop.sum()) - int(start.sum())) >= int(stop.max()) - int(start[0]):
+            return start[[0]], np.array([stop.max()])
+        reach = np.maximum.accumulate(stop)
+        head = np.ones(start.size, dtype=bool)
+        head[1:] = start[1:] >= reach[:-1] + SPAN_MERGE_RUNS
+        heads = np.flatnonzero(head)
+        return start[heads], reach[np.append(heads[1:], start.size) - 1]
+
+    @staticmethod
+    def _span_index(
+        starts: np.ndarray, stops: np.ndarray
+    ) -> Tuple[Union[np.ndarray, slice], np.ndarray]:
+        """Run indices of the spans ``[starts[i], stops[i])``, concatenated
+        (a slice for one span), and the position in them where each span
+        begins."""
+        sizes = stops - starts
+        first = np.cumsum(sizes)
+        first -= sizes
+        if starts.size == 1:
+            return slice(int(starts[0]), int(stops[0])), first
+        return _concat_ranges(starts, sizes), first
+
+    def _span_windows(
+        self,
+        run_q: np.ndarray,
+        run_starts: np.ndarray,
+        run_lens: np.ndarray,
+        touched: np.ndarray,
+        touched_lens: np.ndarray,
+    ) -> Tuple[
+        Union[np.ndarray, slice], np.ndarray, np.ndarray, _Window, _Window, np.ndarray, np.ndarray
+    ]:
+        """The spans of a batch: ``(idx, first, q, before, after, gaps,
+        touched_at)`` for :class:`_Spans`.
+
+        ``run_starts``/``run_lens`` are the geometry before the batch; the
+        ``touched`` runs take ``touched_lens`` after it.  A span is a range
+        of whole clusters (a touched run in a free quotient slot is a
+        cluster of its own): it starts at the cluster holding its first
+        touched run and ends with the cluster holding its last, extended
+        while the runs' new end spills into the next cluster.  A delete's
+        shrinkage never leaves its cluster; an insert's growth runs on
+        until free slots absorb it.  Nearby spans merge
+        (:meth:`_merged_spans`), so a batch that touches most clusters
+        rewrites the table in one span.
+        """
+        if not touched.size:
             empty = np.zeros(0, dtype=np.int64)
-            for bv in (self.occupieds, self.runends, self.slot_used):
-                bv.assign_positions(empty)
-            self._n_distinct = 0
-            self._total_count = 0
-            geometry = (empty, empty.copy(), empty.copy())
-            self._decoded(empty, item_r, empty, item_keys, geometry)
-            return geometry
-        total = int(item_c.sum())
-        new_run = np.ones(n, dtype=bool)
-        np.not_equal(item_q[1:], item_q[:-1], out=new_run[1:])
-        run_first = np.flatnonzero(new_run)
-        run_q = item_q[run_first]
-        run_lens = np.diff(run_first, append=n)
-        if total == n:
-            # Every count is 1: each item is one slot holding its remainder.
-            flat = item_r.astype(self.slots.data.dtype)
-        else:
-            flat, enc_lens = counters.encode_flat(
-                item_r, item_c, self.counting, self.slots.data.dtype
+            return empty, empty, empty, (empty, empty), (empty, empty), empty, empty
+        n_runs = int(run_q.size)
+        used = self.slot_used
+        start, stop = self._merged_spans(touched, touched + 1)
+        # Back to the first run of the cluster holding each first quotient.
+        quotient = run_q[start]
+        in_use = used.get_batch(quotient)
+        start[in_use] = np.searchsorted(run_q, used.prev_unset_batch(quotient[in_use]) + 1)
+        while True:
+            # On to the run after the cluster holding each span's last run.
+            stop = np.searchsorted(run_q, used.next_unset_batch(run_q[stop - 1]), side="right")
+            start, stop = self._merged_spans(start, stop)
+            idx, first = self._span_index(start, stop)
+            # Every touched run lies in its span: place it without a search.
+            if start.size == 1:
+                touched_at = touched - start[0]
+            else:
+                span_of = np.searchsorted(start, touched, side="right") - 1
+                touched_at = first[span_of] + touched - start[span_of]
+            q_w = run_q[idx]
+            old_starts, old_lens = run_starts[idx], run_lens[idx]
+            new_lens = old_lens.copy()
+            new_lens[touched_at] = touched_lens
+            new_starts, new_gaps = self._canonical_starts(q_w, new_lens)
+            # The next cluster starts at its quotient; growth that reaches
+            # it would move it.
+            last = first + stop - start - 1
+            spill = (stop < n_runs) & (
+                new_starts[last] + new_lens[last] > run_q[np.minimum(stop, n_runs - 1)]
             )
-            # A run is one slot per item plus its multi-slot items' extras.
-            multi = np.flatnonzero(enc_lens > 1)
-            run_of = np.searchsorted(run_first, multi, side="right") - 1
-            np.add.at(run_lens, run_of, enc_lens[multi] - 1)
-        run_starts, gaps = self._canonical_starts(run_q, run_lens)
-        run_ends = run_starts + run_lens
-        run_ends -= 1
-        if int(run_ends[-1]) >= self.total_slots:
-            # How many leading runs fit tells the caller where the batch died.
-            n_fitting = int(np.searchsorted(run_ends, self.total_slots))
+            if not spill.any():
+                after = (new_starts, new_lens)
+                return idx, first, q_w, (old_starts, old_lens), after, new_gaps, touched_at
+            stop[spill] = np.minimum(n_runs, 2 * stop[spill] - start[spill])
+
+    def _relayout(self, old: _Decoded, items: _Items, change: _Change) -> _Spans:
+        """The spans a batch's ``change`` rewrites, turning ``old`` into the
+        decoded ``items``.  Writes nothing.
+
+        Every changed quotient that has a run before or after the batch is
+        touched, and its run's length moves by its fingerprints' change.
+        Raises :class:`FilterFullError` when the new layout does not fit.
+        """
+        shift = np.uint64(self.remainder_bits)
+        quotients = (change.keys >> shift).view(np.int64)
+        new_group = run_first_mask(quotients)
+        first = np.flatnonzero(new_group)
+        batch_q = quotients[first]
+        del quotients
+        if first.size and change.grow.min() == change.grow.max() == 1:
+            grow = np.diff(first, append=new_group.size)
+        else:
+            grow = np.add.reduceat(change.grow, first) if first.size else change.grow
+        # Each row's quotient group: row -> fingerprint -> quotient.
+        row_group = np.cumsum(new_group)
+        row_group -= 1
+        if change.row_key is not None:
+            row_group = row_group[change.row_key]
+        del new_group, first
+        # The i-th occupied quotient owns the i-th run.
+        if old.run_q.size:
+            at = self.occupieds.rank_batch(batch_q - 1)
+            known = self.occupieds.get_batch(batch_q)
+        else:
+            at = np.zeros(batch_q.size, dtype=np.int64)
+            known = np.zeros(batch_q.size, dtype=bool)
+        # A delete may name quotients without a run: they touch nothing.
+        kept = known | (grow > 0)
+        if not kept.all():
+            batch_q, grow, at, known = batch_q[kept], grow[kept], at[kept], known[kept]
+        run_q, run_starts, run_lens = old.run_q, old.run_starts, old.run_lens
+        if not known.all():
+            run_q, run_starts, run_lens = _inserted(
+                (run_q, run_starts, run_lens), at[~known], (batch_q[~known], 0, 0)
+            )
+        # A touched run's index moves up by the new runs before it.
+        born = ~known
+        touched = at + np.cumsum(born)
+        touched -= born
+        del at, born
+        idx, first, q_w, before, after, gaps, touched_at = self._span_windows(
+            run_q, run_starts, run_lens, touched, run_lens[touched] + grow
+        )
+        # Ends ascend, so the last run overflows first.
+        if q_w.size and after[0][-1] + after[1][-1] > self.total_slots:
+            past = np.flatnonzero(after[0] + after[1] > self.total_slots)
+            # Where the first run that does not fit begins in the items.
+            first_out = np.uint64(q_w[past[0]]) << shift
             raise FilterFullError(
                 "quotient filter has no free slots left",
                 n_items=self.n_distinct_items,
                 n_slots=self.total_slots,
                 load_factor=self.load_factor,
-                batch_offset=int(run_first[n_fitting]) if n_fitting < run_first.size else None,
+                batch_offset=int(np.searchsorted(items[0], first_out)),
             )
-        pos = np.arange(flat.size)
-        pos += np.repeat(gaps, run_lens)
+        # Each row's run: its quotient group's touched run.
+        group_at = touched_at
+        if not kept.all():
+            group_at = np.full(kept.size, -1, dtype=np.int64)
+            group_at[kept] = touched_at
+        row_at = group_at[row_group]
+        return _Spans(
+            run_q, run_starts, run_lens, idx, first, q_w, before, after, gaps, row_at
+        )
+
+    def _write_spans(self, items: _Items, spans: _Spans, total_count: int) -> None:
+        """Rewrite the spans' slots and metadata words, and carry the decoded
+        ``items`` and the new run geometry over to the next batch call."""
         data = self.slots.peek()
-        data[:] = 0
-        data[pos] = flat
-        self.occupieds.assign_positions(run_q)
-        self.runends.assign_positions(run_ends)
-        self.slot_used.assign_positions(pos)
-        self._n_distinct = n
-        self._total_count = total
-        # The merged item arrays *are* the decoded table: re-seed the memo so
-        # probes following a batch mutation skip the whole-table decode.
-        geometry = (run_q, run_starts, run_lens)
-        self._decoded(item_q, item_r, item_c, item_keys, geometry)
-        return geometry
+        if self._stale_free_slots:
+            data[~self.slot_used.bits] = 0
+            self._stale_free_slots = False
+        (old_starts, old_lens), (new_starts, new_lens) = spans.before, spans.after
+        first = spans.first
+        q_w = spans.q
+        last = np.append(first[1:], q_w.size) - 1
+        # Re-encode the spans' items: each span's runs hold one key range.
+        keys, counts = items
+        shift = np.uint64(self.remainder_bits)
+        low_bits = (np.uint64(1) << shift) - np.uint64(1)
+        lo = np.searchsorted(keys, q_w[first].astype(np.uint64) << shift)
+        hi = np.searchsorted(keys, (q_w[last].astype(np.uint64) << shift) | low_bits, "right")
+        rows = slice(lo[0], hi[0]) if lo.size == 1 else _concat_ranges(lo, hi - lo)
+        flat = counters.encode_flat(
+            keys[rows] & low_bits, counts[rows], self.counting, data.dtype
+        )[0]
+        del rows
+        # A span's first run keeps its start (a new one holds no old slot).
+        slot_lo = new_starts[first]
+        slot_hi = np.maximum(old_starts[last] + old_lens[last], new_starts[last] + new_lens[last])
+        used = np.repeat(spans.gaps, new_lens)
+        used += np.arange(used.size)
+        # Free slots hold zeros: clear the ones the spans give up.
+        data[self.slot_used.assign_spans(slot_lo, slot_hi, used, report_cleared=True)] = 0
+        data[used] = flat
+        del flat, used
+        # The spans' runs after the batch, without the emptied ones.
+        live = np.flatnonzero(new_lens) if int(new_lens.min(initial=1)) == 0 else None
+        q_live, starts_live, lens_live = (
+            (q_w, new_starts, new_lens)
+            if live is None
+            else (q_w[live], new_starts[live], new_lens[live])
+        )
+        self.runends.assign_spans(slot_lo, slot_hi, starts_live + lens_live - 1)
+        self.occupieds.assign_spans(q_w[first], q_w[last] + 1, q_live)
+        self._n_distinct = int(keys.size)
+        self._total_count = total_count
+
+        run_q, run_starts, run_lens = spans.run_q, spans.run_starts, spans.run_lens
+        if live is None:
+            run_starts[spans.idx] = new_starts
+            run_lens[spans.idx] = new_lens
+        elif isinstance(spans.idx, slice):
+            a, b = spans.idx.start, spans.idx.stop
+            run_q, run_starts, run_lens = (
+                np.concatenate((whole[:a], part, whole[b:]))
+                for whole, part in (
+                    (run_q, q_live), (run_starts, starts_live), (run_lens, lens_live)
+                )
+            )
+        else:
+            run_starts[spans.idx] = new_starts
+            run_lens[spans.idx] = new_lens
+            kept = run_lens > 0
+            run_q, run_starts, run_lens = run_q[kept], run_starts[kept], run_lens[kept]
+        self._decoded(items, (run_q, run_starts, run_lens))
 
     def _splice_insert(
         self,
@@ -877,134 +1113,153 @@ class QuotientFilterCore:
         quotients: np.ndarray,
         remainders: np.ndarray,
         counts: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Decoded ``(q, r, count, key)`` items of the table plus a batch.
+    ) -> Tuple[_Items, _Change]:
+        """Decoded ``(keys, counts)`` items of the table plus a batch, and
+        the batch's change.
 
         The batch is sorted (unless it already is) and deduplicated, then
         placed with one ``searchsorted`` into the stored keys: counts of
-        stored fingerprints add in place, new fingerprints scatter to
-        ``position + number of new rows before them``.
+        stored fingerprints add in place, new fingerprints are inserted at
+        their positions.
         """
-        keys = self._packed_fingerprints(quotients, remainders)
+        keys, counts, row_key = self._distinct(
+            self._packed_fingerprints(quotients, remainders), counts
+        )
+        n = old.keys.size
+        stored_counts = np.zeros(keys.size, dtype=np.int64)
+        if n == 0:
+            item_keys, item_c = keys, counts
+        else:
+            pos = np.searchsorted(old.keys, keys)
+            new = old.keys[np.minimum(pos, n - 1)] != keys
+            new_before = np.cumsum(new)
+            stored = ~new
+            stored_counts[stored] = old.c[pos[stored]]
+            if new_before[-1]:
+                item_keys, item_c = _inserted(
+                    (old.keys, old.c), pos[new], (keys[new], counts[new])
+                )
+            else:
+                item_keys, item_c = old.keys, old.c.copy()
+            item_c[(pos + new_before - new)[stored]] += counts[stored]
+        change = _Change(keys, self._grown_slots(keys, stored_counts, counts), row_key)
+        return (item_keys, item_c), change
+
+    @staticmethod
+    def _distinct(
+        keys: np.ndarray, counts: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """A batch's distinct keys (ascending), each one's summed counts,
+        and each row's index into them (None: row ``i`` is key ``i``)."""
+        order = None
         if np.any(keys[1:] < keys[:-1]):
             order = stable_argsort(keys)
             keys, counts = keys[order], counts[order]
         fresh = np.ones(keys.size, dtype=bool)
         fresh[1:] = keys[1:] != keys[:-1]
+        if fresh.all() and order is None:
+            return keys, counts, None
+        row_key = np.cumsum(fresh)
+        row_key -= 1
+        if order is not None:
+            row_key[order] = row_key.copy()
         if not fresh.all():
             first = np.flatnonzero(fresh)
             keys, counts = keys[first], np.add.reduceat(counts, first)
-        n = old.keys.size
-        if n == 0:
-            return (*self._split_fingerprints(keys), counts, keys)
-        pos = np.searchsorted(old.keys, keys)
-        new = old.keys[np.minimum(pos, n - 1)] != keys
-        new_before = np.cumsum(new)
-        dest = pos + new_before - new
-        n_new = int(new_before[-1])
-        if n_new == 0:
-            item_c = old.c.copy()
-            item_c[dest] += counts
-            return old.q, old.r, item_c, old.keys
-        is_new = np.zeros(n + n_new, dtype=bool)
-        is_new[dest[new]] = True
-        is_old = ~is_new
-        item_keys = np.empty(n + n_new, dtype=np.uint64)
-        item_keys[is_new] = keys[new]
-        item_keys[is_old] = old.keys
-        item_c = np.empty(n + n_new, dtype=np.int64)
-        item_c[is_new] = counts[new]
-        item_c[is_old] = old.c
-        stored = ~new
-        item_c[dest[stored]] += counts[stored]
-        return (*self._split_fingerprints(item_keys), item_c, item_keys)
+        return keys, counts, row_key
+
+    def _grown_slots(self, keys: np.ndarray, counts: np.ndarray, added: np.ndarray) -> np.ndarray:
+        """Slots each fingerprint's encoding gains when its stored count
+        moves from ``counts`` by ``added`` (negative: loses)."""
+        # Up to 2, a count is that many slots; above, the encoding decides.
+        if not self.counting or int(counts.max()) + max(int(added.max()), 0) <= 2:
+            return added
+        total = counts + added
+        big = np.flatnonzero(np.maximum(counts, total) > 2)
+        remainders = keys[big] & ((np.uint64(1) << np.uint64(self.remainder_bits)) - np.uint64(1))
+        grown = added.copy()
+        grown[big] = counters.encoded_lengths(remainders, total[big], True)
+        grown[big] -= counters.encoded_lengths(remainders, counts[big], True)
+        return grown
 
     def _splice_delete(
         self, old: _Decoded, quotients: np.ndarray, remainders: np.ndarray
-    ) -> Tuple[int, Optional[Tuple[np.ndarray, ...]]]:
-        """Rows removed and the remaining ``(q, r, count, key)`` items.
+    ) -> Tuple[int, Optional[_Items], _Change]:
+        """Rows removed, the remaining ``(keys, counts)`` items, and the
+        batch's change.
 
         Each distinct requested fingerprint removes ``min(requests, stored
         count)``; the remaining items are None when nothing was removed.
         """
-        if old.q.size == 0:
-            return 0, None
-        m = int(quotients.size)
-        req = self._packed_fingerprints(quotients, remainders)
-        req.sort()
-        fresh = np.ones(m, dtype=bool)
-        fresh[1:] = req[1:] != req[:-1]
-        first = np.flatnonzero(fresh)
-        req = req[first]
+        req, n_req, row_key = self._distinct(
+            self._packed_fingerprints(quotients, remainders),
+            np.ones(quotients.size, dtype=np.int64),
+        )
+        change = _Change(req, np.zeros(req.size, dtype=np.int64), row_key)
+        if old.keys.size == 0:
+            return 0, None, change
         j = np.minimum(np.searchsorted(old.keys, req), old.keys.size - 1)
         found = old.keys[j] == req
-        n_req = np.diff(np.append(first, m))
         j, taken = j[found], np.minimum(n_req[found], old.c[j[found]])
         removed = int(taken.sum())
         if not removed:
-            return 0, None
-        item_c = old.c.copy()
-        item_c[j] -= taken
-        gone = j[item_c[j] == 0]
-        if not gone.size:
-            return removed, (old.q, old.r, item_c, old.keys)
-        keep = np.ones(item_c.size, dtype=bool)
-        keep[gone] = False
-        keys = old.keys[keep]
-        return removed, (*self._split_fingerprints(keys), item_c[keep], keys)
+            return 0, None, change
+        change.grow[found] = self._grown_slots(req[found], old.c[j], -taken)
+        partial = old.c[j] > taken
+        gone, kept = j[~partial], j[partial]
+        if gone.size:
+            rows = np.ones(old.keys.size, dtype=bool)
+            rows[gone] = False
+            keys, item_c = old.keys[rows], old.c[rows]
+        else:
+            keys, item_c = old.keys, old.c.copy()
+        # A row that keeps a count moved left by the gone rows before it.
+        item_c[kept - np.searchsorted(gone, kept)] -= taken[partial]
+        return removed, (keys, item_c), change
 
-    def _phase_geometries(
-        self,
-        quotients: np.ndarray,
-        masks: Sequence[np.ndarray],
-        before: _Geometry,
-        after: _Geometry,
-    ) -> List[_Geometry]:
-        """Run geometry before each phase and after the last one.
+    def _phase_windows(
+        self, at: np.ndarray, masks: Sequence[np.ndarray], spans: _Spans
+    ) -> List[_Window]:
+        """The spans' run geometry before each phase and after the last one.
 
         Each quotient's rows sit in one phase, and the batch only grows
         (insert) or only shrinks (delete) runs.  So once phase ``k`` has
         run, a run has its final length if a phase up to ``k`` touched its
         quotient and its old length otherwise; the starts follow from the
-        lengths by the canonical packing.  No slot is written for these
-        intermediate layouts — they exist only to charge each phase.
+        lengths by the canonical packing, span by span (runs outside the
+        spans never move).  No slot is written for these intermediate
+        layouts — they exist only to charge each phase.  ``at`` is each
+        row's run in the spans (``-1`` for rows without a run).
         """
         if len(masks) == 1:
-            return [before, after]
-        union_q = after[0] if after[0].size >= before[0].size else before[0]
-        lens = [
-            run_lens if run_q is union_q else self._by_quotient(run_q, run_lens)[union_q]
-            for run_q, _starts, run_lens in (before, after)
-        ]
-        phase_by_quotient = np.full(self.n_canonical_slots, -1, dtype=np.int8)
+            return [spans.before, spans.after]
+        phase_of = np.zeros(spans.q.size, dtype=np.int8)
         for k, mask in enumerate(masks):
-            phase_by_quotient[quotients[mask]] = k
-        phase_of = phase_by_quotient[union_q]
-        states = [before]
+            rows = at[mask]
+            phase_of[rows[rows >= 0]] = k
+        windows = [spans.before]
         for k in range(1, len(masks)):
-            run_lens = np.where(phase_of < k, lens[1], lens[0])
-            keep = run_lens > 0
-            run_q, run_lens = union_q[keep], run_lens[keep]
-            states.append((run_q, self._canonical_starts(run_q, run_lens)[0], run_lens))
-        states.append(after)
-        return states
+            lens = np.where(phase_of < k, spans.after[1], spans.before[1])
+            windows.append((self._canonical_starts(spans.q, lens)[0], lens))
+        windows.append(spans.after)
+        return windows
 
     def _charge_phases(
         self,
-        charge: Callable[[np.ndarray, _Geometry, _Geometry], None],
+        charge: Callable[[np.ndarray, np.ndarray, _Window, _Window], None],
         quotients: np.ndarray,
         phases: Optional[Sequence[Phase]],
-        before: _Geometry,
-        after: _Geometry,
+        spans: _Spans,
     ) -> None:
         """Charge every phase's rows inside its launch, in schedule order."""
         if phases is None:
             phases = self._single_phase(quotients.size)
-        states = self._phase_geometries(quotients, [mask for mask, _ in phases], before, after)
+        at = spans.row_at
+        windows = self._phase_windows(at, [mask for mask, _ in phases], spans)
         for k, (mask, launch) in enumerate(phases):
             with launch:
                 if mask.any():
-                    charge(quotients[mask], states[k], states[k + 1])
+                    charge(quotients[mask], at[mask], windows[k], windows[k + 1])
 
     def insert_sorted_batch(
         self,
@@ -1017,9 +1272,9 @@ class QuotientFilterCore:
 
         Functionally identical to calling :meth:`insert_fingerprint` per row
         (the canonical-layout argument above), but all slot and metadata
-        traffic happens as whole-array operations.  Hardware events are
-        charged per input row, mirroring what the sequential thread-per-
-        region insertion would generate.
+        traffic happens as array operations over the batch's spans.
+        Hardware events are charged per input row, mirroring what the
+        sequential thread-per-region insertion would generate.
 
         ``phases`` is the charging schedule: ``(row_mask, launch)`` pairs
         whose masks split the rows by quotient (no quotient in two phases).
@@ -1044,13 +1299,18 @@ class QuotientFilterCore:
             raise ValueError("remainder wider than remainder_bits")
 
         old = self._decode_items()
-        after = self._rebuild_from_items(*self._splice_insert(old, quotients, remainders, counts))
-        before = (old.run_q, old.run_starts, old.run_lens)
-        self._charge_phases(self._charge_insert, quotients, phases, before, after)
+        items, change = self._splice_insert(old, quotients, remainders, counts)
+        spans = self._relayout(old, items, change)
+        # Charged first: a one-span window views the geometry the write
+        # then updates in place.
+        self._charge_phases(self._charge_insert, quotients, phases, spans)
+        self._write_spans(items, spans, self._total_count + int(counts.sum()))
 
-    def _charge_insert(self, quotients: np.ndarray, before: _Geometry, after: _Geometry) -> None:
-        """Charge the rows of one insert phase, given the run geometry
-        ``before`` and ``after`` the phase.
+    def _charge_insert(
+        self, quotients: np.ndarray, at: np.ndarray, before: _Window, after: _Window
+    ) -> None:
+        """Charge the rows of one insert phase, given the spans' run geometry
+        ``before`` and ``after`` the phase (``at``: each row's run in them).
 
         Each input row reads its run as it stands *when that row inserts* —
         the pre-phase run plus one slot per earlier row with the same
@@ -1065,42 +1325,41 @@ class QuotientFilterCore:
         counter — for sorted fills whose runs never move mid-batch (fills
         into an empty table, the benchmark workload, with plain counts);
         merges into an already-loaded table undercount the per-item path's
-        per-move shift transactions by ~10-15 %.
+        per-move shift transactions by ~10-15 %.  Runs move only inside the
+        spans, so the shifted slots sum over the spans' runs.
         """
-        run_q_old, starts_old, lens_old = before
-        run_q, run_starts, _run_lens = after
+        old_starts, old_lens = before
+        new_starts, _new_lens = after
         m = int(quotients.size)
-        start_of = self._by_quotient(run_q, run_starts)
-        row_starts = start_of[quotients]
-        if run_q_old.size:
-            old_rows = self._by_quotient(run_q_old, lens_old)[quotients]
-            old_start_rows = np.where(
-                old_rows > 0, self._by_quotient(run_q_old, starts_old)[quotients], row_starts
-            )
-        else:
-            old_start_rows = row_starts
-            old_rows = np.zeros(m, dtype=np.int64)
+        row_starts = new_starts[at]
+        eff_old = old_lens[at]
+        old_start_rows = np.where(eff_old > 0, old_starts[at], row_starts)
         group_first = np.ones(m, dtype=bool)
         group_first[1:] = quotients[1:] != quotients[:-1]
         first_idx = np.flatnonzero(group_first)
-        group_rank = np.arange(m) - first_idx[np.cumsum(group_first) - 1]
-        eff_old = old_rows + group_rank
-        eff_new = eff_old + 1
-        old_lines = self._span_lines_vec(old_start_rows, eff_old) + self._slot_lines_vec(
-            eff_old
-        )
-        new_lines = self._span_lines_vec(row_starts, eff_new) + self._slot_lines_vec(
-            eff_new
-        )
-        shifted = 0
-        if run_q_old.size:
-            disp = start_of[run_q_old] - starts_old
-            shifted = int(np.sum(disp * lens_old))
+        if first_idx.size < m:
+            # Each row after its group's first sees the run one slot longer.
+            eff_old += np.arange(m)
+            eff_old -= np.repeat(first_idx, np.diff(np.append(first_idx, m)))
+        # The rows' span lines (sums of the alignment-aware line counts,
+        # an empty span taking none) and aligned slot lines, as the
+        # per-item path charges them.
+        shift = max(1, 128 // self.slot_bytes).bit_length() - 1
+        old_lines = (old_start_rows + eff_old - 1) >> shift
+        old_lines -= old_start_rows >> shift
+        old_lines += 1
+        old_lines *= eff_old > 0
+        new_lines = int(((row_starts + eff_old) >> shift).sum()) - int((row_starts >> shift).sum())
+        eff_sum = int(eff_old.sum())
+        reads = int(old_lines.sum()) + int(self._slot_lines_vec(eff_old).sum())
+        eff_old += 1
+        writes = new_lines + m + int(self._slot_lines_vec(eff_old).sum())
+        shifted = int(np.sum((new_starts - old_starts) * old_lens))
         self.recorder.add(
-            cache_line_reads=int(old_lines.sum()) + 2 * m + self._slot_lines(shifted),
-            cache_line_writes=int(new_lines.sum()) + 2 * m + self._slot_lines(shifted),
+            cache_line_reads=reads + 2 * m + self._slot_lines(shifted),
+            cache_line_writes=writes + 2 * m + self._slot_lines(shifted),
             slots_shifted=2 * shifted,
-            instructions=int(4 * m + eff_old.sum() + eff_new.sum() + shifted),
+            instructions=4 * m + 2 * eff_sum + m + shifted,
         )
 
     def lookup_counts(self, quotients: np.ndarray, remainders: np.ndarray) -> np.ndarray:
@@ -1129,7 +1388,7 @@ class QuotientFilterCore:
             cache_line_reads=int(q_lines.sum()) + m,
             instructions=int(4 * m + q_lens.sum()),
         )
-        if table.q.size == 0:
+        if table.keys.size == 0:
             return out
         probe_keys = self._packed_fingerprints(quotients, remainders)
         order = stable_argsort(probe_keys)
@@ -1150,20 +1409,24 @@ class QuotientFilterCore:
         requests against an absent fingerprint remove nothing, and several
         requests against the same fingerprint remove at most its stored
         count.  ``phases`` schedules the charge as for
-        :meth:`insert_sorted_batch`; the table is written once.
+        :meth:`insert_sorted_batch`; the table is written once, over the
+        clusters holding the requested quotients.
         """
         quotients = np.asarray(quotients, dtype=np.int64)
         remainders = np.asarray(remainders, dtype=np.uint64)
         if quotients.size == 0:
             return 0
         old = self._decode_items()
-        removed, items = self._splice_delete(old, quotients, remainders)
-        before = (old.run_q, old.run_starts, old.run_lens)
-        after = before if items is None else self._rebuild_from_items(*items)
-        self._charge_phases(self._charge_delete, quotients, phases, before, after)
+        removed, items, change = self._splice_delete(old, quotients, remainders)
+        spans = self._relayout(old, old[:2] if items is None else items, change)
+        self._charge_phases(self._charge_delete, quotients, phases, spans)
+        if items is not None:
+            self._write_spans(items, spans, self._total_count - removed)
         return removed
 
-    def _charge_delete(self, quotients: np.ndarray, before: _Geometry, _after: _Geometry) -> None:
+    def _charge_delete(
+        self, quotients: np.ndarray, at: np.ndarray, before: _Window, _after: _Window
+    ) -> None:
         """Charge the rows of one delete phase from the pre-phase geometry.
 
         A delete re-canonicalises the whole cluster containing its run, as
@@ -1175,30 +1438,41 @@ class QuotientFilterCore:
         deletion shrinks clusters as it proceeds.  Halving the per-cluster
         terms calibrates the two paths at benchmark scale (q=12, ~30 % of
         the table deleted: within ~10 % on every counter); smaller tables
-        land within ~2x, which keeps every Figure 6 ordering intact.
+        land within ~2x, which keeps every Figure 6 ordering intact.  A
+        delete's spans are whole clusters, and a phase only splits them, so
+        every row's cluster lies inside the spans.
         """
-        run_q_old, starts_old, lens_old = before
+        starts, lens = before
         m = int(quotients.size)
-        if run_q_old.size:
-            # A run opens a new cluster when it starts past the previous
-            # run's end; clusters are numbered from 1.
-            breaks = np.ones(run_q_old.size, dtype=bool)
-            np.greater(starts_old[1:], starts_old[:-1] + lens_old[:-1], out=breaks[1:])
-            cluster_of = np.cumsum(breaks)
-            cluster_first = np.flatnonzero(breaks)
-            cluster_last = np.append(cluster_first[1:], run_q_old.size) - 1
-            cluster_len = (
-                starts_old[cluster_last] + lens_old[cluster_last] - starts_old[cluster_first]
-            )
-            cluster_runs = cluster_last - cluster_first + 1
-            # Quotients without a run read cluster 0, which is no cluster.
-            req = self._by_quotient(run_q_old, cluster_of)[quotients] - 1
-            occupied = req >= 0
-            req_cluster = np.where(occupied, cluster_len[req], 0)
-            req_runs = np.where(occupied, cluster_runs[req], 0)
+        # A run opens a new cluster when it starts past the end of every
+        # run before it (an emptied run is no run, and ends nowhere).
+        live = lens > 0
+        all_live = bool(live.all())
+        reach = starts + lens
+        if not all_live:
+            reach *= live
+        np.maximum.accumulate(reach, out=reach)
+        opens = np.ones(live.size, dtype=bool)
+        np.greater(starts[1:], reach[:-1], out=opens[1:])
+        if not all_live:
+            opens &= live
+        cluster_of = np.cumsum(opens)
+        cluster_of -= 1
+        first = np.flatnonzero(opens)
+        last = np.append(first[1:], opens.size)[: first.size] - 1
+        cluster_len = reach[last] - starts[first]
+        if all_live:
+            cluster_runs = last - first + 1
         else:
-            req_cluster = np.zeros(m, dtype=np.int64)
-            req_runs = np.zeros(m, dtype=np.int64)
+            runs_before = np.cumsum(live)
+            cluster_runs = runs_before[last] - runs_before[first] + 1
+        req_cluster = np.zeros(m, dtype=np.int64)
+        req_runs = np.zeros(m, dtype=np.int64)
+        rows = np.flatnonzero(at >= 0)
+        rows = rows[live[at[rows]]]
+        cluster = cluster_of[at[rows]]
+        req_cluster[rows] = cluster_len[cluster]
+        req_runs[rows] = cluster_runs[cluster]
         cluster_traffic = int(((req_runs + self._slot_lines_vec(req_cluster)) // 2).sum())
         self.recorder.add(
             cache_line_reads=cluster_traffic + 3 * m,
@@ -1215,7 +1489,8 @@ class QuotientFilterCore:
         not count device traffic.
         """
         table = self._decode_items()
-        for q, r, c in zip(table.q.tolist(), table.r.tolist(), table.c.tolist()):
+        quotients, remainders = self._split_fingerprints(table.keys)
+        for q, r, c in zip(quotients.tolist(), remainders.tolist(), table.c.tolist()):
             if self.counting:
                 yield int(q), int(r), int(c)
             else:
@@ -1259,7 +1534,7 @@ class QuotientFilterCore:
         traffic.  The arrays are copies — callers may mutate them freely.
         """
         table = self._decode_items()
-        return table.q.copy(), table.r.copy(), table.c.copy()
+        return (*self._split_fingerprints(table.keys), table.c.copy())
 
     def export_state(self) -> "Dict[str, np.ndarray]":
         """Snapshot the complete table state as named arrays."""
@@ -1306,6 +1581,7 @@ class QuotientFilterCore:
         self._n_distinct = int(scalars[0])
         self._total_count = int(scalars[1])
         self._decoded_cache = None
+        self._stale_free_slots = True
         if self._shared_scalars is not None:
             self.flush_shared()
 
@@ -1345,6 +1621,7 @@ class QuotientFilterCore:
         self._n_distinct = int(self._shared_scalars[0])
         self._total_count = int(self._shared_scalars[1])
         self._decoded_cache = None
+        self._stale_free_slots = True
 
     def flush_shared(self) -> None:
         """Write the scalar counters back into the shared buffer."""

@@ -239,8 +239,8 @@ class PointGQF(QuotientFilter):
         """One point-style attempt (one cooperative thread per row) under
         the region locks of every row it tries.
 
-        A batch big enough to amortise the whole-table decode is replayed as
-        one canonical merge (state identical to the per-item loop; events
+        A batch the core routes to its vectorised path is replayed as one
+        canonical merge (state identical to the per-item loop; events
         calibrated per input row, exact for fills of distinct fingerprints)
         plus a batched region-lock replay; a small batch runs per item.
         """

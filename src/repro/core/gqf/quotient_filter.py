@@ -117,7 +117,9 @@ class QuotientFilter(AbstractFilter):
         counter re-purposing applications like Mantis use with the CQF.
         Raises :class:`FilterFullError` when the key cannot be placed."""
         key = np.array([int(key) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-        error = self._insert(key, np.array([value], dtype=np.int64), launch=False)[2]
+        # A zero value counts once, as no value does (and skips its checks).
+        values = np.array([value], dtype=np.int64) if value else None
+        error = self._insert(key, values, launch=False)[2]
         if error is not None:
             raise error
         return True

@@ -76,6 +76,19 @@ def _high_bit(word: int) -> int:
     return word.bit_length() - 1
 
 
+def _low_bits(words: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`_low_bit`: count the zeros below the lowest set bit."""
+    return _popcount_words((words & (~words + np.uint64(1))) - np.uint64(1)).astype(np.int64)
+
+
+def _high_bits(words: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`_high_bit`: smear each word's top bit down, count."""
+    x = words.copy()
+    for shift in (1, 2, 4, 8, 16, 32):
+        x |= x >> np.uint64(shift)
+    return _popcount_words(x).astype(np.int64) - 1
+
+
 class Bitvector:
     """A fixed-length bit vector with rank/select queries.
 
@@ -136,6 +149,12 @@ class Bitvector:
         index = self._index(index)
         return bool((self.words[index >> 6] >> np.uint64(index & 63)) & np.uint64(1))
 
+    def get_batch(self, positions: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`get` (positions must be in range)."""
+        positions = np.asarray(positions, dtype=np.int64)
+        bit = (positions & 63).astype(np.uint64)
+        return ((self.words[positions >> 6] >> bit) & np.uint64(1)).astype(bool)
+
     def set(self, index: int, value: bool = True) -> None:
         """Set (or clear) bit ``index``."""
         index = self._index(index)
@@ -181,11 +200,49 @@ class Bitvector:
         """Clear bits in ``[start, stop)``."""
         self._apply_range(start, stop, False)
 
-    def assign_positions(self, positions: np.ndarray) -> None:
-        """Replace the whole vector with bits set exactly at ``positions``."""
-        buf = np.zeros(self.n_words * _WORD_BITS, dtype=np.uint8)
-        buf[np.asarray(positions, dtype=np.int64)] = 1
-        self.words[:] = np.packbits(buf, bitorder="little").view(np.uint64)
+    def assign_spans(
+        self,
+        starts: np.ndarray,
+        stops: np.ndarray,
+        positions: np.ndarray,
+        report_cleared: bool = False,
+    ) -> Optional[np.ndarray]:
+        """Set the bits inside the disjoint, ascending ranges ``[starts[i],
+        stops[i])`` exactly at ``positions`` (which lie inside them); bits
+        outside keep their values.  With ``report_cleared``, returns the
+        positions whose bits this cleared.
+
+        The words strictly inside a range are zeroed and its edge words
+        masked; then the words from the first range to the last are
+        unpacked (one byte per bit), given their new bits and packed back.
+        """
+        starts = np.asarray(starts, dtype=np.int64)
+        stops = np.asarray(stops, dtype=np.int64)
+        if starts.size == 0:
+            return np.zeros(0, dtype=np.int64) if report_cleared else None
+        first_w, last_w = starts >> 6, (stops - 1) >> 6
+        w0, w1 = int(first_w[0]), int(last_w[-1]) + 1
+        before = self.words[w0:w1].copy() if report_cleared else None
+        inner = np.bincount(first_w + 1 - w0, minlength=w1 - w0 + 1)
+        inner -= np.bincount(np.maximum(last_w, first_w + 1) - w0, minlength=w1 - w0 + 1)
+        self.words[w0:w1][np.cumsum(inner[:-1]) > 0] = 0
+        head = _ALL_ONES << (starts & 63).astype(np.uint64)
+        tail = _ALL_ONES >> (np.uint64(63) - ((stops - 1) & 63).astype(np.uint64))
+        one_word = first_w == last_w
+        np.bitwise_and.at(
+            self.words,
+            np.concatenate((first_w, last_w[~one_word])),
+            ~np.concatenate((np.where(one_word, head & tail, head), tail[~one_word])),
+        )
+        buf = self._get_chunk(w0, w1)
+        buf[np.asarray(positions, dtype=np.int64) - (w0 << 6)] = 1
+        self._put_chunk(w0, w1, buf)
+        if before is None:
+            return None
+        dropped = before & ~self.words[w0:w1]
+        hit = np.flatnonzero(dropped)
+        bits = np.flatnonzero(np.unpackbits(dropped[hit].view(np.uint8), bitorder="little"))
+        return ((hit[bits >> 6] + w0) << 6) + (bits & 63)
 
     def count(self) -> int:
         """Total number of set bits."""
@@ -297,6 +354,44 @@ class Bitvector:
             return None
         w = int(full[-1])
         return (w << 6) + _high_bit(int(~self.words[w] & _ALL_ONES))
+
+    def next_unset_batch(self, positions: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`next_unset` (``n_bits`` where no cleared bit
+        follows), searched as :meth:`prev_unset_batch` searches."""
+        positions = np.asarray(positions, dtype=np.int64)
+        w = positions >> 6
+        inv = ~self.words[w] & (_ALL_ONES << (positions & 63).astype(np.uint64))
+        out = (w << 6) + _low_bits(inv)
+        far = np.flatnonzero(inv == 0)
+        if far.size:
+            # The final word's padding bits read as cleared, past n_bits.
+            open_words = np.flatnonzero(self.words != _ALL_ONES)
+            k = np.searchsorted(open_words, w[far], side="right")
+            after = k < open_words.size
+            nxt = open_words[k[after]]
+            out[far] = self.n_bits
+            out[far[after]] = (nxt << 6) + _low_bits(~self.words[nxt])
+        return np.minimum(out, self.n_bits)
+
+    def prev_unset_batch(self, positions: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`prev_unset` (-1 where no cleared bit precedes).
+
+        One masked in-word search per position; positions whose word has no
+        cleared bit at or below them look up the last non-full word before
+        it (one O(n/64) pass over the words).
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        w = positions >> 6
+        below = _ALL_ONES >> (np.uint64(63) - (positions & 63).astype(np.uint64))
+        inv = ~self.words[w] & below
+        out = (w << 6) + _high_bits(inv)
+        far = np.flatnonzero(inv == 0)
+        if far.size:
+            open_words = np.flatnonzero(self.words != _ALL_ONES)
+            k = np.searchsorted(open_words, w[far]) - 1
+            prev = open_words[np.maximum(k, 0)] if open_words.size else np.zeros_like(k)
+            out[far] = np.where(k >= 0, (prev << 6) + _high_bits(~self.words[prev]), -1)
+        return out
 
     def set_positions(self, start: int, stop: int) -> np.ndarray:
         """Positions of set bits within ``[start, stop)``."""

@@ -62,7 +62,6 @@ class BlockedTable:
             name=name,
         )
         self._cg = CooperativeGroup(config.cg_size, recorder)
-        self._flat_base: Optional[np.ndarray] = None
         self._block_lines: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ sizes
@@ -248,7 +247,8 @@ class BlockedTable:
 
         The bulk TCF's row invariant — every block ascending, so empties (0)
         and tombstones (1) sit in front of the live fingerprint words — is
-        what makes whole-batch ``searchsorted`` probing possible.
+        what makes the batched in-row binary search (:meth:`row_lower_bound`)
+        possible.
         """
         if block_indices.size == 0:
             return
@@ -270,32 +270,10 @@ class BlockedTable:
             return None
         return shift
 
-    def flat_sorted_keys(self) -> Optional[np.ndarray]:
-        """Globally sorted ``(block << shift) | word`` keys, one per slot.
-
-        Because every block row is kept ascending and rows are laid out in
-        block order, this flattened key array is globally sorted: position
-        ``i`` corresponds to flat slot ``i`` of the table, so one batched
-        ``searchsorted`` resolves an arbitrary set of (block, fingerprint)
-        probes.  Host-side helper; the caller accounts per-probe traffic.
-        """
-        shift = self.flat_key_shift
-        if shift is None:
-            return None
-        if self._flat_base is None:
-            self._flat_base = np.repeat(
-                np.arange(self.n_blocks, dtype=np.uint64), self.config.block_size
-            ) << np.uint64(shift)
-        # Slot words never reach the block bits, so + is equivalent to |.
-        return self._flat_base + self.slots.peek()
-
-    def free_counts(self) -> np.ndarray:
-        """Per-block insertable-slot counts (host-side, vectorised)."""
-        return self.config.block_size - self.fills()
-
     def row_lower_bound(self, blocks: np.ndarray, words: np.ndarray) -> np.ndarray:
         """Batched in-row binary search: per probe, the first slot offset of
-        ``blocks[i]``'s row whose word is >= ``words[i]``.
+        ``blocks[i]``'s row whose word is >= ``words[i]`` (or ``words``, when
+        one word is searched in every row).
 
         A branchless lower bound over the sorted rows — log2(B) strided
         gathers for the whole batch, the vectorised equivalent of the

@@ -18,10 +18,13 @@ the same false-positive rate (ε = 2B/2^f grows with the block size).
 
 The hot paths are whole-batch NumPy operations over the table reshaped to
 ``(n_blocks, block_size)``: one sort + ``searchsorted`` routes the entire
-batch, per-block free capacity comes from a vectorised fill count, spills are
-split off *positionally* (so duplicate fingerprint words can never be
-mis-attributed to the wrong key), and every touched block is rewritten with
-one batched per-row sort and a single write-back.  Batches at or below
+batch, each touched block's free capacity is one in-row lower bound (rows
+are sorted, so empties and tombstones lead), spills are split off
+*positionally* (so duplicate fingerprint words can never be mis-attributed
+to the wrong key), and every touched block is rewritten with one batched
+per-row sort and a single write-back.  Deletes search only the candidate
+rows of their keys, so a call touches its batch's blocks and never scans
+the whole table on the host.  Batches at or below
 :data:`~repro.core.base.SEQUENTIAL_BATCH_MAX` keep the per-item code path,
 which is cheaper than staging whole-table views for a handful of keys.  Simulated
 hardware events are charged per touched block / per probe exactly as the
@@ -186,7 +189,9 @@ class BulkTCF(TwoChoiceFilter):
             launch = bulk_tile_launch(int(touched.size), self.config.cg_size)
 
         with self.kernels.launch(kernel_name, launch):
-            free = self.table.free_counts()[touched]
+            # Rows are ascending with empties (0) and tombstones (1) first,
+            # so the lower bound of the smallest live word is the free count.
+            free = self.table.row_lower_bound(touched, np.uint64(TOMBSTONE_SLOT + 1))
             rank = np.arange(sorted_blocks.size) - np.repeat(starts, counts)
             accept = rank < np.repeat(free, counts)
             n_accepted = np.minimum(counts, free)
@@ -481,17 +486,18 @@ class BulkTCF(TwoChoiceFilter):
             for candidates in (h.primary, h.secondary):
                 if pending.size == 0:
                     break
-                flat = self.table.flat_sorted_keys()
                 probe_lo = (candidates[pending].astype(np.uint64) << shift) + lo_w[pending]
                 # Rank duplicate (block, fingerprint) requests in batch order
                 # so each consumes a distinct stored slot.  Everything below
-                # stays in this sorted order, so both searches walk ``flat``
-                # front to back.
+                # stays in this sorted order.
                 order = stable_argsort(probe_lo)
-                sorted_lo = probe_lo[order]
-                lo = np.searchsorted(flat, sorted_lo)
-                n_avail = np.searchsorted(flat, sorted_lo + word_span) - lo
-                rank = group_ranks(sorted_lo)
+                rank = group_ranks(probe_lo[order])
+                blocks = candidates[pending[order]]
+                words = lo_w[pending[order]]
+                # The stored copies of a fingerprint are one sorted span of
+                # its candidate row: two in-row searches bound it.
+                lo = self.table.row_lower_bound(blocks, words)
+                n_avail = self.table.row_lower_bound(blocks, words + word_span) - lo
                 take = rank < n_avail
                 # Each request stages its candidate block (read + one pass).
                 account_batched_tiles(
@@ -503,12 +509,13 @@ class BulkTCF(TwoChoiceFilter):
                 )
                 hits = order[take]
                 if hits.size:
-                    slot_flat = lo[take] + rank[take]
-                    data[slot_flat] = EMPTY_SLOT
-                    # slot_flat ascends (probes were rank-ordered), so the
-                    # touched blocks dedupe with a plain first-occurrence flag.
-                    blocks_mod = slot_flat // block_size
-                    self.table.resort_rows(blocks_mod[run_first_mask(blocks_mod)])
+                    hit_blocks = blocks[take]
+                    data[hit_blocks.astype(np.int64) * block_size + lo[take] + rank[take]] = (
+                        EMPTY_SLOT
+                    )
+                    # The probes were sorted by block, so the touched blocks
+                    # dedupe with a plain first-occurrence flag.
+                    self.table.resort_rows(hit_blocks[run_first_mask(hit_blocks)])
                     # Hits recompact and write their block back (per request,
                     # as the per-item path re-stages the block every time).
                     self.recorder.add(

@@ -81,6 +81,8 @@ def stable_argsort(keys: np.ndarray) -> np.ndarray:
     only; callers charge device traffic (e.g. via :func:`device_sort_by_key`).
     """
     keys = np.asarray(keys)
+    if keys.size < 2:
+        return np.arange(keys.size)
     packed = _sorted_index_words(keys)
     if packed is None:
         # audit: ignore[AUD107] - the primitive's own unpackable-key fallback

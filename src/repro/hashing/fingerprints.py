@@ -90,7 +90,7 @@ class FingerprintScheme:
         r = self.remainder_bits
         rem_mask = (1 << r) - 1
         if isinstance(fingerprints, np.ndarray):
-            fp = fingerprints.astype(np.uint64)
+            fp = np.asarray(fingerprints, dtype=np.uint64)
             quotient = (fp >> np.uint64(r)) & np.uint64(self.n_slots - 1)
             remainder = fp & np.uint64(rem_mask)
             return quotient.astype(np.int64), remainder

@@ -41,15 +41,26 @@ def murmur64_mix(x: ArrayOrInt) -> ArrayOrInt:
     (xor-shift or multiplication by an odd constant) is invertible, so the
     filter can recover the original fingerprint for enumeration and merging.
     """
-    scalar = not isinstance(x, np.ndarray)
-    v = _as_u64(x)
-    with np.errstate(over="ignore"):
-        v = (v ^ (v >> _U64(33))) & _MASK64
-        v = (v * _U64(0xFF51AFD7ED558CCD)) & _MASK64
-        v = (v ^ (v >> _U64(33))) & _MASK64
-        v = (v * _U64(0xC4CEB9FE1A85EC53)) & _MASK64
-        v = (v ^ (v >> _U64(33))) & _MASK64
-    return _maybe_scalar(v, scalar)
+    if not isinstance(x, np.ndarray):
+        with np.errstate(over="ignore"):
+            return int(_murmur64_steps(_as_u64(x)))
+    # uint64 array arithmetic wraps modulo 2^64 without warnings, so the
+    # array path needs neither masks nor an error-state context (both cost
+    # more than the mixing itself on the one-key batches of point inserts).
+    return _murmur64_steps(x.astype(np.uint64))
+
+
+_SHIFT33 = _U64(33)
+_MUL1 = _U64(0xFF51AFD7ED558CCD)
+_MUL2 = _U64(0xC4CEB9FE1A85EC53)
+
+
+def _murmur64_steps(v: np.ndarray) -> np.ndarray:
+    v = v ^ (v >> _SHIFT33)
+    v = v * _MUL1
+    v = v ^ (v >> _SHIFT33)
+    v = v * _MUL2
+    return v ^ (v >> _SHIFT33)
 
 
 def _unshift_right_xor(v: np.ndarray, shift: int) -> np.ndarray:

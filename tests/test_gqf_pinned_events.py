@@ -141,6 +141,68 @@ def _cpu_cqf_script():
     return _observe(filt, results)
 
 
+def _quotient_keys(filt, rng, lo, hi, n):
+    """``n`` keys whose quotient lies in ``[lo, hi)``."""
+    out = []
+    while sum(a.size for a in out) < n:
+        cand = _keys(rng, 1 << 16)
+        q, _r = filt._hash_batch(cand)
+        out.append(cand[(q >= lo) & (q < hi)])
+    return np.concatenate(out)[:n]
+
+
+def _clusters(core):
+    """``(starts, stops)`` of the table's clusters (maximal used spans)."""
+    edges = np.diff(np.concatenate(([0], core.slot_used.bits.astype(np.int8), [0])))
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+
+
+def _small_batch_script():
+    """Vectorised batches of 40-60 rows into a ``BulkGQF(14, 8)`` at ~0.85
+    load: each touches a few clusters of a table of ~1,400."""
+    rng = np.random.default_rng(19)
+    filt = BulkGQF(14, 8, recorder=StatsRecorder())
+    core = filt.core
+    base = _keys(rng, 13_900)
+    results = [filt.bulk_insert(base)]
+    # Grow the runs of a cluster one slot short of the next: the gap fills
+    # and the two clusters merge (the random rows merge more of them).
+    starts, stops = _clusters(core)
+    i = next(
+        i
+        for i in range(starts.size - 1)
+        if starts[i + 1] - stops[i] == 1 and stops[i] - starts[i] > 20 and starts[i] > 4000
+    )
+    n_clusters = starts.size
+    gap_fill = _quotient_keys(filt, rng, stops[i] - 8, stops[i], 3)
+    results.append(filt.bulk_insert(np.concatenate([gap_fill, _keys(rng, 37)])))
+    results.append(n_clusters - _clusters(core)[0].size)
+    # Counts that need counter digits, then one fewer of each (and of some
+    # twice): the digit encodings change length both ways.
+    valued = np.concatenate([base[:24], _keys(rng, 24)])
+    valued = valued[filt._hash_batch(valued)[1] >= 2]
+    results.append(filt.bulk_insert(valued, rng.integers(3, 5000, size=valued.size)))
+    results.append(filt.bulk_delete(np.concatenate([valued, valued[:10]])))
+    # Empty 48 quotients' runs inside the longest cluster: it splits.
+    starts, stops = _clusters(core)
+    lo = int(starts[int(np.argmax(stops - starts))]) + 10
+    quotients = filt._hash_batch(base)[0]
+    victims = base[(quotients >= lo) & (quotients < lo + 48)]
+    n_clusters = starts.size
+    results.append(filt.bulk_delete(rng.permutation(np.concatenate([victims, _keys(rng, 8)]))))
+    results.append(_clusters(core)[0].size - n_clusters)
+    # Fill the slack past the last cluster to ten free slots, then overflow
+    # it with a small batch: the even phase lands, the odd one fills and
+    # stops.
+    top = core.n_canonical_slots
+    free_tail = core.total_slots - int(_clusters(core)[1][-1])
+    results.append(filt.bulk_insert(_quotient_keys(filt, rng, top - 128, top, free_tail - 10)))
+    overflow = np.concatenate([_keys(rng, 20), _quotient_keys(filt, rng, top - 128, top, 30)])
+    results.append(int(np.count_nonzero(filt.bulk_insert_mask(overflow))))
+    results.append(int(filt.bulk_count(base).sum()))
+    return _observe(filt, results)
+
+
 SCRIPTS = {
     "bulk_gqf": _bulk_gqf_script,
     "bulk_gqf_mapreduce": _bulk_gqf_mapreduce_script,
@@ -150,6 +212,7 @@ SCRIPTS = {
     "sqf": _sqf_script,
     "rsqf": _rsqf_script,
     "cpu_cqf": _cpu_cqf_script,
+    "bulk_gqf_small_batches": _small_batch_script,
 }
 
 EXPECTED = {
@@ -396,6 +459,149 @@ EXPECTED = {
             ),
             # The odd phase that overflowed raised through its launch, which
             # records nothing; the table grew outside any launch.
+        ],
+    },
+    "bulk_gqf_small_batches": {
+        "results": [13900, 40, 21, 47, 57, 58, 14, 1014, 43, 69359],
+        "state": "620eac8d11789898",
+        "scalars": (14910, 128213),
+        "total": {
+            "cache_line_reads": 90293,
+            "cache_line_writes": 67446,
+            "coalesced_bytes_read": 1942272,
+            "coalesced_bytes_written": 1942272,
+            "slots_shifted": 163880,
+            "instructions": 277027,
+            "kernel_launches": 71,
+            "items_sorted": 15174,
+        },
+        "kernels": [
+            (
+                "gqf_bulk_insert_even",
+                {
+                    "cache_line_reads": 18463,
+                    "cache_line_writes": 27817,
+                    "instructions": 40720,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_insert_odd",
+                {
+                    "cache_line_reads": 18521,
+                    "cache_line_writes": 27831,
+                    "instructions": 40770,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_insert_even",
+                {
+                    "cache_line_reads": 56,
+                    "cache_line_writes": 74,
+                    "slots_shifted": 406,
+                    "instructions": 317,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_insert_odd",
+                {
+                    "cache_line_reads": 78,
+                    "cache_line_writes": 92,
+                    "slots_shifted": 808,
+                    "instructions": 558,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_insert_even",
+                {
+                    "cache_line_reads": 108,
+                    "cache_line_writes": 116,
+                    "slots_shifted": 4988,
+                    "instructions": 2688,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_insert_odd",
+                {
+                    "cache_line_reads": 107,
+                    "cache_line_writes": 119,
+                    "slots_shifted": 6882,
+                    "instructions": 3608,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_delete_even",
+                {
+                    "cache_line_reads": 689,
+                    "cache_line_writes": 659,
+                    "slots_shifted": 956,
+                    "instructions": 2032,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_delete_odd",
+                {
+                    "cache_line_reads": 838,
+                    "cache_line_writes": 811,
+                    "slots_shifted": 1189,
+                    "instructions": 2487,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_delete_even",
+                {
+                    "cache_line_reads": 69,
+                    "cache_line_writes": 62,
+                    "slots_shifted": 75,
+                    "instructions": 178,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_delete_odd",
+                {
+                    "cache_line_reads": 4991,
+                    "cache_line_writes": 4932,
+                    "slots_shifted": 7598,
+                    "instructions": 15432,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_insert_even",
+                {"kernel_launches": 1},
+            ),
+            (
+                "gqf_bulk_insert_odd",
+                {
+                    "cache_line_reads": 4411,
+                    "cache_line_writes": 4535,
+                    "slots_shifted": 113178,
+                    "instructions": 71199,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_insert_even",
+                {
+                    "cache_line_reads": 24,
+                    "cache_line_writes": 34,
+                    "slots_shifted": 324,
+                    "instructions": 210,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_count",
+                {"cache_line_reads": 41683, "instructions": 82507, "kernel_launches": 1},
+            ),
         ],
     },
     "cpu_cqf": {

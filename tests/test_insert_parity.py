@@ -5,8 +5,9 @@ Every bulk filter implements its insert once, in ``bulk_insert_mask``;
 out.  Wherever ``bulk_insert`` succeeds, the mask on a fresh twin must
 therefore leave the same table state, the same hardware events and the same
 per-kernel stats; where it raises, the mask reports the keys it left out
-and the table and event totals match.  The last test guards the masked GQF insert against
-falling back to a per-key loop.
+and the table and event totals match (a bit array never refuses a key, so
+the Bloom filters have no failing case).  The last tests guard the masked
+inserts against falling back to a per-key loop.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.baselines.blocked_bloom import BlockedBloomFilter
+from repro.baselines.bloom import BloomFilter
 from repro.baselines.cpu_cqf import CPUCountingQuotientFilter
+from repro.baselines.cpu_vqf import CPUVectorQuotientFilter
 from repro.baselines.rsqf import RankSelectQuotientFilter
 from repro.baselines.sqf import StandardQuotientFilter
 from repro.core.exceptions import FilterFullError
@@ -37,6 +41,9 @@ CASES = {
     "bulk-tcf-auto-resize": (lambda: BulkTCF(512, auto_resize=True), (400, 1_500, 8)),
     "point-tcf": (lambda: PointTCF(4_096), (1_500, 20, 900)),
     "point-tcf-auto-resize": (lambda: PointTCF(512, auto_resize=True), (400, 1_500, 8)),
+    "bloom": (lambda: BloomFilter.for_capacity(4_096), (1_500, 20, 900)),
+    "blocked-bloom": (lambda: BlockedBloomFilter.for_capacity(4_096), (1_500, 20, 900)),
+    "cpu-vqf": (lambda: CPUVectorQuotientFilter(4_096), (1_500, 20, 900)),
 }
 
 
@@ -95,8 +102,12 @@ def test_mask_matches_a_successful_bulk_insert(name):
         (lambda: CPUCountingQuotientFilter(8, 8), 400),
         (lambda: StandardQuotientFilter(8, 5), 400),
         (lambda: RankSelectQuotientFilter(8, 5), 400),
+        (lambda: CPUVectorQuotientFilter(256), 400),
     ],
-    ids=["gqf", "gqf-mapreduce", "bulk-tcf", "point-tcf", "point-gqf", "cpu-cqf", "sqf", "rsqf"],
+    ids=[
+        "gqf", "gqf-mapreduce", "bulk-tcf", "point-tcf", "point-gqf", "cpu-cqf", "sqf", "rsqf",
+        "cpu-vqf",
+    ],
 )
 def test_mask_reports_what_a_failing_bulk_insert_left_out(factory, n_keys):
     counted, masked = factory(), factory()
@@ -144,3 +155,21 @@ def test_gqf_mask_is_as_fast_as_bulk_insert():
         return min(times)
 
     assert best_of("bulk_insert_mask") <= 2.0 * best_of("bulk_insert")
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: BloomFilter.for_capacity(20_000),
+        lambda: BlockedBloomFilter.for_capacity(20_000),
+        lambda: CPUVectorQuotientFilter.for_capacity(20_000),
+    ],
+    ids=["bloom", "blocked-bloom", "cpu-vqf"],
+)
+def test_mask_runs_the_batch_kernel(factory):
+    """The mask is one whole-batch launch, not a per-key point loop."""
+    keys = np.random.default_rng(5).integers(2, 2**63, size=2_000, dtype=np.uint64)
+    filt = factory()
+    assert filt.bulk_insert_mask(keys).all()
+    assert filt.recorder.total.kernel_launches == 1
+    assert len(filt.kernels.kernels) == 1

@@ -287,7 +287,7 @@ class TestDeleteDifferential:
         )
         # B's primary block is full and A's (= B's secondary) has room, so
         # B spills onto A's (block, fingerprint) pair.
-        free = layout.table.free_counts()
+        free = layout.config.block_size - layout.table.fills()
         usable = (ia != ib) & (free[h.primary[ib]] == 0) & (free[h.primary[ia]] >= 3)
         a_keys, b_keys = candidates[ia[usable][:20]], candidates[ib[usable][:20]]
         assert a_keys.size == 20
