@@ -148,11 +148,6 @@ def _inserted(
     """Each array with its value(s) inserted before the ascending
     ``positions`` (``np.insert``, with the layout shared by the arrays)."""
     n = arrays[0].size + positions.size
-    if not arrays[0].size:
-        return [
-            np.asarray(value, array.dtype) if np.ndim(value) else np.full(n, value, array.dtype)
-            for array, value in zip(arrays, values)
-        ]
     dest = positions + np.arange(positions.size)
     kept = np.ones(n, dtype=bool)
     kept[dest] = False
@@ -961,8 +956,11 @@ class QuotientFilterCore:
                 touched_at = first[span_of] + touched - start[span_of]
             q_w = run_q[idx]
             old_starts, old_lens = run_starts[idx], run_lens[idx]
-            new_lens = old_lens.copy()
-            new_lens[touched_at] = touched_lens
+            if touched.size == q_w.size:
+                new_lens = touched_lens
+            else:
+                new_lens = old_lens.copy()
+                new_lens[touched_at] = touched_lens
             new_starts, new_gaps = self._canonical_starts(q_w, new_lens)
             # The next cluster starts at its quotient; growth that reaches
             # it would move it.
@@ -999,27 +997,29 @@ class QuotientFilterCore:
         if change.row_key is not None:
             row_group = row_group[change.row_key]
         del new_group, first
-        # The i-th occupied quotient owns the i-th run.
-        if old.run_q.size:
+        if not old.run_q.size:
+            # An empty table: every run is new.
+            kept = np.ones(batch_q.size, dtype=bool)
+            run_q, run_starts, run_lens = batch_q, np.zeros_like(grow), np.zeros_like(grow)
+            touched = np.arange(batch_q.size)
+        else:
+            # The i-th occupied quotient owns the i-th run.
             at = self.occupieds.rank_batch(batch_q - 1)
             known = self.occupieds.get_batch(batch_q)
-        else:
-            at = np.zeros(batch_q.size, dtype=np.int64)
-            known = np.zeros(batch_q.size, dtype=bool)
-        # A delete may name quotients without a run: they touch nothing.
-        kept = known | (grow > 0)
-        if not kept.all():
-            batch_q, grow, at, known = batch_q[kept], grow[kept], at[kept], known[kept]
-        run_q, run_starts, run_lens = old.run_q, old.run_starts, old.run_lens
-        if not known.all():
-            run_q, run_starts, run_lens = _inserted(
-                (run_q, run_starts, run_lens), at[~known], (batch_q[~known], 0, 0)
-            )
-        # A touched run's index moves up by the new runs before it.
-        born = ~known
-        touched = at + np.cumsum(born)
-        touched -= born
-        del at, born
+            # A delete may name quotients without a run: they touch nothing.
+            kept = known | (grow > 0)
+            if not kept.all():
+                batch_q, grow, at, known = batch_q[kept], grow[kept], at[kept], known[kept]
+            run_q, run_starts, run_lens = old.run_q, old.run_starts, old.run_lens
+            if not known.all():
+                run_q, run_starts, run_lens = _inserted(
+                    (run_q, run_starts, run_lens), at[~known], (batch_q[~known], 0, 0)
+                )
+            # A touched run's index moves up by the new runs before it.
+            born = ~known
+            touched = at + np.cumsum(born)
+            touched -= born
+            del at, born
         idx, first, q_w, before, after, gaps, touched_at = self._span_windows(
             run_q, run_starts, run_lens, touched, run_lens[touched] + grow
         )
