@@ -204,3 +204,41 @@ class TestPackedRoundTrip:
 
     def test_packed_size(self):
         assert Bitvector(200).nbytes_packed == 25
+
+
+def _random_bitvector(rng, n_bits, density):
+    bv = Bitvector(n_bits)
+    for p in np.flatnonzero(rng.random(n_bits) < density):
+        bv.set(int(p))
+    return bv
+
+
+class TestBatchedNavigation:
+    @pytest.mark.parametrize("n_bits, density", [(70, 0.5), (300, 0.95), (513, 0.05)])
+    def test_batches_match_the_scalar_searches(self, rng, n_bits, density):
+        bv = _random_bitvector(rng, n_bits, density)
+        positions = rng.integers(0, n_bits, size=40)
+        prev = [bv.prev_unset(int(p)) for p in positions]
+        nxt = [bv.next_unset(int(p)) for p in positions]
+        assert bv.prev_unset_batch(positions).tolist() == [-1 if v is None else v for v in prev]
+        assert bv.next_unset_batch(positions).tolist() == [n_bits if v is None else v for v in nxt]
+        assert bv.get_batch(positions).tolist() == [bv.get(int(p)) for p in positions]
+
+    @pytest.mark.parametrize("n_bits", [64, 200, 700])
+    def test_assign_spans_rewrites_only_the_spans(self, rng, n_bits):
+        for _ in range(20):
+            bv = _random_bitvector(rng, n_bits, 0.6)
+            before = bv.bits.copy()
+            cuts = np.sort(rng.choice(n_bits + 1, size=6, replace=False))
+            starts, stops = cuts[0::2], cuts[1::2]
+            expected = before.copy()
+            positions = []
+            for a, b in zip(starts, stops):
+                expected[a:b] = False
+                chosen = np.flatnonzero(rng.random(b - a) < 0.5) + a
+                expected[chosen] = True
+                positions.append(chosen)
+            cleared = bv.assign_spans(starts, stops, np.concatenate(positions), True)
+            assert np.array_equal(bv.bits, expected)
+            assert bv.count() == int(expected.sum())  # padding stays clear
+            assert cleared.tolist() == np.flatnonzero(before & ~expected).tolist()
