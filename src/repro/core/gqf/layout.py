@@ -1152,13 +1152,17 @@ class QuotientFilterCore:
         """A batch's distinct keys (ascending), each one's summed counts,
         and each row's index into them (None: row ``i`` is key ``i``)."""
         order = None
-        if np.any(keys[1:] < keys[:-1]):
+        # One pass finds the rows not above their predecessor; only those
+        # can be duplicates or out of order.
+        fresh = np.ones(keys.size, dtype=bool)
+        np.greater(keys[1:], keys[:-1], out=fresh[1:])
+        stalled = np.flatnonzero(~fresh)
+        if not stalled.size:
+            return keys, counts, None
+        if np.any(keys[stalled] < keys[stalled - 1]):
             order = stable_argsort(keys)
             keys, counts = keys[order], counts[order]
-        fresh = np.ones(keys.size, dtype=bool)
-        fresh[1:] = keys[1:] != keys[:-1]
-        if fresh.all() and order is None:
-            return keys, counts, None
+            fresh[1:] = keys[1:] != keys[:-1]
         row_key = np.cumsum(fresh)
         row_key -= 1
         if order is not None:
@@ -1175,7 +1179,9 @@ class QuotientFilterCore:
         if not self.counting or int(counts.max()) + max(int(added.max()), 0) <= 2:
             return added
         total = counts + added
-        big = np.flatnonzero(np.maximum(counts, total) > 2)
+        # ``added`` has one sign per batch: the larger count is the new one
+        # for an insert and the stored one for a delete.
+        big = np.flatnonzero((total if added[0] >= 0 else counts) > 2)
         remainders = keys[big] & ((np.uint64(1) << np.uint64(self.remainder_bits)) - np.uint64(1))
         grown = added.copy()
         grown[big] = counters.encoded_lengths(remainders, total[big], True)
