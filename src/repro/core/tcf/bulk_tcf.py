@@ -23,8 +23,9 @@ are sorted, so empties and tombstones lead), spills are split off
 *positionally* (so duplicate fingerprint words can never be mis-attributed
 to the wrong key), and every touched block is rewritten with one batched
 per-row sort and a single write-back.  Deletes search only the candidate
-rows of their keys, so a call touches its batch's blocks and never scans
-the whole table on the host.  Batches at or below
+rows of their keys.  Apart from pass 1's successor search over every block
+(the modelled one-group-per-block kernel), no step reads the whole table.
+Batches at or below
 :data:`~repro.core.base.SEQUENTIAL_BATCH_MAX` keep the per-item code path,
 which is cheaper than staging whole-table views for a handful of keys.  Simulated
 hardware events are charged per touched block / per probe exactly as the
