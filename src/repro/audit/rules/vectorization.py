@@ -6,10 +6,9 @@ point of the reproduction's performance story.  This rule keeps them that
 way: inside a ``bulk_*`` method it flags any loop or comprehension that
 iterates the batch arguments per item (``for k in keys``,
 ``enumerate(keys)``, ``zip(keys, values)``, ``range(keys.size)``,
-``range(len(keys))``) unless the loop is a *small-batch fallback* guarded
-by the established size-dispatch idiom (an ``if`` testing
-``prefers_sequential`` / ``_vectorisable``), or carries an explicit
-``# audit: ignore[AUD101]`` waiver explaining itself.
+``range(len(keys))``) unless the loop is the per-item branch of a
+documented dispatch (an ``if`` testing one of :data:`GUARD_MARKERS`), or
+carries an explicit ``# audit: ignore[AUD101]`` waiver explaining itself.
 """
 
 from __future__ import annotations
@@ -19,10 +18,13 @@ from typing import Iterator, List, Optional, Tuple
 
 from ..lint import AuditModule, Rule, register
 
-#: Identifiers whose presence in an ``if`` test marks the established
-#: small-batch dispatch idiom (see ``QuotientFilterCore.prefers_sequential``
-#: and ``BulkTCF._vectorisable``).
-GUARD_MARKERS = ("prefers_sequential", "_vectorisable")
+#: Identifiers whose presence in an ``if`` test marks a documented per-item
+#: branch: the quotient filters' size rule
+#: (``QuotientFilterCore.prefers_sequential``), the CPU VQF's multi-lane
+#: groups (``config.cg_size != 1``, which its batch path does not model) and
+#: the bulk TCF's fallback for (block, word) keys that do not pack into 64
+#: bits (``table.flat_key_shift is None``).
+GUARD_MARKERS = ("prefers_sequential", "cg_size", "flat_key_shift")
 
 _WRAPPERS = {"enumerate", "zip", "reversed", "iter", "sorted"}
 _LOOP_NODES = (ast.For, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
@@ -76,7 +78,7 @@ def _statement_path(module: AuditModule, node: ast.AST, func: ast.AST) -> List[a
 
 
 def _is_guarded(module: AuditModule, node: ast.AST, func: ast.FunctionDef) -> bool:
-    """True when the loop sits behind the size-dispatch idiom: it is
+    """True when the loop sits behind a documented dispatch: it is
     lexically inside a guard ``if``'s branch (the shape of
     ``BulkTCF.bulk_delete``)."""
     path = _statement_path(module, node, func)
@@ -110,8 +112,8 @@ def _check(module: AuditModule) -> Iterator[Tuple[int, str]]:
                     node.lineno,
                     f"per-item loop over batch argument {param!r} in "
                     f"{func.name}(); bulk paths must stay vectorized — gate a "
-                    f"small-batch fallback behind prefers_sequential()/"
-                    f"_vectorisable() or justify with an ignore comment",
+                    f"per-item branch behind one of {', '.join(GUARD_MARKERS)} "
+                    f"or justify with an ignore comment",
                 )
                 break
 

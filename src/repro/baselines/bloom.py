@@ -4,11 +4,11 @@ The paper measures two bit-array baselines, the Bloom filter (BF) and the
 blocked Bloom filter (BBF, :mod:`~repro.baselines.blocked_bloom`).  Both set
 ``k`` hashed bits per item in one ``uint32`` word array, store no values and
 support neither deletion nor counting.  :class:`BitArrayFilter` holds what
-they share: the word array, sizes, refusals, the bulk routing (per-item for
-tiny batches, else the design's whole-batch kernel), the batched insert
-(``bulk_insert_mask``, which never refuses a key) and snapshots.  Each
-design keeps its sizing parameter, probe layout, false-positive model and
-kernel bodies with their event charges.
+they share: the word array, sizes, refusals, the bulk API (every batch runs
+the design's whole-batch kernel; the point methods are the per-item
+reference), the batched insert (``bulk_insert_mask``, which never refuses a
+key) and snapshots.  Each design keeps its sizing parameter, probe layout,
+false-positive model and kernel bodies with their event charges.
 
 The paper adapts Partow's C++ Bloom filter into a 1-bit-encoded GPU
 implementation using CUDA atomic OR, and configures it with 7 hash functions
@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.base import AbstractFilter, FilterCapabilities, prefers_sequential, restore_array
+from ..core.base import AbstractFilter, FilterCapabilities, restore_array
 from ..core.exceptions import UnsupportedOperationError
 from ..gpusim.atomics import atomic_or
 from ..gpusim.kernel import KernelContext, point_launch
@@ -146,10 +146,6 @@ class BitArrayFilter(AbstractFilter):
         raise UnsupportedOperationError(f"{self.NOUN} cannot store values")
 
     # ---------------------------------------------------------------- bulk API
-    def _prefers_sequential(self, batch_size: int) -> bool:
-        """Tiny batches keep the per-item route (cheaper than staging)."""
-        return prefers_sequential(batch_size)
-
     def bulk_insert_mask(
         self, keys: Sequence[int], values: Optional[Sequence[int]] = None
     ) -> np.ndarray:
@@ -158,10 +154,7 @@ class BitArrayFilter(AbstractFilter):
         keys = np.asarray(keys, dtype=np.uint64)
         self._refuse_values(values)
         with self.kernels.launch(f"{self.LAUNCH_PREFIX}_bulk_insert", point_launch(keys.size, 1)):
-            if self._prefers_sequential(int(keys.size)):
-                for key in keys:
-                    self.insert(int(key))
-            elif keys.size:
+            if keys.size:
                 self._insert_batch(keys)
                 self._n_items += int(keys.size)
         return np.ones(keys.size, dtype=bool)
@@ -173,10 +166,7 @@ class BitArrayFilter(AbstractFilter):
         keys = np.asarray(keys, dtype=np.uint64)
         out = np.zeros(keys.size, dtype=bool)
         with self.kernels.launch(f"{self.LAUNCH_PREFIX}_bulk_query", point_launch(keys.size, 1)):
-            if self._prefers_sequential(int(keys.size)):
-                for i, key in enumerate(keys):
-                    out[i] = self.query(int(key))
-            elif keys.size:
+            if keys.size:
                 out = self._query_batch(keys)
         return out
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.base import AbstractFilter, FilterCapabilities, prefers_sequential, restore_array
+from ..core.base import AbstractFilter, FilterCapabilities, restore_array
 from ..core.exceptions import FilterFullError, UnsupportedOperationError
 from ..core.tcf.block import BlockedTable
 from ..core.tcf.config import EMPTY_SLOT, TOMBSTONE_SLOT, TCFConfig
@@ -180,11 +180,6 @@ class CPUVectorQuotientFilter(AbstractFilter):
         raise UnsupportedOperationError("the VQF does not associate values")
 
     # ---------------------------------------------------------------- bulk API
-    def _prefers_sequential(self, batch_size: int) -> bool:
-        """Tiny batches keep the per-item route; the whole-batch emulation
-        below also assumes the VQF's single-lane cooperative groups."""
-        return prefers_sequential(batch_size) or self.config.cg_size != 1
-
     def _derive_batch(self, keys: np.ndarray) -> potc.PotcHash:
         return potc.derive(
             keys.astype(np.uint64),
@@ -291,7 +286,7 @@ class CPUVectorQuotientFilter(AbstractFilter):
             raise UnsupportedOperationError("the VQF does not associate values")
         placed = np.ones(keys.size, dtype=bool)
         with self.kernels.launch("cpu_vqf_insert", point_launch(keys.size, 1)):
-            if self._prefers_sequential(int(keys.size)):
+            if self.config.cg_size != 1:  # the batch path models one lane
                 for i, key in enumerate(keys):
                     try:
                         self.insert(int(key))
@@ -356,7 +351,7 @@ class CPUVectorQuotientFilter(AbstractFilter):
         keys = np.asarray(keys, dtype=np.uint64)
         out = np.zeros(keys.size, dtype=bool)
         with self.kernels.launch("cpu_vqf_query", point_launch(keys.size, 1)):
-            if self._prefers_sequential(int(keys.size)):
+            if self.config.cg_size != 1:  # the batch path models one lane
                 for i, key in enumerate(keys):
                     out[i] = self.query(int(key))
             elif keys.size:

@@ -20,18 +20,6 @@ import numpy as np
 from ..gpusim.stats import StatsRecorder
 from .exceptions import FilterFullError, SnapshotError
 
-#: Batches at or below this size take a filter's per-item code path: staging
-#: whole-table views for the vectorised path costs more than it saves.  The
-#: per-item route doubles as the differential-testing reference the
-#: vectorised paths are pinned to, state and simulated events alike.
-SEQUENTIAL_BATCH_MAX = 32
-
-
-def prefers_sequential(batch_size: int) -> bool:
-    """Whether a batch is too small to amortise the whole-batch staging."""
-    return batch_size <= SEQUENTIAL_BATCH_MAX
-
-
 def restore_array(dest: np.ndarray, src: np.ndarray, name: str) -> None:
     """Copy snapshot section ``src`` into ``dest``, validating its shape.
 

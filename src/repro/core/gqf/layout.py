@@ -47,10 +47,14 @@ from ...gpusim.memory import DeviceArray
 from ...gpusim.sorting import run_first_mask, stable_argsort
 from ...gpusim.stats import StatsRecorder
 from ...hashing.fingerprints import FingerprintScheme
-from ..base import SEQUENTIAL_BATCH_MAX
 from ..exceptions import FilterFullError, SnapshotError
 from . import counters
 from .rank_select import Bitvector
+
+#: Batches at or below this size always take the per-item route (see
+#: :meth:`QuotientFilterCore.prefers_sequential`), the reference path the
+#: vectorised merge, delete and lookup are pinned to.
+SEQUENTIAL_BATCH_MAX = 32
 
 #: Extra slots appended after the 2^q canonical slots so that runs near the
 #: end of the table can shift past it (the reference CQF does the same).
@@ -636,15 +640,22 @@ class QuotientFilterCore:
     def prefers_sequential(self, batch_size: int) -> bool:
         """Whether a batch takes the per-item route.
 
-        The route was set when every batch call decoded and rewrote the
-        whole table: each per-item operation costs roughly ``occupied / 64``
-        packed words of rank/select work, so the crossover sat near a fixed
-        fraction of the occupancy (~1/1000), with a small floor for the
-        single-key convenience wrappers (checked first: counting the
+        The quotient filters' one size rule: batches of up to
+        :data:`SEQUENTIAL_BATCH_MAX` rows, or of up to ``occupied >> 10``
+        rows, run per item (the floor is checked first: counting the
         occupied slots reads the whole ``slot_used`` vector).  A batch call
-        now costs its spans plus the memo splice, so the crossover has moved
-        far lower, but the route decides which events a batch is charged,
-        so it stays.
+        costs its spans plus the memo splice, far less than the old
+        whole-table rewrite, yet the occupancy term stays for two reasons,
+        both measured at q=20:
+
+        * the batch path's mutation charges are calibrated, not exact, so
+          the route decides which events a batch is charged.  At half load
+          a 64-key ``BulkGQF`` insert costs 182/260 cache-line reads/writes
+          batched against 193/271 per item, and a 64-key delete 307/243/132
+          reads/writes/slots shifted against 484/298/264;
+        * a cold memo makes small batched reads expensive: 1-32 probes cost
+          70-98 ms batched (one whole-table decode) against 0.2-8 ms per
+          item, at 0.5 and at 0.9 load.
         """
         return batch_size <= SEQUENTIAL_BATCH_MAX or batch_size <= self.n_occupied_slots >> 10
 

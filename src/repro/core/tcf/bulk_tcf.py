@@ -25,11 +25,12 @@ to the wrong key), and every touched block is rewritten with one batched
 per-row sort and a single write-back.  Deletes search only the candidate
 rows of their keys.  Apart from pass 1's successor search over every block
 (the modelled one-group-per-block kernel), no step reads the whole table.
-Batches at or below
-:data:`~repro.core.base.SEQUENTIAL_BATCH_MAX` keep the per-item code path,
-which is cheaper than staging whole-table views for a handful of keys.  Simulated
-hardware events are charged per touched block / per probe exactly as the
-per-item path charges them, so throughput figures keep their meaning.
+Every bulk call takes these paths, whatever its size.  The per-item insert
+and delete serve only tables whose slot words cannot be packed with the
+block index into one 64-bit sort key, and stay as the reference the batch
+paths are tested against; point queries probe per item.  Simulated hardware
+events are charged per touched block / per probe exactly as the per-item
+path charges them, so throughput figures keep their meaning.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from ...gpusim.sorting import (
     stable_argsort,
 )
 from ...hashing import potc
-from ..base import prefers_sequential
 from .config import BULK_TCF_DEFAULT, EMPTY_SLOT, TOMBSTONE_SLOT
 from .lifecycle import TwoChoiceFilter
 
@@ -77,15 +77,6 @@ class BulkTCF(TwoChoiceFilter):
 
     def _block_slice(self, block_idx: int) -> Tuple[int, int]:
         return self.table.block_bounds(block_idx)
-
-    def _vectorisable(self, batch_size: int) -> bool:
-        """Whether a batch takes the whole-batch path.
-
-        Tiny batches keep the per-item code (staging whole-table views costs
-        more than it saves), and tables whose (block, word) pairs cannot be
-        packed into a 64-bit sort key fall back as well.
-        """
-        return not prefers_sequential(batch_size) and self.table.flat_key_shift is not None
 
     def _sorted_block_merge(
         self, block_idx: int, new_words: np.ndarray
@@ -142,7 +133,7 @@ class BulkTCF(TwoChoiceFilter):
         """One whole-batch insert attempt at the current table geometry."""
         h = self._derive_batch(keys)
         words = self._pack_words(h.fingerprint, values)
-        if not self._vectorisable(int(keys.size)):
+        if self.table.flat_key_shift is None:  # (block, word) keys do not pack
             return self._bulk_insert_sequential(keys, values, h, words)
         return self._bulk_insert_vectorised(keys, values, h, words)
 
@@ -253,7 +244,8 @@ class BulkTCF(TwoChoiceFilter):
         h: potc.PotcHash,
         words: np.ndarray,
     ) -> np.ndarray:
-        """Per-item two-pass insert (small batches and point wrappers)."""
+        """Per-item two-pass insert: the path of tables whose (block, word)
+        keys do not pack, and the reference of the whole-batch merge."""
         inserted = 0
         placed_mask = np.ones(keys.size, dtype=bool)
         # ---- pass 1: primary blocks --------------------------------------
@@ -354,17 +346,6 @@ class BulkTCF(TwoChoiceFilter):
         with self.kernels.launch(
             "bulk_tcf_query", point_launch(keys.size, self.config.cg_size)
         ):
-            if not self._vectorisable(int(keys.size)):
-                for i in range(keys.size):
-                    fp = int(h.fingerprint[i])
-                    if self._search_block(int(h.primary[i]), fp) is not None:
-                        out[i] = True
-                    elif self._search_block(int(h.secondary[i]), fp) is not None:
-                        out[i] = True
-                    else:
-                        out[i] = self.backing.contains(int(keys[i]))
-                return out
-
             search_instr = int(np.log2(max(2, self.config.block_size)))
             lo_w, hi_w = self._fingerprint_word_bounds(h.fingerprint)
             data = self.table.slots.peek()
@@ -408,7 +389,9 @@ class BulkTCF(TwoChoiceFilter):
         )
 
     def query(self, key: int) -> bool:
-        return bool(self.bulk_query(np.array([key], dtype=np.uint64))[0])
+        """Point query: per-item binary searches, in a one-probe launch."""
+        with self.kernels.launch("bulk_tcf_query", point_launch(1, self.config.cg_size)):
+            return self.get_value(key) is not None
 
     def get_value(self, key: int) -> Optional[int]:
         h = self._derive_batch(np.array([key], dtype=np.uint64))
@@ -464,7 +447,7 @@ class BulkTCF(TwoChoiceFilter):
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return 0
-        if not self._vectorisable(int(keys.size)):
+        if self.table.flat_key_shift is None:  # (block, word) keys do not pack
             with self.kernels.launch(
                 "bulk_tcf_delete", point_launch(keys.size, self.config.cg_size)
             ):

@@ -32,7 +32,7 @@ notes for fingerprint filters rather than hiding it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -343,24 +343,32 @@ class TwoChoiceFilter(AbstractFilter):
                 batch_offset=int(np.argmin(placed)),
             )
 
-    def _insert_with_growth(self, keys: np.ndarray, values: Optional[np.ndarray]) -> np.ndarray:
+    def _insert_with_growth(
+        self,
+        keys: np.ndarray,
+        values: Optional[np.ndarray],
+        place: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+    ) -> np.ndarray:
         """Place a batch, growing (``auto_resize``) and retrying only the unplaced keys.
 
         The one insert loop of both TCF designs: ``bulk_insert`` raises when
         the returned mask has a False, ``bulk_insert_mask`` returns it.
+        ``place`` is the insert attempt, :meth:`_place_batch` by default; the
+        point TCF's ``insert`` passes its per-item kernel.
         """
+        place = place or self._place_batch
         if values is None:
             values = np.zeros(keys.size, dtype=np.uint64)
         values = np.asarray(values, dtype=np.uint64)
         if keys.size == 0:
             return np.zeros(0, dtype=bool)
         self._maybe_grow()
-        placed = self._place_batch(keys, values)
+        placed = place(keys, values)
         self._journal_add(keys[placed], values[placed])
         while not placed.all() and self._can_grow():
             self._grow()
             todo = np.flatnonzero(~placed)
-            landed = todo[self._place_batch(keys[todo], values[todo])]
+            landed = todo[place(keys[todo], values[todo])]
             self._journal_add(keys[landed], values[landed])
             placed[landed] = True
         return placed

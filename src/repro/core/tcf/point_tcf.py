@@ -29,8 +29,6 @@ import numpy as np
 
 from ...gpusim.kernel import point_launch
 from ...hashing import potc
-from ..base import prefers_sequential
-from ..exceptions import FilterFullError
 from .config import EMPTY_SLOT, POINT_TCF_DEFAULT, TOMBSTONE_SLOT
 from .lifecycle import _MASK64, TwoChoiceFilter
 
@@ -68,15 +66,23 @@ class PointTCF(TwoChoiceFilter):
 
         Raises :class:`FilterFullError` if both candidate blocks and the
         backing table are full; with ``auto_resize=True`` the filter grows
-        instead and the insert always succeeds.  A one-key batch through
-        :meth:`_insert_with_growth`, outside any kernel launch.
+        instead and the insert always succeeds.  A one-key
+        :meth:`_insert_with_growth` that places the key with the per-item
+        :meth:`_insert_once`, outside any kernel launch.
         """
         keys = np.array([int(key) & _MASK64], dtype=np.uint64)
-        self._raise_if_unplaced(self._insert_with_growth(keys, np.array([value])))
+        placed = self._insert_with_growth(keys, np.array([value]), self._insert_once)
+        self._raise_if_unplaced(placed)
         return True
 
-    def _insert_once(self, key: int, value: int) -> bool:
-        """One two-choice insert attempt at the current table geometry."""
+    def _insert_once(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """One two-choice insert attempt of a one-key batch at the current
+        table geometry; the per-item reference of :meth:`_place_batch`.
+
+        Returns the one-key placement mask: False when both candidate blocks
+        and the backing table rejected the key.
+        """
+        key, value = int(keys[0]), int(values[0])
         h = self._derive(key)
         primary_block = self.table.load_block(h.primary)
         primary_fill = self.table.block_fill(h.primary, primary_block)
@@ -98,17 +104,11 @@ class PointTCF(TwoChoiceFilter):
                 block_idx, int(h.fingerprint), value, block=loaded.get(block_idx)
             ):
                 self._n_items += 1
-                return True
+                return np.array([True])
 
-        if self.backing.insert(int(key), value):
-            self._n_items += 1
-            return True
-        raise FilterFullError(
-            "TCF full: both blocks and the backing table rejected the insert",
-            n_items=self._n_items,
-            n_slots=self.table.n_slots,
-            load_factor=self.load_factor,
-        )
+        placed = bool(self.backing.insert(key, value))
+        self._n_items += int(placed)
+        return np.array([placed])
 
     # ------------------------------------------------------------------- query
     def query(self, key: int) -> bool:
@@ -140,21 +140,21 @@ class PointTCF(TwoChoiceFilter):
         return False
 
     # ---------------------------------------------------------------- bulk API
-    # The batched point paths below replay the per-item decision stream over
-    # plain integer state (the pattern established for the CPU VQF baseline):
-    # two-choice routing is inherently sequential — every insert changes the
-    # fills the next decision reads — so a compressed Python loop walks the
-    # batch over integer block fills and lazily materialised free-slot /
-    # match-offset lists, while slot placement and all simulated hardware
-    # events are applied as whole-array operations.  Placements and deletions
-    # consume each block's candidate slots in scan order, exactly as the
-    # cooperative group's stride-and-ballot walk does, so table state *and*
-    # events match the per-item loop bit for bit (``tests/
-    # test_point_vectorized.py`` pins this).  Spills and misses route through
-    # the already-calibrated BackingTable bulk primitives, in batch order.
-
-    def _prefers_sequential(self, batch_size: int) -> bool:
-        return prefers_sequential(batch_size)
+    # Every bulk call, whatever its size, takes the batched paths below; the
+    # point methods above are the per-item reference.  The batched paths
+    # replay the per-item decision stream over plain integer state (the
+    # pattern established for the CPU VQF baseline): two-choice routing is
+    # inherently sequential — every insert changes the fills the next
+    # decision reads — so a compressed Python loop walks the batch over
+    # integer block fills and lazily materialised free-slot / match-offset
+    # lists, while slot placement and all simulated hardware events are
+    # applied as whole-array operations.  Placements and deletions consume
+    # each block's candidate slots in scan order, exactly as the cooperative
+    # group's stride-and-ballot walk does, so table state *and* events match
+    # a loop of point calls bit for bit (``tests/test_point_vectorized.py``
+    # and ``tests/test_bulk_route_parity.py`` pin this).  Spills and misses
+    # route through the already-calibrated BackingTable bulk primitives, in
+    # batch order.
 
     def _scan_geometry(self) -> tuple:
         """``(block_size, cg_size, n_strides, tail_divergent)`` of a block scan."""
@@ -197,17 +197,9 @@ class PointTCF(TwoChoiceFilter):
         """Batched two-choice insert replaying the per-item decision stream.
 
         Returns the per-key placement mask (False only when the backing
-        table also rejected the key).  Small batches run the per-item
-        insert, which is the reference the replay is pinned to.
+        table also rejected the key).  The per-item :meth:`_insert_once` is
+        the reference the replay is pinned to.
         """
-        if self._prefers_sequential(int(keys.size)):
-            placed = np.zeros(keys.size, dtype=bool)
-            for i in range(keys.size):
-                try:
-                    placed[i] = self._insert_once(int(keys[i]), int(values[i]))
-                except FilterFullError:
-                    pass
-            return placed
         h = self._derive_batch(keys)
         bs, g, n_strides, tail_div = self._scan_geometry()
         rows = self.table.rows()
@@ -321,10 +313,7 @@ class PointTCF(TwoChoiceFilter):
         with self.kernels.launch(
             "tcf_point_bulk_query", point_launch(len(keys), self.config.cg_size)
         ):
-            if self._prefers_sequential(int(keys.size)):
-                for i, key in enumerate(keys):
-                    out[i] = self.query(int(key))
-            elif keys.size:
+            if keys.size:
                 out = self._bulk_query_vectorised(keys)
         return out
 
@@ -379,11 +368,7 @@ class PointTCF(TwoChoiceFilter):
         with self.kernels.launch(
             "tcf_point_bulk_delete", point_launch(len(keys), self.config.cg_size)
         ):
-            if self._prefers_sequential(int(keys.size)):
-                hits = np.array([self._delete_once(int(key)) for key in keys], dtype=bool)
-                self._journal_remove(keys[hits])
-                removed = int(np.count_nonzero(hits))
-            elif keys.size:
+            if keys.size:
                 removed = self._bulk_delete_vectorised(keys)
         return removed
 

@@ -2,10 +2,11 @@
 
 All six baseline filters (Bloom, blocked Bloom, SQF, RSQF, CPU CQF, CPU
 VQF) compute whole batches with array operations; these tests pin each
-vectorised path to the per-item route (which tiny batches still take):
-identical table state, identical results, and identical simulated hardware
-events — mirroring ``test_tcf_vectorized.py`` for the TCF and PR 1's suite
-for the GQF.
+vectorised path to the per-item route (the point methods, which the
+quotient filters' tiny batches also take): identical table state, identical
+results, and identical simulated hardware events — mirroring
+``test_tcf_vectorized.py`` for the TCF and ``test_gqf_vectorized.py`` for
+the GQF.
 
 Event parity for the quotient-filter family is exact for the calibrated
 regime (sorted fills into an empty table — the benchmark workload — and
@@ -22,8 +23,8 @@ from repro.baselines.cpu_cqf import CPUCountingQuotientFilter
 from repro.baselines.cpu_vqf import CPUVectorQuotientFilter
 from repro.baselines.rsqf import RankSelectQuotientFilter
 from repro.baselines.sqf import StandardQuotientFilter
-from repro.core.base import SEQUENTIAL_BATCH_MAX
 from repro.core.exceptions import FilterFullError, UnsupportedOperationError
+from repro.core.gqf.layout import SEQUENTIAL_BATCH_MAX
 from repro.gpusim.stats import StatsRecorder
 
 #: Every counter that must agree between the vectorised and per-item paths.
@@ -45,11 +46,16 @@ EVENT_FIELDS = (
 
 
 def _force_sequential(filt):
-    """Route every batch through the per-item reference path."""
-    if hasattr(filt, "core"):
-        filt.core.prefers_sequential = lambda n: True
+    """Route every quotient-filter batch through the per-item reference path."""
+    filt.core.prefers_sequential = lambda n: True
+
+
+def _insert(filt, keys, sequential, per_item_bulk):
+    """Insert through ``bulk_insert`` or the per-item reference."""
+    if sequential:
+        per_item_bulk(filt, "insert", keys)
     else:
-        filt._prefers_sequential = lambda n: True
+        filt.bulk_insert(keys)
 
 
 def _keys(n, seed=0):
@@ -84,15 +90,21 @@ def _table_state(filt):
     return filt.words.peek()
 
 
-def _run_insert_and_query(name, sequential, keys, probes):
+def _run_insert_and_query(name, sequential, keys, probes, per_item_bulk):
+    """Fill and probe a fresh filter, in batch or through the per-item path
+    (the quotient filters' forced size route, else the point methods)."""
     rec = StatsRecorder()
     filt = BUILDERS[name](rec)
-    if sequential:
+    insert, query = filt.bulk_insert, filt.bulk_query
+    if sequential and hasattr(filt, "core"):
         _force_sequential(filt)
-    filt.bulk_insert(keys)
+    elif sequential:
+        insert = lambda batch: per_item_bulk(filt, "insert", batch)
+        query = lambda batch: per_item_bulk(filt, "query", batch)
+    insert(keys)
     insert_stats = rec.total.copy()
     rec.reset()
-    out = filt.bulk_query(probes)
+    out = query(probes)
     return filt, insert_stats, rec.total.copy(), out
 
 
@@ -101,11 +113,11 @@ class TestInsertQueryDifferential:
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_state_results_and_events_match(self, name, seed):
+    def test_state_results_and_events_match(self, name, seed, per_item_bulk):
         keys = _keys(3000, seed)
         probes = np.concatenate([keys[:800], _keys(800, seed + 100)])
-        vect = _run_insert_and_query(name, False, keys, probes)
-        seq = _run_insert_and_query(name, True, keys, probes)
+        vect = _run_insert_and_query(name, False, keys, probes, per_item_bulk)
+        seq = _run_insert_and_query(name, True, keys, probes, per_item_bulk)
         assert np.array_equal(_table_state(vect[0]), _table_state(seq[0])), name
         assert np.array_equal(vect[3], seq[3]), name
         assert vect[0].n_items == seq[0].n_items
@@ -123,8 +135,8 @@ class TestInsertQueryDifferential:
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_tiny_batches_route_per_item_with_same_result(self, name):
-        """Dribbling tiny batches (per-item route) builds the same filter as
-        one vectorised batch."""
+        """Dribbling tiny batches builds the same filter as one batch (the
+        quotient filters run them per item, the others in batch)."""
         keys = _keys(4 * SEQUENTIAL_BATCH_MAX, 7)
         one_shot = BUILDERS[name](StatsRecorder())
         dribbled = BUILDERS[name](StatsRecorder())
@@ -134,13 +146,13 @@ class TestInsertQueryDifferential:
         assert np.array_equal(_table_state(one_shot), _table_state(dribbled))
         assert one_shot.bulk_query(keys[: SEQUENTIAL_BATCH_MAX]).all()
 
-    def test_negative_query_early_exit_is_charged(self):
+    def test_negative_query_early_exit_is_charged(self, per_item_bulk):
         """Bloom negative probes stop at the first zero bit; the batched
         path must charge the same (data-dependent) number of line reads."""
         keys = _keys(500, 3)
         negatives = _keys(2000, 90)
-        vect = _run_insert_and_query("BF", False, keys, negatives)
-        seq = _run_insert_and_query("BF", True, keys, negatives)
+        vect = _run_insert_and_query("BF", False, keys, negatives, per_item_bulk)
+        seq = _run_insert_and_query("BF", True, keys, negatives, per_item_bulk)
         _assert_events_equal(vect[2], seq[2], "negative-query")
         # Mostly-empty filter: far fewer reads than k per probe.
         assert vect[2].cache_line_reads < 0.5 * 7 * negatives.size
@@ -203,16 +215,17 @@ class TestOverflowSemantics:
         assert filt.core.n_occupied_slots > 0.9 * filt.core.total_slots
         filt.core.check_invariants()
 
-    def test_vqf_overflow_matches_per_item(self):
+    def test_vqf_overflow_matches_per_item(self, per_item_bulk):
         keys = _keys(3000, 22)
         states = {}
         for sequential in (False, True):
             rec = StatsRecorder()
             filt = CPUVectorQuotientFilter(2000, recorder=rec)
             if sequential:
-                _force_sequential(filt)
-            with pytest.raises(FilterFullError):
-                filt.bulk_insert(keys)
+                assert not per_item_bulk(filt, "insert", keys).all()
+            else:
+                with pytest.raises(FilterFullError):
+                    filt.bulk_insert(keys)
             states[sequential] = (filt, rec.total.copy())
         assert states[False][0].n_items == states[True][0].n_items
         assert np.array_equal(
@@ -224,15 +237,13 @@ class TestOverflowSemantics:
 class TestVQFStatefulPaths:
     """Two-choice routing reads evolving fills; pin the tricky regimes."""
 
-    def test_high_load_shortcut_and_swap_decisions_match(self):
+    def test_high_load_shortcut_and_swap_decisions_match(self, per_item_bulk):
         keys = _keys(4300, 23)
         results = {}
         for sequential in (False, True):
             rec = StatsRecorder()
             filt = CPUVectorQuotientFilter.for_capacity(4400, recorder=rec)
-            if sequential:
-                _force_sequential(filt)
-            filt.bulk_insert(keys)
+            _insert(filt, keys, sequential, per_item_bulk)
             results[sequential] = (filt, rec.total.copy())
         assert np.array_equal(
             _table_state(results[False][0]), _table_state(results[True][0])
@@ -240,20 +251,18 @@ class TestVQFStatefulPaths:
         _assert_events_equal(results[False][1], results[True][1], "vqf-high-load")
         assert results[False][0].load_factor > 0.9
 
-    def test_tombstoned_tables_consume_free_slots_in_scan_order(self):
+    def test_tombstoned_tables_consume_free_slots_in_scan_order(self, per_item_bulk):
         base = _keys(1500, 24)
         more = _keys(800, 25)
         results = {}
         for sequential in (False, True):
             rec = StatsRecorder()
             filt = CPUVectorQuotientFilter.for_capacity(3000, recorder=rec)
-            if sequential:
-                _force_sequential(filt)
-            filt.bulk_insert(base)
+            _insert(filt, base, sequential, per_item_bulk)
             for key in base[::4]:
                 filt.delete(int(key))
             rec.reset()
-            filt.bulk_insert(more)
+            _insert(filt, more, sequential, per_item_bulk)
             results[sequential] = (filt, rec.total.copy())
         assert np.array_equal(
             _table_state(results[False][0]), _table_state(results[True][0])

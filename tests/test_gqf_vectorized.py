@@ -9,11 +9,10 @@ used to overflow int64.
 import numpy as np
 import pytest
 
-from repro.core.base import SEQUENTIAL_BATCH_MAX
 from repro.core.exceptions import FilterFullError
 from repro.core.gqf import BulkGQF, PointGQF
 from repro.core.gqf import counters
-from repro.core.gqf.layout import QuotientFilterCore
+from repro.core.gqf.layout import SEQUENTIAL_BATCH_MAX, QuotientFilterCore
 from repro.gpusim.stats import StatsRecorder
 
 

@@ -93,8 +93,8 @@ def test_journaled_filter_delete_reinsert_expand(cls, tmp_path):
         for key in batch.tolist():
             live[key] -= 1
 
-    # Vectorised path (> 32 keys) with duplicate requests, then the
-    # small-batch fallback (<= 32 keys), also with a duplicate.
+    # A large batch with duplicate requests, then a small one (25 keys),
+    # also with a duplicate.
     delete(np.concatenate([keys[:100], keys[:50]]))
     delete(np.concatenate([keys[100:120], keys[100:105]]))
     assert filt.delete(int(keys[120]))

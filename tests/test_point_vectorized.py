@@ -16,9 +16,9 @@ import pytest
 
 from repro.apps.kmer_counter import GPUKmerCounter
 from repro.apps.metahipmer import KmerAnalysisPhase
-from repro.core.base import SEQUENTIAL_BATCH_MAX
 from repro.core.exceptions import FilterFullError
 from repro.core.gqf import PointGQF
+from repro.core.gqf.layout import SEQUENTIAL_BATCH_MAX
 from repro.core.tcf import POINT_TCF_DEFAULT, PointTCF, TCFConfig
 from repro.gpusim.atomics import SpinLockTable
 from repro.gpusim.kernel import point_launch
@@ -292,10 +292,10 @@ class TestTCFInsertDifferential:
         _assert_events_equal(batched.recorder.total, ref.recorder.total, "spills")
         _assert_tcf_state_equal(batched, ref)
 
-    def test_tiny_batches_take_per_item_path(self):
+    def test_tiny_batches_match_per_item_path(self):
         rng = np.random.default_rng(12)
         batched, ref = _tcf_pair(600)
-        keys = rng.integers(0, 2**63, size=SEQUENTIAL_BATCH_MAX, dtype=np.uint64)
+        keys = rng.integers(0, 2**63, size=32, dtype=np.uint64)
         batched.bulk_insert(keys)
         _tcf_reference_insert(ref, keys)
         _assert_events_equal(batched.recorder.total, ref.recorder.total, "tiny")
@@ -348,7 +348,6 @@ class TestTCFQueryDifferential:
         keys = rng.integers(0, 2**63, size=400, dtype=np.uint64)
         filt.bulk_insert(keys)
         probes = np.concatenate([keys[::2], rng.integers(0, 2**63, size=200, dtype=np.uint64)])
-        assert probes.size > SEQUENTIAL_BATCH_MAX
         filt.bulk_query(probes)  # memoises the pre-growth line counts
         n_blocks = filt.table.n_blocks
         expand(filt)

@@ -1,8 +1,9 @@
 """Differential tests guarding the vectorised bulk-TCF path.
 
 The bulk TCF computes whole batches with array operations; these tests pin
-its behaviour to the per-item sequential path (the code small batches and
-the point wrappers still take): identical slot placement, identical backing
+its behaviour to the per-item path (``_bulk_insert_sequential``, the point
+probes and deletes; the insert and delete of tables whose slot words do not
+pack with the block index): identical slot placement, identical backing
 contents, identical simulated hardware events.  They also cover the
 historic duplicate-word spill mis-attribution (`np.isin` matched spills by
 *value*, so a duplicated fingerprint word could route the wrong key/value to
@@ -12,7 +13,6 @@ pass 2 or the backing table) by asserting positional spill tracking.
 import numpy as np
 import pytest
 
-from repro.core.base import SEQUENTIAL_BATCH_MAX
 from repro.core.exceptions import FilterFullError
 from repro.core.tcf import BULK_TCF_DEFAULT, BulkTCF, TCFConfig
 from repro.core.tcf.backing import BackingTable
@@ -38,6 +38,13 @@ def _insert_both_paths(capacity, keys, values=None, config=BULK_TCF_DEFAULT):
     words = seq._pack_words(h.fingerprint, values)
     seq._bulk_insert_sequential(keys, values, h, words)
     return vect, seq
+
+
+def _run(filt, op, keys, per_item, per_item_bulk):
+    """One bulk ``op`` call, or its per-item reference."""
+    if per_item:
+        return per_item_bulk(filt, op, keys)
+    return getattr(filt, f"bulk_{op}")(keys)
 
 
 def _assert_same_state(vect, seq):
@@ -103,7 +110,7 @@ class TestInsertDifferential:
         ):
             assert getattr(stats["vect"], field) == getattr(stats["seq"], field), field
 
-    def test_query_and_delete_event_counts_calibrated_exactly(self):
+    def test_query_and_delete_event_counts_calibrated_exactly(self, per_item_bulk):
         """Batched probes must record the same events as per-item probes."""
         rng = np.random.default_rng(15)
         keys = rng.integers(0, 2**63, size=2048, dtype=np.uint64)
@@ -115,13 +122,11 @@ class TestInsertDifferential:
             rec = StatsRecorder()
             filt = BulkTCF.for_capacity(2400, BULK_TCF_DEFAULT, rec)
             filt.bulk_insert(keys)
-            if label == "seq":
-                filt._vectorisable = lambda n: False  # force the per-item path
             rec.reset()
-            filt.bulk_query(probes)
+            _run(filt, "query", probes, label == "seq", per_item_bulk)
             stats[(label, "query")] = rec.total.copy()
             rec.reset()
-            filt.bulk_delete(keys[:512])
+            _run(filt, "delete", keys[:512], label == "seq", per_item_bulk)
             stats[(label, "delete")] = rec.total.copy()
         for phase in ("query", "delete"):
             for field in (
@@ -218,12 +223,12 @@ class TestQueryDifferential:
         assert filt.backing.n_items > 0
         assert filt.bulk_query(keys).all()
 
-    def test_small_batches_take_sequential_path_with_same_result(self):
+    def test_small_batches_give_same_result(self):
         rng = np.random.default_rng(10)
         keys = rng.integers(0, 2**63, size=600, dtype=np.uint64)
         filt = _build(900)
         filt.bulk_insert(keys)
-        small = keys[: SEQUENTIAL_BATCH_MAX]
+        small = keys[:32]
         assert filt.bulk_query(small).all()
         assert filt.bulk_query(keys).all()
 
@@ -267,7 +272,7 @@ class TestDeleteDifferential:
         assert vect.n_items == 0
         _assert_same_state(vect, seq)
 
-    def test_shared_block_fingerprint_deletes_match_per_item_path(self):
+    def test_shared_block_fingerprint_deletes_match_per_item_path(self, per_item_bulk):
         """Repeated requests, plus keys B stored in their secondary block under
         the (block, fingerprint) pair of another key A's primary: the batch
         removes as many, leaves the same slots and records the same events
@@ -315,10 +320,8 @@ class TestDeleteDifferential:
                 for i in range(b_keys.size)
             )
             assert spilled_b >= 10  # B copies really sit on A's pairs
-            if label == "seq":
-                filt._vectorisable = lambda n: False  # force the per-item path
             rec.reset()
-            removed = filt.bulk_delete(doomed)
+            removed = _run(filt, "delete", doomed, label == "seq", per_item_bulk)
             results[label] = (removed, filt, rec.total.copy())
         removed_vect, vect, events_vect = results["vect"]
         removed_seq, seq, events_seq = results["seq"]
