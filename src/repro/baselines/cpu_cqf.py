@@ -15,7 +15,7 @@ filters uniformly.
 
 from __future__ import annotations
 
-from typing import ContextManager, Optional, Sequence
+from typing import ContextManager, Optional
 
 import numpy as np
 
@@ -83,47 +83,17 @@ class CPUCountingQuotientFilter(QuotientFilter):
     def recommended_load_factor(self) -> float:
         return 0.95
 
-    # ------------------------------------------------------------------ point API
-    def delete(self, key: int) -> bool:
-        return self.core.delete_fingerprint(*self._slot_of(key), 1)
-
     # ---------------------------------------------------------------- bulk API
-    def _insert_kernel(self, n_rows: int) -> ContextManager[object]:
-        """Batched insert, one CPU thread per item.
+    def _kernel(self, op: str, n_rows: int) -> ContextManager[object]:
+        """One CPU thread per item.
 
-        Batches go in sorted (quotient, remainder) order — the standard
-        schedule for batch-building a quotient filter — and record that
-        schedule's events, which shift less than the same keys pushed
+        Insert batches go in sorted (quotient, remainder) order — the
+        standard schedule for batch-building a quotient filter — and record
+        that schedule's events, which shift less than the same keys pushed
         through arrival-order point :meth:`insert` calls (the route Table 4
         measures for the CPU filters).
         """
-        return self.kernels.launch("cpu_cqf_insert", point_launch(n_rows, 1))
-
-    def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.uint64)
-        out = np.zeros(keys.size, dtype=bool)
-        if keys.size == 0:
-            return out
-        quotients, remainders = self._hash_batch(keys)
-        with self.kernels.launch("cpu_cqf_query", point_launch(keys.size, 1)):
-            out = self.core.batch_counts(quotients, remainders) > 0
-        return out
-
-    def bulk_count(self, keys: Sequence[int]) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.uint64)
-        if keys.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        quotients, remainders = self._hash_batch(keys)
-        with self.kernels.launch("cpu_cqf_count", point_launch(keys.size, 1)):
-            return self.core.batch_counts(quotients, remainders)
-
-    def bulk_delete(self, keys: Sequence[int]) -> int:
-        keys = np.asarray(keys, dtype=np.uint64)
-        if keys.size == 0:
-            return 0
-        quotients, remainders = self._hash_batch(keys)
-        with self.kernels.launch("cpu_cqf_delete", point_launch(keys.size, 1)):
-            return self.core.batch_delete(quotients, remainders)
+        return self.kernels.launch(f"cpu_cqf_{op}", point_launch(n_rows, 1))
 
     # --------------------------------------------------------------- lifecycle
     def snapshot_config(self) -> dict:

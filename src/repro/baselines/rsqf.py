@@ -96,13 +96,15 @@ class RankSelectQuotientFilter(QuotientFilter):
         return int(np.ceil(n_slots * (remainder_bits + 2.125) / 8.0))
 
     # ---------------------------------------------------------------- bulk API
-    def _insert_kernel(self, n_rows: int) -> ContextManager[object]:
-        """Unoptimised insert path: items are inserted one after another.
+    def _kernel(self, op: str, n_rows: int) -> ContextManager[object]:
+        """One thread per item for the parallel bulk query (rank/select
+        navigation); one worker for the unoptimised insert path, which
+        inserts items one after another.
 
-        The authors provide no parallel insert kernel, so the launch exposes
-        a single worker; the performance model therefore reports the
-        ~8 M items/s ceiling the paper measures — the serialised cost lives
-        in the launch geometry, not in Python-loop wall clock.
+        The authors provide no parallel insert kernel, so the insert launch
+        exposes a single worker; the performance model therefore reports
+        the ~8 M items/s ceiling the paper measures — the serialised cost
+        lives in the launch geometry, not in Python-loop wall clock.
 
         The batch is inserted in sorted (quotient, remainder) order — the
         standard schedule for batch-building a quotient filter, which
@@ -112,20 +114,11 @@ class RankSelectQuotientFilter(QuotientFilter):
         stream would shift more; no sort pass is charged because the
         ordering happens host-side before the serial kernel runs.
         """
-        return self.kernels.launch(
-            "rsqf_serial_insert", LaunchConfig(n_work_items=1, threads_per_item=32)
-        )
-
-    def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
-        """Parallel bulk query (one thread per item, rank/select navigation)."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        out = np.zeros(keys.size, dtype=bool)
-        if keys.size == 0:
-            return out
-        quotients, remainders = self._hash_batch(keys)
-        with self.kernels.launch("rsqf_bulk_query", point_launch(keys.size, 1)):
-            out = self.core.batch_counts(quotients, remainders) > 0
-        return out
+        if op == "insert":
+            return self.kernels.launch(
+                "rsqf_serial_insert", LaunchConfig(n_work_items=1, threads_per_item=32)
+            )
+        return self.kernels.launch(f"rsqf_bulk_{op}", point_launch(n_rows, 1))
 
     # ------------------------------------------------------------------ point API
     def insert(self, key: int, value: int = 0) -> bool:

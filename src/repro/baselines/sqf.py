@@ -21,7 +21,7 @@ slower than the other filters' query paths.
 
 from __future__ import annotations
 
-from typing import ContextManager, Optional, Sequence
+from typing import ContextManager, Optional, Tuple
 
 import numpy as np
 
@@ -143,34 +143,20 @@ class StandardQuotientFilter(QuotientFilter):
         """The SQF sorts each batch on the device before merging segments."""
         return device_sort_by_key(fingerprints, np.arange(fingerprints.size), self.recorder)[1]
 
-    def _insert_kernel(self, n_rows: int) -> ContextManager[object]:
-        """Sorted segment-merge bulk insert: one thread per segment."""
-        n_segments = max(1, self.core.n_canonical_slots // SEGMENT_SLOTS)
-        return self.kernels.launch("sqf_bulk_insert", bulk_region_launch(n_segments))
-
-    def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
-        """Sorted bulk lookup (the SQF sorts the query batch as well)."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        out = np.zeros(keys.size, dtype=bool)
-        if keys.size == 0:
-            return out
+    def _rows(self, keys: np.ndarray, op: str) -> Tuple[np.ndarray, np.ndarray]:
+        """The SQF sorts query batches before probing: one charged device
+        sort pass (the probes themselves keep arrival order)."""
+        if op != "query":
+            return super()._rows(keys, op)
         fingerprints = self.scheme.hash_key(keys)
-        # The SQF sorts query batches before probing; account for that pass.
         device_sort(fingerprints, self.recorder)
-        quotients, remainders = self.scheme.split(fingerprints)
-        n_segments = max(1, self.core.n_canonical_slots // SEGMENT_SLOTS)
-        with self.kernels.launch("sqf_bulk_query", bulk_region_launch(n_segments)):
-            out = self.core.batch_counts(quotients, remainders) > 0
-        return out
+        return self.scheme.split(fingerprints)
 
-    def bulk_delete(self, keys: Sequence[int]) -> int:
-        keys = np.asarray(keys, dtype=np.uint64)
-        if keys.size == 0:
-            return 0
-        quotients, remainders = self._hash_batch(keys)
+    def _kernel(self, op: str, n_rows: int) -> ContextManager[object]:
+        """One thread per segment: the sorted segment-merge insert, the
+        sorted-batch lookup and the delete."""
         n_segments = max(1, self.core.n_canonical_slots // SEGMENT_SLOTS)
-        with self.kernels.launch("sqf_bulk_delete", bulk_region_launch(n_segments)):
-            return self.core.batch_delete(quotients, remainders)
+        return self.kernels.launch(f"sqf_bulk_{op}", bulk_region_launch(n_segments))
 
     # ------------------------------------------------------------------ point API
     def insert(self, key: int, value: int = 0) -> bool:

@@ -25,16 +25,19 @@ bulk call writes the table once (one core merge or delete), and the core
 charges each phase's simulated events inside that phase's kernel launch,
 from the run geometry before and after the phase.
 
-The insert itself — the mask, the raise and the grow-and-resend loop — is
-the family's (:class:`~repro.core.gqf.quotient_filter.QuotientFilter`);
-this class supplies its hooks: the map-reduce count policy, the device
-sort, and the phase schedule it hands to
-:meth:`~repro.core.gqf.layout.QuotientFilterCore.batch_insert`.
+The insert, read and delete themselves — the mask, the raise and the
+grow-and-resend loop among them — are the family's
+(:class:`~repro.core.gqf.quotient_filter.QuotientFilter`); this class
+supplies its hooks: the map-reduce count policy, the device sort (reversed
+for deletes), the region-parallel read kernels, and the phase schedule it
+hands to :meth:`~repro.core.gqf.layout.QuotientFilterCore.batch_insert`
+and ``batch_delete``.  The bulk API has no launch-free call: a point
+``insert`` or ``delete`` runs its phases' launches too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import ContextManager, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +45,6 @@ from ...gpusim.kernel import KernelContext, bulk_region_launch
 from ...gpusim.sorting import device_sort_by_key, stable_argsort
 from ...gpusim.stats import StatsRecorder
 from ..base import FilterCapabilities
-from ..exceptions import FilterFullError
 from .layout import Phase, QuotientFilterCore
 from .mapreduce import aggregate_batch
 from .point_gqf import PointGQF
@@ -135,7 +137,7 @@ class BulkGQF(QuotientFilter):
     def recommended_load_factor(self) -> float:
         return 0.95
 
-    # --------------------------------------------------------------- bulk insert
+    # -------------------------------------------------------------------- hooks
     def _insert_rows(
         self, keys: np.ndarray, values: Optional[Sequence[int]]
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -161,33 +163,29 @@ class BulkGQF(QuotientFilter):
         """
         return device_sort_by_key(fingerprints, np.arange(fingerprints.size), self.recorder)[1]
 
-    def _place(
-        self,
-        quotients: np.ndarray,
-        remainders: np.ndarray,
-        counts: np.ndarray,
-        fill: bool,
-        launch: bool = True,
-    ) -> Tuple[np.ndarray, Optional[FilterFullError]]:
-        """Run the two-phase even-odd lock-free scheme over sorted rows.
+    def _rows(self, keys: np.ndarray, op: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Deletes run in reversed device-sort order: a per-item delete takes
+        the largest items (quotients) first, as on the device."""
+        if op != "delete":
+            return super()._rows(keys, op)
+        fingerprints = self.scheme.hash_key(keys)
+        return self.scheme.split(fingerprints[self._batch_order(fingerprints)][::-1])
 
-        A batch large enough for the vectorised path is one core merge that
-        writes the table once, with the even and odd phases as its charging
-        schedule; smaller batches take the per-item path, phase by phase
-        (see :meth:`QuotientFilterCore.batch_insert`).  The bulk API has no
-        launch-free insert: ``launch`` is always True here.
-        """
-        return self.core.batch_insert(
-            quotients, remainders, counts, phases=self._phases(quotients, "insert"), fill=fill
-        )
+    def _kernel(self, op: str, n_rows: int) -> ContextManager[object]:
+        """The read kernels: one thread per region."""
+        n_regions = self.partition.n_regions
+        return self.kernels.launch(f"gqf_bulk_{op}", bulk_region_launch(n_regions))
 
-    def _phases(self, quotients: np.ndarray, op: str) -> List[Phase]:
+    def _phases(self, quotients: np.ndarray, op: str, launch: bool) -> List[Phase]:
         """The even-odd schedule of a sorted batch.
 
         One ``(row_mask, kernel launch)`` pair per phase that has regions.
         A launch records nothing until it is entered: the core enters each
         one only after its single write succeeded, and the per-phase loops
-        enter them in turn.
+        enter them in turn.  A vectorised batch writes the table once, with
+        the phases as its charging schedule; smaller batches take the
+        per-item path, phase by phase.  The bulk API has no launch-free
+        call: a point call (``launch`` False) runs these launches too.
         """
         return [
             (
@@ -197,57 +195,6 @@ class BulkGQF(QuotientFilter):
             for parity, (name, regions) in enumerate(zip(("even", "odd"), self.partition.phases()))
             if regions
         ]
-
-    # ---------------------------------------------------------------- bulk query
-    def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.uint64)
-        if keys.size == 0:
-            return np.zeros(0, dtype=bool)
-        quotients, remainders = self._hash_batch(keys)
-        with self.kernels.launch("gqf_bulk_query", bulk_region_launch(self.partition.n_regions)):
-            counts = self.core.batch_counts(quotients, remainders)
-        return counts > 0
-
-    def bulk_count(self, keys: Sequence[int]) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.uint64)
-        if keys.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        quotients, remainders = self._hash_batch(keys)
-        with self.kernels.launch("gqf_bulk_count", bulk_region_launch(self.partition.n_regions)):
-            counts = self.core.batch_counts(quotients, remainders)
-        return counts
-
-    # ---------------------------------------------------------------- bulk delete
-    def bulk_delete(self, keys: Sequence[int]) -> int:
-        """Delete a batch using the same sorted even-odd scheme.
-
-        A vectorised delete is one core call: one subtraction and one
-        re-canonicalisation of the table (the left-shifting the paper
-        describes for deletes, applied batch-wide), with the even and odd
-        phases charged in their own kernel launches.  Small batches delete
-        per item, phase by phase.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        if keys.size == 0:
-            return 0
-        fingerprints = self.scheme.hash_key(keys)
-        # Reversed rows: a per-item delete takes the largest items
-        # (quotients) first, as on the device.
-        quotients, remainders = self.scheme.split(
-            fingerprints[self._batch_order(fingerprints)][::-1]
-        )
-        return self.core.batch_delete(
-            quotients, remainders, phases=self._phases(quotients, "delete")
-        )
-
-    # ------------------------------------------------------------------ point API
-    def insert(self, key: int, value: int = 0) -> bool:
-        """Single-item convenience wrapper over :meth:`bulk_insert`."""
-        return self.bulk_insert(np.array([key], dtype=np.uint64),
-                                np.array([max(1, value)], dtype=np.int64)) == 1
-
-    def delete(self, key: int) -> bool:
-        return self.bulk_delete(np.array([key], dtype=np.uint64)) == 1
 
     # ------------------------------------------------------------------ resize
     def _grow(self, extra_quotient_bits: int = 1) -> None:

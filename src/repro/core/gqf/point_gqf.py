@@ -11,18 +11,17 @@ observes the GPU Bloom filter out-inserting the GQF for exactly this reason).
 The simulated thread concurrency is configurable via :meth:`set_concurrency`
 so the benchmark harness can expose that contention to the perf model.
 
-Point and batched inserts share the family's insert loop
+Inserts, reads and deletes are the family's
 (:class:`~repro.core.gqf.quotient_filter.QuotientFilter`); this class
-supplies its order (arrival order on the per-item route, fingerprint order
-for the merge), its point launch and the region locks of every row an
-attempt tries, replayed in one batch.  Deletes charge the same locks around
-:meth:`~repro.core.gqf.layout.QuotientFilterCore.batch_delete`.
+supplies the insert order (arrival order on the per-item route, fingerprint
+order for the merge), its point launches and the region locks of every row
+an insert attempt or delete tries, replayed in one batch.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import ContextManager, Dict, Iterator, Optional, Sequence, Tuple
+from typing import ContextManager, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from ...gpusim.kernel import KernelContext, point_launch
 from ...gpusim.stats import StatsRecorder
 from ..base import FilterCapabilities
 from ..exceptions import FilterFullError
-from .layout import QuotientFilterCore
+from .layout import Phase, QuotientFilterCore
 from .quotient_filter import QuotientFilter
 from .regions import DEFAULT_REGION_SLOTS, RegionPartition
 
@@ -170,10 +169,6 @@ class PointGQF(QuotientFilter):
             raise ValueError("count must be positive")
         return self.insert(key, count)
 
-    def delete(self, key: int) -> bool:
-        key = np.array([int(key) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-        return self._locked_delete(key) == 1
-
     # ---------------------------------------------------------------- bulk API
     def _batch_order(self, fingerprints: np.ndarray) -> np.ndarray:
         """The order in which the simulated schedule serialises point threads.
@@ -225,8 +220,15 @@ class PointGQF(QuotientFilter):
             yield
             self._charge_point_locks(quotients)
 
-    def _insert_kernel(self, n_rows: int) -> ContextManager[object]:
-        return self.kernels.launch("gqf_point_bulk_insert", point_launch(n_rows, 1))
+    def _kernel(self, op: str, n_rows: int) -> ContextManager[object]:
+        return self.kernels.launch(f"gqf_point_bulk_{op}", point_launch(n_rows, 1))
+
+    def _phases(self, quotients: np.ndarray, op: str, launch: bool) -> List[Phase]:
+        """One phase of every row (one cooperative thread each) under the
+        region locks of every row it runs, in the ``op`` kernel (none for
+        a point call)."""
+        kernel = self._kernel(op, quotients.size) if launch else contextlib.nullcontext()
+        return [(np.ones(quotients.size, dtype=bool), self._locked(quotients, kernel))]
 
     def _place(
         self,
@@ -236,69 +238,25 @@ class PointGQF(QuotientFilter):
         fill: bool,
         launch: bool = True,
     ) -> Tuple[np.ndarray, Optional[FilterFullError]]:
-        """One point-style attempt (one cooperative thread per row) under
-        the region locks of every row it tries.
+        """One point-style attempt under the region locks of every row it
+        tries.
 
         A batch the core routes to its vectorised path is replayed as one
         canonical merge (state identical to the per-item loop; events
         calibrated per input row, exact for fills of distinct fingerprints)
         plus a batched region-lock replay; a small batch runs per item.
         """
-        n = int(quotients.size)
-        kernel = self._insert_kernel(n) if launch else contextlib.nullcontext()
-        landed, error = self.core.batch_insert(
-            quotients,
-            remainders,
-            counts,
-            phases=[(np.ones(n, dtype=bool), self._locked(quotients, kernel))],
-            fill=fill,
-        )
+        landed, error = super()._place(quotients, remainders, counts, fill, launch)
         if error is not None:
             # The error left through the launch before the locks were
             # charged.  Every landed row took its locks, and so did the row
             # that overflowed when the per-item route ran (a failed merge
             # tries no row).
             tried = landed.copy()
-            if fill or self.core.prefers_sequential(n):
+            if fill or self.core.prefers_sequential(int(quotients.size)):
                 tried[np.argmin(landed)] = True
             self._charge_point_locks(quotients[tried])
         return landed, error
-
-    def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.uint64)
-        quotients, remainders = self._hash_batch(keys)
-        with self.kernels.launch("gqf_point_bulk_query", point_launch(keys.size, 1)):
-            # Queries are lock-free reads, so the batch can run as one
-            # vectorised lookup without changing the simulated traffic.
-            counts = self.core.batch_counts(quotients, remainders)
-        return counts > 0
-
-    def bulk_count(self, keys: Sequence[int]) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.uint64)
-        quotients, remainders = self._hash_batch(keys)
-        with self.kernels.launch("gqf_point_bulk_count", point_launch(keys.size, 1)):
-            counts = self.core.batch_counts(quotients, remainders)
-        return counts
-
-    def bulk_delete(self, keys: Sequence[int]) -> int:
-        """Point-style batched delete.
-
-        Large batches run the vectorised cluster re-canonicalisation (state
-        and removal counts identical to per-item deletes; cluster traffic
-        carries the calibrated approximation documented on
-        :meth:`QuotientFilterCore.delete_sorted_batch`) plus the exact
-        batched region-lock replay; small batches delete per item.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        with self.kernels.launch("gqf_point_bulk_delete", point_launch(keys.size, 1)):
-            return self._locked_delete(keys)
-
-    def _locked_delete(self, keys: np.ndarray) -> int:
-        """Delete one occurrence per key, each under its region locks."""
-        quotients, remainders = self._hash_batch(keys)
-        removed = self.core.batch_delete(quotients, remainders)
-        self._charge_point_locks(quotients)
-        return removed
 
     # ------------------------------------------------------------------ resize
     def _grow(self, extra_quotient_bits: int = 1) -> None:

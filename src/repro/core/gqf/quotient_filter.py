@@ -1,27 +1,36 @@
 """The quotient-filter family: every filter built on one ``QuotientFilterCore``.
 
 The paper's GQF (point and bulk API) and its SQF, RSQF and CPU-CQF baselines
-share one table layout and differ only in their insert schedules, launch
-geometry and supported operations (Table 1).  :class:`QuotientFilter` holds
-what they share: sizes, point reads, snapshots, quotient-extension resizing,
-the GQF pair's auto-resize policy, all read from the core (including its one
+share one table layout and differ only in their schedules, launch geometry
+and supported operations (Table 1).  :class:`QuotientFilter` holds what they
+share: sizes, point reads, snapshots, quotient-extension resizing, the GQF
+pair's auto-resize policy, all read from the core (including its one
 :class:`~repro.hashing.fingerprints.FingerprintScheme`), and the family's one
-insert.  ``bulk_insert_mask`` is that insert, ``bulk_insert`` the mask plus
-a raise, and point ``insert`` a one-key batch with no kernel launch; its one
-growth loop grows outside any launch and resends only the rows left out.
-Batch routing — the vectorised merge or the per-item reference path —
-lives in the core (:meth:`QuotientFilterCore.batch_insert` /
-``batch_delete`` / ``batch_counts``).  Subclasses keep their constructors,
+insert, one read and one delete:
+
+* ``bulk_insert_mask`` is the insert, ``bulk_insert`` the mask plus a raise,
+  and point ``insert`` a one-key batch with no kernel launch; its one growth
+  loop grows outside any launch and resends only the rows left out;
+* ``bulk_query`` and ``bulk_count`` are the read: stored counts per key
+  from :meth:`QuotientFilterCore.batch_counts`, in the design's kernel;
+* ``bulk_delete`` is the delete, and point ``delete`` a one-key batch
+  through it with no kernel launch.
+
+An empty batch launches nothing.  Batch routing — the vectorised path or
+the per-item reference path — lives in the core (``batch_insert`` /
+``batch_counts`` / ``batch_delete``).  Subclasses keep their constructors,
 capabilities and hooks: the count policy (``_insert_rows``), the row order
-(``_batch_order``), the insert kernel or schedule (``_insert_kernel`` /
-``_place``: the bulk GQF's even-odd phases, the point GQF's region locks),
-and each GQF keeps the ``_grow`` step that rebuilds its schedule's state
-around the extended core.
+(``_batch_order`` for inserts, ``_rows`` for reads and deletes: the bulk
+GQF's reversed device sort for deletes, the SQF's charged query sort), the
+kernel of each operation (``_kernel``), the mutation schedule (``_phases``:
+the bulk GQF's even-odd phases, the point GQF's region locks), and each GQF
+keeps the ``_grow`` step that rebuilds its schedule's state around the
+extended core.
 """
 
 from __future__ import annotations
 
-from typing import ContextManager, Dict, Mapping, Optional, Sequence, Tuple
+from typing import ContextManager, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,16 +38,17 @@ from ...gpusim.sorting import stable_argsort
 from ...hashing.fingerprints import FingerprintScheme
 from ..base import AbstractFilter
 from ..exceptions import CapacityLimitError, FilterFullError, UnsupportedOperationError
-from .layout import QuotientFilterCore
+from .layout import Phase, QuotientFilterCore
 
 
 class QuotientFilter(AbstractFilter):
     """Base of the filters whose table is a :class:`QuotientFilterCore`.
 
-    Subclasses set ``self.core`` in their constructor; a design whose
-    constructor takes more than ``quotient_bits`` and ``remainder_bits``
-    extends :meth:`snapshot_config`.  A design that grows in place calls
-    :meth:`_init_growth` and implements ``_grow(extra_quotient_bits=1)``.
+    Subclasses set ``self.core`` in their constructor and implement
+    :meth:`_kernel`; a design whose constructor takes more than
+    ``quotient_bits`` and ``remainder_bits`` extends :meth:`snapshot_config`.
+    A design that grows in place calls :meth:`_init_growth` and implements
+    ``_grow(extra_quotient_bits=1)``.
     """
 
     core: QuotientFilterCore
@@ -106,9 +116,32 @@ class QuotientFilter(AbstractFilter):
         count = self._stored_count(key)
         return count if count > 0 else None
 
-    def _hash_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(int64 quotients, uint64 remainders)`` of a key batch."""
-        return self.scheme.key_to_slot(np.asarray(keys, dtype=np.uint64))
+    # ------------------------------------------------------------------- read
+    def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
+        return self._read(keys, "query") > 0
+
+    def bulk_count(self, keys: Sequence[int]) -> np.ndarray:
+        return self._read(keys, "count")
+
+    def _read(self, keys: Sequence[int], op: str) -> np.ndarray:
+        """The family's one batched read: each key's stored count, from
+        :meth:`~QuotientFilterCore.batch_counts` inside the design's ``op``
+        kernel.  A design whose capabilities lack the bulk ``op`` refuses
+        every non-empty batch."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        if keys.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        if not self.capabilities().supports(op, "bulk"):
+            raise UnsupportedOperationError(f"the {self.name} does not support bulk {op}")
+        quotients, remainders = self._rows(keys, op)
+        with self._kernel(op, keys.size):
+            return self.core.batch_counts(quotients, remainders)
+
+    def _rows(self, keys: np.ndarray, op: str) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(int64 quotients, uint64 remainders)`` a read or delete of
+        uint64 ``keys`` runs over: by default the keys' own, in arrival
+        order."""
+        return self.scheme.key_to_slot(keys)
 
     # ------------------------------------------------------------------ insert
     def insert(self, key: int, value: int = 0) -> bool:
@@ -226,16 +259,45 @@ class QuotientFilter(AbstractFilter):
         launch: bool = True,
     ) -> Tuple[np.ndarray, Optional[FilterFullError]]:
         """One attempt at placing ordered rows: the core's
-        :meth:`~QuotientFilterCore.batch_insert` inside the design's insert
-        kernel (no kernel for a point insert).  ``fill`` as for the core."""
-        phases = None
-        if launch:
-            phases = [(np.ones(quotients.size, dtype=bool), self._insert_kernel(quotients.size))]
+        :meth:`~QuotientFilterCore.batch_insert` in the design's insert
+        schedule.  ``fill`` as for the core."""
+        phases = self._phases(quotients, "insert", launch)
         return self.core.batch_insert(quotients, remainders, counts, phases=phases, fill=fill)
 
-    def _insert_kernel(self, n_rows: int) -> ContextManager[object]:
-        """The kernel launch of one insert attempt over ``n_rows`` rows."""
+    # ------------------------------------------------------------------ delete
+    def delete(self, key: int) -> bool:
+        """Delete one occurrence of ``key``: a one-key batch through the
+        family's delete, outside any kernel launch."""
+        key = np.array([int(key) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+        return self._delete(key, launch=False) == 1
+
+    def bulk_delete(self, keys: Sequence[int]) -> int:
+        """The family's one batched delete: one occurrence per key, through
+        :meth:`~QuotientFilterCore.batch_delete` in the design's delete
+        schedule.  Returns how many keys removed one."""
+        return self._delete(np.asarray(keys, dtype=np.uint64))
+
+    def _delete(self, keys: np.ndarray, launch: bool = True) -> int:
+        if keys.size == 0:
+            return 0
+        quotients, remainders = self._rows(keys, "delete")
+        return self.core.batch_delete(
+            quotients, remainders, phases=self._phases(quotients, "delete", launch)
+        )
+
+    # -------------------------------------------------------- kernels, phases
+    def _kernel(self, op: str, n_rows: int) -> ContextManager[object]:
+        """The design's kernel launch for ``op`` ("insert", "query",
+        "count" or "delete") over ``n_rows`` rows."""
         raise NotImplementedError
+
+    def _phases(self, quotients: np.ndarray, op: str, launch: bool) -> Optional[List[Phase]]:
+        """The schedule of one insert attempt or delete over ordered rows:
+        one phase of every row inside the ``op`` kernel, or none (the core's
+        default, with no launch) for a point call."""
+        if not launch:
+            return None
+        return [(np.ones(quotients.size, dtype=bool), self._kernel(op, quotients.size))]
 
     # ------------------------------------------------------------------ resize
     def _init_growth(self, auto_resize: bool, auto_resize_at: Optional[float]) -> None:

@@ -70,10 +70,14 @@ class BulkTCF(TwoChoiceFilter):
     def _fingerprint_word_bounds(
         self, fingerprints: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Slot-word interval ``[lo, hi)`` covering a fingerprint's values."""
+        """Slot-word interval ``[lo, hi]`` covering a fingerprint's values.
+
+        Inclusive: the exclusive end ``(fp + 1) << value_bits`` wraps to 0
+        for the largest fingerprint of a 64-bit slot word.
+        """
         vb = np.uint64(self.config.value_bits)
-        fp = fingerprints.astype(np.uint64)
-        return fp << vb, (fp + np.uint64(1)) << vb
+        lo = fingerprints.astype(np.uint64) << vb
+        return lo, lo | ((np.uint64(1) << vb) - np.uint64(1))
 
     def _block_slice(self, block_idx: int) -> Tuple[int, int]:
         return self.table.block_bounds(block_idx)
@@ -324,11 +328,9 @@ class BulkTCF(TwoChoiceFilter):
         vb = self.config.value_bits
         self.recorder.add(instructions=int(np.log2(max(2, self.config.block_size))))
         if vb:
-            lo = np.searchsorted(block, np.uint64(fingerprint) << np.uint64(vb), side="left")
-            hi = np.searchsorted(
-                block, (np.uint64(fingerprint) + np.uint64(1)) << np.uint64(vb), side="left"
-            )
-            if hi > lo:
+            lo_w, hi_w = self._fingerprint_word_bounds(np.array([fingerprint]))
+            lo = np.searchsorted(block, lo_w[0], side="left")
+            if lo < block.size and block[lo] <= hi_w[0]:
                 return int(block[lo]) & ((1 << vb) - 1)
             return None
         pos = np.searchsorted(block, fingerprint, side="left")
@@ -360,7 +362,7 @@ class BulkTCF(TwoChoiceFilter):
                     blocks.astype(np.int64) * block_size + pos, data.size - 1
                 )
                 found = (pos < block_size) & (
-                    data[successor_idx].astype(np.uint64) < hi_w[sel]
+                    data[successor_idx].astype(np.uint64) <= hi_w[sel]
                 )
                 self.recorder.add(
                     cache_line_reads=int(sel.size),
@@ -458,7 +460,8 @@ class BulkTCF(TwoChoiceFilter):
         h = self._derive_batch(keys)
         shift = np.uint64(self.table.flat_key_shift)
         lo_w = self._fingerprint_word_bounds(h.fingerprint)[0]
-        # Every fingerprint's word interval [lo, hi) spans 2^value_bits words.
+        # Every fingerprint's word interval [lo, hi) spans 2^value_bits words
+        # (no wrap: packed (block, word) keys leave the word under 64 bits).
         word_span = np.uint64(1) << np.uint64(self.config.value_bits)
         block_size = self.config.block_size
         data = self.table.slots.peek()

@@ -4,11 +4,14 @@ Every filter built on :class:`~repro.core.gqf.layout.QuotientFilterCore`
 funnels its vectorised batch inserts and deletes through
 ``insert_sorted_batch`` / ``delete_sorted_batch``.  The digests and event
 counts below were recorded while each bulk GQF phase still re-sorted and
-rewrote the whole table; any rewrite of those methods must reproduce them
-exactly: the same slots and metadata bits, the same per-kernel hardware
-events, the same overflow behaviour.  The single-write tests at the end pin
-how the bulk GQF drives the core: one call per vectorised bulk call, and a
-merge that overflows charges and writes nothing.
+rewrote the whole table, and each per-design script's closing reads and
+deletes (both routes, and point deletes) while every design still wrote
+its own ``bulk_query`` / ``bulk_count`` / ``bulk_delete`` / ``delete``.
+Any rewrite of those paths must reproduce them exactly: the same slots and
+metadata bits, the same per-kernel hardware events, the same overflow
+behaviour.  The single-write tests at the end pin how the bulk GQF drives
+the core: one call per vectorised bulk call, and a merge that overflows
+charges and writes nothing.
 """
 
 import hashlib
@@ -19,8 +22,9 @@ import pytest
 from repro.baselines.cpu_cqf import CPUCountingQuotientFilter
 from repro.baselines.rsqf import RankSelectQuotientFilter
 from repro.baselines.sqf import StandardQuotientFilter
-from repro.core.exceptions import FilterFullError
+from repro.core.exceptions import FilterFullError, UnsupportedOperationError
 from repro.core.gqf import BulkGQF, PointGQF
+from repro.core.gqf.layout import SEQUENTIAL_BATCH_MAX
 from repro.gpusim.stats import StatsRecorder
 
 
@@ -34,6 +38,32 @@ def _state_digest(core):
         h.update(name.encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()[:16]
+
+
+def _digest(array):
+    return hashlib.sha256(np.asarray(array, dtype=np.int64).tobytes()).hexdigest()[:12]
+
+
+def _reads_and_deletes(filt, rng, stored):
+    """Read and delete ``stored`` keys through both routes, as far as the
+    design supports them: a large and a small (per-item) ``bulk_query``
+    and ``bulk_count``, a small ``bulk_delete`` and point deletes."""
+    probes = np.concatenate([stored[:300], _keys(rng, 100)])
+    small = probes[::16]
+    doomed = np.concatenate([stored[300:320], stored[300:305], _keys(rng, 4)])
+    assert small.size <= SEQUENTIAL_BATCH_MAX and doomed.size <= SEQUENTIAL_BATCH_MAX
+    caps = filt.capabilities()
+    results = [_digest(filt.bulk_query(probes)), _digest(filt.bulk_query(small))]
+    if caps.bulk_count:
+        results += [_digest(filt.bulk_count(probes)), _digest(filt.bulk_count(small))]
+    if caps.bulk_delete:
+        results.append(filt.bulk_delete(doomed))
+    for key in np.concatenate([stored[320:323], stored[320:321], _keys(rng, 1)]):
+        try:
+            results.append(filt.delete(int(key)))
+        except UnsupportedOperationError:
+            results.append("refused")
+    return results
 
 
 def _nonzero(stats):
@@ -60,7 +90,7 @@ def _bulk_gqf_script():
     # Counts up to 5,000 need counter digits in their runs (remainders 0
     # and 1 would store such a count as that many copies instead).
     valued = np.concatenate([base[:60], _keys(rng, 140)])
-    valued = valued[filt._hash_batch(valued)[1] >= 2]
+    valued = valued[filt.scheme.key_to_slot(valued)[1] >= 2]
     results.append(filt.bulk_insert(valued, rng.integers(0, 5000, size=valued.size)))
     # Duplicate keys inside one batch, half of them already stored.
     results.append(filt.bulk_insert(np.concatenate([base[200:500], base[200:300]])))
@@ -68,6 +98,7 @@ def _bulk_gqf_script():
     doomed = np.concatenate([base[:900], base[100:160], base[100:130], _keys(rng, 300)])
     results.append(filt.bulk_delete(rng.permutation(doomed)))
     results.append(int(filt.bulk_count(base).sum()))
+    results += _reads_and_deletes(filt, rng, base[1000:])
     return _observe(filt, results)
 
 
@@ -87,7 +118,7 @@ def _region_keys(filt, rng, region, n):
     out = []
     while sum(a.size for a in out) < n:
         cand = _keys(rng, 4 * n)
-        q, _r = filt._hash_batch(cand)
+        q, _r = filt.scheme.key_to_slot(cand)
         out.append(cand[(q >= lo) & (q < hi)])
     return np.concatenate(out)[:n]
 
@@ -111,6 +142,7 @@ def _point_gqf_script():
     results = [filt.bulk_insert(base)]
     results.append(filt.bulk_insert(base[:300], rng.integers(0, 400, size=300)))
     results.append(filt.bulk_delete(np.concatenate([base[:500], base[:40], _keys(rng, 100)])))
+    results += _reads_and_deletes(filt, rng, base[500:])
     return _observe(filt, results)
 
 
@@ -120,6 +152,7 @@ def _sqf_script():
     base = _keys(rng, 1500)
     results = [filt.bulk_insert(np.concatenate([base, base[:200]]))]
     results.append(filt.bulk_delete(np.concatenate([base[:400], base[:250], _keys(rng, 80)])))
+    results += _reads_and_deletes(filt, rng, base[400:])
     return _observe(filt, results)
 
 
@@ -129,6 +162,7 @@ def _rsqf_script():
     base = _keys(rng, 1500)
     results = [filt.bulk_insert(np.concatenate([base, base[:100]]))]
     results.append(filt.bulk_insert(_keys(rng, 600)))
+    results += _reads_and_deletes(filt, rng, base)
     return _observe(filt, results)
 
 
@@ -138,6 +172,7 @@ def _cpu_cqf_script():
     base = _keys(rng, 1000)
     results = [filt.bulk_insert(base, rng.integers(0, 8, size=base.size))]
     results.append(filt.bulk_delete(np.concatenate([base[:600], base[:600], _keys(rng, 90)])))
+    results += _reads_and_deletes(filt, rng, base[600:])
     return _observe(filt, results)
 
 
@@ -146,7 +181,7 @@ def _quotient_keys(filt, rng, lo, hi, n):
     out = []
     while sum(a.size for a in out) < n:
         cand = _keys(rng, 1 << 16)
-        q, _r = filt._hash_batch(cand)
+        q, _r = filt.scheme.key_to_slot(cand)
         out.append(cand[(q >= lo) & (q < hi)])
     return np.concatenate(out)[:n]
 
@@ -180,13 +215,13 @@ def _small_batch_script():
     # Counts that need counter digits, then one fewer of each (and of some
     # twice): the digit encodings change length both ways.
     valued = np.concatenate([base[:24], _keys(rng, 24)])
-    valued = valued[filt._hash_batch(valued)[1] >= 2]
+    valued = valued[filt.scheme.key_to_slot(valued)[1] >= 2]
     results.append(filt.bulk_insert(valued, rng.integers(3, 5000, size=valued.size)))
     results.append(filt.bulk_delete(np.concatenate([valued, valued[:10]])))
     # Empty 48 quotients' runs inside the longest cluster: it splits.
     starts, stops = _clusters(core)
     lo = int(starts[int(np.argmax(stops - starts))]) + 10
-    quotients = filt._hash_batch(base)[0]
+    quotients = filt.scheme.key_to_slot(base)[0]
     victims = base[(quotients >= lo) & (quotients < lo + 48)]
     n_clusters = starts.size
     results.append(filt.bulk_delete(rng.permutation(np.concatenate([victims, _keys(rng, 8)]))))
@@ -217,18 +252,34 @@ SCRIPTS = {
 
 EXPECTED = {
     "bulk_gqf": {
-        "results": [2000, 197, 400, 900, 157281],
-        "state": "f7153088babdc1f4",
-        "scalars": (1595, 501369),
+        "results": [
+            2000,
+            197,
+            400,
+            900,
+            157281,
+            "d255ed3be995",
+            "b5f1b25dfcf3",
+            "d255ed3be995",
+            "b5f1b25dfcf3",
+            20,
+            True,
+            True,
+            True,
+            False,
+            False,
+        ],
+        "state": "1e189f8559b3ca96",
+        "scalars": (1572, 501346),
         "total": {
-            "cache_line_reads": 25983,
-            "cache_line_writes": 22770,
-            "coalesced_bytes_read": 497536,
-            "coalesced_bytes_written": 497536,
-            "slots_shifted": 33868,
-            "instructions": 78440,
-            "kernel_launches": 41,
-            "items_sorted": 3887,
+            "cache_line_reads": 28546,
+            "cache_line_writes": 22946,
+            "coalesced_bytes_read": 501888,
+            "coalesced_bytes_written": 501888,
+            "slots_shifted": 34125,
+            "instructions": 83689,
+            "kernel_launches": 105,
+            "items_sorted": 3921,
         },
         "kernels": [
             (
@@ -313,6 +364,78 @@ EXPECTED = {
                 "gqf_bulk_count",
                 {"cache_line_reads": 5302, "instructions": 10777, "kernel_launches": 1},
             ),
+            (
+                "gqf_bulk_query",
+                {"cache_line_reads": 1080, "instructions": 2120, "kernel_launches": 1},
+            ),
+            ("gqf_bulk_query", {"cache_line_reads": 69, "instructions": 132, "kernel_launches": 1}),
+            (
+                "gqf_bulk_count",
+                {"cache_line_reads": 1080, "instructions": 2120, "kernel_launches": 1},
+            ),
+            ("gqf_bulk_count", {"cache_line_reads": 69, "instructions": 132, "kernel_launches": 1}),
+            (
+                "gqf_bulk_delete_even",
+                {
+                    "cache_line_reads": 137,
+                    "cache_line_writes": 100,
+                    "slots_shifted": 161,
+                    "instructions": 424,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_delete_odd",
+                {
+                    "cache_line_reads": 98,
+                    "cache_line_writes": 58,
+                    "slots_shifted": 74,
+                    "instructions": 247,
+                    "kernel_launches": 1,
+                },
+            ),
+            ("gqf_bulk_delete_even", {"kernel_launches": 1}),
+            (
+                "gqf_bulk_delete_odd",
+                {
+                    "cache_line_reads": 5,
+                    "slots_shifted": 1,
+                    "instructions": 9,
+                    "kernel_launches": 1,
+                },
+            ),
+            ("gqf_bulk_delete_even", {"kernel_launches": 1}),
+            (
+                "gqf_bulk_delete_odd",
+                {
+                    "cache_line_reads": 6,
+                    "cache_line_writes": 4,
+                    "slots_shifted": 3,
+                    "instructions": 13,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "gqf_bulk_delete_even",
+                {
+                    "cache_line_reads": 17,
+                    "cache_line_writes": 14,
+                    "slots_shifted": 18,
+                    "instructions": 44,
+                    "kernel_launches": 1,
+                },
+            ),
+            ("gqf_bulk_delete_odd", {"kernel_launches": 1}),
+            ("gqf_bulk_delete_even", {"kernel_launches": 1}),
+            (
+                "gqf_bulk_delete_odd",
+                {"cache_line_reads": 1, "instructions": 4, "kernel_launches": 1},
+            ),
+            (
+                "gqf_bulk_delete_even",
+                {"cache_line_reads": 1, "instructions": 4, "kernel_launches": 1},
+            ),
+            ("gqf_bulk_delete_odd", {"kernel_launches": 1}),
         ],
     },
     "bulk_gqf_mapreduce": {
@@ -605,15 +728,28 @@ EXPECTED = {
         ],
     },
     "cpu_cqf": {
-        "results": [1000, 1057],
-        "state": "44ac78acee12791e",
-        "scalars": (793, 2599),
+        "results": [
+            1000,
+            1057,
+            "d255ed3be995",
+            "b5f1b25dfcf3",
+            "64c758b6b8db",
+            "88d49fe27d7a",
+            23,
+            True,
+            True,
+            True,
+            False,
+            False,
+        ],
+        "state": "599b7723175aa51d",
+        "scalars": (787, 2573),
         "total": {
-            "cache_line_reads": 10378,
-            "cache_line_writes": 10839,
-            "slots_shifted": 11568,
-            "instructions": 33556,
-            "kernel_launches": 2,
+            "cache_line_reads": 12845,
+            "cache_line_writes": 10985,
+            "slots_shifted": 11791,
+            "instructions": 39737,
+            "kernel_launches": 7,
         },
         "kernels": [
             (
@@ -635,22 +771,56 @@ EXPECTED = {
                     "kernel_launches": 1,
                 },
             ),
+            (
+                "cpu_cqf_query",
+                {"cache_line_reads": 1050, "instructions": 2553, "kernel_launches": 1},
+            ),
+            ("cpu_cqf_query", {"cache_line_reads": 63, "instructions": 160, "kernel_launches": 1}),
+            (
+                "cpu_cqf_count",
+                {"cache_line_reads": 1050, "instructions": 2553, "kernel_launches": 1},
+            ),
+            ("cpu_cqf_count", {"cache_line_reads": 63, "instructions": 160, "kernel_launches": 1}),
+            (
+                "cpu_cqf_delete",
+                {
+                    "cache_line_reads": 212,
+                    "cache_line_writes": 129,
+                    "slots_shifted": 184,
+                    "instructions": 647,
+                    "kernel_launches": 1,
+                },
+            ),
         ],
     },
     "point_gqf": {
-        "results": [1500, 300, 540],
-        "state": "62a2a0ff6724cbb2",
-        "scalars": (1297, 61917),
+        "results": [
+            1500,
+            300,
+            540,
+            "9ec6d0d5301d",
+            "b5f1b25dfcf3",
+            "9bbb53c74060",
+            "b5f1b25dfcf3",
+            20,
+            True,
+            True,
+            True,
+            False,
+            False,
+        ],
+        "state": "b62cbbba6e458a16",
+        "scalars": (1274, 61894),
         "total": {
-            "cache_line_reads": 9031,
-            "cache_line_writes": 10929,
-            "coalesced_bytes_read": 302080,
-            "coalesced_bytes_written": 302080,
-            "atomic_ops": 9440,
-            "lock_acquisitions": 4720,
-            "slots_shifted": 18779,
-            "instructions": 31569,
-            "kernel_launches": 3,
+            "cache_line_reads": 11753,
+            "cache_line_writes": 11179,
+            "coalesced_bytes_read": 305920,
+            "coalesced_bytes_written": 305920,
+            "atomic_ops": 9560,
+            "lock_acquisitions": 4780,
+            "slots_shifted": 19518,
+            "instructions": 38184,
+            "kernel_launches": 8,
         },
         "kernels": [
             (
@@ -694,18 +864,58 @@ EXPECTED = {
                     "kernel_launches": 1,
                 },
             ),
+            (
+                "gqf_point_bulk_query",
+                {"cache_line_reads": 1062, "instructions": 2111, "kernel_launches": 1},
+            ),
+            (
+                "gqf_point_bulk_query",
+                {"cache_line_reads": 63, "instructions": 126, "kernel_launches": 1},
+            ),
+            (
+                "gqf_point_bulk_count",
+                {"cache_line_reads": 1062, "instructions": 2111, "kernel_launches": 1},
+            ),
+            (
+                "gqf_point_bulk_count",
+                {"cache_line_reads": 63, "instructions": 126, "kernel_launches": 1},
+            ),
+            (
+                "gqf_point_bulk_delete",
+                {
+                    "cache_line_reads": 452,
+                    "cache_line_writes": 241,
+                    "coalesced_bytes_read": 3200,
+                    "coalesced_bytes_written": 3200,
+                    "atomic_ops": 100,
+                    "lock_acquisitions": 50,
+                    "slots_shifted": 730,
+                    "instructions": 2094,
+                    "kernel_launches": 1,
+                },
+            ),
         ],
     },
     "rsqf": {
-        "results": [1600, 600],
+        "results": [
+            1600,
+            600,
+            "d255ed3be995",
+            "b5f1b25dfcf3",
+            "refused",
+            "refused",
+            "refused",
+            "refused",
+            "refused",
+        ],
         "state": "c2c4bfd1eafa148c",
         "scalars": (2100, 2200),
         "total": {
-            "cache_line_reads": 5516,
+            "cache_line_reads": 6668,
             "cache_line_writes": 8812,
             "slots_shifted": 506,
-            "instructions": 12649,
-            "kernel_launches": 2,
+            "instructions": 15025,
+            "kernel_launches": 4,
         },
         "kernels": [
             (
@@ -727,21 +937,40 @@ EXPECTED = {
                     "kernel_launches": 1,
                 },
             ),
+            (
+                "rsqf_bulk_query",
+                {"cache_line_reads": 1085, "instructions": 2234, "kernel_launches": 1},
+            ),
+            (
+                "rsqf_bulk_query",
+                {"cache_line_reads": 67, "instructions": 142, "kernel_launches": 1},
+            ),
         ],
     },
     "sqf": {
-        "results": [1700, 600],
-        "state": "78910f47bf414e69",
-        "scalars": (1100, 1100),
+        "results": [
+            1700,
+            600,
+            "d255ed3be995",
+            "b5f1b25dfcf3",
+            20,
+            "refused",
+            "refused",
+            "refused",
+            "refused",
+            "refused",
+        ],
+        "state": "faa9ff0ee6a03f88",
+        "scalars": (1080, 1080),
         "total": {
-            "cache_line_reads": 7619,
-            "cache_line_writes": 9426,
-            "coalesced_bytes_read": 217600,
-            "coalesced_bytes_written": 217600,
-            "slots_shifted": 1581,
-            "instructions": 15690,
-            "kernel_launches": 10,
-            "items_sorted": 1700,
+            "cache_line_reads": 8904,
+            "cache_line_writes": 9512,
+            "coalesced_bytes_read": 244800,
+            "coalesced_bytes_written": 244800,
+            "slots_shifted": 1644,
+            "instructions": 18132,
+            "kernel_launches": 29,
+            "items_sorted": 2125,
         },
         "kernels": [
             (
@@ -760,6 +989,21 @@ EXPECTED = {
                     "cache_line_writes": 2610,
                     "slots_shifted": 1581,
                     "instructions": 6082,
+                    "kernel_launches": 1,
+                },
+            ),
+            (
+                "sqf_bulk_query",
+                {"cache_line_reads": 1060, "instructions": 2001, "kernel_launches": 1},
+            ),
+            ("sqf_bulk_query", {"cache_line_reads": 67, "instructions": 124, "kernel_launches": 1}),
+            (
+                "sqf_bulk_delete",
+                {
+                    "cache_line_reads": 158,
+                    "cache_line_writes": 86,
+                    "slots_shifted": 63,
+                    "instructions": 317,
                     "kernel_launches": 1,
                 },
             ),
@@ -864,3 +1108,31 @@ class TestSingleWrite:
         reference.bulk_insert(keys)
         assert grown.n_resizes == reference.n_resizes == 1
         assert _same_state(grown.core.export_state(), reference.core.export_state())
+
+
+DESIGNS = {
+    "bulk_gqf": lambda recorder: BulkGQF(10, 8, region_slots=256, recorder=recorder),
+    "point_gqf": lambda recorder: PointGQF(10, 8, region_slots=256, recorder=recorder),
+    "sqf": lambda recorder: StandardQuotientFilter(10, 13, recorder=recorder),
+    "rsqf": lambda recorder: RankSelectQuotientFilter(10, 13, recorder=recorder),
+    "cpu_cqf": lambda recorder: CPUCountingQuotientFilter(10, 8, recorder=recorder),
+}
+
+
+@pytest.mark.parametrize("op", ["query", "count", "delete"])
+@pytest.mark.parametrize("design", sorted(DESIGNS))
+def test_an_empty_batch_launches_and_records_nothing(design, op):
+    filt = DESIGNS[design](StatsRecorder())
+    if not filt.capabilities().supports(op, "bulk"):
+        pytest.skip(f"the {filt.name} refuses bulk {op}")
+    filt.bulk_insert(_keys(np.random.default_rng(20), 300))
+    events = filt.recorder.total.as_dict()
+    n_kernels = len(filt.kernels.kernels)
+    result = getattr(filt, f"bulk_{op}")(np.zeros(0, dtype=np.uint64))
+    if op == "delete":
+        assert result == 0
+    else:
+        assert result.shape == (0,)
+        assert result.dtype == (bool if op == "query" else np.int64)
+    assert filt.recorder.total.as_dict() == events
+    assert len(filt.kernels.kernels) == n_kernels

@@ -426,3 +426,19 @@ class TestBackingBulkAPI:
         assert placed.sum() == bulk.n_items <= bulk.n_slots
         found, _ = bulk.bulk_query_values(keys)
         assert np.array_equal(found[placed], np.ones(int(placed.sum()), dtype=bool))
+
+
+@pytest.mark.parametrize("value", [0, (1 << 60) - 1])
+def test_the_largest_fingerprint_of_a_64_bit_word_is_found(value):
+    """A fingerprint's word range ends at the top of a 64-bit slot word when
+    ``fingerprint_bits + value_bits == 64``: its exclusive end would wrap to
+    0, and every stored key with the largest fingerprint would read absent."""
+    config = TCFConfig(fingerprint_bits=4, value_bits=60, block_size=16, cg_size=16)
+    bulk = BulkTCF(64, config, StatsRecorder())
+    keys = np.arange(2, 4_000, dtype=np.uint64)
+    keys = keys[bulk._derive_batch(keys).fingerprint == 15][:5]
+    assert keys.size == 5
+    bulk.bulk_insert(keys, np.full(keys.size, value, dtype=np.uint64))
+    assert bulk.bulk_query(keys).all()
+    assert all(bulk.query(int(key)) for key in keys)
+    assert [bulk.get_value(int(key)) for key in keys] == [value] * keys.size
