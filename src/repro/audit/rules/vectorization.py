@@ -20,11 +20,10 @@ from ..lint import AuditModule, Rule, register
 
 #: Identifiers whose presence in an ``if`` test marks a documented per-item
 #: branch: the quotient filters' size rule
-#: (``QuotientFilterCore.prefers_sequential``), the CPU VQF's multi-lane
-#: groups (``config.cg_size != 1``, which its batch path does not model) and
-#: the bulk TCF's fallback for (block, word) keys that do not pack into 64
-#: bits (``table.flat_key_shift is None``).
-GUARD_MARKERS = ("prefers_sequential", "cg_size", "flat_key_shift")
+#: (``QuotientFilterCore.prefers_sequential``) and the bulk TCF's fallback
+#: for (block, word) keys that do not pack into 64 bits
+#: (``table.flat_key_shift is None``).
+GUARD_MARKERS = ("prefers_sequential", "flat_key_shift")
 
 _WRAPPERS = {"enumerate", "zip", "reversed", "iter", "sorted"}
 _LOOP_NODES = (ast.For, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)

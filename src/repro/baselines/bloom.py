@@ -153,10 +153,12 @@ class BitArrayFilter(AbstractFilter):
         a bit array never refuses a key."""
         keys = np.asarray(keys, dtype=np.uint64)
         self._refuse_values(values)
-        with self.kernels.launch(f"{self.LAUNCH_PREFIX}_bulk_insert", point_launch(keys.size, 1)):
-            if keys.size:
+        if keys.size:
+            with self.kernels.launch(
+                f"{self.LAUNCH_PREFIX}_bulk_insert", point_launch(keys.size, 1)
+            ):
                 self._insert_batch(keys)
-                self._n_items += int(keys.size)
+            self._n_items += int(keys.size)
         return np.ones(keys.size, dtype=bool)
 
     def bulk_insert(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> int:
@@ -164,11 +166,10 @@ class BitArrayFilter(AbstractFilter):
 
     def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.uint64)
-        out = np.zeros(keys.size, dtype=bool)
+        if keys.size == 0:
+            return np.zeros(0, dtype=bool)
         with self.kernels.launch(f"{self.LAUNCH_PREFIX}_bulk_query", point_launch(keys.size, 1)):
-            if keys.size:
-                out = self._query_batch(keys)
-        return out
+            return self._query_batch(keys)
 
     @abc.abstractmethod
     def _insert_batch(self, keys: np.ndarray) -> None:

@@ -13,6 +13,13 @@ counting.  This reproduction reuses the blocked table from the TCF with a
 too small to be interesting; the published VQF uses 48 slots per 512-bit
 block pair — we use the same fingerprint budget) and exposes the CPU thread
 count to the throughput harness.
+
+The bulk insert, query and delete are the point TCF's batched two-choice
+replays on :class:`~repro.core.tcf.block.BlockedTable`, with this design's
+own kernel launches (``cpu_vqf_*``) and no backing table.  The one
+difference is the insert's: the VQF's point :meth:`insert` re-reads the
+block on every attempt, so its replay charges that read too.  The point
+methods stay the per-item reference the replays are pinned to.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import numpy as np
 from ..core.base import AbstractFilter, FilterCapabilities, restore_array
 from ..core.exceptions import FilterFullError, UnsupportedOperationError
 from ..core.tcf.block import BlockedTable
-from ..core.tcf.config import EMPTY_SLOT, TOMBSTONE_SLOT, TCFConfig
+from ..core.tcf.config import TCFConfig
 from ..gpusim.kernel import KernelContext, point_launch
 from ..gpusim.stats import StatsRecorder
 from ..hashing import potc
@@ -187,113 +194,24 @@ class CPUVectorQuotientFilter(AbstractFilter):
             self.config.fingerprint_bits,
         )
 
-    def _bulk_insert_vectorised(self, keys: np.ndarray) -> np.ndarray:
-        """Batched two-choice insert replaying the per-item decision stream;
-        returns which keys were placed.
-
-        The two-choice routing is inherently sequential (each insert changes
-        the fills the next decision reads), so a compressed Python loop walks
-        the batch over plain integer block fills — no per-slot cooperative-
-        group machinery, no per-item DeviceArray staging — while the slot
-        placement and all simulated hardware events are applied as whole-
-        batch array operations afterwards.  Placements consume each block's
-        free slots in scan order, exactly as the single-lane group's
-        first-free ballot does, so table state *and* events match the
-        per-item loop bit for bit.  A key whose two blocks are both full is
-        left out, and the walk goes on.
-        """
-        h = self._derive_batch(keys)
-        bs = self.config.block_size
-        rows = self.table.rows()
-        free_mask = (rows == EMPTY_SLOT) | (rows == TOMBSTONE_SLOT)
-        live = (bs - free_mask.sum(axis=1)).astype(np.int64).tolist()
-        lines = self.table.block_lines().tolist()
-        cas_extra = 1 if self.config.cas_spans_slots else 0
-        shortcut = self.config.shortcut_fill
-        primaries = h.primary.tolist()
-        secondaries = h.secondary.tolist()
-        words = np.asarray(h.fingerprint)
-        free_offsets: dict = {}
-        next_free: dict = {}
-        reads = instr = intr = atomics = n_cas = 0
-        dest_flat = []
-        dest_row = []
-        for i in range(len(primaries)):
-            p, s = primaries[i], secondaries[i]
-            lp = live[p]
-            # block_fill(primary): one block fetch + a strided fill count.
-            reads += lines[p]
-            instr += bs + 1
-            first, second = p, s
-            if lp / bs >= shortcut:
-                ls = live[s]
-                reads += lines[s]
-                instr += bs + 1
-                if ls < lp:
-                    first, second = s, p
-            for b in (first, second):
-                # table.insert: block fetch (+ the extra atomic a sub-CAS-word
-                # slot costs), then the single-lane scan for a free slot.
-                reads += lines[b]
-                atomics += cas_extra
-                if live[b] < bs:
-                    offs = free_offsets.get(b)
-                    if offs is None:
-                        offs = np.flatnonzero(free_mask[b]).tolist()
-                        free_offsets[b] = offs
-                        next_free[b] = 0
-                    o = offs[next_free[b]]
-                    next_free[b] += 1
-                    live[b] += 1
-                    # o+1 strided steps and ballots, leader election, the
-                    # successful CAS, and the closing ballot.
-                    instr += o + 2
-                    intr += o + 3
-                    atomics += 1
-                    n_cas += 1
-                    dest_flat.append(b * bs + o)
-                    dest_row.append(i)
-                    break
-                # Full block: the scan ballots across every slot and gives up.
-                instr += bs
-                intr += bs
-        if dest_flat:
-            data = self.table.slots.peek()
-            data[np.asarray(dest_flat, dtype=np.int64)] = words[dest_row].astype(
-                data.dtype
-            )
-        self.recorder.add(
-            cache_line_reads=reads,
-            instructions=instr,
-            warp_intrinsics=intr,
-            atomic_ops=atomics,
-            coalesced_bytes_read=32 * n_cas,
-            coalesced_bytes_written=32 * n_cas,
-        )
-        self._n_items += len(dest_flat)
-        placed = np.zeros(keys.size, dtype=bool)
-        placed[dest_row] = True
-        return placed
-
     def bulk_insert_mask(
         self, keys: Sequence[int], values: Optional[Sequence[int]] = None
     ) -> np.ndarray:
         """The design's one batched insert, reported per key: a key whose two
         blocks are both full comes back False, and every later key is still
-        tried."""
+        tried.  The point TCF's insert replay, with the block read this
+        design's :meth:`insert` repeats on every attempt."""
         keys = np.asarray(keys, dtype=np.uint64)
         if values is not None and np.any(np.asarray(values)):
             raise UnsupportedOperationError("the VQF does not associate values")
-        placed = np.ones(keys.size, dtype=bool)
+        if keys.size == 0:
+            return np.zeros(0, dtype=bool)
         with self.kernels.launch("cpu_vqf_insert", point_launch(keys.size, 1)):
-            if self.config.cg_size != 1:  # the batch path models one lane
-                for i, key in enumerate(keys):
-                    try:
-                        self.insert(int(key))
-                    except FilterFullError:
-                        placed[i] = False
-            elif keys.size:
-                placed = self._bulk_insert_vectorised(keys)
+            h = self._derive_batch(keys)
+            placed = self.table.two_choice_insert(
+                h.primary, h.secondary, h.fingerprint, reread=True
+            )
+        self._n_items += int(np.count_nonzero(placed))
         return placed
 
     def bulk_insert(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> int:
@@ -310,53 +228,26 @@ class CPUVectorQuotientFilter(AbstractFilter):
             )
         return int(placed.size)
 
-    def _bulk_query_vectorised(self, keys: np.ndarray) -> np.ndarray:
-        """Whole-batch two-block probe with per-item-calibrated events.
-
-        Each probe gathers its candidate row and finds the first matching
-        slot in one vectorised scan; the recorded events mirror the
-        single-lane group's ballot-per-slot walk with its early exit
-        (fingerprints never collide with the empty/tombstone sentinels, so a
-        word match is a live match).
-        """
-        h = self._derive_batch(keys)
-        bs = self.config.block_size
-        rows = self.table.rows()
-        lines = self.table.block_lines()
-        fingerprints = np.asarray(h.fingerprint)
-
-        def scan(blocks: np.ndarray, fps: np.ndarray):
-            match = rows[blocks] == fps[:, None]
-            found = match.any(axis=1)
-            steps = np.where(found, np.argmax(match, axis=1) + 2, bs)
-            return found, int(steps.sum())
-
-        found, events1 = scan(h.primary, fingerprints)
-        reads = int(lines[h.primary].sum())
-        instr = intr = events1
-        out = found.copy()
-        miss = np.flatnonzero(~found)
-        if miss.size:
-            found2, events2 = scan(h.secondary[miss], fingerprints[miss])
-            reads += int(lines[h.secondary[miss]].sum())
-            instr += events2
-            intr += events2
-            out[miss[found2]] = True
-        self.recorder.add(
-            cache_line_reads=reads, instructions=instr, warp_intrinsics=intr
-        )
-        return out
-
     def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.uint64)
-        out = np.zeros(keys.size, dtype=bool)
+        if keys.size == 0:
+            return np.zeros(0, dtype=bool)
         with self.kernels.launch("cpu_vqf_query", point_launch(keys.size, 1)):
-            if self.config.cg_size != 1:  # the batch path models one lane
-                for i, key in enumerate(keys):
-                    out[i] = self.query(int(key))
-            elif keys.size:
-                out = self._bulk_query_vectorised(keys)
-        return out
+            h = self._derive_batch(keys)
+            return self.table.two_choice_query(h.primary, h.secondary, h.fingerprint)
+
+    def bulk_delete(self, keys: Sequence[int]) -> int:
+        """Remove one stored copy per key, in batch order, as a loop of
+        :meth:`delete` does."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        if keys.size == 0:
+            return 0
+        with self.kernels.launch("cpu_vqf_delete", point_launch(keys.size, 1)):
+            h = self._derive_batch(keys)
+            removed = self.table.two_choice_delete(h.primary, h.secondary, h.fingerprint)
+        n_removed = int(np.count_nonzero(removed))
+        self._n_items -= n_removed
+        return n_removed
 
     # --------------------------------------------------------------- lifecycle
     def snapshot_config(self) -> dict:

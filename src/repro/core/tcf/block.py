@@ -10,8 +10,14 @@ candidates, exactly as Algorithm 1 describes.
 :class:`BlockedTable` owns the slot array (a
 :class:`~repro.gpusim.memory.DeviceArray`, so every access is accounted as
 cache-line traffic) and implements the block-level insert / query / delete /
-fill primitives that :class:`~repro.core.tcf.point_tcf.PointTCF` composes
-with power-of-two-choice hashing.
+fill primitives that :class:`~repro.core.tcf.point_tcf.PointTCF` and the
+CPU VQF baseline compose with power-of-two-choice hashing.  Next to them sit
+their batched replays (``two_choice_insert`` / ``two_choice_query`` /
+``two_choice_delete``): a whole batch over each key's two candidate blocks,
+with the same table state and simulated events as a loop of the per-item
+calls.  Both designs' bulk calls run these replays; the CPU VQF's insert
+differs only in re-reading the block on every attempt, one argument of the
+insert replay.
 """
 
 from __future__ import annotations
@@ -232,6 +238,247 @@ class BlockedTable:
                     return True
                 ballot &= ~(1 << leader)
         return False
+
+    # ------------------------------------------------ batched two-choice replays
+    # The batched counterparts of insert / query / delete above, over each
+    # key's two candidate blocks, as the point TCF and the CPU VQF compose
+    # them.  Two-choice routing is inherently sequential (every insert
+    # changes the fills the next decision reads), so the insert and the
+    # delete walk the batch in a compressed Python loop over plain integer
+    # fills and lazily built free-slot lists / match bitmasks, while slot
+    # writes and all simulated hardware events are applied as whole-array
+    # operations.  Placements and deletions consume each block's candidate
+    # slots in scan order, exactly as the cooperative group's
+    # stride-and-ballot walk does, so table state *and* events match a loop
+    # of per-item calls bit for bit.  Fingerprints never equal the empty /
+    # tombstone sentinels (the hash displaces them), so a fingerprint match
+    # is a live match.  Each replay returns a per-key mask; the caller keeps
+    # its item count and hands what the blocks could not serve to its
+    # backing table, if it has one.
+
+    def _scan_geometry(self) -> Tuple[int, int, int, int]:
+        """``(block_size, cg_size, n_strides, tail_divergent)`` of a block scan."""
+        bs, g = self.config.block_size, self.config.cg_size
+        return bs, g, -(-bs // g), 1 if bs % g else 0
+
+    def _match_rows(self, blocks: np.ndarray, fingerprints: np.ndarray) -> np.ndarray:
+        """``(n, block_size)`` votes: which slots of ``blocks[i]`` hold ``fingerprints[i]``."""
+        gathered = self.rows()[blocks]
+        vb = self.config.value_bits
+        words = (gathered >> vb) if vb else gathered
+        return words == fingerprints[:, None]
+
+    def _scan_events(self, match: np.ndarray) -> Tuple[np.ndarray, int, int, int]:
+        """Per-key cooperative-scan events for a batch of block probes.
+
+        ``match`` is the ``(n, block_size)`` vote mask of one scan each; the
+        returned ``(found, instructions, intrinsics, divergences)`` mirror
+        the stride-and-ballot walk: a hit stops at its stride (plus the
+        leader election), a miss ballots every stride and pays the divergent
+        tail stride when the block size is not a multiple of the group.
+        """
+        _bs, g, n_strides, tail_div = self._scan_geometry()
+        found = match.any(axis=1)
+        strides = np.argmax(match, axis=1) // g + 1
+        instr = np.where(found, strides * g + 1, n_strides * g)
+        intr = np.where(found, strides + 1, n_strides)
+        if tail_div:
+            divergent = np.count_nonzero(~found | (strides == n_strides))
+        else:
+            divergent = 0
+        return found, int(instr.sum()), int(intr.sum()), int(divergent)
+
+    def two_choice_insert(
+        self,
+        primary: np.ndarray,
+        secondary: np.ndarray,
+        words: np.ndarray,
+        reread: bool = False,
+    ) -> np.ndarray:
+        """Batched two-choice insert of packed slot ``words``, in batch order.
+
+        Per key: load the primary block and count its fill; at or above the
+        shortcut fill, load the secondary too and try the less full block
+        first; then :meth:`insert` into the first block with a free slot,
+        reusing the copy the fill check loaded.  ``reread`` charges one more
+        block read per insert attempt, for a caller whose per-item insert
+        reloads the block instead.  Returns the mask of keys placed; a key
+        whose two blocks are both full is left out and the walk goes on.
+        """
+        bs, g, n_strides, tail_div = self._scan_geometry()
+        rows = self.rows()
+        free_rows = (rows == EMPTY_SLOT) | (rows == TOMBSTONE_SLOT)
+        live = (bs - free_rows.sum(axis=1)).astype(np.int64).tolist()
+        lines = self.block_lines().tolist()
+        cas_extra = 1 if self.config.cas_spans_slots else 0
+        shortcut_fill = self.config.shortcut_fill
+        fill_instr = bs // max(1, g) + 1  # block_fill's strided count
+        primaries = primary.tolist()
+        secondaries = secondary.tolist()
+        free_offsets: dict = {}
+        next_free: dict = {}
+        reads = instr = intr = div = atomics = n_cas = 0
+        dest_flat = []
+        dest_row = []
+        for i in range(len(primaries)):
+            p, s = primaries[i], secondaries[i]
+            lp = live[p]
+            # load_block(primary) + block_fill.
+            reads += lines[p]
+            instr += fill_instr
+            first, second = p, s
+            if lp / bs >= shortcut_fill:
+                ls = live[s]
+                reads += lines[s]
+                instr += fill_instr
+                if ls < lp:
+                    first, second = s, p
+                candidates = (first, second)
+            else:
+                # Shortcut: the secondary block is never read, and the
+                # primary has a free slot by definition of the threshold.
+                candidates = (first,)
+            for b in candidates:
+                if reread:
+                    reads += lines[b]
+                atomics += cas_extra
+                if live[b] < bs:
+                    offs = free_offsets.get(b)
+                    if offs is None:
+                        offs = np.flatnonzero(free_rows[b]).tolist()
+                        free_offsets[b] = offs
+                        next_free[b] = 0
+                    o = offs[next_free[b]]
+                    next_free[b] += 1
+                    live[b] += 1
+                    # Strides and ballots up to the free slot, leader
+                    # election, the successful CAS, and the closing ballot.
+                    strides = o // g + 1
+                    instr += strides * g + 1
+                    intr += strides + 2
+                    if tail_div and strides == n_strides:
+                        div += 1
+                    atomics += 1
+                    n_cas += 1
+                    dest_flat.append(b * bs + o)
+                    dest_row.append(i)
+                    break
+                # Full block: the scan ballots every stride and gives up.
+                instr += n_strides * g
+                intr += n_strides
+                div += tail_div
+        if dest_flat:
+            self.slots.peek()[np.asarray(dest_flat, dtype=np.int64)] = words[dest_row]
+        self.recorder.add(
+            cache_line_reads=reads,
+            instructions=instr,
+            warp_intrinsics=intr,
+            divergent_branches=div,
+            atomic_ops=atomics,
+            coalesced_bytes_read=32 * n_cas,
+            coalesced_bytes_written=32 * n_cas,
+        )
+        placed = np.zeros(len(primaries), dtype=bool)
+        placed[dest_row] = True
+        return placed
+
+    def two_choice_query(
+        self, primary: np.ndarray, secondary: np.ndarray, fingerprints: np.ndarray
+    ) -> np.ndarray:
+        """Batched two-block probe: :meth:`query` on each key's primary
+        block, then on the secondary blocks of the primary's misses.
+        Returns the mask of keys found."""
+        lines = self.block_lines()
+        fps = np.asarray(fingerprints).astype(self.config.slot_dtype)
+        found, instr, intr, div = self._scan_events(self._match_rows(primary, fps))
+        reads = int(lines[primary].sum())
+        miss = np.flatnonzero(~found)
+        if miss.size:
+            found2, i2, t2, d2 = self._scan_events(
+                self._match_rows(secondary[miss], fps[miss])
+            )
+            reads += int(lines[secondary[miss]].sum())
+            instr += i2
+            intr += t2
+            div += d2
+            found[miss[found2]] = True
+        self.recorder.add(
+            cache_line_reads=reads,
+            instructions=instr,
+            warp_intrinsics=intr,
+            divergent_branches=div,
+        )
+        return found
+
+    def two_choice_delete(
+        self, primary: np.ndarray, secondary: np.ndarray, fingerprints: np.ndarray
+    ) -> np.ndarray:
+        """Batched tombstoning: :meth:`delete` on each key's primary block,
+        then its secondary, in batch order.
+
+        Requests against the same ``(block, fingerprint)`` — duplicate keys,
+        or distinct keys aliasing to one fingerprint — consume the stored
+        copies positionally in slot-scan order, exactly as sequential
+        deletes do.  Returns the mask of keys tombstoned.
+        """
+        bs, g, n_strides, tail_div = self._scan_geometry()
+        lines = self.block_lines().tolist()
+        fps = np.asarray(fingerprints).astype(self.config.slot_dtype)
+        # Per-request match bitmask of each candidate block (bit k set when
+        # slot k holds the fingerprint); blocks fit a cache line, so at most
+        # 64 slots and the mask fits one uint64.
+        weights = np.uint64(1) << np.arange(bs, dtype=np.uint64)
+
+        def match_bits(blocks: np.ndarray) -> list:
+            return (self._match_rows(blocks, fps) * weights).sum(axis=1).tolist()
+
+        bits_primary = match_bits(primary)
+        bits_secondary = match_bits(secondary)
+        primaries = primary.tolist()
+        secondaries = secondary.tolist()
+        fp_list = fps.tolist()
+        claim_bits: dict = {}
+        removed = np.zeros(len(primaries), dtype=bool)
+        tomb_flat = []
+        reads = instr = intr = div = atomics = n_cas = 0
+        for i in range(len(primaries)):
+            fp = fp_list[i]
+            for b, fresh in ((primaries[i], bits_primary), (secondaries[i], bits_secondary)):
+                reads += lines[b]
+                key = (b, fp)
+                bits = claim_bits.get(key)
+                if bits is None:
+                    bits = fresh[i]
+                if bits:
+                    low = bits & -bits
+                    claim_bits[key] = bits ^ low
+                    o = low.bit_length() - 1
+                    strides = o // g + 1
+                    instr += strides * g + 1
+                    intr += strides + 1
+                    if tail_div and strides == n_strides:
+                        div += 1
+                    atomics += 1
+                    n_cas += 1
+                    tomb_flat.append(b * bs + o)
+                    removed[i] = True
+                    break
+                claim_bits[key] = 0
+                instr += n_strides * g
+                intr += n_strides
+                div += tail_div
+        if tomb_flat:
+            self.slots.peek()[np.asarray(tomb_flat, dtype=np.int64)] = TOMBSTONE_SLOT
+        self.recorder.add(
+            cache_line_reads=reads,
+            instructions=instr,
+            warp_intrinsics=intr,
+            divergent_branches=div,
+            atomic_ops=atomics,
+            coalesced_bytes_read=32 * n_cas,
+            coalesced_bytes_written=32 * n_cas,
+        )
+        return removed
 
     # ------------------------------------------------------- batched (bulk) view
     def rows(self) -> np.ndarray:

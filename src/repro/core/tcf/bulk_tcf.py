@@ -79,9 +79,6 @@ class BulkTCF(TwoChoiceFilter):
         lo = fingerprints.astype(np.uint64) << vb
         return lo, lo | ((np.uint64(1) << vb) - np.uint64(1))
 
-    def _block_slice(self, block_idx: int) -> Tuple[int, int]:
-        return self.table.block_bounds(block_idx)
-
     def _sorted_block_merge(
         self, block_idx: int, new_words: np.ndarray
     ) -> np.ndarray:
@@ -91,7 +88,7 @@ class BulkTCF(TwoChoiceFilter):
         in a shared-memory staging tile and is written back as one coalesced
         store, which is the key optimisation of the bulk TCF.
         """
-        start, stop = self._block_slice(block_idx)
+        start, stop = self.table.block_bounds(block_idx)
         with SharedMemoryTile(self.table.slots, start, stop, self.recorder) as tile:
             current = tile.view()
             live_mask = (current != EMPTY_SLOT) & (current != TOMBSTONE_SLOT)
@@ -410,7 +407,7 @@ class BulkTCF(TwoChoiceFilter):
         fp = int(h.fingerprint[0])
         vb = self.config.value_bits
         for block_idx in (int(h.primary[0]), int(h.secondary[0])):
-            start, stop = self._block_slice(block_idx)
+            start, stop = self.table.block_bounds(block_idx)
             with SharedMemoryTile(self.table.slots, start, stop, self.recorder) as tile:
                 block = tile.view()
                 fps = (block >> vb) if vb else block

@@ -7,7 +7,9 @@ insert loop (:meth:`TwoChoiceFilter._insert_with_growth`), journaled resize
 and snapshots.  Each design supplies its kernels: ``_place_batch`` (one
 insert attempt over a batch), ``_delete_once``, the bulk query and delete,
 and its point API; two class constants name its default configuration and
-its device-array prefix.
+its device-array prefix.  The point TCF's batched kernels are the table's
+two-choice replays (:class:`~repro.core.tcf.block.BlockedTable`), which the
+CPU VQF baseline shares; the bulk TCF keeps its sorted-row kernels.
 
 Resizing needs a journal.  The TCF's power-of-two-choice addressing is *not*
 invertible: the stored fingerprint ``((h1 >> 17) ^ (h2 << 3)) & mask``

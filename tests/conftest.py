@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 import pytest
 
@@ -51,8 +49,7 @@ def _bulk_launch(filt, op):
     if isinstance(filt, BitArrayFilter):
         return f"{filt.LAUNCH_PREFIX}_bulk_{op}", 1
     if isinstance(filt, CPUVectorQuotientFilter):
-        # The VQF's bulk delete is the base class's loop, with no launch.
-        return (None if op == "delete" else f"cpu_vqf_{op}"), 1
+        return f"cpu_vqf_{op}", 1
     prefix = "tcf_point_bulk" if isinstance(filt, PointTCF) else "bulk_tcf"
     return f"{prefix}_{op}", filt.config.cg_size
 
@@ -72,12 +69,7 @@ def _per_item_bulk(filt, op: str, keys):
         words = filt._pack_words(h.fingerprint, values)
         return filt._bulk_insert_sequential(keys, values, h, words)
     name, lanes = _bulk_launch(filt, op)
-    launch = (
-        filt.kernels.launch(name, point_launch(keys.size, lanes))
-        if name
-        else contextlib.nullcontext()
-    )
-    with launch:
+    with filt.kernels.launch(name, point_launch(keys.size, lanes)):
         if op == "insert":
             return np.array([_try_insert(filt, k) for k in keys.tolist()], dtype=bool)
         if op == "query":

@@ -269,6 +269,37 @@ class TestVQFStatefulPaths:
         )
         _assert_events_equal(results[False][1], results[True][1], "vqf-tombstones")
 
+    def test_large_delete_batch_on_a_tombstoned_table_matches(self, per_item_bulk):
+        stored = _keys(4500, 26)
+        absent = _keys(400, 27)
+        rng = np.random.default_rng(28)
+        # Repeats of stored keys, absent keys, and keys already deleted.
+        batch = rng.choice(np.concatenate([stored[:900], absent]), size=1_200)
+        pair = []
+        for _ in range(2):
+            filt = CPUVectorQuotientFilter.for_capacity(4400, recorder=StatsRecorder())
+            filt.bulk_insert(stored)
+            for key in stored[::30]:
+                filt.delete(int(key))
+            pair.append(filt)
+        bulk, reference = pair
+        slots = _table_state(bulk)
+        assert bulk.load_factor > 0.9
+        assert np.count_nonzero(slots == 1) > 0  # tombstones
+        assert np.unique(batch).size < batch.size
+        removed = bulk.bulk_delete(batch)
+        assert removed == per_item_bulk(reference, "delete", batch)
+        assert 0 < removed < batch.size
+        assert np.array_equal(_table_state(bulk), _table_state(reference))
+        assert bulk.n_items == reference.n_items
+        assert bulk.recorder.total.as_dict() == reference.recorder.total.as_dict()
+        records = [
+            [(k.name, k.config, k.stats.as_dict()) for k in filt.kernels.kernels]
+            for filt in pair
+        ]
+        assert records[0] == records[1]
+        assert records[0][-1][0] == "cpu_vqf_delete"
+
 
 class TestValueRejection:
     """Bulk inserts must reject values exactly like the point API does."""

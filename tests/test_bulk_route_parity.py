@@ -90,3 +90,27 @@ def test_bulk_call_matches_per_item_reference(name, size, op, per_item_bulk):
         assert np.array_equal(state[section], ref_state[section]), section
     assert totals == ref_totals
     assert kernels == ref_kernels
+
+
+@pytest.mark.parametrize(
+    "call", ["bulk_insert", "bulk_insert_mask", "bulk_query", "bulk_delete"]
+)
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_an_empty_batch_launches_and_records_nothing(name, call):
+    factory, n_loaded = BUILDERS[name]
+    filt = factory()
+    if call == "bulk_delete" and not filt.capabilities().bulk_delete:
+        pytest.skip(f"the {filt.name} refuses bulk delete")
+    filt.bulk_insert(np.random.default_rng(1).integers(0, 2**63, size=n_loaded, dtype=np.uint64))
+    state, totals, kernels = _observe(filt)
+    result = getattr(filt, call)(np.zeros(0, dtype=np.uint64))
+    if call in ("bulk_insert", "bulk_delete"):
+        assert result == 0
+    else:
+        assert result.shape == (0,)
+        assert result.dtype == bool
+    after, after_totals, after_kernels = _observe(filt)
+    for section in state:
+        assert np.array_equal(state[section], after[section]), section
+    assert after_totals == totals
+    assert after_kernels == kernels
