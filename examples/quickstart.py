@@ -72,10 +72,10 @@ def gqf_demo() -> None:
     print(f"bulk filter holds {bulk.n_items} distinct items "
           f"at load factor {bulk.load_factor:.3f}")
 
-    # Quotient filters are resizable: enumerate fingerprints into a bigger table.
-    resized = gqf.resized()
-    print(f"after resize: {resized.n_slots} slots, "
-          f"twice-inserted key still counts {resized.count(int(keys[0]))}")
+    # Quotient filters are resizable: grow in place into a twice-as-big table.
+    gqf.grow()
+    print(f"after resize: {gqf.n_slots} slots, "
+          f"twice-inserted key still counts {gqf.count(int(keys[0]))}")
 
 
 if __name__ == "__main__":

@@ -63,17 +63,16 @@ MONITORED_FIELDS: Dict[str, Dict[str, str]] = {
         # A worker claims a batch from the batcher or the retry heap under
         # FilterService._lock; that handoff is the read side's
         # happens-before edge.  Writes stay under the service lock (see
-        # _execute/_schedule_retry), expands under the entry's op_lock.
+        # _execute/_schedule_retry).
         "jobs": "w",
         "opened_at": "w",
         "attempts": "w",
-        "expands": "w",
     },
     "_Entry": {
         # Pin accounting is registry-lock protected on both sides.
         "pins": "rw",
         "last_used": "rw",
-        # Written under the entry's op_lock (restore/evict/expand/replace);
+        # Written under the entry's op_lock (restore/evict);
         # read-side checks re-validate under op_lock (ensure_resident).
         "filt": "w",
         "snapshot_path": "w",

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, Mapping, Optional, Protocol, Sequence, runtim
 import numpy as np
 
 from ..gpusim.stats import StatsRecorder
-from .exceptions import FilterFullError, SnapshotError
+from .exceptions import FilterFullError, SnapshotError, UnsupportedOperationError
 
 def restore_array(dest: np.ndarray, src: np.ndarray, name: str) -> None:
     """Copy snapshot section ``src`` into ``dest``, validating its shape.
@@ -119,6 +119,10 @@ class AbstractFilter(abc.ABC):
 
     #: Human-readable short name used in benchmark tables ("TCF", "GQF", ...).
     name: str = "filter"
+    #: Grow inside inserts instead of leaving keys out (see :meth:`grow`).
+    auto_resize = False
+    #: Growth steps taken so far.
+    n_resizes = 0
 
     def __init__(self, recorder: Optional[StatsRecorder] = None) -> None:
         self.recorder = recorder if recorder is not None else StatsRecorder()
@@ -301,6 +305,41 @@ class AbstractFilter(abc.ABC):
             except FilterFullError:
                 break
         return inserted
+
+    # ------------------------------------------------------------------ growth
+    def grow(self, extra_quotient_bits: int = 1) -> None:
+        """Grow the filter in place to ``2**extra_quotient_bits`` times its
+        slots, keeping every stored item.
+
+        The one resize entry point: the quotient family extends its
+        quotient, the TCF family replays its key journal into doubled
+        tables, and the sharded filter grows every shard.  A design whose
+        structure cannot grow refuses with
+        :class:`~repro.core.exceptions.UnsupportedOperationError` before
+        any state changes.
+        """
+        raise UnsupportedOperationError(f"{type(self).__name__} does not support resizing")
+
+    def _init_growth(self, auto_resize: bool, auto_resize_at: Optional[float]) -> None:
+        """Set the auto-resize policy: grow inside inserts once the load
+        factor reaches ``auto_resize_at`` (in (0, 1]; the recommended load
+        factor by default) or when a key finds no space."""
+        self.auto_resize = bool(auto_resize)
+        self.auto_resize_at = float(
+            self.recommended_load_factor if auto_resize_at is None else auto_resize_at
+        )
+        if not 0.0 < self.auto_resize_at <= 1.0:
+            raise ValueError("auto_resize_at must be in (0, 1]")
+        self.n_resizes = 0
+
+    def _can_grow(self) -> bool:
+        """Whether an insert may grow the filter now (never, by default)."""
+        return False
+
+    def _maybe_grow(self) -> None:
+        """Grow ahead of an insert once the configured load factor is hit."""
+        while self._can_grow() and self.load_factor >= self.auto_resize_at:
+            self.grow()
 
     # ------------------------------------------------------------- lifecycle
     @classmethod

@@ -196,14 +196,14 @@ class BulkGQF(QuotientFilter):
             if regions
         ]
 
-    # ------------------------------------------------------------------ resize
-    def _grow(self, extra_quotient_bits: int = 1) -> None:
-        """Extend the quotient in place (the auto-resize step)."""
-        self.core = self.core.extended(extra_quotient_bits, name="bulk-gqf-slots")
+    # ------------------------------------------------------------------ growth
+    def grow(self, extra_quotient_bits: int = 1) -> None:
+        """Extend the quotient in place, then re-derive the even-odd
+        partition for the new table."""
+        super().grow(extra_quotient_bits)
         self.partition = RegionPartition(
             self.core.n_canonical_slots, self.partition.region_slots
         )
-        self.n_resizes += extra_quotient_bits
 
     # --------------------------------------------------------------- lifecycle
     def snapshot_config(self) -> Dict[str, object]:
@@ -223,8 +223,8 @@ class BulkGQF(QuotientFilter):
 
         Adopted filters must not grow in place (growth reallocates the
         table, detaching it from the shared segment), so adoption requires
-        ``auto_resize=False``; the sharding layer rebalances from the parent
-        process instead.
+        ``auto_resize=False``; the sharding layer grows the shard from the
+        parent process instead.
         """
         if self.auto_resize:
             raise ValueError(

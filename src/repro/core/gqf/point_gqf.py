@@ -258,22 +258,17 @@ class PointGQF(QuotientFilter):
             self._charge_point_locks(quotients[tried])
         return landed, error
 
-    # ------------------------------------------------------------------ resize
-    def _grow(self, extra_quotient_bits: int = 1) -> None:
-        """Extend the quotient in place (the auto-resize step).
-
-        The core is rebuilt at ``2**extra_quotient_bits`` times the slots via
-        the canonical sorted merge, and the locking partition is re-derived
-        for the new table; the filter object itself keeps its identity.
-        """
-        self.core = self.core.extended(extra_quotient_bits, name="gqf-slots")
+    # ------------------------------------------------------------------ growth
+    def grow(self, extra_quotient_bits: int = 1) -> None:
+        """Extend the quotient in place, then re-derive the locking
+        partition and lock table for the new table."""
+        super().grow(extra_quotient_bits)
         self.partition = RegionPartition(
             self.core.n_canonical_slots, self.partition.region_slots
         )
         self.locks = SpinLockTable(
             self.partition.n_regions + 1, self.recorder, cache_aligned=True
         )
-        self.n_resizes += extra_quotient_bits
         if self._active_threads:
             self.set_concurrency(self._active_threads)
 

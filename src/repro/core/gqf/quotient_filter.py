@@ -3,8 +3,8 @@
 The paper's GQF (point and bulk API) and its SQF, RSQF and CPU-CQF baselines
 share one table layout and differ only in their schedules, launch geometry
 and supported operations (Table 1).  :class:`QuotientFilter` holds what they
-share: sizes, point reads, snapshots, quotient-extension resizing, the GQF
-pair's auto-resize policy, all read from the core (including its one
+share: sizes, point reads, snapshots and in-place growth by quotient
+extension (``grow``), all read from the core (including its one
 :class:`~repro.hashing.fingerprints.FingerprintScheme`), and the family's one
 insert, one read and one delete:
 
@@ -24,8 +24,7 @@ capabilities and hooks: the count policy (``_insert_rows``), the row order
 GQF's reversed device sort for deletes, the SQF's charged query sort), the
 kernel of each operation (``_kernel``), the mutation schedule (``_phases``:
 the bulk GQF's even-odd phases, the point GQF's region locks), and each GQF
-keeps the ``_grow`` step that rebuilds its schedule's state around the
-extended core.
+extends ``grow`` to rebuild its schedule's state around the extended core.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 from ...gpusim.sorting import stable_argsort
 from ...hashing.fingerprints import FingerprintScheme
 from ..base import AbstractFilter
-from ..exceptions import CapacityLimitError, FilterFullError, UnsupportedOperationError
+from ..exceptions import FilterFullError, UnsupportedOperationError
 from .layout import Phase, QuotientFilterCore
 
 
@@ -47,15 +46,11 @@ class QuotientFilter(AbstractFilter):
     Subclasses set ``self.core`` in their constructor and implement
     :meth:`_kernel`; a design whose constructor takes more than
     ``quotient_bits`` and ``remainder_bits`` extends :meth:`snapshot_config`.
-    A design that grows in place calls :meth:`_init_growth` and implements
-    ``_grow(extra_quotient_bits=1)``.
+    A design that grows inside its inserts calls :meth:`_init_growth`, and
+    one whose schedule keeps state sized to the table extends :meth:`grow`.
     """
 
     core: QuotientFilterCore
-    #: Grow by quotient extension instead of raising FilterFullError.
-    auto_resize = False
-    #: Growth steps taken so far.
-    n_resizes = 0
 
     # ------------------------------------------------------------------- sizes
     @property
@@ -215,7 +210,7 @@ class QuotientFilter(AbstractFilter):
                 break
             left = ~placed
             fingerprints = self.scheme.join(quotients[left], remainders[left])
-            self._grow()
+            self.grow()
             quotients, remainders = self.scheme.split(fingerprints)
             counts, todo = counts[left], todo[left]
         if rows is keys:
@@ -299,26 +294,29 @@ class QuotientFilter(AbstractFilter):
             return None
         return [(np.ones(quotients.size, dtype=bool), self._kernel(op, quotients.size))]
 
-    # ------------------------------------------------------------------ resize
-    def _init_growth(self, auto_resize: bool, auto_resize_at: Optional[float]) -> None:
-        """Set the auto-resize policy; the threshold defaults to the
-        recommended load factor and must lie in (0, 1]."""
-        self.auto_resize = bool(auto_resize)
-        self.auto_resize_at = float(
-            self.recommended_load_factor if auto_resize_at is None else auto_resize_at
-        )
-        if not 0.0 < self.auto_resize_at <= 1.0:
-            raise ValueError("auto_resize_at must be in (0, 1]")
-        self.n_resizes = 0
+    # ------------------------------------------------------------------ growth
+    def grow(self, extra_quotient_bits: int = 1) -> None:
+        """Grow in place to ``2**extra_quotient_bits`` times the slots.
+
+        Quotient extension: the total fingerprint width ``p = q + r`` stays
+        fixed and bits move from the remainder to the quotient, so every
+        stored fingerprint re-splits exactly under the wider quotient and
+        membership and counts are preserved.  Designs that cannot grow (the
+        SQF and RSQF, whose packed layouts hold only 5- or 13-bit
+        remainders) refuse before any state changes; a GQF extends this to
+        rebuild its schedule's state around the extended core.
+        """
+        if not self.capabilities().resizable:
+            raise UnsupportedOperationError(
+                f"{type(self).__name__} cannot be resized: its packed layout "
+                "supports no narrower remainder"
+            )
+        self.core = self.core.extended(extra_quotient_bits, name=self.core.slots.name)
+        self.n_resizes += extra_quotient_bits
 
     def _can_grow(self) -> bool:
         """Growth is on and a remainder bit is left to donate."""
         return self.auto_resize and self.scheme.remainder_bits > 1
-
-    def _maybe_grow(self) -> None:
-        """Pre-emptive growth once the configured load threshold is crossed."""
-        while self._can_grow() and self.load_factor >= self.auto_resize_at:
-            self._grow()
 
     # --------------------------------------------------------------- lifecycle
     def snapshot_config(self) -> Dict[str, object]:
@@ -332,32 +330,3 @@ class QuotientFilter(AbstractFilter):
 
     def restore_state(self, state: Mapping[str, np.ndarray]) -> None:
         self.core.import_state(state)
-
-    def resized(self, extra_quotient_bits: int = 1) -> "QuotientFilter":
-        """Return a filter with ``2**extra_quotient_bits`` times the slots.
-
-        Quotient extension: the total fingerprint width ``p = q + r`` stays
-        fixed and bits move from the remainder to the quotient, so every
-        stored fingerprint re-splits exactly under the wider quotient and
-        membership and counts are preserved.  The twin is built from
-        :meth:`snapshot_config` with the new geometry; designs whose packed
-        layout cannot hold the narrower remainder (the SQF and RSQF) refuse
-        with :class:`UnsupportedOperationError`.  ``self`` is left untouched.
-        """
-        if extra_quotient_bits < 1:
-            raise ValueError("resize must grow the filter")
-        config = self.snapshot_config()
-        if config["remainder_bits"] - extra_quotient_bits < 1:
-            raise ValueError("not enough remainder bits to donate to the quotient")
-        config["quotient_bits"] += extra_quotient_bits
-        config["remainder_bits"] -= extra_quotient_bits
-        try:
-            out = type(self)._from_snapshot_config(config, recorder=self.recorder)
-        except CapacityLimitError as exc:
-            raise UnsupportedOperationError(
-                f"{type(self).__name__} cannot be resized: its packed layout "
-                f"does not support a {config['remainder_bits']}-bit remainder "
-                f"({exc})"
-            ) from exc
-        out.core = self.core.extended(extra_quotient_bits, name=self.core.slots.name)
-        return out

@@ -3,13 +3,14 @@
 :class:`TwoChoiceFilter` holds what :class:`~repro.core.tcf.point_tcf.PointTCF`
 and :class:`~repro.core.tcf.bulk_tcf.BulkTCF` share — the two-candidate-block
 table, the backing table, sizes, hashing and slot-word packing, the one
-insert loop (:meth:`TwoChoiceFilter._insert_with_growth`), journaled resize
-and snapshots.  Each design supplies its kernels: ``_place_batch`` (one
-insert attempt over a batch), ``_delete_once``, the bulk query and delete,
-and its point API; two class constants name its default configuration and
-its device-array prefix.  The point TCF's batched kernels are the table's
-two-choice replays (:class:`~repro.core.tcf.block.BlockedTable`), which the
-CPU VQF baseline shares; the bulk TCF keeps its sorted-row kernels.
+insert loop (:meth:`TwoChoiceFilter._insert_with_growth`), journaled
+in-place growth (``grow``) and snapshots.  Each design supplies its
+kernels: ``_place_batch`` (one insert attempt over a batch),
+``_delete_once``, the bulk query and delete, and its point API; two class
+constants name its default configuration and its device-array prefix.
+The point TCF's batched kernels are the table's two-choice replays
+(:class:`~repro.core.tcf.block.BlockedTable`), which the CPU VQF baseline
+shares; the bulk TCF keeps its sorted-row kernels.
 
 Resizing needs a journal.  The TCF's power-of-two-choice addressing is *not*
 invertible: the stored fingerprint ``((h1 >> 17) ^ (h2 << 3)) & mask``
@@ -188,13 +189,7 @@ class TwoChoiceFilter(AbstractFilter):
         )
         self._n_items = 0
         self.kernels = KernelContext(self.recorder)
-        self.auto_resize = bool(auto_resize)
-        self.auto_resize_at = float(
-            config.max_load_factor if auto_resize_at is None else auto_resize_at
-        )
-        if not 0.0 < self.auto_resize_at <= 1.0:
-            raise ValueError("auto_resize_at must be in (0, 1]")
-        self.n_resizes = 0
+        self._init_growth(auto_resize, auto_resize_at)
         #: Inserted (key, value) pairs; exists only when resizing is on.
         self._journal: Optional[KeyJournal] = KeyJournal() if self.auto_resize else None
         #: int64[3] shared-memory view of the scalar counters once the
@@ -368,54 +363,60 @@ class TwoChoiceFilter(AbstractFilter):
         placed = place(keys, values)
         self._journal_add(keys[placed], values[placed])
         while not placed.all() and self._can_grow():
-            self._grow()
+            self.grow()
             todo = np.flatnonzero(~placed)
             landed = todo[place(keys[todo], values[todo])]
             self._journal_add(keys[landed], values[landed])
             placed[landed] = True
         return placed
 
-    # ------------------------------------------------------------------ resize
+    # ------------------------------------------------------------------ growth
     def _can_grow(self) -> bool:
         return self._journal is not None
 
-    def _maybe_grow(self) -> None:
-        """Grow ahead of an insert once the configured load factor is hit."""
-        if self._journal is None:
-            return
-        while self.load_factor >= self.auto_resize_at:
-            self._grow()
+    def grow(self, extra_quotient_bits: int = 1) -> None:
+        """Double-and-rehash ``extra_quotient_bits`` times, in place.
 
-    def _grow(self) -> None:
-        """Double-and-rehash: rebuild into a fresh table at 2x the slots.
-
-        The rebuild charges its inserts to the shared recorder and keeps its
-        kernel records in this filter's :class:`KernelContext` — resize cost
-        is real work, not an accounting blind spot.  Inside an open launch
-        (the point TCF's ``bulk_insert``) that launch's record already
-        absorbs the rebuild's events, so the twin keeps its own context and
-        no event is counted twice.  If the doubled table still cannot hold
-        the journal (pathological block skew), the factor doubles again.
+        Each doubling rebuilds the journal into a fresh table at 2x the
+        slots.  The rebuild charges its inserts to the shared recorder and
+        keeps its kernel records in this filter's :class:`KernelContext` —
+        resize cost is real work, not an accounting blind spot.  Inside an
+        open launch (the point TCF's ``bulk_insert``) that launch's record
+        already absorbs the rebuild's events, so the twin keeps its own
+        context and no event is counted twice.  If the doubled table still
+        cannot hold the journal (pathological block skew), the factor
+        doubles again.  The new tables live on the heap, detached from any
+        shared segment.  A filter without a journal refuses.
         """
-        keys, values = self._journal.arrays()
-        factor = 2
-        while True:
-            bigger = type(self)(
-                self.table.n_slots * factor, self.config, recorder=self.recorder
+        if extra_quotient_bits < 1:
+            raise ValueError("grow must grow the filter")
+        if self._journal is None:
+            raise UnsupportedOperationError(
+                f"{type(self).__name__} keeps no key journal (built without "
+                "auto_resize=True): its stored fingerprints cannot be "
+                "re-derived, so the table cannot be rehashed larger"
             )
-            if not self.kernels.in_launch:
-                bigger.kernels = self.kernels
-            try:
-                if keys.size:
-                    bigger.bulk_insert(keys, values)
-            except FilterFullError:
-                factor *= 2
-                continue
-            break
-        self.table = bigger.table
-        self.backing = bigger.backing
-        self._n_items = bigger._n_items
-        self.n_resizes += 1
+        keys, values = self._journal.arrays()
+        for _ in range(extra_quotient_bits):
+            factor = 2
+            while True:
+                bigger = type(self)(
+                    self.table.n_slots * factor, self.config, recorder=self.recorder
+                )
+                if not self.kernels.in_launch:
+                    bigger.kernels = self.kernels
+                try:
+                    if keys.size:
+                        bigger.bulk_insert(keys, values)
+                except FilterFullError:
+                    factor *= 2
+                    continue
+                break
+            self.table = bigger.table
+            self.backing = bigger.backing
+            self._n_items = bigger._n_items
+            self._shared_scalars = None
+            self.n_resizes += 1
 
     # --------------------------------------------------------------- snapshots
     def snapshot_config(self) -> dict:

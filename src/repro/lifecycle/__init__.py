@@ -1,4 +1,4 @@
-"""Filter lifecycle layer: snapshots, k-way merge, and online resize.
+"""Filter lifecycle layer: snapshots and k-way merge.
 
 The paper's headline application (the MetaHipMer k-mer pipeline) assumes
 filters that outlive a single kernel launch: they are saved to disk, shipped
@@ -10,14 +10,17 @@ top of the core filters:
   / ``FilterClass.load(path)`` on every filter;
 * :mod:`repro.lifecycle.merge` — ``merge(*filters)`` streaming k sorted
   fingerprint runs into a fresh table (counts summed for counting filters,
-  values resolved by policy for the TCF);
-* :mod:`repro.lifecycle.resize` — ``expand(filter)`` plus the machinery
-  behind the filters' ``auto_resize=True`` mode (quotient extension for the
-  GQF family, double-and-rehash for the TCF family).
+  values resolved by policy for the TCF).
+
+Growth is not here: every resizable filter grows in place through its own
+``grow(extra_quotient_bits=1)`` (quotient extension for the quotient family,
+journal replay into doubled tables for the TCF family, every shard for the
+sharded filter), which is also what ``auto_resize=True`` runs inside
+inserts.  A filter whose structure cannot grow refuses with
+``UnsupportedOperationError``.
 """
 
 from .merge import merge
-from .resize import expand
 from .shardset import load_shard_set, read_manifest, save_shard_set
 from .snapshot import (
     FORMAT_VERSION,
@@ -28,7 +31,6 @@ from .snapshot import (
 
 __all__ = [
     "FORMAT_VERSION",
-    "expand",
     "load_filter",
     "load_shard_set",
     "merge",

@@ -1212,7 +1212,7 @@ def _lifecycle_filters(preset: Preset):
 def _run_lifecycle(preset: Preset) -> StageOutput:
     from ..core.exceptions import SnapshotError
     from ..core.tcf import BulkTCF
-    from ..lifecycle import expand, merge, save_filter
+    from ..lifecycle import merge, save_filter
 
     rng = np.random.default_rng(0x51FE)
     n_keys = preset.lifecycle_keys
@@ -1315,11 +1315,10 @@ def _run_lifecycle(preset: Preset) -> StageOutput:
     resize_gqf.bulk_insert(keys)
     gqf_resize_s = time.perf_counter() - start
     gqf_resize_ok = bool(resize_gqf.bulk_query(keys).all())
-    expanded = expand(gqf_parts[0])
-    expand_ok = (
-        expanded.n_slots == 2 * gqf_parts[0].n_slots
-        and bool(expanded.bulk_query(shards[0]).all())
-    )
+    grown = gqf_parts[0]
+    n_slots = grown.n_slots
+    grown.grow()
+    expand_ok = grown.n_slots == 2 * n_slots and bool(grown.bulk_query(shards[0]).all())
 
     data = {
         "preset": preset.name,
@@ -1398,7 +1397,7 @@ def _lifecycle_resize(data: dict) -> Tuple[bool, str]:
     if not (gqf["ok"] and gqf["n_resizes"] > 0):
         return False, "the GQF did not absorb an over-capacity insert stream"
     if not data["explicit_expand_ok"]:
-        return False, "expand() did not double the filter or lost members"
+        return False, "grow() did not double the filter or lost members"
     return True, "filters filled past capacity grow online instead of raising"
 
 
@@ -1632,50 +1631,63 @@ register_stage(Stage(
 SHARDING_CURVE = (1, 2, 4, 8)
 
 
-def _sharding_point(n_shards: int, preset: Preset, repeats: int = 2) -> dict:
-    """Measure one curve point: best-of-N bulk insert + query wall clock."""
+def _sharding_time(n_shards: int, preset: Preset, keys: np.ndarray) -> dict:
+    """Build one sharded GQF and time one bulk insert and one bulk query."""
     from ..sharding import ShardedFilter
 
-    shard_lg = preset.sharding_lg - int(np.log2(n_shards))
-    rng = np.random.default_rng(0x5A4D)
-    keys = rng.integers(0, 2**63, size=preset.sharding_keys, dtype=np.uint64)
-    query_keys = keys[: preset.sharding_queries]
-    best_insert_s = best_query_s = float("inf")
-    routed = balance = 0.0
-    all_present = True
-    for _ in range(repeats):
-        filt = ShardedFilter(
-            n_shards,
-            BulkGQF,
-            {"quotient_bits": shard_lg, "remainder_bits": 8},
-            max_workers=n_shards,
-        )
+    filt = ShardedFilter(
+        n_shards,
+        BulkGQF,
+        {"quotient_bits": preset.sharding_lg - int(np.log2(n_shards)), "remainder_bits": 8},
+        max_workers=n_shards,
+    )
+    try:
         filt.warm_up()
         start = time.perf_counter()
         filt.bulk_insert(keys)
-        best_insert_s = min(best_insert_s, time.perf_counter() - start)
+        insert_s = time.perf_counter() - start
         start = time.perf_counter()
-        present = filt.bulk_query(query_keys)
-        best_query_s = min(best_query_s, time.perf_counter() - start)
-        all_present = all_present and bool(present.all())
-        items = filt.shard_items()
-        routed = float(sum(items))
-        balance = max(items) / (sum(items) / len(items))
+        present = filt.bulk_query(keys[: preset.sharding_queries])
+        query_s = time.perf_counter() - start
+        return {"insert_s": insert_s, "query_s": query_s,
+                "present": bool(present.all()), "items": filt.shard_items()}
+    finally:
         filt.close()
-    return {
-        "n_shards": n_shards,
-        "insert_s": round(best_insert_s, 6),
-        "query_s": round(best_query_s, 6),
-        "insert_rate": round(preset.sharding_keys / best_insert_s, 1),
-        "query_rate": round(preset.sharding_queries / best_query_s, 1),
-        "n_items": int(routed),
-        "balance": round(balance, 4),
-        "all_inserted_present": all_present,
-    }
+
+
+def _sharding_curve(preset: Preset, repeats: int = 2) -> List[dict]:
+    """Time the curve in rounds and keep each point's best.
+
+    Each round builds and times every shard count once, so a busy stretch
+    of the host slows every point of a round alike instead of all the
+    repeats of one point.
+    """
+    keys = np.random.default_rng(0x5A4D).integers(
+        0, 2**63, size=preset.sharding_keys, dtype=np.uint64
+    )
+    rounds = [
+        [_sharding_time(n, preset, keys) for n in SHARDING_CURVE] for _ in range(repeats)
+    ]
+    curve = []
+    for n_shards, runs in zip(SHARDING_CURVE, zip(*rounds)):
+        insert_s = min(run["insert_s"] for run in runs)
+        query_s = min(run["query_s"] for run in runs)
+        items = runs[-1]["items"]
+        curve.append({
+            "n_shards": n_shards,
+            "insert_s": round(insert_s, 6),
+            "query_s": round(query_s, 6),
+            "insert_rate": round(preset.sharding_keys / insert_s, 1),
+            "query_rate": round(preset.sharding_queries / query_s, 1),
+            "n_items": int(sum(items)),
+            "balance": round(max(items) / (sum(items) / len(items)), 4),
+            "all_inserted_present": all(run["present"] for run in runs),
+        })
+    return curve
 
 
 def _run_sharding(preset: Preset) -> StageOutput:
-    curve = [_sharding_point(n, preset) for n in SHARDING_CURVE]
+    curve = _sharding_curve(preset)
     base_rate = curve[0]["insert_rate"]
     for point in curve:
         point["insert_speedup"] = round(point["insert_rate"] / base_rate, 3)

@@ -41,8 +41,6 @@ class Batch:
     seq: int = field(default_factory=lambda: next(_batch_seq))
     #: Execution attempts so far (shared by every job riding the batch).
     attempts: int = 0
-    #: Capacity expansions already performed on behalf of this batch.
-    expands: int = 0
 
     @property
     def n_keys(self) -> int:

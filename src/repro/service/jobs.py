@@ -19,9 +19,10 @@ Error taxonomy (mirrored in the README failure-semantics table):
 * **retryable** — transient conditions the service retries internally with
   exponential backoff and jitter: injected worker crashes
   (:class:`~repro.service.faults.WorkerCrashFault`) and filter-full storms
-  (:class:`~repro.service.faults.FilterFullFault`).  Keys a resizable
-  filter leaves out are not an error: the service grows the filter via
-  :func:`repro.lifecycle.expand` and inserts just those keys again.
+  (:class:`~repro.service.faults.FilterFullFault`).  Keys a filter leaves
+  out are not an error: the job ends ``PARTIAL`` with a per-key mask (a
+  filter built with ``auto_resize=True`` grows in place and places them
+  itself).
 * **terminal** — conditions retrying cannot fix: unknown filters, unsupported
   operations, deletion of absent items, torn snapshots at restore time, and
   a :class:`~repro.core.exceptions.FilterFullError` raised from inside a

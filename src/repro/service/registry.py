@@ -176,8 +176,7 @@ class FilterRegistry:
         """Pin the named filter for use, restoring it from disk if evicted.
 
         Yields the :class:`_Entry`; callers take ``entry.op_lock`` around
-        mutations and may replace ``entry.filt`` (e.g. after a capacity
-        expansion) while pinned.
+        mutations.
         """
         entry = self._pin(name)
         try:
@@ -248,30 +247,6 @@ class FilterRegistry:
         """
         with self._lock:
             self.stats[stat] += 1
-
-    def replace(self, name: str, filt: AbstractFilter) -> None:
-        """Swap the live filter object (after an out-of-place expansion).
-
-        ``entry.filt`` is op_lock-protected everywhere else (restore, evict,
-        in-batch expansion); swapping it under the registry lock alone could
-        tear a filter out from under a worker mid-batch.  Look the entry up
-        under the registry lock, then swap under its ``op_lock`` — in that
-        order, matching the documented hierarchy (op_lock is never taken
-        while holding the registry lock).
-        """
-        with self._lock:
-            entry = self._entries.get(name)
-        if entry is None:
-            raise UnknownFilterError(f"no filter named {name!r} is registered")
-        with entry.op_lock:
-            old = entry.filt
-            entry.filt = filt
-            # Replacing a filter that holds external resources (a sharded
-            # filter's worker pool + shared-memory segments) must release
-            # them, or the old segments leak until interpreter exit.  Guard
-            # against same-object swaps: in-place growers return themselves.
-            if old is not None and old is not filt and hasattr(old, "close"):
-                old.close()
 
     # ------------------------------------------------------------ eviction
     def _evict_to_budget(self) -> None:

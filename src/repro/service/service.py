@@ -16,10 +16,12 @@ Robustness semantics (the headline; see the README failure-semantics table):
 * **Partial success** — insert jobs run the filter's ``bulk_insert_mask``
   and report its per-item success mask, so "filter full" degrades to
   ``PARTIAL`` instead of all-or-nothing failure.
-* **Capacity** — keys a resizable filter leaves out trigger
-  :func:`repro.lifecycle.expand` and a retry of only those keys, so no key
-  is applied twice.  A filter that raises ``FilterFullError`` from inside
-  its insert may already have placed keys, so that batch fails terminally.
+* **Capacity** — growth is the filter's own policy: a filter built with
+  ``auto_resize=True`` grows in place inside ``bulk_insert_mask`` and
+  resends only the keys left out, so no key is applied twice; keys a
+  filter still cannot hold come back as ``PARTIAL``.  A filter that raises
+  ``FilterFullError`` from inside its insert may already have placed keys,
+  so that batch fails terminally.
 * **Retries** — transient failures (injected worker crashes and
   filter-full storms) are retried with exponential backoff and
   deterministic jitter, bounded by ``max_attempts``.  Injection sites fire
@@ -57,7 +59,6 @@ import numpy as np
 
 from ..core.base import AbstractFilter
 from ..core.exceptions import UnsupportedOperationError
-from ..lifecycle.resize import expand
 from .batcher import Batch, WindowedBatcher
 from .faults import NO_FAULTS, FaultInjector
 from .jobs import (
@@ -77,6 +78,11 @@ from .registry import FilterRegistry
 
 #: A job and the terminal result it is about to be given.
 Outcome = Tuple[Job, JobResult]
+
+#: perfbench/trace.py wraps an ``expand`` attribute of this module (its
+#: ``lifecycle.expand`` layer).  The service grows no filter itself — each
+#: grows inside its own insert — so nothing here calls it.
+expand = AbstractFilter.grow
 
 #: Jitter fraction: the deterministic per-token jitter multiplies a retry's
 #: backoff by up to ``1 + BACKOFF_JITTER``.
@@ -99,8 +105,6 @@ class ServiceConfig:
     max_attempts: int = 4
     backoff_base_s: float = 0.0005
     backoff_cap_s: float = 0.05
-    #: Capacity policy: growth steps attempted on behalf of one batch.
-    max_expands_per_batch: int = 3
 
 
 class FilterService:
@@ -479,6 +483,7 @@ class FilterService:
     # ---------------------------------------------------------- batch execution
     def _run_batch(self, entry, batch: Batch) -> None:
         keys = np.concatenate([job.keys for job in batch.jobs])
+        filt = self.registry.ensure_resident(entry)
         if batch.op == "insert":
             values = np.concatenate(
                 [
@@ -488,10 +493,9 @@ class FilterService:
                     for job in batch.jobs
                 ]
             )
-            mask = self._insert_with_growth(entry, batch, keys, values)
+            mask = np.asarray(filt.bulk_insert_mask(keys, values), dtype=bool)
             self._finalize(self._insert_outcomes(batch, mask))
             return
-        filt = self.registry.ensure_resident(entry)
         if batch.op == "query":
             results = np.asarray(filt.bulk_query(keys), dtype=bool).astype(np.int64)
         elif batch.op == "count":
@@ -519,38 +523,6 @@ class FilterService:
             out[offset : offset + job.n_items] = 1 if removed == job.n_items else 0
             offset += job.n_items
         return out
-
-    def _insert_with_growth(
-        self, entry, batch: Batch, keys: np.ndarray, values: np.ndarray
-    ) -> np.ndarray:
-        """Insert the batch, growing the filter while keys are left out.
-
-        Returns the per-key success mask.  After each expansion only the
-        keys still left out are inserted again, so no key is applied twice.
-        """
-        filt = self.registry.ensure_resident(entry)
-        mask = np.asarray(filt.bulk_insert_mask(keys, values), dtype=bool)
-        while not mask.all() and self._try_expand(entry, batch):
-            todo = np.flatnonzero(~mask)
-            sub = np.asarray(entry.filt.bulk_insert_mask(keys[todo], values[todo]), dtype=bool)
-            mask[todo[sub]] = True
-            if not sub.any():
-                break
-        return mask
-
-    def _try_expand(self, entry, batch: Batch) -> bool:
-        """Capacity policy: grow the filter via the lifecycle layer."""
-        if batch.expands >= self.config.max_expands_per_batch:
-            return False
-        filt = self.registry.ensure_resident(entry)
-        if not filt.capabilities().resizable:
-            return False
-        try:
-            entry.filt = expand(filt)
-        except (UnsupportedOperationError, ValueError):
-            return False
-        batch.expands += 1
-        return True
 
     # ------------------------------------------------------------ retry/backoff
     def _backoff_s(self, batch: Batch) -> float:

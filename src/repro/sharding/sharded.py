@@ -44,13 +44,15 @@ Execution and failure model
   finalizers on the worker set and on each segment are the backstop when
   ``close()`` is never called.
 
-Resizing (``auto_resize=True``) *rebalances in place*: before an insert
-batch is dispatched, any shard whose projected occupancy crosses the
-threshold is expanded through :func:`repro.lifecycle.resize.expand` —
-quotient extension for the GQF family, journal replay for the TCF (each
-shard's :class:`~repro.core.tcf.lifecycle.KeyJournal` lives in the parent,
-since arrays that grow with every insert cannot inhabit a fixed shared
-segment) — and rebound to a fresh, larger segment.  Shard
+Growth is in place and goes through one ``grow`` per shard: ``grow()``
+grows every shard, and under ``auto_resize=True`` an insert grows the
+shards whose projected occupancy crosses the threshold before it is
+dispatched, and again any shard that still leaves keys out (bulk and point
+inserts alike).  A shard grows through its own ``grow`` — quotient
+extension for the GQF family, journal replay for the TCF (each shard's
+:class:`~repro.core.tcf.lifecycle.KeyJournal` lives in the parent, since
+arrays that grow with every insert cannot inhabit a fixed shared segment)
+— and is rebound to a fresh, larger segment.  Shard
 *count* is fixed for life: the TCF's fingerprints are not invertible, so
 keys can never be re-routed between shards; this matches the paper's
 observation that fingerprint filters cannot re-partition themselves.
@@ -71,7 +73,6 @@ from ..core.exceptions import FilterFullError, UnsupportedOperationError
 from ..core.tcf.lifecycle import KeyJournal, TwoChoiceFilter
 from ..gpusim.stats import StatsRecorder
 from ..lifecycle.merge import merge
-from ..lifecycle.resize import expand
 from ..lifecycle.snapshot import _resolve_class
 from .router import DEFAULT_ROUTER_SEED, partition, shard_ids
 from .sharedmem import ShardStore
@@ -118,6 +119,27 @@ def _stop_workers(workers: List[Optional[_ShardWorker]], kill: bool = False) -> 
             worker.stop(kill)
 
 
+def _grow_twin(
+    twin: AbstractFilter, journal: Optional[KeyJournal], extra_quotient_bits: int
+) -> None:
+    """Grow a shard's parent twin in place.  A TCF twin borrows the
+    parent-held journal for the rebuild (a journal cannot live in a fixed
+    shared segment) and gives it back after."""
+    if journal is None:
+        twin.grow(extra_quotient_bits)
+        return
+    twin._journal = journal
+    try:
+        twin.grow(extra_quotient_bits)
+    finally:
+        twin._journal = None
+
+
+#: The shard growth step, called through this module name, which
+#: perfbench/trace.py wraps as its ``lifecycle.expand`` layer.
+expand = _grow_twin
+
+
 class ShardedFilter(AbstractFilter):
     """N hash-disjoint shards of one bulk filter class, run shard-parallel.
 
@@ -136,8 +158,8 @@ class ShardedFilter(AbstractFilter):
         Parent stats recorder; worker event deltas merge into it, so the
         sharded event accounting matches the unsharded accounting.
     auto_resize / auto_resize_at:
-        Enable in-place per-shard rebalancing past the load threshold
-        (defaults to the shard design's recommended load factor).
+        Grow shards in place past the load threshold, or when a key finds
+        no space (defaults to the shard design's recommended load factor).
     router_seed:
         Routing-hash seed (recorded in snapshots; change it and a restored
         filter would route keys to the wrong shards).
@@ -151,7 +173,7 @@ class ShardedFilter(AbstractFilter):
         (the service's ``shard_worker_kill`` site).
     shard_configs:
         Per-shard config overrides (used by snapshot restore, where
-        rebalanced shards may have diverged geometries).
+        grown shards may have diverged geometries).
     """
 
     name = "Sharded"
@@ -186,7 +208,6 @@ class ShardedFilter(AbstractFilter):
         self.n_shards = int(n_shards)
         self._inner_class = inner
         self.router_seed = int(router_seed)
-        self.auto_resize = bool(auto_resize)
         self.faults = faults
         if shard_configs is not None and len(shard_configs) != self.n_shards:
             raise ValueError(
@@ -194,8 +215,8 @@ class ShardedFilter(AbstractFilter):
             )
         base = dict(inner_config)
         # Shards must never grow *inside* a worker: in-place growth would
-        # reallocate the table off its shared segment.  Rebalancing is the
-        # parent's job (see _expand_shard).
+        # reallocate the table off its shared segment.  Growing a shard is
+        # the parent's job (see _expand_shard).
         base["auto_resize"] = False
         self.inner_config = base
         configs = (
@@ -215,16 +236,10 @@ class ShardedFilter(AbstractFilter):
             self._twins.append(twin)
             self._stores.append(store)
             self._configs.append(cfg)
-        self.auto_resize_at = float(
-            self._twins[0].recommended_load_factor
-            if auto_resize_at is None
-            else auto_resize_at
-        )
-        if not 0.0 < self.auto_resize_at <= 1.0:
-            raise ValueError("auto_resize_at must be in (0, 1]")
+        self._init_growth(auto_resize, auto_resize_at)
         #: Parent-side key journals, one per shard (TCF shards only): a TCF
-        #: cannot re-derive its keys from its slots, so rebalancing replays
-        #: the journal kept here.
+        #: cannot re-derive its keys from its slots, so growing a shard
+        #: replays the journal kept here.
         self._journals: Optional[List[KeyJournal]] = (
             [KeyJournal() for _ in range(self.n_shards)]
             if self.auto_resize and isinstance(self._twins[0], TwoChoiceFilter)
@@ -245,7 +260,6 @@ class ShardedFilter(AbstractFilter):
         self._lock = threading.Lock()
         self._closed = False
         self._op_seq = 0
-        self.n_rebalances = 0
         self.worker_restarts = 0
 
     # ------------------------------------------------------------------ meta
@@ -474,32 +488,20 @@ class ShardedFilter(AbstractFilter):
             self._check_open()
             self._dispatch("noop", {i: (None, None) for i in range(self.n_shards)})
 
-    # ------------------------------------------------------------ rebalance
+    # ---------------------------------------------------------------- growth
     def _expand_shard(self, i: int, extra_quotient_bits: int = 1) -> None:
-        """Grow shard ``i`` and rebind it onto a fresh, larger segment."""
+        """Grow shard ``i`` in place and rebind it onto a fresh, larger segment."""
         twin = self._synced_twin(i)
-        if self._journals is not None:
-            # TCF: lend the parent-held journal to the twin for the rebuild,
-            # then detach it again (it cannot live in the fixed segment).
-            twin._journal = self._journals[i]
-            try:
-                expand(twin, extra_quotient_bits)
-            finally:
-                twin._journal = None
-            twin._shared_scalars = None
-            new_twin = twin
-        else:
-            new_twin = expand(twin, extra_quotient_bits)
-        new_store = ShardStore.allocate(new_twin.snapshot_state())
-        new_twin.adopt_state(new_store.views())
-        old_store = self._stores[i]
-        self._twins[i] = new_twin
-        self._stores[i] = new_store
-        config = dict(new_twin.snapshot_config())
+        expand(twin, self._journals[i] if self._journals is not None else None,
+               extra_quotient_bits)
+        store = ShardStore.allocate(twin.snapshot_state())
+        twin.adopt_state(store.views())
+        old_store, self._stores[i] = self._stores[i], store
+        config = dict(twin.snapshot_config())
         config["auto_resize"] = False
         self._configs[i] = config
         self._epochs[i] += 1
-        self.n_rebalances += 1
+        self.n_resizes += 1
         old_store.close()
 
     def _pre_grow(self, incoming: np.ndarray) -> None:
@@ -511,24 +513,16 @@ class ShardedFilter(AbstractFilter):
                 >= self.auto_resize_at * twin.n_slots
             ):
                 self._expand_shard(i)
-                twin = self._twins[i]
 
-    def rebalance(self, extra_quotient_bits: int = 1) -> None:
-        """Expand every shard (manual rebalance; auto mode does it lazily)."""
+    def grow(self, extra_quotient_bits: int = 1) -> None:
+        """Grow every shard in place (auto-resize grows them lazily).
+
+        ``n_resizes`` counts shard expansions: one per shard here.
+        """
         with self._lock:
             self._check_open()
             for i in range(self.n_shards):
                 self._expand_shard(i, extra_quotient_bits)
-
-    def resized(self, extra_quotient_bits: int = 1) -> "ShardedFilter":
-        """Grow in place and return self (the lifecycle ``expand`` hook).
-
-        Unlike the GQF's out-of-place ``resized``, the sharded filter
-        rebalances its own segments; returning ``self`` keeps
-        ``lifecycle.expand(service_entry.filt)`` working unchanged.
-        """
-        self.rebalance(extra_quotient_bits)
-        return self
 
     # ------------------------------------------------------------- bulk API
     def _partition(
@@ -692,6 +686,9 @@ class ShardedFilter(AbstractFilter):
                 self._synced[i] = self._epochs[i]
 
     def insert(self, key: int, value: int = 0) -> bool:
+        """Insert one key on its shard.  Under ``auto_resize`` the shard is
+        pre-grown for it, and grown again while the key finds no space, as
+        the bulk path does."""
         with self._lock:
             self._check_open()
             i = self._shard_of(int(key))
@@ -699,7 +696,14 @@ class ShardedFilter(AbstractFilter):
                 incoming = np.zeros(self.n_shards, dtype=np.int64)
                 incoming[i] = 1
                 self._pre_grow(incoming)
-            ok = bool(self._local_op(key, "insert", value))
+            while True:
+                try:
+                    ok = bool(self._local_op(key, "insert", value))
+                    break
+                except FilterFullError:
+                    if not self.auto_resize:
+                        raise
+                    self._expand_shard(i)
             if ok and self._journals is not None:
                 self._journals[i].add([key], [value])
             return ok

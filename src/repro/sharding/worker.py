@@ -17,7 +17,7 @@ concurrently):
    drop memoised decodes — **only when the segment changed since this
    twin last flushed it**.  The parent keeps one *mutation epoch* per
    shard, bumped by every path that can write the segment (bulk insert and
-   delete dispatches, parent-side point writes, restores, rebalances); a
+   delete dispatches, parent-side point writes, restores, growth); a
    task spec carries the epoch the segment is at (``epoch``) and the one
    it will be at once the task is done (``flush_epoch``).  A twin whose
    recorded epoch equals ``epoch`` left the segment byte for byte as it is,
@@ -34,7 +34,7 @@ follow the same rule.
 An insert runs the shard's ``bulk_insert_mask`` and returns the positions
 the shard could not place (empty when all of them landed): the parent
 raises a :class:`~repro.core.exceptions.FilterFullError` with the shard's
-occupancy snapshot, or rebalances the shard and resends just those keys
+occupancy snapshot, or grows the shard and resends just those keys
 when auto-resize is on.  An exception travels back to the parent and is
 re-raised there.  The deterministic ``shard_worker_kill`` fault arrives
 pre-decided by the parent's injector as ``spec["kill"]`` and terminates
@@ -75,7 +75,7 @@ class _Twin:
 
 #: Per-process twin cache: shard index -> twin.  One worker serves one
 #: ShardedFilter, so the shard index is a stable key; a changed segment
-#: name means the shard was rebalanced into a new segment and the stale
+#: name means the shard was grown into a new segment and the stale
 #: twin + mapping must be dropped.
 _TWINS: Dict[int, _Twin] = {}
 

@@ -1104,7 +1104,7 @@ class TestSingleWrite:
         grown, _even, keys = _overflow_filter(auto_resize=True)
         grown.bulk_insert(keys)
         reference = _overflow_filter(auto_resize=True)[0]
-        reference._grow()
+        reference.grow()
         reference.bulk_insert(keys)
         assert grown.n_resizes == reference.n_resizes == 1
         assert _same_state(grown.core.export_state(), reference.core.export_state())

@@ -1,5 +1,6 @@
 """Tests for the point GQF (locking, counting, values, resize)."""
 
+import numpy as np
 import pytest
 
 from repro.core.gqf import PointGQF
@@ -98,23 +99,19 @@ class TestLocking:
 
 
 class TestResize:
-    def test_resize_preserves_membership_and_counts(self, recorder, keys_1k):
-        gqf = PointGQF(9, 16, region_slots=256, recorder=recorder)
-        for key in keys_1k[:300]:
-            gqf.insert(int(key))
-        gqf.insert(int(keys_1k[0]))
-        bigger = gqf.resized()
-        assert bigger.n_slots == 2 * gqf.n_slots
-        for key in keys_1k[:300]:
-            assert bigger.query(int(key))
-        assert bigger.count(int(keys_1k[0])) == 2
-
     def test_resize_validation(self, recorder):
+        """A growth of no bits, or one that would leave no remainder bit,
+        is refused before any state changes."""
         gqf = PointGQF(9, 8, recorder=recorder)
+        gqf.insert(12345)
+        state = gqf.snapshot_state()
         with pytest.raises(ValueError):
-            gqf.resized(0)
+            gqf.grow(0)
         with pytest.raises(ValueError):
-            gqf.resized(8)
+            gqf.grow(8)
+        assert gqf.n_slots == 512 and gqf.n_resizes == 0
+        for name, array in gqf.snapshot_state().items():
+            assert np.array_equal(array, state[name]), name
 
 
 class TestMetadata:

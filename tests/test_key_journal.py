@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.core.tcf import BulkTCF, PointTCF
 from repro.core.tcf.lifecycle import KeyJournal
-from repro.lifecycle import expand
 
 # A small key pool forces repeated keys; the extremes exercise the full
 # uint64 range through the multiply-shift screen.
@@ -111,7 +110,7 @@ def test_journaled_filter_delete_reinsert_expand(cls, tmp_path):
     assert journal_values[-40:].tolist() == values[:40].tolist()
 
     resizes = filt.n_resizes
-    expand(filt)
+    filt.grow()
     assert filt.n_resizes == resizes + 1
     alive = np.array([key for key, n in live.items() if n > 0], dtype=np.uint64)
     assert filt.bulk_query(alive).all()

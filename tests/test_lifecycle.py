@@ -30,12 +30,12 @@ from repro.core.tcf import BulkTCF, PointTCF
 from repro.core.tcf.config import POINT_TCF_DEFAULT
 from repro.lifecycle import (
     FORMAT_VERSION,
-    expand,
     load_filter,
     merge,
     read_snapshot,
     save_filter,
 )
+from repro.sharding import ShardedFilter, sharded_gqf, sharded_tcf
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -45,6 +45,15 @@ def _keys(n: int, seed: int = 11) -> np.ndarray:
     # are displaced on storage; starting at 2 keeps bit-identity strict.
     rng = np.random.default_rng(seed)
     return rng.integers(2, 2**63, size=n, dtype=np.uint64)
+
+
+def _digest(filt) -> str:
+    """A short digest of every section of ``filt.snapshot_state()``."""
+    digest = hashlib.sha256()
+    for section, array in sorted(filt.snapshot_state().items()):
+        digest.update(section.encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()[:16]
 
 
 def _make(cls):
@@ -375,60 +384,120 @@ def test_tcf_rebuild_keeps_kernel_records(name):
     else:
         # A quotient filter grows outside any launch and resends what was
         # left out; it ends where growing inside the launch ended.
-        digest = hashlib.sha256()
-        for section, array in sorted(filt.snapshot_state().items()):
-            digest.update(section.encode())
-            digest.update(np.ascontiguousarray(array).tobytes())
-        assert (filt.n_resizes, digest.hexdigest()[:16]) == pinned
+        assert (filt.n_resizes, _digest(filt)) == pinned
 
 
-def test_expand_gqf_matches_membership_and_counts():
-    filt = PointGQF(10, 8)
-    keys = _keys(300)
-    filt.bulk_insert(keys)
-    filt.bulk_insert(keys[:20])
-    bigger = expand(filt)
-    assert bigger.n_slots == 2 * filt.n_slots
-    assert bigger.bulk_query(keys).all()
-    for k in keys[:20]:
-        assert bigger.count(int(k)) == 2
+#: ``(filter, bits grown) -> digest`` of the ``snapshot_state()`` a filter
+#: reaches by growing in place.  The quotient family's were taken from
+#: fresh filters of the grown geometry rebuilt from the same fingerprints,
+#: so growing in place must leave exactly that table.
+GROWN_DIGESTS = {
+    # The quotient designs share one core layout, so they reach one state.
+    **{
+        (name, bits): digest
+        for name in ("PointGQF", "BulkGQF", "CPU-CQF", "BulkGQF-mapreduce", "BulkGQF-auto")
+        for bits, digest in ((1, "ce0992d7d3978d34"), (2, "f7a0a5e633adb9cd"))
+    },
+    ("PointTCF", 1): "3fd729678174f3b4",
+    ("PointTCF", 2): "7d85571e22c233de",
+    ("BulkTCF", 1): "59fdc39b48a2c027",
+    ("BulkTCF", 2): "5e9fd11c30f90ae6",
+    ("sharded-gqf", 1): "8bd33ca014aeadef",
+    ("sharded-gqf", 2): "f306da4a45d97110",
+    ("sharded-tcf", 1): "965c55bae2c05987",
+    ("sharded-tcf", 2): "a75e55e7cc97b00b",
+}
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: PointGQF(10, 8),
-        lambda: BulkGQF(10, 8),
-        lambda: CPUCountingQuotientFilter(10, 8),
-        lambda: StandardQuotientFilter(10, 5),
-        lambda: RankSelectQuotientFilter(10, 5),
-    ],
-    ids=["PointGQF", "BulkGQF", "CPU-CQF", "SQF", "RSQF"],
-)
-def test_expand_quotient_family(make):
-    """Every quotient-family filter grows through one ``resized()``."""
-    filt = make()
-    keys = _keys(300)
-    filt.bulk_insert(keys)
-    if not filt.capabilities().resizable:
-        # The SQF/RSQF packings hold only 5- or 13-bit remainders.
-        with pytest.raises(UnsupportedOperationError):
-            filt.resized(1)
-        with pytest.raises(UnsupportedOperationError):
-            expand(filt, 1)
-        return
-    filt.bulk_insert(np.repeat(keys[:20], 2))
+def _assert_grows_in_place(make, name, keys, counted=False, table_slots=None):
+    """Grow fresh filters by 1 and by 2 bits, in place.
+
+    The main table must hold ``2**bits`` times the slots (``table_slots``,
+    the filter's ``n_slots`` by default; a TCF's backing table rounds
+    separately), every key must stay present with its count (each of
+    ``keys[:20]`` inserted three times when ``counted``), and the state
+    must match its pinned digest.
+    """
+    table_slots = table_slots or (lambda filt: filt.n_slots)
     for extra in (1, 2):
-        bigger = filt.resized(extra)
-        expanded = expand(filt, extra)
-        assert bigger.n_slots == expanded.n_slots == filt.n_slots << extra
-        assert bigger.snapshot_config() == expanded.snapshot_config()
-        state, expanded_state = bigger.snapshot_state(), expanded.snapshot_state()
-        assert state.keys() == expanded_state.keys()
-        for name in state:
-            assert np.array_equal(state[name], expanded_state[name]), name
-        assert bigger.bulk_query(keys).all()
-        assert [bigger.count(int(k)) for k in keys[:20]] == [3] * 20
+        filt = make()
+        try:
+            filt.bulk_insert(keys)
+            if counted:
+                filt.bulk_insert(np.repeat(keys[:20], 2))
+            slots, resizes = table_slots(filt), filt.n_resizes
+            assert filt.grow(extra) is None
+            assert table_slots(filt) == slots << extra
+            assert filt.n_resizes > resizes
+            assert filt.bulk_query(keys).all()
+            if counted:
+                assert filt.bulk_count(keys[:20]).tolist() == [3] * 20
+            assert _digest(filt) == GROWN_DIGESTS[name, extra], (name, extra)
+        finally:
+            if isinstance(filt, ShardedFilter):
+                filt.close()
+
+
+#: Every quotient-family design, by test id.
+QUOTIENT_FAMILY = {
+    "PointGQF": lambda: PointGQF(10, 8),
+    "BulkGQF": lambda: BulkGQF(10, 8),
+    "BulkGQF-mapreduce": lambda: BulkGQF(10, 8, use_mapreduce=True),
+    "BulkGQF-auto": lambda: BulkGQF(10, 8, auto_resize=True),
+    "CPU-CQF": lambda: CPUCountingQuotientFilter(10, 8),
+    "SQF": lambda: StandardQuotientFilter(10, 5),
+    "RSQF": lambda: RankSelectQuotientFilter(10, 5),
+}
+
+
+@pytest.mark.parametrize("name", list(QUOTIENT_FAMILY))
+def test_expand_quotient_family(name):
+    """Every quotient-family filter grows in place through one ``grow()``;
+    the SQF and RSQF, whose packings hold only 5- or 13-bit remainders,
+    refuse it before any state changes."""
+    make = QUOTIENT_FAMILY[name]
+    keys = _keys(300)
+    if make().capabilities().resizable:
+        _assert_grows_in_place(make, name, keys, counted=True)
+        return
+    filt = make()
+    filt.bulk_insert(keys)
+    before = _digest(filt)
+    with pytest.raises(UnsupportedOperationError):
+        filt.grow(1)
+    assert _digest(filt) == before
+
+
+def test_expand_tcf_in_place():
+    """A journaled TCF grows in place, one doubling per bit."""
+    for cls in (PointTCF, BulkTCF):
+        _assert_grows_in_place(
+            lambda: cls(256, auto_resize=True),
+            cls.__name__,
+            _keys(150),
+            table_slots=lambda filt: filt.table.n_slots,
+        )
+
+
+@pytest.mark.parametrize("max_workers", [0, 2], ids=["inline", "pooled"])
+@pytest.mark.parametrize("family", ["gqf", "tcf"])
+def test_expand_sharded_in_place(family, max_workers):
+    """A sharded filter grows every shard in place (a TCF shard through
+    the journal its parent keeps)."""
+    if family == "gqf":
+        _assert_grows_in_place(
+            lambda: sharded_gqf(2, 9, max_workers=max_workers),
+            "sharded-gqf",
+            _keys(300),
+            counted=True,
+        )
+        return
+    _assert_grows_in_place(
+        lambda: sharded_tcf(2, 256, max_workers=max_workers, auto_resize=True),
+        "sharded-tcf",
+        _keys(150),
+        table_slots=lambda filt: sum(twin.table.n_slots for twin in filt._twins),
+    )
 
 
 @pytest.mark.parametrize("cls", [PointGQF, BulkGQF])
@@ -445,40 +514,47 @@ def test_gqf_growth_keeps_one_geometry(cls):
     assert filt.false_positive_rate == 2.0 ** -filt.core.remainder_bits
 
 
+#: Every auto-resizing design, built at a given threshold.
+AUTO_RESIZERS = {
+    "PointGQF": lambda at: PointGQF(10, 8, auto_resize=True, auto_resize_at=at),
+    "BulkGQF": lambda at: BulkGQF(10, 8, auto_resize=True, auto_resize_at=at),
+    "PointTCF": lambda at: PointTCF(256, auto_resize=True, auto_resize_at=at),
+    "BulkTCF": lambda at: BulkTCF(256, auto_resize=True, auto_resize_at=at),
+    "ShardedFilter": lambda at: sharded_gqf(
+        2, 8, max_workers=0, auto_resize=True, auto_resize_at=at
+    ),
+}
+
+
 @pytest.mark.parametrize("at", [0.0, -1.0, 1.5])
-@pytest.mark.parametrize("cls", [PointGQF, BulkGQF])
+@pytest.mark.parametrize("cls", list(AUTO_RESIZERS))
 def test_gqf_rejects_auto_resize_threshold_outside_unit_interval(cls, at):
     """A threshold of 0 or below would grow on every insert (down to a
-    1-bit remainder); one above 1 would never grow.  Both are refused, as
-    the TCF refuses them."""
+    1-bit remainder for a GQF); one above 1 would never grow.  Every
+    auto-resizing design refuses both through the one shared policy."""
     with pytest.raises(ValueError, match=r"auto_resize_at must be in \(0, 1\]"):
-        cls(10, 8, auto_resize=True, auto_resize_at=at)
-
-
-def test_expand_tcf_in_place():
-    filt = PointTCF(256, auto_resize=True)
-    keys = _keys(150)
-    filt.bulk_insert(keys)
-    before = filt.table.n_slots
-    returned = expand(filt)
-    assert returned is filt
-    assert filt.table.n_slots == 2 * before
-    assert filt.bulk_query(keys).all()
+        AUTO_RESIZERS[cls](at)
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: StandardQuotientFilter(10, 5),
-        lambda: RankSelectQuotientFilter(10, 5),
         lambda: BloomFilter(1_000),
         lambda: BlockedBloomFilter.for_capacity(100),
         lambda: PointTCF(1024),  # no journal without auto_resize
+        lambda: BulkTCF(1024),
+        lambda: CPUVectorQuotientFilter(1024),
     ],
 )
 def test_expand_unsupported(make):
+    """A filter whose structure cannot grow refuses, with its state intact
+    (the SQF and RSQF refuse in ``test_expand_quotient_family``)."""
+    filt = make()
+    filt.bulk_insert(_keys(50))
+    before = _digest(filt)
     with pytest.raises(UnsupportedOperationError):
-        expand(make())
+        filt.grow()
+    assert _digest(filt) == before
 
 
 def test_full_error_carries_occupancy():

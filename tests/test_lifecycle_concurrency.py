@@ -1,6 +1,6 @@
 """Concurrency tests for the lifecycle layer (satellite of the service PR).
 
-The lifecycle primitives (save/load/merge/expand) are pure functions of
+The lifecycle primitives (save/load/merge) are pure functions of
 their inputs, so running them from a thread pool must produce results
 identical to running them serially — no shared mutable state, no
 order-dependence.  The service adds the locking that makes *mutation*

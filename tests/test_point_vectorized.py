@@ -23,7 +23,6 @@ from repro.core.tcf import POINT_TCF_DEFAULT, PointTCF, TCFConfig
 from repro.gpusim.atomics import SpinLockTable
 from repro.gpusim.kernel import point_launch
 from repro.gpusim.stats import StatsRecorder
-from repro.lifecycle import expand
 from repro.workloads import kmer as kmer_mod
 
 #: Counter fields asserted for exact batched-vs-per-item parity.
@@ -350,7 +349,7 @@ class TestTCFQueryDifferential:
         probes = np.concatenate([keys[::2], rng.integers(0, 2**63, size=200, dtype=np.uint64)])
         filt.bulk_query(probes)  # memoises the pre-growth line counts
         n_blocks = filt.table.n_blocks
-        expand(filt)
+        filt.grow()
         assert filt.table.n_blocks > n_blocks
         filt.recorder.reset()
         got = filt.bulk_query(probes)

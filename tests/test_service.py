@@ -219,7 +219,7 @@ def test_late_completion_succeeds_with_deadline_flag(tmp_path):
 
 # ------------------------------------------------- partial success/growth
 def test_partial_success_reports_per_item_mask(tmp_path):
-    config = ServiceConfig(max_workers=1, max_expands_per_batch=0, **FAST)
+    config = ServiceConfig(max_workers=1, **FAST)
     with _service(tmp_path, config=config) as service:
         service.register_filter("small", _tcf_factory(n_slots=128))
         keys = np.arange(2, 2 + 400, dtype=np.uint64)
@@ -236,19 +236,31 @@ def test_partial_success_reports_per_item_mask(tmp_path):
 
 
 def test_capacity_failure_grows_resizable_filter(tmp_path):
-    # A GQF without auto_resize reports partial placement and leaves the
-    # growing to the caller: the service's capacity policy must expand it
-    # (out of place, via lifecycle.expand) and retry only the unplaced keys.
+    # Growth is the filter's own policy.  A GQF without auto_resize keeps
+    # its size: the job ends PARTIAL with exactly the mask the filter
+    # reports.  The same GQF with auto_resize grows in place inside its
+    # insert and resends only the keys it left out, so each counts once.
     from repro.core.gqf import PointGQF
 
+    keys = np.arange(2, 2 + 400, dtype=np.uint64)
+    expected = PointGQF(7, 16).bulk_insert_mask(keys)
+    assert 0 < int(np.count_nonzero(expected)) < keys.size
     with _service(tmp_path) as service:
-        service.register_filter("small", lambda: PointGQF(7, 16))
-        keys = np.arange(2, 2 + 400, dtype=np.uint64)
-        result = service.result(service.submit("small", "insert", keys), timeout=10.0)
-        assert result.status is JobStatus.SUCCEEDED
-        with service.registry.acquire("small") as entry:
-            assert entry.filt.n_slots > 128  # the service grew it
-            assert int(entry.filt.n_items) == keys.size  # exactly once each
+        service.register_filter("fixed", lambda: PointGQF(7, 16))
+        service.register_filter("growing", lambda: PointGQF(7, 16, auto_resize=True))
+        fixed = service.result(service.submit("fixed", "insert", keys), timeout=10.0)
+        assert fixed.status is JobStatus.PARTIAL
+        assert np.array_equal(fixed.ok_mask, expected)
+        assert fixed.n_ok == int(np.count_nonzero(expected))
+        grown = service.result(service.submit("growing", "insert", keys), timeout=10.0)
+        assert grown.status is JobStatus.SUCCEEDED
+        with service.registry.acquire("fixed") as entry:
+            assert entry.filt.n_slots == 128
+            assert int(entry.filt.total_count) == fixed.n_ok
+        with service.registry.acquire("growing") as entry:
+            assert entry.filt.n_slots > 128  # it grew itself
+            assert int(entry.filt.total_count) == keys.size
+            assert (entry.filt.bulk_count(keys) == 1).all()  # exactly once each
 
 
 # --------------------------------------------------------- retry semantics
@@ -429,11 +441,13 @@ def test_filter_raised_capacity_error_fails_batch_without_retry(tmp_path):
 
 
 def test_capacity_retry_keeps_gqf_counts_exact(tmp_path):
-    # A fixed-size GQF fills mid-batch; the service grows it and inserts
+    # An auto-resizing GQF fills mid-batch; it grows in place and inserts
     # only the keys it left out, so every key is counted exactly once.
     keys = np.random.default_rng(5).integers(1, 2**63, size=400, dtype=np.uint64)
     with _service(tmp_path, config=ServiceConfig(max_workers=1)) as service:
-        service.register_filter("g", lambda: BulkGQF(8, 8, recorder=StatsRecorder()))
+        service.register_filter(
+            "g", lambda: BulkGQF(8, 8, recorder=StatsRecorder(), auto_resize=True)
+        )
         result = service.result(service.submit("g", "insert", keys), timeout=30.0)
         assert result.status is JobStatus.SUCCEEDED
         assert result.attempts == 1
@@ -505,7 +519,7 @@ def test_recover_preloads_finished_and_replays_pending(tmp_path):
 
 
 def _assert_partial_mask_round_trips(tmp_path, n_keys):
-    config = ServiceConfig(max_workers=1, max_expands_per_batch=0, **FAST)
+    config = ServiceConfig(max_workers=1, **FAST)
     with _service(tmp_path, config=config, journal=True) as service:
         service.register_filter("small", _tcf_factory(n_slots=128))
         keys = np.arange(2, 2 + n_keys, dtype=np.uint64)

@@ -426,7 +426,7 @@ class TestWarmTwins:
                 filt.restore_shard(i, load_filter(shard_file).snapshot_state(), *journal)
             assert _reads(filt, keys) == at_snapshot
 
-            filt.rebalance()
+            filt.grow()
             for key in added.tolist():
                 filt.insert(key)
             found, counts = _reads(filt, keys[:700])
@@ -493,9 +493,9 @@ class TestRebalance:
         try:
             sharded.bulk_insert(keys)
             slots_before = sharded.n_slots
-            sharded.rebalance()
+            sharded.grow()
             assert sharded.n_slots > slots_before
-            assert sharded.n_rebalances == 2
+            assert sharded.n_resizes == 2
             assert sharded.bulk_query(keys).all()
             assert sharded.n_items >= int(0.99 * keys.size)
         finally:
@@ -506,7 +506,7 @@ class TestRebalance:
         sharded = sharded_gqf(2, quotient_bits=9, max_workers=0, auto_resize=True)
         try:
             assert sharded.bulk_insert(keys) == keys.size
-            assert sharded.n_rebalances > 0
+            assert sharded.n_resizes > 0
             assert sharded.bulk_query(keys).all()
         finally:
             sharded.close()
@@ -518,7 +518,7 @@ class TestRebalance:
         try:
             assert masked.bulk_insert_mask(keys).all()
             assert counted.bulk_insert(keys) == keys.size
-            assert masked.n_rebalances == counted.n_rebalances > 0
+            assert masked.n_resizes == counted.n_resizes > 0
             masked_state, counted_state = masked.snapshot_state(), counted.snapshot_state()
             assert masked_state.keys() == counted_state.keys()
             for name, array in counted_state.items():
@@ -536,7 +536,7 @@ class TestRebalance:
         sharded = sharded_gqf(1, quotient_bits=9, max_workers=0, auto_resize=True)
         try:
             assert sharded.bulk_insert_mask(keys, values).all()
-            assert sharded.n_rebalances > 0
+            assert sharded.n_resizes > 0
             assert sharded.merged().total_count == 100 * keys.size
         finally:
             sharded.close()
@@ -548,7 +548,7 @@ class TestRebalance:
         )
         try:
             assert sharded.bulk_insert(keys) == keys.size
-            assert sharded.n_rebalances == 1  # not pre-grown: the shard filled
+            assert sharded.n_resizes == 1  # not pre-grown: the shard filled
             assert len(sharded._journals[0]) == keys.size
             assert sharded.bulk_query(keys).all()
         finally:
@@ -561,7 +561,7 @@ class TestRebalance:
         try:
             assert sharded._journals is not None
             assert sharded.bulk_insert(keys, values) == keys.size
-            assert sharded.n_rebalances > 0
+            assert sharded.n_resizes > 0
             assert sharded.bulk_query(keys).all()
         finally:
             sharded.close()
@@ -577,10 +577,20 @@ class TestRebalance:
         finally:
             sharded.close()
 
-    def test_resized_hook_returns_self(self):
-        sharded = sharded_gqf(2, quotient_bits=10, max_workers=0)
+    def test_point_insert_grows_a_full_tcf_shard(self):
+        # At a threshold of 1.0 the pre-growth never fires before a TCF
+        # block overflows: the point insert itself must grow the shard and
+        # retry, as the bulk path and an unsharded auto-resizing TCF do.
+        keys = np.random.default_rng(1).integers(0, 2**63, size=3_000, dtype=np.uint64)
+        sharded = sharded_tcf(
+            1, n_slots=1_024, max_workers=0, auto_resize=True, auto_resize_at=1.0
+        )
         try:
-            assert sharded.resized(1) is sharded
+            for key in keys.tolist():
+                assert sharded.insert(key)
+            assert sharded.n_resizes > 0
+            assert len(sharded._journals[0]) == keys.size
+            assert sharded.bulk_query(keys).all()
         finally:
             sharded.close()
 
@@ -640,8 +650,8 @@ class TestSnapshots:
         try:
             assert [len(journal) for journal in restored._journals] == journal_sizes
             assert restored.bulk_query(keys).all()
-            # The journal is live: a further rebalance must replay correctly.
-            restored.rebalance()
+            # The journal is live: a further growth must replay correctly.
+            restored.grow()
             assert restored.bulk_query(keys).all()
         finally:
             restored.close()
@@ -834,18 +844,6 @@ class TestServiceIntegration:
                 filt = registry.ensure_resident(entry)
                 assert filt.bulk_query(keys).all()
                 filt.close()
-
-    def test_registry_replace_closes_the_old_filter(self, tmp_path):
-        registry = FilterRegistry(tmp_path)
-        registry.get_or_create(
-            "tenant", lambda: sharded_gqf(1, quotient_bits=9, max_workers=0)
-        )
-        with registry.acquire("tenant") as entry:
-            old = entry.filt
-        replacement = sharded_gqf(1, quotient_bits=10, max_workers=0)
-        registry.replace("tenant", replacement)
-        assert old.closed
-        replacement.close()
 
 
 # ------------------------------------------------------------- construction
