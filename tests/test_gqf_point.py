@@ -99,6 +99,19 @@ class TestLocking:
 
 
 class TestResize:
+    def test_resize_preserves_membership_and_counts(self, recorder, keys_1k):
+        """Growing in place doubles the slots and keeps every key and count."""
+        gqf = PointGQF(9, 16, region_slots=256, recorder=recorder)
+        for key in keys_1k[:300]:
+            gqf.insert(int(key))
+        gqf.insert(int(keys_1k[0]))
+        slots = gqf.n_slots
+        gqf.grow()
+        assert gqf.n_slots == 2 * slots
+        for key in keys_1k[:300]:
+            assert gqf.query(int(key))
+        assert gqf.count(int(keys_1k[0])) == 2
+
     def test_resize_validation(self, recorder):
         """A growth of no bits, or one that would leave no remainder bit,
         is refused before any state changes."""

@@ -468,6 +468,20 @@ def test_expand_quotient_family(name):
     assert _digest(filt) == before
 
 
+def test_expand_gqf_matches_membership_and_counts():
+    """A PointGQF grown in place by one bit keeps membership and counts."""
+    filt = PointGQF(10, 8)
+    keys = _keys(300)
+    filt.bulk_insert(keys)
+    filt.bulk_insert(keys[:20])
+    slots = filt.n_slots
+    filt.grow()
+    assert filt.n_slots == 2 * slots
+    assert filt.bulk_query(keys).all()
+    for k in keys[:20]:
+        assert filt.count(int(k)) == 2
+
+
 def test_expand_tcf_in_place():
     """A journaled TCF grows in place, one doubling per bit."""
     for cls in (PointTCF, BulkTCF):
