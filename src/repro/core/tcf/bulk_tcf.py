@@ -427,7 +427,7 @@ class BulkTCF(TwoChoiceFilter):
             return True
         return False
 
-    def bulk_delete(self, keys: Sequence[int]) -> int:
+    def _delete_batch(self, keys: np.ndarray) -> int:
         """Delete one stored occurrence per requested key (batched).
 
         The vectorised path resolves the whole batch against the primary
@@ -443,16 +443,12 @@ class BulkTCF(TwoChoiceFilter):
         — the same which-copy ambiguity fingerprint filters already have for
         colliding deletes, not a new hazard.
         """
-        keys = np.asarray(keys, dtype=np.uint64)
-        if keys.size == 0:
-            return 0
         if self.table.flat_key_shift is None:  # (block, word) keys do not pack
             with self.kernels.launch(
                 "bulk_tcf_delete", point_launch(keys.size, self.config.cg_size)
             ):
-                hits = np.array([self._delete_once(int(key)) for key in keys], dtype=bool)
-            self._journal_remove(keys[hits])
-            return int(np.count_nonzero(hits))
+                hits = [self._delete_once(int(key)) for key in keys]
+            return sum(hits)
 
         h = self._derive_batch(keys)
         shift = np.uint64(self.table.flat_key_shift)
@@ -510,7 +506,6 @@ class BulkTCF(TwoChoiceFilter):
                 pending = pending[order[~take]]
             if pending.size:
                 removed[pending] = self.backing.bulk_delete(keys[pending])
-        self._journal_remove(keys[removed])
         n_removed = int(np.count_nonzero(removed))
         self._n_items -= n_removed
         return n_removed

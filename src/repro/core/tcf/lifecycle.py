@@ -3,12 +3,13 @@
 :class:`TwoChoiceFilter` holds what :class:`~repro.core.tcf.point_tcf.PointTCF`
 and :class:`~repro.core.tcf.bulk_tcf.BulkTCF` share — the two-candidate-block
 table, the backing table, sizes, hashing and slot-word packing, the one
-insert loop (:meth:`TwoChoiceFilter._insert_with_growth`), journaled
-in-place growth (``grow``) and snapshots.  Each design supplies its
-kernels: ``_place_batch`` (one insert attempt over a batch),
-``_delete_once``, the bulk query and delete, and its point API; two class
-constants name its default configuration and its device-array prefix.
-The point TCF's batched kernels are the table's two-choice replays
+insert loop (:meth:`TwoChoiceFilter._insert_with_growth`), the point and
+bulk delete with their journal rule, journaled in-place growth (``grow``)
+and snapshots.  Each design supplies its kernels: ``_place_batch`` (one
+insert attempt over a batch), ``_delete_once`` and ``_delete_batch`` (the
+table deletes), the bulk query, and its point API; two class constants name
+its default configuration and its device-array prefix.  The point TCF's
+batched kernels are the table's two-choice replays
 (:class:`~repro.core.tcf.block.BlockedTable`), which the CPU VQF baseline
 shares; the bulk TCF keeps its sorted-row kernels.
 
@@ -25,17 +26,26 @@ table at twice the slot count and bulk-inserts the journal through the
 normal (event-charged) insert path, so resize cost shows up honestly in the
 simulated hardware counters.
 
-The journal is exact for true deletes; deleting a *false positive* removes a
-stored slot but no journal entry, so after such a delete a resize can
-resurrect at most that one phantom item — the same one the false positive
-already claimed was present.  This mirrors the fundamental limit the paper
-notes for fingerprint filters rather than hiding it.
+A filter writes its own journal only while it grows itself
+(``auto_resize=True``).  A shard of a
+:class:`~repro.sharding.sharded.ShardedFilter` also holds a journal, on
+its parent-process twin, but never grows itself: the sharded filter writes
+that journal from its dispatch results and grows the twin.
+
+The delete rule is one line: every delete request drops one journaled copy
+of the *requested* key, whether or not a slot was found.  It never revives
+a deleted key.  Deleting a *false positive* removes another key's stored
+slot while that key keeps its journal entry, so a resize can bring back at
+most that one phantom item — the same one the false positive already
+claimed was present — until the phantom key is itself deleted.  This
+mirrors the fundamental limit the paper notes for fingerprint filters
+rather than hiding it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -299,10 +309,19 @@ class TwoChoiceFilter(AbstractFilter):
         scans the whole key journal — O(journal) host work per call; batch
         deletes through ``bulk_delete`` to pay that scan once.
         """
-        if not self._delete_once(key):
-            return False
+        found = self._delete_once(key)
         self._journal_remove([int(key) & _MASK64])
-        return True
+        return found
+
+    def bulk_delete(self, keys: Sequence[int]) -> int:
+        """Delete one stored occurrence per requested key; returns how many
+        were found (see :meth:`_delete_batch` of each design)."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        if keys.size == 0:
+            return 0
+        removed = self._delete_batch(keys)
+        self._journal_remove(keys)
+        return removed
 
     def _delete_once(self, key: int) -> bool:
         """Remove one occurrence of ``key`` from the tables (no journaling).
@@ -311,13 +330,19 @@ class TwoChoiceFilter(AbstractFilter):
         """
         raise NotImplementedError
 
+    def _delete_batch(self, keys: np.ndarray) -> int:
+        """Remove one occurrence per key of a non-empty batch from the
+        tables (no journaling); returns how many were found."""
+        raise NotImplementedError
+
     # ----------------------------------------------------------------- journal
     def _journal_add(self, keys: np.ndarray, values: np.ndarray) -> None:
-        if self._journal is not None:
+        if self.auto_resize:
             self._journal.add(keys, values)
 
     def _journal_remove(self, keys: np.ndarray) -> None:
-        if self._journal is not None:
+        """The delete rule: one journaled copy per requested key."""
+        if self.auto_resize:
             self._journal.remove(keys)
 
     # ------------------------------------------------------------------ insert
@@ -372,7 +397,7 @@ class TwoChoiceFilter(AbstractFilter):
 
     # ------------------------------------------------------------------ growth
     def _can_grow(self) -> bool:
-        return self._journal is not None
+        return self.auto_resize
 
     def grow(self, extra_quotient_bits: int = 1) -> None:
         """Double-and-rehash ``extra_quotient_bits`` times, in place.
@@ -461,16 +486,10 @@ class TwoChoiceFilter(AbstractFilter):
         named sections (same layout as :meth:`snapshot_state`) become the
         live backing store, so every slot write goes straight to the shared
         segment.  The scalar counters are synchronised explicitly with
-        :meth:`refresh_shared` / :meth:`flush_shared`.  Journaled filters
-        cannot adopt: the journal's arrays grow with every insert, which no
-        fixed segment can hold — the sharding layer keeps journals in the
-        parent process instead.
+        :meth:`refresh_shared` / :meth:`flush_shared`.  A key journal stays
+        on the heap (its arrays grow with every insert, which no fixed
+        segment can hold), and any ``journal_*`` sections are ignored.
         """
-        if self._journal is not None:
-            raise ValueError(
-                "journaled (auto_resize=True) TCFs cannot adopt shared "
-                "buffers; construct the shard with auto_resize=False"
-            )
         table = np.asarray(state["table"])
         if table.shape != self.table.slots.data.shape or table.dtype != self.table.slots.data.dtype:
             raise ValueError(

@@ -213,12 +213,9 @@ class PointTCF(TwoChoiceFilter):
                 out[still] = self.backing.bulk_query_values(keys[still])[0]
         return out
 
-    def bulk_delete(self, keys: Sequence[int]) -> int:
+    def _delete_batch(self, keys: np.ndarray) -> int:
         """Tombstone one stored copy per key, in batch order: primary block,
         secondary block, then the backing table."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        if keys.size == 0:
-            return 0
         with self.kernels.launch(
             "tcf_point_bulk_delete", point_launch(keys.size, self.config.cg_size)
         ):
@@ -230,5 +227,4 @@ class PointTCF(TwoChoiceFilter):
                 backing_removed = self.backing.bulk_delete(keys[rest])
                 removed[rest] = backing_removed
                 self._n_items -= int(backing_removed.sum())
-            self._journal_remove(keys[removed])
         return int(np.count_nonzero(removed))

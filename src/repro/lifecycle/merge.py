@@ -168,11 +168,11 @@ def _merge_tcf(
     if len(configs) != 1:
         raise ValueError("TCFs only merge when they share one TCFConfig")
     if all(f._journal is not None for f in filters):
-        return _merge_tcf_journals(filters, value_policy, recorder)
+        return _merge_tcf_by_journal(filters, value_policy, recorder)
     return _merge_tcf_tables(filters, value_policy, recorder)
 
 
-def _merge_tcf_journals(
+def _merge_tcf_by_journal(
     filters: Sequence[AbstractFilter],
     value_policy: str,
     recorder: Optional[StatsRecorder],

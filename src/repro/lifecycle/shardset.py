@@ -14,25 +14,23 @@ a *shard set* is the better layout:
 * ``shard0.rpro`` … ``shardN-1.rpro`` — each shard's table as an ordinary
   versioned snapshot of the *inner* class, checksummed like any other,
   loadable individually with :func:`repro.lifecycle.snapshot.load_filter`
-  for repair or re-sharding-by-merge workflows;
-* ``shard{i}.journal.npz`` — the parent-held key journal (a ``keys`` and a
-  ``values`` array in numpy's own ``.npz`` format), present only for
-  journaled (auto-resizing) TCF shard sets.
+  for repair or re-sharding-by-merge workflows.  A journaled (auto-resizing)
+  TCF shard's key journal travels in its file as the TCF's own
+  ``journal_keys``/``journal_values`` sections.
 
 ``save_shard_set`` / ``load_shard_set`` are deliberately *functions over
 directories*, not a new binary format: every file is the existing snapshot
-format, JSON, or a plain ``.npz``, and each is written atomically and
-fsynced before the manifest that names it.
+format or JSON, and each is written atomically and fsynced before the
+manifest that names it.  Version 2 of the set moved the key journals into
+the shard files; version-1 sets, whose journals sat in separate ``.npz``
+files, are refused rather than loaded without them.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from ..core.exceptions import SnapshotError
 from ..gpusim.stats import StatsRecorder
@@ -41,7 +39,7 @@ from .snapshot import FORMAT_VERSION, _atomic_write, read_snapshot, save_filter
 MANIFEST_NAME = "manifest.json"
 
 #: Bumped when the manifest layout changes incompatibly.
-SHARD_SET_VERSION = 1
+SHARD_SET_VERSION = 2
 
 
 def save_shard_set(filt, directory) -> Dict[str, object]:
@@ -61,19 +59,9 @@ def save_shard_set(filt, directory) -> Dict[str, object]:
     for i, twin in enumerate(filt._twins):
         shard_file = f"shard{i}.rpro"
         nbytes = save_filter(twin, os.path.join(directory, shard_file))
-        entry: Dict[str, object] = {
-            "file": shard_file,
-            "n_items": int(twin.n_items),
-            "nbytes": int(nbytes),
-        }
-        if filt._journals is not None:
-            journal_file = f"shard{i}.journal.npz"
-            journal_keys, journal_values = filt._journals[i].arrays()
-            npz = io.BytesIO()
-            np.savez(npz, keys=journal_keys, values=journal_values)
-            _atomic_write(os.path.join(directory, journal_file), npz.getvalue())
-            entry["journal"] = journal_file
-        shards.append(entry)
+        shards.append(
+            {"file": shard_file, "n_items": int(twin.n_items), "nbytes": int(nbytes)}
+        )
     manifest = {
         "format": "repro-shard-set",
         "version": SHARD_SET_VERSION,
@@ -134,11 +122,7 @@ def load_shard_set(directory, recorder: Optional[StatsRecorder] = None):
                 raise SnapshotError(
                     f"shard {i} snapshot holds {shard_class}, expected {expected}"
                 )
-            journal_keys = journal_values = None
-            if filt._journals is not None and "journal" in entry:
-                with np.load(os.path.join(directory, entry["journal"])) as npz:
-                    journal_keys, journal_values = npz["keys"], npz["values"]
-            filt.restore_shard(i, state, journal_keys, journal_values)
+            filt.restore_shard(i, state)
     except BaseException:
         filt.close()
         raise

@@ -49,10 +49,14 @@ grows every shard, and under ``auto_resize=True`` an insert grows the
 shards whose projected occupancy crosses the threshold before it is
 dispatched, and again any shard that still leaves keys out (bulk and point
 inserts alike).  A shard grows through its own ``grow`` — quotient
-extension for the GQF family, journal replay for the TCF (each shard's
-:class:`~repro.core.tcf.lifecycle.KeyJournal` lives in the parent, since
-arrays that grow with every insert cannot inhabit a fixed shared segment)
-— and is rebound to a fresh, larger segment.  Shard
+extension for the GQF family, journal replay for the TCF — and is rebound
+to a fresh, larger segment.  A journaled TCF shard's
+:class:`~repro.core.tcf.lifecycle.KeyJournal` is held by its parent twin,
+on the heap (arrays that grow with every insert cannot inhabit a fixed
+shared segment), so the twin's own ``grow``, snapshot, restore and merge
+see it.  Worker twins hold none, so this filter writes each shard's
+journal from its dispatch results, under the TCF's one delete rule: one
+journaled copy per requested key.  Shard
 *count* is fixed for life: the TCF's fingerprints are not invertible, so
 keys can never be re-routed between shards; this matches the paper's
 observation that fingerprint filters cannot re-partition themselves.
@@ -119,25 +123,27 @@ def _stop_workers(workers: List[Optional[_ShardWorker]], kill: bool = False) -> 
             worker.stop(kill)
 
 
-def _grow_twin(
-    twin: AbstractFilter, journal: Optional[KeyJournal], extra_quotient_bits: int
-) -> None:
-    """Grow a shard's parent twin in place.  A TCF twin borrows the
-    parent-held journal for the rebuild (a journal cannot live in a fixed
-    shared segment) and gives it back after."""
-    if journal is None:
-        twin.grow(extra_quotient_bits)
-        return
-    twin._journal = journal
-    try:
-        twin.grow(extra_quotient_bits)
-    finally:
-        twin._journal = None
+def expand(twin: AbstractFilter, extra_quotient_bits: int) -> None:
+    """Grow a shard's parent twin in place.  Called through this module
+    name, which perfbench/trace.py wraps as its ``lifecycle.expand`` layer."""
+    twin.grow(extra_quotient_bits)
 
 
-#: The shard growth step, called through this module name, which
-#: perfbench/trace.py wraps as its ``lifecycle.expand`` layer.
-expand = _grow_twin
+def _share(twin: AbstractFilter) -> ShardStore:
+    """Copy a twin's tables into a fresh segment and adopt it.
+
+    The ``journal_*`` sections stay out: a TCF twin's key journal stays on
+    the heap, since it grows with every insert.
+    """
+    store = ShardStore.allocate(
+        {
+            name: array
+            for name, array in twin.snapshot_state().items()
+            if not name.startswith("journal_")
+        }
+    )
+    twin.adopt_state(store.views())
+    return store
 
 
 class ShardedFilter(AbstractFilter):
@@ -224,6 +230,10 @@ class ShardedFilter(AbstractFilter):
             if shard_configs is not None
             else [dict(base) for _ in range(self.n_shards)]
         )
+        #: Whether each parent twin holds its shard's key journal: a TCF
+        #: cannot re-derive its keys from its slots, so growing a shard
+        #: replays the journal this filter writes on the twin.
+        self._journaled = bool(auto_resize) and issubclass(inner, TwoChoiceFilter)
         self._twins: List[AbstractFilter] = []
         self._stores: List[ShardStore] = []
         self._configs: List[Dict[str, object]] = []
@@ -231,20 +241,12 @@ class ShardedFilter(AbstractFilter):
             cfg = dict(cfg)
             cfg["auto_resize"] = False
             twin = inner._from_snapshot_config(cfg, recorder=self.recorder)
-            store = ShardStore.allocate(twin.snapshot_state())
-            twin.adopt_state(store.views())
+            if self._journaled:
+                twin._journal = KeyJournal()
             self._twins.append(twin)
-            self._stores.append(store)
+            self._stores.append(_share(twin))
             self._configs.append(cfg)
         self._init_growth(auto_resize, auto_resize_at)
-        #: Parent-side key journals, one per shard (TCF shards only): a TCF
-        #: cannot re-derive its keys from its slots, so growing a shard
-        #: replays the journal kept here.
-        self._journals: Optional[List[KeyJournal]] = (
-            [KeyJournal() for _ in range(self.n_shards)]
-            if self.auto_resize and isinstance(self._twins[0], TwoChoiceFilter)
-            else None
-        )
         self._max_workers = (
             min(self.n_shards, os.cpu_count() or 1)
             if max_workers is None
@@ -492,11 +494,8 @@ class ShardedFilter(AbstractFilter):
     def _expand_shard(self, i: int, extra_quotient_bits: int = 1) -> None:
         """Grow shard ``i`` in place and rebind it onto a fresh, larger segment."""
         twin = self._synced_twin(i)
-        expand(twin, self._journals[i] if self._journals is not None else None,
-               extra_quotient_bits)
-        store = ShardStore.allocate(twin.snapshot_state())
-        twin.adopt_state(store.views())
-        old_store, self._stores[i] = self._stores[i], store
+        expand(twin, extra_quotient_bits)
+        old_store, self._stores[i] = self._stores[i], _share(twin)
         config = dict(twin.snapshot_config())
         config["auto_resize"] = False
         self._configs[i] = config
@@ -551,7 +550,7 @@ class ShardedFilter(AbstractFilter):
         """
         if values is not None:
             return np.ascontiguousarray(values, dtype=np.uint64)
-        if self._journals is not None:
+        if self._journaled:
             return np.zeros(keys.size, dtype=np.uint64)
         return None
 
@@ -604,9 +603,10 @@ class ShardedFilter(AbstractFilter):
             for i, record in self._dispatch("insert", batches).items():
                 shard_keys, shard_values = batches[i]
                 left = np.asarray(record["result"], dtype=np.int64)
-                if self._journals is not None:
-                    journal = self._journals[i]
-                    journal.add(np.delete(shard_keys, left), np.delete(shard_values, left))
+                if self._journaled:
+                    self._twins[i]._journal.add(
+                        np.delete(shard_keys, left), np.delete(shard_values, left)
+                    )
                 if not left.size:
                     continue
                 positions[i] = positions[i][left]
@@ -658,8 +658,8 @@ class ShardedFilter(AbstractFilter):
             removed = 0
             for i, record in outs.items():
                 removed += int(record["result"])
-                if self._journals is not None:
-                    self._journals[i].remove(batches[i][0])
+                if self._journaled:
+                    self._twins[i]._journal.remove(batches[i][0])
             return removed
 
     # ------------------------------------------------------------- point API
@@ -704,8 +704,8 @@ class ShardedFilter(AbstractFilter):
                     if not self.auto_resize:
                         raise
                     self._expand_shard(i)
-            if ok and self._journals is not None:
-                self._journals[i].add([key], [value])
+            if ok and self._journaled:
+                self._twins[i]._journal.add([key], [value])
             return ok
 
     def query(self, key: int) -> bool:
@@ -722,8 +722,8 @@ class ShardedFilter(AbstractFilter):
         with self._lock:
             self._check_open()
             removed = bool(self._local_op(key, "delete"))
-            if removed and self._journals is not None:
-                self._journals[self._shard_of(int(key))].remove([key])
+            if self._journaled:
+                self._twins[self._shard_of(int(key))]._journal.remove([key])
             return removed
 
     def get_value(self, key: int) -> Optional[int]:
@@ -737,9 +737,11 @@ class ShardedFilter(AbstractFilter):
         self._refresh_all()
         if self.n_shards == 1:
             twin = self._twins[0]
+            config = dict(twin.snapshot_config())
+            # A journaled shard's copy keeps its journal, as merge() does.
+            config["auto_resize"] = self._journaled
             out = self._inner_class._from_snapshot_config(
-                dict(twin.snapshot_config()),
-                recorder=recorder if recorder is not None else StatsRecorder(),
+                config, recorder=recorder if recorder is not None else StatsRecorder()
             )
             out.restore_state(twin.snapshot_state())
             return out
@@ -781,10 +783,6 @@ class ShardedFilter(AbstractFilter):
         for i, twin in enumerate(self._twins):
             for name, array in twin.snapshot_state().items():
                 state[f"shard{i}/{name}"] = array
-            if self._journals is not None:
-                journal_keys, journal_values = self._journals[i].arrays()
-                state[f"shard{i}/journal_keys"] = journal_keys
-                state[f"shard{i}/journal_values"] = journal_values
         return state
 
     def restore_state(self, state: Mapping[str, np.ndarray]) -> None:
@@ -795,22 +793,11 @@ class ShardedFilter(AbstractFilter):
                 for name, array in state.items()
                 if name.startswith(prefix)
             }
-            journal_keys = sub.pop("journal_keys", None)
-            journal_values = sub.pop("journal_values", None)
-            self.restore_shard(i, sub, journal_keys, journal_values)
+            self.restore_shard(i, sub)
 
-    def restore_shard(
-        self,
-        i: int,
-        state: Mapping[str, np.ndarray],
-        journal_keys: Optional[np.ndarray] = None,
-        journal_values: Optional[np.ndarray] = None,
-    ) -> None:
-        """Overwrite shard ``i`` with an inner-class ``snapshot_state``.
-
-        ``journal_keys``/``journal_values`` replace the shard's key journal
-        (TCF shards with auto-resize; ignored otherwise).
-        """
+    def restore_shard(self, i: int, state: Mapping[str, np.ndarray]) -> None:
+        """Overwrite shard ``i`` with an inner-class ``snapshot_state``
+        (a journaled shard's ``journal_*`` sections replace its journal)."""
         twin = self._twins[i]
         twin.restore_state(state)
         twin.flush_shared()
@@ -818,10 +805,6 @@ class ShardedFilter(AbstractFilter):
         # epoch without marking any twin in sync, so every twin refreshes.
         self._epochs[i] += 1
         self._synced[i] = None
-        if self._journals is not None:
-            self._journals[i] = KeyJournal()
-            if journal_keys is not None:
-                self._journals[i].add(journal_keys, journal_values)
 
     # --------------------------------------------------------------- teardown
     @property

@@ -33,6 +33,7 @@ from repro.core.tcf.bulk_tcf import BULK_TCF_DEFAULT
 from repro.core.tcf.config import TCFConfig
 from repro.gpusim.stats import StatsRecorder
 from repro.lifecycle import load_filter, load_shard_set, read_manifest, save_shard_set
+from repro.lifecycle.snapshot import read_snapshot
 from repro.service.faults import FaultConfig, FaultInjector
 from repro.service.registry import FilterRegistry
 from repro.sharding import (
@@ -43,8 +44,14 @@ from repro.sharding import (
     sharded_gqf,
     sharded_tcf,
 )
+from repro.sharding.sharedmem import layout_sections
 
 RNG_SEED = 0x5A4D
+
+#: Two keys with one fingerprint and one primary block in a default
+#: 8,192-slot BulkTCF: a delete of either can remove the other's slot.
+COLLIDING_A = 5765488047046174022
+COLLIDING_B = 92134227331400869
 
 
 def make_keys(n: int, seed: int = RNG_SEED) -> np.ndarray:
@@ -140,21 +147,47 @@ class TestDifferentialParity:
         finally:
             sharded.close()
 
-    def test_one_shard_tcf_is_bit_exact(self):
+    @pytest.mark.parametrize("auto_resize", [False, True], ids=["fixed", "journaled"])
+    def test_one_shard_tcf_is_bit_exact(self, auto_resize):
         keys = make_keys(3_000)
         values = (keys >> np.uint64(7)) & np.uint64(0xFF)
-        plain = BulkTCF(n_slots=8_192, recorder=StatsRecorder())
-        plain.bulk_insert(keys, values)
-
-        sharded = sharded_tcf(1, n_slots=8_192, max_workers=0)
+        plain = BulkTCF(n_slots=8_192, recorder=StatsRecorder(), auto_resize=auto_resize)
+        sharded = sharded_tcf(1, n_slots=8_192, max_workers=0, auto_resize=auto_resize)
         try:
-            sharded.bulk_insert(keys, values)
+            for filt in (plain, sharded):
+                # At 8,192 slots B shares A's fingerprint and primary block:
+                # deleting B removes A's slot, so deleting A then finds none.
+                # Both requests drop their own journal copy, if any.
+                filt.bulk_insert([COLLIDING_A])
+                assert filt.bulk_delete([COLLIDING_B]) == 1
+                assert filt.bulk_delete([COLLIDING_A]) == 0
+                filt.bulk_insert(keys, values)
             plain_state = plain.snapshot_state()
             sharded_state = sharded.snapshot_state()
+            assert set(sharded_state) == {f"shard0/{name}" for name in plain_state}
             for name, array in plain_state.items():
                 assert np.array_equal(sharded_state[f"shard0/{name}"], array), name
         finally:
             sharded.close()
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["plain", "sharded"])
+    def test_point_delete_drops_the_requested_keys_journal_copy(self, sharded):
+        # A point delete follows the bulk rule: deleting A after B took its
+        # slot finds nothing but still drops A's copy, so growth cannot
+        # bring back a key the caller deleted.
+        if sharded:
+            filt = sharded_tcf(1, n_slots=8_192, max_workers=0, auto_resize=True)
+        else:
+            filt = BulkTCF(n_slots=8_192, auto_resize=True)
+        try:
+            filt.insert(COLLIDING_A)
+            assert filt.delete(COLLIDING_B)
+            assert not filt.delete(COLLIDING_A)
+            filt.grow()
+            assert not filt.query(COLLIDING_A)
+        finally:
+            if sharded:
+                filt.close()
 
     @pytest.mark.parametrize("n_shards", [2, 4])
     def test_each_shard_matches_unsharded_fed_its_keys(self, n_shards):
@@ -417,13 +450,8 @@ class TestWarmTwins:
             loaded = load_shard_set(tmp_path / "set")
             assert _reads(loaded, keys) == at_snapshot
             for i in range(filt.n_shards):
-                journal = [None, None]
-                journal_file = tmp_path / "set" / f"shard{i}.journal.npz"
-                if journal_file.exists():
-                    with np.load(journal_file) as npz:
-                        journal = [npz["keys"], npz["values"]]
-                shard_file = tmp_path / "set" / f"shard{i}.rpro"
-                filt.restore_shard(i, load_filter(shard_file).snapshot_state(), *journal)
+                # The raw sections, a TCF shard's journal_* included.
+                filt.restore_shard(i, read_snapshot(tmp_path / "set" / f"shard{i}.rpro")[1])
             assert _reads(filt, keys) == at_snapshot
 
             filt.grow()
@@ -549,7 +577,7 @@ class TestRebalance:
         try:
             assert sharded.bulk_insert(keys) == keys.size
             assert sharded.n_resizes == 1  # not pre-grown: the shard filled
-            assert len(sharded._journals[0]) == keys.size
+            assert len(sharded._twins[0]._journal) == keys.size
             assert sharded.bulk_query(keys).all()
         finally:
             sharded.close()
@@ -559,10 +587,46 @@ class TestRebalance:
         values = keys & np.uint64(0xFF)
         sharded = sharded_tcf(2, n_slots=1_024, max_workers=0, auto_resize=True)
         try:
-            assert sharded._journals is not None
+            assert all(twin._journal is not None for twin in sharded._twins)
             assert sharded.bulk_insert(keys, values) == keys.size
             assert sharded.n_resizes > 0
             assert sharded.bulk_query(keys).all()
+        finally:
+            sharded.close()
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_merged_grown_tcf_takes_the_journal_merge(self, n_shards):
+        # The twins hold the journals, so the merge replays every key into
+        # one larger table instead of overflowing a same-geometry merge, and
+        # the merged filter keeps a journal to grow from.
+        keys = np.random.default_rng(3).integers(2, 2**63, size=3_000, dtype=np.uint64)
+        sharded = sharded_tcf(
+            n_shards, n_slots=2_048 // n_shards, max_workers=0, auto_resize=True
+        )
+        try:
+            sharded.bulk_insert(keys)
+            slots = [twin.table.n_slots for twin in sharded._twins]
+            assert slots == [4_096 // n_shards] * n_shards
+            merged = sharded.merged()
+        finally:
+            sharded.close()
+        assert isinstance(merged, BulkTCF)
+        assert merged.table.n_slots == 4_096
+        assert len(merged._journal) == keys.size
+        assert merged.bulk_query(keys).all()
+
+    def test_grown_tcf_segments_hold_no_journal(self):
+        # A shard's journal stays on its twin's heap: a grown segment is
+        # exactly the size of a fresh, unjournaled shard of its geometry.
+        sharded = sharded_tcf(2, n_slots=1_024, max_workers=0, auto_resize=True)
+        try:
+            sharded.bulk_insert(make_keys(2_000))
+            assert sharded.n_resizes > 0
+            for i, twin in enumerate(sharded._twins):
+                assert len(twin._journal) > 0
+                fresh = BulkTCF._from_snapshot_config(sharded._configs[i])
+                assert fresh._journal is None
+                assert sharded._stores[i].nbytes == layout_sections(fresh.snapshot_state())[1]
         finally:
             sharded.close()
 
@@ -589,7 +653,7 @@ class TestRebalance:
             for key in keys.tolist():
                 assert sharded.insert(key)
             assert sharded.n_resizes > 0
-            assert len(sharded._journals[0]) == keys.size
+            assert len(sharded._twins[0]._journal) == keys.size
             assert sharded.bulk_query(keys).all()
         finally:
             sharded.close()
@@ -640,15 +704,13 @@ class TestSnapshots:
         sharded = sharded_tcf(2, n_slots=2_048, max_workers=0, auto_resize=True)
         try:
             sharded.bulk_insert(keys)
-            journal_sizes = [len(journal) for journal in sharded._journals]
+            journal_sizes = [len(twin._journal) for twin in sharded._twins]
             save_shard_set(sharded, tmp_path / "set")
         finally:
             sharded.close()
-        manifest = read_manifest(tmp_path / "set")
-        assert all("journal" in entry for entry in manifest["shards"])
         restored = load_shard_set(tmp_path / "set")
         try:
-            assert [len(journal) for journal in restored._journals] == journal_sizes
+            assert [len(twin._journal) for twin in restored._twins] == journal_sizes
             assert restored.bulk_query(keys).all()
             # The journal is live: a further growth must replay correctly.
             restored.grow()
@@ -673,8 +735,8 @@ class TestSnapshots:
             sharded.close()
         manifest_sync = synced.index((tmp_path / "set" / "manifest.json").stat().st_ino)
         for entry in read_manifest(tmp_path / "set")["shards"]:
-            journal_inode = (tmp_path / "set" / entry["journal"]).stat().st_ino
-            assert synced.index(journal_inode) < manifest_sync
+            shard_inode = (tmp_path / "set" / entry["file"]).stat().st_ino
+            assert synced.index(shard_inode) < manifest_sync
 
     def test_missing_manifest_is_rejected(self, tmp_path):
         with pytest.raises(SnapshotError, match="no shard-set manifest"):
@@ -691,10 +753,13 @@ class TestSnapshots:
             manifest = save_shard_set(sharded, tmp_path)
         finally:
             sharded.close()
-        manifest["version"] = 999
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(SnapshotError, match="version 999"):
-            read_manifest(tmp_path)
+        # Version 1 kept TCF journals in separate files: refused, not
+        # loaded without them.
+        for version in (1, 999):
+            manifest["version"] = version
+            (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+            with pytest.raises(SnapshotError, match=f"version {version} "):
+                read_manifest(tmp_path)
 
     def test_shard_count_mismatch_is_rejected(self, tmp_path):
         sharded = sharded_gqf(2, quotient_bits=9, max_workers=0)
