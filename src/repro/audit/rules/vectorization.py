@@ -6,7 +6,9 @@ point of the reproduction's performance story.  This rule keeps them that
 way: inside a ``bulk_*`` method it flags any loop or comprehension that
 iterates the batch arguments per item (``for k in keys``,
 ``enumerate(keys)``, ``zip(keys, values)``, ``range(keys.size)``,
-``range(len(keys))``) unless the loop is the per-item branch of a
+``range(len(keys))``; a ``range`` with a step other than 1, such as
+``range(0, keys.size, CHUNK)``, walks chunks and passes) unless the loop is
+the per-item branch of a
 documented dispatch (an ``if`` testing one of :data:`GUARD_MARKERS`), or
 carries an explicit ``# audit: ignore[AUD101]`` waiver explaining itself.
 """
@@ -41,12 +43,25 @@ def _names_in(node: ast.AST) -> Iterator[str]:
             yield sub.id
 
 
+def _walks_chunks(call: ast.Call) -> bool:
+    """``range(start, stop, step)`` with a step other than a literal 1 walks
+    a batch in chunks (``range(0, keys.size, CHUNK)``), not item by item."""
+    if not (isinstance(call.func, ast.Name) and call.func.id == "range"):
+        return False
+    if len(call.args) != 3:
+        return False
+    step = call.args[2]
+    return not (isinstance(step, ast.Constant) and step.value == 1)
+
+
 def _iterates_batch(iter_node: ast.expr, params: List[str]) -> Optional[str]:
     """Return the batch parameter ``iter_node`` walks per item, if any."""
     if isinstance(iter_node, ast.Name) and iter_node.id in params:
         return iter_node.id
     if isinstance(iter_node, ast.Call):
         callee = iter_node.func
+        if _walks_chunks(iter_node):
+            return None
         if isinstance(callee, ast.Name) and callee.id in _WRAPPERS | {"range"}:
             for arg in iter_node.args:
                 for name in _names_in(arg):

@@ -333,12 +333,13 @@ class AbstractFilter(abc.ABC):
         self.n_resizes = 0
 
     def _can_grow(self) -> bool:
-        """Whether an insert may grow the filter now (never, by default)."""
+        """Whether the filter can grow now (never, by default); inserts grow
+        it only under ``auto_resize``."""
         return False
 
     def _maybe_grow(self) -> None:
         """Grow ahead of an insert once the configured load factor is hit."""
-        while self._can_grow() and self.load_factor >= self.auto_resize_at:
+        while self.auto_resize and self._can_grow() and self.load_factor >= self.auto_resize_at:
             self.grow()
 
     # ------------------------------------------------------------- lifecycle

@@ -121,12 +121,20 @@ class BackingTable:
             yield cursor % self.n_buckets
             cursor = (cursor + h2) & _MASK64
 
-    def _hash_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-key (start, stride) of the double-hashing probe sequence."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        h1 = np.asarray(murmur64_mix(keys), dtype=np.uint64)
-        h2 = np.asarray(splitmix64(keys), dtype=np.uint64) | np.uint64(1)
-        return h1, h2
+    def _hash_batch(
+        self, keys: np.ndarray, mixes: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-key (start, stride) of the double-hashing probe sequence.
+
+        ``mixes`` are the keys' ``(murmur64_mix, splitmix64)`` values when
+        the caller already holds them (the TCF's addressing derives from the
+        same two); otherwise they are computed here.
+        """
+        if mixes is None:
+            keys = np.asarray(keys, dtype=np.uint64)
+            mixes = murmur64_mix(keys), splitmix64(keys)
+        h1, h2 = mixes
+        return np.asarray(h1, dtype=np.uint64), np.asarray(h2, dtype=np.uint64) | np.uint64(1)
 
     def _probe_round(self, h1: np.ndarray, h2: np.ndarray, round_idx: int) -> np.ndarray:
         """Round-``i`` bucket per key (uint64 wraparound, then modulo)."""
@@ -258,18 +266,23 @@ class BackingTable:
     def contains(self, key: int) -> bool:
         return self.query(key) is not None
 
-    def bulk_contains(self, keys: Sequence[int]) -> np.ndarray:
+    def bulk_contains(
+        self, keys: Sequence[int], mixes: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    ) -> np.ndarray:
         """Vectorised membership for a batch; returns a boolean array.
 
         Keys resolve as soon as their probe round either matches (present)
         or lands in a bucket with an empty slot (definitely absent); only
         unresolved keys continue, so the typical negative query costs one
-        round, exactly like the point path.
+        round, exactly like the point path.  ``mixes``: see
+        :meth:`_hash_batch`.
         """
-        found, _values = self.bulk_query_values(keys)
+        found, _values = self.bulk_query_values(keys, mixes)
         return found
 
-    def bulk_query_values(self, keys: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    def bulk_query_values(
+        self, keys: Sequence[int], mixes: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised lookup: ``(found mask, stored values)`` per key."""
         keys = np.asarray(keys, dtype=np.uint64)
         found = np.zeros(keys.size, dtype=bool)
@@ -277,7 +290,7 @@ class BackingTable:
         if keys.size == 0:
             return found, out_values
         stored = self._encode_batch(keys)
-        h1, h2 = self._hash_batch(keys)
+        h1, h2 = self._hash_batch(keys, mixes)
         pending = np.arange(keys.size)
         for round_idx in range(self.max_probes):
             if pending.size == 0:

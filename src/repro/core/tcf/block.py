@@ -530,7 +530,9 @@ class BlockedTable:
         data = self.slots.peek()
         bs = self.config.block_size
         row_start = blocks.astype(np.int64) * bs
-        targets = np.asarray(words, dtype=np.uint64)
+        targets = np.asarray(words)
+        if targets.dtype != data.dtype:  # slot-dtype words compare as they are
+            targets = targets.astype(np.uint64)
         # Branchless lower bound on flat positions: the answer lies in
         # [pos, pos + n]; each step halves n, and every gather stays inside
         # the row (pos + half <= row_start + bs - 1), for any block size.

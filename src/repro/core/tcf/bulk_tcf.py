@@ -16,21 +16,33 @@ filter.  The default configuration uses 128-byte blocks of 64 16-bit slots,
 which is why the bulk TCF needs ~33 % more space than the point filter for
 the same false-positive rate (ε = 2B/2^f grows with the block size).
 
-The hot paths are whole-batch NumPy operations over the table reshaped to
-``(n_blocks, block_size)``: one sort + ``searchsorted`` routes the entire
-batch, each touched block's free capacity is one in-row lower bound (rows
-are sorted, so empties and tombstones lead), spills are split off
-*positionally* (so duplicate fingerprint words can never be mis-attributed
-to the wrong key), and every touched block is rewritten with one batched
-per-row sort and a single write-back.  Deletes search only the candidate
-rows of their keys.  Apart from pass 1's successor search over every block
-(the modelled one-group-per-block kernel), no step reads the whole table.
-Every bulk call takes these paths, whatever its size.  The per-item insert
-and delete serve only tables whose slot words cannot be packed with the
-block index into one 64-bit sort key, and stay as the reference the batch
-paths are tested against; point queries probe per item.  Simulated hardware
-events are charged per touched block / per probe exactly as the per-item
-path charges them, so throughput figures keep their meaning.
+The hot paths are NumPy operations over the table reshaped to
+``(n_blocks, block_size)``, walked in chunks of ``_CHUNK`` (64k) keys inside
+each call's one kernel launch, so that no step but the sort holds a
+batch-sized temporary — the host stand-in for staging one block tile at a
+time in shared memory.  Hashing derives each chunk into compact batch
+arrays: int32 primary and secondary blocks and packed slot words.  A
+query probes chunk by chunk: primary rows, secondary rows, then the backing
+table, which reuses the chunk's two hash mixes.  An insert pass sorts the
+whole batch once by a combined ``(block, word)`` key and, in pass 1, runs
+one successor search over every block (the modelled one-group-per-block
+kernel); both stay global.  It then walks the sorted order in runs of whole
+blocks of about one chunk: each run finds its blocks' free capacity with
+one in-row lower bound (rows are sorted, so empties and tombstones lead),
+ranks and accepts its items, writes them and re-sorts its rows.  Spills are
+split off *positionally* (so duplicate fingerprint words can never be
+mis-attributed to the wrong key) and concatenated in sorted order, so pass
+2 sees the same spills as a whole-batch walk.  A delete hashes in chunks
+and ranks its duplicate requests over the whole batch, then searches only
+the candidate rows of its keys.  Apart from pass 1's successor search, no
+step reads the whole table.  Every bulk call takes these paths, whatever
+its size.  The per-item insert and delete serve only tables whose slot
+words cannot be packed with the block index into one 64-bit sort key, and
+stay as the reference the batch paths are tested against; point queries
+probe per item.  Simulated hardware events are charged per touched block /
+per probe exactly as the per-item path charges them, and every chunk gets
+the charges it would get in one whole-batch step, so throughput figures
+keep their meaning.
 """
 
 from __future__ import annotations
@@ -50,7 +62,26 @@ from ...gpusim.sorting import (
 )
 from ...hashing import potc
 from .config import BULK_TCF_DEFAULT, EMPTY_SLOT, TOMBSTONE_SLOT
-from .lifecycle import TwoChoiceFilter
+from .lifecycle import TwoChoiceFilter, subset
+
+#: Keys per chunk of a bulk call's walk: a chunk's int64 temporaries
+#: (512 KiB) stay in the L2 cache instead of streaming from DRAM.
+_CHUNK = 1 << 16
+
+
+def _block_runs(starts: np.ndarray, n_items: int) -> List[Tuple[int, int, int, int]]:
+    """Split a sorted batch into runs of whole blocks of about ``_CHUNK`` items.
+
+    ``starts`` holds the first sorted position of each touched block.  A run
+    begins at the block holding every ``_CHUNK``-th item, so it spans at
+    least one whole block.  Returns ``(t0, t1, k0, k1)`` per run: its
+    touched-block range and its item range.
+    """
+    firsts = np.searchsorted(starts, np.arange(0, n_items, _CHUNK), side="right") - 1
+    cuts = firsts[run_first_mask(firsts)]
+    t_ends = np.append(cuts[1:], starts.size)
+    k_ends = np.append(starts[cuts[1:]], n_items)
+    return list(zip(cuts.tolist(), t_ends.tolist(), starts[cuts].tolist(), k_ends.tolist()))
 
 
 class BulkTCF(TwoChoiceFilter):
@@ -67,18 +98,6 @@ class BulkTCF(TwoChoiceFilter):
     ARRAY_PREFIX = "bulk-tcf"
 
     # --------------------------------------------------------------- internals
-    def _fingerprint_word_bounds(
-        self, fingerprints: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Slot-word interval ``[lo, hi]`` covering a fingerprint's values.
-
-        Inclusive: the exclusive end ``(fp + 1) << value_bits`` wraps to 0
-        for the largest fingerprint of a 64-bit slot word.
-        """
-        vb = np.uint64(self.config.value_bits)
-        lo = fingerprints.astype(np.uint64) << vb
-        return lo, lo | ((np.uint64(1) << vb) - np.uint64(1))
-
     def _sorted_block_merge(
         self, block_idx: int, new_words: np.ndarray
     ) -> np.ndarray:
@@ -130,101 +149,142 @@ class BulkTCF(TwoChoiceFilter):
         """
         return self._insert_with_growth(np.asarray(keys, dtype=np.uint64), values)
 
-    def _place_batch(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def _address(
+        self, keys: np.ndarray, values: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per key: primary block, secondary block and packed slot word.
+
+        Derived chunk by chunk into compact batch arrays — int32 blocks (a
+        table has far fewer than 2^31 blocks) and slot-dtype words — so no
+        batch-length 64-bit hash is ever held.
+        """
+        primary = np.empty(keys.size, dtype=np.int32)
+        secondary = np.empty(keys.size, dtype=np.int32)
+        words = np.empty(keys.size, dtype=self.config.slot_dtype)
+        for lo in range(0, keys.size, _CHUNK):
+            hi = lo + _CHUNK
+            h = self._derive_batch(keys[lo:hi])
+            primary[lo:hi] = h.primary
+            secondary[lo:hi] = h.secondary
+            words[lo:hi] = self._pack_words(h.fingerprint, subset(values, slice(lo, hi)))
+        return primary, secondary, words
+
+    def _place_batch(self, keys: np.ndarray, values: Optional[np.ndarray]) -> np.ndarray:
         """One whole-batch insert attempt at the current table geometry."""
-        h = self._derive_batch(keys)
-        words = self._pack_words(h.fingerprint, values)
         if self.table.flat_key_shift is None:  # (block, word) keys do not pack
+            h = self._derive_batch(keys)
+            words = self._pack_words(h.fingerprint, values)
             return self._bulk_insert_sequential(keys, values, h, words)
-        return self._bulk_insert_vectorised(keys, values, h, words)
+        return self._bulk_insert_vectorised(keys, values, *self._address(keys, values))
 
     def _merge_pass(
         self,
         words: np.ndarray,
         blocks: np.ndarray,
-        positions: np.ndarray,
+        positions: Optional[np.ndarray],
         kernel_name: str,
         scan_all_blocks: bool,
     ) -> np.ndarray:
-        """One whole-batch merge pass; returns the spilled batch positions.
+        """One merge pass over a batch; returns the spilled batch positions.
 
         ``blocks``/``positions`` are aligned subsets of the batch (candidate
-        block and original batch index per item).  The batch is sorted by a
-        combined ``(block, word)`` key, so items arrive at each block in
-        ascending word order with ties in batch order — the same acceptance
-        set as per-item sorted merges, with spills tracked *positionally*
-        (never by word value, so duplicate words cannot be mis-attributed).
+        block and original batch index per item; ``None`` when the items are
+        the whole batch, in order).  The batch is sorted once by a combined
+        ``(block, word)`` key, so items arrive at each block in ascending
+        word order with ties in batch order — the same acceptance set as
+        per-item sorted merges, with spills tracked *positionally* (never by
+        word value, so duplicate words cannot be mis-attributed).  The
+        sorted order is then merged in runs of whole blocks (see
+        :func:`_block_runs`), each with its own temporaries.
         """
         shift = np.uint64(self.table.flat_key_shift)
-        sort_keys = (blocks.astype(np.uint64) << shift) + words.astype(np.uint64)
-        _sorted_keys, perm = device_sort_by_key(
-            sort_keys, np.arange(blocks.size), self.recorder
+        sort_keys = blocks.astype(np.uint64)
+        sort_keys <<= shift
+        sort_keys |= words
+        if positions is None:
+            positions = np.arange(blocks.size)
+        # The sort carries each item's batch position as its value.
+        sorted_keys, sorted_positions = device_sort_by_key(
+            sort_keys, positions, self.recorder
         )
-        sorted_blocks = blocks[perm]
+        del sort_keys, positions
+        n_items = sorted_keys.size
         if scan_all_blocks:
             # Successor search over every table block (one group per block).
             block_starts = device_lower_bound(
-                _sorted_keys,
+                sorted_keys,
                 np.arange(self.table.n_blocks, dtype=np.uint64) << shift,
                 self.recorder,
             )
-            counts_all = np.diff(np.append(block_starts, sorted_blocks.size))
+            counts_all = np.diff(np.append(block_starts, n_items))
             touched = np.flatnonzero(counts_all)
             starts = block_starts[touched]
             counts = counts_all[touched]
             launch = bulk_block_launch(self.table.n_blocks, self.config.cg_size)
         else:
-            # sorted_blocks is sorted, so group boundaries are plain diffs
-            # (np.unique would re-sort and lazily import numpy.ma).
+            # The sorted blocks are the sort keys' high bits; group
+            # boundaries are plain diffs (np.unique would re-sort and lazily
+            # import numpy.ma).
+            sorted_blocks = (sorted_keys >> shift).view(np.int64)
             starts = np.flatnonzero(run_first_mask(sorted_blocks))
             touched = sorted_blocks[starts]
-            counts = np.diff(np.append(starts, sorted_blocks.size))
+            counts = np.diff(np.append(starts, n_items))
             launch = bulk_tile_launch(int(touched.size), self.config.cg_size)
+            del sorted_blocks
 
+        data = self.table.slots.peek()
+        block_size = self.config.block_size
+        smallest_live = self.config.slot_dtype.type(TOMBSTONE_SLOT + 1)
+        spills = []
         with self.kernels.launch(kernel_name, launch):
-            # Rows are ascending with empties (0) and tombstones (1) first,
-            # so the lower bound of the smallest live word is the free count.
-            free = self.table.row_lower_bound(touched, np.uint64(TOMBSTONE_SLOT + 1))
-            rank = np.arange(sorted_blocks.size) - np.repeat(starts, counts)
-            accept = rank < np.repeat(free, counts)
-            n_accepted = np.minimum(counts, free)
-            if accept.any():
-                # Accepted words land in the leading free slots of their row
-                # (rows are sorted ascending, so empties/tombstones lead) and
-                # one batched per-row sort restores the block invariant.
-                dest_blocks = np.repeat(touched, n_accepted)
-                flat = dest_blocks * self.config.block_size + rank[accept]
-                self.table.slots.peek()[flat] = words[perm[accept]]
+            for t0, t1, k0, k1 in _block_runs(starts, n_items):
+                run_blocks, run_counts = touched[t0:t1], counts[t0:t1]
+                # Rows are ascending with empties (0) and tombstones (1)
+                # first, so the lower bound of the smallest live word is the
+                # free count.
+                free = self.table.row_lower_bound(run_blocks, smallest_live)
+                rank = np.arange(k0, k1) - np.repeat(starts[t0:t1], run_counts)
+                accept = rank < np.repeat(free, run_counts)
+                n_accepted = np.minimum(run_counts, free)
+                if accept.any():
+                    # Accepted words land in the leading free slots of their
+                    # row (empties/tombstones lead) and one batched per-row
+                    # sort restores the block invariant.  A sort key's low
+                    # slot-width bits are its word.
+                    dest_blocks = np.repeat(run_blocks, n_accepted)
+                    flat = dest_blocks * block_size + rank[accept]
+                    data[flat] = sorted_keys[k0:k1][accept].astype(data.dtype)
+                self.table.resort_rows(run_blocks[n_accepted > 0])
+                spills.append(sorted_positions[k0:k1][~accept])
             # Every touched block is staged, merged and written back, whether
             # or not any of its items fit (mirrors the per-item tile cycle).
             account_batched_tiles(
                 self.table.slots,
                 int(touched.size),
-                self.config.block_size,
+                block_size,
                 self.recorder,
                 rewritten=True,
-                instructions_per_tile=self.config.block_size,
+                instructions_per_tile=block_size,
             )
-            self.table.resort_rows(touched[n_accepted > 0])
-        return positions[perm[~accept]]
+        return np.concatenate(spills) if spills else sorted_positions
 
     def _bulk_insert_vectorised(
         self,
         keys: np.ndarray,
-        values: np.ndarray,
-        h: potc.PotcHash,
+        values: Optional[np.ndarray],
+        primary: np.ndarray,
+        secondary: np.ndarray,
         words: np.ndarray,
     ) -> np.ndarray:
-        positions = np.arange(keys.size)
         placed_mask = np.ones(keys.size, dtype=bool)
         spilled = self._merge_pass(
-            words, h.primary, positions, "bulk_tcf_insert_pass1", scan_all_blocks=True
+            words, primary, None, "bulk_tcf_insert_pass1", scan_all_blocks=True
         )
         inserted = keys.size - spilled.size
         if spilled.size:
             leftovers = self._merge_pass(
                 words[spilled],
-                h.secondary[spilled],
+                secondary[spilled],
                 spilled,
                 "bulk_tcf_insert_pass2",
                 scan_all_blocks=False,
@@ -232,7 +292,7 @@ class BulkTCF(TwoChoiceFilter):
             inserted += spilled.size - leftovers.size
             spilled = leftovers
         if spilled.size:
-            placed = self.backing.bulk_insert(keys[spilled], values[spilled])
+            placed = self.backing.bulk_insert(keys[spilled], subset(values, spilled))
             inserted += int(np.count_nonzero(placed))
             placed_mask[spilled[~placed]] = False
         self._n_items += inserted
@@ -241,7 +301,7 @@ class BulkTCF(TwoChoiceFilter):
     def _bulk_insert_sequential(
         self,
         keys: np.ndarray,
-        values: np.ndarray,
+        values: Optional[np.ndarray],
         h: potc.PotcHash,
         words: np.ndarray,
     ) -> np.ndarray:
@@ -310,7 +370,8 @@ class BulkTCF(TwoChoiceFilter):
 
         # ---- pass 3: backing table ------------------------------------------
         for pos in leftovers:
-            if self.backing.insert(int(keys[pos]), int(values[pos])):
+            value = 0 if values is None else int(values[pos])
+            if self.backing.insert(int(keys[pos]), value):
                 inserted += 1
             else:
                 placed_mask[int(pos)] = False
@@ -324,60 +385,61 @@ class BulkTCF(TwoChoiceFilter):
         block = self.table.load_block(block_idx)
         vb = self.config.value_bits
         self.recorder.add(instructions=int(np.log2(max(2, self.config.block_size))))
-        if vb:
-            lo_w, hi_w = self._fingerprint_word_bounds(np.array([fingerprint]))
-            lo = np.searchsorted(block, lo_w[0], side="left")
-            if lo < block.size and block[lo] <= hi_w[0]:
-                return int(block[lo]) & ((1 << vb) - 1)
-            return None
-        pos = np.searchsorted(block, fingerprint, side="left")
-        if pos < block.size and int(block[pos]) == int(fingerprint):
-            return 0
+        # The fingerprint's slot words start at ``fingerprint << vb``.
+        pos = np.searchsorted(block, block.dtype.type(int(fingerprint) << vb), side="left")
+        if pos < block.size and int(block[pos]) >> vb == int(fingerprint):
+            return int(block[pos]) & ((1 << vb) - 1)
         return None
 
     def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
-        """Query a batch of keys (binary search in up to two blocks + backing)."""
+        """Query a batch of keys (binary search in up to two blocks + backing),
+        chunk by chunk inside one launch."""
         keys = np.asarray(keys, dtype=np.uint64)
         out = np.zeros(keys.size, dtype=bool)
         if keys.size == 0:
             return out
-        h = self._derive_batch(keys)
         with self.kernels.launch(
             "bulk_tcf_query", point_launch(keys.size, self.config.cg_size)
         ):
-            search_instr = int(np.log2(max(2, self.config.block_size)))
-            lo_w, hi_w = self._fingerprint_word_bounds(h.fingerprint)
-            data = self.table.slots.peek()
-            block_size = self.config.block_size
-
-            def probe(blocks: np.ndarray, sel: np.ndarray) -> np.ndarray:
-                # Batched in-row binary search: a fingerprint is present iff
-                # the successor of its word range's lower bound falls inside
-                # the range (one staged line + log2(B) steps per probe).
-                pos = self.table.row_lower_bound(blocks, lo_w[sel])
-                successor_idx = np.minimum(
-                    blocks.astype(np.int64) * block_size + pos, data.size - 1
-                )
-                found = (pos < block_size) & (
-                    data[successor_idx].astype(np.uint64) <= hi_w[sel]
-                )
-                self.recorder.add(
-                    cache_line_reads=int(sel.size),
-                    instructions=search_instr * int(sel.size),
-                )
-                return found
-
-            every = np.arange(keys.size)
-            hit = probe(h.primary, every)
-            out[hit] = True
-            miss = np.flatnonzero(~hit)
-            if miss.size:
-                hit2 = probe(h.secondary[miss], miss)
-                out[miss[hit2]] = True
-                still = miss[~hit2]
-                if still.size:
-                    out[still] = self.backing.bulk_contains(keys[still])
+            for lo in range(0, keys.size, _CHUNK):
+                out[lo : lo + _CHUNK] = self._query_chunk(keys[lo : lo + _CHUNK])
         return out
+
+    def _query_chunk(self, keys: np.ndarray) -> np.ndarray:
+        """Probe one chunk: primary rows, secondary rows, then the backing
+        table, which probes with the chunk's own hash mixes."""
+        h = self._derive_batch(keys)
+        # A fingerprint's slot words span [lo, lo | value mask].
+        lo_w = self._pack_words(h.fingerprint, None)
+        vb = self.config.value_bits
+        hi_w = lo_w | lo_w.dtype.type((1 << vb) - 1) if vb else lo_w
+        found = self._probe_rows(h.primary, lo_w, hi_w)
+        miss = np.flatnonzero(~found)
+        if miss.size:
+            hit2 = self._probe_rows(h.secondary[miss], lo_w[miss], hi_w[miss])
+            found[miss[hit2]] = True
+            still = miss[~hit2]
+            if still.size:
+                found[still] = self.backing.bulk_contains(
+                    keys[still], (h.h1[still], h.h2[still])
+                )
+        return found
+
+    def _probe_rows(self, blocks: np.ndarray, lo_w: np.ndarray, hi_w: np.ndarray) -> np.ndarray:
+        """Batched in-row binary search: a fingerprint is present iff the
+        successor of its word range's lower bound falls inside the range
+        (one staged line + log2(B) steps per probe)."""
+        block_size = self.config.block_size
+        data = self.table.slots.peek()
+        pos = self.table.row_lower_bound(blocks, lo_w)
+        successor = np.minimum(blocks.astype(np.int64) * block_size + pos, data.size - 1)
+        found = (pos < block_size) & (data[successor] <= hi_w)
+        search_instr = int(np.log2(max(2, block_size)))
+        self.recorder.add(
+            cache_line_reads=int(blocks.size),
+            instructions=search_instr * int(blocks.size),
+        )
+        return found
 
     # ------------------------------------------------------------------ point API
     def insert(self, key: int, value: int = 0) -> bool:
@@ -450,9 +512,9 @@ class BulkTCF(TwoChoiceFilter):
                 hits = [self._delete_once(int(key)) for key in keys]
             return sum(hits)
 
-        h = self._derive_batch(keys)
+        primary, secondary, lo_w = self._address(keys, None)
         shift = np.uint64(self.table.flat_key_shift)
-        lo_w = self._fingerprint_word_bounds(h.fingerprint)[0]
+        word_mask = (np.uint64(1) << shift) - np.uint64(1)
         # Every fingerprint's word interval [lo, hi) spans 2^value_bits words
         # (no wrap: packed (block, word) keys leave the word under 64 bits).
         word_span = np.uint64(1) << np.uint64(self.config.value_bits)
@@ -463,17 +525,21 @@ class BulkTCF(TwoChoiceFilter):
             "bulk_tcf_delete", point_launch(keys.size, self.config.cg_size)
         ):
             pending = np.arange(keys.size)
-            for candidates in (h.primary, h.secondary):
+            for candidates in (primary, secondary):
                 if pending.size == 0:
                     break
-                probe_lo = (candidates[pending].astype(np.uint64) << shift) + lo_w[pending]
+                probe_lo = candidates[pending].astype(np.uint64)
+                probe_lo <<= shift
+                probe_lo |= lo_w[pending]
                 # Rank duplicate (block, fingerprint) requests in batch order
                 # so each consumes a distinct stored slot.  Everything below
                 # stays in this sorted order.
                 order = stable_argsort(probe_lo)
-                rank = group_ranks(probe_lo[order])
-                blocks = candidates[pending[order]]
-                words = lo_w[pending[order]]
+                probe_lo = probe_lo[order]
+                rank = group_ranks(probe_lo)
+                blocks = (probe_lo >> shift).view(np.int64)
+                words = probe_lo & word_mask
+                del probe_lo
                 # The stored copies of a fingerprint are one sorted span of
                 # its candidate row: two in-row searches bound it.
                 lo = self.table.row_lower_bound(blocks, words)
@@ -490,9 +556,7 @@ class BulkTCF(TwoChoiceFilter):
                 hits = order[take]
                 if hits.size:
                     hit_blocks = blocks[take]
-                    data[hit_blocks.astype(np.int64) * block_size + lo[take] + rank[take]] = (
-                        EMPTY_SLOT
-                    )
+                    data[hit_blocks * block_size + lo[take] + rank[take]] = EMPTY_SLOT
                     # The probes were sorted by block, so the touched blocks
                     # dedupe with a plain first-occurrence flag.
                     self.table.resort_rows(hit_blocks[run_first_mask(hit_blocks)])

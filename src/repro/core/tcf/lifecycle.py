@@ -26,11 +26,15 @@ table at twice the slot count and bulk-inserts the journal through the
 normal (event-charged) insert path, so resize cost shows up honestly in the
 simulated hardware counters.
 
-A filter writes its own journal only while it grows itself
-(``auto_resize=True``).  A shard of a
-:class:`~repro.sharding.sharded.ShardedFilter` also holds a journal, on
-its parent-process twin, but never grows itself: the sharded filter writes
-that journal from its dispatch results and grows the twin.
+A filter holds a journal when it was built with ``auto_resize=True`` or
+restored from a snapshot carrying ``journal_*`` sections, and only a filter
+holding one can grow; ``auto_resize`` decides only whether it grows by
+itself.  A filter writes its own journal, except while it is adopted onto
+shared buffers: a shard of a :class:`~repro.sharding.sharded.ShardedFilter`
+holds its journal on its parent-process twin, whose segments worker
+processes write, so the sharded filter writes that journal from its
+dispatch results and grows the twin.  A shard file saved from such a set
+and loaded alone therefore keeps, writes and grows with its journal.
 
 The delete rule is one line: every delete request drops one journaled copy
 of the *requested* key, whether or not a slot was found.  It never revives
@@ -54,7 +58,7 @@ from ...gpusim.sorting import group_ranks, run_first_mask, stable_argsort
 from ...gpusim.stats import StatsRecorder
 from ...hashing import potc
 from ..base import AbstractFilter, FilterCapabilities, restore_array
-from ..exceptions import FilterFullError, UnsupportedOperationError
+from ..exceptions import FilterFullError, SnapshotError, UnsupportedOperationError
 from .backing import BackingTable
 from .block import BlockedTable
 from .config import TCFConfig
@@ -64,6 +68,11 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 #: Screening bitmap slots per distinct removed key (~1/factor false hits).
 _SCREEN_FACTOR = 32
+
+
+def subset(values: Optional[np.ndarray], index) -> Optional[np.ndarray]:
+    """``values[index]``, or None for a batch inserted without values."""
+    return None if values is None else values[index]
 
 
 class KeyJournal:
@@ -82,8 +91,9 @@ class KeyJournal:
     def __len__(self) -> int:
         return self._size
 
-    def add(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Append aligned ``keys``/``values`` after every stored entry."""
+    def add(self, keys: np.ndarray, values: Optional[np.ndarray]) -> None:
+        """Append aligned ``keys``/``values`` (None: zeros) after every
+        stored entry."""
         keys = np.asarray(keys, dtype=np.uint64)
         n, end = self._size, self._size + keys.size
         if end > self._keys.size:
@@ -93,7 +103,7 @@ class KeyJournal:
                 grown[:n] = getattr(self, name)[:n]
                 setattr(self, name, grown)
         self._keys[n:end] = keys
-        self._values[n:end] = np.asarray(values, dtype=np.uint64)
+        self._values[n:end] = 0 if values is None else np.asarray(values, dtype=np.uint64)
         self._size = end
 
     def remove(self, keys: np.ndarray) -> None:
@@ -162,7 +172,8 @@ class TwoChoiceFilter(AbstractFilter):
     auto_resize:
         Keep a host-side key journal and double-and-rehash the table instead
         of raising :class:`FilterFullError` (see this module's docstring for
-        why the journal is needed).
+        why the journal is needed, and when a filter holds one without
+        growing by itself).
     auto_resize_at:
         Load factor that triggers a pre-emptive grow (defaults to the
         config's ``max_load_factor``).
@@ -200,7 +211,8 @@ class TwoChoiceFilter(AbstractFilter):
         self._n_items = 0
         self.kernels = KernelContext(self.recorder)
         self._init_growth(auto_resize, auto_resize_at)
-        #: Inserted (key, value) pairs; exists only when resizing is on.
+        #: Inserted (key, value) pairs: built with ``auto_resize``, or
+        #: attached by :meth:`restore_state` from ``journal_*`` sections.
         self._journal: Optional[KeyJournal] = KeyJournal() if self.auto_resize else None
         #: int64[3] shared-memory view of the scalar counters once the
         #: tables are adopted (:meth:`adopt_state`); None on the heap.
@@ -283,15 +295,17 @@ class TwoChoiceFilter(AbstractFilter):
             self.config.fingerprint_bits,
         )
 
-    def _pack_words(self, fingerprints: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Pack (fingerprint, value) pairs into slot words (slot dtype)."""
+    def _pack_words(
+        self, fingerprints: np.ndarray, values: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """Pack (fingerprint, value) pairs into slot words (slot dtype);
+        ``values=None`` packs zero values."""
         vb = self.config.value_bits
-        words = (
-            (fingerprints.astype(np.uint64) << np.uint64(vb))
-            | (values & np.uint64((1 << vb) - 1))
-            if vb
-            else fingerprints.astype(np.uint64)
-        )
+        words = fingerprints.astype(np.uint64)
+        if vb:
+            words <<= np.uint64(vb)
+            if values is not None:
+                words |= values & np.uint64((1 << vb) - 1)
         return words.astype(self.config.slot_dtype)
 
     def block_fills(self) -> np.ndarray:
@@ -305,7 +319,7 @@ class TwoChoiceFilter(AbstractFilter):
     def delete(self, key: int) -> bool:
         """Delete one occurrence of ``key``.
 
-        On a journaled (``auto_resize=True``) filter every point delete also
+        On a journaled filter every point delete also
         scans the whole key journal — O(journal) host work per call; batch
         deletes through ``bulk_delete`` to pay that scan once.
         """
@@ -336,13 +350,19 @@ class TwoChoiceFilter(AbstractFilter):
         raise NotImplementedError
 
     # ----------------------------------------------------------------- journal
-    def _journal_add(self, keys: np.ndarray, values: np.ndarray) -> None:
-        if self.auto_resize:
+    def _writes_journal(self) -> bool:
+        """Whether this filter's own inserts and deletes update its journal:
+        it holds one and is not adopted onto shared buffers (whose owner
+        journals for the processes writing them)."""
+        return self._journal is not None and self._shared_scalars is None
+
+    def _journal_add(self, keys: np.ndarray, values: Optional[np.ndarray]) -> None:
+        if self._writes_journal():
             self._journal.add(keys, values)
 
     def _journal_remove(self, keys: np.ndarray) -> None:
         """The delete rule: one journaled copy per requested key."""
-        if self.auto_resize:
+        if self._writes_journal():
             self._journal.remove(keys)
 
     # ------------------------------------------------------------------ insert
@@ -376,28 +396,29 @@ class TwoChoiceFilter(AbstractFilter):
         The one insert loop of both TCF designs: ``bulk_insert`` raises when
         the returned mask has a False, ``bulk_insert_mask`` returns it.
         ``place`` is the insert attempt, :meth:`_place_batch` by default; the
-        point TCF's ``insert`` passes its per-item kernel.
+        point TCF's ``insert`` passes its per-item kernel.  ``values=None``
+        stands for zero values all the way down: no zero array is built.
         """
         place = place or self._place_batch
-        if values is None:
-            values = np.zeros(keys.size, dtype=np.uint64)
-        values = np.asarray(values, dtype=np.uint64)
+        if values is not None:
+            values = np.asarray(values, dtype=np.uint64)
         if keys.size == 0:
             return np.zeros(0, dtype=bool)
         self._maybe_grow()
         placed = place(keys, values)
-        self._journal_add(keys[placed], values[placed])
-        while not placed.all() and self._can_grow():
+        self._journal_add(keys[placed], subset(values, placed))
+        while not placed.all() and self.auto_resize and self._can_grow():
             self.grow()
             todo = np.flatnonzero(~placed)
-            landed = todo[place(keys[todo], values[todo])]
-            self._journal_add(keys[landed], values[landed])
+            landed = todo[place(keys[todo], subset(values, todo))]
+            self._journal_add(keys[landed], subset(values, landed))
             placed[landed] = True
         return placed
 
     # ------------------------------------------------------------------ growth
     def _can_grow(self) -> bool:
-        return self.auto_resize
+        """Only a journaled filter can grow: its journal is its key set."""
+        return self._journal is not None
 
     def grow(self, extra_quotient_bits: int = 1) -> None:
         """Double-and-rehash ``extra_quotient_bits`` times, in place.
@@ -415,11 +436,12 @@ class TwoChoiceFilter(AbstractFilter):
         """
         if extra_quotient_bits < 1:
             raise ValueError("grow must grow the filter")
-        if self._journal is None:
+        if not self._can_grow():
             raise UnsupportedOperationError(
                 f"{type(self).__name__} keeps no key journal (built without "
-                "auto_resize=True): its stored fingerprints cannot be "
-                "re-derived, so the table cannot be rehashed larger"
+                "auto_resize=True and restored from no journal sections): its "
+                "stored fingerprints cannot be re-derived, so the table cannot "
+                "be rehashed larger"
             )
         keys, values = self._journal.arrays()
         for _ in range(extra_quotient_bits):
@@ -488,8 +510,12 @@ class TwoChoiceFilter(AbstractFilter):
         segment.  The scalar counters are synchronised explicitly with
         :meth:`refresh_shared` / :meth:`flush_shared`.  A key journal stays
         on the heap (its arrays grow with every insert, which no fixed
-        segment can hold), and any ``journal_*`` sections are ignored.
+        segment can hold), so ``journal_*`` sections raise
+        :class:`SnapshotError`; while adopted, the filter leaves writing its
+        journal to the owner of the buffers.
         """
+        if any(name.startswith("journal_") for name in state):
+            raise SnapshotError("a key journal cannot be adopted onto shared buffers")
         table = np.asarray(state["table"])
         if table.shape != self.table.slots.data.shape or table.dtype != self.table.slots.data.dtype:
             raise ValueError(
@@ -540,9 +566,14 @@ class TwoChoiceFilter(AbstractFilter):
         self._n_items = int(scalars[0])
         self.backing._n_items = int(scalars[1])
         self.n_resizes = int(scalars[2]) if scalars.size > 2 else 0
-        if self._journal is not None:
+        journaled = "journal_keys" in state
+        if journaled != ("journal_values" in state):
+            raise SnapshotError("snapshot holds half of a key journal")
+        # A snapshot's journal replaces this filter's; a filter built without
+        # one attaches it, so it can still grow.
+        if journaled or self._journal is not None:
             self._journal = KeyJournal()
-            if "journal_keys" in state:
-                self._journal.add(state["journal_keys"], state["journal_values"])
+        if journaled:
+            self._journal.add(state["journal_keys"], state["journal_values"])
         if self._shared_scalars is not None:
             self.flush_shared()

@@ -30,7 +30,7 @@ import numpy as np
 from ...gpusim.kernel import point_launch
 from ...hashing import potc
 from .config import POINT_TCF_DEFAULT
-from .lifecycle import _MASK64, TwoChoiceFilter
+from .lifecycle import _MASK64, TwoChoiceFilter, subset
 
 
 class PointTCF(TwoChoiceFilter):
@@ -193,7 +193,7 @@ class PointTCF(TwoChoiceFilter):
         self._n_items += int(np.count_nonzero(placed))
         spill = np.flatnonzero(~placed)
         if spill.size:
-            spilled = self.backing.bulk_insert(keys[spill], values[spill])
+            spilled = self.backing.bulk_insert(keys[spill], subset(values, spill))
             self._n_items += int(spilled.sum())
             placed[spill[spilled]] = True
         return placed

@@ -36,11 +36,17 @@ class PotcHash:
     fingerprint:
         The ``f``-bit fingerprint stored in the table.  Never zero — zero is
         reserved for the empty slot — and never equal to the tombstone value.
+    h1, h2:
+        The key's two 64-bit mixes (``murmur64_mix`` and ``splitmix64``)
+        the fields above derive from; the TCF's backing table probes with
+        the same two.
     """
 
     primary: ArrayOrInt
     secondary: ArrayOrInt
     fingerprint: ArrayOrInt
+    h1: ArrayOrInt
+    h2: ArrayOrInt
 
 
 def derive(
@@ -112,8 +118,10 @@ def derive(
         fingerprint[reserved] = np.maximum(replacement, np.uint64(top + 1))
 
     if scalar:
-        return PotcHash(int(primary[0]), int(secondary[0]), int(fingerprint[0]))
-    return PotcHash(primary, secondary, fingerprint)
+        return PotcHash(
+            int(primary[0]), int(secondary[0]), int(fingerprint[0]), int(h1[0]), int(h2[0])
+        )
+    return PotcHash(primary, secondary, fingerprint, h1, h2)
 
 
 def expected_max_load(n_items: int, n_blocks: int) -> float:

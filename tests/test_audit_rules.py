@@ -118,3 +118,33 @@ def test_unparsable_file_is_refused(tmp_path):
     src.write_text("def broken(:\n", encoding="utf-8")
     with pytest.raises(SyntaxError):
         load_module(src)
+
+
+@pytest.mark.parametrize(
+    "loop, flagged",
+    [
+        ("for lo in range(0, keys.size, CHUNK):", False),
+        ("for lo in range(0, len(keys), 4096):", False),
+        ("for i in range(keys.size):", True),
+        ("for i in range(0, keys.size):", True),
+        ("for i in range(0, keys.size, 1):", True),
+        ("for k in keys:", True),
+    ],
+)
+def test_aud101_tells_chunk_walks_from_item_loops(tmp_path, loop, flagged):
+    """A ``range`` stepping by anything but 1 walks chunks, not items."""
+    src = tmp_path / "chunked.py"
+    src.write_text(
+        "# audit: module-role=bulk-api\n"
+        "CHUNK = 4096\n"
+        "\n"
+        "\n"
+        "class ToyFilter:\n"
+        "    def bulk_query(self, keys):\n"
+        "        out = []\n"
+        f"        {loop}\n"
+        "            out.append(0)\n"
+        "        return out\n",
+        encoding="utf-8",
+    )
+    assert ("AUD101" in _rules_hit(src)) is flagged

@@ -66,3 +66,17 @@ def test_small_gqf_insert_and_delete_stay_off_the_whole_table(gqf):
     assert _peak(lambda: filt.bulk_delete(keys)) <= 24 * MiB
     assert filt.total_count == total
     filt.core.check_invariants()
+
+
+def test_tcf_bulk_calls_hold_chunk_sized_working_memory():
+    """A bulk TCF call walks its batch in fixed-size chunks: the query's peak
+    grows by its bool result (plus slack) per extra probe, and an insert
+    holds compact per-key arrays plus its one global sort."""
+    rng = np.random.default_rng(33)
+    filt = BulkTCF(1 << 20)
+    keys = _keys(rng, int(0.9 * (1 << 20)))
+    assert _peak(lambda: filt.bulk_insert(keys)) <= 56 * keys.size
+    n = 200_000
+    small, large = _keys(rng, n), _keys(rng, 4 * n)
+    growth = _peak(lambda: filt.bulk_query(large)) - _peak(lambda: filt.bulk_query(small))
+    assert growth <= 2 * (large.size - small.size)

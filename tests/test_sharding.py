@@ -32,7 +32,7 @@ from repro.core.tcf import BulkTCF
 from repro.core.tcf.bulk_tcf import BULK_TCF_DEFAULT
 from repro.core.tcf.config import TCFConfig
 from repro.gpusim.stats import StatsRecorder
-from repro.lifecycle import load_filter, load_shard_set, read_manifest, save_shard_set
+from repro.lifecycle import load_filter, load_shard_set, merge, read_manifest, save_shard_set
 from repro.lifecycle.snapshot import read_snapshot
 from repro.service.faults import FaultConfig, FaultInjector
 from repro.service.registry import FilterRegistry
@@ -717,6 +717,35 @@ class TestSnapshots:
             assert restored.bulk_query(keys).all()
         finally:
             restored.close()
+
+    def test_a_tcf_shard_file_loaded_alone_keeps_its_journal(self, tmp_path):
+        keys = np.random.default_rng(3).integers(2, 2**63, 2_000, dtype=np.uint64)
+        sharded = sharded_tcf(2, 1024, max_workers=0, auto_resize=True)
+        try:
+            sharded.bulk_insert(keys)
+            save_shard_set(sharded, tmp_path / "set")
+            merged = sharded.merged()
+        finally:
+            sharded.close()
+        shards = [load_filter(tmp_path / "set" / f"shard{i}.rpro") for i in range(2)]
+        for shard in shards:
+            # Journaled, yet it grows only when asked: its config says so.
+            assert not shard.auto_resize
+            assert len(shard._journal) == shard.n_items > 0
+        want, got = merged.snapshot_state(), merge(*shards).snapshot_state()
+        assert want.keys() == got.keys()
+        for name, array in want.items():
+            assert np.array_equal(got[name], array), name
+        # The loaded shard writes its journal and grows by replaying it.
+        shard = shards[0]
+        stored, _ = shard._journal.arrays()
+        extra = make_keys(300, seed=5)
+        shard.bulk_insert(extra)
+        slots = shard.table.n_slots
+        shard.grow()
+        assert shard.table.n_slots == 2 * slots
+        assert shard.bulk_query(np.concatenate([stored, extra])).all()
+        assert len(shard._journal) == shard.n_items == stored.size + extra.size
 
     def test_shard_set_fsyncs_key_journals_before_the_manifest(self, tmp_path, monkeypatch):
         synced = []

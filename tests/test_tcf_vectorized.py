@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.exceptions import FilterFullError
 from repro.core.tcf import BULK_TCF_DEFAULT, BulkTCF, TCFConfig
+from repro.core.tcf import bulk_tcf
 from repro.core.tcf.backing import BackingTable
 from repro.gpusim.stats import StatsRecorder
 
@@ -95,7 +96,7 @@ class TestInsertDifferential:
             words = filt._pack_words(h.fingerprint, values)
             rec.reset()
             if label == "vect":
-                filt._bulk_insert_vectorised(keys, values, h, words)
+                filt._bulk_insert_vectorised(keys, values, h.primary, h.secondary, words)
             else:
                 filt._bulk_insert_sequential(keys, values, h, words)
             stats[label] = rec.total
@@ -337,6 +338,85 @@ class TestDeleteDifferential:
         doomed = keys[::2]
         assert vect.bulk_delete(doomed) == sum(seq.delete(int(k)) for k in doomed)
         _assert_same_state(vect, seq)
+
+
+class TestChunkParity:
+    """A bulk call walks its batch in chunks of ``bulk_tcf._CHUNK`` keys;
+    any chunk size must leave the same table, journal, events, kernel
+    records and results as one chunk larger than the batch."""
+
+    @staticmethod
+    def _trace(monkeypatch, chunk, make, ops):
+        monkeypatch.setattr(bulk_tcf, "_CHUNK", chunk)
+        rec = StatsRecorder()
+        filt = make(rec)
+        results = [np.asarray(op(filt)).tobytes() for op in ops]
+        state = {name: array.tobytes() for name, array in filt.snapshot_state().items()}
+        sections = {name: stats.as_dict() for name, stats in rec.sections.items()}
+        kernels = [(k.name, k.config, k.stats.as_dict()) for k in filt.kernels.kernels]
+        return filt, (state, rec.total.as_dict(), sections, kernels, results)
+
+    def _assert_chunk_parity(self, monkeypatch, make, ops):
+        whole_filt, whole = self._trace(monkeypatch, 1 << 30, make, ops)
+        for chunk in (1, 7, 64):
+            _filt, chunked = self._trace(monkeypatch, chunk, make, ops)
+            assert chunked == whole, chunk
+        return whole_filt
+
+    def test_spills_duplicates_query_and_delete(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        pool = rng.integers(0, 2**63, size=1500, dtype=np.uint64)
+        keys = rng.permutation(np.concatenate([pool, pool[:600]]))
+        probes = np.concatenate([keys[::3], rng.integers(0, 2**63, size=400, dtype=np.uint64)])
+        doomed = np.concatenate(
+            [pool[:300], pool[:200], rng.integers(0, 2**63, size=50, dtype=np.uint64)]
+        )
+        filt = self._assert_chunk_parity(
+            monkeypatch,
+            lambda rec: BulkTCF(1 << 11, recorder=rec),
+            [
+                lambda f: f.bulk_insert_mask(keys),
+                lambda f: f.bulk_query(probes),
+                lambda f: f.bulk_delete(doomed),
+                lambda f: f.bulk_query(probes),
+            ],
+        )
+        # The batch overfills the table: spills reach pass 2, the backing
+        # table, and past it.
+        assert filt.kernels.kernels_named("bulk_tcf_insert_pass2")
+        assert filt.backing.n_items > 0
+        assert filt.n_items < keys.size
+
+    def test_values_config(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        pool = rng.integers(0, 2**63, size=900, dtype=np.uint64)
+        keys = np.concatenate([pool, pool[:300]])
+        values = rng.integers(0, 16, size=keys.size, dtype=np.uint64)
+        filt = self._assert_chunk_parity(
+            monkeypatch,
+            lambda rec: BulkTCF(1 << 10, VALUES_CONFIG, recorder=rec),
+            [
+                lambda f: f.bulk_insert_mask(keys, values),
+                lambda f: f.bulk_query(keys),
+                lambda f: f.bulk_delete(pool[::2]),
+            ],
+        )
+        assert filt.backing.n_items > 0
+
+    def test_auto_resize_growth_replay(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        first, second = (rng.integers(0, 2**63, size=n, dtype=np.uint64) for n in (900, 1500))
+        filt = self._assert_chunk_parity(
+            monkeypatch,
+            lambda rec: BulkTCF(1 << 10, recorder=rec, auto_resize=True),
+            [
+                lambda f: f.bulk_insert_mask(first),
+                lambda f: f.bulk_insert_mask(second),
+                lambda f: f.bulk_delete(first[::4]),
+                lambda f: f.bulk_query(second),
+            ],
+        )
+        assert filt.n_resizes >= 2
 
 
 class TestBackingBulkAPI:
