@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from ..core.gqf import BulkGQF
 from ..core.gqf.regions import DEFAULT_REGION_SLOTS
 from ..gpusim.device import KNL, V100, GPUSpec

@@ -158,15 +158,6 @@ class GPUKmerCounter:
         """Count estimate of a packed k-mer (never an under-count)."""
         return self.gqf.count(int(kmer))
 
-    def count_sequence(self, sequence: str) -> int:
-        """Count estimate of a k-mer given as an ACGT string."""
-        codes = kmer_mod.sequence_to_codes(sequence)
-        if codes.size != self.k:
-            raise ValueError(f"expected a {self.k}-mer, got length {codes.size}")
-        packed = kmer_mod.pack_kmers(codes, self.k)[0]
-        canonical = kmer_mod.canonical_kmers(np.array([packed], dtype=np.uint64), self.k)[0]
-        return self.gqf.count(int(canonical))
-
     def heavy_hitters(self, kmers: Sequence[int], threshold: int) -> Dict[int, int]:
         """Return the queried k-mers whose count estimate reaches a threshold."""
         out: Dict[int, int] = {}

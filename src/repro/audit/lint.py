@@ -103,12 +103,6 @@ class AuditModule:
                     self._parents[child] = parent
         return self._parents.get(node)
 
-    def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
-        current = self.parent(node)
-        while current is not None:
-            yield current
-            current = self.parent(current)
-
 
 #: A rule's checker yields ``(line, message)`` pairs.
 Checker = Callable[[AuditModule], Iterator[Tuple[int, str]]]

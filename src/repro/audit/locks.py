@@ -27,6 +27,9 @@ What it does:
    :func:`hierarchy_artifact`) and committed as ``docs/lock_hierarchy.json``;
    ``repro audit`` recomputes it and fails if the committed artifact is
    stale, so lock-order changes show up in review as a diff of that file.
+   Sites are keyed by ``path::Class.method`` with a count of acquisitions,
+   not by line, so an edit that only moves lines leaves the artifact as it
+   is.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import ast
 import json
 import pathlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -54,7 +58,7 @@ class LockDef:
     lock_id: str  # "ClassName.attr"
     kind: str  # "Lock" | "RLock" | "Condition"
     path: str
-    line: int
+    scope: str  # "ClassName.method" that creates it, or "ClassName" for a field
     alias_of: Optional[str] = None  # Condition wrapping an existing lock
 
 
@@ -121,13 +125,17 @@ class _ClassLocks:
         return f"{self.class_name}.{attr}"
 
     def scan(self, node: ast.ClassDef) -> None:
-        for stmt in ast.walk(node):
-            if isinstance(stmt, ast.Assign):
-                self._scan_assign(stmt)
-            elif isinstance(stmt, ast.AnnAssign):
-                self._scan_annassign(stmt)
+        for item in node.body:
+            scope = self.class_name
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = f"{self.class_name}.{item.name}"
+            for stmt in ast.walk(item):
+                if isinstance(stmt, ast.Assign):
+                    self._scan_assign(stmt, scope)
+                elif isinstance(stmt, ast.AnnAssign):
+                    self._scan_annassign(stmt, scope)
 
-    def _scan_assign(self, stmt: ast.Assign) -> None:
+    def _scan_assign(self, stmt: ast.Assign, scope: str) -> None:
         if len(stmt.targets) != 1:
             return
         target = stmt.targets[0]
@@ -151,12 +159,12 @@ class _ClassLocks:
                 lock_id=self._lock_id(target.attr),
                 kind=factory,
                 path=self.path,
-                line=stmt.lineno,
+                scope=scope,
                 alias_of=alias_of,
             )
         )
 
-    def _scan_annassign(self, stmt: ast.AnnAssign) -> None:
+    def _scan_annassign(self, stmt: ast.AnnAssign, scope: str) -> None:
         """Dataclass-field form: ``op_lock: threading.Lock = field(...)``."""
         if not isinstance(stmt.target, ast.Name):
             return
@@ -171,7 +179,7 @@ class _ClassLocks:
                 lock_id=self._lock_id(stmt.target.id),
                 kind=factory,
                 path=self.path,
-                line=stmt.lineno,
+                scope=scope,
             )
         )
 
@@ -484,24 +492,30 @@ def _topological_levels(nodes: Set[str], graph: Dict[str, Set[str]]) -> List[Lis
 # Artifact
 
 
+def _site_counts(sites: List[LockSite]) -> Dict[str, int]:
+    """``path::function`` -> how many of ``sites`` lie in that function."""
+    return dict(sorted(Counter(f"{site.path}::{site.function}" for site in sites).items()))
+
+
 def hierarchy_artifact(report: LockOrderReport) -> Dict[str, object]:
-    """Stable JSON form of the discovered hierarchy (committed to docs/)."""
+    """Stable JSON form of the discovered hierarchy (committed to docs/).
+
+    Every lock, every edge and every function holding an edge's sites is
+    recorded, keyed by ``path::Class.method``; positions inside a function
+    are not, so a pure line shift regenerates the same artifact.
+    """
     return {
         "locks": [
             {
                 "id": d.lock_id,
                 "kind": d.kind,
-                "defined_at": f"{d.path}:{d.line}",
+                "defined_in": f"{d.path}::{d.scope}",
                 **({"alias_of": d.alias_of} if d.alias_of else {}),
             }
             for d in sorted(report.locks, key=lambda d: d.lock_id)
         ],
         "edges": [
-            {
-                "held": held,
-                "acquires": acquired,
-                "sites": sorted(s.render() for s in sites),
-            }
+            {"held": held, "acquires": acquired, "sites": _site_counts(sites)}
             for (held, acquired), sites in sorted(report.edges.items())
         ],
         "hierarchy": report.hierarchy,

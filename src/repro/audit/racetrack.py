@@ -344,9 +344,6 @@ class TrackedLock:
         self._tracker.pop_lock(self.name)
         self._inner.release()
 
-    def locked(self) -> bool:
-        return self._inner.locked()
-
     def __enter__(self) -> bool:
         return self.acquire()
 

@@ -3,7 +3,6 @@
 from .base import AbstractFilter, FilterCapabilities, FilterState
 from .exceptions import (
     CapacityLimitError,
-    ConcurrencyError,
     DeletionError,
     FilterError,
     FilterFullError,
@@ -18,7 +17,6 @@ __all__ = [
     "FilterCapabilities",
     "FilterState",
     "CapacityLimitError",
-    "ConcurrencyError",
     "DeletionError",
     "FilterError",
     "FilterFullError",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Protocol, Sequence, runtime_checkable
+from typing import Dict, Mapping, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -278,33 +278,6 @@ class AbstractFilter(abc.ABC):
         keys = np.asarray(keys, dtype=np.uint64)
         # audit: ignore[AUD101] - documented naive default; real filters override
         return np.array([self.count(int(k)) for k in keys], dtype=np.int64)
-
-    # ------------------------------------------------------------- utilities
-    def fill_to_load_factor(
-        self,
-        keys: Iterable[int],
-        target: Optional[float] = None,
-    ) -> int:
-        """Insert keys until the target load factor is reached.
-
-        Returns the number of keys successfully inserted (rejected keys are
-        skipped, not counted).  This is the standard benchmark-fill loop
-        from the paper's microbenchmark setup: it stops cleanly when the
-        target is reached or when the filter fills before the target load
-        factor is reachable (targets above the filter's accepted load no
-        longer crash).
-        """
-        target = target if target is not None else self.recommended_load_factor
-        inserted = 0
-        for key in keys:
-            if self.load_factor >= target:
-                break
-            try:
-                if self.insert(int(key)):
-                    inserted += 1
-            except FilterFullError:
-                break
-        return inserted
 
     # ------------------------------------------------------------------ growth
     def grow(self, extra_quotient_bits: int = 1) -> None:

@@ -124,11 +124,3 @@ class DeletionError(FilterError):
     unsafe (it can remove another item's fingerprint); the filters surface
     this instead of corrupting state silently.
     """
-
-
-class ConcurrencyError(FilterError):
-    """Raised when the simulated locking protocol is violated.
-
-    For example, acquiring a GQF region lock that the same simulated thread
-    already holds, or releasing a lock that is not held.
-    """

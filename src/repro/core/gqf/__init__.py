@@ -6,7 +6,7 @@ from .layout import DEFAULT_SLACK_SLOTS, METADATA_BITS_PER_SLOT, QuotientFilterC
 from .mapreduce import aggregate_batch, aggregation_ratio
 from .point_gqf import PointGQF
 from .quotient_filter import QuotientFilter
-from .rank_select import Bitvector, popcount64, select64
+from .rank_select import Bitvector, select64
 from .regions import DEFAULT_REGION_SLOTS, RegionPartition
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "PointGQF",
     "QuotientFilter",
     "Bitvector",
-    "popcount64",
     "select64",
     "DEFAULT_REGION_SLOTS",
     "RegionPartition",

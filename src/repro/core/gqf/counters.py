@@ -143,11 +143,6 @@ def decode_run(slots: Iterable[int]) -> List[Tuple[int, int]]:
     return items
 
 
-def run_length(items: Sequence[Tuple[int, int]]) -> int:
-    """Total number of slots the encoded run occupies."""
-    return len(encode_run(items))
-
-
 def increment(
     items: List[Tuple[int, int]], remainder: int, delta: int = 1
 ) -> List[Tuple[int, int]]:
@@ -290,13 +285,3 @@ def encode_flat(
         for offset, enc in zip(offsets.tolist(), encodings):
             flat[offset : offset + len(enc)] = enc
     return flat, enc_lens
-
-
-def max_count_single_slot(remainder_bits: int) -> int:
-    """Largest count representable before the encoding needs extra slots.
-
-    The paper notes the GQF counts "smaller than the maximum value in a GQF
-    slot (256 for an 8-bit slot)" are the cheap case; this helper exposes
-    that threshold for tests and documentation.
-    """
-    return 1 << remainder_bits

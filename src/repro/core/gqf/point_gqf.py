@@ -162,13 +162,6 @@ class PointGQF(QuotientFilter):
             64.0, self._active_threads / max(1, self.partition.n_regions)
         )
 
-    # ------------------------------------------------------------------ point API
-    def insert_count(self, key: int, count: int) -> bool:
-        """Insert ``count`` occurrences of ``key`` in one locked operation."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        return self.insert(key, count)
-
     # ---------------------------------------------------------------- bulk API
     def _batch_order(self, fingerprints: np.ndarray) -> np.ndarray:
         """The order in which the simulated schedule serialises point threads.

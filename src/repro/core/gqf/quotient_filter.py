@@ -227,15 +227,19 @@ class QuotientFilter(AbstractFilter):
         """The count policy: a batch's rows and their counts.
 
         By default the rows are ``keys`` themselves, and ``values`` are
-        counts with 0 counted once; a design that does not associate values
-        refuses non-zero ones.  Rows other than ``keys`` must be its sorted
-        distinct keys (the bulk GQF's map-reduce).
+        counts with 0 counted once; a negative count raises ``ValueError``
+        before any state changes, and a design that does not associate
+        values refuses non-zero ones.  Rows other than ``keys`` must be its
+        sorted distinct keys (the bulk GQF's map-reduce).
         """
         if values is None:
             return keys, np.ones(keys.size, dtype=np.int64)
         if not self.capabilities().values and np.any(np.asarray(values)):
             raise UnsupportedOperationError(f"the {self.name} does not associate values")
-        return keys, np.maximum(1, np.asarray(values, dtype=np.int64))
+        counts = np.asarray(values, dtype=np.int64)
+        if counts.size and counts.min() < 0:
+            raise ValueError(f"counts must be non-negative, got {int(counts.min())}")
+        return keys, np.maximum(1, counts)
 
     def _batch_order(self, fingerprints: np.ndarray) -> np.ndarray:
         """The order rows are placed in: by fingerprint, sorted host-side.

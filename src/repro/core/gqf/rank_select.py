@@ -10,11 +10,8 @@ rank and select:
 :class:`Bitvector` is the workhorse used by the GQF/SQF/CQF cores.  It keeps
 its bits **packed into little-endian uint64 words** — the same layout the
 GPU (and the reference CQF) uses — so rank is a popcount over whole words,
-select is a cumulative popcount plus one in-word select, and the navigation
-helpers scan 64 slots per word instead of one boolean per slot.  The module
-also provides the word-level primitives (``popcount64``, ``select64``) that
-the RSQF baseline uses for its block-local offsets, mirroring the x86
-``popcnt``/``pdep`` tricks of the CPU implementation.
+select is a cumulative popcount plus one in-word :func:`select64`, and the
+navigation helpers scan 64 slots per word instead of one boolean per slot.
 """
 
 from __future__ import annotations
@@ -39,14 +36,6 @@ else:  # pragma: no cover - NumPy < 2.0 fallback
         w = (w & _M2) + ((w >> np.uint64(2)) & _M2)
         w = (w + (w >> np.uint64(4))) & _M4
         return (w * _H01) >> np.uint64(56)
-
-
-def popcount64(words: np.ndarray | int) -> np.ndarray | int:
-    """Population count of 64-bit words (vectorised, no per-bit loop)."""
-    scalar = not isinstance(words, np.ndarray)
-    w = np.atleast_1d(np.asarray(words, dtype=np.uint64))
-    out = _popcount_words(w).astype(np.int64)
-    return int(out[0]) if scalar else out
 
 
 def select64(word: int, k: int) -> int:
@@ -297,12 +286,6 @@ class Bitvector:
         prior = int(cum[w - 1]) if w else 0
         return (w << 6) + select64(int(self.words[w]), k - prior)
 
-    def select_from(self, k: int, start: int) -> Optional[int]:
-        """Position of the ``k``-th set bit at or after ``start``."""
-        if k <= 0:
-            raise ValueError("select is 1-indexed: k must be >= 1")
-        return self.select(k + self.rank(start - 1))
-
     # ------------------------------------------------------------- navigation
     def next_set(self, start: int) -> Optional[int]:
         """First set bit at or after ``start`` (None if none)."""
@@ -426,20 +409,6 @@ class Bitvector:
         chunk[s] = 0
         self._put_chunk(w0, w1, chunk)
 
-    def shift_left_one(self, start: int, stop: int) -> None:
-        """Shift bits ``[start, stop)`` one position left (towards start)."""
-        if stop <= start:
-            return
-        if start <= 0:
-            raise IndexError("shift would run past the start of the bit vector")
-        w0, w1 = (start - 1) >> 6, ((stop - 1) >> 6) + 1
-        chunk = self._get_chunk(w0, w1)
-        base = w0 << 6
-        s, e = start - base, stop - base
-        chunk[s - 1 : e - 1] = chunk[s:e]
-        chunk[e - 1] = 0
-        self._put_chunk(w0, w1, chunk)
-
     # ------------------------------------------------------------ packed view
     def to_words(self) -> np.ndarray:
         """Export the bits as packed little-endian uint64 words."""
@@ -475,11 +444,6 @@ class Bitvector:
             )
         bv.words = words
         return bv
-
-    @property
-    def nbytes_packed(self) -> int:
-        """Packed size in bytes (1 bit per position)."""
-        return (self.n_bits + 7) // 8
 
     def __len__(self) -> int:
         return self.n_bits

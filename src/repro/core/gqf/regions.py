@@ -10,7 +10,10 @@ cluster is (with high probability) shorter than 8192 slots, so
   *odd* regions in a second phase gives every active thread exclusive access
   to ~16 K consecutive slots, eliminating locks entirely.
 
-This module holds the partitioning helpers shared by both APIs.
+This module holds the partition both APIs share: the point GQF charges the
+region locks of :meth:`~RegionPartition.regions_of`, and the bulk GQF splits
+a batch into its even and odd phases with :meth:`~RegionPartition.phases`
+and :meth:`~RegionPartition.phase_mask`.
 """
 
 from __future__ import annotations
@@ -43,12 +46,6 @@ class RegionPartition:
         """Number of regions (at least 1)."""
         return max(1, (self.n_slots + self.region_slots - 1) // self.region_slots)
 
-    def region_of(self, slot: int) -> int:
-        """Region index containing canonical ``slot``."""
-        if not 0 <= slot < self.n_slots:
-            raise IndexError(f"slot {slot} out of range")
-        return slot // self.region_slots
-
     def region_bounds(self, region: int) -> Tuple[int, int]:
         """``[start, stop)`` slot bounds of a region (stop clamps to n_slots)."""
         if not 0 <= region < self.n_regions:
@@ -57,19 +54,9 @@ class RegionPartition:
         return start, min(self.n_slots, start + self.region_slots)
 
     def regions_of(self, slots: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`region_of`."""
+        """Region index of each canonical slot."""
         slots = np.asarray(slots, dtype=np.int64)
         return slots // self.region_slots
-
-    def locks_for_insert(self, slot: int) -> Tuple[int, int]:
-        """The pair of locks a point insert must hold for canonical ``slot``.
-
-        The region containing the slot plus the following region (clamped),
-        so that a shift overflowing into the next region is still covered.
-        """
-        region = self.region_of(slot)
-        next_region = min(region + 1, self.n_regions - 1)
-        return region, next_region
 
     def even_regions(self) -> List[int]:
         """Indices of even regions (phase 1 of bulk insertion)."""
@@ -93,35 +80,3 @@ class RegionPartition:
         if parity not in (0, 1):
             raise ValueError("parity must be 0 (even) or 1 (odd)")
         return (self.regions_of(quotients) & 1) == parity
-
-    def split_sorted_quotients(self, sorted_quotients: np.ndarray) -> np.ndarray:
-        """Start index of each region's items within a sorted quotient array.
-
-        Mirrors the paper's successor-search buffer setup: instead of using
-        atomics to build per-region buffers, the sorted input array is
-        indexed by the first position whose quotient reaches the region's
-        first slot.  Returns ``n_regions + 1`` boundaries.
-
-        The vectorised bulk GQF now partitions phases with
-        :meth:`phase_mask`; this remains public as the per-region buffer
-        view of the same batch (Section 5.3's exposition).
-        """
-        sorted_quotients = np.asarray(sorted_quotients, dtype=np.int64)
-        region_starts = np.arange(self.n_regions, dtype=np.int64) * self.region_slots
-        boundaries = np.searchsorted(sorted_quotients, region_starts, side="left")
-        return np.concatenate([boundaries, [sorted_quotients.size]])
-
-    def max_cluster_guarantee(self, load_factor: float = 0.95) -> float:
-        """High-probability bound on the longest cluster (paper Section 5.2).
-
-        ``O(ln(2^q) / (alpha - ln(alpha) - 1))`` slots; the region size must
-        exceed this for the even-odd scheme to be safe.
-        """
-        if not 0.0 < load_factor < 1.0:
-            raise ValueError("load_factor must be in (0, 1)")
-        alpha = load_factor
-        q = np.log2(self.n_slots) if self.n_slots > 1 else 1.0
-        denom = alpha - np.log(alpha) - 1.0
-        if denom <= 0:
-            return float("inf")
-        return float(np.log(2.0 ** q) / denom)

@@ -22,7 +22,7 @@ insert replay.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -123,12 +123,6 @@ class BlockedTable:
             block = self.load_block(block_idx)
         self.recorder.add(instructions=self.config.block_size // max(1, self.config.cg_size) + 1)
         return int(np.count_nonzero((block != EMPTY_SLOT) & (block != TOMBSTONE_SLOT)))
-
-    def block_free(self, block_idx: int, block: Optional[np.ndarray] = None) -> int:
-        """Number of insertable (empty or tombstoned) slots in a block."""
-        if block is None:
-            block = self.load_block(block_idx)
-        return int(np.count_nonzero((block == EMPTY_SLOT) | (block == TOMBSTONE_SLOT)))
 
     # ------------------------------------------------------------------ insert
     def insert(
@@ -547,23 +541,6 @@ class BlockedTable:
         return pos - row_start
 
     # --------------------------------------------------------------- iterate
-    def iter_live_slots(self) -> Iterator[Tuple[int, int, int]]:
-        """Yield ``(block_idx, fingerprint, value)`` for every live slot.
-
-        Host-side enumeration helper (used for resize / merge / testing);
-        does not count device traffic.
-        """
-        data = self.slots.peek()
-        for flat_index in np.flatnonzero((data != EMPTY_SLOT) & (data != TOMBSTONE_SLOT)):
-            block_idx = int(flat_index) // self.config.block_size
-            fp, value = self.unpack(int(data[flat_index]))
-            yield block_idx, fp, value
-
-    def live_count(self) -> int:
-        """Total number of live slots (host-side, unaccounted)."""
-        data = self.slots.peek()
-        return int(np.count_nonzero((data != EMPTY_SLOT) & (data != TOMBSTONE_SLOT)))
-
     def fills(self) -> np.ndarray:
         """Per-block live-slot counts (host-side, for load-variance tests)."""
         data = self.slots.peek().reshape(self.n_blocks, self.config.block_size)

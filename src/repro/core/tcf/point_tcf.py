@@ -45,13 +45,6 @@ class PointTCF(TwoChoiceFilter):
     DEFAULT_CONFIG = POINT_TCF_DEFAULT
     ARRAY_PREFIX = "tcf"
 
-    @property
-    def backing_fraction_used(self) -> float:
-        """Fraction of inserted items that landed in the backing table."""
-        if self._n_items == 0:
-            return 0.0
-        return self.backing.n_items / self._n_items
-
     # --------------------------------------------------------------- internals
     def _derive(self, key: int) -> potc.PotcHash:
         return potc.derive(

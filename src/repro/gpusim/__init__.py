@@ -7,7 +7,8 @@ provides:
 * :mod:`~repro.gpusim.device` — V100 / A100 / KNL device specifications;
 * :mod:`~repro.gpusim.memory` — device arrays with cache-line accounting and
   an allocator for memory-footprint experiments;
-* :mod:`~repro.gpusim.atomics` — CUDA-style atomics and spin-lock tables;
+* :mod:`~repro.gpusim.atomics` — ``atomicCAS`` / ``Exch`` / ``Or`` / ``And``
+  and spin-lock tables;
 * :mod:`~repro.gpusim.warp` — warps and cooperative groups (ballot, ffs,
   strided iteration);
 * :mod:`~repro.gpusim.sharedmem` — shared-memory staging tiles;
@@ -15,9 +16,11 @@ provides:
 * :mod:`~repro.gpusim.sorting` — Thrust-like sort/reduce/search primitives;
 * :mod:`~repro.gpusim.stats` — hardware-event counters;
 * :mod:`~repro.gpusim.perfmodel` — the roofline-style time estimator.
+
+Each module holds only what the filters, the pipeline or the benchmark call.
 """
 
-from .device import A100, KNL, V100, GPUSpec, get_device
+from .device import A100, KNL, V100, GPUSpec
 from .kernel import (
     KernelContext,
     LaunchConfig,
@@ -26,35 +29,18 @@ from .kernel import (
     point_launch,
 )
 from .memory import DeviceAllocator, DeviceArray
-from .perfmodel import PerfEstimate, combine_estimates, estimate_time, scale_stats
+from .perfmodel import PerfEstimate, estimate_time, scale_stats
 from .sharedmem import SharedMemoryTile
-from .sorting import (
-    device_exclusive_scan,
-    device_lower_bound,
-    device_reduce_by_key,
-    device_sort,
-    device_sort_by_key,
-    device_unique_counts,
-)
+from .sorting import device_lower_bound, device_reduce_by_key, device_sort, device_sort_by_key
 from .stats import GLOBAL_RECORDER, KernelStats, StatsRecorder
-from .warp import WARP_SIZE, CooperativeGroup, WarpConfig, ffs, partition_warp, popc
-from .atomics import (
-    SpinLockTable,
-    atomic_add,
-    atomic_and,
-    atomic_cas,
-    atomic_exch,
-    atomic_max,
-    atomic_min,
-    atomic_or,
-)
+from .warp import WARP_SIZE, CooperativeGroup, ffs
+from .atomics import SpinLockTable, atomic_and, atomic_cas, atomic_exch, atomic_or
 
 __all__ = [
     "A100",
     "KNL",
     "V100",
     "GPUSpec",
-    "get_device",
     "KernelContext",
     "LaunchConfig",
     "bulk_block_launch",
@@ -63,31 +49,22 @@ __all__ = [
     "DeviceAllocator",
     "DeviceArray",
     "PerfEstimate",
-    "combine_estimates",
     "estimate_time",
     "scale_stats",
     "SharedMemoryTile",
-    "device_exclusive_scan",
     "device_lower_bound",
     "device_reduce_by_key",
     "device_sort",
     "device_sort_by_key",
-    "device_unique_counts",
     "GLOBAL_RECORDER",
     "KernelStats",
     "StatsRecorder",
     "WARP_SIZE",
     "CooperativeGroup",
-    "WarpConfig",
     "ffs",
-    "partition_warp",
-    "popc",
     "SpinLockTable",
-    "atomic_add",
     "atomic_and",
     "atomic_cas",
     "atomic_exch",
-    "atomic_max",
-    "atomic_min",
     "atomic_or",
 ]

@@ -72,34 +72,6 @@ def atomic_and(array: DeviceArray, index: int, mask) -> int:
     return int(old)
 
 
-def atomic_add(array: DeviceArray, index: int, value) -> int:
-    """Atomic add; returns the previous value.
-
-    Used by the bulk GQF to size per-region buffers and by the backing-table
-    overflow counter.
-    """
-    array.recorder.add(atomic_ops=1, coalesced_bytes_read=32, coalesced_bytes_written=32)
-    old = array.data[index]
-    array.data[index] = old + array.data.dtype.type(value)
-    return int(old)
-
-
-def atomic_min(array: DeviceArray, index: int, value) -> int:
-    """Atomic minimum; returns the previous value."""
-    array.recorder.add(atomic_ops=1, coalesced_bytes_read=32, coalesced_bytes_written=32)
-    old = array.data[index]
-    array.data[index] = min(old, array.data.dtype.type(value))
-    return int(old)
-
-
-def atomic_max(array: DeviceArray, index: int, value) -> int:
-    """Atomic maximum; returns the previous value."""
-    array.recorder.add(atomic_ops=1, coalesced_bytes_read=32, coalesced_bytes_written=32)
-    old = array.data[index]
-    array.data[index] = max(old, array.data.dtype.type(value))
-    return int(old)
-
-
 class SpinLockTable:
     """A table of cache-aligned spin locks backed by ``atomicCAS``.
 
@@ -267,10 +239,6 @@ class SpinLockTable:
             word, bit = divmod(lock_id, 32)
             atomic_and(self.words, word, ~(np.uint32(1) << np.uint32(bit)) & np.uint32(0xFFFFFFFF))
         self._held.discard(lock_id)
-
-    def is_locked(self, lock_id: int) -> bool:
-        """Host-side check of whether the lock is currently held."""
-        return lock_id in self._held
 
     @property
     def held_locks(self) -> frozenset[int]:

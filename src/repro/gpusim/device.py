@@ -196,31 +196,3 @@ KNL = GPUSpec(
     kernel_launch_overhead_us=0.0,
     uncoalesced_efficiency=0.5,
 )
-
-#: Registry of known devices by lower-case name.
-KNOWN_DEVICES = {
-    "v100": V100,
-    "a100": A100,
-    "knl": KNL,
-    "cori": V100,
-    "perlmutter": A100,
-}
-
-
-def get_device(name: str) -> GPUSpec:
-    """Look up a device spec by name (case-insensitive).
-
-    Accepts either the GPU model (``"V100"``, ``"A100"``) or the system name
-    used in the paper's figures (``"cori"``, ``"perlmutter"``).
-
-    Raises
-    ------
-    KeyError
-        If the device is unknown.
-    """
-    key = name.strip().lower()
-    if key not in KNOWN_DEVICES:
-        raise KeyError(
-            f"unknown device {name!r}; known devices: {sorted(KNOWN_DEVICES)}"
-        )
-    return KNOWN_DEVICES[key]

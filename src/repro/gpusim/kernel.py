@@ -47,18 +47,6 @@ class LaunchConfig:
         if self.block_size <= 0 or self.block_size % WARP_SIZE:
             raise ValueError("block_size must be a positive multiple of 32")
 
-    @property
-    def total_threads(self) -> int:
-        """Total threads requested by the launch."""
-        return self.n_work_items * self.threads_per_item
-
-    @property
-    def grid_size(self) -> int:
-        """Number of thread blocks launched."""
-        if self.total_threads == 0:
-            return 0
-        return (self.total_threads + self.block_size - 1) // self.block_size
-
 
 @dataclass
 class KernelRecord:
@@ -115,19 +103,9 @@ class KernelContext:
             out.merge(k.stats)
         return out
 
-    @property
-    def max_concurrent_threads(self) -> int:
-        """The largest thread count exposed by any recorded kernel."""
-        if not self.kernels:
-            return 0
-        return max(k.config.total_threads for k in self.kernels)
-
     def kernels_named(self, prefix: str) -> list[KernelRecord]:
         """All kernels whose name starts with ``prefix``."""
         return [k for k in self.kernels if k.name.startswith(prefix)]
-
-    def reset(self) -> None:
-        self.kernels = []
 
 
 def point_launch(n_items: int, cg_size: int) -> LaunchConfig:

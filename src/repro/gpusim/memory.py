@@ -131,27 +131,6 @@ class DeviceArray:
             )
         self.data[start:stop] = values
 
-    def gather(self, indices: np.ndarray) -> np.ndarray:
-        """Random-gather a set of elements.
-
-        Each distinct cache line touched counts as one read transaction; this
-        is what makes Bloom-filter probes (k random lines) expensive and
-        blocked-Bloom probes (one line) cheap in the simulator.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size:
-            lines = np.unique(indices // self.slots_per_line)
-            self.recorder.add(cache_line_reads=int(lines.size))
-        return self.data[indices]
-
-    def scatter(self, indices: np.ndarray, values) -> None:
-        """Random-scatter writes; counts distinct cache lines written."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size:
-            lines = np.unique(indices // self.slots_per_line)
-            self.recorder.add(cache_line_writes=int(lines.size))
-        self.data[indices] = values
-
     # -- unaccounted "host" access --------------------------------------------
     def peek(self, index=None):
         """Host-side debug access that does not count any transaction."""
@@ -193,14 +172,6 @@ class DeviceAllocator:
     def total_bytes(self) -> int:
         """Total bytes currently registered."""
         return sum(self.allocations.values())
-
-    def bytes_for(self, label_prefix: str) -> int:
-        """Total bytes for allocations whose label starts with a prefix."""
-        return sum(
-            size
-            for label, size in self.allocations.items()
-            if label.startswith(label_prefix)
-        )
 
     def report(self) -> dict[str, int]:
         """Return a copy of the allocation table."""

@@ -46,7 +46,7 @@ LOCK_FAILURE_WEIGHT = 4.0
 #: Latency of one serialized lock critical section, in seconds.  Used only for
 #: the serialization component of heavily contended point-GQF inserts.
 LOCK_CRITICAL_SECTION_S = 600e-9
-#: Instruction-equivalents charged per warp intrinsic (ballot/shfl).
+#: Instruction-equivalents charged per warp intrinsic (ballot/vote).
 INTRINSIC_WEIGHT = 2.0
 #: Issue cycles per cooperative-group stride iteration over a block.
 CG_ITERATION_CYCLES = 4.0
@@ -274,18 +274,3 @@ def estimate_time(
             "in_l2": float(in_l2),
         },
     )
-
-
-def combine_estimates(*estimates: PerfEstimate) -> PerfEstimate:
-    """Sum several phase estimates into one (e.g. sort + insert kernels)."""
-    total_time = sum(e.time_s for e in estimates)
-    total_ops = max((e.n_ops for e in estimates), default=0)
-    breakdown: Dict[str, float] = {}
-    for e in estimates:
-        for key, value in e.breakdown.items():
-            if key in ("saturation", "in_l2"):
-                breakdown[key] = value
-            else:
-                breakdown[key] = breakdown.get(key, 0.0) + value
-    throughput = total_ops / total_time if total_time > 0 else 0.0
-    return PerfEstimate(total_time, throughput, total_ops, breakdown)

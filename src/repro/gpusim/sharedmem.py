@@ -115,22 +115,6 @@ class SharedMemoryTile:
         self.local = np.array(values, copy=True)
         self._dirty = True
 
-    def shared_atomic_add(self, offset: int, value) -> int:
-        """Shared-memory atomic add (cheap, not a global atomic)."""
-        self.recorder.add(shared_memory_accesses=1, instructions=1)
-        old = self.local[offset]
-        self.local[offset] = old + self.local.dtype.type(value)
-        return int(old)
-
-    def shared_atomic_cas(self, offset: int, expected, desired) -> tuple[bool, int]:
-        """Shared-memory CAS; returns (swapped, old_value)."""
-        self.recorder.add(shared_memory_accesses=1, instructions=1)
-        old = self.local[offset]
-        if old == self.local.dtype.type(expected):
-            self.local[offset] = self.local.dtype.type(desired)
-            return True, int(old)
-        return False, int(old)
-
     # -- write-back ----------------------------------------------------------
     def flush(self) -> None:
         """Write the tile back to global memory as a coalesced store."""

@@ -219,31 +219,3 @@ def group_ranks(grouped_keys: np.ndarray) -> np.ndarray:
     first = run_first_mask(grouped_keys)
     first_idx = np.flatnonzero(first)
     return np.arange(grouped_keys.size) - first_idx[np.cumsum(first) - 1]
-
-
-def device_exclusive_scan(
-    values: np.ndarray,
-    recorder: Optional[StatsRecorder] = None,
-) -> np.ndarray:
-    """Exclusive prefix sum (thrust::exclusive_scan)."""
-    recorder = recorder if recorder is not None else GLOBAL_RECORDER
-    values = np.asarray(values)
-    recorder.add(
-        coalesced_bytes_read=int(values.nbytes),
-        coalesced_bytes_written=int(values.nbytes),
-        kernel_launches=1,
-    )
-    out = np.zeros_like(values)
-    if values.size > 1:
-        np.cumsum(values[:-1], out=out[1:])
-    return out
-
-
-def device_unique_counts(
-    keys: np.ndarray,
-    recorder: Optional[StatsRecorder] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sort then reduce: convenience wrapper returning (unique, counts)."""
-    recorder = recorder if recorder is not None else GLOBAL_RECORDER
-    sorted_keys = device_sort(keys, recorder)
-    return device_reduce_by_key(sorted_keys, None, recorder)

@@ -41,7 +41,7 @@ class KernelStats:
     atomic_ops: int = 0
     #: atomicCAS operations whose comparison failed and had to retry.
     cas_retries: int = 0
-    #: Ballot / shuffle / vote warp intrinsics executed.
+    #: Ballot / vote warp intrinsics executed.
     warp_intrinsics: int = 0
     #: Branches on which lanes of a cooperative group diverged.
     divergent_branches: int = 0
@@ -74,42 +74,9 @@ class KernelStats:
         out.merge(self)
         return out
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
     def as_dict(self) -> Dict[str, int]:
         """Return the counters as a plain dictionary."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def per_operation(self) -> Dict[str, float]:
-        """Return per-operation averages (using :attr:`operations`).
-
-        Returns an empty dict when no operations were recorded.
-        """
-        if self.operations <= 0:
-            return {}
-        return {
-            f.name: getattr(self, f.name) / self.operations
-            for f in fields(self)
-            if f.name != "operations"
-        }
-
-    @property
-    def total_bytes_read(self) -> int:
-        """Total bytes moved by read transactions (line-granular)."""
-        return self.cache_line_reads * 128 + self.coalesced_bytes_read
-
-    @property
-    def total_bytes_written(self) -> int:
-        """Total bytes moved by write transactions (line-granular)."""
-        return self.cache_line_writes * 128 + self.coalesced_bytes_written
-
-    @property
-    def total_bytes_moved(self) -> int:
-        """Total bytes moved in either direction."""
-        return self.total_bytes_read + self.total_bytes_written
 
     def __add__(self, other: "KernelStats") -> "KernelStats":
         out = self.copy()
@@ -138,12 +105,6 @@ class StatsRecorder:
         for sink in sinks:
             for name, value in events.items():
                 setattr(sink, name, getattr(sink, name) + value)
-
-    def add_stats(self, stats: KernelStats) -> None:
-        """Merge a pre-accumulated :class:`KernelStats` into the recorder."""
-        self.total.merge(stats)
-        for sink in self._active:
-            sink.merge(stats)
 
     # -- sections ---------------------------------------------------------
     @contextlib.contextmanager

@@ -7,7 +7,7 @@ parallel, ballot on which lanes found an empty slot, elect a leader with
 
 :class:`CooperativeGroup` reproduces that programming model.  The lanes are
 simulated with vectorised NumPy operations over ``size`` elements, and the
-intrinsics (``ballot``, ``ffs``, ``shfl``) are counted so that the perf model
+intrinsics (``ballot``, ``ffs``) are counted so that the perf model
 can reason about the compute/memory trade-off that Figure 5 sweeps (smaller
 groups → more concurrent cache-line loads in flight, larger groups → fewer
 divergent strides per block).
@@ -15,7 +15,6 @@ divergent strides per block).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -40,34 +39,6 @@ def ffs(mask: int) -> int:
     return (mask & -mask).bit_length()
 
 
-def popc(mask: int) -> int:
-    """Population count (``__popc``)."""
-    return bin(int(mask) & 0xFFFFFFFF).count("1")
-
-
-@dataclass
-class WarpConfig:
-    """Partitioning of a warp into cooperative groups.
-
-    ``cg_size`` lanes per group, so ``WARP_SIZE // cg_size`` groups per warp.
-    Used by the perf model to reason about how many cache-line loads a warp
-    can have in flight simultaneously.
-    """
-
-    cg_size: int
-
-    def __post_init__(self) -> None:
-        if self.cg_size not in VALID_CG_SIZES:
-            raise ValueError(
-                f"cooperative group size must be one of {VALID_CG_SIZES}, "
-                f"got {self.cg_size}"
-            )
-
-    @property
-    def groups_per_warp(self) -> int:
-        return WARP_SIZE // self.cg_size
-
-
 class CooperativeGroup:
     """A tile of ``size`` threads cooperating on one filter operation.
 
@@ -78,7 +49,6 @@ class CooperativeGroup:
     * :meth:`ballot` — returns a bitmask of lanes voting true
     * :meth:`elect_leader` — ``__ffs`` over a ballot
     * :meth:`strided_indices` — the classic ``rank; rank += size`` loop
-    * :meth:`shfl` — broadcast a value from one lane
 
     Lanes are simulated eagerly (vectorised), not with real threads.  Each
     intrinsic is recorded in the stats recorder.
@@ -142,17 +112,6 @@ class CooperativeGroup:
         pos = ffs(ballot_mask)
         return pos - 1 if pos else -1
 
-    def shfl(self, value, src_lane: int):
-        """Broadcast ``value`` from ``src_lane`` to the whole group."""
-        if not 0 <= src_lane < self.size:
-            raise ValueError("source lane out of range")
-        self.recorder.add(warp_intrinsics=1)
-        return value
-
-    def sync(self) -> None:
-        """Group barrier (no-op functionally, counted as an instruction)."""
-        self.recorder.add(instructions=1)
-
     def any(self, votes: np.ndarray) -> bool:
         """True if any lane votes true (``cg::any``)."""
         return self.ballot(votes) != 0
@@ -165,11 +124,3 @@ class CooperativeGroup:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CooperativeGroup(size={self.size})"
-
-
-def partition_warp(
-    cg_size: int, recorder: Optional[StatsRecorder] = None
-) -> list[CooperativeGroup]:
-    """Partition a warp into ``32 // cg_size`` cooperative groups."""
-    cfg = WarpConfig(cg_size)
-    return [CooperativeGroup(cg_size, recorder) for _ in range(cfg.groups_per_warp)]

@@ -1,30 +1,18 @@
 """Hashing substrate: mixers, XORWOW generation, POTC and fingerprinting."""
 
-from .fingerprints import FingerprintScheme, scheme_for_errorrate
-from .mixers import (
-    double_hash_slots,
-    hash_with_seed,
-    murmur64_mix,
-    murmur64_unmix,
-    splitmix64,
-    xxhash64_avalanche,
-)
-from .potc import PotcHash, derive, expected_max_load, single_choice_expected_max_load
+from .fingerprints import FingerprintScheme
+from .mixers import hash_with_seed, murmur64_mix, murmur64_unmix, splitmix64
+from .potc import PotcHash, derive
 from .xorwow import XorwowGenerator, generate_disjoint_keys, generate_keys
 
 __all__ = [
     "FingerprintScheme",
-    "scheme_for_errorrate",
-    "double_hash_slots",
     "hash_with_seed",
     "murmur64_mix",
     "murmur64_unmix",
     "splitmix64",
-    "xxhash64_avalanche",
     "PotcHash",
     "derive",
-    "expected_max_load",
-    "single_choice_expected_max_load",
     "XorwowGenerator",
     "generate_disjoint_keys",
     "generate_keys",

@@ -18,7 +18,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .mixers import murmur64_mix, murmur64_unmix
+from .mixers import murmur64_mix
 
 ArrayOrInt = Union[int, np.ndarray]
 
@@ -33,13 +33,10 @@ class FingerprintScheme:
         log2 of the number of slots.
     remainder_bits:
         Width of the stored remainder.
-    invertible:
-        Whether the pre-hash is invertible (needed for enumeration / merge).
     """
 
     quotient_bits: int
     remainder_bits: int
-    invertible: bool = True
 
     def __post_init__(self) -> None:
         if self.quotient_bits < 1:
@@ -73,17 +70,6 @@ class FingerprintScheme:
             return hashed & np.uint64(mask)
         return hashed & mask
 
-    def unhash_fingerprint(self, fingerprints: ArrayOrInt) -> ArrayOrInt:
-        """Recover the low p bits of the original key (enumeration support).
-
-        Only exact when the key universe itself is p bits wide; for 64-bit
-        keys the inverse recovers the canonical p-bit representative, which
-        is what the CQF returns during enumeration.
-        """
-        if not self.invertible:
-            raise ValueError("scheme was declared non-invertible")
-        return murmur64_unmix(fingerprints)
-
     # -- fingerprint <-> (quotient, remainder) --------------------------------
     def split(self, fingerprints: ArrayOrInt) -> Tuple[ArrayOrInt, ArrayOrInt]:
         """Split fingerprints into (quotient, remainder)."""
@@ -109,29 +95,3 @@ class FingerprintScheme:
     def key_to_slot(self, keys: ArrayOrInt) -> Tuple[ArrayOrInt, ArrayOrInt]:
         """Convenience: hash keys and split into (quotient, remainder)."""
         return self.split(self.hash_key(keys))
-
-
-def scheme_for_errorrate(
-    n_items: int, target_fp_rate: float, allowed_remainders: Tuple[int, ...] = (8, 16, 32)
-) -> FingerprintScheme:
-    """Pick the smallest machine-word-aligned remainder achieving a target ε.
-
-    The GQF only supports 8/16/32-bit remainders to keep slots word aligned
-    (Section 6; a 64-bit remainder can never fit a 64-bit fingerprint next
-    to the quotient); given a capacity and a target false-positive rate,
-    this returns the cheapest conforming scheme.
-    """
-    if n_items <= 0:
-        raise ValueError("n_items must be positive")
-    if not 0.0 < target_fp_rate < 1.0:
-        raise ValueError("target_fp_rate must be in (0, 1)")
-    quotient_bits = max(1, int(np.ceil(np.log2(n_items))))
-    needed_r = int(np.ceil(np.log2(1.0 / target_fp_rate)))
-    for r in sorted(allowed_remainders):
-        if r >= needed_r and quotient_bits + r <= 64:
-            return FingerprintScheme(quotient_bits, r)
-    # Fall back to the widest allowed remainder that still fits.
-    for r in sorted(allowed_remainders, reverse=True):
-        if quotient_bits + r <= 64:
-            return FingerprintScheme(quotient_bits, r)
-    raise ValueError("no remainder width fits the requested capacity")

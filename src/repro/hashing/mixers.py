@@ -5,7 +5,7 @@ into quotient/remainder (GQF) or block-index/fingerprint (TCF) parts.  The
 CPU counting quotient filter relies on an *invertible* 64-bit hash so that
 items can be enumerated and filters merged; we provide the same invertible
 mixer (a MurmurHash3-style finalizer with its exact inverse) plus a
-splitmix64 and an xxhash-style avalanche for double hashing.
+splitmix64 as a second, independent family.
 
 All functions are vectorised: they accept either Python ints or NumPy uint64
 arrays and always compute modulo 2^64 without Python-level overflow.
@@ -103,19 +103,6 @@ def splitmix64(x: ArrayOrInt) -> ArrayOrInt:
     return _maybe_scalar(v, scalar)
 
 
-def xxhash64_avalanche(x: ArrayOrInt) -> ArrayOrInt:
-    """xxHash64 avalanche step — third independent family (Bloom filters)."""
-    scalar = not isinstance(x, np.ndarray)
-    v = _as_u64(x)
-    with np.errstate(over="ignore"):
-        v = (v ^ (v >> _U64(33))) & _MASK64
-        v = (v * _U64(0xC2B2AE3D27D4EB4F)) & _MASK64
-        v = (v ^ (v >> _U64(29))) & _MASK64
-        v = (v * _U64(0x165667B19E3779F9)) & _MASK64
-        v = (v ^ (v >> _U64(32))) & _MASK64
-    return _maybe_scalar(v, scalar)
-
-
 def hash_with_seed(x: ArrayOrInt, seed: int) -> ArrayOrInt:
     """Seeded 64-bit hash built from the mixers (for Bloom's k hashes)."""
     scalar = not isinstance(x, np.ndarray)
@@ -140,27 +127,3 @@ def hash_with_seeds(x: np.ndarray, seeds) -> np.ndarray:
     with np.errstate(over="ignore"):
         mixed = v[:, None] ^ ((s * _U64(0x9E3779B97F4A7C15)) & _MASK64)[None, :]
     return splitmix64(mixed)
-
-
-def double_hash_slots(
-    x: ArrayOrInt, n_slots: int, n_probes: int
-) -> np.ndarray:
-    """Double hashing: ``h1 + i*h2 (mod n_slots)`` for i in [0, n_probes).
-
-    Used by the Bloom filter (k bit positions from two hash evaluations) and
-    by the TCF backing table's probe sequence.  Returns an array of shape
-    ``(n_probes,)`` for scalar input or ``(len(x), n_probes)`` for array
-    input.
-    """
-    scalar = not isinstance(x, np.ndarray)
-    v = np.atleast_1d(_as_u64(x))
-    h1 = np.atleast_1d(_as_u64(murmur64_mix(v)))
-    h2 = np.atleast_1d(_as_u64(splitmix64(v)))
-    # Force h2 odd so that the probe sequence visits distinct slots when
-    # n_slots is a power of two.
-    h2 = h2 | _U64(1)
-    steps = np.arange(n_probes, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        probes = (h1[:, None] + steps[None, :] * h2[:, None]) % _U64(n_slots)
-    probes = probes.astype(np.int64)
-    return probes[0] if scalar else probes

@@ -6,8 +6,8 @@ allocations).  This keeps the maximum block load at :math:`O(\\log\\log n)`
 above the average, which is what lets the filter reach a 90 % load factor
 with small, cache-line-sized blocks.
 
-This module provides the bucket-pair derivation, the fingerprint extraction,
-and an analytical helper used by the tests to check the load-variance bound.
+This module provides the bucket-pair derivation and the fingerprint
+extraction.
 """
 
 from __future__ import annotations
@@ -122,28 +122,3 @@ def derive(
             int(primary[0]), int(secondary[0]), int(fingerprint[0]), int(h1[0]), int(h2[0])
         )
     return PotcHash(primary, secondary, fingerprint, h1, h2)
-
-
-def expected_max_load(n_items: int, n_blocks: int) -> float:
-    """Analytical estimate of the maximum block load under POTC hashing.
-
-    Azar et al. show the maximum load is ``n/m + O(log log m)`` with two
-    choices; the tests use this as an upper-bound sanity check on the
-    simulated load distribution (with a conservative constant).
-    """
-    if n_blocks <= 0:
-        raise ValueError("n_blocks must be positive")
-    average = n_items / n_blocks
-    if n_blocks == 1:
-        return float(n_items)
-    return average + np.log(np.log(n_blocks) + 1.0) / np.log(2.0) + 4.0
-
-
-def single_choice_expected_max_load(n_items: int, n_blocks: int) -> float:
-    """Max load estimate under single-choice hashing (for comparison tests)."""
-    if n_blocks <= 0:
-        raise ValueError("n_blocks must be positive")
-    average = n_items / n_blocks
-    if n_blocks == 1:
-        return float(n_items)
-    return average + np.sqrt(2.0 * average * np.log(n_blocks)) + 3.0

@@ -73,13 +73,6 @@ class XorwowGenerator:
         lo = self.next_uint32()
         return (hi << 32) | lo
 
-    def uint32_array(self, n: int) -> np.ndarray:
-        """Return ``n`` 32-bit outputs as a uint32 array."""
-        out = np.empty(n, dtype=np.uint32)
-        for i in range(n):
-            out[i] = self.next_uint32()
-        return out
-
     def uint64_array(self, n: int) -> np.ndarray:
         """Return ``n`` 64-bit outputs as a uint64 array.
 

@@ -162,19 +162,3 @@ def check_perf(
         return 1
     log(f"  {n_ok} metric(s) hold, {n_failed} failed, {n_new} without history")
     return 0 if n_failed == 0 else 1
-
-
-def append_history(baseline_path, snapshot: dict, max_entries: int = 20) -> dict:
-    """Fold a fresh snapshot into a baseline history document (helper for
-    refreshing the committed baselines; keeps the newest ``max_entries``).
-    """
-    baseline_path = pathlib.Path(baseline_path)
-    doc = _load_json(baseline_path)
-    entries = _baseline_entries(doc) if doc is not None else []
-    entries.append(snapshot)
-    out = {"history": entries[-max_entries:]}
-    baseline_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(baseline_path, "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=2)
-        fh.write("\n")
-    return out

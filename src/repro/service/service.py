@@ -208,7 +208,8 @@ class FilterService:
         the original job's (eventual) result stands and the new payload is
         ignored.  Raises :class:`AdmissionError` under backpressure,
         :class:`UnknownFilterError` for unregistered filters, and
-        ``ValueError`` for unknown operations.
+        ``ValueError`` for unknown operations, a values/keys length mismatch
+        or a value of 2**63 or more.
         """
         with self._lock:
             if self._closed:
@@ -231,6 +232,10 @@ class FilterService:
             if values.size != keys.size:
                 raise ValueError(
                     f"{values.size} values for {keys.size} keys"
+                )
+            if values.size and int(values.max()) >> 63:
+                raise ValueError(
+                    f"value {int(values.max())} is 2**63 or more; values must fit int64"
                 )
         job = Job(
             request_id=request_id

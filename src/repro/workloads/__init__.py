@@ -4,7 +4,6 @@ from . import distributions, kmer
 from .generators import (
     CountingDataset,
     Workload,
-    dataset_by_name,
     uniform_count_dataset,
     uniform_random_dataset,
     uniform_workload,
@@ -16,7 +15,6 @@ __all__ = [
     "kmer",
     "CountingDataset",
     "Workload",
-    "dataset_by_name",
     "uniform_count_dataset",
     "uniform_random_dataset",
     "uniform_workload",

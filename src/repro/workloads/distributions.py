@@ -10,7 +10,7 @@ genomic dataset:
 
 This module provides the samplers (a bounded Zipfian needs care: NumPy's
 ``zipf`` is unbounded, so we sample from the normalised truncated power law
-directly) plus helpers used by tests to validate the skew.
+directly).
 """
 
 from __future__ import annotations
@@ -87,16 +87,3 @@ def uniform_counts(
         raise ValueError("need 1 <= low <= high")
     rng = np.random.default_rng(seed)
     return rng.integers(low, high + 1, size=n_distinct, dtype=np.int64)
-
-
-def skewness_ratio(counts: np.ndarray) -> float:
-    """Fraction of the total mass held by the top 1 % of items.
-
-    Tests use this to confirm that the Zipfian generator is heavily skewed
-    while the UR-count generator is not.
-    """
-    counts = np.sort(np.asarray(counts, dtype=np.float64))[::-1]
-    if counts.size == 0 or counts.sum() == 0:
-        return 0.0
-    top = max(1, counts.size // 100)
-    return float(counts[:top].sum() / counts.sum())

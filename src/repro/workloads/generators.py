@@ -89,13 +89,6 @@ class CountingDataset:
     def n_distinct(self) -> int:
         return int(self.distinct_keys.size)
 
-    @property
-    def duplication_ratio(self) -> float:
-        """Average number of occurrences per distinct item."""
-        if self.n_distinct == 0:
-            return 0.0
-        return self.n_items / self.n_distinct
-
 
 def _expand(distinct_keys: np.ndarray, counts: np.ndarray, seed: int) -> np.ndarray:
     """Expand (key, count) pairs into a shuffled flat insertion stream."""
@@ -158,15 +151,3 @@ def zipfian_count_dataset(
     distinct = generate_keys(int(nonzero.sum()), seed ^ 0x1234)
     keys = _expand(distinct, counts, seed)
     return CountingDataset("Zipfian count", keys, distinct, counts)
-
-
-def dataset_by_name(name: str, n_items: int, seed: int = 7) -> CountingDataset:
-    """Factory used by the Table 5 benchmark harness."""
-    key = name.strip().lower()
-    if key in ("ur", "uniform", "uniform-random"):
-        return uniform_random_dataset(n_items, seed)
-    if key in ("ur count", "ur-count", "uniform count"):
-        return uniform_count_dataset(n_items, seed=seed)
-    if key in ("zipfian", "zipfian count", "zipf"):
-        return zipfian_count_dataset(n_items, seed=seed)
-    raise ValueError(f"unknown counting dataset {name!r}")

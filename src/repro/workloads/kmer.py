@@ -25,21 +25,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-#: 2-bit encoding of the DNA alphabet.
-_BASE_TO_CODE = {"A": 0, "C": 1, "G": 2, "T": 3}
-_CODE_TO_BASE = np.array(list("ACGT"))
-#: Complement of each 2-bit base code (A<->T, C<->G).
-_COMPLEMENT_CODE = np.array([3, 2, 1, 0], dtype=np.uint8)
-#: 256-entry byte -> 2-bit-code lookup table (case-insensitive); 255 marks an
-#: invalid base.  The vectorised :func:`sequence_to_codes` maps whole strings
-#: through this table instead of one dict lookup per base.
-_INVALID_CODE = np.uint8(255)
-_BYTE_TO_CODE = np.full(256, _INVALID_CODE, dtype=np.uint8)
-for _base, _code in _BASE_TO_CODE.items():
-    _BYTE_TO_CODE[ord(_base)] = _code
-    _BYTE_TO_CODE[ord(_base.lower())] = _code
-
-
 @dataclass
 class ReadSet:
     """A synthetic sequencing dataset.
@@ -62,10 +47,6 @@ class ReadSet:
     @property
     def n_reads(self) -> int:
         return len(self.reads)
-
-    @property
-    def total_bases(self) -> int:
-        return int(sum(read.size for read in self.reads))
 
 
 def random_genome(length: int, seed: int = 0) -> np.ndarray:
@@ -108,33 +89,6 @@ def generate_reads(
                 read[errors] = (read[errors] + shift) % 4
         reads.append(read)
     return ReadSet(reads=reads, genome=genome, error_rate=error_rate)
-
-
-def sequence_to_codes(sequence: str) -> np.ndarray:
-    """Convert an ACGT string (case-insensitive) to 2-bit base codes.
-
-    One whole-string table lookup instead of a per-base dict comprehension;
-    invalid bases raise exactly as the scalar path did (reporting the
-    upper-cased offending character).
-    """
-    try:
-        raw = np.frombuffer(sequence.encode("latin-1"), dtype=np.uint8)
-    except UnicodeEncodeError:
-        raw = None
-    if raw is None:
-        bad = next(b for b in sequence.upper() if b not in _BASE_TO_CODE)
-        raise ValueError(f"invalid base {bad!r}")
-    codes = _BYTE_TO_CODE[raw]
-    invalid = codes == _INVALID_CODE
-    if invalid.any():
-        bad = sequence[int(np.argmax(invalid))].upper()
-        raise ValueError(f"invalid base {bad!r}")
-    return codes
-
-
-def codes_to_sequence(codes: np.ndarray) -> str:
-    """Convert 2-bit base codes back to an ACGT string."""
-    return "".join(_CODE_TO_BASE[np.asarray(codes, dtype=np.uint8)])
 
 
 def _pack_windows(codes: np.ndarray, k: int) -> np.ndarray:

@@ -30,16 +30,6 @@ class TestGPUKmerCounter:
         assert 0.0 <= report.singleton_fraction <= 1.0
         assert 0.0 < report.filter_load_factor < 1.0
 
-    def test_count_sequence_string(self):
-        counter = GPUKmerCounter(expected_kmers=1000, k=5)
-        codes = kmer_mod.sequence_to_codes("ACGTA")
-        packed = kmer_mod.pack_kmers(codes, 5)
-        canonical = kmer_mod.canonical_kmers(packed, 5)
-        counter.count_kmers(canonical)
-        assert counter.count_sequence("ACGTA") >= 1
-        with pytest.raises(ValueError):
-            counter.count_sequence("ACG")
-
     def test_heavy_hitters(self, read_set):
         counter = GPUKmerCounter(expected_kmers=20_000, k=21)
         counter.count_reads(read_set)

@@ -3,13 +3,18 @@ artifact, and synthetic deadlock/discipline fixtures."""
 
 import json
 import pathlib
+import shutil
 import textwrap
 
+import pytest
+
 from repro.audit.locks import (
+    DEFAULT_LOCK_PATHS,
     analyze_lock_order,
     check_artifact,
     hierarchy_artifact,
 )
+from repro.pipeline.cli import main
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 ARTIFACT = REPO / "docs" / "lock_hierarchy.json"
@@ -163,3 +168,69 @@ def test_bare_acquire_outside_with_is_flagged(tmp_path):
     report = analyze_lock_order([tmp_path])
     assert report.violations
     assert not report.ok
+
+
+def _copy_of_locked_trees(tmp_path, monkeypatch):
+    """A copy of the analysed trees, with the working directory at its root."""
+    for tree in DEFAULT_LOCK_PATHS:
+        shutil.copytree(REPO / tree, tmp_path / tree, ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.chdir(tmp_path)
+
+
+def test_a_line_shift_regenerates_the_same_artifact(tmp_path, monkeypatch):
+    _copy_of_locked_trees(tmp_path, monkeypatch)
+    service = tmp_path / "src" / "repro" / "service" / "service.py"
+    service.write_text("\n" + service.read_text(encoding="utf-8"), encoding="utf-8")
+    target = tmp_path / "hierarchy.json"
+    args = ["audit", "--no-lint", "--write-lock-artifact", "--lock-artifact", str(target)]
+    assert main(args) == 0
+    assert target.read_bytes() == ARTIFACT.read_bytes()
+
+
+#: A method added to one class of the copy, and what it changes in the graph.
+_GRAPH_EDITS = {
+    "new-lock": (
+        "journal.py",
+        "JobJournal",
+        """
+        def _reset_guard(self):
+            self._guard = threading.Lock()
+        """,
+    ),
+    "new-edge": (
+        "journal.py",
+        "JobJournal",
+        """
+        def _wake_service(self, service):
+            with self._lock:
+                with service._work_ready:
+                    pass
+        """,
+    ),
+    "new-acquiring-function": (
+        "registry.py",
+        "FilterRegistry",
+        """
+        def _touch(self, entry):
+            with entry.op_lock:
+                with self._lock:
+                    pass
+        """,
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_GRAPH_EDITS))
+def test_a_lock_graph_change_still_stales_the_artifact(tmp_path, monkeypatch, edit):
+    _copy_of_locked_trees(tmp_path, monkeypatch)
+    filename, class_name, method = _GRAPH_EDITS[edit]
+    module = tmp_path / "src" / "repro" / "service" / filename
+    source = module.read_text(encoding="utf-8")
+    head, sep, body = source.partition(f"\nclass {class_name}")
+    first_method = body.index("\n    def ")
+    method = textwrap.indent(textwrap.dedent(method), "    ")
+    module.write_text(
+        head + sep + body[:first_method] + method + body[first_method:], encoding="utf-8"
+    )
+    stale = check_artifact(analyze_lock_order(), ARTIFACT)
+    assert stale is not None and "stale" in stale

@@ -6,7 +6,6 @@ import pytest
 from repro.core.base import AbstractFilter, FilterCapabilities
 from repro.core.exceptions import (
     CapacityLimitError,
-    ConcurrencyError,
     DeletionError,
     FilterError,
     FilterFullError,
@@ -106,46 +105,11 @@ class TestAbstractFilterDefaults:
         assert filt.load_factor == pytest.approx(1 / 100)
         assert filt.bits_per_item == pytest.approx(800 * 8 / 1)
 
-    def test_fill_to_load_factor(self):
-        filt = _ToyFilter()
-        inserted = filt.fill_to_load_factor(range(1000), target=0.5)
-        assert inserted == 50
-        assert filt.load_factor == pytest.approx(0.5)
-
-    def test_fill_stops_cleanly_when_filter_fills_before_target(self):
-        """Regression: an unreachable target used to crash with FilterFullError."""
-
-        class _FullAtTen(_ToyFilter):
-            def insert(self, key: int, value: int = 0) -> bool:
-                if len(self._items) >= 10:
-                    raise FilterFullError("full")
-                return super().insert(key, value)
-
-        filt = _FullAtTen()
-        inserted = filt.fill_to_load_factor(range(1000), target=0.99)
-        assert inserted == 10
-        assert filt.n_items == 10
-
-    def test_fill_counts_only_successful_inserts(self):
-        """Regression: rejected inserts used to be counted as inserted."""
-
-        class _RejectsOddKeys(_ToyFilter):
-            def insert(self, key: int, value: int = 0) -> bool:
-                if key % 2:
-                    return False
-                return super().insert(key, value)
-
-        filt = _RejectsOddKeys()
-        inserted = filt.fill_to_load_factor(range(1000), target=0.1)
-        assert inserted == 10
-        assert filt.n_items == 10
-        assert filt.load_factor == pytest.approx(0.1)
-
 
 class TestExceptionHierarchy:
     @pytest.mark.parametrize("exc", [
         FilterFullError, CapacityLimitError, UnsupportedOperationError,
-        DeletionError, ConcurrencyError,
+        DeletionError,
     ])
     def test_all_derive_from_filter_error(self, exc):
         assert issubclass(exc, FilterError)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpusim.device import A100, KNL, V100, get_device
+from repro.gpusim.device import A100, KNL, V100
 
 
 class TestKnownDevices:
@@ -31,20 +31,6 @@ class TestKnownDevices:
     def test_knl_models_cpu_node(self):
         assert KNL.max_active_threads == 272
         assert KNL.cache_line_bytes == 64
-
-
-class TestDeviceLookup:
-    @pytest.mark.parametrize(
-        "name, expected",
-        [("v100", V100), ("V100", V100), ("cori", V100), ("a100", A100),
-         ("Perlmutter", A100), ("knl", KNL)],
-    )
-    def test_lookup_by_name(self, name, expected):
-        assert get_device(name) is expected
-
-    def test_unknown_device_raises(self):
-        with pytest.raises(KeyError):
-            get_device("h100")
 
 
 class TestDerivedQuantities:

@@ -13,16 +13,6 @@ from repro.gpusim.stats import StatsRecorder
 
 
 class TestLaunchConfig:
-    def test_total_threads_and_grid(self):
-        cfg = LaunchConfig(n_work_items=1000, threads_per_item=4, block_size=256)
-        assert cfg.total_threads == 4000
-        assert cfg.grid_size == (4000 + 255) // 256
-
-    def test_zero_items(self):
-        cfg = LaunchConfig(n_work_items=0)
-        assert cfg.total_threads == 0
-        assert cfg.grid_size == 0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             LaunchConfig(n_work_items=-1)
@@ -32,9 +22,12 @@ class TestLaunchConfig:
             LaunchConfig(n_work_items=1, block_size=100)  # not a multiple of 32
 
     def test_helpers(self):
-        assert point_launch(10, 4).total_threads == 40
-        assert bulk_region_launch(16).total_threads == 16
-        assert bulk_block_launch(8, 32).total_threads == 256
+        cfg = point_launch(10, 4)
+        assert (cfg.n_work_items, cfg.threads_per_item) == (10, 4)
+        cfg = bulk_region_launch(16)
+        assert (cfg.n_work_items, cfg.threads_per_item) == (16, 1)
+        cfg = bulk_block_launch(8, 32)
+        assert (cfg.n_work_items, cfg.threads_per_item) == (8, 32)
 
 
 class TestKernelContext:
@@ -65,15 +58,6 @@ class TestKernelContext:
                 rec.add(atomic_ops=2)
         assert ctx.total_stats.atomic_ops == 6
 
-    def test_max_concurrent_threads(self):
-        rec = StatsRecorder()
-        ctx = KernelContext(rec)
-        with ctx.launch("small", point_launch(10, 1)):
-            pass
-        with ctx.launch("big", point_launch(1000, 4)):
-            pass
-        assert ctx.max_concurrent_threads == 4000
-
     def test_kernels_named(self):
         rec = StatsRecorder()
         ctx = KernelContext(rec)
@@ -84,12 +68,3 @@ class TestKernelContext:
         with ctx.launch("query", point_launch(5, 1)):
             pass
         assert len(ctx.kernels_named("insert")) == 2
-
-    def test_reset(self):
-        rec = StatsRecorder()
-        ctx = KernelContext(rec)
-        with ctx.launch("k", point_launch(1, 1)):
-            pass
-        ctx.reset()
-        assert ctx.kernels == []
-        assert ctx.max_concurrent_threads == 0

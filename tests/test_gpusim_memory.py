@@ -58,19 +58,6 @@ class TestAccountedAccesses:
         assert recorder.total.cache_line_writes == 1
         assert np.array_equal(arr.peek()[10:15], np.arange(5))
 
-    def test_gather_counts_distinct_lines_only(self, recorder):
-        arr = DeviceArray(64 * 10, np.uint16, recorder)
-        arr.gather(np.array([0, 1, 2, 3]))  # same line
-        assert recorder.total.cache_line_reads == 1
-        arr.gather(np.array([0, 64, 128]))  # three distinct lines
-        assert recorder.total.cache_line_reads == 1 + 3
-
-    def test_scatter_counts_distinct_lines(self, recorder):
-        arr = DeviceArray(64 * 10, np.uint16, recorder)
-        arr.scatter(np.array([0, 64]), 9)
-        assert recorder.total.cache_line_writes == 2
-        assert int(arr.peek(64)) == 9
-
     def test_peek_does_not_count(self, recorder):
         arr = DeviceArray(64, np.uint16, recorder)
         arr.peek()
@@ -108,10 +95,3 @@ class TestDeviceAllocator:
         alloc = DeviceAllocator()
         with pytest.raises(ValueError):
             alloc.register("a", -1)
-
-    def test_bytes_for_prefix(self):
-        alloc = DeviceAllocator()
-        alloc.register("tcf-table", 10)
-        alloc.register("tcf-backing", 5)
-        alloc.register("gqf", 100)
-        assert alloc.bytes_for("tcf") == 15

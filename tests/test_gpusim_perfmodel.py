@@ -3,12 +3,7 @@
 import pytest
 
 from repro.gpusim.device import A100, V100
-from repro.gpusim.perfmodel import (
-    PerfEstimate,
-    combine_estimates,
-    estimate_time,
-    scale_stats,
-)
+from repro.gpusim.perfmodel import estimate_time, scale_stats
 from repro.gpusim.stats import KernelStats
 
 
@@ -97,14 +92,3 @@ class TestEstimateTime:
         est = estimate_time(stats, 10**6, V100, 10**9, 10**6, simulated_ops=1)
         assert est.throughput_bops == pytest.approx(est.throughput_ops_per_s / 1e9)
         assert est.throughput_mops == pytest.approx(est.throughput_ops_per_s / 1e6)
-
-
-class TestCombineEstimates:
-    def test_times_add_and_ops_take_max(self):
-        a = PerfEstimate(1.0, 100.0, 100, {"memory_time_s": 1.0})
-        b = PerfEstimate(3.0, 50.0, 150, {"memory_time_s": 3.0})
-        combined = combine_estimates(a, b)
-        assert combined.time_s == pytest.approx(4.0)
-        assert combined.n_ops == 150
-        assert combined.breakdown["memory_time_s"] == pytest.approx(4.0)
-        assert combined.throughput_ops_per_s == pytest.approx(150 / 4.0)

@@ -58,18 +58,6 @@ class TestSharedMemoryTile:
         with pytest.raises(ValueError):
             tile.replace(np.array([1, 2, 3], dtype=np.uint16))
 
-    def test_shared_atomics(self, arr, recorder):
-        tile = SharedMemoryTile(arr, 0, 4)
-        old = tile.shared_atomic_add(0, 5)
-        assert old == 0 and int(tile.read(0)) == 5
-        ok, old = tile.shared_atomic_cas(1, 1, 50)
-        assert ok and old == 1
-        ok, _ = tile.shared_atomic_cas(1, 1, 60)
-        assert not ok
-        # Shared atomics never count as global atomics.
-        assert recorder.total.atomic_ops == 0
-        assert recorder.total.shared_memory_accesses > 0
-
     def test_bad_range_rejected(self, arr):
         with pytest.raises(IndexError):
             SharedMemoryTile(arr, 10, 5)

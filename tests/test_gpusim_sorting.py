@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from repro.gpusim.sorting import (
     RADIX_SORT_PASSES,
     _sorted_index_words,
-    device_exclusive_scan,
     device_lower_bound,
     device_reduce_by_key,
     device_sort,
     device_sort_by_key,
-    device_unique_counts,
     stable_argsort,
 )
 from repro.gpusim.stats import KernelStats
@@ -84,13 +82,6 @@ class TestReduceByKey:
         assert np.array_equal(unique, ref_unique)
         assert np.array_equal(counts, ref_counts)
 
-    def test_unique_counts_wrapper(self, recorder, rng):
-        keys = rng.integers(0, 20, 100).astype(np.uint64)
-        unique, counts = device_unique_counts(keys, recorder)
-        ref_unique, ref_counts = np.unique(keys, return_counts=True)
-        assert np.array_equal(unique, ref_unique)
-        assert np.array_equal(counts, ref_counts)
-
 
 class TestSearchAndScan:
     def test_lower_bound_matches_searchsorted(self, recorder, rng):
@@ -98,15 +89,6 @@ class TestSearchAndScan:
         probes = rng.integers(0, 10_000, 100).astype(np.int64)
         out = device_lower_bound(haystack, probes, recorder)
         assert np.array_equal(out, np.searchsorted(haystack, probes, side="left"))
-
-    def test_exclusive_scan(self, recorder):
-        values = np.array([3, 1, 4, 1, 5], dtype=np.int64)
-        out = device_exclusive_scan(values, recorder)
-        assert list(out) == [0, 3, 4, 8, 9]
-
-    def test_exclusive_scan_single_element(self, recorder):
-        out = device_exclusive_scan(np.array([7]), recorder)
-        assert list(out) == [0]
 
 
 class TestStableArgsort:

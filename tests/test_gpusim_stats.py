@@ -1,7 +1,5 @@
 """Tests for the hardware-event counters and the stats recorder."""
 
-import pytest
-
 from repro.gpusim.stats import KernelStats, StatsRecorder
 
 
@@ -10,7 +8,6 @@ class TestKernelStats:
         stats = KernelStats()
         assert stats.cache_line_reads == 0
         assert stats.atomic_ops == 0
-        assert stats.total_bytes_moved == 0
 
     def test_merge_accumulates_every_field(self):
         a = KernelStats(cache_line_reads=3, atomic_ops=2, slots_shifted=5)
@@ -34,29 +31,6 @@ class TestKernelStats:
         b = a.copy()
         b.cache_line_writes += 1
         assert a.cache_line_writes == 2
-
-    def test_reset(self):
-        a = KernelStats(cache_line_reads=3, instructions=10)
-        a.reset()
-        assert a.cache_line_reads == 0
-        assert a.instructions == 0
-
-    def test_per_operation_averages(self):
-        a = KernelStats(cache_line_reads=10, atomic_ops=20, operations=10)
-        per_op = a.per_operation()
-        assert per_op["cache_line_reads"] == pytest.approx(1.0)
-        assert per_op["atomic_ops"] == pytest.approx(2.0)
-        assert "operations" not in per_op
-
-    def test_per_operation_empty_when_no_ops(self):
-        assert KernelStats(cache_line_reads=5).per_operation() == {}
-
-    def test_total_bytes(self):
-        a = KernelStats(cache_line_reads=2, cache_line_writes=1,
-                        coalesced_bytes_read=100, coalesced_bytes_written=50)
-        assert a.total_bytes_read == 2 * 128 + 100
-        assert a.total_bytes_written == 1 * 128 + 50
-        assert a.total_bytes_moved == a.total_bytes_read + a.total_bytes_written
 
     def test_as_dict_round_trips_fields(self):
         a = KernelStats(slots_shifted=3)
@@ -102,11 +76,6 @@ class TestStatsRecorder:
     def test_unknown_section_is_empty(self):
         rec = StatsRecorder()
         assert rec.section_stats("nope").cache_line_reads == 0
-
-    def test_add_stats_merges(self):
-        rec = StatsRecorder()
-        rec.add_stats(KernelStats(slots_shifted=9))
-        assert rec.total.slots_shifted == 9
 
     def test_reset_clears_everything(self):
         rec = StatsRecorder()

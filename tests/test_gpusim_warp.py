@@ -3,37 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.gpusim.warp import (
-    VALID_CG_SIZES,
-    WARP_SIZE,
-    CooperativeGroup,
-    WarpConfig,
-    ffs,
-    partition_warp,
-    popc,
-)
+from repro.gpusim.warp import CooperativeGroup, ffs
 
 
 class TestIntrinsics:
     @pytest.mark.parametrize("mask, expected", [(0, 0), (1, 1), (0b1000, 4), (0b1010, 2)])
     def test_ffs_matches_cuda_semantics(self, mask, expected):
         assert ffs(mask) == expected
-
-    @pytest.mark.parametrize("mask, expected", [(0, 0), (1, 1), (0xFF, 8), (0b1010, 2)])
-    def test_popc(self, mask, expected):
-        assert popc(mask) == expected
-
-
-class TestWarpConfig:
-    @pytest.mark.parametrize("size", VALID_CG_SIZES)
-    def test_valid_sizes(self, size):
-        cfg = WarpConfig(size)
-        assert cfg.groups_per_warp == WARP_SIZE // size
-
-    @pytest.mark.parametrize("size", [0, 3, 5, 64])
-    def test_invalid_sizes_rejected(self, size):
-        with pytest.raises(ValueError):
-            WarpConfig(size)
 
 
 class TestCooperativeGroup:
@@ -77,12 +53,6 @@ class TestCooperativeGroup:
         assert cg.elect_leader(0b1100) == 2
         assert cg.elect_leader(0) == -1
 
-    def test_shfl_broadcast(self, recorder):
-        cg = CooperativeGroup(4, recorder)
-        assert cg.shfl(42, 1) == 42
-        with pytest.raises(ValueError):
-            cg.shfl(42, 4)
-
     def test_any_all(self, recorder):
         cg = CooperativeGroup(4, recorder)
         assert cg.any(np.array([False, False, True, False]))
@@ -90,10 +60,3 @@ class TestCooperativeGroup:
         assert cg.all(np.array([True, True, True, True]))
         assert not cg.all(np.array([True, True, True, False]))
         assert not cg.all(np.array([True, True]))  # missing lanes vote false
-
-
-class TestPartitionWarp:
-    def test_partition_counts(self, recorder):
-        groups = partition_warp(8, recorder)
-        assert len(groups) == 4
-        assert all(g.size == 8 for g in groups)

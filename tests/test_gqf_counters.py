@@ -67,10 +67,6 @@ class TestRunRoundTrip:
         encoded = counters.encode_run([(9, 1), (2, 1), (5, 1)])
         assert counters.decode_run(encoded) == [(2, 1), (5, 1), (9, 1)]
 
-    def test_run_length_helper(self):
-        items = [(3, 1), (9, 4)]
-        assert counters.run_length(items) == len(counters.encode_run(items))
-
     def test_malformed_encoding_detected(self):
         # Counter digits with no terminator.
         with pytest.raises(ValueError):
@@ -110,6 +106,3 @@ class TestIncrementDecrement:
     def test_decrement_missing(self):
         new_items, found = counters.decrement([(3, 1)], 9)
         assert not found and new_items == [(3, 1)]
-
-    def test_max_count_single_slot(self):
-        assert counters.max_count_single_slot(8) == 256

@@ -30,7 +30,7 @@ class TestBasicOperations:
         assert gqf.count(654321) == 0
 
     def test_insert_count(self, gqf):
-        gqf.insert_count(99, 200)
+        gqf.insert(99, 200)
         assert gqf.count(99) == 200
 
     def test_counts_never_underreported(self, gqf, keys_1k, rng):

@@ -3,18 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.gqf.rank_select import Bitvector, popcount64, select64
+from repro.core.gqf.rank_select import Bitvector, select64
 
 
 class TestWordPrimitives:
-    @pytest.mark.parametrize("word, expected", [(0, 0), (1, 1), (0xFF, 8), (2**64 - 1, 64)])
-    def test_popcount64_scalar(self, word, expected):
-        assert popcount64(word) == expected
-
-    def test_popcount64_vector(self):
-        words = np.array([0, 1, 3, 0xFFFF], dtype=np.uint64)
-        assert list(popcount64(words)) == [0, 1, 2, 16]
-
     def test_select64(self):
         assert select64(0b1, 1) == 0
         assert select64(0b1010, 1) == 1
@@ -122,14 +114,6 @@ class TestRankSelect:
         words[0] |= np.uint64(1)
         assert adopted.rank_batch(np.array([0]))[0] == 1
 
-    def test_select_from(self):
-        bv = Bitvector(64)
-        for p in (5, 20, 40):
-            bv.set(p)
-        assert bv.select_from(1, 10) == 20
-        assert bv.select_from(2, 10) == 40
-        assert bv.select_from(3, 10) is None
-
 
 class TestNavigation:
     def test_next_set_unset(self):
@@ -177,15 +161,6 @@ class TestShifting:
         with pytest.raises(IndexError):
             bv.shift_right_one(0, 8)
 
-    def test_shift_left_one(self):
-        bv = Bitvector(16)
-        bv.set(5)
-        bv.set(7)
-        bv.shift_left_one(5, 9)
-        assert bv.get(4)
-        assert bv.get(6)
-        assert not bv.get(8)
-
     def test_shift_empty_range_is_noop(self):
         bv = Bitvector(8)
         bv.set(1)
@@ -201,9 +176,6 @@ class TestPackedRoundTrip:
         words = bv.to_words()
         recovered = Bitvector.from_words(words, 200)
         assert np.array_equal(bv.bits, recovered.bits)
-
-    def test_packed_size(self):
-        assert Bitvector(200).nbytes_packed == 25
 
 
 def _random_bitvector(rng, n_bits, density):

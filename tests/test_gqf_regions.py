@@ -15,14 +15,6 @@ class TestPartitionGeometry:
         assert RegionPartition(8192 * 4 + 1).n_regions == 5
         assert RegionPartition(100, 8192).n_regions == 1
 
-    def test_region_of(self):
-        part = RegionPartition(8192 * 4)
-        assert part.region_of(0) == 0
-        assert part.region_of(8191) == 0
-        assert part.region_of(8192) == 1
-        with pytest.raises(IndexError):
-            part.region_of(8192 * 4)
-
     def test_region_bounds(self):
         part = RegionPartition(10_000, 4096)
         assert part.region_bounds(0) == (0, 4096)
@@ -40,17 +32,6 @@ class TestPartitionGeometry:
             RegionPartition(0)
         with pytest.raises(ValueError):
             RegionPartition(100, 0)
-
-
-class TestLockPairs:
-    def test_insert_locks_own_and_next_region(self):
-        part = RegionPartition(8192 * 4)
-        assert part.locks_for_insert(0) == (0, 1)
-        assert part.locks_for_insert(8192 * 2 + 5) == (2, 3)
-
-    def test_last_region_clamps(self):
-        part = RegionPartition(8192 * 4)
-        assert part.locks_for_insert(8192 * 4 - 1) == (3, 3)
 
 
 class TestEvenOddPhases:
@@ -72,44 +53,3 @@ class TestEvenOddPhases:
         even, _ = part.phases()
         starts = [part.region_bounds(r)[0] for r in even]
         assert np.all(np.diff(starts) >= 2 * 8192)
-
-
-class TestSortedSplit:
-    def test_split_sorted_quotients(self):
-        part = RegionPartition(8192 * 3)
-        quotients = np.array([0, 5, 8192, 8192, 20000])
-        bounds = part.split_sorted_quotients(quotients)
-        assert list(bounds) == [0, 2, 4, 5]
-
-    def test_split_empty(self):
-        part = RegionPartition(8192 * 2)
-        bounds = part.split_sorted_quotients(np.array([], dtype=np.int64))
-        assert list(bounds) == [0, 0, 0]
-
-    def test_split_covers_every_item_exactly_once(self, rng):
-        part = RegionPartition(8192 * 5)
-        quotients = np.sort(rng.integers(0, 8192 * 5, 1000))
-        bounds = part.split_sorted_quotients(quotients)
-        total = sum(int(bounds[i + 1] - bounds[i]) for i in range(part.n_regions))
-        assert total == 1000
-        for region in range(part.n_regions):
-            lo, hi = int(bounds[region]), int(bounds[region + 1])
-            if hi > lo:
-                start, stop = part.region_bounds(region)
-                assert np.all((quotients[lo:hi] >= start) & (quotients[lo:hi] < stop))
-
-
-class TestClusterGuarantee:
-    def test_cluster_bound_matches_paper_example(self):
-        """Paper: q=40, alpha=3/4 gives a ~736-slot largest cluster."""
-        part = RegionPartition(2**40, 8192)
-        bound = part.max_cluster_guarantee(0.75)
-        assert 700 < bound < 780
-
-    def test_region_size_exceeds_cluster_bound_at_95_percent(self):
-        part = RegionPartition(2**30, 8192)
-        assert part.max_cluster_guarantee(0.95) < 2 * 8192
-
-    def test_invalid_load_factor(self):
-        with pytest.raises(ValueError):
-            RegionPartition(100).max_cluster_guarantee(1.5)

@@ -68,7 +68,7 @@ class TestBulkPointDifferential:
         values = rng.integers(1, 5000, size=60)
         bulk.bulk_insert(keys, values=values)
         for key, value in zip(keys, values):
-            point.insert_count(int(key), int(value))
+            point.insert(int(key), int(value))
         assert np.array_equal(bulk.bulk_count(keys), point.bulk_count(keys))
         bulk.core.check_invariants()
 

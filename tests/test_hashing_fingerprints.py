@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hashing.fingerprints import FingerprintScheme, scheme_for_errorrate
+from repro.hashing.fingerprints import FingerprintScheme
 
 
 class TestFingerprintScheme:
@@ -46,37 +46,8 @@ class TestFingerprintScheme:
             np.asarray(scheme.hash_key(keys_1k)), np.asarray(scheme.hash_key(keys_1k))
         )
 
-    def test_unhash_fingerprint_is_inverse_mixer(self):
-        scheme = FingerprintScheme(16, 16)
-        # For keys already within the p-bit universe, unhash(hash) == key.
-        keys = np.arange(100, dtype=np.uint64)
-        from repro.hashing.mixers import murmur64_mix
-        full_hash = np.asarray(murmur64_mix(keys), dtype=np.uint64)
-        recovered = np.asarray(scheme.unhash_fingerprint(full_hash), dtype=np.uint64)
-        assert np.array_equal(recovered, keys)
-
     def test_key_to_slot(self, keys_1k):
         scheme = FingerprintScheme(12, 8)
         q, r = scheme.key_to_slot(keys_1k)
         assert np.all((0 <= np.asarray(q)) & (np.asarray(q) < scheme.n_slots))
         assert np.all(np.asarray(r) < 2**8)
-
-
-class TestSchemeSelection:
-    def test_picks_smallest_word_aligned_remainder(self):
-        scheme = scheme_for_errorrate(1 << 20, 0.001)
-        assert scheme.remainder_bits == 16  # needs >= 10 bits, aligned choices are 8/16
-
-    def test_loose_error_rate_uses_8_bits(self):
-        scheme = scheme_for_errorrate(1 << 20, 0.01)
-        assert scheme.remainder_bits == 8
-
-    def test_capacity_sets_quotient_bits(self):
-        scheme = scheme_for_errorrate(1_000_000, 0.01)
-        assert scheme.n_slots >= 1_000_000
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            scheme_for_errorrate(0, 0.01)
-        with pytest.raises(ValueError):
-            scheme_for_errorrate(100, 1.5)

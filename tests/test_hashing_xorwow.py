@@ -27,10 +27,6 @@ class TestXorwowGenerator:
         value = gen.next_uint64()
         assert 0 <= value < 2**64
 
-    def test_uint32_array(self):
-        out = XorwowGenerator(5).uint32_array(64)
-        assert out.dtype == np.uint32 and out.size == 64
-
     def test_small_uint64_array_matches_sequential(self):
         a = XorwowGenerator(6)
         b = XorwowGenerator(6)

@@ -173,3 +173,33 @@ def test_mask_runs_the_batch_kernel(factory):
     assert filt.bulk_insert_mask(keys).all()
     assert filt.recorder.total.kernel_launches == 1
     assert len(filt.kernels.kernels) == 1
+
+
+@pytest.mark.parametrize("name", ["gqf", "gqf-mapreduce", "point-gqf", "cpu-cqf"])
+@pytest.mark.parametrize(
+    "call, counts",
+    [
+        ("insert", -3),
+        ("bulk_insert", np.array([2, -3])),
+        ("bulk_insert_mask", np.array([2, -3])),
+        ("bulk_insert_mask", np.array([2, 2**63], dtype=np.uint64)),
+    ],
+    ids=["point", "bulk", "mask", "mask-past-int64"],
+)
+def test_a_negative_count_raises_before_any_state_changes(name, call, counts):
+    """A count below zero is refused, not counted once; 0 still counts once."""
+    filt = CASES[name][0]()
+    filt.bulk_insert(np.arange(2, 50, dtype=np.uint64))
+    before = filt.snapshot_state()
+    with pytest.raises(ValueError, match="non-negative"):
+        if call == "insert":
+            filt.insert(1_000_003, counts)
+        else:
+            getattr(filt, call)(np.array([7, 1_000_003], dtype=np.uint64), counts)
+    after = filt.snapshot_state()
+    assert before.keys() == after.keys()
+    for section in before:
+        assert before[section].tobytes() == after[section].tobytes(), section
+    assert filt.count(1_000_003) == 0
+    filt.insert(1_000_003, 0)
+    assert filt.count(1_000_003) == 1

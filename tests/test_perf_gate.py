@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.pipeline.perf import DEFAULT_SLACK, append_history, check_perf
+from repro.pipeline.perf import DEFAULT_SLACK, check_perf
 
 
 def point_snapshot(preset="smoke", insert_s=0.01, query_s=0.01):
@@ -156,26 +156,6 @@ class TestCheckPerf:
         assert any(
             "FAIL" in line and "sharding_insert_best" in line for line in lines
         )
-
-
-class TestAppendHistory:
-    def test_builds_and_caps_history(self, tmp_path):
-        path = tmp_path / "BENCH_POINT.json"
-        for i in range(25):
-            doc = append_history(path, point_snapshot(insert_s=0.01 + i * 1e-4))
-        assert len(doc["history"]) == 20
-        on_disk = json.loads(path.read_text())
-        assert on_disk == doc
-        # Newest entries survive the cap.
-        assert on_disk["history"][-1]["timings"]["gqf_point_insert_s"] == pytest.approx(
-            0.01 + 24 * 1e-4
-        )
-
-    def test_adopts_a_raw_snapshot_baseline(self, tmp_path):
-        path = tmp_path / "BENCH_POINT.json"
-        path.write_text(json.dumps(point_snapshot(insert_s=0.01)))
-        doc = append_history(path, point_snapshot(insert_s=0.02))
-        assert len(doc["history"]) == 2
 
 
 class TestCliIntegration:

@@ -18,7 +18,6 @@ from repro.apps.kmer_counter import GPUKmerCounter
 from repro.apps.metahipmer import KmerAnalysisPhase
 from repro.core.exceptions import FilterFullError
 from repro.core.gqf import PointGQF
-from repro.core.gqf.layout import SEQUENTIAL_BATCH_MAX
 from repro.core.tcf import POINT_TCF_DEFAULT, PointTCF, TCFConfig
 from repro.gpusim.atomics import SpinLockTable
 from repro.gpusim.kernel import point_launch
@@ -550,20 +549,6 @@ class TestAppsBatched:
 # k-mer workload vectorisation
 # --------------------------------------------------------------------------
 class TestKmerVectorised:
-    def test_sequence_to_codes_lut_matches_dict(self):
-        rng = np.random.default_rng(41)
-        bases = np.array(list("ACGTacgt"))
-        seq = "".join(rng.choice(bases, size=500))
-        expected = np.array(
-            [kmer_mod._BASE_TO_CODE[b] for b in seq.upper()], dtype=np.uint8
-        )
-        assert np.array_equal(kmer_mod.sequence_to_codes(seq), expected)
-
-    @pytest.mark.parametrize("sequence", ["ACGN", "acgx", "AC-GT", "ACG€"])
-    def test_invalid_bases_raise(self, sequence):
-        with pytest.raises(ValueError, match="invalid base"):
-            kmer_mod.sequence_to_codes(sequence)
-
     def test_pack_kmers_matches_polynomial_reference(self):
         rng = np.random.default_rng(43)
         read = rng.integers(0, 4, size=60, dtype=np.uint8)

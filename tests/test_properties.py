@@ -140,7 +140,7 @@ class TestFilterProperties:
 
         gqf = PointGQF(10, 8, region_slots=256, recorder=StatsRecorder())
         for key, count in multiset.items():
-            gqf.insert_count(key, count)
+            gqf.insert(key, count)
         for key, count in multiset.items():
             assert gqf.count(key) >= count
 

@@ -139,6 +139,11 @@ def test_submit_validations(tmp_path):
             service.submit("nope", "insert", KEYS)
         with pytest.raises(ValueError, match="values for"):
             service.submit("t", "insert", KEYS, values=np.zeros(3, dtype=np.uint64))
+        past_int64 = np.zeros(KEYS.size, dtype=np.uint64)
+        past_int64[-1] = 2**63
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            service.submit("t", "insert", KEYS, values=past_int64)
+        assert service.jobs() == []
         with pytest.raises(JobNotFoundError):
             service.status("never-submitted")
 

@@ -51,7 +51,6 @@ class TestBlockInsertQueryDelete:
         table.insert(1, 100)
         table.insert(1, 101)
         assert table.block_fill(1) == 2
-        assert table.block_free(1) == 14
 
     def test_delete_tombstones_one_copy(self, table):
         table.insert(4, 321)
@@ -95,19 +94,9 @@ class TestBlockInsertQueryDelete:
 
 
 class TestEnumerationAndFills:
-    def test_iter_live_slots(self, table):
-        table.insert(0, 100)
-        table.insert(3, 200)
-        entries = list(table.iter_live_slots())
-        blocks = {b for b, _, _ in entries}
-        fps = {fp for _, fp, _ in entries}
-        assert blocks == {0, 3}
-        assert fps == {100, 200}
-
     def test_live_count_and_fills(self, table):
         for fp in range(2, 7):
             table.insert(1, fp)
-        assert table.live_count() == 5
         fills = table.fills()
         assert fills[1] == 5
         assert fills.sum() == 5
@@ -115,7 +104,7 @@ class TestEnumerationAndFills:
     def test_empty_and_tombstone_not_counted(self, table):
         table.insert(2, 50)
         table.delete(2, 50)
-        assert table.live_count() == 0
+        assert table.fills().sum() == 0
 
 
 class TestRowLowerBound:

@@ -91,7 +91,7 @@ class TestLoadFactorAndBacking:
         for key in keys_4k[: int(tcf.table.n_slots * 0.9)]:
             tcf.insert(int(key))
         # The paper reports < 1 % of items landing in the backing store.
-        assert tcf.backing_fraction_used < 0.02
+        assert tcf.backing.n_items / tcf.n_items < 0.02
 
     def test_filter_full_raises(self, recorder):
         tcf = PointTCF(64, recorder=recorder)

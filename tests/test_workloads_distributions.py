@@ -5,7 +5,6 @@ import pytest
 
 from repro.workloads.distributions import (
     sample_zipfian_ranks,
-    skewness_ratio,
     uniform_counts,
     zipfian_counts,
     zipfian_weights,
@@ -66,11 +65,14 @@ class TestSampling:
             uniform_counts(10, 5, 2)
 
 
+def _top_share(counts):
+    """Fraction of the total mass held by the top 1 % of items."""
+    counts = np.sort(np.asarray(counts, dtype=np.float64))[::-1]
+    return counts[: max(1, counts.size // 100)].sum() / counts.sum()
+
+
 class TestSkewness:
     def test_zipfian_more_skewed_than_uniform(self):
         zipf = zipfian_counts(2000, 2000, seed=6)
         uniform = uniform_counts(2000, seed=6)
-        assert skewness_ratio(zipf) > 3 * skewness_ratio(uniform)
-
-    def test_empty(self):
-        assert skewness_ratio(np.array([])) == 0.0
+        assert _top_share(zipf) > 3 * _top_share(uniform)

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.workloads.generators import (
-    CountingDataset,
-    dataset_by_name,
     uniform_count_dataset,
     uniform_random_dataset,
     uniform_workload,
@@ -45,7 +43,7 @@ class TestCountingDatasets:
     def test_uniform_random_has_no_meaningful_duplication(self):
         ds = uniform_random_dataset(5000)
         assert ds.name == "UR"
-        assert ds.duplication_ratio < 1.01
+        assert ds.n_items / ds.n_distinct < 1.01
         assert ds.n_items == 5000
 
     def test_uniform_count_dataset_counts_in_range(self):
@@ -54,14 +52,14 @@ class TestCountingDatasets:
         assert ds.counts.min() >= 1
         assert ds.counts.max() <= 100
         assert abs(ds.n_items - 5000) <= 100
-        assert 30 < ds.duplication_ratio < 70
+        assert 30 < ds.n_items / ds.n_distinct < 70
 
     def test_zipfian_dataset_is_heavily_skewed(self):
         ds = zipfian_count_dataset(5000)
         assert ds.name == "Zipfian count"
         # The hottest item owns a large share of all insertions.
         assert ds.counts.max() / ds.n_items > 0.2
-        assert ds.duplication_ratio > 1.5
+        assert ds.n_items / ds.n_distinct > 1.5
 
     def test_counts_align_with_keys(self):
         ds = uniform_count_dataset(2000)
@@ -75,15 +73,3 @@ class TestCountingDatasets:
         # If keys were emitted grouped by item, the first 100 entries would
         # contain very few distinct values.
         assert np.unique(ds.keys[:100]).size > 5
-
-    def test_dataset_by_name(self):
-        assert dataset_by_name("UR", 100).name == "UR"
-        assert dataset_by_name("ur count", 100).name == "UR count"
-        assert dataset_by_name("zipfian", 100).name == "Zipfian count"
-        with pytest.raises(ValueError):
-            dataset_by_name("bogus", 100)
-
-    def test_empty_properties(self):
-        ds = CountingDataset("x", np.array([], dtype=np.uint64),
-                             np.array([], dtype=np.uint64), np.array([], dtype=np.int64))
-        assert ds.duplication_ratio == 0.0

@@ -6,6 +6,11 @@ import pytest
 from repro.workloads import kmer
 
 
+def _codes(sequence):
+    """2-bit base codes of an ACGT string."""
+    return np.array(["ACGT".index(base) for base in sequence], dtype=np.uint8)
+
+
 class TestGenomeAndReads:
     def test_random_genome(self):
         genome = kmer.random_genome(1000, seed=1)
@@ -17,7 +22,6 @@ class TestGenomeAndReads:
         reads = kmer.generate_reads(genome, read_length=100, coverage=5.0, seed=2)
         assert reads.n_reads == 100  # coverage * genome / read_length
         assert all(r.size == 100 for r in reads.reads)
-        assert reads.total_bases == 100 * 100
 
     def test_error_rate_zero_reads_match_genome(self):
         genome = kmer.random_genome(500, seed=3)
@@ -40,26 +44,15 @@ class TestGenomeAndReads:
             kmer.random_genome(0)
 
 
-class TestSequenceCodec:
-    def test_round_trip(self):
-        seq = "ACGTTGCA"
-        codes = kmer.sequence_to_codes(seq)
-        assert kmer.codes_to_sequence(codes) == seq
-
-    def test_invalid_base(self):
-        with pytest.raises(ValueError):
-            kmer.sequence_to_codes("ACGN")
-
-
 class TestKmerPacking:
     def test_pack_kmers_count(self):
-        read = kmer.sequence_to_codes("ACGTACGTAC")
+        read = _codes("ACGTACGTAC")
         kmers = kmer.pack_kmers(read, 4)
         assert kmers.size == 10 - 4 + 1
 
     def test_pack_kmers_values_unique_per_sequence(self):
-        a = kmer.pack_kmers(kmer.sequence_to_codes("AAAA"), 4)[0]
-        b = kmer.pack_kmers(kmer.sequence_to_codes("AAAC"), 4)[0]
+        a = kmer.pack_kmers(_codes("AAAA"), 4)[0]
+        b = kmer.pack_kmers(_codes("AAAC"), 4)[0]
         assert a != b
 
     def test_pack_respects_k_limit(self):
@@ -79,7 +72,7 @@ class TestKmerPacking:
 
     def test_reverse_complement_known_value(self):
         # ACGT reverse-complemented is itself (palindrome).
-        packed = kmer.pack_kmers(kmer.sequence_to_codes("ACGT"), 4)
+        packed = kmer.pack_kmers(_codes("ACGT"), 4)
         rc = kmer.reverse_complement_packed(packed, 4)
         assert int(rc[0]) == int(packed[0])
 
@@ -120,7 +113,7 @@ class TestSpectrum:
         assert ds.name == "k-mer count"
         assert ds.n_items <= 4000
         assert ds.counts.sum() == ds.n_items
-        assert ds.duplication_ratio >= 1.0
+        assert ds.n_items >= ds.n_distinct
 
     def test_empty_spectrum(self):
         assert kmer.singleton_fraction(np.array([], dtype=np.uint64)) == 0.0
