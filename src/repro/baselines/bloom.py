@@ -32,7 +32,7 @@ import numpy as np
 from ..core.base import AbstractFilter, FilterCapabilities, restore_array
 from ..core.exceptions import UnsupportedOperationError
 from ..gpusim.atomics import atomic_or
-from ..gpusim.kernel import KernelContext, point_launch
+from ..gpusim.kernel import KernelContext
 from ..gpusim.memory import DeviceArray
 from ..gpusim.stats import StatsRecorder
 from ..hashing.mixers import hash_with_seed, hash_with_seeds
@@ -154,9 +154,7 @@ class BitArrayFilter(AbstractFilter):
         keys = np.asarray(keys, dtype=np.uint64)
         self._refuse_values(values)
         if keys.size:
-            with self.kernels.launch(
-                f"{self.LAUNCH_PREFIX}_bulk_insert", point_launch(keys.size, 1)
-            ):
+            with self.kernels.launch(f"{self.LAUNCH_PREFIX}_bulk_insert"):
                 self._insert_batch(keys)
             self._n_items += int(keys.size)
         return np.ones(keys.size, dtype=bool)
@@ -168,7 +166,7 @@ class BitArrayFilter(AbstractFilter):
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return np.zeros(0, dtype=bool)
-        with self.kernels.launch(f"{self.LAUNCH_PREFIX}_bulk_query", point_launch(keys.size, 1)):
+        with self.kernels.launch(f"{self.LAUNCH_PREFIX}_bulk_query"):
             return self._query_batch(keys)
 
     @abc.abstractmethod

@@ -22,7 +22,7 @@ import numpy as np
 from ..core.base import FilterCapabilities
 from ..core.gqf.layout import QuotientFilterCore
 from ..core.gqf.quotient_filter import QuotientFilter
-from ..gpusim.kernel import KernelContext, point_launch
+from ..gpusim.kernel import KernelContext
 from ..gpusim.stats import StatsRecorder
 
 #: Hardware threads on the Cori KNL nodes used in the paper's Table 4.
@@ -84,8 +84,8 @@ class CPUCountingQuotientFilter(QuotientFilter):
         return 0.95
 
     # ---------------------------------------------------------------- bulk API
-    def _kernel(self, op: str, n_rows: int) -> ContextManager[object]:
-        """One CPU thread per item.
+    def _kernel(self, op: str) -> ContextManager[object]:
+        """One launch per call; one CPU thread per item.
 
         Insert batches go in sorted (quotient, remainder) order — the
         standard schedule for batch-building a quotient filter — and record
@@ -93,7 +93,7 @@ class CPUCountingQuotientFilter(QuotientFilter):
         through arrival-order point :meth:`insert` calls (the route Table 4
         measures for the CPU filters).
         """
-        return self.kernels.launch(f"cpu_cqf_{op}", point_launch(n_rows, 1))
+        return self.kernels.launch(f"cpu_cqf_{op}")
 
     # --------------------------------------------------------------- lifecycle
     def snapshot_config(self) -> dict:

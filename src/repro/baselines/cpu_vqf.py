@@ -32,7 +32,7 @@ from ..core.base import AbstractFilter, FilterCapabilities, restore_array
 from ..core.exceptions import FilterFullError, UnsupportedOperationError
 from ..core.tcf.block import BlockedTable
 from ..core.tcf.config import TCFConfig
-from ..gpusim.kernel import KernelContext, point_launch
+from ..gpusim.kernel import KernelContext
 from ..gpusim.stats import StatsRecorder
 from ..hashing import potc
 from .cpu_cqf import KNL_THREADS
@@ -206,7 +206,7 @@ class CPUVectorQuotientFilter(AbstractFilter):
             raise UnsupportedOperationError("the VQF does not associate values")
         if keys.size == 0:
             return np.zeros(0, dtype=bool)
-        with self.kernels.launch("cpu_vqf_insert", point_launch(keys.size, 1)):
+        with self.kernels.launch("cpu_vqf_insert"):
             h = self._derive_batch(keys)
             placed = self.table.two_choice_insert(
                 h.primary, h.secondary, h.fingerprint, reread=True
@@ -232,7 +232,7 @@ class CPUVectorQuotientFilter(AbstractFilter):
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return np.zeros(0, dtype=bool)
-        with self.kernels.launch("cpu_vqf_query", point_launch(keys.size, 1)):
+        with self.kernels.launch("cpu_vqf_query"):
             h = self._derive_batch(keys)
             return self.table.two_choice_query(h.primary, h.secondary, h.fingerprint)
 
@@ -242,7 +242,7 @@ class CPUVectorQuotientFilter(AbstractFilter):
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return 0
-        with self.kernels.launch("cpu_vqf_delete", point_launch(keys.size, 1)):
+        with self.kernels.launch("cpu_vqf_delete"):
             h = self._derive_batch(keys)
             removed = self.table.two_choice_delete(h.primary, h.secondary, h.fingerprint)
         n_removed = int(np.count_nonzero(removed))

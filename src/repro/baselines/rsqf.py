@@ -12,9 +12,10 @@ SQF's 2^26-item limit.
 
 The reproduction mirrors those properties: the same
 :class:`~repro.core.gqf.quotient_filter.QuotientFilter` provides the structure,
-queries are bulk and parallel, and the insert path reports a serialised
-launch geometry so the performance model reproduces the paper's three-orders
--of-magnitude insert gap.
+queries are bulk and parallel, and the RSQF's ``active_threads`` in
+:mod:`repro.analysis.adapters` exposes one thread to the insert phase, so
+the performance model reproduces the paper's three-orders-of-magnitude
+insert gap.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ..core.base import FilterCapabilities
 from ..core.exceptions import UnsupportedOperationError
 from ..core.gqf.layout import QuotientFilterCore
 from ..core.gqf.quotient_filter import QuotientFilter
-from ..gpusim.kernel import KernelContext, LaunchConfig, point_launch
+from ..gpusim.kernel import KernelContext
 from ..gpusim.stats import StatsRecorder
 from .sqf import check_packed_geometry
 
@@ -96,15 +97,15 @@ class RankSelectQuotientFilter(QuotientFilter):
         return int(np.ceil(n_slots * (remainder_bits + 2.125) / 8.0))
 
     # ---------------------------------------------------------------- bulk API
-    def _kernel(self, op: str, n_rows: int) -> ContextManager[object]:
-        """One thread per item for the parallel bulk query (rank/select
-        navigation); one worker for the unoptimised insert path, which
-        inserts items one after another.
+    def _kernel(self, op: str) -> ContextManager[object]:
+        """The parallel bulk query (rank/select navigation) and the
+        unoptimised serial insert, which inserts items one after another.
 
-        The authors provide no parallel insert kernel, so the insert launch
-        exposes a single worker; the performance model therefore reports
-        the ~8 M items/s ceiling the paper measures — the serialised cost
-        lives in the launch geometry, not in Python-loop wall clock.
+        The authors provide no parallel insert kernel, so the RSQF's
+        ``active_threads`` in :mod:`repro.analysis.adapters` gives the
+        insert phase a single thread; the performance model therefore
+        reports the ~8 M items/s ceiling the paper measures — the
+        serialised cost lives there, not in Python-loop wall clock.
 
         The batch is inserted in sorted (quotient, remainder) order — the
         standard schedule for batch-building a quotient filter, which
@@ -115,10 +116,8 @@ class RankSelectQuotientFilter(QuotientFilter):
         ordering happens host-side before the serial kernel runs.
         """
         if op == "insert":
-            return self.kernels.launch(
-                "rsqf_serial_insert", LaunchConfig(n_work_items=1, threads_per_item=32)
-            )
-        return self.kernels.launch(f"rsqf_bulk_{op}", point_launch(n_rows, 1))
+            return self.kernels.launch("rsqf_serial_insert")
+        return self.kernels.launch(f"rsqf_bulk_{op}")
 
     # ------------------------------------------------------------------ point API
     def insert(self, key: int, value: int = 0) -> bool:

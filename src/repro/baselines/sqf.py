@@ -29,7 +29,7 @@ from ..core.base import FilterCapabilities
 from ..core.exceptions import CapacityLimitError, UnsupportedOperationError
 from ..core.gqf.layout import QuotientFilterCore
 from ..core.gqf.quotient_filter import QuotientFilter
-from ..gpusim.kernel import KernelContext, bulk_region_launch
+from ..gpusim.kernel import KernelContext
 from ..gpusim.sorting import device_sort, device_sort_by_key
 from ..gpusim.stats import StatsRecorder
 
@@ -37,8 +37,6 @@ from ..gpusim.stats import StatsRecorder
 SUPPORTED_REMAINDERS = (5, 13)
 #: Maximum quotient+remainder bits in the SQF's packed representation.
 MAX_FINGERPRINT_BITS = 31
-#: Segment size (slots) used by the bulk merge insert.
-SEGMENT_SLOTS = 4096
 
 
 def check_packed_geometry(design: str, quotient_bits: int, remainder_bits: int) -> None:
@@ -152,11 +150,10 @@ class StandardQuotientFilter(QuotientFilter):
         device_sort(fingerprints, self.recorder)
         return self.scheme.split(fingerprints)
 
-    def _kernel(self, op: str, n_rows: int) -> ContextManager[object]:
-        """One thread per segment: the sorted segment-merge insert, the
+    def _kernel(self, op: str) -> ContextManager[object]:
+        """One launch each for the sorted segment-merge insert, the
         sorted-batch lookup and the delete."""
-        n_segments = max(1, self.core.n_canonical_slots // SEGMENT_SLOTS)
-        return self.kernels.launch(f"sqf_bulk_{op}", bulk_region_launch(n_segments))
+        return self.kernels.launch(f"sqf_bulk_{op}")
 
     # ------------------------------------------------------------------ point API
     def insert(self, key: int, value: int = 0) -> bool:

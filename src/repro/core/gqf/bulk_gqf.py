@@ -41,7 +41,7 @@ from typing import ContextManager, Dict, List, Mapping, Optional, Sequence, Tupl
 
 import numpy as np
 
-from ...gpusim.kernel import KernelContext, bulk_region_launch
+from ...gpusim.kernel import KernelContext
 from ...gpusim.sorting import device_sort_by_key, stable_argsort
 from ...gpusim.stats import StatsRecorder
 from ..base import FilterCapabilities
@@ -171,10 +171,9 @@ class BulkGQF(QuotientFilter):
         fingerprints = self.scheme.hash_key(keys)
         return self.scheme.split(fingerprints[self._batch_order(fingerprints)][::-1])
 
-    def _kernel(self, op: str, n_rows: int) -> ContextManager[object]:
-        """The read kernels: one thread per region."""
-        n_regions = self.partition.n_regions
-        return self.kernels.launch(f"gqf_bulk_{op}", bulk_region_launch(n_regions))
+    def _kernel(self, op: str) -> ContextManager[object]:
+        """The read kernels: one launch per call."""
+        return self.kernels.launch(f"gqf_bulk_{op}")
 
     def _phases(self, quotients: np.ndarray, op: str, launch: bool) -> List[Phase]:
         """The even-odd schedule of a sorted batch.
@@ -190,7 +189,7 @@ class BulkGQF(QuotientFilter):
         return [
             (
                 self.partition.phase_mask(quotients, parity),
-                self.kernels.launch(f"gqf_bulk_{op}_{name}", bulk_region_launch(len(regions))),
+                self.kernels.launch(f"gqf_bulk_{op}_{name}"),
             )
             for parity, (name, regions) in enumerate(zip(("even", "odd"), self.partition.phases()))
             if regions

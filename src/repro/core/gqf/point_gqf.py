@@ -26,7 +26,7 @@ from typing import ContextManager, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ...gpusim.atomics import SpinLockTable
-from ...gpusim.kernel import KernelContext, point_launch
+from ...gpusim.kernel import KernelContext
 from ...gpusim.stats import StatsRecorder
 from ..base import FilterCapabilities
 from ..exceptions import FilterFullError
@@ -213,14 +213,14 @@ class PointGQF(QuotientFilter):
             yield
             self._charge_point_locks(quotients)
 
-    def _kernel(self, op: str, n_rows: int) -> ContextManager[object]:
-        return self.kernels.launch(f"gqf_point_bulk_{op}", point_launch(n_rows, 1))
+    def _kernel(self, op: str) -> ContextManager[object]:
+        return self.kernels.launch(f"gqf_point_bulk_{op}")
 
     def _phases(self, quotients: np.ndarray, op: str, launch: bool) -> List[Phase]:
         """One phase of every row (one cooperative thread each) under the
         region locks of every row it runs, in the ``op`` kernel (none for
         a point call)."""
-        kernel = self._kernel(op, quotients.size) if launch else contextlib.nullcontext()
+        kernel = self._kernel(op) if launch else contextlib.nullcontext()
         return [(np.ones(quotients.size, dtype=bool), self._locked(quotients, kernel))]
 
     def _place(

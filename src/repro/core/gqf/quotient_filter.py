@@ -1,7 +1,7 @@
 """The quotient-filter family: every filter built on one ``QuotientFilterCore``.
 
 The paper's GQF (point and bulk API) and its SQF, RSQF and CPU-CQF baselines
-share one table layout and differ only in their schedules, launch geometry
+share one table layout and differ only in their schedules, kernel names
 and supported operations (Table 1).  :class:`QuotientFilter` holds what they
 share: sizes, point reads, snapshots and in-place growth by quotient
 extension (``grow``), all read from the core (including its one
@@ -129,7 +129,7 @@ class QuotientFilter(AbstractFilter):
         if not self.capabilities().supports(op, "bulk"):
             raise UnsupportedOperationError(f"the {self.name} does not support bulk {op}")
         quotients, remainders = self._rows(keys, op)
-        with self._kernel(op, keys.size):
+        with self._kernel(op):
             return self.core.batch_counts(quotients, remainders)
 
     def _rows(self, keys: np.ndarray, op: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -285,9 +285,9 @@ class QuotientFilter(AbstractFilter):
         )
 
     # -------------------------------------------------------- kernels, phases
-    def _kernel(self, op: str, n_rows: int) -> ContextManager[object]:
+    def _kernel(self, op: str) -> ContextManager[object]:
         """The design's kernel launch for ``op`` ("insert", "query",
-        "count" or "delete") over ``n_rows`` rows."""
+        "count" or "delete")."""
         raise NotImplementedError
 
     def _phases(self, quotients: np.ndarray, op: str, launch: bool) -> Optional[List[Phase]]:
@@ -296,7 +296,7 @@ class QuotientFilter(AbstractFilter):
         default, with no launch) for a point call."""
         if not launch:
             return None
-        return [(np.ones(quotients.size, dtype=bool), self._kernel(op, quotients.size))]
+        return [(np.ones(quotients.size, dtype=bool), self._kernel(op))]
 
     # ------------------------------------------------------------------ growth
     def grow(self, extra_quotient_bits: int = 1) -> None:

@@ -51,7 +51,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...gpusim.kernel import bulk_block_launch, bulk_tile_launch, point_launch
 from ...gpusim.sharedmem import SharedMemoryTile, account_batched_tiles
 from ...gpusim.sorting import (
     device_lower_bound,
@@ -220,7 +219,6 @@ class BulkTCF(TwoChoiceFilter):
             touched = np.flatnonzero(counts_all)
             starts = block_starts[touched]
             counts = counts_all[touched]
-            launch = bulk_block_launch(self.table.n_blocks, self.config.cg_size)
         else:
             # The sorted blocks are the sort keys' high bits; group
             # boundaries are plain diffs (np.unique would re-sort and lazily
@@ -229,14 +227,13 @@ class BulkTCF(TwoChoiceFilter):
             starts = np.flatnonzero(run_first_mask(sorted_blocks))
             touched = sorted_blocks[starts]
             counts = np.diff(np.append(starts, n_items))
-            launch = bulk_tile_launch(int(touched.size), self.config.cg_size)
             del sorted_blocks
 
         data = self.table.slots.peek()
         block_size = self.config.block_size
         smallest_live = self.config.slot_dtype.type(TOMBSTONE_SLOT + 1)
         spills = []
-        with self.kernels.launch(kernel_name, launch):
+        with self.kernels.launch(kernel_name):
             for t0, t1, k0, k1 in _block_runs(starts, n_items):
                 run_blocks, run_counts = touched[t0:t1], counts[t0:t1]
                 # Rows are ascending with empties (0) and tombstones (1)
@@ -317,10 +314,7 @@ class BulkTCF(TwoChoiceFilter):
         block_starts = device_lower_bound(
             order_keys, np.arange(self.table.n_blocks), self.recorder
         )
-        with self.kernels.launch(
-            "bulk_tcf_insert_pass1",
-            bulk_block_launch(self.table.n_blocks, self.config.cg_size),
-        ):
+        with self.kernels.launch("bulk_tcf_insert_pass1"):
             for block_idx in range(self.table.n_blocks):
                 lo = int(block_starts[block_idx])
                 if block_idx + 1 < self.table.n_blocks:
@@ -352,10 +346,7 @@ class BulkTCF(TwoChoiceFilter):
             )
             still: List[np.ndarray] = []
             sec_blocks = sort_sec[run_first_mask(sort_sec)]
-            with self.kernels.launch(
-                "bulk_tcf_insert_pass2",
-                bulk_tile_launch(len(sec_blocks), self.config.cg_size),
-            ):
+            with self.kernels.launch("bulk_tcf_insert_pass2"):
                 for block_idx in sec_blocks:
                     sel = o_positions[sort_idx[sort_sec == block_idx]]
                     sel_sorted = sel[stable_argsort(words[sel])]
@@ -398,9 +389,7 @@ class BulkTCF(TwoChoiceFilter):
         out = np.zeros(keys.size, dtype=bool)
         if keys.size == 0:
             return out
-        with self.kernels.launch(
-            "bulk_tcf_query", point_launch(keys.size, self.config.cg_size)
-        ):
+        with self.kernels.launch("bulk_tcf_query"):
             for lo in range(0, keys.size, _CHUNK):
                 out[lo : lo + _CHUNK] = self._query_chunk(keys[lo : lo + _CHUNK])
         return out
@@ -451,7 +440,7 @@ class BulkTCF(TwoChoiceFilter):
 
     def query(self, key: int) -> bool:
         """Point query: per-item binary searches, in a one-probe launch."""
-        with self.kernels.launch("bulk_tcf_query", point_launch(1, self.config.cg_size)):
+        with self.kernels.launch("bulk_tcf_query"):
             return self.get_value(key) is not None
 
     def get_value(self, key: int) -> Optional[int]:
@@ -506,9 +495,7 @@ class BulkTCF(TwoChoiceFilter):
         colliding deletes, not a new hazard.
         """
         if self.table.flat_key_shift is None:  # (block, word) keys do not pack
-            with self.kernels.launch(
-                "bulk_tcf_delete", point_launch(keys.size, self.config.cg_size)
-            ):
+            with self.kernels.launch("bulk_tcf_delete"):
                 hits = [self._delete_once(int(key)) for key in keys]
             return sum(hits)
 
@@ -521,9 +508,7 @@ class BulkTCF(TwoChoiceFilter):
         block_size = self.config.block_size
         data = self.table.slots.peek()
         removed = np.zeros(keys.size, dtype=bool)
-        with self.kernels.launch(
-            "bulk_tcf_delete", point_launch(keys.size, self.config.cg_size)
-        ):
+        with self.kernels.launch("bulk_tcf_delete"):
             pending = np.arange(keys.size)
             for candidates in (primary, secondary):
                 if pending.size == 0:

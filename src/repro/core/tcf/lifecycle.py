@@ -450,7 +450,7 @@ class TwoChoiceFilter(AbstractFilter):
                 bigger = type(self)(
                     self.table.n_slots * factor, self.config, recorder=self.recorder
                 )
-                if not self.kernels.in_launch:
+                if not self.kernels.launch_open:
                     bigger.kernels = self.kernels
                 try:
                     if keys.size:

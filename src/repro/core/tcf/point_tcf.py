@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ...gpusim.kernel import point_launch
 from ...hashing import potc
 from .config import POINT_TCF_DEFAULT
 from .lifecycle import _MASK64, TwoChoiceFilter, subset
@@ -168,9 +167,7 @@ class PointTCF(TwoChoiceFilter):
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return np.zeros(0, dtype=bool)
-        with self.kernels.launch(
-            "tcf_point_bulk_insert", point_launch(keys.size, self.config.cg_size)
-        ):
+        with self.kernels.launch("tcf_point_bulk_insert"):
             return self._insert_with_growth(keys, values)
 
     def _place_batch(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -196,9 +193,7 @@ class PointTCF(TwoChoiceFilter):
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return np.zeros(0, dtype=bool)
-        with self.kernels.launch(
-            "tcf_point_bulk_query", point_launch(keys.size, self.config.cg_size)
-        ):
+        with self.kernels.launch("tcf_point_bulk_query"):
             h = self._derive_batch(keys)
             out = self.table.two_choice_query(h.primary, h.secondary, h.fingerprint)
             still = np.flatnonzero(~out)
@@ -209,9 +204,7 @@ class PointTCF(TwoChoiceFilter):
     def _delete_batch(self, keys: np.ndarray) -> int:
         """Tombstone one stored copy per key, in batch order: primary block,
         secondary block, then the backing table."""
-        with self.kernels.launch(
-            "tcf_point_bulk_delete", point_launch(keys.size, self.config.cg_size)
-        ):
+        with self.kernels.launch("tcf_point_bulk_delete"):
             h = self._derive_batch(keys)
             removed = self.table.two_choice_delete(h.primary, h.secondary, h.fingerprint)
             self._n_items -= int(np.count_nonzero(removed))

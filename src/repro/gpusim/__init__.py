@@ -12,7 +12,9 @@ provides:
 * :mod:`~repro.gpusim.warp` — warps and cooperative groups (ballot, ffs,
   strided iteration);
 * :mod:`~repro.gpusim.sharedmem` — shared-memory staging tiles;
-* :mod:`~repro.gpusim.kernel` — kernel-launch geometry records;
+* :mod:`~repro.gpusim.kernel` — per-launch kernel records (the exposed
+  parallelism the perf model reads comes from each filter's
+  ``active_threads`` in :mod:`repro.analysis.adapters`);
 * :mod:`~repro.gpusim.sorting` — Thrust-like sort/reduce/search primitives;
 * :mod:`~repro.gpusim.stats` — hardware-event counters;
 * :mod:`~repro.gpusim.perfmodel` — the roofline-style time estimator.
@@ -21,13 +23,7 @@ Each module holds only what the filters, the pipeline or the benchmark call.
 """
 
 from .device import A100, KNL, V100, GPUSpec
-from .kernel import (
-    KernelContext,
-    LaunchConfig,
-    bulk_block_launch,
-    bulk_region_launch,
-    point_launch,
-)
+from .kernel import KernelContext
 from .memory import DeviceAllocator, DeviceArray
 from .perfmodel import PerfEstimate, estimate_time, scale_stats
 from .sharedmem import SharedMemoryTile
@@ -42,10 +38,6 @@ __all__ = [
     "V100",
     "GPUSpec",
     "KernelContext",
-    "LaunchConfig",
-    "bulk_block_launch",
-    "bulk_region_launch",
-    "point_launch",
     "DeviceAllocator",
     "DeviceArray",
     "PerfEstimate",

@@ -23,8 +23,8 @@ class KernelStats:
     """Accumulated hardware events for one (or more) simulated kernels.
 
     All attributes are plain counters; :meth:`merge` adds another stats
-    object into this one, and :meth:`scaled` divides by an operation count to
-    obtain per-operation averages for the performance model.
+    object into this one.  The performance model scales them by an
+    operation-count factor with :func:`repro.gpusim.perfmodel.scale_stats`.
     """
 
     #: Number of 128-byte cache-line read transactions issued to global memory.

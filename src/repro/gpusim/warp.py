@@ -112,15 +112,5 @@ class CooperativeGroup:
         pos = ffs(ballot_mask)
         return pos - 1 if pos else -1
 
-    def any(self, votes: np.ndarray) -> bool:
-        """True if any lane votes true (``cg::any``)."""
-        return self.ballot(votes) != 0
-
-    def all(self, votes: np.ndarray) -> bool:
-        """True if all lanes vote true (``cg::all``)."""
-        votes = np.asarray(votes, dtype=bool)
-        self.recorder.add(warp_intrinsics=1)
-        return bool(votes.size == self.size and votes.all())
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"CooperativeGroup(size={self.size})"

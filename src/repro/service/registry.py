@@ -90,10 +90,6 @@ class FilterRegistry:
         }
 
     # ----------------------------------------------------------- inventory
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._entries)
-
     def resident_bytes(self) -> int:
         with self._lock:
             return sum(

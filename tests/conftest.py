@@ -9,7 +9,6 @@ from repro.baselines.bloom import BitArrayFilter
 from repro.baselines.cpu_vqf import CPUVectorQuotientFilter
 from repro.core.exceptions import FilterFullError
 from repro.core.tcf import BulkTCF, PointTCF
-from repro.gpusim.kernel import point_launch
 from repro.gpusim.stats import StatsRecorder
 from repro.hashing.xorwow import generate_disjoint_keys, generate_keys
 
@@ -44,14 +43,14 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
-def _bulk_launch(filt, op):
-    """``(name, lanes)`` of the kernel launch ``filt``'s bulk ``op`` opens."""
+def _bulk_kernel_name(filt, op):
+    """The name of the kernel launch ``filt``'s bulk ``op`` opens."""
     if isinstance(filt, BitArrayFilter):
-        return f"{filt.LAUNCH_PREFIX}_bulk_{op}", 1
+        return f"{filt.LAUNCH_PREFIX}_bulk_{op}"
     if isinstance(filt, CPUVectorQuotientFilter):
-        return f"cpu_vqf_{op}", 1
+        return f"cpu_vqf_{op}"
     prefix = "tcf_point_bulk" if isinstance(filt, PointTCF) else "bulk_tcf"
-    return f"{prefix}_{op}", filt.config.cg_size
+    return f"{prefix}_{op}"
 
 
 def _try_insert(filt, key: int) -> bool:
@@ -68,8 +67,7 @@ def _per_item_bulk(filt, op: str, keys):
         h = filt._derive_batch(keys)
         words = filt._pack_words(h.fingerprint, values)
         return filt._bulk_insert_sequential(keys, values, h, words)
-    name, lanes = _bulk_launch(filt, op)
-    with filt.kernels.launch(name, point_launch(keys.size, lanes)):
+    with filt.kernels.launch(_bulk_kernel_name(filt, op)):
         if op == "insert":
             return np.array([_try_insert(filt, k) for k in keys.tolist()], dtype=bool)
         if op == "query":

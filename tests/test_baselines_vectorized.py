@@ -294,7 +294,7 @@ class TestVQFStatefulPaths:
         assert bulk.n_items == reference.n_items
         assert bulk.recorder.total.as_dict() == reference.recorder.total.as_dict()
         records = [
-            [(k.name, k.config, k.stats.as_dict()) for k in filt.kernels.kernels]
+            [(k.name, k.stats.as_dict()) for k in filt.kernels.kernels]
             for filt in pair
         ]
         assert records[0] == records[1]

@@ -60,7 +60,7 @@ def _observe(filt):
     return (
         filt.snapshot_state(),
         filt.recorder.total.as_dict(),
-        [(k.name, k.config, k.stats.as_dict()) for k in filt.kernels.kernels],
+        [(k.name, k.stats.as_dict()) for k in filt.kernels.kernels],
     )
 
 

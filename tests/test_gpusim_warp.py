@@ -52,11 +52,3 @@ class TestCooperativeGroup:
         cg = CooperativeGroup(4, recorder)
         assert cg.elect_leader(0b1100) == 2
         assert cg.elect_leader(0) == -1
-
-    def test_any_all(self, recorder):
-        cg = CooperativeGroup(4, recorder)
-        assert cg.any(np.array([False, False, True, False]))
-        assert not cg.any(np.array([False, False, False, False]))
-        assert cg.all(np.array([True, True, True, True]))
-        assert not cg.all(np.array([True, True, True, False]))
-        assert not cg.all(np.array([True, True]))  # missing lanes vote false

@@ -20,7 +20,6 @@ from repro.core.exceptions import FilterFullError
 from repro.core.gqf import PointGQF
 from repro.core.tcf import POINT_TCF_DEFAULT, PointTCF, TCFConfig
 from repro.gpusim.atomics import SpinLockTable
-from repro.gpusim.kernel import point_launch
 from repro.gpusim.stats import StatsRecorder
 from repro.workloads import kmer as kmer_mod
 
@@ -120,7 +119,7 @@ def _gqf_reference_insert(filt, keys):
     order = filt._processing_order(
         np.asarray(quotients, dtype=np.int64), np.asarray(remainders, dtype=np.uint64)
     )
-    with filt.kernels.launch("gqf_point_bulk_insert", point_launch(keys.size, 1)):
+    with filt.kernels.launch("gqf_point_bulk_insert"):
         for key in keys[order]:
             filt.insert(int(key))
 
@@ -181,7 +180,7 @@ class TestGQFInsertDifferential:
         rng = np.random.default_rng(5)
         keys = rng.integers(0, 2**63, size=24, dtype=np.uint64)
         batched.bulk_insert(keys)  # <= SEQUENTIAL_BATCH_MAX: per-item loop
-        with ref.kernels.launch("gqf_point_bulk_insert", point_launch(keys.size, 1)):
+        with ref.kernels.launch("gqf_point_bulk_insert"):
             for key in keys:
                 ref.insert(int(key))
         _assert_events_equal(
@@ -214,7 +213,7 @@ class TestGQFDeleteDifferential:
             [pool[::2], pool[:200], rng.integers(0, 2**63, size=400, dtype=np.uint64)]
         )
         removed_batched = batched.bulk_delete(doomed)
-        with ref.kernels.launch("gqf_point_bulk_delete", point_launch(doomed.size, 1)):
+        with ref.kernels.launch("gqf_point_bulk_delete"):
             removed_ref = sum(ref.delete(int(k)) for k in doomed)
         assert removed_batched == removed_ref
         # Cluster traffic carries the calibrated approximation established in
@@ -245,9 +244,7 @@ def _tcf_pair(capacity, config=POINT_TCF_DEFAULT):
 def _tcf_reference_insert(filt, keys, values=None):
     if values is None:
         values = np.zeros(keys.size, dtype=np.uint64)
-    with filt.kernels.launch(
-        "tcf_point_bulk_insert", point_launch(keys.size, filt.config.cg_size)
-    ):
+    with filt.kernels.launch("tcf_point_bulk_insert"):
         for key, value in zip(keys, values):
             filt.insert(int(key), int(value))
 
@@ -331,9 +328,7 @@ class TestTCFQueryDifferential:
             [keys[::2], rng.integers(0, 2**63, size=2000, dtype=np.uint64)]
         )
         got = batched.bulk_query(probes)
-        with ref.kernels.launch(
-            "tcf_point_bulk_query", point_launch(probes.size, config.cg_size)
-        ):
+        with ref.kernels.launch("tcf_point_bulk_query"):
             expected = np.array([ref.query(int(k)) for k in probes])
         assert np.array_equal(got, expected)
         _assert_events_equal(batched.recorder.total, ref.recorder.total, "tcf query")
@@ -354,9 +349,7 @@ class TestTCFQueryDifferential:
         got = filt.bulk_query(probes)
         batched = filt.recorder.total
         filt.recorder.reset()
-        with filt.kernels.launch(
-            "tcf_point_bulk_query", point_launch(probes.size, filt.config.cg_size)
-        ):
+        with filt.kernels.launch("tcf_point_bulk_query"):
             expected = np.array([filt.query(int(k)) for k in probes])
         assert np.array_equal(got, expected) and got[: keys.size // 2].all()
         _assert_events_equal(batched, filt.recorder.total, "tcf query after growth")
@@ -381,9 +374,7 @@ class TestTCFDeleteDifferential:
             [pool, pool[:400], pool[:400], rng.integers(0, 2**63, size=500, dtype=np.uint64)]
         )
         removed_batched = batched.bulk_delete(doomed)
-        with ref.kernels.launch(
-            "tcf_point_bulk_delete", point_launch(doomed.size, config.cg_size)
-        ):
+        with ref.kernels.launch("tcf_point_bulk_delete"):
             removed_ref = sum(ref.delete(int(k)) for k in doomed)
         assert removed_batched == removed_ref
         _assert_events_equal(

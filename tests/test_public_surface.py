@@ -4,10 +4,11 @@ A public top-level function or class, or a public method of a public class,
 must be referenced outside its own definition somewhere in ``src/``,
 ``perfbench/`` or ``examples/``. A package ``__init__`` re-export (its import
 or its ``__all__`` entry) is not a reference. Names are matched bare, as
-name or attribute loads and as identifier-like string constants
-(``perfbench/trace.py`` patches entry points by name), so a name used anywhere
-keeps every definition that shares it. AST visitor hooks (``visit_*``) and
-dunders are called by their frameworks and are skipped.
+attribute loads and as identifier-like string constants (``perfbench/trace.py``
+patches entry points by name), so a name used anywhere keeps every definition
+that shares it. A top-level name also counts through a bare name load; a
+method does not, as no bare name calls one. AST visitor hooks (``visit_*``)
+and dunders are called by their frameworks and are skipped.
 
 A name with no such caller stays only if a test needs it, and
 :data:`ORACLES` names that test.
@@ -27,8 +28,9 @@ CALLER_TREES = (ROOT / "src", ROOT / "perfbench", ROOT / "examples")
 #: Public names with no production caller, each mapped to the node id of a
 #: test that needs it: a per-item or per-read reference a batched path is
 #: compared against, an invariant or enumeration check, or a library entry
-#: point (shard-set persistence, the sharded-TCF builder, the torn-write
-#: fault injector) whose only callers are its behaviour tests.
+#: point (shard-set persistence, the sharded-TCF builder, a sharded
+#: filter's merge into one filter, preset overrides, the torn-write fault
+#: injector) whose only callers are its behaviour tests.
 ORACLES = {
     "QuotientFilterCore.check_invariants": (
         "tests/test_gqf_layout.py::TestBasicInsertQuery::test_single_insert"
@@ -47,6 +49,9 @@ ORACLES = {
     "StatsRecorder.reset": (
         "tests/test_point_vectorized.py::TestGQFDeleteDifferential"
         "::test_state_counts_and_locks_match"
+    ),
+    "SpinLockTable.lock": (
+        "tests/test_point_vectorized.py::TestLockBatchReplay::test_totals_and_generator_state_match"
     ),
     "SpinLockTable.unlock": (
         "tests/test_point_vectorized.py::TestLockBatchReplay::test_totals_and_generator_state_match"
@@ -81,6 +86,10 @@ ORACLES = {
     ),
     "save_shard_set": "tests/test_sharding.py::TestSnapshots::test_shard_set_round_trip_gqf",
     "load_shard_set": "tests/test_sharding.py::TestSnapshots::test_shard_set_round_trip_gqf",
+    "ShardedFilter.merged": (
+        "tests/test_sharding.py::TestRebalance::test_merged_grown_tcf_takes_the_journal_merge"
+    ),
+    "Preset.scaled": "tests/test_pipeline.py::TestPresets::test_scaled_override",
     "sharded_tcf": (
         "tests/test_sharding.py::TestDifferentialParity::test_one_shard_tcf_is_bit_exact"
     ),
@@ -123,13 +132,14 @@ def _reexported_constants(tree: ast.Module) -> set[int]:
     return ids
 
 
-def _references() -> dict[str, list[tuple[Path, int]]]:
-    """Bare name -> ``(file, line)`` of every reference in the caller trees.
+def _references() -> dict[str, list[tuple[Path, int, bool]]]:
+    """Bare name -> ``(file, line, is bare name load)`` of every reference
+    in the caller trees.
 
     Import statements are not references, so an ``__init__`` re-export
     counts only through its ``__all__`` strings, which are skipped too.
     """
-    refs: dict[str, list[tuple[Path, int]]] = {}
+    refs: dict[str, list[tuple[Path, int, bool]]] = {}
     for tree_root in CALLER_TREES:
         for path in sorted(tree_root.rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -137,7 +147,7 @@ def _references() -> dict[str, list[tuple[Path, int]]]:
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     name = node.id
-                elif isinstance(node, ast.Attribute):
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     name = node.attr
                 elif (
                     isinstance(node, ast.Constant)
@@ -148,7 +158,9 @@ def _references() -> dict[str, list[tuple[Path, int]]]:
                     name = node.value
                 else:
                     continue
-                refs.setdefault(name, []).append((path, node.lineno))
+                refs.setdefault(name, []).append(
+                    (path, node.lineno, isinstance(node, ast.Name))
+                )
     return refs
 
 
@@ -157,8 +169,10 @@ def _uncalled() -> dict[str, str]:
     refs = _references()
     uncalled = {}
     for qualified, bare, path, first, last in _definitions():
+        is_method = qualified != bare
         if not any(
-            ref_path != path or not first <= line <= last for ref_path, line in refs.get(bare, ())
+            (ref_path != path or not first <= line <= last) and not (is_method and bare_name)
+            for ref_path, line, bare_name in refs.get(bare, ())
         ):
             uncalled[qualified] = f"{path.relative_to(ROOT)}:{first}"
     return uncalled

@@ -353,7 +353,7 @@ class TestChunkParity:
         results = [np.asarray(op(filt)).tobytes() for op in ops]
         state = {name: array.tobytes() for name, array in filt.snapshot_state().items()}
         sections = {name: stats.as_dict() for name, stats in rec.sections.items()}
-        kernels = [(k.name, k.config, k.stats.as_dict()) for k in filt.kernels.kernels]
+        kernels = [(k.name, k.stats.as_dict()) for k in filt.kernels.kernels]
         return filt, (state, rec.total.as_dict(), sections, kernels, results)
 
     def _assert_chunk_parity(self, monkeypatch, make, ops):
