@@ -139,7 +139,7 @@ class StandardQuotientFilter(QuotientFilter):
     # ---------------------------------------------------------------- bulk API
     def _batch_order(self, fingerprints: np.ndarray) -> np.ndarray:
         """The SQF sorts each batch on the device before merging segments."""
-        return device_sort_by_key(fingerprints, np.arange(fingerprints.size), self.recorder)[1]
+        return device_sort_by_key(fingerprints, recorder=self.recorder)[1]
 
     def _rows(self, keys: np.ndarray, op: str) -> Tuple[np.ndarray, np.ndarray]:
         """The SQF sorts query batches before probing: one charged device

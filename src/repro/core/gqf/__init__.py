@@ -3,7 +3,7 @@
 from . import counters
 from .bulk_gqf import BulkGQF
 from .layout import DEFAULT_SLACK_SLOTS, METADATA_BITS_PER_SLOT, QuotientFilterCore
-from .mapreduce import aggregate_batch, aggregation_ratio
+from .mapreduce import aggregate_batch
 from .point_gqf import PointGQF
 from .quotient_filter import QuotientFilter
 from .rank_select import Bitvector, select64
@@ -16,7 +16,6 @@ __all__ = [
     "METADATA_BITS_PER_SLOT",
     "QuotientFilterCore",
     "aggregate_batch",
-    "aggregation_ratio",
     "PointGQF",
     "QuotientFilter",
     "Bitvector",

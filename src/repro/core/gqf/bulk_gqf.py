@@ -161,7 +161,7 @@ class BulkGQF(QuotientFilter):
         ``quotient * 2^r + remainder`` in a signed int64 would overflow
         once ``q + r >= 63``, silently mis-sorting wide geometries.
         """
-        return device_sort_by_key(fingerprints, np.arange(fingerprints.size), self.recorder)[1]
+        return device_sort_by_key(fingerprints, recorder=self.recorder)[1]
 
     def _rows(self, keys: np.ndarray, op: str) -> Tuple[np.ndarray, np.ndarray]:
         """Deletes run in reversed device-sort order: a per-item delete takes

@@ -78,16 +78,3 @@ def merge_sorted_runs(
     unique, summed = device_reduce_by_key(sorted_fps, sorted_counts, recorder)
     return unique, summed.astype(np.int64)
 
-
-def aggregation_ratio(keys: np.ndarray) -> float:
-    """Fraction of inserts eliminated by aggregation (1 - unique/total).
-
-    A uniform-random dataset aggregates to ~0 %, a Zipfian dataset to a large
-    fraction; the benchmark harness reports this alongside Table 5 so the
-    speed-up mechanism is visible.
-    """
-    keys = np.asarray(keys, dtype=np.uint64)
-    if keys.size == 0:
-        return 0.0
-    unique = np.unique(keys).size
-    return 1.0 - unique / keys.size

@@ -17,7 +17,9 @@ The point API probes lazily — one bucket at a time, stopping at the first
 match or the first bucket with an empty slot.  The bulk API processes a whole
 batch per probe round: all still-unresolved keys gather their round-``i``
 bucket at once, so a batch of *n* keys costs a handful of vectorised passes
-instead of *n* Python loops.
+instead of *n* Python loops.  A bucket's ``BUCKET_WIDTH`` one-byte flags
+(match, empty) are one 8-byte word, so each bucket test is one ``uint64``
+compare (:func:`_any_slot`), not a 2-D reduction.
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ from ...hashing.mixers import murmur64_mix, splitmix64
 from .config import EMPTY_SLOT, TOMBSTONE_SLOT, TCFConfig
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _any_slot(flags: np.ndarray) -> np.ndarray:
+    """Per row of ``(n, BUCKET_WIDTH)`` bool flags, read as one word: any set?"""
+    return flags.view(np.uint64)[:, 0] != 0
 
 
 class BackingTable:
@@ -149,10 +156,9 @@ class BackingTable:
         return key
 
     def _encode_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`_encode_key`."""
+        """Vectorised :meth:`_encode_key` (the sentinels are words 0 and 1)."""
         stored = np.asarray(keys, dtype=np.uint64).copy()
-        reserved = (stored == np.uint64(EMPTY_SLOT)) | (stored == np.uint64(TOMBSTONE_SLOT))
-        stored[reserved] += np.uint64(2)
+        stored[stored <= np.uint64(TOMBSTONE_SLOT)] += np.uint64(2)
         return stored
 
     def _bucket_windows(self, buckets: np.ndarray) -> np.ndarray:
@@ -161,7 +167,7 @@ class BackingTable:
         The per-bucket cache-line read is charged by the caller (one line per
         probing key, as the point path's ``read_range`` does).
         """
-        return self.keys.peek().reshape(-1, self.BUCKET_WIDTH)[buckets]
+        return np.take(self.keys.peek().reshape(-1, self.BUCKET_WIDTH), buckets, axis=0)
 
     # ------------------------------------------------------------------ insert
     def insert(self, key: int, value: int = 0) -> bool:
@@ -290,16 +296,16 @@ class BackingTable:
         if keys.size == 0:
             return found, out_values
         stored = self._encode_batch(keys)
-        h1, h2 = self._hash_batch(keys, mixes)
+        cursor, h2 = self._hash_batch(keys, mixes)
+        # Round 0 probes with the batch's own arrays; the keys still probing
+        # carry batch index, cursor, stride and stored word to the next round.
         pending = np.arange(keys.size)
-        for round_idx in range(self.max_probes):
-            if pending.size == 0:
-                break
-            buckets = self._probe_round(h1[pending], h2[pending], round_idx)
+        for _ in range(self.max_probes):
+            buckets = (cursor % np.uint64(self.n_buckets)).astype(np.int64)
             self.recorder.add(cache_line_reads=int(pending.size))
             windows = self._bucket_windows(buckets)
-            match_mask = windows == stored[pending, None]
-            hit = match_mask.any(axis=1)
+            match_mask = windows == stored[:, None]
+            hit = _any_slot(match_mask)
             if hit.any():
                 hit_rows = np.flatnonzero(hit)
                 found[pending[hit_rows]] = True
@@ -308,8 +314,12 @@ class BackingTable:
                     flat = buckets[hit_rows] * self.BUCKET_WIDTH + slot_offsets
                     out_values[pending[hit_rows]] = self.values.peek()[flat]
                     self.recorder.add(cache_line_reads=int(hit_rows.size))
-            has_empty = (windows == np.uint64(EMPTY_SLOT)).any(axis=1)
-            pending = pending[~hit & ~has_empty]
+            # A key resolves on a match or at a bucket holding an empty slot.
+            probing = ~(hit | _any_slot(windows == np.uint64(EMPTY_SLOT)))
+            if not probing.any():
+                break
+            pending, stored, h2 = pending[probing], stored[probing], h2[probing]
+            cursor = cursor[probing] + h2
         return found, out_values
 
     # ------------------------------------------------------------------ delete
@@ -384,7 +394,7 @@ class BackingTable:
                 removed[pending[rows]] = True
                 self._n_items -= int(rows.size)
             # Unmatched requests stop at a bucket holding an empty slot.
-            has_empty = (windows == np.uint64(EMPTY_SLOT)).any(axis=1)
+            has_empty = _any_slot(windows == np.uint64(EMPTY_SLOT))
             leftover = order[~take]
             pending = pending[leftover[~has_empty[leftover]]]
         return removed

@@ -200,9 +200,8 @@ class BulkTCF(TwoChoiceFilter):
         sort_keys = blocks.astype(np.uint64)
         sort_keys <<= shift
         sort_keys |= words
-        if positions is None:
-            positions = np.arange(blocks.size)
-        # The sort carries each item's batch position as its value.
+        # The sort carries each item's batch position as its value (the
+        # sort's own permutation when the items are the whole batch).
         sorted_keys, sorted_positions = device_sort_by_key(
             sort_keys, positions, self.recorder
         )
@@ -308,7 +307,7 @@ class BulkTCF(TwoChoiceFilter):
         placed_mask = np.ones(keys.size, dtype=bool)
         # ---- pass 1: primary blocks --------------------------------------
         order_keys, order_idx = device_sort_by_key(
-            h.primary.astype(np.int64), np.arange(keys.size), self.recorder
+            h.primary.astype(np.int64), recorder=self.recorder
         )
         overflow_positions: List[np.ndarray] = []
         block_starts = device_lower_bound(
@@ -340,9 +339,7 @@ class BulkTCF(TwoChoiceFilter):
         if overflow_positions:
             o_positions = np.concatenate(overflow_positions)
             sort_sec, sort_idx = device_sort_by_key(
-                h.secondary[o_positions].astype(np.int64),
-                np.arange(o_positions.size),
-                self.recorder,
+                h.secondary[o_positions].astype(np.int64), recorder=self.recorder
             )
             still: List[np.ndarray] = []
             sec_blocks = sort_sec[run_first_mask(sort_sec)]

@@ -107,26 +107,34 @@ def device_sort(
 
 def device_sort_by_key(
     keys: np.ndarray,
-    values: np.ndarray,
+    values: Optional[np.ndarray] = None,
     recorder: Optional[StatsRecorder] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Stably sort ``(keys, values)`` pairs by key (thrust::sort_by_key)."""
+    """Stably sort ``(keys, values)`` pairs by key (thrust::sort_by_key).
+
+    With ``values=None`` the values are the keys' batch positions, so the
+    second result is the sort's stable permutation; it is charged as an
+    ``int64`` position array.
+    """
     recorder = recorder if recorder is not None else GLOBAL_RECORDER
     keys = np.asarray(keys)
-    values = np.asarray(values)
-    if keys.shape != values.shape:
-        raise ValueError("keys and values must have the same shape")
-    _account_sort(recorder, keys.size, keys.itemsize + values.itemsize)
+    if values is not None:
+        values = np.asarray(values)
+        if keys.shape != values.shape:
+            raise ValueError("keys and values must have the same shape")
+    value_size = np.dtype(np.int64).itemsize if values is None else values.itemsize
+    _account_sort(recorder, keys.size, keys.itemsize + value_size)
     packed = _sorted_index_words(keys)
     if packed is None:
         order = stable_argsort(keys)
-        return keys[order], values[order]
-    # The packed words already hold the sorted keys in their high bits: one
-    # shift streams them out instead of a random-access gather.
-    words, idx_bits = packed
-    sorted_keys = (words >> idx_bits).astype(keys.dtype, copy=False)
-    order = _take_indices(words, idx_bits)
-    return sorted_keys, values[order]
+        sorted_keys = keys[order]
+    else:
+        # The packed words already hold the sorted keys in their high bits:
+        # one shift streams them out instead of a random-access gather.
+        words, idx_bits = packed
+        sorted_keys = (words >> idx_bits).astype(keys.dtype, copy=False)
+        order = _take_indices(words, idx_bits)
+    return sorted_keys, order if values is None else values[order]
 
 
 def device_reduce_by_key(

@@ -65,7 +65,6 @@ def _murmur64_steps(v: np.ndarray) -> np.ndarray:
 
 def _unshift_right_xor(v: np.ndarray, shift: int) -> np.ndarray:
     """Invert ``v ^= v >> shift`` for 64-bit values."""
-    out = v.copy() if isinstance(v, np.ndarray) else v
     # Repeated application recovers all bits once shift*k >= 64.
     result = v
     for _ in range(64 // shift + 1):
@@ -93,14 +92,22 @@ def murmur64_unmix(x: ArrayOrInt) -> ArrayOrInt:
 
 def splitmix64(x: ArrayOrInt) -> ArrayOrInt:
     """splitmix64 mixer — used as the second, independent hash family."""
-    scalar = not isinstance(x, np.ndarray)
+    if isinstance(x, np.ndarray):  # wraps without masks; one copy, updated in place
+        v = x.astype(np.uint64)
+        v += _U64(0x9E3779B97F4A7C15)
+        v ^= v >> _U64(30)
+        v *= _U64(0xBF58476D1CE4E5B9)
+        v ^= v >> _U64(27)
+        v *= _U64(0x94D049BB133111EB)
+        v ^= v >> _U64(31)
+        return v
     v = _as_u64(x)
     with np.errstate(over="ignore"):
         v = (v + _U64(0x9E3779B97F4A7C15)) & _MASK64
         v = ((v ^ (v >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)) & _MASK64
         v = ((v ^ (v >> _U64(27))) * _U64(0x94D049BB133111EB)) & _MASK64
         v = (v ^ (v >> _U64(31))) & _MASK64
-    return _maybe_scalar(v, scalar)
+    return int(v)
 
 
 def hash_with_seed(x: ArrayOrInt, seed: int) -> ArrayOrInt:

@@ -14,7 +14,7 @@ from repro.gpusim.sorting import (
     device_sort_by_key,
     stable_argsort,
 )
-from repro.gpusim.stats import KernelStats
+from repro.gpusim.stats import KernelStats, StatsRecorder
 
 KEY_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64, np.int64)
 
@@ -152,3 +152,19 @@ class TestStableArgsort:
             items_sorted=keys.size,
             kernel_launches=RADIX_SORT_PASSES,
         )
+
+    @pytest.mark.parametrize("packable", [True, False])
+    @pytest.mark.parametrize("n", [0, 1, 3000])
+    def test_sort_by_key_without_values_returns_the_order(self, packable, n, rng):
+        """``values=None`` hands back the stable permutation, charged as an
+        ``np.arange(n)`` value array."""
+        high = 1000 if packable else 2**63
+        keys = rng.integers(0, high, n, dtype=np.uint64)
+        keys[1::2] = keys[::2][: n // 2]  # duplicates exercise stability
+        ref, out = StatsRecorder(), StatsRecorder()
+        ref_keys, ref_order = device_sort_by_key(keys, np.arange(n), ref)
+        out_keys, out_order = device_sort_by_key(keys, recorder=out)
+        assert np.array_equal(out_keys, ref_keys)
+        assert np.array_equal(out_order, ref_order)
+        assert out_order.dtype == np.int64
+        assert out.total == ref.total

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.gqf import BulkGQF
-from repro.core.gqf.mapreduce import aggregate_batch, aggregation_ratio
+from repro.core.gqf.mapreduce import aggregate_batch
 from repro.workloads.generators import zipfian_count_dataset
 
 
@@ -88,11 +88,6 @@ class TestMapReduce:
         unique, counts = aggregate_batch(keys, recorder)
         assert list(unique) == [2, 7, 9]
         assert list(counts) == [2, 1, 3]
-
-    def test_aggregation_ratio(self):
-        keys = np.array([1, 1, 1, 1, 2], dtype=np.uint64)
-        assert aggregation_ratio(keys) == pytest.approx(1 - 2 / 5)
-        assert aggregation_ratio(np.arange(10, dtype=np.uint64)) == 0.0
 
     def test_mapreduce_gives_same_counts(self, recorder, keys_1k):
         plain = BulkGQF(10, 8, region_slots=256, use_mapreduce=False, recorder=recorder)

@@ -145,7 +145,7 @@ def _references() -> dict[str, list[tuple[Path, int, bool]]]:
             tree = ast.parse(path.read_text(encoding="utf-8"))
             skip = _reexported_constants(tree) if path.name == "__init__.py" else set()
             for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     name = node.id
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     name = node.attr

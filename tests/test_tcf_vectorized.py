@@ -17,6 +17,7 @@ from repro.core.exceptions import FilterFullError
 from repro.core.tcf import BULK_TCF_DEFAULT, BulkTCF, TCFConfig
 from repro.core.tcf import bulk_tcf
 from repro.core.tcf.backing import BackingTable
+from repro.core.tcf.config import EMPTY_SLOT
 from repro.gpusim.stats import StatsRecorder
 
 #: A values-enabled bulk layout (20-bit packed slots, fits the cache line).
@@ -506,6 +507,84 @@ class TestBackingBulkAPI:
         assert placed.sum() == bulk.n_items <= bulk.n_slots
         found, _ = bulk.bulk_query_values(keys)
         assert np.array_equal(found[placed], np.ones(int(placed.sum()), dtype=bool))
+
+    @staticmethod
+    def _assert_query_matches_point(bulk, point, probes):
+        """Found mask, values and cache-line reads of one bulk query equal
+        the point ``query`` loop's."""
+        with bulk.recorder.section("q") as bulk_stats:
+            found, values = bulk.bulk_query_values(probes)
+        with point.recorder.section("q") as point_stats:
+            answers = [point.query(int(key)) for key in probes]
+        assert found.tolist() == [answer is not None for answer in answers]
+        assert values.tolist() == [answer or 0 for answer in answers]
+        assert bulk_stats.cache_line_reads == point_stats.cache_line_reads
+        return found, values
+
+    def test_bucket_flags_are_one_word(self):
+        """The bulk probes test a bucket's bool flags as one uint64 word."""
+        assert BackingTable.BUCKET_WIDTH * np.dtype(bool).itemsize == np.dtype(np.uint64).itemsize
+
+    def test_tombstones_keep_probing_and_only_empty_stops(self):
+        """Two full buckets; emptying one by deletes leaves tombstones only,
+        so keys stored one round on must still be found, and absent keys
+        probe all ``max_probes`` rounds."""
+        bulk, point = self._pair(n_buckets=2)
+        rng = np.random.default_rng(7)
+        keys = rng.integers(0, 2**63, size=16, dtype=np.uint64)
+        values = rng.integers(1, 16, size=keys.size, dtype=np.uint64)
+        assert bulk.bulk_insert(keys, values).all()
+        for key, value in zip(keys, values):
+            assert point.insert(int(key), int(value))
+        stored_at = np.array(
+            [np.flatnonzero(bulk.keys.peek() == key)[0] // bulk.BUCKET_WIDTH for key in keys]
+        )
+        h1, h2 = bulk._hash_batch(keys)
+        first_bucket = bulk._probe_round(h1, h2, 0)
+        moved_on = stored_at != first_bucket
+        assert moved_on.any()  # the seed overfills one bucket's round 0
+        drained = first_bucket[moved_on][0]
+        kept = stored_at != drained
+        assert bulk.bulk_delete(keys[~kept]).all()
+        assert all(point.delete(int(key)) for key in keys[~kept])
+        assert not np.any(bulk.keys.peek() == EMPTY_SLOT)
+        absent = rng.integers(0, 2**63, size=5, dtype=np.uint64)
+        probes = np.concatenate([keys, absent])
+        found, out = self._assert_query_matches_point(bulk, point, probes)
+        # The moved-on keys are found only past a bucket of tombstones.
+        assert found.tolist() == kept.tolist() + [False] * absent.size
+        assert np.array_equal(out[: keys.size][kept], values[kept])
+        with bulk.recorder.section("absent") as stats:
+            bulk.bulk_query_values(absent)
+        assert stats.cache_line_reads == bulk.max_probes * absent.size
+
+    @pytest.mark.parametrize("n_buckets", [1, 2])
+    def test_full_table_probes_every_round_with_values(self, n_buckets):
+        """A full 1-2-bucket table: every probe round runs, values included."""
+        bulk, point = self._pair(n_buckets=n_buckets)
+        rng = np.random.default_rng(n_buckets)
+        keys = rng.integers(0, 2**63, size=bulk.n_slots, dtype=np.uint64)
+        values = rng.integers(1, 16, size=keys.size, dtype=np.uint64)
+        assert bulk.bulk_insert(keys, values).all()
+        assert all(point.insert(int(k), int(v)) for k, v in zip(keys, values))
+        absent = rng.integers(0, 2**63, size=6, dtype=np.uint64)
+        found, out = self._assert_query_matches_point(bulk, point, np.concatenate([keys, absent]))
+        assert found.tolist() == [True] * keys.size + [False] * absent.size
+        assert np.array_equal(out[: keys.size], values)
+
+    @pytest.mark.parametrize("n_buckets", [1, 8])
+    def test_keys_zero_to_three_alias_like_the_point_path(self, n_buckets):
+        """Keys 0/2 and 1/3 store one word each (sentinel displacement)."""
+        bulk, point = self._pair(n_buckets=n_buckets)
+        for key, value in ((0, 5), (3, 9)):
+            bulk.insert(key, value)
+            point.insert(key, value)
+        probes = np.array([0, 1, 2, 3, 4], dtype=np.uint64)
+        found, out = self._assert_query_matches_point(bulk, point, probes)
+        assert found[[0, 3]].all() and out[[0, 3]].tolist() == [5, 9]
+        assert not found[4]
+        if n_buckets == 1:
+            assert found.tolist() == [True, True, True, True, False]
 
 
 @pytest.mark.parametrize("value", [0, (1 << 60) - 1])
