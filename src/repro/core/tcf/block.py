@@ -512,9 +512,10 @@ class BlockedTable:
         return shift
 
     def row_lower_bound(self, blocks: np.ndarray, words: np.ndarray) -> np.ndarray:
-        """Batched in-row binary search: per probe, the first slot offset of
-        ``blocks[i]``'s row whose word is >= ``words[i]`` (or ``words``, when
-        one word is searched in every row).
+        """Batched in-row binary search: per probe, the flat slot index of
+        the first slot of ``blocks[i]``'s row whose word is >= ``words[i]``
+        (or ``words``, when one word is searched in every row); the row's end
+        (the next row's first slot) when no word of the row is.
 
         A branchless lower bound over the sorted rows — log2(B) strided
         gathers for the whole batch, the vectorised equivalent of the
@@ -523,22 +524,21 @@ class BlockedTable:
         """
         data = self.slots.peek()
         bs = self.config.block_size
-        row_start = blocks.astype(np.int64) * bs
         targets = np.asarray(words)
         if targets.dtype != data.dtype:  # slot-dtype words compare as they are
             targets = targets.astype(np.uint64)
         # Branchless lower bound on flat positions: the answer lies in
         # [pos, pos + n]; each step halves n, and every gather stays inside
-        # the row (pos + half <= row_start + bs - 1), for any block size.
+        # the row (pos + half <= row start + bs - 1), for any block size.
         # (A plain multiply-add beats a masked ``np.add(..., where=)``.)
-        pos = row_start.copy()
+        pos = np.multiply(blocks, bs, dtype=np.int64)
         n = bs
         while n > 1:
             half = n // 2
             pos += (data[pos + half] < targets) * half
             n -= half
         pos += data[pos] < targets
-        return pos - row_start
+        return pos
 
     # --------------------------------------------------------------- iterate
     def fills(self) -> np.ndarray:

@@ -20,10 +20,15 @@ The hot paths are NumPy operations over the table reshaped to
 ``(n_blocks, block_size)``, walked in chunks of ``_CHUNK`` (64k) keys inside
 each call's one kernel launch, so that no step but the sort holds a
 batch-sized temporary — the host stand-in for staging one block tile at a
-time in shared memory.  Hashing derives each chunk into compact batch
-arrays: int32 primary and secondary blocks and packed slot words.  A
-query probes chunk by chunk: primary rows, secondary rows, then the backing
-table, which reuses the chunk's two hash mixes.  An insert pass sorts the
+time in shared memory.  The read-only and write-disjoint walks run each
+chunk's parts on every host core (:func:`~repro.gpusim.walk.chunk_walk`):
+the helper threads stand in for the GPU's concurrent thread blocks, and
+the event model is per kernel, not per host thread, so every thread count
+records the same events.  Hashing derives each chunk into compact batch
+arrays: int32 primary and secondary blocks and packed slot words.  A query
+probes primary, then secondary rows on every core; then the calling thread
+probes the backing table for the chunk's misses with their own two hash
+mixes.  Row searches return flat slot indices.  An insert pass sorts the
 whole batch once by a combined ``(block, word)`` key and, in pass 1, runs
 one successor search over every block (the modelled one-group-per-block
 kernel); both stay global.  It then walks the sorted order in runs of whole
@@ -52,6 +57,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ...gpusim.sharedmem import SharedMemoryTile, account_batched_tiles
+from ...gpusim.walk import chunk_walk
 from ...gpusim.sorting import (
     device_lower_bound,
     device_sort_by_key,
@@ -160,12 +166,14 @@ class BulkTCF(TwoChoiceFilter):
         primary = np.empty(keys.size, dtype=np.int32)
         secondary = np.empty(keys.size, dtype=np.int32)
         words = np.empty(keys.size, dtype=self.config.slot_dtype)
-        for lo in range(0, keys.size, _CHUNK):
-            hi = lo + _CHUNK
+
+        def derive(lo: int, hi: int) -> None:
             h = self._derive_batch(keys[lo:hi])
             primary[lo:hi] = h.primary
             secondary[lo:hi] = h.secondary
             words[lo:hi] = self._pack_words(h.fingerprint, subset(values, slice(lo, hi)))
+
+        chunk_walk(keys.size, _CHUNK, derive, self.recorder)
         return primary, secondary, words
 
     def _place_batch(self, keys: np.ndarray, values: Optional[np.ndarray]) -> np.ndarray:
@@ -238,7 +246,8 @@ class BulkTCF(TwoChoiceFilter):
                 # Rows are ascending with empties (0) and tombstones (1)
                 # first, so the lower bound of the smallest live word is the
                 # free count.
-                free = self.table.row_lower_bound(run_blocks, smallest_live)
+                row_start = run_blocks * block_size
+                free = self.table.row_lower_bound(run_blocks, smallest_live) - row_start
                 rank = np.arange(k0, k1) - np.repeat(starts[t0:t1], run_counts)
                 accept = rank < np.repeat(free, run_counts)
                 n_accepted = np.minimum(run_counts, free)
@@ -247,8 +256,7 @@ class BulkTCF(TwoChoiceFilter):
                     # row (empties/tombstones lead) and one batched per-row
                     # sort restores the block invariant.  A sort key's low
                     # slot-width bits are its word.
-                    dest_blocks = np.repeat(run_blocks, n_accepted)
-                    flat = dest_blocks * block_size + rank[accept]
+                    flat = np.repeat(row_start, n_accepted) + rank[accept]
                     data[flat] = sorted_keys[k0:k1][accept].astype(data.dtype)
                 self.table.resort_rows(run_blocks[n_accepted > 0])
                 spills.append(sorted_positions[k0:k1][~accept])
@@ -381,34 +389,43 @@ class BulkTCF(TwoChoiceFilter):
 
     def bulk_query(self, keys: Sequence[int]) -> np.ndarray:
         """Query a batch of keys (binary search in up to two blocks + backing),
-        chunk by chunk inside one launch."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        out = np.zeros(keys.size, dtype=bool)
-        if keys.size == 0:
-            return out
-        with self.kernels.launch("bulk_tcf_query"):
-            for lo in range(0, keys.size, _CHUNK):
-                out[lo : lo + _CHUNK] = self._query_chunk(keys[lo : lo + _CHUNK])
-        return out
+        chunk by chunk inside one launch.
 
-    def _query_chunk(self, keys: np.ndarray) -> np.ndarray:
-        """Probe one chunk: primary rows, secondary rows, then the backing
-        table, which probes with the chunk's own hash mixes."""
-        h = self._derive_batch(keys)
-        # A fingerprint's slot words span [lo, lo | value mask].
-        lo_w = self._pack_words(h.fingerprint, None)
+        Each chunk's parts search their primary, then secondary rows on
+        every host core (:func:`~repro.gpusim.walk.chunk_walk`).  After each
+        round the calling thread probes the backing table for the round's
+        misses, with their own hash mixes: that probe holds the peak working
+        memory of a chunk of absent keys, and on one thread the peak does
+        not depend on thread timing.
+        """
+        keys = np.asarray(keys, dtype=np.uint64)
+        found = np.zeros(keys.size, dtype=bool)
+        if keys.size == 0:
+            return found
         vb = self.config.value_bits
-        hi_w = lo_w | lo_w.dtype.type((1 << vb) - 1) if vb else lo_w
-        found = self._probe_rows(h.primary, lo_w, hi_w)
-        miss = np.flatnonzero(~found)
-        if miss.size:
-            hit2 = self._probe_rows(h.secondary[miss], lo_w[miss], hi_w[miss])
-            found[miss[hit2]] = True
-            still = miss[~hit2]
+        misses = {}  # part start -> batch positions and hash mixes of its misses
+
+        def probe_rows(lo: int, hi: int) -> None:
+            h = self._derive_batch(keys[lo:hi])
+            # A fingerprint's slot words span [lo, lo | value mask].
+            lo_w = self._pack_words(h.fingerprint, None)
+            hi_w = lo_w | lo_w.dtype.type((1 << vb) - 1) if vb else lo_w
+            hit = self._probe_rows(h.primary, lo_w, hi_w)
+            miss = np.flatnonzero(~hit)
+            if miss.size:
+                hit[miss] = self._probe_rows(h.secondary[miss], lo_w[miss], hi_w[miss])
+            found[lo:hi] = hit
+            still = np.flatnonzero(~hit)
+            misses[lo] = (still + lo, h.h1[still], h.h2[still])
+
+        def probe_backing() -> None:
+            parts = [misses.pop(lo) for lo in sorted(misses)]
+            still, h1, h2 = (np.concatenate(arrays) for arrays in zip(*parts))
             if still.size:
-                found[still] = self.backing.bulk_contains(
-                    keys[still], (h.h1[still], h.h2[still])
-                )
+                found[still] = self.backing.bulk_contains(keys[still], (h1, h2))
+
+        with self.kernels.launch("bulk_tcf_query"):
+            chunk_walk(keys.size, _CHUNK, probe_rows, self.recorder, probe_backing)
         return found
 
     def _probe_rows(self, blocks: np.ndarray, lo_w: np.ndarray, hi_w: np.ndarray) -> np.ndarray:
@@ -418,8 +435,11 @@ class BulkTCF(TwoChoiceFilter):
         block_size = self.config.block_size
         data = self.table.slots.peek()
         pos = self.table.row_lower_bound(blocks, lo_w)
-        successor = np.minimum(blocks.astype(np.int64) * block_size + pos, data.size - 1)
-        found = (pos < block_size) & (data[successor] <= hi_w)
+        row_end = np.multiply(blocks + 1, block_size, dtype=np.int64)
+        found = pos < row_end
+        # A lower bound past the row's last slot is clipped to the table and
+        # masked out above.
+        found &= np.take(data, pos, mode="clip") <= hi_w
         search_instr = int(np.log2(max(2, block_size)))
         self.recorder.add(
             cache_line_reads=int(blocks.size),
@@ -523,7 +543,7 @@ class BulkTCF(TwoChoiceFilter):
                 words = probe_lo & word_mask
                 del probe_lo
                 # The stored copies of a fingerprint are one sorted span of
-                # its candidate row: two in-row searches bound it.
+                # its candidate row: two in-row searches bound its flat slots.
                 lo = self.table.row_lower_bound(blocks, words)
                 n_avail = self.table.row_lower_bound(blocks, words + word_span) - lo
                 take = rank < n_avail
@@ -538,7 +558,7 @@ class BulkTCF(TwoChoiceFilter):
                 hits = order[take]
                 if hits.size:
                     hit_blocks = blocks[take]
-                    data[hit_blocks * block_size + lo[take] + rank[take]] = EMPTY_SLOT
+                    data[lo[take] + rank[take]] = EMPTY_SLOT
                     # The probes were sorted by block, so the touched blocks
                     # dedupe with a plain first-occurrence flag.
                     self.table.resort_rows(hit_blocks[run_first_mask(hit_blocks)])

@@ -16,6 +16,8 @@ provides:
   parallelism the perf model reads comes from each filter's
   ``active_threads`` in :mod:`repro.analysis.adapters`);
 * :mod:`~repro.gpusim.sorting` — Thrust-like sort/reduce/search primitives;
+* :mod:`~repro.gpusim.walk` — the host-parallel chunk walk standing in for
+  a bulk kernel's concurrent thread blocks;
 * :mod:`~repro.gpusim.stats` — hardware-event counters;
 * :mod:`~repro.gpusim.perfmodel` — the roofline-style time estimator.
 

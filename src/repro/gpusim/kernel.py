@@ -48,15 +48,12 @@ class KernelContext:
         record = KernelRecord(name=name)
         self.recorder.add(kernel_launches=1)
         record.stats.kernel_launches = 1
-        with self.recorder.section(f"kernel:{name}"):
-            # Nest a throwaway recorder section by stacking the record stats.
-            self.recorder._active.append(record.stats)
+        with self.recorder.section(f"kernel:{name}"), self.recorder.scope(record.stats):
             self._open += 1
             try:
                 yield record
             finally:
                 self._open -= 1
-                self.recorder._active.pop()
         self.kernels.append(record)
 
     @property

@@ -14,8 +14,9 @@ functional simulation stays fast enough to run millions of operations.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Iterator
+from typing import Dict, Iterator, List, Tuple
 import contextlib
+import threading
 
 
 @dataclass
@@ -91,22 +92,48 @@ class StatsRecorder:
     it.  Benchmarks use :meth:`section` to scope the events of a particular
     phase (e.g. "inserts" vs "positive queries") so that throughput can be
     derived per phase.
+
+    One recorder may serve several threads.  Each thread keeps its own stack
+    of open scopes (sections and kernel-launch records), so one thread's
+    events never land in another thread's scopes, and one lock makes every
+    counter update exact under concurrent adds.  A helper thread working for
+    a caller records into the caller's scopes through :meth:`adopt`.
     """
 
     def __init__(self) -> None:
         self.total = KernelStats()
         self.sections: Dict[str, KernelStats] = {}
-        self._active: list[KernelStats] = []
+        self._lock = threading.Lock()
+        self._local = threading.local()
+
+    def _scopes(self) -> List[KernelStats]:
+        """The calling thread's stack of open scopes."""
+        scopes = getattr(self._local, "scopes", None)
+        if scopes is None:
+            scopes = self._local.scopes = []
+        return scopes
 
     # -- event sinks ------------------------------------------------------
     def add(self, **events: int) -> None:
         """Record raw event counts, e.g. ``rec.add(atomic_ops=1)``."""
-        sinks = [self.total] + self._active
-        for sink in sinks:
-            for name, value in events.items():
-                setattr(sink, name, getattr(sink, name) + value)
+        scopes = self._scopes()
+        with self._lock:
+            for sink in (self.total, *scopes):
+                for name, value in events.items():
+                    setattr(sink, name, getattr(sink, name) + value)
 
-    # -- sections ---------------------------------------------------------
+    # -- scopes -----------------------------------------------------------
+    @contextlib.contextmanager
+    def scope(self, stats: KernelStats) -> Iterator[KernelStats]:
+        """Also record the calling thread's events into ``stats`` while the
+        block runs (a kernel launch scopes its record this way)."""
+        scopes = self._scopes()
+        scopes.append(stats)
+        try:
+            yield stats
+        finally:
+            scopes.pop()
+
     @contextlib.contextmanager
     def section(self, name: str) -> Iterator[KernelStats]:
         """Context manager scoping events into a named section.
@@ -114,22 +141,37 @@ class StatsRecorder:
         Nested sections each receive the events recorded while active.
         Re-entering a section name accumulates into the same stats object.
         """
-        stats = self.sections.setdefault(name, KernelStats())
-        self._active.append(stats)
-        try:
+        with self._lock:
+            stats = self.sections.setdefault(name, KernelStats())
+        with self.scope(stats):
             yield stats
+
+    def open_scopes(self) -> Tuple[KernelStats, ...]:
+        """The calling thread's open scopes, innermost last (see :meth:`adopt`)."""
+        return tuple(self._scopes())
+
+    @contextlib.contextmanager
+    def adopt(self, scopes: Tuple[KernelStats, ...]) -> Iterator[None]:
+        """Record the calling thread's events into ``scopes`` — another
+        thread's :meth:`open_scopes` — instead of its own while the block
+        runs, exactly as that thread would record them."""
+        own = self._scopes()
+        self._local.scopes = list(scopes)
+        try:
+            yield
         finally:
-            self._active.pop()
+            self._local.scopes = own
 
     def section_stats(self, name: str) -> KernelStats:
         """Return the stats recorded for ``name`` (empty if never entered)."""
         return self.sections.get(name, KernelStats())
 
     def reset(self) -> None:
-        """Clear the total, every section, and any active scopes."""
-        self.total = KernelStats()
-        self.sections = {}
-        self._active = []
+        """Clear the total, every section, and every thread's open scopes."""
+        with self._lock:
+            self.total = KernelStats()
+            self.sections = {}
+        self._local = threading.local()
 
 
 #: A module-level "null" recorder used by structures created without an

@@ -1,5 +1,9 @@
 """Tests for the hardware-event counters and the stats recorder."""
 
+import sys
+import threading
+
+from repro.gpusim.kernel import KernelContext
 from repro.gpusim.stats import KernelStats, StatsRecorder
 
 
@@ -84,3 +88,76 @@ class TestStatsRecorder:
         rec.reset()
         assert rec.total.cache_line_reads == 0
         assert rec.sections == {}
+
+
+class TestThreadedRecording:
+    """One recorder shared by threads, as the service's workers share one."""
+
+    def test_concurrent_launches_record_exact_totals_and_records(self):
+        rec = StatsRecorder()
+        contexts = [KernelContext(rec), KernelContext(rec)]
+        n_adds = 200_000
+
+        def work(ctx):
+            with ctx.launch("k"):
+                for _ in range(n_adds):
+                    rec.add(instructions=1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(ctx,)) for ctx in contexts]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert rec.total.instructions == 2 * n_adds
+        assert rec.section_stats("kernel:k").instructions == 2 * n_adds
+        for ctx in contexts:
+            (record,) = ctx.kernels
+            assert record.stats.instructions == n_adds
+            assert record.stats.kernel_launches == 1
+
+    def test_sections_are_per_thread(self):
+        rec = StatsRecorder()
+        opened, recorded = threading.Event(), threading.Event()
+
+        def other():
+            opened.wait(timeout=60)
+            rec.add(atomic_ops=5)
+            recorded.set()
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        with rec.section("mine"):
+            opened.set()
+            recorded.wait(timeout=60)
+            rec.add(atomic_ops=1)
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert rec.section_stats("mine").atomic_ops == 1
+        assert rec.total.atomic_ops == 6
+
+    def test_adopted_scopes_receive_a_helpers_events(self):
+        rec = StatsRecorder()
+        ctx = KernelContext(rec)
+        with rec.section("phase"), ctx.launch("k"):
+            scopes = rec.open_scopes()
+
+            def helper():
+                with rec.adopt(scopes):
+                    rec.add(cache_line_reads=3)
+                rec.add(cache_line_reads=100)  # outside the adopted scopes
+
+            thread = threading.Thread(target=helper)
+            thread.start()
+            thread.join(timeout=60)
+            rec.add(cache_line_reads=1)
+        assert not thread.is_alive()
+        assert rec.section_stats("phase").cache_line_reads == 4
+        assert rec.section_stats("kernel:k").cache_line_reads == 4
+        assert ctx.kernels[0].stats.cache_line_reads == 4
+        assert rec.total.cache_line_reads == 104

@@ -121,7 +121,10 @@ class TestRowLowerBound:
         words[::50] = np.uint64(2**63 + 5)
         before = recorder.total.copy()
         got = table.row_lower_bound(blocks, words)
-        want = [np.searchsorted(rows[b], w, side="left") for b, w in zip(blocks, words)]
+        want = [
+            b * block_size + np.searchsorted(rows[b], w, side="left")
+            for b, w in zip(blocks, words)
+        ]
         assert np.array_equal(got, want)
         # Host-side helper: callers charge the probe traffic.
         assert recorder.total == before

@@ -10,6 +10,8 @@ historic duplicate-word spill mis-attribution (`np.isin` matched spills by
 pass 2 or the backing table) by asserting positional spill tracking.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,9 @@ from repro.core.tcf import BULK_TCF_DEFAULT, BulkTCF, TCFConfig
 from repro.core.tcf import bulk_tcf
 from repro.core.tcf.backing import BackingTable
 from repro.core.tcf.config import EMPTY_SLOT
+from repro.gpusim import walk
 from repro.gpusim.stats import StatsRecorder
+from repro.sharding import sharded_tcf
 
 #: A values-enabled bulk layout (20-bit packed slots, fits the cache line).
 VALUES_CONFIG = TCFConfig(fingerprint_bits=16, block_size=32, cg_size=32, value_bits=4)
@@ -342,13 +346,15 @@ class TestDeleteDifferential:
 
 
 class TestChunkParity:
-    """A bulk call walks its batch in chunks of ``bulk_tcf._CHUNK`` keys;
-    any chunk size must leave the same table, journal, events, kernel
-    records and results as one chunk larger than the batch."""
+    """A bulk call walks its batch in chunks of ``bulk_tcf._CHUNK`` keys,
+    split across ``walk.host_threads()`` threads; any chunk size and thread
+    count must leave the same table, journal, events, kernel records and
+    results as one thread walking one chunk larger than the batch."""
 
     @staticmethod
-    def _trace(monkeypatch, chunk, make, ops):
+    def _trace(monkeypatch, chunk, make, ops, threads=1):
         monkeypatch.setattr(bulk_tcf, "_CHUNK", chunk)
+        monkeypatch.setattr(walk, "host_threads", lambda: threads)
         rec = StatsRecorder()
         filt = make(rec)
         results = [np.asarray(op(filt)).tobytes() for op in ops]
@@ -359,9 +365,9 @@ class TestChunkParity:
 
     def _assert_chunk_parity(self, monkeypatch, make, ops):
         whole_filt, whole = self._trace(monkeypatch, 1 << 30, make, ops)
-        for chunk in (1, 7, 64):
-            _filt, chunked = self._trace(monkeypatch, chunk, make, ops)
-            assert chunked == whole, chunk
+        for chunk, threads in [(1, 1), (7, 1), (64, 1), (7, 2), (64, 2), (7, 3), (64, 3), (64, 4)]:
+            _filt, chunked = self._trace(monkeypatch, chunk, make, ops, threads)
+            assert chunked == whole, (chunk, threads)
         return whole_filt
 
     def test_spills_duplicates_query_and_delete(self, monkeypatch):
@@ -418,6 +424,88 @@ class TestChunkParity:
             ],
         )
         assert filt.n_resizes >= 2
+
+
+class TestParallelWalk:
+    """The walk's helper threads: errors, lifetime, and small batches."""
+
+    @staticmethod
+    def _filled(monkeypatch, threads=2, chunk=64):
+        monkeypatch.setattr(bulk_tcf, "_CHUNK", chunk)
+        monkeypatch.setattr(walk, "host_threads", lambda: threads)
+        rng = np.random.default_rng(31)
+        filt = BulkTCF(1 << 12)
+        keys = rng.integers(0, 2**63, size=3000, dtype=np.uint64)
+        filt.bulk_insert(keys)
+        return filt, keys
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        """Record the thread and the active thread count of every call."""
+        calls = []
+        original = getattr(BulkTCF, name)
+
+        def spy(self, *args):
+            calls.append((threading.get_ident(), threading.active_count()))
+            return original(self, *args)
+
+        monkeypatch.setattr(BulkTCF, name, spy)
+        return calls
+
+    def test_a_helper_threads_error_surfaces_on_the_caller(self, monkeypatch):
+        filt, keys = self._filled(monkeypatch)
+        before = {name: a.tobytes() for name, a in filt.snapshot_state().items()}
+        calls = []
+        original = BulkTCF._derive_batch
+        caller = threading.get_ident()
+
+        def failing(self, part_keys):
+            calls.append(part_keys.size)
+            if threading.get_ident() != caller:
+                raise ValueError("part failed")
+            return original(self, part_keys)
+
+        monkeypatch.setattr(BulkTCF, "_derive_batch", failing)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="part failed"):
+            filt.bulk_query(keys)
+        # The failing round's two parts ran; no later step did.
+        assert len(calls) == 2
+        assert threading.active_count() == threads
+        after = {name: a.tobytes() for name, a in filt.snapshot_state().items()}
+        assert after == before
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_no_thread_outlives_a_call_or_exceeds_the_cores(self, monkeypatch, threads):
+        filt, keys = self._filled(monkeypatch, threads)
+        probes = self._spy(monkeypatch, "_probe_rows")
+        hashes = self._spy(monkeypatch, "_derive_batch")
+        before = threading.active_count()
+        filt.bulk_query(keys)
+        assert threading.active_count() == before
+        filt.bulk_insert_mask(keys[:500] + np.uint64(1))
+        filt.bulk_delete(keys[:1000])
+        assert threading.active_count() == before
+        assert len({ident for ident, _ in probes}) == threads
+        for calls in (probes, hashes):
+            assert max(count for _, count in calls) == before + threads - 1
+
+    def test_a_service_sized_batch_starts_no_thread(self, monkeypatch):
+        filt, keys = self._filled(monkeypatch, threads=2, chunk=1 << 16)
+        hashes = self._spy(monkeypatch, "_derive_batch")
+        filt.bulk_query(keys[:1600])
+        assert hashes == [(threading.get_ident(), threading.active_count())]
+
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
+    def test_a_worker_pool_forks_cleanly_after_a_threaded_query(self, monkeypatch):
+        filt, keys = self._filled(monkeypatch)
+        assert filt.bulk_query(keys).all()
+        pooled = sharded_tcf(2, n_slots=8_192, max_workers=2)
+        try:
+            pooled.bulk_insert(keys)
+            assert pooled.bulk_query(keys).all()
+        finally:
+            pooled.close()
 
 
 class TestBackingBulkAPI:
