@@ -20,18 +20,18 @@ The hot paths are NumPy operations over the table reshaped to
 ``(n_blocks, block_size)``, walked in chunks of ``_CHUNK`` (64k) keys inside
 each call's one kernel launch, so that no step but the sort holds a
 batch-sized temporary — the host stand-in for staging one block tile at a
-time in shared memory.  The read-only and write-disjoint walks run each
-chunk's parts on every host core (:func:`~repro.gpusim.walk.chunk_walk`):
-the helper threads stand in for the GPU's concurrent thread blocks, and
-the event model is per kernel, not per host thread, so every thread count
-records the same events.  Hashing derives each chunk into compact batch
-arrays: int32 primary and secondary blocks and packed slot words.  A query
-probes primary, then secondary rows on every core; then the calling thread
-probes the backing table for the chunk's misses with their own two hash
-mixes.  Row searches return flat slot indices.  An insert pass sorts the
-whole batch once by a combined ``(block, word)`` key and, in pass 1, runs
-one successor search over every block (the modelled one-group-per-block
-kernel); both stay global.  It then walks the sorted order in runs of whole
+time in shared memory.  The read-only and write-disjoint walks split each
+chunk into parts run on several host cores
+(:func:`~repro.gpusim.walk.chunk_walk`): the helper threads stand in for
+the GPU's concurrent thread blocks, and the event model is per kernel, not
+per host thread, so every thread count records the same events.  Hashing
+derives each chunk into compact batch arrays: int32 primary and secondary
+blocks and packed slot words.  A query probes primary, then secondary rows
+on those cores; then the calling thread probes the backing table for the
+chunk's misses with their own two hash mixes.  Row searches return flat
+slot indices.  An insert pass sorts the whole batch once by a combined
+``(block, word)`` key and, in pass 1, runs one successor search over every
+block (the modelled one-group-per-block kernel); both stay global.  It then walks the sorted order in runs of whole
 blocks of about one chunk: each run finds its blocks' free capacity with
 one in-row lower bound (rows are sorted, so empties and tombstones lead),
 ranks and accepts its items, writes them and re-sorts its rows.  Spills are
@@ -392,7 +392,7 @@ class BulkTCF(TwoChoiceFilter):
         chunk by chunk inside one launch.
 
         Each chunk's parts search their primary, then secondary rows on
-        every host core (:func:`~repro.gpusim.walk.chunk_walk`).  After each
+        several host cores (:func:`~repro.gpusim.walk.chunk_walk`).  After each
         round the calling thread probes the backing table for the round's
         misses, with their own hash mixes: that probe holds the peak working
         memory of a chunk of absent keys, and on one thread the peak does

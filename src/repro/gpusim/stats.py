@@ -14,7 +14,7 @@ functional simulation stays fast enough to run millions of operations.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 import contextlib
 import threading
 
@@ -85,6 +85,21 @@ class KernelStats:
         return out
 
 
+#: A thread's share of a recorder: the thread (None for the folded shares of
+#: finished threads), its total and its sections.
+_Share = Tuple[Optional[threading.Thread], KernelStats, Dict[str, KernelStats]]
+
+
+class _ThreadShare(threading.local):
+    """One thread's share of a recorder, which only that thread writes: its
+    sinks (its total, then its open scopes, innermost last) and its sections."""
+
+    def __init__(self, recorder: "StatsRecorder") -> None:
+        self.sinks: List[KernelStats] = [KernelStats()]
+        self.sections: Dict[str, KernelStats] = {}
+        recorder._register(self.sinks[0], self.sections)
+
+
 class StatsRecorder:
     """A hierarchical recorder of :class:`KernelStats`.
 
@@ -93,74 +108,104 @@ class StatsRecorder:
     phase (e.g. "inserts" vs "positive queries") so that throughput can be
     derived per phase.
 
-    One recorder may serve several threads.  Each thread keeps its own stack
-    of open scopes (sections and kernel-launch records), so one thread's
-    events never land in another thread's scopes, and one lock makes every
-    counter update exact under concurrent adds.  A helper thread working for
-    a caller records into the caller's scopes through :meth:`adopt`.
+    One recorder may serve several threads.  Each thread records into its own
+    share (its total, its sections and its open scopes), which no other
+    thread writes, so an event costs no lock and no update is lost;
+    :attr:`total`, :attr:`sections` and :meth:`section_stats` sum every
+    thread's share when read.  A helper thread working for a caller records
+    its part with :meth:`capture`, and the caller adds the result.
     """
 
     def __init__(self) -> None:
-        self.total = KernelStats()
-        self.sections: Dict[str, KernelStats] = {}
         self._lock = threading.Lock()
-        self._local = threading.local()
+        self._clear()
 
-    def _scopes(self) -> List[KernelStats]:
-        """The calling thread's stack of open scopes."""
-        scopes = getattr(self._local, "scopes", None)
-        if scopes is None:
-            scopes = self._local.scopes = []
-        return scopes
+    def _clear(self) -> None:
+        with self._lock:
+            # Finished threads' shares are folded into the first entry.
+            self._retired: _Share = (None, KernelStats(), {})
+            self._shares: List[_Share] = []
+        self._local = _ThreadShare(self)
+
+    def _register(self, total: KernelStats, sections: Dict[str, KernelStats]) -> None:
+        """Add the calling thread's new share; fold in those of finished threads."""
+        with self._lock:
+            live = []
+            for share in self._shares:
+                if share[0].is_alive():
+                    live.append(share)
+                else:
+                    _, retired, retired_sections = self._retired
+                    retired.merge(share[1])
+                    for name, stats in share[2].items():
+                        retired_sections.setdefault(name, KernelStats()).merge(stats)
+            live.append((threading.current_thread(), total, sections))
+            self._shares = live
 
     # -- event sinks ------------------------------------------------------
     def add(self, **events: int) -> None:
         """Record raw event counts, e.g. ``rec.add(atomic_ops=1)``."""
-        scopes = self._scopes()
+        for sink in self._local.sinks:
+            for name, value in events.items():
+                setattr(sink, name, getattr(sink, name) + value)
+
+    @property
+    def total(self) -> KernelStats:
+        """Every event recorded, summed over the threads (a snapshot)."""
+        total = KernelStats()
         with self._lock:
-            for sink in (self.total, *scopes):
-                for name, value in events.items():
-                    setattr(sink, name, getattr(sink, name) + value)
+            for _, share, _ in (self._retired, *self._shares):
+                total.merge(share)
+        return total
+
+    @property
+    def sections(self) -> Dict[str, KernelStats]:
+        """Each section's events, summed over the threads (a snapshot)."""
+        sections: Dict[str, KernelStats] = {}
+        with self._lock:
+            for _, _, share in (self._retired, *self._shares):
+                for name, stats in share.items():
+                    sections.setdefault(name, KernelStats()).merge(stats)
+        return sections
 
     # -- scopes -----------------------------------------------------------
     @contextlib.contextmanager
     def scope(self, stats: KernelStats) -> Iterator[KernelStats]:
         """Also record the calling thread's events into ``stats`` while the
         block runs (a kernel launch scopes its record this way)."""
-        scopes = self._scopes()
-        scopes.append(stats)
+        sinks = self._local.sinks
+        sinks.append(stats)
         try:
             yield stats
         finally:
-            scopes.pop()
+            sinks.pop()
 
     @contextlib.contextmanager
     def section(self, name: str) -> Iterator[KernelStats]:
         """Context manager scoping events into a named section.
 
         Nested sections each receive the events recorded while active.
-        Re-entering a section name accumulates into the same stats object.
+        Re-entering a section name accumulates into the same stats object,
+        which holds the calling thread's share of the section.
         """
-        with self._lock:
-            stats = self.sections.setdefault(name, KernelStats())
+        sections = self._local.sections  # registers a new thread's share
+        with self._lock:  # readers walk this dict under the lock
+            stats = sections.setdefault(name, KernelStats())
         with self.scope(stats):
             yield stats
 
-    def open_scopes(self) -> Tuple[KernelStats, ...]:
-        """The calling thread's open scopes, innermost last (see :meth:`adopt`)."""
-        return tuple(self._scopes())
-
     @contextlib.contextmanager
-    def adopt(self, scopes: Tuple[KernelStats, ...]) -> Iterator[None]:
-        """Record the calling thread's events into ``scopes`` — another
-        thread's :meth:`open_scopes` — instead of its own while the block
-        runs, exactly as that thread would record them."""
-        own = self._scopes()
-        self._local.scopes = list(scopes)
+    def capture(self) -> Iterator[KernelStats]:
+        """Record the calling thread's events only into the yielded stats,
+        not into its share, while the block runs.  A helper thread runs its
+        part of a caller's work this way, and the caller adds the result to
+        its own open scopes (``rec.add(**captured.as_dict())``)."""
+        local = self._local
+        own, local.sinks = local.sinks, [KernelStats()]
         try:
-            yield
+            yield local.sinks[0]
         finally:
-            self._local.scopes = own
+            local.sinks = own
 
     def section_stats(self, name: str) -> KernelStats:
         """Return the stats recorded for ``name`` (empty if never entered)."""
@@ -168,10 +213,7 @@ class StatsRecorder:
 
     def reset(self) -> None:
         """Clear the total, every section, and every thread's open scopes."""
-        with self._lock:
-            self.total = KernelStats()
-            self.sections = {}
-        self._local = threading.local()
+        self._clear()
 
 
 #: A module-level "null" recorder used by structures created without an

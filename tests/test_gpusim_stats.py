@@ -141,23 +141,43 @@ class TestThreadedRecording:
         assert rec.section_stats("mine").atomic_ops == 1
         assert rec.total.atomic_ops == 6
 
-    def test_adopted_scopes_receive_a_helpers_events(self):
+    def test_captured_events_reach_only_the_caller_that_adds_them(self):
         rec = StatsRecorder()
         ctx = KernelContext(rec)
+        captured = []
         with rec.section("phase"), ctx.launch("k"):
-            scopes = rec.open_scopes()
 
             def helper():
-                with rec.adopt(scopes):
+                with rec.capture() as events:
                     rec.add(cache_line_reads=3)
-                rec.add(cache_line_reads=100)  # outside the adopted scopes
+                captured.append(events)
+                rec.add(cache_line_reads=100)  # the helper's own share
 
             thread = threading.Thread(target=helper)
             thread.start()
             thread.join(timeout=60)
+            assert rec.section_stats("phase").cache_line_reads == 0
+            rec.add(**captured[0].as_dict())
             rec.add(cache_line_reads=1)
         assert not thread.is_alive()
         assert rec.section_stats("phase").cache_line_reads == 4
         assert rec.section_stats("kernel:k").cache_line_reads == 4
         assert ctx.kernels[0].stats.cache_line_reads == 4
         assert rec.total.cache_line_reads == 104
+
+    def test_finished_threads_are_folded_into_the_totals(self):
+        rec = StatsRecorder()
+
+        def work():
+            with rec.section("phase"):
+                rec.add(atomic_ops=2)
+
+        for _ in range(5):
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        # Each new thread folds the finished ones' shares in as it registers.
+        assert len(rec._shares) <= 2
+        assert rec.total.atomic_ops == 10
+        assert rec.section_stats("phase").atomic_ops == 10

@@ -355,6 +355,7 @@ class TestChunkParity:
     def _trace(monkeypatch, chunk, make, ops, threads=1):
         monkeypatch.setattr(bulk_tcf, "_CHUNK", chunk)
         monkeypatch.setattr(walk, "host_threads", lambda: threads)
+        monkeypatch.setattr(walk, "_MIN_PART", 1)
         rec = StatsRecorder()
         filt = make(rec)
         results = [np.asarray(op(filt)).tobytes() for op in ops]
@@ -430,9 +431,10 @@ class TestParallelWalk:
     """The walk's helper threads: errors, lifetime, and small batches."""
 
     @staticmethod
-    def _filled(monkeypatch, threads=2, chunk=64):
+    def _filled(monkeypatch, threads=2, chunk=64, min_part=1):
         monkeypatch.setattr(bulk_tcf, "_CHUNK", chunk)
         monkeypatch.setattr(walk, "host_threads", lambda: threads)
+        monkeypatch.setattr(walk, "_MIN_PART", min_part)
         rng = np.random.default_rng(31)
         filt = BulkTCF(1 << 12)
         keys = rng.integers(0, 2**63, size=3000, dtype=np.uint64)
@@ -491,10 +493,44 @@ class TestParallelWalk:
             assert max(count for _, count in calls) == before + threads - 1
 
     def test_a_service_sized_batch_starts_no_thread(self, monkeypatch):
-        filt, keys = self._filled(monkeypatch, threads=2, chunk=1 << 16)
+        filt, keys = self._filled(monkeypatch, threads=2, chunk=1 << 16, min_part=walk._MIN_PART)
         hashes = self._spy(monkeypatch, "_derive_batch")
         filt.bulk_query(keys[:1600])
         assert hashes == [(threading.get_ident(), threading.active_count())]
+
+    def test_walks_never_run_more_threads_than_cores(self, monkeypatch):
+        monkeypatch.setattr(walk.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        alone = walk.host_threads()
+        assert alone == 9 - threading.active_count()
+        opened, done = threading.Event(), threading.Event()
+        # Another live thread, such as a service worker, may hold a core.
+        other = threading.Thread(target=lambda: (opened.set(), done.wait(timeout=60)))
+        other.start()
+        try:
+            opened.wait(timeout=60)
+            assert walk.host_threads() == alone - 1
+        finally:
+            done.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+
+    def test_parts_keep_the_measured_size_on_many_cores(self, monkeypatch):
+        monkeypatch.setattr(walk, "host_threads", lambda: 8)
+        lock = threading.Lock()
+        parts = []
+
+        def record(lo, hi):
+            with lock:
+                parts.append((lo, hi, threading.get_ident()))
+
+        n = 5 * (1 << 16) + 123
+        walk.chunk_walk(n, 1 << 16, record, StatsRecorder())
+        parts.sort()
+        assert [lo for lo, _, _ in parts[1:]] == [hi for _, hi, _ in parts[:-1]]
+        assert parts[0][0] == 0 and parts[-1][1] == n
+        assert min(hi - lo for lo, hi, _ in parts) >= walk._MIN_PART
+        # A round of 32k-key parts fills a 64k chunk on two threads.
+        assert len({ident for _, _, ident in parts}) == 2
 
     @pytest.mark.filterwarnings("error::DeprecationWarning")
     def test_a_worker_pool_forks_cleanly_after_a_threaded_query(self, monkeypatch):
