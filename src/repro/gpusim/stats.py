@@ -122,7 +122,6 @@ class StatsRecorder:
 
     def _clear(self) -> None:
         with self._lock:
-            # Finished threads' shares are folded into the first entry.
             self._retired: _Share = (None, KernelStats(), {})
             self._shares: List[_Share] = []
         self._local = _ThreadShare(self)
